@@ -26,9 +26,8 @@ from .coordring import generator_varset, graded_piece
 from .fpmod import FPModule
 from .functors import binomial_eval, dimension_function, parse_functor
 from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
-                       SizeGuardExceeded, closed_subset, dimension_per_prime,
-                       equivariance_check, good_primes, image_closure,
-                       sum_of_powers, target_varset)
+                       SizeGuardExceeded, equivariance_check, good_primes,
+                       image_closure, sum_of_powers, target_varset)
 from .groebner import GroebnerBasis, ideal_dimension
 from .poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
 from .rings import ZZ, BaseRing, QuotientRing, fraction_field_reduction, \
@@ -258,7 +257,14 @@ def _cached_image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     key = GBCache.key(graph_texts, f"elim({len(src_vs)})", ring.tag())
     hit = cache.lookup(key)
     if hit is not None:
-        return closed_subset(alpha.target, n, ring, list(hit.generators))
+        vs = target_varset(alpha.target, n)
+        if hit.ring == ring and hit.order == Grevlex() and hit.varset == vs:
+            return ClosedSubsetAtRank(alpha.target, n, ring, vs,
+                                      hit.generators, hit)
+        print(f"warning: ignoring mismatched cache entry {cache._path(key)}: "
+              f"holds a {hit.order.tag()} basis over {hit.ring.tag()}, not a "
+              f"grevlex basis over {ring.tag()} in the target variables",
+              file=sys.stderr)
     subset = image_closure(alpha, n, ring, guards)
     cache.store(key, subset.gb)
     return subset
@@ -422,13 +428,7 @@ def _cmd_dim_per_prime(cfg: dict, args) -> tuple:
         ms = int((time.perf_counter() - t0) * 1000)
         return p, ideal_dimension(subset.gb), len(subset.gb.generators), ms
 
-    plist = [0] + [p for p in primes if p != 0]
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, plist))
-    else:
-        results = [one(p) for p in plist]
+    results = [one(p) for p in [0] + [p for p in primes if p != 0]]
     lines = [f"dimension of the image closure of {alpha.name} at rank {n}",
              "field  dimension"]
     for p, dim, _, _ in results:
@@ -600,10 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="Groebner basis cache directory "
                              "(default: $PFCALC_CACHE_DIR)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-prime loops")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property commands")
     parser.add_argument("--max-variables", type=int, default=40)
     parser.add_argument("--max-basis", type=int, default=5000)
     parser.add_argument("--max-degree", type=int, default=8)
@@ -613,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     cache_dir = args.cache_dir or os.environ.get("PFCALC_CACHE_DIR")
     args.cache = GBCache(cache_dir) if cache_dir else None
     start = time.perf_counter()
@@ -631,8 +625,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not isinstance(cfg, dict):
         print("error: config must be a JSON object", file=sys.stderr)
         return 2
-    import random
-    random.seed(args.seed)
     try:
         doc, lines, csv_spec = HANDLERS[args.command](cfg, args)
         _emit(args, doc, lines, csv_spec)

@@ -154,8 +154,14 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     if len(eliminated) > guards.max_basis:
         raise SizeGuardExceeded("eliminated basis too large",
                                 basis_size=len(eliminated), limit=guards.max_basis)
-    kept = [g.restrict(y_vs) if g.varset != y_vs else g for g in eliminated]
-    return closed_subset(alpha.target, n, ring, kept)
+    kept = tuple(g.restrict(y_vs) if g.varset != y_vs else g for g in eliminated)
+    # the tail block of the elimination order is grevlex on y_vs, so the
+    # eliminated part of the reduced basis is already the reduced, monic,
+    # sorted grevlex basis of the closure ideal
+    order = Grevlex()
+    gb = GroebnerBasis(kept, order, frozenset(g.leading(order)[0] for g in kept),
+                       ring, y_vs)
+    return ClosedSubsetAtRank(alpha.target, n, ring, y_vs, kept, gb)
 
 
 def dimension_per_prime(alpha: PolyTransformation, n: int,
@@ -252,9 +258,9 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
             stairs = frozenset(f.leading(order)[0] for f in gens_p if not f.is_zero())
             matches = crit and member and stairs == gb.leading_monomials
             if matches:
-                gb_p = buchberger(gens_p, order) if gens_p else None
-                dim_p = ideal_dimension(gb_p) if gb_p else len(vs)
-                verdicts.append(PrimeVerdict(p, True, dim_p, True, False))
+                # gens_p is a Groebner basis with the generic staircase, and
+                # the dimension depends on the staircase alone
+                verdicts.append(PrimeVerdict(p, True, generic_dim, True, False))
                 continue
         gens_p = [f for f in (_reduce_mod_p(g.map_coefficients(Fraction, QQ),
                                             ring_p, vs) for g in generators)

@@ -1,21 +1,38 @@
 """Buchberger's algorithm, normal forms, elimination, dimension, radicals.
 
-Coefficients must lie in a field.  Pair selection uses the normal strategy
-(minimal lcm degree) with the coprime-lcm and chain criteria; reduction is
-fully deterministic (largest reducible term first, first matching divisor
-in listed order), so bases are bit-stable.
+Coefficients must lie in a field.  One Buchberger skeleton owns the pair
+bookkeeping: the normal strategy (minimal lcm degree, then the monomial
+order on the lcm) with the coprime-lcm and chain criteria, followed by one
+minimalize/interreduce pass.  Coefficient arithmetic sits behind one of two
+kernels, picked once per run from the ring:
+
+- the field kernel works on ring payloads (F_p and k[t]/(f)) and keeps
+  basis elements monic; the public normal_form and
+  verify_buchberger_criterion reduce through it for every field, QQ
+  included;
+- the QQ kernel works fraction-free on integers, keeps basis elements with
+  content 1 and positive leading coefficient, and returns a positive
+  rational multiple of the field remainder.
+
+Both kernels reduce by one deterministic rule: the largest remaining term
+first, by the first basis element in list order whose leading monomial
+divides it.  So the two kernels meet the same leading monomials, and bases
+are bit-stable.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import le
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .poly import (Elimination, Grevlex, MonomialOrder, MultiPoly, VarSet,
                    _exp_add, _exp_divides, _exp_lcm, _exp_sub)
-from .rings import BaseRing
+from .rings import BaseRing, RationalField
 
 
 class NonFieldCoefficients(ValueError):
@@ -34,45 +51,233 @@ def _negate_key(k):
     return -k
 
 
-def normal_form(f: MultiPoly, G: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
-    """Remainder of f modulo G; no term of the result is divisible by any LM(g)."""
-    _require_field(f.ring)
-    ring = f.ring
-    gens = [(g.leading(order)[0], g) for g in G if not g.is_zero()]
-    if not gens:
-        return f
-    pending = dict(f.terms)
-    result = {}
-    heap = [(_negate_key(order.key(e))) for e in pending]
-    heap = [(k, e) for k, e in zip(heap, pending)]
-    heapq.heapify(heap)
-    while heap:
-        _, exp = heapq.heappop(heap)
-        c = pending.pop(exp, None)
-        if c is None or ring.is_zero(c):
-            continue
-        for lm, g in gens:
-            if _exp_divides(lm, exp):
-                shift = _exp_sub(exp, lm)
-                factor = ring.mul(c, ring.inv(g.terms[lm]))
-                for e2, c2 in g.terms.items():
-                    e3 = _exp_add(e2, shift)
-                    if e3 == exp:
-                        continue
+def _div_mask(exp) -> int:
+    """Two bits per variable (set at exponent >= 1 and >= 2); if a's mask
+    has a bit outside b's mask then a cannot divide b."""
+    m = 0
+    bit = 1
+    for e in exp:
+        if e:
+            m |= bit
+            if e > 1:
+                m |= bit << 1
+        bit <<= 2
+    return m
+
+
+class _Kernel:
+    """Coefficient arithmetic on term dicts (exponent -> coefficient).
+
+    A reducer entry is (leading exponent, leading factor, tail terms shifted
+    by minus the leading exponent, divisibility mask), built once per basis
+    element.  The leading factor is the inverse leading coefficient in the
+    field kernel and the leading coefficient itself in the QQ kernel.
+    """
+
+    def __init__(self, ring: BaseRing, vs: VarSet, order: MonomialOrder):
+        self.ring = ring
+        self.vs = vs
+        self.order = order
+
+    def heap_key(self, nkey: dict):
+        """Negated order key of an exponent, cached in nkey, so that the
+        largest term comes first off a reduction heap."""
+        okey = self.order.key
+
+        def heapkey(e):
+            k = nkey.get(e)
+            if k is None:
+                k = _negate_key(okey(e))
+                nkey[e] = k
+            return k
+
+        return heapkey
+
+    def entry(self, terms: dict, lm) -> tuple:
+        tail = [(_exp_sub(e, lm), c) for e, c in terms.items() if e != lm]
+        return (lm, self.lead_factor(terms[lm]), tail, _div_mask(lm))
+
+
+class _FieldKernel(_Kernel):
+    """Payload arithmetic of the ring; normalized means monic."""
+
+    def prepare(self, f: MultiPoly) -> dict:
+        return dict(f.terms)
+
+    def normalize(self, terms: dict, lm) -> dict:
+        ring = self.ring
+        ilc = ring.inv(terms[lm])
+        return {e: ring.mul(c, ilc) for e, c in terms.items()}
+
+    def lead_factor(self, lc):
+        return self.ring.inv(lc)
+
+    def spoly(self, f: dict, ef: tuple, g: dict, eg: tuple, lcm) -> dict:
+        ring = self.ring
+        zero = ring.zero()
+        sf, sg = _exp_sub(lcm, ef[0]), _exp_sub(lcm, eg[0])
+        out = {_exp_add(e, sf): ring.mul(c, ef[1]) for e, c in f.items()}
+        for e, c in g.items():
+            e2 = _exp_add(e, sg)
+            v = ring.sub(out.get(e2, zero), ring.mul(c, eg[1]))
+            if ring.is_zero(v):
+                out.pop(e2, None)
+            else:
+                out[e2] = v
+        return out
+
+    def reduce(self, terms: dict, entries: list,
+               nkey: Optional[dict] = None) -> dict:
+        """Remainder of terms modulo the entries.  nkey caches negated
+        order keys across calls."""
+        ring = self.ring
+        mul, sub, is_zero = ring.mul, ring.sub, ring.is_zero
+        zero = ring.zero()
+        heapkey = self.heap_key({} if nkey is None else nkey)
+        pending = dict(terms)
+        result = {}
+        heap = [(heapkey(e), e) for e in pending]
+        heapq.heapify(heap)
+        while heap:
+            _, exp = heapq.heappop(heap)
+            c = pending.pop(exp, None)
+            if c is None or is_zero(c):
+                continue
+            blocked = ~_div_mask(exp)
+            for lm, ilc, tail, gmask in entries:
+                if gmask & blocked or not all(map(le, lm, exp)):
+                    continue
+                factor = mul(c, ilc)
+                for e2, c2 in tail:
+                    e3 = _exp_add(e2, exp)
                     prev = pending.get(e3)
                     if prev is None:
-                        if e3 not in pending:
-                            heapq.heappush(heap, (_negate_key(order.key(e3)), e3))
-                        prev = ring.zero()
-                    val = ring.sub(prev, ring.mul(factor, c2))
-                    if ring.is_zero(val):
+                        heapq.heappush(heap, (heapkey(e3), e3))
+                        prev = zero
+                    val = sub(prev, mul(factor, c2))
+                    if is_zero(val):
                         pending.pop(e3, None)
                     else:
                         pending[e3] = val
                 break
-        else:
-            result[exp] = c
-    return MultiPoly(ring, f.varset, result)
+            else:
+                result[exp] = c
+        return result
+
+    def to_poly(self, terms: dict) -> MultiPoly:
+        return MultiPoly(self.ring, self.vs, terms)
+
+
+class _RationalKernel(_Kernel):
+    """Fraction-free QQ arithmetic on integer coefficients; normalized
+    means content 1 with a positive leading coefficient."""
+
+    def prepare(self, f: MultiPoly) -> dict:
+        """Clear denominators with their least common multiple."""
+        den = 1
+        for c in f.terms.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+        return {e: int(c * den) for e, c in f.terms.items()}
+
+    def normalize(self, terms: dict, lm) -> dict:
+        num = 0
+        for v in terms.values():
+            num = gcd(num, abs(v))
+        if terms[lm] < 0:
+            num = -num
+        if num != 1:
+            terms = {e: v // num for e, v in terms.items()}
+        return terms
+
+    def lead_factor(self, lc):
+        return lc
+
+    def spoly(self, f: dict, ef: tuple, g: dict, eg: tuple, lcm) -> dict:
+        cf, cg = ef[1], eg[1]
+        d = gcd(cf, cg)
+        mf, mg = cg // d, cf // d
+        sf, sg = _exp_sub(lcm, ef[0]), _exp_sub(lcm, eg[0])
+        out = {_exp_add(e, sf): mf * c for e, c in f.items()}
+        for e, c in g.items():
+            e2 = _exp_add(e, sg)
+            v = out.get(e2, 0) - mg * c
+            if v:
+                out[e2] = v
+            else:
+                out.pop(e2, None)
+        return out
+
+    def reduce(self, terms: dict, entries: list,
+               nkey: Optional[dict] = None) -> dict:
+        """Pseudo-remainder with integer arithmetic; the result is the true
+        normal form times a positive rational, which normalize removes.
+        nkey caches negated order keys across calls."""
+        heapkey = self.heap_key({} if nkey is None else nkey)
+        pending = dict(terms)
+        result = {}
+        heap = [(heapkey(e), e) for e in pending]
+        heapq.heapify(heap)
+        swell = 1
+        while heap:
+            if swell.bit_length() > 256:
+                # strip accumulated content so integers stay small
+                g = 0
+                for v in pending.values():
+                    g = gcd(g, v)
+                for v in result.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    pending = {e: v // g for e, v in pending.items()}
+                    result = {e: v // g for e, v in result.items()}
+                swell = 1
+            _, exp = heapq.heappop(heap)
+            c = pending.pop(exp, None)
+            if not c:
+                continue
+            blocked = ~_div_mask(exp)
+            for lm, lc, tail, gmask in entries:
+                if gmask & blocked or not all(map(le, lm, exp)):
+                    continue
+                d = gcd(c, lc)
+                mult = abs(lc // d)
+                if mult != 1:
+                    for e2 in pending:
+                        pending[e2] *= mult
+                    for e2 in result:
+                        result[e2] *= mult
+                    c *= mult
+                    swell *= mult
+                factor = c // lc
+                for e2, c2 in tail:
+                    e3 = _exp_add(e2, exp)
+                    prev = pending.get(e3)
+                    if prev is None:
+                        heapq.heappush(heap, (heapkey(e3), e3))
+                        prev = 0
+                    val = prev - factor * c2
+                    if val:
+                        pending[e3] = val
+                    else:
+                        pending.pop(e3, None)
+                break
+            else:
+                result[exp] = c
+        return result
+
+    def to_poly(self, terms: dict) -> MultiPoly:
+        return MultiPoly(self.ring, self.vs,
+                         {e: Fraction(c) for e, c in terms.items()})
+
+
+def normal_form(f: MultiPoly, G: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
+    """Remainder of f modulo G; no term of the result is divisible by any LM(g)."""
+    _require_field(f.ring)
+    kernel = _FieldKernel(f.ring, f.varset, order)
+    entries = [kernel.entry(g.terms, g.leading(order)[0])
+               for g in G if not g.is_zero()]
+    if not entries:
+        return f
+    return kernel.to_poly(kernel.reduce(f.terms, entries))
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
@@ -103,155 +308,32 @@ class GroebnerBasis:
         return self.reduce(f).is_zero()
 
 
-def _primitive(f: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    """Associate of f with tame coefficients.
+def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
+               new_poly_log: Optional[list] = None) -> GroebnerBasis:
+    """Reduced Groebner basis of <F>.  All-zero input yields the empty basis.
 
-    Over QQ: integer coefficients with content 1 and positive leading
-    coefficient (keeps Fractions from blowing up mid-run and makes the
-    logged leading coefficients the exact integers inverted during
-    reduction).  Over other fields: monic.
+    Pair selection is the normal strategy (minimal lcm degree, then the
+    monomial order on the lcm) via a heap, with the coprime-lcm and chain
+    criteria.  When new_poly_log is given, every polynomial entering the
+    intermediate basis is appended to it before normalization: the inputs,
+    each nonzero S-polynomial remainder and each interreduced final
+    element.  Over QQ these are the integer forms before content removal,
+    so every integer divided out during the run divides one of their
+    leading coefficients; this supports prime specialisation.
     """
-    ring = f.ring
-    if ring.tag() != "QQ":
-        return f.monic(order)
-    from fractions import Fraction
-    from math import gcd
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in f.terms.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
-    if f.leading(order)[1] < 0:
-        scale = -scale
-    return f.map_coefficients(lambda c: c * scale, ring)
-
-
-def _clear_denominators(f: MultiPoly) -> dict:
-    """Common-denominator clearing of a QQ polynomial into an int-term dict."""
-    from math import gcd
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return {e: int(c * den) for e, c in f.terms.items()}
-
-
-def _int_primitive(terms: dict, lead_exp) -> dict:
-    from math import gcd
-    num = 0
-    for v in terms.values():
-        num = gcd(num, abs(v))
-    if num == 0:
-        return terms
-    if terms[lead_exp] < 0:
-        num = -num
-    if num != 1:
-        terms = {e: v // num for e, v in terms.items()}
-    return terms
-
-
-def _div_mask(exp) -> int:
-    """Two bits per variable (set at exponent >= 1 and >= 2); if a's mask
-    has a bit outside b's mask then a cannot divide b."""
-    m = 0
-    bit = 1
-    for e in exp:
-        if e:
-            m |= bit
-            if e > 1:
-                m |= bit << 1
-        bit <<= 2
-    return m
-
-
-def _int_normal_form(terms: dict, gens: list, order: MonomialOrder,
-                     nkey: Optional[dict] = None) -> dict:
-    """Pseudo-remainder with integer arithmetic; result is the true normal
-    form times a positive rational, which downstream primitivization removes.
-
-    gens entries are (leading exponent, leading coefficient, non-leading
-    term items, divisibility mask).  Reduction order matches normal_form
-    exactly.  nkey caches negated order keys across calls.
-    """
-    from math import gcd
-    from operator import le
-    if nkey is None:
-        nkey = {}
-    okey = order.key
-
-    def heapkey(e):
-        k = nkey.get(e)
-        if k is None:
-            k = _negate_key(okey(e))
-            nkey[e] = k
-        return k
-
-    pending = dict(terms)
-    result = {}
-    heap = [(heapkey(e), e) for e in pending]
-    heapq.heapify(heap)
-    swell = 1
-    while heap:
-        if swell.bit_length() > 256:
-            # strip accumulated content so integers stay small
-            g = 0
-            for v in pending.values():
-                g = gcd(g, v)
-            for v in result.values():
-                g = gcd(g, v)
-            if g > 1:
-                pending = {e: v // g for e, v in pending.items()}
-                result = {e: v // g for e, v in result.items()}
-            swell = 1
-        _, exp = heapq.heappop(heap)
-        c = pending.pop(exp, None)
-        if not c:
-            continue
-        blocked = ~_div_mask(exp)
-        for lm, lc, tail, gmask in gens:
-            if gmask & blocked or not all(map(le, lm, exp)):
-                continue
-            d = gcd(c, lc)
-            mult = abs(lc // d)
-            if mult != 1:
-                for e2 in pending:
-                    pending[e2] *= mult
-                for e2 in result:
-                    result[e2] *= mult
-                c *= mult
-                swell *= mult
-            factor = c // lc
-            for e2, c2 in tail:
-                e3 = _exp_add(e2, exp)
-                prev = pending.get(e3)
-                if prev is None:
-                    heapq.heappush(heap, (heapkey(e3), e3))
-                    prev = 0
-                val = prev - factor * c2
-                if val:
-                    pending[e3] = val
-                else:
-                    pending.pop(e3, None)
-            break
-        else:
-            result[exp] = c
-    return result
-
-
-def _int_gen_entry(terms: dict, lm) -> tuple:
-    tail = [(_exp_sub(e, lm), c) for e, c in terms.items() if e != lm]
-    return (lm, terms[lm], tail, _div_mask(lm))
-
-
-def _buchberger_qq(inputs: List[MultiPoly], order: MonomialOrder,
-                   new_poly_log: Optional[list]) -> GroebnerBasis:
-    """Integer-arithmetic core of buchberger for rational coefficients."""
-    from fractions import Fraction
-    from math import gcd
+    inputs = [f for f in F if not f.is_zero()]
+    if not inputs:
+        if not F:
+            raise ValueError("buchberger needs at least one polynomial")
+        return GroebnerBasis((), order, frozenset(), F[0].ring, F[0].varset)
     ring, vs = inputs[0].ring, inputs[0].varset
+    _require_field(ring)
+    kernel = (_RationalKernel if isinstance(ring, RationalField)
+              else _FieldKernel)(ring, vs, order)
+    # two caches: order keys (leading monomials, pair lcms) and the negated
+    # keys of every exponent the reductions push on their heaps
     kcache: dict = {}
-    nkcache: dict = {}
+    nkey: dict = {}
     okey = order.key
 
     def keyof(e):
@@ -264,208 +346,87 @@ def _buchberger_qq(inputs: List[MultiPoly], order: MonomialOrder,
     def lead(terms):
         return max(terms, key=keyof)
 
-    raw = [_clear_denominators(f) for f in inputs]
-    raw.sort(key=lambda t: keyof(lead(t)))
+    def log(terms):
+        if new_poly_log is not None:
+            new_poly_log.append(kernel.to_poly(terms))
 
-    def to_poly(terms):
-        return MultiPoly(ring, vs, {e: Fraction(c) for e, c in terms.items()})
-
-    # the log keeps the content-unstripped forms: every integer divided out
-    # during the run divides one of their leading coefficients
-    if new_poly_log is not None:
-        new_poly_log.extend(to_poly(t) for t in raw)
-    basis = [_int_primitive(t, lead(t)) for t in raw]
-    lms = [lead(t) for t in basis]
-    gens = [_int_gen_entry(t, lm) for t, lm in zip(basis, lms)]
-    lmmasks = [_div_mask(lm) for lm in lms]
-
-    heap: List[tuple] = []
-    pending_pairs: Set[Tuple[int, int]] = set()
+    # lms and masks repeat entry fields as flat lists for the chain scan
+    basis: list = []
+    lms: list = []
+    masks: list = []
+    entries: list = []
+    heap: list = []
     done: Set[Tuple[int, int]] = set()
 
-    def push_pair(i, j):
-        lcm = _exp_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (sum(lcm), keyof(lcm), i, j))
-        pending_pairs.add((i, j))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        pending_pairs.discard((i, j))
-        done.add((i, j))
-        lcm = _exp_lcm(lms[i], lms[j])
-        if lcm == _exp_add(lms[i], lms[j]):
-            continue
-        skip = False
-        blocked = ~_div_mask(lcm)
-        for k in range(len(basis)):
-            if k in (i, j) or lmmasks[k] & blocked or not _exp_divides(lms[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and a not in pending_pairs and b in done and b not in pending_pairs:
-                skip = True
-                break
-        if skip:
-            continue
-        # fraction-free S-polynomial
-        ci, cj = basis[i][lms[i]], basis[j][lms[j]]
-        d = gcd(ci, cj)
-        si, sj = _exp_sub(lcm, lms[i]), _exp_sub(lcm, lms[j])
-        spoly: dict = {}
-        for e, c in basis[i].items():
-            e2 = _exp_add(e, si)
-            spoly[e2] = spoly.get(e2, 0) + (cj // d) * c
-        for e, c in basis[j].items():
-            e2 = _exp_add(e, sj)
-            v = spoly.get(e2, 0) - (ci // d) * c
-            if v:
-                spoly[e2] = v
-            else:
-                spoly.pop(e2, None)
-        spoly = {e: c for e, c in spoly.items() if c}
-        if not spoly:
-            continue
-        r = _int_normal_form(spoly, gens, order, nkcache)
-        if not r:
-            continue
-        if new_poly_log is not None:
-            new_poly_log.append(to_poly(r))
-        r = _int_primitive(r, lead(r))
-        basis.append(r)
-        lm = lead(r)
+    def add(terms):
+        log(terms)
+        lm = lead(terms)
+        terms = kernel.normalize(terms, lm)
+        n = len(basis)
+        basis.append(terms)
         lms.append(lm)
-        gens.append(_int_gen_entry(r, lm))
-        lmmasks.append(_div_mask(lm))
-        n = len(basis) - 1
+        entries.append(kernel.entry(terms, lm))
+        masks.append(entries[-1][3])
         for k in range(n):
-            push_pair(k, n)
+            lcm = _exp_lcm(lms[k], lm)
+            heapq.heappush(heap, (sum(lcm), keyof(lcm), k, n))
 
-    # minimalize and inter-reduce with the same integer kernel
-    keep = []
-    for i, lm in enumerate(lms):
-        if any(j != i and _exp_divides(lms[j], lm) and
-               (lms[j] != lm or j < i) for j in range(len(basis))):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    all_entries = [_int_gen_entry(o, lead(o)) for o in minimal]
-    reduced = []
-    for i, t in enumerate(minimal):
-        entries = all_entries[:i] + all_entries[i + 1:]
-        if entries:
-            t = _int_normal_form(t, entries, order, nkcache)
-        if t:
-            if new_poly_log is not None:
-                new_poly_log.append(to_poly(t))
-            reduced.append(_int_primitive(t, lead(t)))
-    polys = [to_poly(t).monic(order) for t in reduced]
-    polys.sort(key=lambda f: order.key(f.leading(order)[0]))
-    return GroebnerBasis(tuple(polys), order,
-                         frozenset(f.leading(order)[0] for f in polys), ring, vs)
+    for terms in sorted((kernel.prepare(f) for f in inputs),
+                        key=lambda t: keyof(lead(t))):
+        add(terms)
 
+    def chained(i, j, lcm) -> bool:
+        """Some other LM(k) divides lcm and both pairs (i, k), (j, k) are done."""
+        blocked = ~_div_mask(lcm)
+        for k, mask in enumerate(masks):
+            if mask & blocked or k == i or k == j or not _exp_divides(lms[k], lcm):
+                continue
+            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+                return True
+        return False
 
-def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
-               new_poly_log: Optional[list] = None) -> GroebnerBasis:
-    """Reduced Groebner basis of <F>.  All-zero input yields the empty basis.
-
-    Pair selection is the normal strategy (minimal lcm degree, then the
-    monomial order on the lcm) via a heap, with the coprime-lcm and chain
-    criteria.  When new_poly_log is given, every polynomial entering the
-    intermediate basis (inputs included, integer-cleared over QQ) is
-    appended to it; this supports denominator tracking for prime
-    specialisation.
-    """
-    inputs = [f for f in F if not f.is_zero()]
-    some = F[0] if F else None
-    if not inputs:
-        if some is None:
-            raise ValueError("buchberger needs at least one polynomial")
-        return GroebnerBasis((), order, frozenset(), some.ring, some.varset)
-    ring, vs = inputs[0].ring, inputs[0].varset
-    _require_field(ring)
-    if ring.tag() == "QQ":
-        return _buchberger_qq(inputs, order, new_poly_log)
-    basis: List[MultiPoly] = sorted(
-        (_primitive(f, order) for f in inputs),
-        key=lambda f: order.key(f.leading(order)[0]))
-    if new_poly_log is not None:
-        new_poly_log.extend(basis)
-    lms = [g.leading(order)[0] for g in basis]
-
-    heap: List[tuple] = []
-    pending: Set[Tuple[int, int]] = set()
-    done: Set[Tuple[int, int]] = set()
-
-    def push_pair(i, j):
-        lcm = _exp_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (sum(lcm), order.key(lcm), i, j))
-        pending.add((i, j))
-
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push_pair(i, j)
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
         done.add((i, j))
         lcm = _exp_lcm(lms[i], lms[j])
-        if lcm == _exp_add(lms[i], lms[j]):
-            continue  # coprime leading monomials
-        # chain criterion: some k with LM(k) | lcm and both pairs handled
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not _exp_divides(lms[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and a not in pending and b in done and b not in pending:
-                skip = True
-                break
-        if skip:
+        if lcm == _exp_add(lms[i], lms[j]) or chained(i, j, lcm):
             continue
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if r.is_zero():
-            continue
-        r = _primitive(r, order)
-        if new_poly_log is not None:
-            new_poly_log.append(r)
-        basis.append(r)
-        lms.append(r.leading(order)[0])
-        n = len(basis) - 1
-        for k in range(n):
-            push_pair(k, n)
-    return _reduce_basis(basis, order, ring, vs)
+        r = kernel.reduce(kernel.spoly(basis[i], entries[i], basis[j], entries[j], lcm),
+                          entries, nkey)
+        if r:
+            add(r)
 
-
-def _reduce_basis(basis: List[MultiPoly], order: MonomialOrder,
-                  ring: BaseRing, vs: VarSet) -> GroebnerBasis:
-    lms = [g.leading(order)[0] for g in basis]
-    keep = []
-    for i, lm in enumerate(lms):
-        if any(j != i and _exp_divides(lms[j], lm) and
-               (lms[j] != lm or j < i) for j in range(len(basis))):
-            continue
-        keep.append(i)
-    minimal = [basis[i] for i in keep]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda f: order.key(f.leading(order)[0]))
-    return GroebnerBasis(tuple(reduced), order,
-                         frozenset(g.leading(order)[0] for g in reduced), ring, vs)
+    # minimalize, then interreduce each kept element against the others
+    keep = [i for i, lm in enumerate(lms)
+            if not any(j != i and _exp_divides(lmj, lm) and (lmj != lm or j < i)
+                       for j, lmj in enumerate(lms))]
+    kept = [entries[i] for i in keep]
+    final = []
+    for pos, i in enumerate(keep):
+        others = kept[:pos] + kept[pos + 1:]
+        t = kernel.reduce(basis[i], others, nkey) if others else basis[i]
+        if t:
+            log(t)
+            final.append((keyof(lead(t)), kernel.to_poly(t).monic(order)))
+    final.sort(key=lambda kf: kf[0])
+    polys = tuple(f for _, f in final)
+    return GroebnerBasis(polys, order,
+                         frozenset(f.leading(order)[0] for f in polys), ring, vs)
 
 
 def verify_buchberger_criterion(G: Sequence[MultiPoly], order: MonomialOrder) -> bool:
     """Every S-polynomial of pairs reduces to zero modulo G."""
     gens = [g for g in G if not g.is_zero()]
-    for f, g in combinations(gens, 2):
-        if not normal_form(s_polynomial(f, g, order), gens, order).is_zero():
+    if len(gens) < 2:
+        return True
+    ring = gens[0].ring
+    _require_field(ring)
+    kernel = _FieldKernel(ring, gens[0].varset, order)
+    entries = [kernel.entry(g.terms, g.leading(order)[0]) for g in gens]
+    nkey: dict = {}
+    for (f, ef), (g, eg) in combinations(zip(gens, entries), 2):
+        lcm = _exp_lcm(ef[0], eg[0])
+        if kernel.reduce(kernel.spoly(f.terms, ef, g.terms, eg, lcm), entries, nkey):
             return False
     return True
 

@@ -188,9 +188,6 @@ class MultiPoly:
     def coeff(self, exp: tuple) -> RingElem:
         return RingElem(self.ring, self.terms.get(exp, self.ring.zero()))
 
-    def constant_coeff(self):
-        return self.terms.get((0,) * len(self.varset), self.ring.zero())
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 

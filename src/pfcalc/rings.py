@@ -161,9 +161,6 @@ class RingElem:
     def __neg__(self):
         return RingElem(self.ring, self.ring.neg(self.payload))
 
-    def inverse(self) -> "RingElem":
-        return RingElem(self.ring, self.ring.inv(self.payload))
-
     def is_zero(self) -> bool:
         return self.ring.is_zero(self.payload)
 
@@ -175,21 +172,6 @@ class RingElem:
 
     def __repr__(self):
         return f"{self.ring.fmt(self.payload)} in {self.ring.tag()}"
-
-
-def arith(a: RingElem, b: RingElem, op: str) -> RingElem:
-    """Exact ring arithmetic; op is one of 'add', 'sub', 'mul'."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def inverse(a: RingElem) -> RingElem:
-    return a.inverse()
 
 
 class IntegerRing(BaseRing):
@@ -637,17 +619,6 @@ def fraction_field_reduction(r: BaseRing, p: int) -> BaseRing:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return PrimeField(p)
-
-
-def residue_map(target: BaseRing):
-    """The induced map ZZ -> K_p on elements."""
-
-    def f(a) -> RingElem:
-        if isinstance(a, RingElem):
-            a = a.payload
-        return target.elem(target.from_int(a))
-
-    return f
 
 
 _TAG_RE = re.compile(

@@ -1,10 +1,13 @@
 """Command-line front end: dispatch, validation, caching, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from pfcalc.cli import (GBCache, deserialize_basis, main, serialize_basis)
+from pfcalc.cli import (GBCache, build_parser, deserialize_basis, main,
+                        serialize_basis)
 from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
 from pfcalc.rings import QQ
@@ -191,3 +194,31 @@ def test_cached_run_matches_uncached(capsys, tmp_path):
     assert code1 == code2 == code3 == 0
     assert out1 == out2 == out3
     assert any(p.name.startswith("gb-") for p in cache_dir.iterdir())
+
+
+@pytest.mark.parametrize("field, value", [("order", "lex"), ("ring", "Fp(7)")])
+def test_cache_mismatched_entry_is_recomputed(capsys, tmp_path, field, value):
+    cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
+    code1, out1, _ = run(capsys, tmp_path, "image-closure", cfg)
+    cache_dir = tmp_path / "cache"
+    run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
+    (entry,) = cache_dir.iterdir()
+    doc = json.loads(entry.read_text())
+    doc[field] = value
+    entry.write_text(json.dumps(doc, sort_keys=True))
+    code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
+                           "--cache-dir", str(cache_dir))
+    assert code1 == code2 == 0
+    assert out2 == out1
+    assert "mismatched cache entry" in err
+    doc = json.loads(entry.read_text())
+    assert (doc["order"], doc["ring"]) == ("grevlex", "Fp(3)")
+
+
+def test_readme_flags_match_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags = readme[readme.index("Flags:"):readme.index("Exit codes:")]
+    documented = set(re.findall(r"`(--[a-z-]+)", flags))
+    parsed = {opt for action in build_parser()._actions
+              for opt in action.option_strings if opt.startswith("--")}
+    assert documented == parsed - {"--help"}

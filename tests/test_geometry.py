@@ -1,6 +1,8 @@
 """Closed subsets at finite rank: image closures, specialization, symmetry."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +12,8 @@ from pfcalc.geometry import (NoDependence, SizeGuardExceeded, SizeGuards,
                              sum_of_powers, target_varset, taylor_directional,
                              vanishing_transfer)
 from pfcalc.groebner import buchberger, ideal_dimension
-from pfcalc.poly import Grevlex, MultiPoly, VarSet, parse_poly
-from pfcalc.rings import Fp, QQ, ZZ
+from pfcalc.poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
+from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
 
 def test_cube_sum_dimensions_rank2():
@@ -79,6 +81,49 @@ def test_good_primes_3x():
     dims = {v.prime: v.dimension for v in report.verdicts}
     assert dims == {2: 1, 3: 2, 5: 1, 7: 1}
     assert report.generic_dimension == 1
+
+
+# sha256 of the QQ new_poly_log (one format_poly line per entry) and the r
+# that good_primes prints, for <3x> and five seeded random ideals.  Every
+# logged form and its position enter r, so these values are pinned.
+NEW_POLY_LOG_PINS = [
+    ("ab586a876ccdf414855f6b395b6125f8fe61c5f44d6311779d6d14aee01e086b", 3),
+    ("a0d9c6a1f846cecb1f44e4d640b84b8f6f2201c1272b81f2a9afb73669fe1245", 177147),
+    ("6895c6107860a63950a551d62cebf2a6596d3c0aacdf9bc89f054df315a410b1", 18),
+    ("844a2f6a45a9b02d20859cf0c8f6549790d4cfb66fa8d4c170d53bf6ffc00215",
+     319479999370622926848),
+    ("dd82b29900c9b6e4d1b1c3f5559ecdbb95a74805e125b8911abb8ed2ea95a72e",
+     819716834902011199488000),
+    ("fcf20f64128ab207a41abd3b4505a736395dca2297b23a212721712bd3b98b16", 1062882),
+]
+
+
+def test_new_poly_log_and_r_are_pinned():
+    rng = random.Random(7)
+    vs = VarSet(("x", "y", "z"))
+    ideals = [[parse_poly("3*x", ZZ, VarSet(("x", "y")))]]
+    for _ in range(5):
+        ideals.append([
+            MultiPoly(ZZ, vs, {tuple(rng.randrange(3) for _ in vs.names):
+                               rng.choice((-6, -3, -2, -1, 1, 2, 3, 4, 6, 9))
+                               for _ in range(rng.randrange(2, 4))})
+            for _ in range(rng.randrange(2, 4))])
+    got = []
+    for gens in ideals:
+        log = []
+        buchberger([g.map_coefficients(Fraction, QQ) for g in gens], Grevlex(),
+                   new_poly_log=log)
+        text = "\n".join(format_poly(f) for f in log)
+        got.append((hashlib.sha256(text.encode()).hexdigest(),
+                    good_primes(gens, (2, 3, 5, 7)).r))
+    assert got == NEW_POLY_LOG_PINS
+
+
+def test_image_closure_basis_is_reduced_grevlex_basis():
+    for ring in (QQ, Fp(5), ring_from_tag("Fp(3)[t]/(t^2+1)")):
+        subset = image_closure(sum_of_powers(1, 3), 2, ring)
+        assert subset.gb.generators == \
+            buchberger(list(subset.generators), Grevlex()).generators
 
 
 def test_vanishing_transfer_3x():

@@ -11,7 +11,7 @@ from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, buchberger,
                              verify_buchberger_criterion)
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          parse_poly)
-from pfcalc.rings import Fp, QQ, ZZ
+from pfcalc.rings import Fp, QQ, QuotientRing, ZZ, ring_from_tag
 
 VS = VarSet(("x", "y"))
 
@@ -188,30 +188,41 @@ def _staircase(basis, order):
     return frozenset(mins)
 
 
+def _coefficient(ring, k):
+    """A nonzero constant for k in 1..4: k itself over F5 and QQ, and k
+    written in base p over 1, t in Fp[t]/(f), so 1, 2, t, 1 + t over F9."""
+    if isinstance(ring, QuotientRing):
+        p = ring.characteristic()
+        return ring.coerce((k % p, k // p))
+    return ring.from_int(k)
+
+
 def _random_poly(rng, ring, vs, max_degree):
     terms = {}
     for _ in range(rng.randrange(1, 4)):
         e = tuple(rng.randrange(max_degree + 1) for _ in vs.names)
         if sum(e) > max_degree:
             continue
-        c = ring.from_int(rng.randrange(1, 5))
-        terms[e] = c
+        terms[e] = _coefficient(ring, rng.randrange(1, 5))
     return MultiPoly(ring, vs, terms)
 
 
-def test_oracle_equivalence_f5():
+@pytest.mark.parametrize("ring", [Fp(5), QQ, ring_from_tag("Fp(3)[t]/(t^2+1)")],
+                         ids=["F5", "QQ", "F9"])
+def test_oracle_equivalence_f5(ring):
+    # F5 and F9 run the field kernel (F9 with tuple payloads), QQ the
+    # fraction-free kernel; normal_form runs the field kernel on all three
     rng = random.Random(20240817)
-    F5 = Fp(5)
     order = Grevlex()
     checked = 0
     while checked < 120:
         ngens = rng.randrange(1, 3)
-        gens = [_random_poly(rng, F5, VS, 3) for _ in range(ngens)]
+        gens = [_random_poly(rng, ring, VS, 3) for _ in range(ngens)]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
         # normal form agreement on a random probe polynomial
-        probe = _random_poly(rng, F5, VS, 3)
+        probe = _random_poly(rng, ring, VS, 3)
         assert normal_form(probe, gens, order) == \
             _oracle_normal_form(probe, gens, order)
         # identical staircases (the reduced basis is unique, the oracle's
