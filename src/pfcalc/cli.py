@@ -19,12 +19,12 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import geometry
-from .coordring import generator_varset, graded_piece
+from .coordring import graded_piece
 from .fpmod import FPModule
-from .functors import binomial_eval, dimension_function, parse_functor
+from .functors import dimension_function, parse_functor
 from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
                        SizeGuardExceeded, equivariance_check, good_primes,
                        image_closure, sum_of_powers, target_varset)
@@ -385,8 +385,7 @@ def _cmd_dimfn(cfg: dict, args) -> tuple:
 
 
 def _geometry_guards(args) -> SizeGuards:
-    return SizeGuards(max_variables=args.max_variables,
-                      max_basis=args.max_basis, max_degree=args.max_degree)
+    return SizeGuards(max_variables=args.max_variables, max_basis=args.max_basis)
 
 
 def _cmd_image_closure(cfg: dict, args) -> tuple:

@@ -10,29 +10,12 @@ law calculus (homogeneous and bihomogeneous parts, products, composition).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from . import linalg
 from .fpmod import FPModule
-from .poly import MultiPoly, VarSet
+from .poly import MultiPoly, VarSet, degree_monomials, integer_primitive
 from .rings import BaseRing
-
-
-def _degree_monomials(nvars: int, d: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples of total degree d, in a fixed deterministic order."""
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out = []
-    for combo in combinations_with_replacement(range(nvars), d):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    out.sort(reverse=True)
-    return out
 
 
 def _reduce_parameter_exponents(f: MultiPoly, param_idx: List[int], p: int) -> MultiPoly:
@@ -120,16 +103,6 @@ def _solve_invariance(module: FPModule, candidates: List[Tuple[Tuple[int, ...], 
         [k.one() if i == j else k.zero() for j in range(ncand)] for i in range(ncand)], k
 
 
-def _integer_primitive(vec: List[Fraction]) -> List[Fraction]:
-    den = 1
-    for a in vec:
-        den = den * a.denominator // gcd(den, a.denominator)
-    num = 0
-    for a in vec:
-        num = gcd(num, abs(int(a * den)))
-    return [a * den / num for a in vec] if num else vec
-
-
 def _piece_from_candidates(module: FPModule,
                            candidates: List[Tuple[Tuple[int, ...], int]],
                            x_vs: VarSet, degree: int) -> GradedPieceBasis:
@@ -138,7 +111,7 @@ def _piece_from_candidates(module: FPModule,
     rbasis = ring.field_basis()
     kernel, _ = _solve_invariance(module, candidates, x_vs)
     if ring.tag() == "ZZ":
-        kernel = [_integer_primitive(v) for v in kernel]
+        kernel = [integer_primitive(v) for v in kernel]
 
     polys = []
     for v in kernel:
@@ -188,7 +161,7 @@ def graded_piece(module: FPModule, d: int) -> GradedPieceBasis:
         raise ValueError(f"unsupported base ring {ring.tag()}")
     x_vs = generator_varset(module)
     rbasis = ring.field_basis()
-    candidates = [(exp, b) for exp in _degree_monomials(module.ngens, d)
+    candidates = [(exp, b) for exp in degree_monomials(module.ngens, d)
                   for b in range(len(rbasis))]
     return _piece_from_candidates(module, candidates, x_vs, d)
 
@@ -295,8 +268,8 @@ def product_ring_check(m1: FPModule, m2: FPModule, d: int, e: int):
     rbasis = ring.field_basis()
     x_vs = generator_varset(both)
     candidates = []
-    for exp_d in _degree_monomials(m1.ngens, d):
-        for exp_e in _degree_monomials(m2.ngens, e):
+    for exp_d in degree_monomials(m1.ngens, d):
+        for exp_e in degree_monomials(m2.ngens, e):
             for b in range(len(rbasis)):
                 candidates.append((exp_d + exp_e, b))
     candidates.sort(reverse=True)

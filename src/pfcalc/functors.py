@@ -10,12 +10,13 @@ induced map P(R^n) -> P(R^m) in the chosen bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
+from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .fpmod import FPModule, fiber_dimension
-from .poly import MultiPoly, VarSet
+from .poly import MultiPoly, VarSet, degree_monomials
 from .rings import ZZ, BaseRing
 
 
@@ -184,17 +185,6 @@ def _check_free(expr: FunctorExpr, why: str):
             _check_free(c, why)
 
 
-def _sym_basis(n: int, d: int) -> List[Tuple[int, ...]]:
-    out = []
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    out.sort(reverse=True)
-    return out
-
-
 def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
     """Module of P(R^n) with deterministic basis labels."""
     if n < 0:
@@ -210,7 +200,7 @@ def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
         mod = FPModule.free(ring, n)
         labels = tuple(f"e{i + 1}" for i in range(n))
     elif isinstance(expr, Sym):
-        basis = _sym_basis(n, expr.d)
+        basis = degree_monomials(n, expr.d)
         mod = FPModule.free(ring, len(basis))
         labels = tuple("*".join(f"e{i + 1}^{e}" if e > 1 else f"e{i + 1}"
                                 for i, e in enumerate(exp) if e) or "1"
@@ -222,7 +212,7 @@ def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
     elif isinstance(expr, Tensor):
         _check_free(expr, "Tensor")
         subs = [evaluate(c, n) for c in expr.children]
-        mod = FPModule.free(ring, _prod(s.module.ngens for s in subs))
+        mod = FPModule.free(ring, prod(s.module.ngens for s in subs))
         labels = tuple("(" + ")⊗(".join(ls) + ")"
                        for ls in product(*[s.basis_labels for s in subs]))
     elif isinstance(expr, DirectSum):
@@ -261,13 +251,6 @@ def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
     return out
 
 
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
-
-
 def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
                 h: List[List[MultiPoly]], ring: BaseRing, vs: VarSet) -> List[List[MultiPoly]]:
     """Law matrix of expr at the (possibly symbolic) matrix h."""
@@ -279,8 +262,8 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
     if isinstance(expr, Id):
         return [list(row) for row in h]
     if isinstance(expr, Sym):
-        src = _sym_basis(n_from, expr.d)
-        tgt = _sym_basis(n_to, expr.d)
+        src = degree_monomials(n_from, expr.d)
+        tgt = degree_monomials(n_to, expr.d)
         tgt_index = {e: i for i, e in enumerate(tgt)}
         big = _f_extended(vs, n_to)
         one_big = MultiPoly.constant(ring, big, ring.one())

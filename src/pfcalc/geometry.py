@@ -8,17 +8,15 @@ substitutions, and the directional Taylor expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import factorial, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .functors import DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_parts
 from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
-                       normal_form, radical_membership,
-                       verify_buchberger_criterion)
-from .poly import Grevlex, MultiPoly, VarSet
+                       radical_membership, verify_buchberger_criterion)
+from .poly import Grevlex, MultiPoly, VarSet, degree_monomials, integer_primitive
 from .rings import ZZ, BaseRing, Fp, QQ, fraction_field_reduction
 
 
@@ -33,7 +31,6 @@ class SizeGuardExceeded(RuntimeError):
 class SizeGuards:
     max_variables: int = 40
     max_basis: int = 5000
-    max_degree: int = 8
 
 
 DEFAULT_GUARDS = SizeGuards()
@@ -52,11 +49,6 @@ class PolyTransformation:
     rule: Callable[[int, BaseRing], Tuple[VarSet, List[MultiPoly]]]
 
 
-def _sym_basis(n: int, d: int) -> List[Tuple[int, ...]]:
-    from .functors import _sym_basis as sb
-    return sb(n, d)
-
-
 def sum_of_powers(num_forms: int, power: int, form_degree: int = 1) -> PolyTransformation:
     """(q_1, ..., q_m) |-> q_1^k + ... + q_m^k for degree-g forms q_j.
 
@@ -68,11 +60,11 @@ def sum_of_powers(num_forms: int, power: int, form_degree: int = 1) -> PolyTrans
     target = Sym(power * form_degree)
 
     def rule(n: int, ring: BaseRing):
-        fbasis = _sym_basis(n, form_degree)
+        fbasis = degree_monomials(n, form_degree)
         names = tuple(f"v{j + 1}_{i + 1}"
                       for j in range(num_forms) for i in range(len(fbasis)))
         vs = VarSet(names)
-        tbasis = _sym_basis(n, power * form_degree)
+        tbasis = degree_monomials(n, power * form_degree)
         acc = {exp: MultiPoly.zero(ring, vs) for exp in tbasis}
         for j in range(num_forms):
             # q_j as x-exponent -> coefficient polynomial in the v variables
@@ -193,16 +185,6 @@ class SpecializationReport:
     verdicts: Tuple[PrimeVerdict, ...]
 
 
-def _clear_to_integers(f: MultiPoly) -> MultiPoly:
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in f.terms.values():
-        num = gcd(num, abs(int(c * den)))
-    return f.map_coefficients(lambda c: c * Fraction(den, num), f.ring)
-
-
 def _reduce_mod_p(f: MultiPoly, ring_p: BaseRing, vs: VarSet) -> MultiPoly:
     terms = {}
     for e, c in f.terms.items():
@@ -236,7 +218,9 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
     q_gens = [g.map_coefficients(lambda c: Fraction(c), QQ) for g in generators]
     log: List[MultiPoly] = []
     gb = buchberger(q_gens, Grevlex(), new_poly_log=log)
-    cleared = tuple(_clear_to_integers(g) for g in gb.generators)
+    cleared = tuple(
+        MultiPoly(QQ, vs, dict(zip(g.terms, integer_primitive(list(g.terms.values())))))
+        for g in gb.generators)
     generic_dim = ideal_dimension(gb)
     order = Grevlex()
     r = 1
@@ -247,26 +231,24 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
     verdicts = []
     for p in primes:
         ring_p = Fp(p)
+        inputs_p = [f for f in (_reduce_mod_p(g, ring_p, vs) for g in q_gens)
+                    if not f.is_zero()]
         if r % p != 0:
-            gens_p = [_reduce_mod_p(f, ring_p, vs) for f in cleared]
-            crit = verify_buchberger_criterion(gens_p, order) if gens_p else True
-            inputs_p = [_reduce_mod_p(g.map_coefficients(Fraction, QQ), ring_p, vs)
-                        for g in generators]
-            member = all(normal_form(f, gens_p, order).is_zero()
-                         for f in inputs_p if not f.is_zero()) if gens_p else \
-                all(f.is_zero() for f in inputs_p)
-            stairs = frozenset(f.leading(order)[0] for f in gens_p if not f.is_zero())
-            matches = crit and member and stairs == gb.leading_monomials
-            if matches:
+            # p does not divide the leading coefficients of cleared, so no
+            # element vanishes mod p and each keeps its leading monomial
+            gens_p = tuple(_reduce_mod_p(f, ring_p, vs) for f in cleared)
+            gb_p = GroebnerBasis(gens_p, order,
+                                 frozenset(f.leading(order)[0] for f in gens_p),
+                                 ring_p, vs)
+            if (verify_buchberger_criterion(gens_p, order)
+                    and all(gb_p.contains(f) for f in inputs_p)
+                    and gb_p.leading_monomials == gb.leading_monomials):
                 # gens_p is a Groebner basis with the generic staircase, and
                 # the dimension depends on the staircase alone
                 verdicts.append(PrimeVerdict(p, True, generic_dim, True, False))
                 continue
-        gens_p = [f for f in (_reduce_mod_p(g.map_coefficients(Fraction, QQ),
-                                            ring_p, vs) for g in generators)
-                  if not f.is_zero()]
-        if gens_p:
-            gb_p = buchberger(gens_p, order)
+        if inputs_p:
+            gb_p = buchberger(inputs_p, order)
             dim_p = ideal_dimension(gb_p)
             stairs_match = gb_p.leading_monomials == gb.leading_monomials
         else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -301,8 +302,20 @@ class GroebnerBasis:
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.generators)
 
+    @cached_property
+    def _reducer(self) -> tuple:
+        """Field kernel and reducer entries, built once per basis."""
+        _require_field(self.ring)
+        kernel = _FieldKernel(self.ring, self.varset, self.order)
+        return kernel, [kernel.entry(g.terms, g.leading(self.order)[0])
+                        for g in self.generators]
+
     def reduce(self, f: MultiPoly) -> MultiPoly:
-        return normal_form(f, self.generators, self.order)
+        """Remainder of f modulo the generators, as normal_form gives it."""
+        kernel, entries = self._reducer
+        if not entries:
+            return f
+        return kernel.to_poly(kernel.reduce(f.terms, entries))
 
     def contains(self, f: MultiPoly) -> bool:
         return self.reduce(f).is_zero()
@@ -415,7 +428,11 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
 
 
 def verify_buchberger_criterion(G: Sequence[MultiPoly], order: MonomialOrder) -> bool:
-    """Every S-polynomial of pairs reduces to zero modulo G."""
+    """Every S-polynomial of pairs reduces to zero modulo G.
+
+    Pairs with coprime leading monomials are skipped: their S-polynomials
+    always reduce to zero (Buchberger's first criterion), as in buchberger.
+    """
     gens = [g for g in G if not g.is_zero()]
     if len(gens) < 2:
         return True
@@ -426,6 +443,8 @@ def verify_buchberger_criterion(G: Sequence[MultiPoly], order: MonomialOrder) ->
     nkey: dict = {}
     for (f, ef), (g, eg) in combinations(zip(gens, entries), 2):
         lcm = _exp_lcm(ef[0], eg[0])
+        if lcm == _exp_add(ef[0], eg[0]):
+            continue
         if kernel.reduce(kernel.spoly(f.terms, ef, g.terms, eg, lcm), entries, nkey):
             return False
     return True
@@ -448,8 +467,7 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     return -1
 
 
-def eliminate(G: Sequence[MultiPoly], drop: Set[str],
-              order_hint: Optional[MonomialOrder] = None) -> List[MultiPoly]:
+def eliminate(G: Sequence[MultiPoly], drop: Set[str]) -> List[MultiPoly]:
     """Generators of <G> intersected with the subring without the dropped vars."""
     gens = [g for g in G if not g.is_zero()]
     if not gens:
@@ -462,9 +480,7 @@ def eliminate(G: Sequence[MultiPoly], drop: Set[str],
     back = [n for n in vs.names if n not in drop]
     block_vs = VarSet(tuple(front + back),
                       tuple(vs.weights[vs.index(n)] for n in front + back))
-    order = order_hint if isinstance(order_hint, Elimination) else Elimination(len(front))
-    if not front:
-        order = Grevlex()
+    order = Elimination(len(front)) if front else Grevlex()
     gb = buchberger([g.rename(block_vs) for g in gens], order)
     kept_vs = VarSet(tuple(back), tuple(vs.weights[vs.index(n)] for n in back))
     out = []

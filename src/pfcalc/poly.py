@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from itertools import combinations_with_replacement
+from math import gcd, lcm
+from typing import Dict, List, Sequence, Tuple
 
-from .rings import BaseRing, QQ, QuotientRing, RingElem, ZZ
+from .rings import BaseRing, QQ, QuotientRing
 
 
 @dataclass(frozen=True)
@@ -39,10 +41,6 @@ class VarSet:
 
     def weighted_degree(self, exp: Tuple[int, ...]) -> int:
         return sum(w * e for w, e in zip(self.weights, exp))
-
-
-def varset(*names: str, weights: Optional[Iterable[int]] = None) -> VarSet:
-    return VarSet(tuple(names), tuple(weights) if weights is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +138,28 @@ def _exp_lcm(a, b):
     return tuple(map(max, a, b))
 
 
+def degree_monomials(n: int, d: int) -> List[Tuple[int, ...]]:
+    """Exponent tuples in n variables of total degree d, in decreasing
+    lexicographic order ([()] for n = d = 0, [] for n = 0 < d)."""
+    out = []
+    for combo in combinations_with_replacement(range(n), d):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    out.sort(reverse=True)
+    return out
+
+
+def integer_primitive(values: Sequence[Fraction]) -> List[Fraction]:
+    """The positive rational multiple of values that is integral with
+    content 1: lcm of the denominators over gcd of the numerators.  An
+    all-zero sequence comes back unchanged."""
+    den = lcm(*(a.denominator for a in values))
+    num = gcd(*(a.numerator * (den // a.denominator) for a in values))
+    return [a * den / num for a in values] if num else list(values)
+
+
 class MultiPoly:
     __slots__ = ("ring", "varset", "terms")
 
@@ -149,18 +169,6 @@ class MultiPoly:
         self.terms = terms
 
     # -- constructors -------------------------------------------------------
-    @classmethod
-    def from_terms(cls, ring, vs, items) -> "MultiPoly":
-        terms = {}
-        for exp, c in items:
-            if exp in terms:
-                c = ring.add(terms[exp], c)
-            if ring.is_zero(c):
-                terms.pop(exp, None)
-            else:
-                terms[exp] = c
-        return cls(ring, vs, terms)
-
     @classmethod
     def zero(cls, ring, vs) -> "MultiPoly":
         return cls(ring, vs, {})
@@ -185,8 +193,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def coeff(self, exp: tuple) -> RingElem:
-        return RingElem(self.ring, self.terms.get(exp, self.ring.zero()))
+    def coeff(self, exp: tuple):
+        """Coefficient payload of a monomial (the ring's zero if absent)."""
+        return self.terms.get(exp, self.ring.zero())
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)

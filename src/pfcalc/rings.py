@@ -3,19 +3,14 @@
 Every ring value is kept in a canonical form so that equality is plain
 syntactic equality: fractions are reduced with positive denominator,
 residues live in [0, p), and quotient-ring values are reduced modulo the
-defining polynomial.  Ring objects and elements are immutable.
+defining polynomial.  Ring objects and payloads are immutable.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Tuple
-
-
-class RingMismatch(ValueError):
-    """Raised when two elements of different rings are combined."""
 
 
 class NotAUnit(ArithmeticError):
@@ -39,8 +34,6 @@ def is_prime(n: int) -> bool:
 
 class BaseRing:
     """Common interface; payloads are raw Python values, see subclasses."""
-
-    kind: str
 
     # -- payload arithmetic -------------------------------------------------
     def add(self, a, b):
@@ -81,9 +74,6 @@ class BaseRing:
     def characteristic(self) -> int:
         raise NotImplementedError
 
-    def is_domain(self) -> bool:
-        raise NotImplementedError
-
     def is_field(self) -> bool:
         return False
 
@@ -102,24 +92,11 @@ class BaseRing:
         """Coordinates of a payload with respect to field_basis()."""
         raise NotImplementedError
 
-    def from_field_coords(self, coords) -> Any:
-        out = self.zero()
-        for c, b in zip(coords, self.field_basis()):
-            out = self.add(out, self.scale_by_scalar(b, c))
-        return out
-
     def scale_by_scalar(self, a, c):
         """Multiply a payload by a scalar of scalar_field()."""
         raise NotImplementedError
 
-    def elem(self, x) -> "RingElem":
-        return RingElem(self, self.coerce(x))
-
     def coerce(self, x):
-        if isinstance(x, RingElem):
-            if x.ring != self:
-                raise RingMismatch(f"cannot coerce element of {x.ring.tag()} into {self.tag()}")
-            return x.payload
         if isinstance(x, int):
             return self.from_int(x)
         raise TypeError(f"cannot coerce {x!r} into {self.tag()}")
@@ -131,52 +108,7 @@ class BaseRing:
         return self.tag()
 
 
-@dataclass(frozen=True)
-class RingElem:
-    """An element of a BaseRing in canonical form."""
-
-    ring: BaseRing
-    payload: Any
-
-    def _check(self, other: "RingElem"):
-        if not isinstance(other, RingElem):
-            other = self.ring.elem(other)
-        if other.ring != self.ring:
-            raise RingMismatch(
-                f"ring mismatch: {self.ring.tag()} vs {other.ring.tag()}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return RingElem(self.ring, self.ring.add(self.payload, other.payload))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return RingElem(self.ring, self.ring.sub(self.payload, other.payload))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return RingElem(self.ring, self.ring.mul(self.payload, other.payload))
-
-    def __neg__(self):
-        return RingElem(self.ring, self.ring.neg(self.payload))
-
-    def is_zero(self) -> bool:
-        return self.ring.is_zero(self.payload)
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.payload)
-
-    def __str__(self):
-        return self.ring.fmt(self.payload)
-
-    def __repr__(self):
-        return f"{self.ring.fmt(self.payload)} in {self.ring.tag()}"
-
-
 class IntegerRing(BaseRing):
-    kind = "IntegerRing"
-
     def add(self, a, b):
         return a + b
 
@@ -206,9 +138,6 @@ class IntegerRing(BaseRing):
     def characteristic(self):
         return 0
 
-    def is_domain(self):
-        return True
-
     def tag(self):
         return "ZZ"
 
@@ -235,8 +164,6 @@ class IntegerRing(BaseRing):
 
 
 class RationalField(BaseRing):
-    kind = "RationalField"
-
     def add(self, a, b):
         return a + b
 
@@ -271,9 +198,6 @@ class RationalField(BaseRing):
     def characteristic(self):
         return 0
 
-    def is_domain(self):
-        return True
-
     def is_field(self):
         return True
 
@@ -300,8 +224,6 @@ class RationalField(BaseRing):
 
 
 class PrimeField(BaseRing):
-    kind = "PrimeField"
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -336,9 +258,6 @@ class PrimeField(BaseRing):
 
     def characteristic(self):
         return self.p
-
-    def is_domain(self):
-        return True
 
     def is_field(self):
         return True
@@ -387,8 +306,6 @@ def _poly_divmod(num, den, field: BaseRing):
 
 class QuotientRing(BaseRing):
     """k[t]/(f) for k = QQ or Fp; payloads are coefficient tuples of deg < deg f."""
-
-    kind = "QuotientRing"
 
     def __init__(self, base: BaseRing, modulus: Tuple[Any, ...]):
         if not (isinstance(base, (RationalField, PrimeField))):
@@ -487,11 +404,8 @@ class QuotientRing(BaseRing):
     def characteristic(self):
         return self.base.characteristic()
 
-    def is_domain(self):
-        return _modulus_irreducible(self.base, self.modulus)
-
     def is_field(self):
-        return self.is_domain()
+        return _modulus_irreducible(self.base, self.modulus)
 
     def tag(self):
         return f"{self.base.tag()}[t]/({_fmt_unipoly(self.base, self.modulus)})"

@@ -10,13 +10,13 @@ functors via the coefficients phi_alpha of the symbolic law matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
 from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .functors import FunctorEval, hom_varset
-from .rings import ZZ, BaseRing, Fp, QQ, fraction_field_reduction
+from .functors import FunctorEval
+from .rings import ZZ, BaseRing, fraction_field_reduction
 
 Index = Tuple[int, ...]  # flattened n x n exponent matrix, row-major
 
@@ -95,18 +95,21 @@ class SchurAlgebra:
     d: int
     ring: BaseRing
 
-    @property
-    def basis(self) -> List[Index]:
-        return basis_indices(self.n, self.d)
+    @cached_property
+    def basis(self) -> Tuple[Index, ...]:
+        return tuple(basis_indices(self.n, self.d))
+
+    @cached_property
+    def _basis_set(self) -> frozenset:
+        return frozenset(self.basis)
 
     def dimension(self) -> int:
         return comb(self.n * self.n + self.d, self.d)
 
     def element(self, coeffs: Dict[Index, object]) -> "SchurElem":
-        idx = set(self.basis)
         clean = {}
         for a, c in coeffs.items():
-            if a not in idx:
+            if a not in self._basis_set:
                 raise ValueError(f"index {a} out of range for S_<={self.d}(U), n={self.n}")
             c = self.ring.coerce(c)
             if not self.ring.is_zero(c):

@@ -1,7 +1,9 @@
 """Command-line front end: dispatch, validation, caching, determinism."""
 
+import ast
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,3 +224,30 @@ def test_readme_flags_match_parser():
     parsed = {opt for action in build_parser()._actions
               for opt in action.option_strings if opt.startswith("--")}
     assert documented == parsed - {"--help"}
+
+
+def test_runtime_imports_are_stdlib():
+    # the README promises no runtime dependencies beyond the standard
+    # library; the one exception is local to the function named here
+    allowed = {("rings.py", "_modulus_irreducible", "sympy")}
+    outside = set()
+
+    def visit(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names:
+                    outside.add((path.name, func, top))
+            visit(child, path, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert outside <= allowed

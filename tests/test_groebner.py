@@ -115,6 +115,11 @@ def test_eliminate_rejects_unknown_variable():
         eliminate([P("x")], {"w"})
 
 
+def test_eliminate_nothing_is_the_grevlex_basis():
+    gens = [P("x^2 - y"), P("x*y - 1")]
+    assert eliminate(gens, set()) == list(buchberger(gens, Grevlex()).generators)
+
+
 def test_radical_membership():
     gens = [P("x^2")]
     assert radical_membership(P("x"), gens)
@@ -233,6 +238,12 @@ def test_oracle_equivalence_f5(ring):
         for g in gens:
             assert gb.contains(g)
             assert _oracle_normal_form(g, oracle, order).is_zero()
+        # the criterion skips coprime pairs; its verdict must still equal
+        # the all-pairs check, and the oracle's basis must pass it
+        all_pairs = all(_oracle_normal_form(s_polynomial(f, g, order), gens, order).is_zero()
+                        for f, g in itertools.combinations(gens, 2))
+        assert verify_buchberger_criterion(gens, order) == all_pairs
+        assert verify_buchberger_criterion(oracle, order)
         checked += 1
 
 

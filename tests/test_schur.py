@@ -15,6 +15,8 @@ def test_basis_count():
     for n, d in ((1, 3), (2, 2), (2, 3)):
         algebra = SchurAlgebra(n, d, QQ)
         assert len(algebra.basis) == algebra.dimension() == comb(n * n + d, d)
+        # built once per algebra, not on every access
+        assert algebra.basis is algebra.basis
 
 
 def test_basis_indices_bound():
