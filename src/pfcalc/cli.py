@@ -31,7 +31,7 @@ from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
 from .groebner import GroebnerBasis, ideal_dimension
 from .poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
 from .rings import ZZ, BaseRing, QuotientRing, fraction_field_reduction, \
-    parse_quotient_payload, ring_from_tag
+    is_prime, parse_quotient_payload, ring_from_tag
 
 COMMANDS = ("ring-of-module", "schur-table", "dimfn", "image-closure",
             "dim-per-prime", "good-primes", "equivariance", "taylor")
@@ -72,8 +72,8 @@ def _opt(cfg: dict, key: str, typ, default, where: str = "config"):
 def _prime_list(cfg: dict, key: str = "primes") -> List[int]:
     primes = _need(cfg, key, list)
     for p in primes:
-        if not isinstance(p, int) or p < 2:
-            raise ConfigError(f"config key {key!r} must list primes >= 2, got {p!r}")
+        if not isinstance(p, int) or not is_prime(p):
+            raise ConfigError(f"config key {key!r} must list primes, got {p!r}")
     return primes
 
 
@@ -106,16 +106,15 @@ def _varset_from_config(cfg: dict) -> VarSet:
     return VarSet(tuple(names), tuple(weights))
 
 
-def _polys_from_config(cfg: dict, key: str, ring: BaseRing,
+def _polys_from_config(texts: list, key: str, ring: BaseRing,
                        vs: VarSet) -> List[MultiPoly]:
-    texts = _need(cfg, key, list)
     out = []
     for t in texts:
         if not isinstance(t, str):
             raise ConfigError(f"config key {key!r} must list polynomial strings")
         try:
             out.append(parse_poly(t, ring, vs))
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from None
     return out
 
@@ -144,7 +143,7 @@ def _scalar_from_config(x, ring: BaseRing):
             if isinstance(ring, QuotientRing):
                 return parse_quotient_payload(ring, x)
             return ring.coerce(Fraction(x))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"bad scalar {x!r}: {exc}") from None
     raise ConfigError(f"bad scalar {x!r}: expected int or string")
 
@@ -202,8 +201,7 @@ def deserialize_basis(blob: bytes) -> GroebnerBasis:
     vs = VarSet(tuple(doc["names"]), tuple(doc["weights"]))
     order = order_from_tag(doc["order"])
     gens = tuple(parse_poly(t, ring, vs) for t in doc["generators"])
-    return GroebnerBasis(gens, order,
-                         frozenset(g.leading(order)[0] for g in gens), ring, vs)
+    return GroebnerBasis(gens, order, ring, vs)
 
 
 class GBCache:
@@ -446,7 +444,8 @@ def _cmd_good_primes(cfg: dict, args) -> tuple:
     if len(vs) > args.max_variables:
         raise SizeGuardExceeded("too many variables",
                                 variables=len(vs), limit=args.max_variables)
-    gens = _polys_from_config(cfg, "generators", ZZ, vs)
+    gens = _polys_from_config(_need(cfg, "generators", list), "generators",
+                              ZZ, vs)
     primes = _prime_list(cfg)
     t0 = time.perf_counter()
     try:
@@ -503,11 +502,8 @@ def _cmd_taylor(cfg: dict, args) -> tuple:
     vs = _varset_from_config(cfg)
     ring = _field_from_config(cfg) if "field" in cfg else \
         fraction_field_reduction(ZZ, 0)
-    text = _need(cfg, "polynomial", str)
-    try:
-        f = parse_poly(text, ring, vs)
-    except ValueError as exc:
-        raise ConfigError(f"config key 'polynomial': {exc}") from None
+    [f] = _polys_from_config([_need(cfg, "polynomial", str)], "polynomial",
+                             ring, vs)
     m = _need(cfg, "direction_count", int)
     if not 1 <= m <= len(vs):
         raise ConfigError("config key 'direction_count' must lie in "

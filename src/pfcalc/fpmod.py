@@ -13,7 +13,7 @@ from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .rings import ZZ, BaseRing, Fp, QQ, fraction_field_reduction
+from .rings import ZZ, BaseRing, fraction_field_reduction
 
 
 @dataclass(frozen=True)

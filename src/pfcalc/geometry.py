@@ -120,7 +120,7 @@ def closed_subset(target: FunctorExpr, n: int, ring: BaseRing,
     gens = tuple(generators)
     vs = gens[0].varset if gens else target_varset(target, n)
     gb = buchberger(list(gens), Grevlex()) if gens else \
-        GroebnerBasis((), Grevlex(), frozenset(), ring, vs)
+        GroebnerBasis((), Grevlex(), ring, vs)
     return ClosedSubsetAtRank(target, n, ring, vs, gens, gb)
 
 
@@ -150,9 +150,7 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     # the tail block of the elimination order is grevlex on y_vs, so the
     # eliminated part of the reduced basis is already the reduced, monic,
     # sorted grevlex basis of the closure ideal
-    order = Grevlex()
-    gb = GroebnerBasis(kept, order, frozenset(g.leading(order)[0] for g in kept),
-                       ring, y_vs)
+    gb = GroebnerBasis(kept, Grevlex(), ring, y_vs)
     return ClosedSubsetAtRank(alpha.target, n, ring, y_vs, kept, gb)
 
 
@@ -237,9 +235,7 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
             # p does not divide the leading coefficients of cleared, so no
             # element vanishes mod p and each keeps its leading monomial
             gens_p = tuple(_reduce_mod_p(f, ring_p, vs) for f in cleared)
-            gb_p = GroebnerBasis(gens_p, order,
-                                 frozenset(f.leading(order)[0] for f in gens_p),
-                                 ring_p, vs)
+            gb_p = GroebnerBasis(gens_p, order, ring_p, vs)
             if (verify_buchberger_criterion(gens_p, order)
                     and all(gb_p.contains(f) for f in inputs_p)
                     and gb_p.leading_monomials == gb.leading_monomials):

@@ -1,15 +1,16 @@
 """Buchberger's algorithm, normal forms, elimination, dimension, radicals.
 
-Coefficients must lie in a field.  One Buchberger skeleton owns the pair
-bookkeeping: the normal strategy (minimal lcm degree, then the monomial
-order on the lcm) with the coprime-lcm and chain criteria, followed by one
-minimalize/interreduce pass.  Coefficient arithmetic sits behind one of two
-kernels, picked once per run from the ring:
+Coefficients must lie in a field.  One S-pair queue serves both building
+and checking a basis: the normal strategy (minimal lcm degree, then the
+monomial order on the lcm), skipping pairs with coprime leading monomials
+and pairs caught by the chain criterion.  buchberger adds each nonzero
+remainder and ends with one minimalize/interreduce pass;
+verify_buchberger_criterion stops at the first one.  Coefficient arithmetic
+sits behind one of two kernels, picked once per run from the ring:
 
 - the field kernel works on ring payloads (F_p and k[t]/(f)) and keeps
-  basis elements monic; the public normal_form and
-  verify_buchberger_criterion reduce through it for every field, QQ
-  included;
+  basis elements monic; every reduction outside buchberger (normal_form,
+  the criterion check, GroebnerBasis.reduce) runs it, QQ included;
 - the QQ kernel works fraction-free on integers, keeps basis elements with
   content 1 and positive leading coefficient, and returns a positive
   rational multiple of the field remainder.
@@ -54,7 +55,8 @@ def _negate_key(k):
 
 def _div_mask(exp) -> int:
     """Two bits per variable (set at exponent >= 1 and >= 2); if a's mask
-    has a bit outside b's mask then a cannot divide b."""
+    has a bit outside b's mask then a cannot divide b, and a and b are
+    coprime exactly when their masks share no bit."""
     m = 0
     bit = 1
     for e in exp:
@@ -270,14 +272,18 @@ class _RationalKernel(_Kernel):
                          {e: Fraction(c) for e, c in terms.items()})
 
 
+def _field_reducer(ring: BaseRing, vs: VarSet, order: MonomialOrder,
+                   G: Sequence[MultiPoly]) -> tuple:
+    """Field kernel and the reducer entries of the nonzero elements of G."""
+    _require_field(ring)
+    kernel = _FieldKernel(ring, vs, order)
+    return kernel, [kernel.entry(g.terms, g.leading(order)[0])
+                    for g in G if not g.is_zero()]
+
+
 def normal_form(f: MultiPoly, G: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
     """Remainder of f modulo G; no term of the result is divisible by any LM(g)."""
-    _require_field(f.ring)
-    kernel = _FieldKernel(f.ring, f.varset, order)
-    entries = [kernel.entry(g.terms, g.leading(order)[0])
-               for g in G if not g.is_zero()]
-    if not entries:
-        return f
+    kernel, entries = _field_reducer(f.ring, f.varset, order, G)
     return kernel.to_poly(kernel.reduce(f.terms, entries))
 
 
@@ -295,7 +301,6 @@ def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
 class GroebnerBasis:
     generators: Tuple[MultiPoly, ...]
     order: MonomialOrder
-    leading_monomials: frozenset
     ring: BaseRing
     varset: VarSet
 
@@ -303,31 +308,64 @@ class GroebnerBasis:
         return any(g.is_constant() and not g.is_zero() for g in self.generators)
 
     @cached_property
+    def leading_monomials(self) -> frozenset:
+        """The staircase: leading monomials of the generators."""
+        return frozenset(g.leading(self.order)[0] for g in self.generators)
+
+    @cached_property
     def _reducer(self) -> tuple:
         """Field kernel and reducer entries, built once per basis."""
-        _require_field(self.ring)
-        kernel = _FieldKernel(self.ring, self.varset, self.order)
-        return kernel, [kernel.entry(g.terms, g.leading(self.order)[0])
-                        for g in self.generators]
+        return _field_reducer(self.ring, self.varset, self.order, self.generators)
 
     def reduce(self, f: MultiPoly) -> MultiPoly:
         """Remainder of f modulo the generators, as normal_form gives it."""
         kernel, entries = self._reducer
-        if not entries:
-            return f
         return kernel.to_poly(kernel.reduce(f.terms, entries))
 
     def contains(self, f: MultiPoly) -> bool:
         return self.reduce(f).is_zero()
 
 
+def _s_pairs(entries: list, keyof):
+    """S-pairs (i, j, lcm), i < j, of reducer entries in the normal strategy:
+    least lcm degree, then least lcm by keyof, then (i, j).  Entries the
+    caller appends while iterating join the queue before the next pair.
+    Skipped: coprime leading monomials, and chained pairs (another LM(k)
+    divides the lcm and the pairs (i, k) and (j, k) are both done).
+    """
+    heap: list = []
+    done: Set[Tuple[int, int]] = set()
+    queued = 0
+    while True:
+        for j in range(queued, len(entries)):
+            lmj = entries[j][0]
+            for i in range(j):
+                lcm = _exp_lcm(entries[i][0], lmj)
+                heapq.heappush(heap, (sum(lcm), keyof(lcm), i, j))
+        queued = len(entries)
+        if not heap:
+            return
+        _, _, i, j = heapq.heappop(heap)
+        done.add((i, j))
+        if not entries[i][3] & entries[j][3]:
+            continue  # no variable in both leading monomials
+        lcm = _exp_lcm(entries[i][0], entries[j][0])
+        blocked = ~_div_mask(lcm)
+        for k, (lmk, _, _, mask) in enumerate(entries):
+            if mask & blocked or k == i or k == j or not _exp_divides(lmk, lcm):
+                continue
+            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
+                break
+        else:
+            yield i, j, lcm
+
+
 def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
                new_poly_log: Optional[list] = None) -> GroebnerBasis:
     """Reduced Groebner basis of <F>.  All-zero input yields the empty basis.
 
-    Pair selection is the normal strategy (minimal lcm degree, then the
-    monomial order on the lcm) via a heap, with the coprime-lcm and chain
-    criteria.  When new_poly_log is given, every polynomial entering the
+    Pairs come from the queue of _s_pairs, and each nonzero remainder joins
+    the basis.  When new_poly_log is given, every polynomial entering the
     intermediate basis is appended to it before normalization: the inputs,
     each nonzero S-polynomial remainder and each interreduced final
     element.  Over QQ these are the integer forms before content removal,
@@ -338,7 +376,7 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
     if not inputs:
         if not F:
             raise ValueError("buchberger needs at least one polynomial")
-        return GroebnerBasis((), order, frozenset(), F[0].ring, F[0].varset)
+        return GroebnerBasis((), order, F[0].ring, F[0].varset)
     ring, vs = inputs[0].ring, inputs[0].varset
     _require_field(ring)
     kernel = (_RationalKernel if isinstance(ring, RationalField)
@@ -363,56 +401,29 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
         if new_poly_log is not None:
             new_poly_log.append(kernel.to_poly(terms))
 
-    # lms and masks repeat entry fields as flat lists for the chain scan
     basis: list = []
-    lms: list = []
-    masks: list = []
     entries: list = []
-    heap: list = []
-    done: Set[Tuple[int, int]] = set()
 
     def add(terms):
         log(terms)
         lm = lead(terms)
         terms = kernel.normalize(terms, lm)
-        n = len(basis)
         basis.append(terms)
-        lms.append(lm)
         entries.append(kernel.entry(terms, lm))
-        masks.append(entries[-1][3])
-        for k in range(n):
-            lcm = _exp_lcm(lms[k], lm)
-            heapq.heappush(heap, (sum(lcm), keyof(lcm), k, n))
 
     for terms in sorted((kernel.prepare(f) for f in inputs),
                         key=lambda t: keyof(lead(t))):
         add(terms)
-
-    def chained(i, j, lcm) -> bool:
-        """Some other LM(k) divides lcm and both pairs (i, k), (j, k) are done."""
-        blocked = ~_div_mask(lcm)
-        for k, mask in enumerate(masks):
-            if mask & blocked or k == i or k == j or not _exp_divides(lms[k], lcm):
-                continue
-            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                return True
-        return False
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        lcm = _exp_lcm(lms[i], lms[j])
-        if lcm == _exp_add(lms[i], lms[j]) or chained(i, j, lcm):
-            continue
+    for i, j, lcm in _s_pairs(entries, keyof):
         r = kernel.reduce(kernel.spoly(basis[i], entries[i], basis[j], entries[j], lcm),
                           entries, nkey)
         if r:
             add(r)
 
     # minimalize, then interreduce each kept element against the others
-    keep = [i for i, lm in enumerate(lms)
-            if not any(j != i and _exp_divides(lmj, lm) and (lmj != lm or j < i)
-                       for j, lmj in enumerate(lms))]
+    keep = [i for i, (lm, *_) in enumerate(entries)
+            if not any(j != i and _exp_divides(e[0], lm) and (e[0] != lm or j < i)
+                       for j, e in enumerate(entries))]
     kept = [entries[i] for i in keep]
     final = []
     for pos, i in enumerate(keep):
@@ -422,32 +433,25 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
             log(t)
             final.append((keyof(lead(t)), kernel.to_poly(t).monic(order)))
     final.sort(key=lambda kf: kf[0])
-    polys = tuple(f for _, f in final)
-    return GroebnerBasis(polys, order,
-                         frozenset(f.leading(order)[0] for f in polys), ring, vs)
+    return GroebnerBasis(tuple(f for _, f in final), order, ring, vs)
 
 
 def verify_buchberger_criterion(G: Sequence[MultiPoly], order: MonomialOrder) -> bool:
-    """Every S-polynomial of pairs reduces to zero modulo G.
+    """Is G a Groebner basis: does every S-polynomial reduce to zero modulo G?
 
-    Pairs with coprime leading monomials are skipped: their S-polynomials
-    always reduce to zero (Buchberger's first criterion), as in buchberger.
+    Pairs come from the same queue as in buchberger (_s_pairs), so pairs
+    with coprime leading monomials and pairs caught by the chain criterion
+    are skipped; the first nonzero remainder answers False.
     """
     gens = [g for g in G if not g.is_zero()]
     if len(gens) < 2:
         return True
-    ring = gens[0].ring
-    _require_field(ring)
-    kernel = _FieldKernel(ring, gens[0].varset, order)
-    entries = [kernel.entry(g.terms, g.leading(order)[0]) for g in gens]
+    kernel, entries = _field_reducer(gens[0].ring, gens[0].varset, order, gens)
     nkey: dict = {}
-    for (f, ef), (g, eg) in combinations(zip(gens, entries), 2):
-        lcm = _exp_lcm(ef[0], eg[0])
-        if lcm == _exp_add(ef[0], eg[0]):
-            continue
-        if kernel.reduce(kernel.spoly(f.terms, ef, g.terms, eg, lcm), entries, nkey):
-            return False
-    return True
+    return not any(kernel.reduce(kernel.spoly(gens[i].terms, entries[i],
+                                              gens[j].terms, entries[j], lcm),
+                                 entries, nkey)
+                   for i, j, lcm in _s_pairs(entries, order.key))
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:

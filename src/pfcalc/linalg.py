@@ -7,7 +7,6 @@ the field routines and plain Python ints for the integer routines.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import List, Sequence, Tuple
 
 from .rings import BaseRing

@@ -135,7 +135,7 @@ def _exp_divides(a, b):
 
 
 def _exp_lcm(a, b):
-    return tuple(map(max, a, b))
+    return tuple([x if x > y else y for x, y in zip(a, b)])  # faster than map(max, a, b)
 
 
 def degree_monomials(n: int, d: int) -> List[Tuple[int, ...]]:

@@ -90,6 +90,32 @@ def test_invalid_json_exit_2(capsys, tmp_path):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,cfg,key", [
+    ("good-primes", {"variables": ["x"], "generators": ["1/2*x"],
+                     "primes": [2, 3]}, "generators"),
+    ("ring-of-module", {"ring": "QQ[t]/(t^2)", "degrees": [0],
+                        "module": {"ngens": 1, "relations": [["1/0"]]}}, "1/0"),
+    ("taylor", {"variables": ["x", "y"], "polynomial": "1/0*x",
+                "direction_count": 1}, "polynomial"),
+], ids=["good-primes", "ring-of-module", "taylor"])
+def test_non_unit_denominator_exit_2(capsys, tmp_path, command, cfg, key):
+    # 1/2 is no integer and 1/0 no number: a validation error, not a crash
+    code, _, err = run(capsys, tmp_path, command, cfg)
+    assert code == 2
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("dimfn", {"functor": "Sym(2)", "window": 3}),
+    ("dim-per-prime", {"transformation": "cube-sum", "rank": 2}),
+    ("good-primes", {"variables": ["x"], "generators": ["3*x"]}),
+], ids=["dimfn", "dim-per-prime", "good-primes"])
+def test_composite_prime_exit_2(capsys, tmp_path, command, cfg):
+    code, _, err = run(capsys, tmp_path, command, dict(cfg, primes=[2, 4]))
+    assert code == 2
+    assert err.startswith("error:") and "primes" in err
+
+
 def test_byte_identical_reruns(capsys, tmp_path):
     cfg = {"functor": "Sym(2) (+) Ext(3)", "primes": [2, 3, 5], "window": 6}
     code1, out1, _ = run(capsys, tmp_path, "dimfn", cfg, "--format", "json")
@@ -251,3 +277,20 @@ def test_runtime_imports_are_stdlib():
     for path in sorted(src.rglob("*.py")):
         visit(ast.parse(path.read_text()), path, None)
     assert outside <= allowed
+
+
+def test_runtime_imports_are_used():
+    # every name a module under src/pfcalc imports is referenced in it
+    unused = set()
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                imported.update((a.asname or a.name).partition(".")[0]
+                                for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update((path.name, name) for name in imported - used)
+    assert not unused

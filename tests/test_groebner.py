@@ -238,12 +238,16 @@ def test_oracle_equivalence_f5(ring):
         for g in gens:
             assert gb.contains(g)
             assert _oracle_normal_form(g, oracle, order).is_zero()
-        # the criterion skips coprime pairs; its verdict must still equal
-        # the all-pairs check, and the oracle's basis must pass it
-        all_pairs = all(_oracle_normal_form(s_polynomial(f, g, order), gens, order).is_zero()
-                        for f, g in itertools.combinations(gens, 2))
-        assert verify_buchberger_criterion(gens, order) == all_pairs
+        # the criterion skips coprime pairs and chained pairs; its verdict
+        # must still equal the all-pairs check, on the inputs, on the
+        # oracle's unreduced basis (which must pass), on that basis without
+        # its last added element, and on the reduced basis plus the inputs
         assert verify_buchberger_criterion(oracle, order)
+        for cand in (gens, oracle, oracle[:-1], list(gb.generators) + gens):
+            all_pairs = all(
+                _oracle_normal_form(s_polynomial(f, g, order), cand, order).is_zero()
+                for f, g in itertools.combinations(cand, 2))
+            assert verify_buchberger_criterion(cand, order) == all_pairs
         checked += 1
 
 
