@@ -230,7 +230,7 @@ class GBCache:
         try:
             with open(path, "rb") as fh:
                 return deserialize_basis(fh.read())
-        except (ValueError, KeyError, OSError) as exc:
+        except (ValueError, KeyError, OSError, ArithmeticError) as exc:
             print(f"warning: ignoring corrupt cache entry {path}: {exc}",
                   file=sys.stderr)
             return None
@@ -257,6 +257,7 @@ def _cached_image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     if hit is not None:
         vs = target_varset(alpha.target, n)
         if hit.ring == ring and hit.order == Grevlex() and hit.varset == vs:
+            guards.check_basis(len(hit.generators))
             return ClosedSubsetAtRank(alpha.target, n, ring, vs,
                                       hit.generators, hit)
         print(f"warning: ignoring mismatched cache entry {cache._path(key)}: "

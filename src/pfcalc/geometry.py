@@ -32,6 +32,12 @@ class SizeGuards:
     max_variables: int = 40
     max_basis: int = 5000
 
+    def check_basis(self, size: int):
+        """Refuse an eliminated basis of more than max_basis generators."""
+        if size > self.max_basis:
+            raise SizeGuardExceeded("eliminated basis too large",
+                                    basis_size=size, limit=self.max_basis)
+
 
 DEFAULT_GUARDS = SizeGuards()
 
@@ -143,9 +149,7 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     for yname, coord in zip(y_vs.names, coords):
         gens.append(MultiPoly.variable(ring, big_vs, yname) - coord.rename(big_vs))
     eliminated = eliminate(gens, set(src_vs.names))
-    if len(eliminated) > guards.max_basis:
-        raise SizeGuardExceeded("eliminated basis too large",
-                                basis_size=len(eliminated), limit=guards.max_basis)
+    guards.check_basis(len(eliminated))
     kept = tuple(g.restrict(y_vs) if g.varset != y_vs else g for g in eliminated)
     # the tail block of the elimination order is grevlex on y_vs, so the
     # eliminated part of the reduced basis is already the reduced, monic,

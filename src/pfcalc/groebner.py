@@ -5,8 +5,18 @@ and checking a basis: the normal strategy (minimal lcm degree, then the
 monomial order on the lcm), skipping pairs with coprime leading monomials
 and pairs caught by the chain criterion.  buchberger adds each nonzero
 remainder and ends with one minimalize/interreduce pass;
-verify_buchberger_criterion stops at the first one.  Coefficient arithmetic
-sits behind one of two kernels, picked once per run from the ring:
+verify_buchberger_criterion stops at the first one.
+
+Reducer entries live in one divisor index, _Reducers.  For each variable v
+and exponent a it keeps a bitset (a Python int, bit k for entry k) of the
+entries whose leading monomial has exponent at most a in v.  The entries
+whose leading monomial divides a monomial are the AND of one such bitset per
+variable, and the first of them in list order is the lowest set bit.  The
+same AND, restricted to the entries whose pairs with i and with j are both
+done, is the chain criterion of the pair queue.
+
+Coefficient arithmetic sits behind one of two kernels, picked once per run
+from the ring:
 
 - the field kernel works on ring payloads (F_p and k[t]/(f)) and keeps
   basis elements monic; every reduction outside buchberger (normal_form,
@@ -29,11 +39,11 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import le
+from operator import neg
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .poly import (Elimination, Grevlex, MonomialOrder, MultiPoly, VarSet,
-                   _exp_add, _exp_divides, _exp_lcm, _exp_sub)
+                   _exp_add, _exp_lcm, _exp_sub)
 from .rings import BaseRing, RationalField
 
 
@@ -47,34 +57,62 @@ def _require_field(ring: BaseRing):
             f"Groebner engine needs field coefficients, got {ring.tag()}")
 
 
-def _negate_key(k):
-    if isinstance(k, tuple):
-        return tuple(_negate_key(x) for x in k)
-    return -k
+class _Reducers:
+    """Reducer entries in list order, with the divisor index over them.
 
+    below[v][a] is the bitset of the entries whose leading exponent is at
+    most a in variable v.  Every column grows to the largest exponent looked
+    up so far, so a lookup is one index per variable; past the end of
+    below[v], every entry is below.  Entries may be added at any time.
+    """
 
-def _div_mask(exp) -> int:
-    """Two bits per variable (set at exponent >= 1 and >= 2); if a's mask
-    has a bit outside b's mask then a cannot divide b, and a and b are
-    coprime exactly when their masks share no bit."""
-    m = 0
-    bit = 1
-    for e in exp:
-        if e:
-            m |= bit
-            if e > 1:
-                m |= bit << 1
-        bit <<= 2
-    return m
+    def __init__(self, nvars: int, entries=()):
+        self.entries: list = []
+        self.below: List[list] = [[] for _ in range(nvars)]
+        self.all = 0
+        for entry in entries:
+            self.add(entry)
+
+    def add(self, entry: tuple):
+        bit = 1 << len(self.entries)
+        for col, a in zip(self.below, entry[0]):
+            n = len(col)
+            if a >= n:
+                col.extend([self.all] * (a - n))
+            else:
+                for b in range(a, n):
+                    col[b] |= bit
+        self.entries.append(entry)
+        self.all |= bit
+
+    def dividing(self, exp, within: int = -1) -> int:
+        """Bitset of the entries in within whose leading exponent divides exp."""
+        d = self.all & within
+        try:
+            for col, a in zip(self.below, exp):
+                d &= col[a]
+                if not d:
+                    break
+        except IndexError:
+            top = max(exp) + 1
+            for col in self.below:
+                col.extend([self.all] * (top - len(col)))
+            return self.dividing(exp, within)
+        return d
+
+    def first_divisor(self, exp, within: int = -1):
+        """The first entry in within whose leading exponent divides exp, or None."""
+        d = self.dividing(exp, within)
+        return self.entries[(d & -d).bit_length() - 1] if d else None
 
 
 class _Kernel:
     """Coefficient arithmetic on term dicts (exponent -> coefficient).
 
     A reducer entry is (leading exponent, leading factor, tail terms shifted
-    by minus the leading exponent, divisibility mask), built once per basis
-    element.  The leading factor is the inverse leading coefficient in the
-    field kernel and the leading coefficient itself in the QQ kernel.
+    by minus the leading exponent), built once per basis element.  The
+    leading factor is the inverse leading coefficient in the field kernel
+    and the leading coefficient itself in the QQ kernel.
     """
 
     def __init__(self, ring: BaseRing, vs: VarSet, order: MonomialOrder):
@@ -90,7 +128,7 @@ class _Kernel:
         def heapkey(e):
             k = nkey.get(e)
             if k is None:
-                k = _negate_key(okey(e))
+                k = tuple(map(neg, okey(e)))
                 nkey[e] = k
             return k
 
@@ -98,7 +136,7 @@ class _Kernel:
 
     def entry(self, terms: dict, lm) -> tuple:
         tail = [(_exp_sub(e, lm), c) for e, c in terms.items() if e != lm]
-        return (lm, self.lead_factor(terms[lm]), tail, _div_mask(lm))
+        return (lm, self.lead_factor(terms[lm]), tail)
 
 
 class _FieldKernel(_Kernel):
@@ -129,13 +167,14 @@ class _FieldKernel(_Kernel):
                 out[e2] = v
         return out
 
-    def reduce(self, terms: dict, entries: list,
-               nkey: Optional[dict] = None) -> dict:
-        """Remainder of terms modulo the entries.  nkey caches negated
-        order keys across calls."""
+    def reduce(self, terms: dict, reducers: _Reducers,
+               nkey: Optional[dict] = None, within: int = -1) -> dict:
+        """Remainder of terms modulo the reducer entries in within.  nkey
+        caches negated order keys across calls."""
         ring = self.ring
         mul, sub, is_zero = ring.mul, ring.sub, ring.is_zero
         zero = ring.zero()
+        first_divisor = reducers.first_divisor
         heapkey = self.heap_key({} if nkey is None else nkey)
         pending = dict(terms)
         result = {}
@@ -146,25 +185,23 @@ class _FieldKernel(_Kernel):
             c = pending.pop(exp, None)
             if c is None or is_zero(c):
                 continue
-            blocked = ~_div_mask(exp)
-            for lm, ilc, tail, gmask in entries:
-                if gmask & blocked or not all(map(le, lm, exp)):
-                    continue
-                factor = mul(c, ilc)
-                for e2, c2 in tail:
-                    e3 = _exp_add(e2, exp)
-                    prev = pending.get(e3)
-                    if prev is None:
-                        heapq.heappush(heap, (heapkey(e3), e3))
-                        prev = zero
-                    val = sub(prev, mul(factor, c2))
-                    if is_zero(val):
-                        pending.pop(e3, None)
-                    else:
-                        pending[e3] = val
-                break
-            else:
+            entry = first_divisor(exp, within)
+            if entry is None:
                 result[exp] = c
+                continue
+            _, ilc, tail = entry
+            factor = mul(c, ilc)
+            for e2, c2 in tail:
+                e3 = _exp_add(e2, exp)
+                prev = pending.get(e3)
+                if prev is None:
+                    heapq.heappush(heap, (heapkey(e3), e3))
+                    prev = zero
+                val = sub(prev, mul(factor, c2))
+                if is_zero(val):
+                    pending.pop(e3, None)
+                else:
+                    pending[e3] = val
         return result
 
     def to_poly(self, terms: dict) -> MultiPoly:
@@ -210,11 +247,13 @@ class _RationalKernel(_Kernel):
                 out.pop(e2, None)
         return out
 
-    def reduce(self, terms: dict, entries: list,
-               nkey: Optional[dict] = None) -> dict:
-        """Pseudo-remainder with integer arithmetic; the result is the true
-        normal form times a positive rational, which normalize removes.
-        nkey caches negated order keys across calls."""
+    def reduce(self, terms: dict, reducers: _Reducers,
+               nkey: Optional[dict] = None, within: int = -1) -> dict:
+        """Pseudo-remainder modulo the reducer entries in within, with
+        integer arithmetic; the result is the true normal form times a
+        positive rational, which normalize removes.  nkey caches negated
+        order keys across calls."""
+        first_divisor = reducers.first_divisor
         heapkey = self.heap_key({} if nkey is None else nkey)
         pending = dict(terms)
         result = {}
@@ -237,34 +276,32 @@ class _RationalKernel(_Kernel):
             c = pending.pop(exp, None)
             if not c:
                 continue
-            blocked = ~_div_mask(exp)
-            for lm, lc, tail, gmask in entries:
-                if gmask & blocked or not all(map(le, lm, exp)):
-                    continue
-                d = gcd(c, lc)
-                mult = abs(lc // d)
-                if mult != 1:
-                    for e2 in pending:
-                        pending[e2] *= mult
-                    for e2 in result:
-                        result[e2] *= mult
-                    c *= mult
-                    swell *= mult
-                factor = c // lc
-                for e2, c2 in tail:
-                    e3 = _exp_add(e2, exp)
-                    prev = pending.get(e3)
-                    if prev is None:
-                        heapq.heappush(heap, (heapkey(e3), e3))
-                        prev = 0
-                    val = prev - factor * c2
-                    if val:
-                        pending[e3] = val
-                    else:
-                        pending.pop(e3, None)
-                break
-            else:
+            entry = first_divisor(exp, within)
+            if entry is None:
                 result[exp] = c
+                continue
+            _, lc, tail = entry
+            d = gcd(c, lc)
+            mult = abs(lc // d)
+            if mult != 1:
+                for e2 in pending:
+                    pending[e2] *= mult
+                for e2 in result:
+                    result[e2] *= mult
+                c *= mult
+                swell *= mult
+            factor = c // lc
+            for e2, c2 in tail:
+                e3 = _exp_add(e2, exp)
+                prev = pending.get(e3)
+                if prev is None:
+                    heapq.heappush(heap, (heapkey(e3), e3))
+                    prev = 0
+                val = prev - factor * c2
+                if val:
+                    pending[e3] = val
+                else:
+                    pending.pop(e3, None)
         return result
 
     def to_poly(self, terms: dict) -> MultiPoly:
@@ -274,17 +311,18 @@ class _RationalKernel(_Kernel):
 
 def _field_reducer(ring: BaseRing, vs: VarSet, order: MonomialOrder,
                    G: Sequence[MultiPoly]) -> tuple:
-    """Field kernel and the reducer entries of the nonzero elements of G."""
+    """Field kernel and the indexed reducer entries of the nonzero
+    elements of G."""
     _require_field(ring)
     kernel = _FieldKernel(ring, vs, order)
-    return kernel, [kernel.entry(g.terms, g.leading(order)[0])
-                    for g in G if not g.is_zero()]
+    return kernel, _Reducers(len(vs), [kernel.entry(g.terms, g.leading(order)[0])
+                                       for g in G if not g.is_zero()])
 
 
 def normal_form(f: MultiPoly, G: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
     """Remainder of f modulo G; no term of the result is divisible by any LM(g)."""
-    kernel, entries = _field_reducer(f.ring, f.varset, order, G)
-    return kernel.to_poly(kernel.reduce(f.terms, entries))
+    kernel, reducers = _field_reducer(f.ring, f.varset, order, G)
+    return kernel.to_poly(kernel.reduce(f.terms, reducers))
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
@@ -314,49 +352,50 @@ class GroebnerBasis:
 
     @cached_property
     def _reducer(self) -> tuple:
-        """Field kernel and reducer entries, built once per basis."""
+        """Field kernel and indexed reducer entries, built once per basis."""
         return _field_reducer(self.ring, self.varset, self.order, self.generators)
 
     def reduce(self, f: MultiPoly) -> MultiPoly:
         """Remainder of f modulo the generators, as normal_form gives it."""
-        kernel, entries = self._reducer
-        return kernel.to_poly(kernel.reduce(f.terms, entries))
+        kernel, reducers = self._reducer
+        return kernel.to_poly(kernel.reduce(f.terms, reducers))
 
     def contains(self, f: MultiPoly) -> bool:
         return self.reduce(f).is_zero()
 
 
-def _s_pairs(entries: list, keyof):
-    """S-pairs (i, j, lcm), i < j, of reducer entries in the normal strategy:
-    least lcm degree, then least lcm by keyof, then (i, j).  Entries the
-    caller appends while iterating join the queue before the next pair.
-    Skipped: coprime leading monomials, and chained pairs (another LM(k)
+def _s_pairs(reducers: _Reducers, keyof):
+    """S-pairs (i, j, lcm), i < j, of indexed reducer entries in the normal
+    strategy: least lcm degree, then least lcm by keyof, then (i, j).
+    Entries the caller adds to reducers while iterating join the queue
+    before the next pair.  Skipped: coprime leading monomials (the lcm
+    degree is the sum of their degrees), and chained pairs (another LM(k)
     divides the lcm and the pairs (i, k) and (j, k) are both done).
+
+    done[i] is the bitset of the k whose pair with i has been popped, so the
+    chain test is one index lookup: the entries dividing the lcm within
+    done[i] & done[j], which holds neither i nor j.
     """
+    entries = reducers.entries
     heap: list = []
-    done: Set[Tuple[int, int]] = set()
-    queued = 0
+    done: List[int] = []
+    degree: List[int] = []
     while True:
-        for j in range(queued, len(entries)):
+        for j in range(len(done), len(entries)):
             lmj = entries[j][0]
             for i in range(j):
                 lcm = _exp_lcm(entries[i][0], lmj)
-                heapq.heappush(heap, (sum(lcm), keyof(lcm), i, j))
-        queued = len(entries)
+                heapq.heappush(heap, (sum(lcm), keyof(lcm), i, j, lcm))
+            done.append(0)
+            degree.append(sum(lmj))
         if not heap:
             return
-        _, _, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        if not entries[i][3] & entries[j][3]:
+        deg, _, i, j, lcm = heapq.heappop(heap)
+        done[i] |= 1 << j
+        done[j] |= 1 << i
+        if deg == degree[i] + degree[j]:
             continue  # no variable in both leading monomials
-        lcm = _exp_lcm(entries[i][0], entries[j][0])
-        blocked = ~_div_mask(lcm)
-        for k, (lmk, _, _, mask) in enumerate(entries):
-            if mask & blocked or k == i or k == j or not _exp_divides(lmk, lcm):
-                continue
-            if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                break
-        else:
+        if not reducers.dividing(lcm, done[i] & done[j]):
             yield i, j, lcm
 
 
@@ -402,33 +441,42 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
             new_poly_log.append(kernel.to_poly(terms))
 
     basis: list = []
-    entries: list = []
+    reducers = _Reducers(len(vs))
+    entries = reducers.entries
 
     def add(terms):
         log(terms)
         lm = lead(terms)
         terms = kernel.normalize(terms, lm)
         basis.append(terms)
-        entries.append(kernel.entry(terms, lm))
+        reducers.add(kernel.entry(terms, lm))
 
     for terms in sorted((kernel.prepare(f) for f in inputs),
                         key=lambda t: keyof(lead(t))):
         add(terms)
-    for i, j, lcm in _s_pairs(entries, keyof):
+    for i, j, lcm in _s_pairs(reducers, keyof):
         r = kernel.reduce(kernel.spoly(basis[i], entries[i], basis[j], entries[j], lcm),
-                          entries, nkey)
+                          reducers, nkey)
         if r:
             add(r)
 
-    # minimalize, then interreduce each kept element against the others
-    keep = [i for i, (lm, *_) in enumerate(entries)
-            if not any(j != i and _exp_divides(e[0], lm) and (e[0] != lm or j < i)
-                       for j, e in enumerate(entries))]
-    kept = [entries[i] for i in keep]
+    # minimalize: drop entry i when an earlier LM divides LM(i) or a later
+    # LM divides it properly (of equal LMs the first is kept); then
+    # interreduce each kept element against the others
+    keep = []
+    for i, (lm, *_) in enumerate(entries):
+        d = reducers.dividing(lm) & ~(1 << i)
+        if d & ((1 << i) - 1):
+            continue
+        while d and entries[(d & -d).bit_length() - 1][0] == lm:
+            d &= d - 1
+        if not d:
+            keep.append(i)
+    kept = _Reducers(len(vs), [entries[i] for i in keep])
     final = []
     for pos, i in enumerate(keep):
-        others = kept[:pos] + kept[pos + 1:]
-        t = kernel.reduce(basis[i], others, nkey) if others else basis[i]
+        t = (kernel.reduce(basis[i], kept, nkey, ~(1 << pos)) if len(keep) > 1
+             else basis[i])
         if t:
             log(t)
             final.append((keyof(lead(t)), kernel.to_poly(t).monic(order)))
@@ -446,12 +494,13 @@ def verify_buchberger_criterion(G: Sequence[MultiPoly], order: MonomialOrder) ->
     gens = [g for g in G if not g.is_zero()]
     if len(gens) < 2:
         return True
-    kernel, entries = _field_reducer(gens[0].ring, gens[0].varset, order, gens)
+    kernel, reducers = _field_reducer(gens[0].ring, gens[0].varset, order, gens)
+    entries = reducers.entries
     nkey: dict = {}
     return not any(kernel.reduce(kernel.spoly(gens[i].terms, entries[i],
                                               gens[j].terms, entries[j], lcm),
-                                 entries, nkey)
-                   for i, j, lcm in _s_pairs(entries, order.key))
+                                 reducers, nkey)
+                   for i, j, lcm in _s_pairs(reducers, order.key))
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:

@@ -78,7 +78,8 @@ class Lex(MonomialOrder):
 
 
 def _grevlex_key(exp):
-    return (sum(exp), tuple(map(operator.neg, reversed(exp))))
+    """(degree, -e_n, ..., -e_1) as one flat tuple."""
+    return (sum(exp), *map(operator.neg, reversed(exp)))
 
 
 class Grevlex(MonomialOrder):
@@ -90,7 +91,9 @@ class Grevlex(MonomialOrder):
 
 
 class Elimination(MonomialOrder):
-    """Block order: first block by grevlex, ties broken by grevlex on the rest."""
+    """Block order: first block by grevlex, ties broken by grevlex on the rest.
+    The key concatenates the two grevlex keys; the first has a fixed length,
+    so the blocks never mix in a comparison."""
 
     def __init__(self, block_size: int):
         if block_size < 1:
@@ -99,7 +102,7 @@ class Elimination(MonomialOrder):
 
     def key(self, exp):
         b = self.block_size
-        return (_grevlex_key(exp[:b]), _grevlex_key(exp[b:]))
+        return _grevlex_key(exp[:b]) + _grevlex_key(exp[b:])
 
     def tag(self):
         return f"elim({self.block_size})"
@@ -127,11 +130,6 @@ def _exp_add(a, b):
 
 def _exp_sub(a, b):
     return tuple(map(operator.sub, a, b))
-
-
-def _exp_divides(a, b):
-    """Does monomial a divide monomial b?"""
-    return all(map(operator.le, a, b))
 
 
 def _exp_lcm(a, b):

@@ -224,6 +224,37 @@ def test_cached_run_matches_uncached(capsys, tmp_path):
     assert any(p.name.startswith("gb-") for p in cache_dir.iterdir())
 
 
+def test_cache_entry_with_zero_denominator_is_recomputed(capsys, tmp_path):
+    cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
+    code1, out1, _ = run(capsys, tmp_path, "image-closure", cfg)
+    cache_dir = tmp_path / "cache"
+    run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
+    (entry,) = cache_dir.iterdir()
+    doc = json.loads(entry.read_text())
+    doc["generators"][0] = "1/0*" + doc["names"][0]
+    entry.write_text(json.dumps(doc, sort_keys=True))
+    code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
+                           "--cache-dir", str(cache_dir))
+    assert code1 == code2 == 0
+    assert out2 == out1
+    assert "corrupt cache entry" in err
+    assert "1/0" not in entry.read_text()  # the recomputed basis replaced it
+
+
+def test_cache_hit_obeys_max_basis(capsys, tmp_path):
+    cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
+    cache_dir = tmp_path / "cache"
+    code, _, _ = run(capsys, tmp_path, "image-closure", cfg,
+                     "--cache-dir", str(cache_dir))
+    assert code == 0
+    miss = run(capsys, tmp_path, "image-closure", cfg, "--max-basis", "1")
+    hit = run(capsys, tmp_path, "image-closure", cfg, "--max-basis", "1",
+              "--cache-dir", str(cache_dir))
+    assert miss[0] == hit[0] == 3
+    assert miss[2] == hit[2]
+    assert "eliminated basis too large" in hit[2]
+
+
 @pytest.mark.parametrize("field, value", [("order", "lex"), ("ring", "Fp(7)")])
 def test_cache_mismatched_entry_is_recomputed(capsys, tmp_path, field, value):
     cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}

@@ -1,16 +1,18 @@
 """Groebner machinery against a brute-force oracle and hand-checked cases."""
 
+import heapq
 import itertools
 import random
 
 import pytest
 
-from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, buchberger,
-                             eliminate, ideal_dimension, normal_form,
-                             radical_membership, s_polynomial,
-                             verify_buchberger_criterion)
+from pfcalc import groebner
+from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, _Reducers,
+                             _field_reducer, buchberger, eliminate,
+                             ideal_dimension, normal_form, radical_membership,
+                             s_polynomial, verify_buchberger_criterion)
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
-                         parse_poly)
+                         degree_monomials, parse_poly)
 from pfcalc.rings import Fp, QQ, QuotientRing, ZZ, ring_from_tag
 
 VS = VarSet(("x", "y"))
@@ -257,3 +259,147 @@ def test_elimination_order_agrees_with_lex_intersection():
     gens = [parse_poly("x - t^2", QQ, vs)]
     out = eliminate(gens, {"t"})
     assert out == []  # no relation purely in x
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the divisor index and the bitset pair queue against
+# reference copies of the linear scans they replaced, and flat order keys
+# against the nested keys they replaced.
+
+
+def _nested_grevlex_key(exp):
+    return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def _nested_key(order):
+    if isinstance(order, Lex):
+        return lambda exp: exp
+    if isinstance(order, Elimination):
+        b = order.block_size
+        return lambda exp: (_nested_grevlex_key(exp[:b]),
+                            _nested_grevlex_key(exp[b:]))
+    return _nested_grevlex_key
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _linear_divisors(entries, exp, within):
+    """The entries in within whose leading monomial divides exp, in list
+    order: reduction took the first of them from a linear scan before the
+    index."""
+    return [entry for k, entry in enumerate(entries)
+            if within >> k & 1 and _divides(entry[0], exp)]
+
+
+def _set_s_pairs(entries, keyof):
+    """The pair queue as it was before the index: a set of done pairs and a
+    scan over all entries for the chain criterion."""
+    heap = []
+    done = set()
+    queued = 0
+    while True:
+        for j in range(queued, len(entries)):
+            for i in range(j):
+                lcm = tuple(map(max, entries[i][0], entries[j][0]))
+                heapq.heappush(heap, (sum(lcm), keyof(lcm), i, j))
+        queued = len(entries)
+        if not heap:
+            return
+        _, _, i, j = heapq.heappop(heap)
+        done.add((i, j))
+        lmi, lmj = entries[i][0], entries[j][0]
+        if not any(a and b for a, b in zip(lmi, lmj)):
+            continue
+        lcm = tuple(map(max, lmi, lmj))
+        if not any(k != i and k != j and _divides(lmk, lcm)
+                   and (min(i, k), max(i, k)) in done
+                   and (min(j, k), max(j, k)) in done
+                   for k, (lmk, *_) in enumerate(entries)):
+            yield i, j, lcm
+
+
+DIFF_RINGS = [Fp(2), Fp(5), QQ, ring_from_tag("Fp(3)[t]/(t^2+1)")]
+DIFF_IDS = ["F2", "F5", "QQ", "F9"]
+VS4 = VarSet(("w", "x", "y", "z"))
+
+
+def _random_ideals(ring, seed, count):
+    """Seeded random ideals in w, x, y, z: 2-4 generators, each homogeneous
+    of degree 2 or 3 with 2-4 terms (so rarely the unit ideal), under
+    grevlex or an elimination order."""
+    rng = random.Random(seed)
+    orders = [Grevlex(), Elimination(1), Elimination(2)]
+    monomials = {d: degree_monomials(len(VS4), d) for d in (2, 3)}
+    for n in range(count):
+        gens = []
+        for _ in range(rng.randrange(2, 5)):
+            support = rng.sample(monomials[rng.randrange(2, 4)], rng.randrange(2, 5))
+            terms = {e: _coefficient(ring, rng.randrange(1, 5)) for e in support}
+            gens.append(MultiPoly(ring, VS4, {e: c for e, c in terms.items()
+                                              if not ring.is_zero(c)}))
+        yield gens, orders[n % len(orders)]
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=DIFF_IDS)
+def test_first_divisor_matches_linear_scan(ring, monkeypatch):
+    divisor_counts = []
+    indexed = _Reducers.first_divisor
+
+    def checked(self, exp, within=-1):
+        got = indexed(self, exp, within)
+        divisors = _linear_divisors(self.entries, exp, within)
+        assert got is (divisors[0] if divisors else None)
+        divisor_counts.append(len(divisors))
+        return got
+
+    monkeypatch.setattr(_Reducers, "first_divisor", checked)
+    for gens, order in _random_ideals(ring, 5150, 40):
+        gb = buchberger(gens, order)
+        verify_buchberger_criterion(list(gb.generators) + gens, order)
+        normal_form(gens[0] * gens[-1], gb.generators, order)
+    # every exponent met while reducing: S-polynomials, interreduction,
+    # verification and normal forms; many with a choice of divisor
+    assert divisor_counts.count(0) > 300
+    assert sum(n > 1 for n in divisor_counts) > 100
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=DIFF_IDS)
+def test_s_pairs_match_done_set_queue(ring, monkeypatch):
+    yielded = []
+    bitset_queue = groebner._s_pairs
+
+    def paired(reducers, keyof):
+        reference = _set_s_pairs(reducers.entries, _nested_key(order))
+        for pair in bitset_queue(reducers, keyof):
+            assert pair == next(reference)
+            yielded.append(pair)
+            yield pair
+        assert next(reference, None) is None
+
+    monkeypatch.setattr(groebner, "_s_pairs", paired)
+    for gens, order in _random_ideals(ring, 5151, 40):
+        # buchberger: the queue grows with each nonzero remainder
+        gb = buchberger(gens, order)
+        # verification: a fixed G, every pair the queue gives
+        for G in (gens, list(gb.generators), list(gb.generators) + gens):
+            _, reducers = _field_reducer(ring, VS4, order, G)
+            pairs = list(bitset_queue(reducers, order.key))
+            assert pairs == list(_set_s_pairs(reducers.entries, _nested_key(order)))
+            yielded.extend(pairs)
+    assert len(yielded) > 300
+
+
+@pytest.mark.parametrize("order", [Lex(), Grevlex(), Elimination(1),
+                                   Elimination(2), Elimination(3)],
+                         ids=["lex", "grevlex", "elim1", "elim2", "elim3"])
+def test_flat_keys_sort_like_nested_keys(order):
+    rng = random.Random(5152)
+    nested = _nested_key(order)
+    for _ in range(200):
+        n = rng.randrange(order.block_size if isinstance(order, Elimination)
+                          else 1, 7)
+        exps = [tuple(rng.randrange(4) for _ in range(n))
+                for _ in range(rng.randrange(2, 30))]
+        assert sorted(exps, key=order.key) == sorted(exps, key=nested)
