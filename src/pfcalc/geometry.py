@@ -1,6 +1,7 @@
 """Closed subsets of functor spaces at a fixed rank.
 
-Image closures of polynomial transformations via graph-ideal elimination,
+Image closures of polynomial transformations via graph-ideal elimination
+(or a Jacobian certificate when the image is dense),
 per-prime dimensions, good-prime detection by Groebner specialization,
 vanishing transfer, equivariance checking on a generating set of matrix
 substitutions, and the directional Taylor expansion.
@@ -11,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .functors import DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_parts
 from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
                        radical_membership, verify_buchberger_criterion)
+from .linalg import rank
 from .poly import Grevlex, MultiPoly, VarSet, degree_monomials, integer_primitive
 from .rings import ZZ, BaseRing, Fp, QQ, fraction_field_reduction
 
@@ -130,9 +133,73 @@ def closed_subset(target: FunctorExpr, n: int, ring: BaseRing,
     return ClosedSubsetAtRank(target, n, ring, vs, gens, gb)
 
 
+def _graph_weights(src_vs: VarSet, coords: Sequence[MultiPoly]) -> Optional[Tuple[int, ...]]:
+    """Weights that make every y_i - coord_i of the graph ideal homogeneous:
+    1 for each source variable and deg(coord_i) for y_i, 1 for a zero
+    coordinate.  None (unit weights) when a coordinate is constant or
+    inhomogeneous."""
+    ydeg = []
+    for coord in coords:
+        degs = {sum(e) for e in coord.terms} or {1}
+        if len(degs) > 1 or 0 in degs:
+            return None
+        ydeg.append(degs.pop())
+    return (1,) * len(src_vs) + tuple(ydeg)
+
+
+def _jacobian_rank(coords: Sequence[MultiPoly], point: Sequence[int],
+                   ring: BaseRing) -> int:
+    """Rank over ring of the Jacobian (d coord_i / d v_j) at an integer point."""
+    rows = []
+    for coord in coords:
+        row = [ring.zero()] * len(point)
+        for e, c in coord.terms.items():
+            for j, a in enumerate(e):
+                if a:
+                    # a * v^(e - unit_j) at the point, an integer
+                    value = a
+                    for u, (x, b) in enumerate(zip(point, e)):
+                        value *= x ** (b - (u == j))
+                    row[j] = ring.add(row[j], ring.mul(c, ring.from_int(value)))
+        rows.append(row)
+    return rank(rows, ring)
+
+
+def _jacobian_points(m: int) -> List[List[int]]:
+    """The three fixed points of the dense-image certificate: small integer
+    coordinates drawn from fixed seeds."""
+    return [[rng.randrange(-99, 100) for _ in range(m)]
+            for rng in map(Random, (1, 2, 3))]
+
+
+def _dense_image(coords: Sequence[MultiPoly], nsrc: int, ring: BaseRing) -> bool:
+    """Does the Jacobian of coords reach full row rank at one of the fixed
+    points?  Then the coordinates are algebraically independent."""
+    return len(coords) <= nsrc and any(
+        _jacobian_rank(coords, point, ring) == len(coords)
+        for point in _jacobian_points(nsrc))
+
+
 def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
                   guards: SizeGuards = DEFAULT_GUARDS) -> ClosedSubsetAtRank:
-    """Zariski closure of the image of alpha at rank n, over QQ or F_p."""
+    """Zariski closure of the image of alpha at rank n, over QQ or F_p.
+
+    The closure ideal is the graph ideal <y_i - coord_i> eliminated of the
+    source variables, whose Buchberger run picks pairs by the weights of
+    _graph_weights: those make the graph ideal homogeneous, so the run
+    follows the sugar strategy, and the reduced basis is unique, so the
+    output does not depend on them.
+
+    Dense images skip elimination.  If the N x m Jacobian of the N
+    coordinates has rank N at one point of k^m, the ideal is 0 and the empty
+    basis is returned.  This certificate holds in every characteristic: for
+    a relation P != 0 of least degree, the chain rule and the full rank make
+    every dP/dy_i vanish at the coordinates, so by minimality every dP/dy_i
+    is the zero polynomial.  Then P is constant (characteristic 0) or a p-th
+    power Q^p (characteristic p, since QQ, F_p and k[t]/(f) are perfect
+    fields), and Q would be a smaller relation.  A rank below N certifies
+    nothing, and elimination runs.
+    """
     if not ring.is_field():
         raise ValueError(f"image closure needs a field, got {ring.tag()}")
     src_vs, coords = alpha.rule(n, ring)
@@ -143,12 +210,15 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     if total_vars > guards.max_variables:
         raise SizeGuardExceeded("too many variables for the graph ideal",
                                 variables=total_vars, limit=guards.max_variables)
+    if _dense_image(coords, len(src_vs), ring):
+        return ClosedSubsetAtRank(alpha.target, n, ring, y_vs, (),
+                                  GroebnerBasis((), Grevlex(), ring, y_vs))
     big_vs = VarSet(src_vs.names + y_vs.names,
                     src_vs.weights + y_vs.weights)
     gens = []
     for yname, coord in zip(y_vs.names, coords):
         gens.append(MultiPoly.variable(ring, big_vs, yname) - coord.rename(big_vs))
-    eliminated = eliminate(gens, set(src_vs.names))
+    eliminated = eliminate(gens, set(src_vs.names), _graph_weights(src_vs, coords))
     guards.check_basis(len(eliminated))
     kept = tuple(g.restrict(y_vs) if g.varset != y_vs else g for g in eliminated)
     # the tail block of the elimination order is grevlex on y_vs, so the

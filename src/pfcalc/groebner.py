@@ -1,11 +1,15 @@
 """Buchberger's algorithm, normal forms, elimination, dimension, radicals.
 
 Coefficients must lie in a field.  One S-pair queue serves both building
-and checking a basis: the normal strategy (minimal lcm degree, then the
-monomial order on the lcm), skipping pairs with coprime leading monomials
-and pairs caught by the chain criterion.  buchberger adds each nonzero
-remainder and ends with one minimalize/interreduce pass;
-verify_buchberger_criterion stops at the first one.
+and checking a basis: the normal strategy (least weighted lcm degree, then
+the monomial order on the lcm), skipping pairs with coprime leading
+monomials and pairs caught by the chain criterion.  The weights are unit
+weights unless buchberger or eliminate is given others: weights that make
+the input homogeneous give the sugar strategy of Giovini et al. ("One sugar
+cube, please", ISSAC 1991) in its homogeneous case.  buchberger adds each
+nonzero remainder and ends with one minimalize/interreduce pass;
+verify_buchberger_criterion stops at the first one.  A reduced basis is
+unique, so the weights change which pairs get reduced but never the result.
 
 Reducer entries live in one divisor index, _Reducers.  For each variable v
 and exponent a it keeps a bitset (a Python int, bit k for entry k) of the
@@ -39,7 +43,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import neg
+from operator import mul, neg
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .poly import (Elimination, Grevlex, MonomialOrder, MultiPoly, VarSet,
@@ -364,18 +368,21 @@ class GroebnerBasis:
         return self.reduce(f).is_zero()
 
 
-def _s_pairs(reducers: _Reducers, keyof):
+def _s_pairs(reducers: _Reducers, keyof, weights: Optional[Sequence[int]] = None):
     """S-pairs (i, j, lcm), i < j, of indexed reducer entries in the normal
-    strategy: least lcm degree, then least lcm by keyof, then (i, j).
+    strategy: least weighted lcm degree, then least lcm by keyof, then (i, j).
+    weights holds one positive weight per variable; None means unit weights.
     Entries the caller adds to reducers while iterating join the queue
-    before the next pair.  Skipped: coprime leading monomials (the lcm
-    degree is the sum of their degrees), and chained pairs (another LM(k)
-    divides the lcm and the pairs (i, k) and (j, k) are both done).
+    before the next pair.  Skipped: coprime leading monomials (the weighted
+    lcm degree is the sum of their weighted degrees, which positive weights
+    make exact), and chained pairs (another LM(k) divides the lcm and the
+    pairs (i, k) and (j, k) are both done).
 
     done[i] is the bitset of the k whose pair with i has been popped, so the
     chain test is one index lookup: the entries dividing the lcm within
     done[i] & done[j], which holds neither i nor j.
     """
+    wdeg = sum if weights is None else (lambda e: sum(map(mul, weights, e)))
     entries = reducers.entries
     heap: list = []
     done: List[int] = []
@@ -385,9 +392,9 @@ def _s_pairs(reducers: _Reducers, keyof):
             lmj = entries[j][0]
             for i in range(j):
                 lcm = _exp_lcm(entries[i][0], lmj)
-                heapq.heappush(heap, (sum(lcm), keyof(lcm), i, j, lcm))
+                heapq.heappush(heap, (wdeg(lcm), keyof(lcm), i, j, lcm))
             done.append(0)
-            degree.append(sum(lmj))
+            degree.append(wdeg(lmj))
         if not heap:
             return
         deg, _, i, j, lcm = heapq.heappop(heap)
@@ -400,16 +407,21 @@ def _s_pairs(reducers: _Reducers, keyof):
 
 
 def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
-               new_poly_log: Optional[list] = None) -> GroebnerBasis:
+               new_poly_log: Optional[list] = None,
+               weights: Optional[Sequence[int]] = None) -> GroebnerBasis:
     """Reduced Groebner basis of <F>.  All-zero input yields the empty basis.
 
-    Pairs come from the queue of _s_pairs, and each nonzero remainder joins
-    the basis.  When new_poly_log is given, every polynomial entering the
-    intermediate basis is appended to it before normalization: the inputs,
-    each nonzero S-polynomial remainder and each interreduced final
-    element.  Over QQ these are the integer forms before content removal,
-    so every integer divided out during the run divides one of their
-    leading coefficients; this supports prime specialisation.
+    Pairs come from the queue of _s_pairs under weights, one positive
+    integer per variable (unit weights when None), and each nonzero
+    remainder joins the basis.  The weights pick the pair sequence only;
+    the reduced basis is the same for all of them, but weights that leave
+    the input inhomogeneous can make the run much slower.  When
+    new_poly_log is given, every polynomial entering the intermediate basis
+    is appended to it before normalization: the inputs, each nonzero
+    S-polynomial remainder and each interreduced final element.  Over QQ
+    these are the integer forms before content removal, so every integer
+    divided out during the run divides one of their leading coefficients;
+    this supports prime specialisation.
     """
     inputs = [f for f in F if not f.is_zero()]
     if not inputs:
@@ -418,6 +430,8 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
         return GroebnerBasis((), order, F[0].ring, F[0].varset)
     ring, vs = inputs[0].ring, inputs[0].varset
     _require_field(ring)
+    if weights is not None and (len(weights) != len(vs) or min(weights) < 1):
+        raise ValueError("weights must give one positive integer per variable")
     kernel = (_RationalKernel if isinstance(ring, RationalField)
               else _FieldKernel)(ring, vs, order)
     # two caches: order keys (leading monomials, pair lcms) and the negated
@@ -454,7 +468,7 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
     for terms in sorted((kernel.prepare(f) for f in inputs),
                         key=lambda t: keyof(lead(t))):
         add(terms)
-    for i, j, lcm in _s_pairs(reducers, keyof):
+    for i, j, lcm in _s_pairs(reducers, keyof, weights):
         r = kernel.reduce(kernel.spoly(basis[i], entries[i], basis[j], entries[j], lcm),
                           reducers, nkey)
         if r:
@@ -520,8 +534,13 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     return -1
 
 
-def eliminate(G: Sequence[MultiPoly], drop: Set[str]) -> List[MultiPoly]:
-    """Generators of <G> intersected with the subring without the dropped vars."""
+def eliminate(G: Sequence[MultiPoly], drop: Set[str],
+              weights: Optional[Sequence[int]] = None) -> List[MultiPoly]:
+    """Generators of <G> intersected with the subring without the dropped vars.
+
+    weights, one per variable of G's varset in its order, grade the pair
+    selection of the Buchberger run (see buchberger); None means unit weights.
+    """
     gens = [g for g in G if not g.is_zero()]
     if not gens:
         return []
@@ -534,7 +553,9 @@ def eliminate(G: Sequence[MultiPoly], drop: Set[str]) -> List[MultiPoly]:
     block_vs = VarSet(tuple(front + back),
                       tuple(vs.weights[vs.index(n)] for n in front + back))
     order = Elimination(len(front)) if front else Grevlex()
-    gb = buchberger([g.rename(block_vs) for g in gens], order)
+    if weights is not None:
+        weights = tuple(weights[vs.index(n)] for n in front + back)
+    gb = buchberger([g.rename(block_vs) for g in gens], order, weights=weights)
     kept_vs = VarSet(tuple(back), tuple(vs.weights[vs.index(n)] for n in back))
     out = []
     for g in gb.generators:

@@ -320,6 +320,7 @@ class QuotientRing(BaseRing):
         self.base = base
         self.modulus = tuple(base.mul(c, il) for c in modulus)
         self.deg = len(self.modulus) - 1
+        self._is_field = None  # memoized verdict of is_field
 
     def _reduce(self, cs) -> tuple:
         cs = _poly_trim(tuple(cs))
@@ -405,7 +406,9 @@ class QuotientRing(BaseRing):
         return self.base.characteristic()
 
     def is_field(self):
-        return _modulus_irreducible(self.base, self.modulus)
+        if self._is_field is None:
+            self._is_field = _modulus_irreducible(self)
+        return self._is_field
 
     def tag(self):
         return f"{self.base.tag()}[t]/({_fmt_unipoly(self.base, self.modulus)})"
@@ -438,25 +441,42 @@ class QuotientRing(BaseRing):
         return hash(("Quot", self.base, self.modulus))
 
 
-def _modulus_irreducible(base: BaseRing, modulus: tuple) -> bool:
-    deg = len(modulus) - 1
-    if deg == 1:
+def _rabin_irreducible(ring: "QuotientRing") -> bool:
+    """Rabin's test for the modulus f of degree n over F_p: f is irreducible
+    iff t^(p^n) = t mod f and gcd(f, t^(p^(n/q)) - t) = 1 for every prime q
+    dividing n.  Powers of t are taken in the ring, that is modulo f."""
+    base, p, n = ring.base, ring.base.p, ring.deg
+
+    def power(a, e):
+        out = ring.one()
+        while e:
+            if e & 1:
+                out = ring.mul(out, a)
+            a = ring.mul(a, a)
+            e >>= 1
+        return out
+
+    t = ring.gen()
+    frobenius = [t]  # frobenius[i] = t^(p^i) mod f
+    for _ in range(n):
+        frobenius.append(power(frobenius[-1], p))
+    if frobenius[n] != t:
+        return False
+    for q in [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]:
+        a, b = ring.modulus, _poly_trim(ring.sub(frobenius[n // q], t))
+        while b:
+            a, b = b, _poly_divmod(a, b, base)[1]
+        if len(a) > 1:
+            return False
+    return True
+
+
+def _modulus_irreducible(ring: "QuotientRing") -> bool:
+    base, modulus = ring.base, ring.modulus
+    if ring.deg == 1:
         return True
     if isinstance(base, PrimeField):
-        p = base.p
-        # trial division by monic polynomials of degree up to deg // 2
-        for d in range(1, deg // 2 + 1):
-            for code in range(p ** d):
-                cs = []
-                c = code
-                for _ in range(d):
-                    cs.append(c % p)
-                    c //= p
-                cand = tuple(cs) + (1,)
-                _, r = _poly_divmod(modulus, cand, base)
-                if not r:
-                    return False
-        return True
+        return _rabin_irreducible(ring)
     # QQ: defer to sympy for irreducibility of the modulus
     import sympy
 

@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from pfcalc.geometry import (NoDependence, SizeGuardExceeded, SizeGuards,
+from pfcalc import geometry
+from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence,
+                             SizeGuardExceeded, SizeGuards, _dense_image,
+                             _graph_weights, _jacobian_points, _jacobian_rank,
                              cube_sum, dimension_per_prime, equivariance_check,
                              four_squares, good_primes, image_closure,
                              sum_of_powers, target_varset, taylor_directional,
                              vanishing_transfer)
-from pfcalc.groebner import buchberger, ideal_dimension
+from pfcalc.groebner import GroebnerBasis, buchberger, eliminate, ideal_dimension
 from pfcalc.poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
 from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
@@ -124,6 +127,110 @@ def test_image_closure_basis_is_reduced_grevlex_basis():
         subset = image_closure(sum_of_powers(1, 3), 2, ring)
         assert subset.gb.generators == \
             buchberger(list(subset.generators), Grevlex()).generators
+
+
+ACCEPTANCE_CLOSURES = [(cube_sum, n, Fp(p) if p else QQ)
+                       for n in (2, 3) for p in (0, 2, 3, 5)] + \
+                      [(four_squares, 2, QQ), (four_squares, 2, Fp(2))]
+
+
+@pytest.mark.parametrize("alpha,n,ring", ACCEPTANCE_CLOSURES,
+                         ids=[f"{a.name}@{n}-{r.tag()}" for a, n, r in ACCEPTANCE_CLOSURES])
+def test_jacobian_rank_bounds_closure_dimension(alpha, n, ring):
+    # the rank of the Jacobian at any point is a lower bound on the
+    # dimension of the image closure in every characteristic; the rank
+    # side is linear algebra only, so this checks the Groebner engine
+    src_vs, coords = alpha.rule(n, ring)
+    ranks = [_jacobian_rank(coords, point, ring)
+             for point in _jacobian_points(len(src_vs))]
+    assert ideal_dimension(image_closure(alpha, n, ring).gb) >= max(ranks)
+
+
+# the dense closures of the bench, and one over F25 for quotient-ring payloads
+DENSE_CLOSURES = [(sum_of_powers(4, 2, 2), 2, QQ), (sum_of_powers(3, 3), 2, QQ),
+                  (sum_of_powers(3, 2), 3, QQ), (cube_sum, 2, QQ)] + \
+                 [(cube_sum, 2, Fp(p)) for p in (5, 7, 11, 13, 17)] + \
+                 [(cube_sum, 2, ring_from_tag("Fp(5)[t]/(t^2+2)"))]
+
+
+@pytest.mark.parametrize("alpha,n,ring", DENSE_CLOSURES,
+                         ids=[f"{a.name}@{n}-{r.tag()}" for a, n, r in DENSE_CLOSURES])
+def test_dense_shortcut_equals_elimination(alpha, n, ring):
+    src_vs, coords = alpha.rule(n, ring)
+    assert _dense_image(coords, len(src_vs), ring)
+    # the closure by elimination of the graph ideal, without the shortcut
+    # and with unit weights
+    y_vs = target_varset(alpha.target, n)
+    big_vs = VarSet(src_vs.names + y_vs.names, src_vs.weights + y_vs.weights)
+    graph = [MultiPoly.variable(ring, big_vs, y) - c.rename(big_vs)
+             for y, c in zip(y_vs.names, coords)]
+    kept = tuple(g.restrict(y_vs) for g in eliminate(graph, set(src_vs.names)))
+    expected = ClosedSubsetAtRank(alpha.target, n, ring, y_vs, kept,
+                                  GroebnerBasis(kept, Grevlex(), ring, y_vs))
+    assert image_closure(alpha, n, ring) == expected
+
+
+def test_cube_sum_over_f3_falls_through_to_elimination(monkeypatch):
+    # cubing is additive in characteristic 3, so the Jacobian vanishes
+    # everywhere and the certificate cannot fire
+    calls = []
+
+    def counted(G, drop, weights=None):
+        calls.append(weights)
+        return eliminate(G, drop, weights)
+
+    monkeypatch.setattr(geometry, "eliminate", counted)
+    for n in (2, 3):
+        src_vs, coords = cube_sum.rule(n, Fp(3))
+        assert all(_jacobian_rank(coords, point, Fp(3)) == 0
+                   for point in _jacobian_points(len(src_vs)))
+        subset = image_closure(cube_sum, n, Fp(3))
+        assert subset.generators
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("ring", [QQ, Fp(5)], ids=["QQ", "F5"])
+def test_jacobian_rank_one_short_certifies_nothing(ring):
+    # sums of two squares of linear forms in 3 variables: 6 coordinates in
+    # 6 variables, a Jacobian of rank 5, and a closure cut out by one cubic
+    # (the symmetric 3 x 3 matrices of rank at most 2)
+    alpha = sum_of_powers(2, 2)
+    src_vs, coords = alpha.rule(3, ring)
+    assert len(coords) == len(src_vs) == 6
+    assert [_jacobian_rank(coords, point, ring)
+            for point in _jacobian_points(6)] == [5, 5, 5]
+    assert not _dense_image(coords, 6, ring)
+    subset = image_closure(alpha, 3, ring)
+    assert [g.total_degree() for g in subset.generators] == [3]
+    assert ideal_dimension(subset.gb) == 5
+
+
+def test_graph_weights_give_zero_coordinates_weight_one():
+    # over F2 the xyz coefficient 6*v1_1*v1_2*v1_3 + ... of the rank-3
+    # cube-sum is zero; it gets weight 1 and the run keeps weighted pairs
+    src_vs, coords = cube_sum.rule(3, Fp(2))
+    zeros = [i for i, c in enumerate(coords) if c.is_zero()]
+    assert len(zeros) == 1
+    weights = _graph_weights(src_vs, coords)
+    assert weights == (1,) * len(src_vs) + tuple(
+        1 if i in zeros else 3 for i in range(len(coords)))
+
+
+def test_graph_weights_are_coordinate_degrees():
+    # four-squares: target_varset weighs y by k*g = 4, but each coordinate
+    # has degree k = 2 in the source variables
+    src_vs, coords = four_squares.rule(2, QQ)
+    assert set(target_varset(four_squares.target, 2).weights) == {4}
+    assert _graph_weights(src_vs, coords) == (1,) * len(src_vs) + (2,) * len(coords)
+
+
+def test_graph_weights_fall_back_to_unit_weights():
+    vs = VarSet(("a", "b"))
+    homogeneous = parse_poly("a*b", QQ, vs)
+    for bad in ("a^2 + b", "3"):
+        coords = [homogeneous, parse_poly(bad, QQ, vs)]
+        assert _graph_weights(vs, coords) is None
+    assert _graph_weights(vs, [homogeneous]) == (1, 1, 2)
 
 
 def test_vanishing_transfer_3x():

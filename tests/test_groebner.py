@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+import operator
 import random
 
 import pytest
@@ -293,9 +294,10 @@ def _linear_divisors(entries, exp, within):
             if within >> k & 1 and _divides(entry[0], exp)]
 
 
-def _set_s_pairs(entries, keyof):
+def _set_s_pairs(entries, keyof, weights=None):
     """The pair queue as it was before the index: a set of done pairs and a
-    scan over all entries for the chain criterion."""
+    scan over all entries for the chain criterion.  Pairs come by least
+    weighted lcm degree (unit weights when None)."""
     heap = []
     done = set()
     queued = 0
@@ -303,7 +305,8 @@ def _set_s_pairs(entries, keyof):
         for j in range(queued, len(entries)):
             for i in range(j):
                 lcm = tuple(map(max, entries[i][0], entries[j][0]))
-                heapq.heappush(heap, (sum(lcm), keyof(lcm), i, j))
+                wdeg = sum(lcm if weights is None else map(operator.mul, weights, lcm))
+                heapq.heappush(heap, (wdeg, keyof(lcm), i, j))
         queued = len(entries)
         if not heap:
             return
@@ -325,21 +328,30 @@ DIFF_IDS = ["F2", "F5", "QQ", "F9"]
 VS4 = VarSet(("w", "x", "y", "z"))
 
 
-def _random_ideals(ring, seed, count):
+def _random_ideals(ring, seed, count, homogeneous=True):
     """Seeded random ideals in w, x, y, z: 2-4 generators, each homogeneous
     of degree 2 or 3 with 2-4 terms (so rarely the unit ideal), under
-    grevlex or an elimination order."""
+    grevlex or an elimination order.  Inhomogeneous ideals have two
+    generators, each with one more term of lower degree: with three or more
+    the elimination bases often take seconds."""
     rng = random.Random(seed)
     orders = [Grevlex(), Elimination(1), Elimination(2)]
-    monomials = {d: degree_monomials(len(VS4), d) for d in (2, 3)}
+    monomials = {d: degree_monomials(len(VS4), d) for d in (1, 2, 3)}
     for n in range(count):
         gens = []
-        for _ in range(rng.randrange(2, 5)):
-            support = rng.sample(monomials[rng.randrange(2, 4)], rng.randrange(2, 5))
+        for _ in range(rng.randrange(2, 5) if homogeneous else 2):
+            d = rng.randrange(2, 4)
+            support = rng.sample(monomials[d], rng.randrange(2, 5))
+            if not homogeneous:
+                support.append(rng.choice(monomials[rng.randrange(1, d)]))
             terms = {e: _coefficient(ring, rng.randrange(1, 5)) for e in support}
             gens.append(MultiPoly(ring, VS4, {e: c for e, c in terms.items()
                                               if not ring.is_zero(c)}))
         yield gens, orders[n % len(orders)]
+
+
+def _random_weights(rng):
+    return tuple(rng.randrange(1, 4) for _ in VS4.names)
 
 
 @pytest.mark.parametrize("ring", DIFF_RINGS, ids=DIFF_IDS)
@@ -370,25 +382,71 @@ def test_s_pairs_match_done_set_queue(ring, monkeypatch):
     yielded = []
     bitset_queue = groebner._s_pairs
 
-    def paired(reducers, keyof):
-        reference = _set_s_pairs(reducers.entries, _nested_key(order))
-        for pair in bitset_queue(reducers, keyof):
+    def paired(reducers, keyof, weights=None):
+        reference = _set_s_pairs(reducers.entries, _nested_key(order), weights)
+        for pair in bitset_queue(reducers, keyof, weights):
             assert pair == next(reference)
             yielded.append(pair)
             yield pair
         assert next(reference, None) is None
 
     monkeypatch.setattr(groebner, "_s_pairs", paired)
+    rng = random.Random(5153)
+    reordered = 0
     for gens, order in _random_ideals(ring, 5151, 40):
-        # buchberger: the queue grows with each nonzero remainder
+        # buchberger: the queue grows with each nonzero remainder, under
+        # unit weights and under random positive weights
         gb = buchberger(gens, order)
+        buchberger(gens, order, weights=_random_weights(rng))
         # verification: a fixed G, every pair the queue gives
         for G in (gens, list(gb.generators), list(gb.generators) + gens):
             _, reducers = _field_reducer(ring, VS4, order, G)
-            pairs = list(bitset_queue(reducers, order.key))
-            assert pairs == list(_set_s_pairs(reducers.entries, _nested_key(order)))
-            yielded.extend(pairs)
+            runs = []
+            for weights in (None, _random_weights(rng)):
+                pairs = list(bitset_queue(reducers, order.key, weights))
+                assert pairs == list(_set_s_pairs(reducers.entries,
+                                                  _nested_key(order), weights))
+                yielded.extend(pairs)
+                runs.append(pairs)
+            reordered += runs[0] != runs[1]
     assert len(yielded) > 300
+    # the weights do change the pair sequence
+    assert reordered > 10
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=DIFF_IDS)
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["hom", "inhom"])
+def test_weighted_buchberger_matches_unit_weights(ring, homogeneous):
+    # a reduced basis is unique, so weights pick the pairs but not the result
+    rng = random.Random(5154)
+    for gens, order in _random_ideals(ring, 5155, 30, homogeneous):
+        expected = buchberger(gens, order).generators
+        for weights in ((1, 1, 1, 1), _random_weights(rng), _random_weights(rng)):
+            assert buchberger(gens, order, weights=weights).generators == expected
+
+
+def test_weights_must_be_positive_one_per_variable():
+    gens = [P("x^2 - y"), P("x*y - 1")]
+    for weights in ((1,), (1, 0), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            buchberger(gens, Grevlex(), weights=weights)
+
+
+def test_eliminate_permutes_weights_with_the_variables(monkeypatch):
+    # eliminate moves the dropped variable t to the front block, and its
+    # weight moves with it; the basis does not depend on the weights
+    seen = []
+    run = groebner.buchberger
+
+    def recorded(F, order, new_poly_log=None, weights=None):
+        seen.append((F[0].varset.names, weights))
+        return run(F, order, new_poly_log, weights)
+
+    monkeypatch.setattr(groebner, "buchberger", recorded)
+    vs = VarSet(("x", "y", "t"))
+    gens = [parse_poly("x - t^2", QQ, vs), parse_poly("y - t^3", QQ, vs)]
+    assert eliminate(gens, {"t"}, (2, 3, 1)) == eliminate(gens, {"t"})
+    assert seen == [(("t", "x", "y"), (1, 2, 3)), (("t", "x", "y"), None)]
 
 
 @pytest.mark.parametrize("order", [Lex(), Grevlex(), Elimination(1),

@@ -1,10 +1,13 @@
 """Exact coefficient rings: arithmetic, tags, scalar-field structure."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
-from pfcalc.rings import (Fp, NotAUnit, QQ, QuotientRing, ZZ,
+from pfcalc import rings
+from pfcalc.rings import (Fp, NotAUnit, QQ, QuotientRing, ZZ, _poly_divmod,
                           fraction_field_reduction, parse_quotient_payload,
                           ring_from_tag)
 
@@ -103,3 +106,56 @@ def test_fraction_field_reduction():
     assert fraction_field_reduction(ZZ, 5).tag() == "Fp(5)"
     with pytest.raises(ValueError):
         fraction_field_reduction(ZZ, 4)
+
+
+def _trial_division_irreducible(field, modulus):
+    """Irreducibility by trial division with every monic polynomial of
+    degree at most deg // 2: p^d candidates per degree d."""
+    p, deg = field.p, len(modulus) - 1
+    for d in range(1, deg // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            if not _poly_divmod(modulus, low + (1,), field)[1]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rabin_matches_trial_division(p):
+    field = Fp(p)
+    verdicts = []
+    for deg in range(1, 5):
+        for low in itertools.product(range(p), repeat=deg):
+            modulus = low + (1,)
+            R = QuotientRing(field, modulus)
+            assert R.is_field() == _trial_division_irreducible(field, modulus), modulus
+            verdicts.append(R.is_field())
+    # the irreducible monic polynomials of degree 1..4: 2+1+2+3 over F2
+    # and 3+3+8+18 over F3
+    assert sum(verdicts) == {2: 8, 3: 32}[p]
+
+
+def test_is_field_of_large_prime_quartic_is_fast():
+    # trial division would try about 32003^2 monic quadratics here
+    cases = {"t^4+t+6": True,                # irreducible
+             "t^4+1": False,                  # reducible over every F_p
+             "t^4+31996*t^2+10": False}      # (t^2-2)(t^2-5): no roots
+    for modulus, expected in cases.items():
+        start = time.perf_counter()
+        R = ring_from_tag(f"Fp(32003)[t]/({modulus})")
+        assert R.is_field() is expected
+        assert time.perf_counter() - start < 1.0
+
+
+def test_is_field_is_memoized_per_ring(monkeypatch):
+    calls = []
+    irreducible = rings._modulus_irreducible
+
+    def counted(ring):
+        calls.append(ring)
+        return irreducible(ring)
+
+    monkeypatch.setattr(rings, "_modulus_irreducible", counted)
+    R = ring_from_tag("Fp(101)[t]/(t^4+t+3)")
+    verdict = R.is_field()
+    assert all(R.is_field() == verdict for _ in range(3))
+    assert calls == [R]
