@@ -160,15 +160,19 @@ class FunctorEval:
         return _law_matrix(self.expr, self.rank, target_rank, h, ring, vs)
 
     def law_at(self, matrix: Sequence[Sequence[int]]) -> List[List]:
-        """Law matrix at a concrete integer matrix; entries are ring payloads."""
+        """Law matrix at a concrete integer matrix; entries are ring payloads.
+
+        The entries of a concrete matrix are constants, so the law is built
+        over the empty varset: h_i_j variables would only add exponent
+        slots that stay zero.  Each entry is read off at the exponent ().
+        """
         ring = self.module.ring
         n_to = len(matrix)
-        vs = hom_varset(n_to, self.rank)
+        vs = VarSet(())
         h = [[MultiPoly.constant(ring, vs, ring.from_int(matrix[i][j]))
               for j in range(self.rank)] for i in range(n_to)]
         rows = _law_matrix(self.expr, self.rank, n_to, h, ring, vs)
-        return [[e.terms.get(tuple([0] * len(vs)), ring.zero()) for e in row]
-                for row in rows]
+        return [[e.terms.get((), ring.zero()) for e in row] for row in rows]
 
 
 _EVAL_CACHE: Dict[Tuple[FunctorExpr, int], FunctorEval] = {}
@@ -268,29 +272,27 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         big = _f_extended(vs, n_to)
         one_big = MultiPoly.constant(ring, big, ring.one())
         zero_big = MultiPoly.zero(ring, big)
-        hb = [[ent.rename(big) for ent in row] for row in h]
+        f = [MultiPoly.variable(ring, big, f"f!{i + 1}") for i in range(n_to)]
+        # image of e_j: the linear form sum_i h_i_j f_i
+        lin = []
+        for j in range(n_from):
+            col = zero_big
+            for i in range(n_to):
+                col = col + h[i][j].rename(big) * f[i]
+            lin.append(col)
         cols = []
         for exp in src:
             img = one_big
             for j, e in enumerate(exp):
                 if e:
-                    col = zero_big
-                    for i in range(n_to):
-                        col = col + hb[i][j] * _fvar(ring, vs, n_to, i)
-                    img = img * col ** e
+                    img = img * lin[j] ** e
             cols.append(img)
         return _collect_f(cols, tgt_index, n_to, ring, vs)
     if isinstance(expr, Ext):
         src = list(combinations(range(n_from), expr.d))
         tgt = list(combinations(range(n_to), expr.d))
-        out = []
-        for rows_idx in tgt:
-            row = []
-            for cols_idx in src:
-                row.append(_det([[h[i][j] for j in cols_idx] for i in rows_idx],
-                                ring, vs))
-            out.append(row)
-        return out
+        memo: Dict[Tuple[tuple, tuple], MultiPoly] = {}
+        return [[_minor(h, rows, cols, memo, one) for cols in src] for rows in tgt]
     if isinstance(expr, Tensor):
         mats = [_law_matrix(c, n_from, n_to, h, ring, vs) for c in expr.children]
         out = None
@@ -299,16 +301,15 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         return out if out is not None else [[one]]
     if isinstance(expr, DirectSum):
         mats = [_law_matrix(c, n_from, n_to, h, ring, vs) for c in expr.children]
-        size_r = sum(len(m) for m in mats)
-        size_c = sum(len(m[0]) if m else 0 for m in mats)
-        out = [[zero] * size_c for _ in range(size_r)]
+        # a child's law may have no rows, so take its width from its module
+        widths = [evaluate(c, n_from).module.ngens for c in expr.children]
+        out = [[zero] * sum(widths) for _ in range(sum(len(m) for m in mats))]
         ro = co = 0
-        for m in mats:
+        for m, width in zip(mats, widths):
             for i, row in enumerate(m):
-                for j, ent in enumerate(row):
-                    out[ro + i][co + j] = ent
+                out[ro + i][co:co + width] = row
             ro += len(m)
-            co += len(m[0]) if m else 0
+            co += width
         return out
     if isinstance(expr, Compose):
         inner = _law_matrix(expr.inner, n_from, n_to, h, ring, vs)
@@ -327,18 +328,13 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
     if isinstance(expr, Dual):
         ht = [[h[i][j] for i in range(n_to)] for j in range(n_from)]
         inner = _law_matrix(expr.child, n_to, n_from, ht, ring, vs)
-        return [[inner[j][i] for j in range(len(inner))]
-                for i in range(len(inner[0]))]
+        width = evaluate(expr.child, n_to).module.ngens
+        return [[row[i] for row in inner] for i in range(width)]
     raise TypeError(f"unknown functor node {expr!r}")
 
 
 # scratch variables f_i used to expand symmetric powers; they share the
 # h varset by temporary extension
-def _fvar(ring, vs, n_to, i):
-    big = _f_extended(vs, n_to)
-    return MultiPoly.variable(ring, big, f"f!{i + 1}")
-
-
 _F_VS_CACHE: Dict[Tuple[VarSet, int], VarSet] = {}
 
 
@@ -355,7 +351,8 @@ def _collect_f(cols: List[MultiPoly], tgt_index: Dict[tuple, int], n_to: int,
     """Split polynomials in the scratch f variables into a matrix over vs."""
     big = _f_extended(vs, n_to)
     nh = len(vs)
-    out = [[MultiPoly.zero(ring, vs) for _ in cols] for _ in tgt_index]
+    zero = MultiPoly.zero(ring, vs)
+    out = [[zero] * len(cols) for _ in tgt_index]
     for c, poly in enumerate(cols):
         if poly.varset != big:
             poly = poly.rename(big)
@@ -369,17 +366,26 @@ def _collect_f(cols: List[MultiPoly], tgt_index: Dict[tuple, int], n_to: int,
     return out
 
 
-def _det(mat: List[List[MultiPoly]], ring, vs) -> MultiPoly:
-    n = len(mat)
-    if n == 0:
-        return MultiPoly.constant(ring, vs, ring.one())
-    if n == 1:
-        return mat[0][0]
-    out = MultiPoly.zero(ring, vs)
-    for j in range(n):
-        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = mat[0][j] * _det(minor, ring, vs)
-        out = out + term if j % 2 == 0 else out - term
+def _minor(h: List[List[MultiPoly]], rows: tuple, cols: tuple,
+           memo: Dict[Tuple[tuple, tuple], MultiPoly], one: MultiPoly) -> MultiPoly:
+    """Determinant of h restricted to the index tuples rows x cols.
+
+    Laplace expansion along the first row.  Sub-minors are memoized by
+    (rows, cols) in memo, so the Ext law builds each one once instead of
+    once per enclosing minor; exact arithmetic makes the result the same
+    polynomial as the unshared expansion.  The empty minor is one.
+    """
+    if len(rows) <= 1:
+        return h[rows[0]][cols[0]] if rows else one
+    key = (rows, cols)
+    out = memo.get(key)
+    if out is None:
+        rest = rows[1:]
+        out = h[rows[0]][cols[0]] * _minor(h, rest, cols[1:], memo, one)
+        for j in range(1, len(cols)):
+            term = h[rows[0]][cols[j]] * _minor(h, rest, cols[:j] + cols[j + 1:], memo, one)
+            out = out + term if j % 2 == 0 else out - term
+        memo[key] = out
     return out
 
 

@@ -72,6 +72,12 @@ def integer_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], Lis
     Returns (echelon rows, pivot columns, pivot values).  Each pivot value
     is a minor of the input, so any prime dividing none of them preserves
     the rank under reduction mod p.
+
+    A row below the pivot with a zero in the pivot column is skipped when
+    the pivot equals the previous one: its Bareiss update (piv*x - 0*y) //
+    prev returns x unchanged.  Only columns from the pivot column on are
+    updated, because left of it the pivot row and every row below it are
+    already zero.
     """
     mat = [list(r) for r in rows]
     if not mat:
@@ -91,10 +97,14 @@ def integer_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], Lis
             continue
         mat[row], mat[sel] = mat[sel], mat[row]
         piv = mat[row][col]
+        tail = mat[row][col:]
         for i in range(row + 1, len(mat)):
             # Bareiss step: exact division by the previous pivot
-            f = mat[i][col]
-            mat[i] = [(piv * mat[i][c] - f * mat[row][c]) // prev for c in range(ncols)]
+            r = mat[i]
+            f = r[col]
+            if f == 0 and piv == prev:
+                continue
+            r[col:] = [(piv * x - f * y) // prev for x, y in zip(r[col:], tail)]
         pivots.append(col)
         pivot_vals.append(piv)
         prev = piv

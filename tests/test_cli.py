@@ -325,3 +325,16 @@ def test_runtime_imports_are_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.update((path.name, name) for name in imported - used)
     assert not unused
+
+
+def test_dimfn_dual_of_ext_matches_ext(capsys, tmp_path):
+    # Ext(2) has no basis at rank 1; its dual must still evaluate there
+    tables = {}
+    for functor in ("Ext(2)", "Dual(Ext(2))"):
+        cfg = {"functor": functor, "primes": [2], "window": 3}
+        code, out, _ = run(capsys, tmp_path, "dimfn", cfg, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        tables[functor] = (doc["table"], doc["coefficients"], doc["jumping_primes"])
+    assert tables["Dual(Ext(2))"] == tables["Ext(2)"]
+    assert tables["Ext(2)"][0] == {"0": [0, 0, 1, 3], "2": [0, 0, 1, 3]}

@@ -1,5 +1,6 @@
 """Polynomial functor expressions: evaluation, laws, shifts, dimensions."""
 
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -8,7 +9,8 @@ from pfcalc.fpmod import FPModule
 from pfcalc.functors import (Compose, Const, DirectSum, Dual, Ext, Id, Shift,
                              Sym, Tensor, binomial_eval, dimension_function,
                              dual, evaluate, homogeneous_parts, parse_functor,
-                             shift_decompose)
+                             hom_varset, shift_decompose)
+from pfcalc.poly import MultiPoly
 from pfcalc.rings import ZZ
 
 
@@ -71,7 +73,6 @@ def test_dual_law_is_transpose_inverse_free():
     ev = dual(Sym(2), 2)
     base = evaluate(Sym(2), 2)
     g = [[2, 1], [1, 1]]
-    gt = [[2, 1], [1, 1]]
     dual_law = ev.law_at(g)
     ref = base.law_at([[g[j][i] for j in range(2)] for i in range(2)])
     size = base.module.ngens
@@ -132,3 +133,91 @@ def test_parse_functor_rejects_garbage():
         parse_functor("Sym(2) + + Ext(3)")
     with pytest.raises(ValueError):
         parse_functor("Frob(2)")
+
+
+def _matmul(a, b, inner):
+    """Product of an r x inner and an inner x c matrix given as row lists."""
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def _sign(perm):
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def _leibniz(entry, rows, cols, one):
+    """Determinant of the rows x cols submatrix by the Leibniz formula."""
+    total = one - one
+    for perm in permutations(range(len(rows))):
+        term = one
+        for r, p in zip(rows, perm):
+            term = term * entry(r, cols[p])
+        total = total + term if _sign(perm) > 0 else total - term
+    return total
+
+
+LAW_EXPRS = ("Id", "Sym(2)", "Sym(3)", "Ext(2)", "Ext(3)", "Sym(2) (+) Ext(2)",
+             "Ext(3) (+) Id", "Dual(Ext(2))", "Dual(Sym(2) (+) Ext(3))",
+             "Tensor(Id, Ext(2))", "Shift(1, Ext(2))", "Compose(Sym(2), Ext(2))",
+             "Const(ZZ/2) (+) Id")
+
+
+@pytest.mark.parametrize("text", LAW_EXPRS)
+def test_law_at_shape_is_target_by_source(text):
+    # a law from rank n to rank m is ngens(m) x ngens(n), also when a
+    # summand or the dualized functor has no basis at one of the ranks
+    expr = parse_functor(text)
+    for n in range(4):
+        for m in range(4):
+            law = evaluate(expr, n).law_at([[1 + i + 2 * j for j in range(n)]
+                                            for i in range(m)])
+            assert len(law) == evaluate(expr, m).module.ngens, (n, m)
+            assert all(len(row) == evaluate(expr, n).module.ngens for row in law), (n, m)
+
+
+def test_direct_sum_law_keeps_columns_of_an_empty_block():
+    law = evaluate(DirectSum((Sym(2), Ext(2))), 2).law_at([[1, 2]])
+    assert law == [[1, 2, 4, 0]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ext_law_at_is_leibniz_minors(d):
+    a = [[3, -1, 2, 0, 1], [1, 4, -2, 5, 2], [0, 2, 1, -3, 1],
+         [2, -2, 3, 1, 4], [-1, 1, 0, 2, 3]]
+    for n, m in ((d, d + 1), (d + 1, d), (5, 4)):
+        h = [row[:n] for row in a[:m]]
+        law = evaluate(Ext(d), n).law_at(h)
+        want = [[_leibniz(lambda i, j: h[i][j], rows, cols, 1)
+                 for cols in combinations(range(n), d)]
+                for rows in combinations(range(m), d)]
+        assert law == want, (d, n, m)
+
+
+@pytest.mark.parametrize("text", ["Ext(3)", "Sym(3)", "Dual(Ext(2))",
+                                  "Shift(1, Ext(2))", "Sym(2) (+) Ext(2)"])
+def test_law_at_is_functorial_on_non_square_maps(text):
+    expr = parse_functor(text)
+    for n, m, p in ((3, 4, 3), (2, 3, 4), (4, 3, 5)):
+        h = [[(3 * i + 5 * j) % 7 - 3 for j in range(n)] for i in range(m)]
+        g = [[(2 * i + 3 * j + 1) % 5 - 2 for j in range(m)] for i in range(p)]
+        lg = evaluate(expr, m).law_at(g)
+        lh = evaluate(expr, n).law_at(h)
+        lgh = evaluate(expr, n).law_at(_matmul(g, h, m))
+        assert lgh == _matmul(lg, lh, evaluate(expr, m).module.ngens), (n, m, p)
+
+
+def test_symbolic_ext3_law_is_leibniz_expansion():
+    law = evaluate(Ext(3), 3).law(4)
+    vs = hom_varset(4, 3)
+    one = MultiPoly.constant(ZZ, vs, 1)
+
+    def entry(i, j):
+        return MultiPoly.variable(ZZ, vs, f"h_{i + 1}_{j + 1}")
+
+    want = [[_leibniz(entry, rows, (0, 1, 2), one)]
+            for rows in combinations(range(4), 3)]
+    assert law == want
+    assert all(len(row[0].terms) == 6 for row in law)
