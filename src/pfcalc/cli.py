@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import geometry
@@ -30,8 +29,8 @@ from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
                        image_closure, sum_of_powers, target_varset)
 from .groebner import GroebnerBasis, ideal_dimension
 from .poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
-from .rings import ZZ, BaseRing, QuotientRing, fraction_field_reduction, \
-    is_prime, parse_quotient_payload, ring_from_tag
+from .rings import ZZ, BaseRing, fraction_field_reduction, is_prime, \
+    ring_from_tag
 
 COMMANDS = ("ring-of-module", "schur-table", "dimfn", "image-closure",
             "dim-per-prime", "good-primes", "equivariance", "taylor")
@@ -81,7 +80,7 @@ def _ring_from_config(cfg: dict, key: str = "ring") -> BaseRing:
     tag = _need(cfg, key, str)
     try:
         return ring_from_tag(tag)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
@@ -136,16 +135,12 @@ def _module_from_config(cfg: dict, ring: BaseRing) -> FPModule:
 
 
 def _scalar_from_config(x, ring: BaseRing):
-    if isinstance(x, int):
-        return ring.from_int(x)
-    if isinstance(x, str):
-        try:
-            if isinstance(ring, QuotientRing):
-                return parse_quotient_payload(ring, x)
-            return ring.coerce(Fraction(x))
-        except (ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"bad scalar {x!r}: {exc}") from None
-    raise ConfigError(f"bad scalar {x!r}: expected int or string")
+    if not isinstance(x, (int, str)):
+        raise ConfigError(f"bad scalar {x!r}: expected int or string")
+    try:
+        return ring.coerce(x)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad scalar {x!r}: {exc}") from None
 
 
 TRANSFORMATION_SHORTCUTS = {

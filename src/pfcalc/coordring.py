@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 from . import linalg
 from .fpmod import FPModule
 from .poly import MultiPoly, VarSet, degree_monomials, integer_primitive
-from .rings import BaseRing
+from .rings import ZZ, BaseRing
 
 
 def _reduce_parameter_exponents(f: MultiPoly, param_idx: List[int], p: int) -> MultiPoly:
@@ -110,7 +110,7 @@ def _piece_from_candidates(module: FPModule,
     k = ring.scalar_field()
     rbasis = ring.field_basis()
     kernel, _ = _solve_invariance(module, candidates, x_vs)
-    if ring.tag() == "ZZ":
+    if ring == ZZ:
         kernel = [integer_primitive(v) for v in kernel]
 
     polys = []
@@ -155,12 +155,8 @@ def graded_piece(module: FPModule, d: int) -> GradedPieceBasis:
     """Basis of R[M]_d, the degree-d translation-invariant polynomials."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    ring = module.ring
-    if ring.tag() not in ("ZZ", "QQ") and not ring.tag().startswith("Fp(") \
-            and "[t]/" not in ring.tag():
-        raise ValueError(f"unsupported base ring {ring.tag()}")
     x_vs = generator_varset(module)
-    rbasis = ring.field_basis()
+    rbasis = module.ring.field_basis()
     candidates = [(exp, b) for exp in degree_monomials(module.ngens, d)
                   for b in range(len(rbasis))]
     return _piece_from_candidates(module, candidates, x_vs, d)

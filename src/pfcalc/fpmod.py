@@ -40,7 +40,7 @@ class FPModule:
         return cls(ring, ngens, ())
 
     def integer_relations(self) -> List[List[int]]:
-        if self.ring.tag() != "ZZ":
+        if self.ring != ZZ:
             raise ValueError(f"expected a ZZ-module, got ring {self.ring.tag()}")
         return [list(row) for row in self.relations]
 
@@ -60,11 +60,11 @@ class FreenessCertificate:
 
 def fiber_dimension(module: FPModule, p: int) -> int:
     """dim over K_p of K_p tensor M, i.e. ngens - rank of the relations mod p."""
-    fraction_field_reduction(ZZ, p)  # validates p
+    field = fraction_field_reduction(ZZ, p)
     rows = module.integer_relations()
     if not rows:
         return module.ngens
-    rk = linalg.integer_rank(rows) if p == 0 else linalg.rank_mod_p(rows, p)
+    rk = linalg.rank([[field.coerce(x) for x in row] for row in rows], field)
     # elementary divisors give an independent rank count
     divisors = linalg.smith_normal_form(rows)
     snf_rk = len(divisors) if p == 0 else sum(1 for d in divisors if d % p)

@@ -10,7 +10,6 @@ substitutions, and the directional Taylor expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -220,7 +219,7 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
         gens.append(MultiPoly.variable(ring, big_vs, yname) - coord.rename(big_vs))
     eliminated = eliminate(gens, set(src_vs.names), _graph_weights(src_vs, coords))
     guards.check_basis(len(eliminated))
-    kept = tuple(g.restrict(y_vs) if g.varset != y_vs else g for g in eliminated)
+    kept = tuple(eliminated)
     # the tail block of the elimination order is grevlex on y_vs, so the
     # eliminated part of the reduced basis is already the reduced, monic,
     # sorted grevlex basis of the closure ideal
@@ -257,21 +256,6 @@ class SpecializationReport:
     verdicts: Tuple[PrimeVerdict, ...]
 
 
-def _reduce_mod_p(f: MultiPoly, ring_p: BaseRing, vs: VarSet) -> MultiPoly:
-    terms = {}
-    for e, c in f.terms.items():
-        if isinstance(c, Fraction):
-            if c.denominator % ring_p.characteristic() == 0:
-                raise ZeroDivisionError("denominator vanishes mod p")
-            v = ring_p.mul(ring_p.from_int(c.numerator),
-                           ring_p.inv(ring_p.from_int(c.denominator)))
-        else:
-            v = ring_p.from_int(c)
-        if not ring_p.is_zero(v):
-            terms[e] = v
-    return MultiPoly(ring_p, vs, terms)
-
-
 def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> SpecializationReport:
     """Groebner specialization: which primes keep the generic staircase.
 
@@ -284,10 +268,10 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
     if not generators:
         raise ValueError("good_primes needs at least one generator")
     ring = generators[0].ring
-    if ring.tag() != "ZZ":
+    if ring != ZZ:
         raise ValueError(f"good_primes expects integral generators, got {ring.tag()}")
     vs = generators[0].varset
-    q_gens = [g.map_coefficients(lambda c: Fraction(c), QQ) for g in generators]
+    q_gens = [g.map_coefficients(QQ.coerce, QQ) for g in generators]
     log: List[MultiPoly] = []
     gb = buchberger(q_gens, Grevlex(), new_poly_log=log)
     cleared = tuple(
@@ -303,12 +287,12 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
     verdicts = []
     for p in primes:
         ring_p = Fp(p)
-        inputs_p = [f for f in (_reduce_mod_p(g, ring_p, vs) for g in q_gens)
-                    if not f.is_zero()]
+        inputs_p = [f for f in (g.map_coefficients(ring_p.coerce, ring_p)
+                                for g in generators) if not f.is_zero()]
         if r % p != 0:
             # p does not divide the leading coefficients of cleared, so no
             # element vanishes mod p and each keeps its leading monomial
-            gens_p = tuple(_reduce_mod_p(f, ring_p, vs) for f in cleared)
+            gens_p = tuple(f.map_coefficients(ring_p.coerce, ring_p) for f in cleared)
             gb_p = GroebnerBasis(gens_p, order, ring_p, vs)
             if (verify_buchberger_criterion(gens_p, order)
                     and all(gb_p.contains(f) for f in inputs_p)
@@ -331,18 +315,14 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
 def vanishing_transfer(f: MultiPoly, generators: Sequence[MultiPoly],
                        primes: Sequence[int]) -> Dict[int, bool]:
     """Does f vanish on V(I) over QQ and over each F_p?  Radical membership."""
-    ring = f.ring
-    if ring.tag() != "ZZ":
+    if f.ring != ZZ:
         raise ValueError("vanishing_transfer expects integral input")
-    vs = f.varset
-    to_q = lambda g: g.map_coefficients(lambda c: Fraction(c), QQ)
-    out = {0: radical_membership(to_q(f), [to_q(g) for g in generators])}
-    for p in primes:
-        ring_p = Fp(p)
-        f_p = _reduce_mod_p(to_q(f), ring_p, vs)
-        gens_p = [g2 for g2 in (_reduce_mod_p(to_q(g), ring_p, vs)
-                                for g in generators) if not g2.is_zero()]
-        out[p] = True if f_p.is_zero() else radical_membership(f_p, gens_p)
+    out = {}
+    for p in [0, *primes]:
+        field = fraction_field_reduction(ZZ, p)
+        f_p, *gens_p = (g.map_coefficients(field.coerce, field)
+                        for g in [f, *generators])
+        out[p] = radical_membership(f_p, gens_p)
     return out
 
 

@@ -41,7 +41,6 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from operator import mul, neg
 from typing import List, Optional, Sequence, Set, Tuple
@@ -524,14 +523,30 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     n = len(G.varset)
     if not G.generators:
         return n
-    supports = [frozenset(i for i, e in enumerate(lm) if e)
+    # the dimension is the size of the largest set of variables containing
+    # the support of no leading monomial; supports and sets are bitmasks
+    supports = [sum(1 << i for i, e in enumerate(lm) if e)
                 for lm in G.leading_monomials]
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            s = set(subset)
-            if not any(sup <= s for sup in supports):
-                return size
-    return -1
+    through = [[s for s in supports if s >> v & 1] for v in range(n)]
+
+    def addable(chosen: int, v: int) -> bool:
+        grown = chosen | 1 << v
+        return all(s & grown != s for s in through[v])
+
+    best = 0
+
+    def search(chosen: int, size: int, free: List[int]):
+        # depth-first: take free[0] or drop it; free lists the variables
+        # that can still join chosen, so size + len(free) bounds the branch
+        nonlocal best
+        best = max(best, size)
+        while free and size + len(free) > best:
+            v, free = free[0], free[1:]
+            grown = chosen | 1 << v
+            search(grown, size + 1, [u for u in free if addable(grown, u)])
+
+    search(0, 0, [v for v in range(n) if addable(0, v)])
+    return best
 
 
 def eliminate(G: Sequence[MultiPoly], drop: Set[str],

@@ -118,32 +118,6 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(integer_echelon(rows)[1])
 
 
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    mat = [[x % p for x in r] for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][col] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        for i in range(r + 1, len(mat)):
-            f = (mat[i][col] * inv) % p
-            if f:
-                mat[i] = [(mat[i][c] - f * mat[r][c]) % p for c in range(ncols)]
-        r += 1
-        if r == len(mat):
-            break
-    return r
-
-
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:
     """Elementary divisors d_1 | d_2 | ... of an integer matrix (zeros omitted)."""
     mat = [list(r) for r in rows]

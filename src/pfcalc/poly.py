@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .rings import BaseRing, QQ, QuotientRing
+from .rings import BaseRing, QuotientRing
 
 
 @dataclass(frozen=True)
@@ -515,24 +515,13 @@ class _Parser:
     def parse_factor(self) -> MultiPoly:
         kind, val = self.take()
         if kind == "num":
-            num = val
-            k2, v2 = self.peek()
-            if (k2, v2) == ("op", "/"):
+            if self.peek() == ("op", "/"):
                 self.take()
                 k3, v3 = self.take()
                 if k3 != "num":
                     raise ValueError("expected denominator")
-                if isinstance(self.ring, QuotientRing):
-                    c = self.ring.mul(self.ring.from_int(num),
-                                      self.ring.inv(self.ring.from_int(v3)))
-                elif self.ring == QQ:
-                    c = Fraction(num, v3)
-                else:
-                    c = self.ring.mul(self.ring.from_int(num),
-                                      self.ring.inv(self.ring.from_int(v3)))
-                return MultiPoly.constant(self.ring, self.vs, c)
-            return self._maybe_power(MultiPoly.constant(self.ring, self.vs,
-                                                        self.ring.from_int(num)))
+                return MultiPoly.constant(self.ring, self.vs, Fraction(val, v3))
+            return self._maybe_power(MultiPoly.constant(self.ring, self.vs, val))
         if kind == "name":
             if val == "t" and isinstance(self.ring, QuotientRing) and "t" not in self.vs.names:
                 return self._maybe_power(

@@ -97,8 +97,15 @@ class BaseRing:
         raise NotImplementedError
 
     def coerce(self, x):
+        """An int, a Fraction or rational text such as "-3/4" as a payload,
+        num * den^-1: a denominator that is not a unit raises NotAUnit."""
+        if isinstance(x, str):
+            x = Fraction(x)
         if isinstance(x, int):
             return self.from_int(x)
+        if isinstance(x, Fraction):
+            return self.mul(self.from_int(x.numerator),
+                            self.inv(self.from_int(x.denominator)))
         raise TypeError(f"cannot coerce {x!r} into {self.tag()}")
 
     def fmt(self, a) -> str:
@@ -501,10 +508,10 @@ def _fmt_unipoly(base: BaseRing, cs: tuple) -> str:
     return " + ".join(parts)
 
 
-def parse_quotient_payload(ring: QuotientRing, text: str):
-    """Parse expressions like '1 + t', '2*t^2', 't' into a payload."""
-    base = ring.base
-    cs = [base.zero()] * (ring.deg + 4)
+def _read_unipoly(base: BaseRing, text: str) -> tuple:
+    """Coefficients over base, low to high, of a t-polynomial such as
+    '1 + t', '2*t^2' or '-1/2*t'."""
+    cs = []
     for piece in re.split(r"\+", text.replace("-", "+-")):
         piece = piece.strip()
         if not piece:
@@ -515,25 +522,19 @@ def parse_quotient_payload(ring: QuotientRing, text: str):
         m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*?)?(t(?:\^(\d+))?)?", piece)
         if m is None or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"cannot parse ring element {text!r}")
-        if m.group(1) is None:
-            coeff = base.one()
-        elif "/" in m.group(1):
-            num, den = m.group(1).split("/")
-            coeff = base.mul(base.from_int(int(num)), base.inv(base.from_int(int(den))))
-        else:
-            coeff = base.from_int(int(m.group(1)))
-        if m.group(2) is None:
-            power = 0
-        elif m.group(3) is None:
-            power = 1
-        else:
-            power = int(m.group(3))
+        coeff = base.one() if m.group(1) is None else base.coerce(m.group(1))
+        power = 0 if m.group(2) is None else int(m.group(3) or 1)
         if neg:
             coeff = base.neg(coeff)
         while power >= len(cs):
             cs.append(base.zero())
         cs[power] = base.add(cs[power], coeff)
-    return ring._reduce(tuple(cs))
+    return tuple(cs)
+
+
+def parse_quotient_payload(ring: QuotientRing, text: str):
+    """Parse expressions like '1 + t', '2*t^2', 't' into a payload."""
+    return ring._reduce(_read_unipoly(ring.base, text))
 
 
 ZZ = IntegerRing()
@@ -575,16 +576,4 @@ def ring_from_tag(tag: str) -> BaseRing:
         return base
     if base is ZZ:
         raise ValueError("quotient rings over ZZ are not supported")
-    # parse the modulus using a provisional quotient of large degree
-    text = m.group(3)
-    deg = 0
-    for mm in re.finditer(r"t(?:\^(\d+))?", text):
-        deg = max(deg, int(mm.group(1)) if mm.group(1) else 1)
-    if deg < 1:
-        raise ValueError(f"modulus in {tag!r} must involve t")
-    scratch = QuotientRing.__new__(QuotientRing)
-    scratch.base = base
-    scratch.deg = deg + 1
-    scratch.modulus = (base.zero(),) * (deg + 1) + (base.one(),)
-    payload = parse_quotient_payload(scratch, text)
-    return QuotientRing(base, _poly_trim(payload))
+    return QuotientRing(base, _read_unipoly(base, m.group(3)))

@@ -286,7 +286,7 @@ def spin(module: SchurModule, v: Sequence[object]) -> List[list]:
 
 def base_change_module(module: SchurModule, p: int) -> SchurModule:
     """Reduce an integral SchurModule into K_p (QQ for p = 0, F_p otherwise)."""
-    if module.algebra.ring.tag() != "ZZ":
+    if module.algebra.ring != ZZ:
         raise ValueError("base change starts from an integral module")
     target = fraction_field_reduction(ZZ, p)
     algebra = SchurAlgebra(module.algebra.n, module.algebra.d, target)

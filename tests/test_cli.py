@@ -97,12 +97,33 @@ def test_invalid_json_exit_2(capsys, tmp_path):
                         "module": {"ngens": 1, "relations": [["1/0"]]}}, "1/0"),
     ("taylor", {"variables": ["x", "y"], "polynomial": "1/0*x",
                 "direction_count": 1}, "polynomial"),
-], ids=["good-primes", "ring-of-module", "taylor"])
+    ("ring-of-module", {"ring": "ZZ", "degrees": [0],
+                        "module": {"ngens": 1, "relations": [["1/2"]]}}, "1/2"),
+    ("ring-of-module", {"ring": "Fp(5)", "degrees": [0],
+                        "module": {"ngens": 1, "relations": [["1/5"]]}}, "1/5"),
+    ("image-closure", {"transformation": "cube-sum", "rank": 2,
+                       "field": "Fp(5)[t]/(t^2+1/0)"}, "field"),
+], ids=["good-primes", "ring-of-module", "taylor", "ring-of-module-zz",
+        "ring-of-module-fp", "field-tag"])
 def test_non_unit_denominator_exit_2(capsys, tmp_path, command, cfg, key):
-    # 1/2 is no integer and 1/0 no number: a validation error, not a crash
+    # 1/2 is no integer, 1/5 no element of F5 and 1/0 no number: a
+    # validation error, not a crash
     code, _, err = run(capsys, tmp_path, command, cfg)
     assert code == 2
     assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("ring,text,value", [("ZZ", "2", 2), ("Fp(5)", "1/2", 3)])
+def test_string_scalar_matches_int(capsys, tmp_path, ring, text, value):
+    # a module relation entry given as text means the same ring element
+    tables = []
+    for entry in (text, value):
+        cfg = {"ring": ring, "module": {"ngens": 2, "relations": [[entry, 1]]},
+               "degrees": [0, 1, 2]}
+        code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg)
+        assert code == 0
+        tables.append(out)
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -308,6 +329,54 @@ def test_runtime_imports_are_stdlib():
     for path in sorted(src.rglob("*.py")):
         visit(ast.parse(path.read_text()), path, None)
     assert outside <= allowed
+
+
+def test_ring_types_are_tested_only_in_rings():
+    # rings own every coefficient conversion: no tag is compared with a
+    # string literal, and outside rings.py a ring's class is tested only
+    # where it picks an algorithm or a syntax (the Groebner kernel, the
+    # parenthesized quotient-ring coefficient, the parser's t)
+    classes = {"IntegerRing", "RationalField", "PrimeField", "QuotientRing"}
+    allowed = {("groebner.py", "buchberger"), ("poly.py", "_fmt_coeff"),
+               ("poly.py", "parse_factor")}
+    found = set()
+
+    def is_tag(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "tag")
+
+    def literals(node):
+        nodes = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) \
+            else [node]
+        return any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   for n in nodes)
+
+    def class_names(node):
+        nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                for n in nodes}
+
+    def visit(node, path, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare):
+                sides = [child.left, *child.comparators]
+                if any(map(is_tag, sides)) and any(map(literals, sides)):
+                    found.add((path.name, func, "tag"))
+            elif isinstance(child, ast.Call):
+                if (isinstance(child.func, ast.Attribute) and is_tag(child.func.value)
+                        and any(map(literals, child.args))):
+                    found.add((path.name, func, "tag"))
+                if (isinstance(child.func, ast.Name) and child.func.id == "isinstance"
+                        and len(child.args) == 2 and path.name != "rings.py"
+                        and class_names(child.args[1]) & classes):
+                    found.add((path.name, func, "isinstance"))
+            visit(child, path, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert found <= {(name, func, "isinstance") for name, func in allowed}
 
 
 def test_runtime_imports_are_used():

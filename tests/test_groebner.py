@@ -4,6 +4,7 @@ import heapq
 import itertools
 import operator
 import random
+import time
 
 import pytest
 
@@ -100,6 +101,45 @@ def test_ideal_dimension_cases():
     vs3 = VarSet(("x", "y", "z"))
     gb = buchberger([parse_poly("x*y", QQ, vs3)], Grevlex())
     assert ideal_dimension(gb) == 2
+
+
+def _subset_scan_dimension(G):
+    # ideal_dimension as it was before its depth-first search: subsets of
+    # the variables from size n down.  Kept as a differential oracle.
+    if G.contains_one():
+        return -1
+    n = len(G.varset)
+    supports = [frozenset(i for i, e in enumerate(lm) if e)
+                for lm in G.leading_monomials]
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            if not any(sup <= set(subset) for sup in supports):
+                return size
+    return -1
+
+
+def test_ideal_dimension_zero_dimensional_is_fast():
+    # the subset scan visited all 2^24 subsets here
+    vs = VarSet(tuple(f"x{i}" for i in range(1, 25)))
+    gb = GroebnerBasis(tuple(MultiPoly.variable(QQ, vs, v) ** 2 for v in vs.names),
+                       Grevlex(), QQ, vs)
+    start = time.perf_counter()
+    assert ideal_dimension(gb) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ideal_dimension_matches_subset_scan():
+    # monomials are a Groebner basis of the ideal they generate
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        vs = VarSet(tuple(f"x{i}" for i in range(n)))
+        gens = tuple(
+            MultiPoly(QQ, vs, {tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(n)):
+                               QQ.one()})
+            for _ in range(rng.randint(0, 2 * n)))
+        gb = GroebnerBasis(gens, Grevlex(), QQ, vs)
+        assert ideal_dimension(gb) == _subset_scan_dimension(gb)
 
 
 def test_eliminate_circle_parameterization():

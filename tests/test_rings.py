@@ -1,6 +1,7 @@
 """Exact coefficient rings: arithmetic, tags, scalar-field structure."""
 
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -99,6 +100,100 @@ def test_scale_by_scalar():
     R = ring_from_tag("Fp(3)[t]/(t^2)")
     t = parse_quotient_payload(R, "t")
     assert R.scale_by_scalar(t, 2) == R.mul(R.from_int(2), t)
+
+
+@pytest.mark.parametrize("tag", ["ZZ", "QQ", "Fp(5)", "Fp(3)[t]/(t^2+1)",
+                                 "QQ[t]/(t^2)"])
+def test_coerce_is_numerator_times_inverse_denominator(tag):
+    R = ring_from_tag(tag)
+    for n, d in [(0, 1), (3, 1), (-4, 1), (1, 2), (-3, 4), (2, 3), (7, 5),
+                 (1, 3), (-6, 5)]:
+        try:
+            want = R.mul(R.from_int(n), R.inv(R.from_int(d)))
+        except NotAUnit:
+            for x in (Fraction(n, d), f"{n}/{d}"):
+                with pytest.raises(NotAUnit):
+                    R.coerce(x)
+            continue
+        assert R.coerce(Fraction(n, d)) == want
+        assert R.coerce(f"{n}/{d}") == want
+        if d == 1:
+            assert R.coerce(n) == want
+            assert R.coerce(str(n)) == want
+
+
+def _scratch_ring_from_tag(tag):
+    # ring_from_tag as it was before it shared _read_unipoly with
+    # parse_quotient_payload: the modulus was read as a payload of a
+    # provisional quotient of larger degree, with its own term reader.
+    # Kept as a differential oracle.
+    tag = tag.strip().replace(" ", "")
+    m = rings._TAG_RE.match(tag)
+    if m is None:
+        raise ValueError(f"unknown ring tag {tag!r}")
+    if m.group(2) is not None:
+        base = Fp(int(m.group(2)))
+    else:
+        base = ZZ if m.group(1) == "ZZ" else QQ
+    if m.group(3) is None:
+        return base
+    if base is ZZ:
+        raise ValueError("quotient rings over ZZ are not supported")
+    text = m.group(3)
+    deg = 0
+    for mm in re.finditer(r"t(?:\^(\d+))?", text):
+        deg = max(deg, int(mm.group(1)) if mm.group(1) else 1)
+    if deg < 1:
+        raise ValueError(f"modulus in {tag!r} must involve t")
+    scratch = QuotientRing.__new__(QuotientRing)
+    scratch.base = base
+    scratch.deg = deg + 1
+    scratch.modulus = (base.zero(),) * (deg + 1) + (base.one(),)
+    cs = [base.zero()] * (scratch.deg + 4)
+    for piece in re.split(r"\+", text.replace("-", "+-")):
+        piece = piece.strip()
+        if not piece:
+            continue
+        neg = piece.startswith("-")
+        if neg:
+            piece = piece[1:].strip()
+        mt = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*?)?(t(?:\^(\d+))?)?", piece)
+        if mt is None or (mt.group(1) is None and mt.group(2) is None):
+            raise ValueError(f"cannot parse ring element {text!r}")
+        if mt.group(1) is None:
+            coeff = base.one()
+        elif "/" in mt.group(1):
+            num, den = mt.group(1).split("/")
+            coeff = base.mul(base.from_int(int(num)), base.inv(base.from_int(int(den))))
+        else:
+            coeff = base.from_int(int(mt.group(1)))
+        power = 0 if mt.group(2) is None else int(mt.group(3) or 1)
+        if neg:
+            coeff = base.neg(coeff)
+        while power >= len(cs):
+            cs.append(base.zero())
+        cs[power] = base.add(cs[power], coeff)
+    return QuotientRing(base, rings._poly_trim(scratch._reduce(tuple(cs))))
+
+
+@pytest.mark.parametrize("tag", [
+    "QQ", "Fp(7)", "QQ[t]/(t^2+1)", "QQ[t]/(t^4+t)", "QQ[t]/(2*t^2-3)",
+    "QQ[t]/(1/2*t^2+t-3/4)", "QQ[t]/(t)", "QQ[t]/(3*t-1/2)", "QQ[t]/( t^2 - t )",
+    "QQ[t]/(t^2+t^2+1)", "Fp(5)[t]/(5*t^2+t)", "Fp(2)[t]/(t^2+t+1)",
+    "Fp(3)[t]/(t^5-t+2)", "Fp(7)[t]/(-t^2-1)", "Fp(5)[t]/(1/2*t^2+1)",
+    "Fp(3)[t]/(t-1)", "Fp(5)[t]/(2+t^3)", "Fp(5)[t]/(t^3+4*t^3)",
+    "Fp(5)[t]/(5*t^2+5*t)", "QQ[t]/(7)", "ZZ[t]/(t^2)", "Fp(4)",
+    "Fp(5)[t]/(t^2+1/5)", "QQ[t]/(t^2+1/0)", "QQ[t]/(t^2+x)"])
+def test_ring_from_tag_matches_scratch_ring_reader(tag):
+    try:
+        want = _scratch_ring_from_tag(tag)
+    except (ValueError, ArithmeticError) as exc:
+        kind = ValueError if isinstance(exc, ValueError) else ArithmeticError
+        with pytest.raises(kind):
+            ring_from_tag(tag)
+        return
+    got = ring_from_tag(tag)
+    assert got == want and got.tag() == want.tag()
 
 
 def test_fraction_field_reduction():
