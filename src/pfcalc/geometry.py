@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .functors import DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_parts
 from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
-                       radical_membership, verify_buchberger_criterion)
+                       radical_membership)
 from .linalg import rank
 from .poly import Grevlex, MultiPoly, VarSet, degree_monomials, integer_primitive
 from .rings import ZZ, BaseRing, Fp, QQ, fraction_field_reduction
@@ -285,16 +285,20 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
         r *= abs(int(lc))
 
     verdicts = []
+    pairs = None
     for p in primes:
         ring_p = Fp(p)
         inputs_p = [f for f in (g.map_coefficients(ring_p.coerce, ring_p)
                                 for g in generators) if not f.is_zero()]
         if r % p != 0:
             # p does not divide the leading coefficients of cleared, so no
-            # element vanishes mod p and each keeps its leading monomial
+            # element vanishes mod p and each keeps its leading monomial, in
+            # the same order: every such prime checks the same pairs
             gens_p = tuple(f.map_coefficients(ring_p.coerce, ring_p) for f in cleared)
             gb_p = GroebnerBasis(gens_p, order, ring_p, vs)
-            if (verify_buchberger_criterion(gens_p, order)
+            if pairs is None:
+                pairs = gb_p.criterion_pairs()
+            if (gb_p.satisfies_criterion(pairs)
                     and all(gb_p.contains(f) for f in inputs_p)
                     and gb_p.leading_monomials == gb.leading_monomials):
                 # gens_p is a Groebner basis with the generic staircase, and

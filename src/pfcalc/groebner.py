@@ -11,13 +11,29 @@ nonzero remainder and ends with one minimalize/interreduce pass;
 verify_buchberger_criterion stops at the first one.  A reduced basis is
 unique, so the weights change which pairs get reduced but never the result.
 
-Reducer entries live in one divisor index, _Reducers.  For each variable v
-and exponent a it keeps a bitset (a Python int, bit k for entry k) of the
-entries whose leading monomial has exponent at most a in v.  The entries
-whose leading monomial divides a monomial are the AND of one such bitset per
-variable, and the first of them in list order is the lowest set bit.  The
-same AND, restricted to the entries whose pairs with i and with j are both
-done, is the chain criterion of the pair queue.
+Inside the engine a monomial is one int P (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007); kernel.prepare and kernel.to_poly convert at the boundary, so every
+MultiPoly keeps exponent tuples.  P has one digit per variable and one per
+graded block holding its degree, least significant first: grevlex is one
+block (e_1, ..., e_n, degree), elim(b) two with the second in the low digits,
+and lex none, with e_1 in the top digit.  A product is P + Q; a tail entry
+stores e - lm, which may have negative digits.  With M masking the exponent
+digits of the graded blocks, the key P - 2*(P & M) compares exactly like
+order.key.  Digits have 8 bits, the top one a guard: an exponent or block
+degree is at most 127, so a sum of two never carries and P & GUARD finds an
+overflow.  Inputs and lcms are checked when made, other terms when reduce
+pops them; an overflow reruns the whole call at twice the digit width, and
+buchberger first truncates what the abandoned run logged.
+
+Reducer entries live in one divisor index, _Reducers.  For each digit k of P
+(a byte of P.to_bytes at 8-bit digits) and value a it keeps a bitset (a
+Python int, bit i for entry i) of the entries whose leading monomial has at
+most a in digit k.  The entries whose leading monomial divides a monomial
+are the AND of one such bitset per digit (degree digits only filter more),
+and the first of them in list order is the lowest set bit.  The same AND,
+restricted to the entries whose pairs with i and with j are both done, is
+the chain criterion of the pair queue.
 
 Coefficient arithmetic sits behind one of two kernels, picked once per run
 from the ring:
@@ -42,11 +58,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
-from operator import mul, neg
+from operator import mul
 from typing import List, Optional, Sequence, Set, Tuple
 
 from .poly import (Elimination, Grevlex, MonomialOrder, MultiPoly, VarSet,
-                   _exp_add, _exp_lcm, _exp_sub)
+                   _exp_lcm, _exp_sub)
 from .rings import BaseRing, RationalField
 
 
@@ -60,25 +76,88 @@ def _require_field(ring: BaseRing):
             f"Groebner engine needs field coefficients, got {ring.tag()}")
 
 
+class _Overflow(Exception):
+    """A packed exponent or block degree reached its digit's guard bit."""
+
+
+class _Packing:
+    """Packed monomials of one order in nvars variables, with digits of
+    width bits (see the module docstring)."""
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int = 8):
+        self.width, self.blocks = width, order.graded_blocks(nvars)
+        # what each digit holds, least significant first: a variable, or a
+        # graded block (a range of variables) whose degree it holds
+        slots = ([s for b in reversed(self.blocks) for s in (*b, b)] if self.blocks
+                 else list(reversed(range(nvars))))
+        self.size = len(slots)
+        self.pos = [slots.index(v) for v in range(nvars)]
+        # packing is one dot product: variable v adds 1 to its own digit and
+        # to its block's degree digit
+        degree = {v: slots.index(b) for b in self.blocks for v in b}
+        self.mults = [(1 << width * self.pos[v]) +
+                      (1 << width * degree[v] if v in degree else 0)
+                      for v in range(nvars)]
+        self.sums = [(width * slots.index(b[0]),
+                      sum(1 << width * k for k in range(len(b))),
+                      width * (len(b) - 1), width * slots.index(b))
+                     for b in self.blocks if b]  # for lcm: see there
+        self.digit = (1 << width) - 1
+        self.guard = sum(1 << width * (k + 1) - 1 for k in range(self.size))
+        self.exps = sum(self.digit << width * k for k in self.pos)
+        self.mask = self.exps if self.blocks else 0
+        shifts = range(0, width * self.size, width)
+        self.digits = ((lambda P: P.to_bytes(self.size, "little")) if width == 8 else
+                       (lambda P: [P >> s & self.digit for s in shifts]))
+
+    def pack(self, exp) -> int:
+        top = self.width - 1
+        if sum(exp) >> top and (max(exp) >> top or any(
+                sum(exp[v] for v in b) >> top for b in self.blocks)):
+            raise _Overflow
+        return sum(map(mul, exp, self.mults))
+
+    def unpack(self, P: int) -> tuple:
+        return tuple(map(self.digits(P).__getitem__, self.pos))
+
+    def key(self, P: int) -> int:
+        return P - 2 * (P & self.mask)
+
+    def lcm(self, a: int, b: int) -> int:
+        guard = self.guard
+        ge = ((a | guard) - b) & guard   # the guard bit of each digit a >= b
+        x = (b ^ ((a ^ b) & (ge - (ge >> self.width - 1)))) & self.exps
+        # per nonempty graded block: shifted to its first digit and
+        # multiplied by ones, its digits sum into its last digit; that sum
+        # is its degree digit
+        for shift, ones, last, at in self.sums:
+            x |= ((x >> shift) * ones >> last & self.digit) << at
+        if x & guard:
+            raise _Overflow
+        return x
+
+
 class _Reducers:
     """Reducer entries in list order, with the divisor index over them.
 
-    below[v][a] is the bitset of the entries whose leading exponent is at
-    most a in variable v.  Every column grows to the largest exponent looked
-    up so far, so a lookup is one index per variable; past the end of
-    below[v], every entry is below.  Entries may be added at any time.
+    below[k][a] is the bitset of the entries whose leading monomial has at
+    most a in digit k.  Every column grows to the largest digit looked up so
+    far, so a lookup is one index per digit; past the end of below[k], every
+    entry is below.  Entries may be added at any time.
     """
 
-    def __init__(self, nvars: int, entries=()):
+    def __init__(self, pack: _Packing, entries=()):
+        self.pack = pack
+        self.digits = pack.digits
         self.entries: list = []
-        self.below: List[list] = [[] for _ in range(nvars)]
+        self.below: List[list] = [[] for _ in range(pack.size)]
         self.all = 0
         for entry in entries:
             self.add(entry)
 
     def add(self, entry: tuple):
         bit = 1 << len(self.entries)
-        for col, a in zip(self.below, entry[0]):
+        for col, a in zip(self.below, self.digits(entry[0])):
             n = len(col)
             if a >= n:
                 col.extend([self.all] * (a - n))
@@ -88,57 +167,49 @@ class _Reducers:
         self.entries.append(entry)
         self.all |= bit
 
-    def dividing(self, exp, within: int = -1) -> int:
-        """Bitset of the entries in within whose leading exponent divides exp."""
+    def dividing(self, exp: int, within: int = -1) -> int:
+        """Bitset of the entries in within whose leading monomial divides exp."""
         d = self.all & within
+        digits = self.digits(exp)
         try:
-            for col, a in zip(self.below, exp):
+            for col, a in zip(self.below, digits):
                 d &= col[a]
                 if not d:
                     break
         except IndexError:
-            top = max(exp) + 1
+            top = max(digits) + 1
             for col in self.below:
                 col.extend([self.all] * (top - len(col)))
             return self.dividing(exp, within)
         return d
 
-    def first_divisor(self, exp, within: int = -1):
-        """The first entry in within whose leading exponent divides exp, or None."""
+    def first_divisor(self, exp: int, within: int = -1):
+        """The first entry in within whose leading monomial divides exp, or None."""
         d = self.dividing(exp, within)
         return self.entries[(d & -d).bit_length() - 1] if d else None
 
 
 class _Kernel:
-    """Coefficient arithmetic on term dicts (exponent -> coefficient).
+    """Coefficient arithmetic on packed term dicts (monomial -> coefficient).
 
-    A reducer entry is (leading exponent, leading factor, tail terms shifted
-    by minus the leading exponent), built once per basis element.  The
+    A reducer entry is (leading monomial, leading factor, tail terms shifted
+    by minus the leading monomial), built once per basis element.  The
     leading factor is the inverse leading coefficient in the field kernel
     and the leading coefficient itself in the QQ kernel.
     """
 
-    def __init__(self, ring: BaseRing, vs: VarSet, order: MonomialOrder):
+    def __init__(self, ring: BaseRing, vs: VarSet, order: MonomialOrder,
+                 width: int = 8):
         self.ring = ring
         self.vs = vs
         self.order = order
+        self.pack = _Packing(order, len(vs), width)
 
-    def heap_key(self, nkey: dict):
-        """Negated order key of an exponent, cached in nkey, so that the
-        largest term comes first off a reduction heap."""
-        okey = self.order.key
+    def lead(self, terms: dict) -> int:
+        return max(terms, key=self.pack.key)
 
-        def heapkey(e):
-            k = nkey.get(e)
-            if k is None:
-                k = tuple(map(neg, okey(e)))
-                nkey[e] = k
-            return k
-
-        return heapkey
-
-    def entry(self, terms: dict, lm) -> tuple:
-        tail = [(_exp_sub(e, lm), c) for e, c in terms.items() if e != lm]
+    def entry(self, terms: dict, lm: int) -> tuple:
+        tail = [(e - lm, c) for e, c in terms.items() if e != lm]
         return (lm, self.lead_factor(terms[lm]), tail)
 
 
@@ -146,9 +217,10 @@ class _FieldKernel(_Kernel):
     """Payload arithmetic of the ring; normalized means monic."""
 
     def prepare(self, f: MultiPoly) -> dict:
-        return dict(f.terms)
+        pack = self.pack.pack
+        return {pack(e): c for e, c in f.terms.items()}
 
-    def normalize(self, terms: dict, lm) -> dict:
+    def normalize(self, terms: dict, lm: int) -> dict:
         ring = self.ring
         ilc = ring.inv(terms[lm])
         return {e: ring.mul(c, ilc) for e, c in terms.items()}
@@ -156,13 +228,14 @@ class _FieldKernel(_Kernel):
     def lead_factor(self, lc):
         return self.ring.inv(lc)
 
-    def spoly(self, f: dict, ef: tuple, g: dict, eg: tuple, lcm) -> dict:
+    def spoly(self, ef: tuple, eg: tuple, lcm: int) -> dict:
+        """S-polynomial of two reducer entries whose leading monomials have
+        lcm; the leading terms cancel, so it is made of the tails alone."""
         ring = self.ring
         zero = ring.zero()
-        sf, sg = _exp_sub(lcm, ef[0]), _exp_sub(lcm, eg[0])
-        out = {_exp_add(e, sf): ring.mul(c, ef[1]) for e, c in f.items()}
-        for e, c in g.items():
-            e2 = _exp_add(e, sg)
+        out = {e + lcm: ring.mul(c, ef[1]) for e, c in ef[2]}
+        for e, c in eg[2]:
+            e2 = e + lcm
             v = ring.sub(out.get(e2, zero), ring.mul(c, eg[1]))
             if ring.is_zero(v):
                 out.pop(e2, None)
@@ -170,21 +243,21 @@ class _FieldKernel(_Kernel):
                 out[e2] = v
         return out
 
-    def reduce(self, terms: dict, reducers: _Reducers,
-               nkey: Optional[dict] = None, within: int = -1) -> dict:
-        """Remainder of terms modulo the reducer entries in within.  nkey
-        caches negated order keys across calls."""
+    def reduce(self, terms: dict, reducers: _Reducers, within: int = -1) -> dict:
+        """Remainder of terms modulo the reducer entries in within."""
         ring = self.ring
         mul, sub, is_zero = ring.mul, ring.sub, ring.is_zero
         zero = ring.zero()
         first_divisor = reducers.first_divisor
-        heapkey = self.heap_key({} if nkey is None else nkey)
+        mask, guard = self.pack.mask, self.pack.guard
         pending = dict(terms)
         result = {}
-        heap = [(heapkey(e), e) for e in pending]
+        heap = [(2 * (e & mask) - e, e) for e in pending]
         heapq.heapify(heap)
         while heap:
             _, exp = heapq.heappop(heap)
+            if exp & guard:
+                raise _Overflow
             c = pending.pop(exp, None)
             if c is None or is_zero(c):
                 continue
@@ -195,10 +268,10 @@ class _FieldKernel(_Kernel):
             _, ilc, tail = entry
             factor = mul(c, ilc)
             for e2, c2 in tail:
-                e3 = _exp_add(e2, exp)
+                e3 = e2 + exp
                 prev = pending.get(e3)
                 if prev is None:
-                    heapq.heappush(heap, (heapkey(e3), e3))
+                    heapq.heappush(heap, (2 * (e3 & mask) - e3, e3))
                     prev = zero
                 val = sub(prev, mul(factor, c2))
                 if is_zero(val):
@@ -208,7 +281,8 @@ class _FieldKernel(_Kernel):
         return result
 
     def to_poly(self, terms: dict) -> MultiPoly:
-        return MultiPoly(self.ring, self.vs, terms)
+        unpack = self.pack.unpack
+        return MultiPoly(self.ring, self.vs, {unpack(e): c for e, c in terms.items()})
 
 
 class _RationalKernel(_Kernel):
@@ -220,9 +294,10 @@ class _RationalKernel(_Kernel):
         den = 1
         for c in f.terms.values():
             den = den * c.denominator // gcd(den, c.denominator)
-        return {e: int(c * den) for e, c in f.terms.items()}
+        pack = self.pack.pack
+        return {pack(e): int(c * den) for e, c in f.terms.items()}
 
-    def normalize(self, terms: dict, lm) -> dict:
+    def normalize(self, terms: dict, lm: int) -> dict:
         num = 0
         for v in terms.values():
             num = gcd(num, abs(v))
@@ -235,14 +310,15 @@ class _RationalKernel(_Kernel):
     def lead_factor(self, lc):
         return lc
 
-    def spoly(self, f: dict, ef: tuple, g: dict, eg: tuple, lcm) -> dict:
+    def spoly(self, ef: tuple, eg: tuple, lcm: int) -> dict:
+        """As _FieldKernel.spoly, with the integer multipliers that cancel
+        the leading coefficients."""
         cf, cg = ef[1], eg[1]
         d = gcd(cf, cg)
         mf, mg = cg // d, cf // d
-        sf, sg = _exp_sub(lcm, ef[0]), _exp_sub(lcm, eg[0])
-        out = {_exp_add(e, sf): mf * c for e, c in f.items()}
-        for e, c in g.items():
-            e2 = _exp_add(e, sg)
+        out = {e + lcm: mf * c for e, c in ef[2]}
+        for e, c in eg[2]:
+            e2 = e + lcm
             v = out.get(e2, 0) - mg * c
             if v:
                 out[e2] = v
@@ -250,17 +326,15 @@ class _RationalKernel(_Kernel):
                 out.pop(e2, None)
         return out
 
-    def reduce(self, terms: dict, reducers: _Reducers,
-               nkey: Optional[dict] = None, within: int = -1) -> dict:
+    def reduce(self, terms: dict, reducers: _Reducers, within: int = -1) -> dict:
         """Pseudo-remainder modulo the reducer entries in within, with
         integer arithmetic; the result is the true normal form times a
-        positive rational, which normalize removes.  nkey caches negated
-        order keys across calls."""
+        positive rational, which normalize removes."""
         first_divisor = reducers.first_divisor
-        heapkey = self.heap_key({} if nkey is None else nkey)
+        mask, guard = self.pack.mask, self.pack.guard
         pending = dict(terms)
         result = {}
-        heap = [(heapkey(e), e) for e in pending]
+        heap = [(2 * (e & mask) - e, e) for e in pending]
         heapq.heapify(heap)
         swell = 1
         while heap:
@@ -276,6 +350,8 @@ class _RationalKernel(_Kernel):
                     result = {e: v // g for e, v in result.items()}
                 swell = 1
             _, exp = heapq.heappop(heap)
+            if exp & guard:
+                raise _Overflow
             c = pending.pop(exp, None)
             if not c:
                 continue
@@ -295,10 +371,10 @@ class _RationalKernel(_Kernel):
                 swell *= mult
             factor = c // lc
             for e2, c2 in tail:
-                e3 = _exp_add(e2, exp)
+                e3 = e2 + exp
                 prev = pending.get(e3)
                 if prev is None:
-                    heapq.heappush(heap, (heapkey(e3), e3))
+                    heapq.heappush(heap, (2 * (e3 & mask) - e3, e3))
                     prev = 0
                 val = prev - factor * c2
                 if val:
@@ -308,24 +384,33 @@ class _RationalKernel(_Kernel):
         return result
 
     def to_poly(self, terms: dict) -> MultiPoly:
+        unpack = self.pack.unpack
         return MultiPoly(self.ring, self.vs,
-                         {e: Fraction(c) for e, c in terms.items()})
+                         {unpack(e): Fraction(c) for e, c in terms.items()})
+
+
+def _widening(run, width: int = 8):
+    """run(width), and again at twice the width after each overflow."""
+    while True:
+        try:
+            return run(width)
+        except _Overflow:
+            width *= 2
 
 
 def _field_reducer(ring: BaseRing, vs: VarSet, order: MonomialOrder,
-                   G: Sequence[MultiPoly]) -> tuple:
+                   G: Sequence[MultiPoly], width: int = 8) -> tuple:
     """Field kernel and the indexed reducer entries of the nonzero
     elements of G."""
     _require_field(ring)
-    kernel = _FieldKernel(ring, vs, order)
-    return kernel, _Reducers(len(vs), [kernel.entry(g.terms, g.leading(order)[0])
-                                       for g in G if not g.is_zero()])
+    kernel = _FieldKernel(ring, vs, order, width)
+    terms = [kernel.prepare(g) for g in G if not g.is_zero()]
+    return kernel, _Reducers(kernel.pack, [kernel.entry(t, kernel.lead(t)) for t in terms])
 
 
 def normal_form(f: MultiPoly, G: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
     """Remainder of f modulo G; no term of the result is divisible by any LM(g)."""
-    kernel, reducers = _field_reducer(f.ring, f.varset, order, G)
-    return kernel.to_poly(kernel.reduce(f.terms, reducers))
+    return GroebnerBasis(tuple(G), order, f.ring, f.varset).reduce(f)
 
 
 def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
@@ -355,51 +440,92 @@ class GroebnerBasis:
 
     @cached_property
     def _reducer(self) -> tuple:
-        """Field kernel and indexed reducer entries, built once per basis."""
-        return _field_reducer(self.ring, self.varset, self.order, self.generators)
+        """Field kernel and indexed reducer entries of the nonzero
+        generators, built once per basis at the narrowest width that packs
+        them."""
+        return _widening(lambda width: _field_reducer(
+            self.ring, self.varset, self.order, self.generators, width))
+
+    def _run(self, task):
+        """task(kernel, reducers) on the cached reducer, or on a wider one
+        after an overflow."""
+        kernel, reducers = self._reducer
+
+        def run(width):
+            if width == kernel.pack.width:
+                return task(kernel, reducers)
+            return task(*_field_reducer(self.ring, self.varset, self.order,
+                                        self.generators, width))
+
+        return _widening(run, kernel.pack.width)
 
     def reduce(self, f: MultiPoly) -> MultiPoly:
         """Remainder of f modulo the generators, as normal_form gives it."""
-        kernel, reducers = self._reducer
-        return kernel.to_poly(kernel.reduce(f.terms, reducers))
+        return self._run(lambda kernel, reducers: kernel.to_poly(
+            kernel.reduce(kernel.prepare(f), reducers)))
 
     def contains(self, f: MultiPoly) -> bool:
-        return self.reduce(f).is_zero()
+        return self._run(lambda kernel, reducers: not kernel.reduce(
+            kernel.prepare(f), reducers))
+
+    def criterion_pairs(self) -> list:
+        """The pairs (i, j) of nonzero generators that satisfies_criterion
+        checks.  The queue reads leading monomials alone, so bases with the
+        same ones in the same order share the list."""
+        return self._run(lambda kernel, reducers: [
+            (i, j) for i, j, _ in _s_pairs(reducers)])
+
+    def satisfies_criterion(self, pairs: Optional[Sequence[tuple]] = None) -> bool:
+        """Does every S-polynomial of the queue's pairs, or of pairs from
+        criterion_pairs, reduce to zero?  The first nonzero remainder
+        answers False."""
+        def task(kernel, reducers):
+            entries = reducers.entries
+            lcm = reducers.pack.lcm
+            queue = (_s_pairs(reducers) if pairs is None else
+                     ((i, j, lcm(entries[i][0], entries[j][0])) for i, j in pairs))
+            return not any(kernel.reduce(kernel.spoly(entries[i], entries[j], m),
+                                         reducers)
+                           for i, j, m in queue)
+
+        return self._run(task)
 
 
-def _s_pairs(reducers: _Reducers, keyof, weights: Optional[Sequence[int]] = None):
+def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None):
     """S-pairs (i, j, lcm), i < j, of indexed reducer entries in the normal
-    strategy: least weighted lcm degree, then least lcm by keyof, then (i, j).
-    weights holds one positive weight per variable; None means unit weights.
-    Entries the caller adds to reducers while iterating join the queue
-    before the next pair.  Skipped: coprime leading monomials (the weighted
-    lcm degree is the sum of their weighted degrees, which positive weights
-    make exact), and chained pairs (another LM(k) divides the lcm and the
-    pairs (i, k) and (j, k) are both done).
+    strategy: least weighted lcm degree, then least lcm in the order, then
+    (i, j).  weights holds one positive weight per variable; None means
+    unit weights.  Entries the caller adds to reducers while iterating join
+    the queue before the next pair.  Skipped: coprime leading monomials
+    (their lcm is their product), and chained pairs (another LM(k) divides
+    the lcm and the pairs (i, k) and (j, k) are both done).
 
     done[i] is the bitset of the k whose pair with i has been popped, so the
     chain test is one index lookup: the entries dividing the lcm within
     done[i] & done[j], which holds neither i nor j.
     """
-    wdeg = sum if weights is None else (lambda e: sum(map(mul, weights, e)))
+    pack = reducers.pack
+    lcm_of, mask, digits = pack.lcm, pack.mask, pack.digits
+    w = [0] * pack.size  # weights by digit
+    for v, k in enumerate(pack.pos):
+        w[k] = weights[v] if weights else 1
     entries = reducers.entries
     heap: list = []
     done: List[int] = []
-    degree: List[int] = []
     while True:
         for j in range(len(done), len(entries)):
             lmj = entries[j][0]
             for i in range(j):
-                lcm = _exp_lcm(entries[i][0], lmj)
-                heapq.heappush(heap, (wdeg(lcm), keyof(lcm), i, j, lcm))
+                lcm = lcm_of(entries[i][0], lmj)
+                heapq.heappush(heap, (sum(map(mul, w, digits(lcm))),
+                                      lcm - 2 * (lcm & mask), i, j, lcm))
             done.append(0)
-            degree.append(wdeg(lmj))
         if not heap:
             return
-        deg, _, i, j, lcm = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         done[i] |= 1 << j
         done[j] |= 1 << i
-        if deg == degree[i] + degree[j]:
+        if lcm == entries[i][0] + entries[j][0]:
             continue  # no variable in both leading monomials
         if not reducers.dividing(lcm, done[i] & done[j]):
             yield i, j, lcm
@@ -431,45 +557,43 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
     _require_field(ring)
     if weights is not None and (len(weights) != len(vs) or min(weights) < 1):
         raise ValueError("weights must give one positive integer per variable")
-    kernel = (_RationalKernel if isinstance(ring, RationalField)
-              else _FieldKernel)(ring, vs, order)
-    # two caches: order keys (leading monomials, pair lcms) and the negated
-    # keys of every exponent the reductions push on their heaps
-    kcache: dict = {}
-    nkey: dict = {}
-    okey = order.key
+    kernel = _RationalKernel if isinstance(ring, RationalField) else _FieldKernel
+    logged = 0 if new_poly_log is None else len(new_poly_log)
 
-    def keyof(e):
-        k = kcache.get(e)
-        if k is None:
-            k = okey(e)
-            kcache[e] = k
-        return k
+    def run(width):
+        if new_poly_log is not None:
+            del new_poly_log[logged:]  # what a narrower run logged
+        return _complete(kernel(ring, vs, order, width), inputs, new_poly_log,
+                         weights)
 
-    def lead(terms):
-        return max(terms, key=keyof)
+    return GroebnerBasis(_widening(run), order, ring, vs)
+
+
+def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
+              new_poly_log: Optional[list], weights) -> tuple:
+    """The generators of buchberger's reduced basis, computed by kernel."""
+    key = kernel.pack.key
 
     def log(terms):
         if new_poly_log is not None:
             new_poly_log.append(kernel.to_poly(terms))
 
     basis: list = []
-    reducers = _Reducers(len(vs))
+    reducers = _Reducers(kernel.pack)
     entries = reducers.entries
 
     def add(terms):
         log(terms)
-        lm = lead(terms)
+        lm = kernel.lead(terms)
         terms = kernel.normalize(terms, lm)
         basis.append(terms)
         reducers.add(kernel.entry(terms, lm))
 
-    for terms in sorted((kernel.prepare(f) for f in inputs),
-                        key=lambda t: keyof(lead(t))):
+    for terms in sorted(map(kernel.prepare, inputs),
+                        key=lambda t: key(kernel.lead(t))):
         add(terms)
-    for i, j, lcm in _s_pairs(reducers, keyof, weights):
-        r = kernel.reduce(kernel.spoly(basis[i], entries[i], basis[j], entries[j], lcm),
-                          reducers, nkey)
+    for i, j, lcm in _s_pairs(reducers, weights):
+        r = kernel.reduce(kernel.spoly(entries[i], entries[j], lcm), reducers)
         if r:
             add(r)
 
@@ -485,16 +609,16 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
             d &= d - 1
         if not d:
             keep.append(i)
-    kept = _Reducers(len(vs), [entries[i] for i in keep])
+    kept = _Reducers(kernel.pack, [entries[i] for i in keep])
     final = []
     for pos, i in enumerate(keep):
-        t = (kernel.reduce(basis[i], kept, nkey, ~(1 << pos)) if len(keep) > 1
+        t = (kernel.reduce(basis[i], kept, ~(1 << pos)) if len(keep) > 1
              else basis[i])
         if t:
             log(t)
-            final.append((keyof(lead(t)), kernel.to_poly(t).monic(order)))
+            final.append((key(kernel.lead(t)), kernel.to_poly(t).monic(kernel.order)))
     final.sort(key=lambda kf: kf[0])
-    return GroebnerBasis(tuple(f for _, f in final), order, ring, vs)
+    return tuple(f for _, f in final)
 
 
 def verify_buchberger_criterion(G: Sequence[MultiPoly], order: MonomialOrder) -> bool:
@@ -504,16 +628,10 @@ def verify_buchberger_criterion(G: Sequence[MultiPoly], order: MonomialOrder) ->
     with coprime leading monomials and pairs caught by the chain criterion
     are skipped; the first nonzero remainder answers False.
     """
-    gens = [g for g in G if not g.is_zero()]
+    gens = tuple(g for g in G if not g.is_zero())
     if len(gens) < 2:
         return True
-    kernel, reducers = _field_reducer(gens[0].ring, gens[0].varset, order, gens)
-    entries = reducers.entries
-    nkey: dict = {}
-    return not any(kernel.reduce(kernel.spoly(gens[i].terms, entries[i],
-                                              gens[j].terms, entries[j], lcm),
-                                 reducers, nkey)
-                   for i, j, lcm in _s_pairs(reducers, order.key))
+    return GroebnerBasis(gens, order, gens[0].ring, gens[0].varset).satisfies_criterion()
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:

@@ -56,6 +56,12 @@ class MonomialOrder:
     def leading(self, exps):
         return max(exps, key=self.key)
 
+    def graded_blocks(self, n: int) -> Tuple[range, ...]:
+        """The blocks of the n variables, most significant first, that the
+        key compares by degree and then by -e_last, ..., -e_first; the
+        empty tuple when the key is the exponent itself (lex)."""
+        raise NotImplementedError
+
     def tag(self) -> str:
         raise NotImplementedError
 
@@ -73,6 +79,9 @@ class Lex(MonomialOrder):
     def key(self, exp):
         return exp
 
+    def graded_blocks(self, n):
+        return ()
+
     def tag(self):
         return "lex"
 
@@ -85,6 +94,9 @@ def _grevlex_key(exp):
 class Grevlex(MonomialOrder):
     def key(self, exp):
         return _grevlex_key(exp)
+
+    def graded_blocks(self, n):
+        return (range(n),)
 
     def tag(self):
         return "grevlex"
@@ -103,6 +115,10 @@ class Elimination(MonomialOrder):
     def key(self, exp):
         b = self.block_size
         return _grevlex_key(exp[:b]) + _grevlex_key(exp[b:])
+
+    def graded_blocks(self, n):
+        b = min(self.block_size, n)
+        return (range(b), range(b, n))
 
     def tag(self):
         return f"elim({self.block_size})"

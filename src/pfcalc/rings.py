@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 
 class NotAUnit(ArithmeticError):
@@ -354,6 +354,16 @@ class QuotientRing(BaseRing):
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)
 
+    def power(self, a, e: int):
+        """a^e by square-and-multiply."""
+        out = self.one()
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
     def inv(self, a):
         # extended Euclid in k[t] against the modulus
         r0, r1 = self.modulus, _poly_trim(tuple(a))
@@ -453,20 +463,10 @@ def _rabin_irreducible(ring: "QuotientRing") -> bool:
     iff t^(p^n) = t mod f and gcd(f, t^(p^(n/q)) - t) = 1 for every prime q
     dividing n.  Powers of t are taken in the ring, that is modulo f."""
     base, p, n = ring.base, ring.base.p, ring.deg
-
-    def power(a, e):
-        out = ring.one()
-        while e:
-            if e & 1:
-                out = ring.mul(out, a)
-            a = ring.mul(a, a)
-            e >>= 1
-        return out
-
     t = ring.gen()
     frobenius = [t]  # frobenius[i] = t^(p^i) mod f
     for _ in range(n):
-        frobenius.append(power(frobenius[-1], p))
+        frobenius.append(ring.power(frobenius[-1], p))
     if frobenius[n] != t:
         return False
     for q in [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]:
@@ -508,9 +508,12 @@ def _fmt_unipoly(base: BaseRing, cs: tuple) -> str:
     return " + ".join(parts)
 
 
-def _read_unipoly(base: BaseRing, text: str) -> tuple:
+def _read_unipoly(base: BaseRing, text: str,
+                  ring: Optional[QuotientRing] = None) -> tuple:
     """Coefficients over base, low to high, of a t-polynomial such as
-    '1 + t', '2*t^2' or '-1/2*t'."""
+    '1 + t', '2*t^2' or '-1/2*t'.  Given ring, a term c*t^k with k at least
+    the modulus degree is first reduced in ring, t^k by square-and-multiply,
+    so the list never grows past that degree."""
     cs = []
     for piece in re.split(r"\+", text.replace("-", "+-")):
         piece = piece.strip()
@@ -526,15 +529,18 @@ def _read_unipoly(base: BaseRing, text: str) -> tuple:
         power = 0 if m.group(2) is None else int(m.group(3) or 1)
         if neg:
             coeff = base.neg(coeff)
-        while power >= len(cs):
-            cs.append(base.zero())
-        cs[power] = base.add(cs[power], coeff)
+        terms = ([(power, coeff)] if ring is None or power < ring.deg else
+                 enumerate(ring.scale_by_scalar(ring.power(ring.gen(), power), coeff)))
+        for k, c in terms:
+            while k >= len(cs):
+                cs.append(base.zero())
+            cs[k] = base.add(cs[k], c)
     return tuple(cs)
 
 
 def parse_quotient_payload(ring: QuotientRing, text: str):
     """Parse expressions like '1 + t', '2*t^2', 't' into a payload."""
-    return ring._reduce(_read_unipoly(ring.base, text))
+    return ring._reduce(_read_unipoly(ring.base, text, ring))
 
 
 ZZ = IntegerRing()

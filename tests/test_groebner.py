@@ -9,8 +9,8 @@ import time
 import pytest
 
 from pfcalc import groebner
-from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, _Reducers,
-                             _field_reducer, buchberger, eliminate,
+from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, _Packing,
+                             _Reducers, _field_reducer, buchberger, eliminate,
                              ideal_dimension, normal_form, radical_membership,
                              s_polynomial, verify_buchberger_criterion)
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
@@ -304,8 +304,9 @@ def test_elimination_order_agrees_with_lex_intersection():
 
 # ---------------------------------------------------------------------------
 # Differential tests: the divisor index and the bitset pair queue against
-# reference copies of the linear scans they replaced, and flat order keys
-# against the nested keys they replaced.
+# reference copies of the linear scans they replaced, and flat and packed
+# order keys against the nested keys they replaced.  The engine's monomials
+# are packed ints; the references see them unpacked to exponent tuples.
 
 
 def _nested_grevlex_key(exp):
@@ -329,9 +330,24 @@ def _divides(a, b):
 def _linear_divisors(entries, exp, within):
     """The entries in within whose leading monomial divides exp, in list
     order: reduction took the first of them from a linear scan before the
-    index."""
+    index.  Monomials are exponent tuples."""
     return [entry for k, entry in enumerate(entries)
             if within >> k & 1 and _divides(entry[0], exp)]
+
+
+class _Unpacked:
+    """Live view of the reducer entries as (leading exponent tuple, entry):
+    the packed leading monomial unpacked.  It grows as the entries do."""
+
+    def __init__(self, reducers):
+        self.reducers = reducers
+
+    def __len__(self):
+        return len(self.reducers.entries)
+
+    def __getitem__(self, k):
+        entry = self.reducers.entries[k]
+        return self.reducers.pack.unpack(entry[0]), entry
 
 
 def _set_s_pairs(entries, keyof, weights=None):
@@ -401,8 +417,8 @@ def test_first_divisor_matches_linear_scan(ring, monkeypatch):
 
     def checked(self, exp, within=-1):
         got = indexed(self, exp, within)
-        divisors = _linear_divisors(self.entries, exp, within)
-        assert got is (divisors[0] if divisors else None)
+        divisors = _linear_divisors(_Unpacked(self), self.pack.unpack(exp), within)
+        assert got is (divisors[0][1] if divisors else None)
         divisor_counts.append(len(divisors))
         return got
 
@@ -422,10 +438,11 @@ def test_s_pairs_match_done_set_queue(ring, monkeypatch):
     yielded = []
     bitset_queue = groebner._s_pairs
 
-    def paired(reducers, keyof, weights=None):
-        reference = _set_s_pairs(reducers.entries, _nested_key(order), weights)
-        for pair in bitset_queue(reducers, keyof, weights):
-            assert pair == next(reference)
+    def paired(reducers, weights=None):
+        reference = _set_s_pairs(_Unpacked(reducers), _nested_key(order), weights)
+        for pair in bitset_queue(reducers, weights):
+            i, j, lcm = pair
+            assert (i, j, reducers.pack.unpack(lcm)) == next(reference)
             yielded.append(pair)
             yield pair
         assert next(reference, None) is None
@@ -443,8 +460,9 @@ def test_s_pairs_match_done_set_queue(ring, monkeypatch):
             _, reducers = _field_reducer(ring, VS4, order, G)
             runs = []
             for weights in (None, _random_weights(rng)):
-                pairs = list(bitset_queue(reducers, order.key, weights))
-                assert pairs == list(_set_s_pairs(reducers.entries,
+                pairs = [(i, j, reducers.pack.unpack(lcm))
+                         for i, j, lcm in bitset_queue(reducers, weights)]
+                assert pairs == list(_set_s_pairs(_Unpacked(reducers),
                                                   _nested_key(order), weights))
                 yielded.extend(pairs)
                 runs.append(pairs)
@@ -501,3 +519,7 @@ def test_flat_keys_sort_like_nested_keys(order):
         exps = [tuple(rng.randrange(4) for _ in range(n))
                 for _ in range(rng.randrange(2, 30))]
         assert sorted(exps, key=order.key) == sorted(exps, key=nested)
+        # the engine's keys on packed monomials
+        pack = _Packing(order, n)
+        assert sorted(exps, key=lambda e: pack.key(pack.pack(e))) == \
+            sorted(exps, key=nested)

@@ -1,6 +1,7 @@
 """Exact coefficient rings: arithmetic, tags, scalar-field structure."""
 
 import itertools
+import random
 import re
 import time
 from fractions import Fraction
@@ -254,3 +255,25 @@ def test_is_field_is_memoized_per_ring(monkeypatch):
     verdict = R.is_field()
     assert all(R.is_field() == verdict for _ in range(3))
     assert calls == [R]
+
+
+def test_huge_t_powers_are_reduced_by_squaring():
+    # a dense coefficient list as long as the exponent took 23.7 s here
+    R = ring_from_tag("QQ[t]/(t^2+1)")
+    start = time.perf_counter()
+    assert parse_quotient_payload(R, "t^1000000") == R.one()
+    assert time.perf_counter() - start < 1.0
+    S = ring_from_tag("Fp(5)[t]/(t^2+2)")
+    assert parse_quotient_payload(S, "t^100001") == S.gen()
+    # moderate powers: the payload of the dense list reduced once
+    rng = random.Random(5160)
+    for ring in (R, S, ring_from_tag("Fp(3)[t]/(t^3+2*t+1)"),
+                 ring_from_tag("QQ[t]/(t - 2)")):
+        for _ in range(50):
+            text = " - ".join(f"{rng.randrange(1, 9)}/{rng.randrange(1, 4)}*t^"
+                              f"{rng.randrange(0, 40)}"
+                              for _ in range(rng.randrange(1, 5)))
+            if ring.characteristic():
+                text = text.replace("/3", "")
+            assert parse_quotient_payload(ring, text) == \
+                ring._reduce(rings._read_unipoly(ring.base, text))
