@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from . import linalg
-from .fpmod import FPModule
+from .fpmod import FPModule, block_sum
 from .poly import MultiPoly, VarSet, degree_monomials, integer_primitive
 from .rings import ZZ, BaseRing
 
@@ -244,12 +244,7 @@ def compose_laws(gamma: PolyLawRep, phi: PolyLawRep) -> PolyLawRep:
 def direct_sum(m1: FPModule, m2: FPModule) -> FPModule:
     if m1.ring != m2.ring:
         raise ValueError("direct sum needs a common base ring")
-    ring = m1.ring
-    zero1 = tuple(ring.zero() for _ in range(m1.ngens))
-    zero2 = tuple(ring.zero() for _ in range(m2.ngens))
-    rels = tuple(tuple(r) + zero2 for r in m1.relations) + \
-        tuple(zero1 + tuple(r) for r in m2.relations)
-    return FPModule(ring, m1.ngens + m2.ngens, rels)
+    return block_sum(m1.ring, (m1, m2))
 
 
 def product_ring_check(m1: FPModule, m2: FPModule, d: int, e: int):

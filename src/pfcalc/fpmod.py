@@ -45,6 +45,21 @@ class FPModule:
         return [list(row) for row in self.relations]
 
 
+def block_sum(ring: BaseRing, modules: Sequence[FPModule]) -> FPModule:
+    """The direct sum of modules over ring: the generators of each module in
+    turn, and the relations of each padded with zeros to a block-diagonal
+    relation matrix."""
+    ngens = sum(m.ngens for m in modules)
+    rels = []
+    offset = 0
+    for m in modules:
+        for row in m.relations:
+            rels.append((ring.zero(),) * offset + tuple(row) +
+                        (ring.zero(),) * (ngens - offset - m.ngens))
+        offset += m.ngens
+    return FPModule(ring, ngens, tuple(rels))
+
+
 @dataclass(frozen=True)
 class FreenessCertificate:
     """Bases of N <= M that become honest free bases after inverting r.

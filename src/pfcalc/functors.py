@@ -15,7 +15,7 @@ from math import prod
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .fpmod import FPModule, fiber_dimension
+from .fpmod import FPModule, block_sum, fiber_dimension
 from .poly import MultiPoly, VarSet, degree_monomials
 from .rings import ZZ, BaseRing
 
@@ -221,16 +221,7 @@ def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
                        for ls in product(*[s.basis_labels for s in subs]))
     elif isinstance(expr, DirectSum):
         subs = [evaluate(c, n) for c in expr.children]
-        ngens = sum(s.module.ngens for s in subs)
-        rels = []
-        offset = 0
-        for s in subs:
-            for row in s.module.relations:
-                full = [ring.zero()] * ngens
-                full[offset:offset + s.module.ngens] = list(row)
-                rels.append(tuple(full))
-            offset += s.module.ngens
-        mod = FPModule(ring, ngens, tuple(rels))
+        mod = block_sum(ring, [s.module for s in subs])
         labels = tuple(f"[{k}]{lab}" for k, s in enumerate(subs)
                        for lab in s.basis_labels)
     elif isinstance(expr, Compose):
@@ -267,27 +258,28 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         return [list(row) for row in h]
     if isinstance(expr, Sym):
         src = degree_monomials(n_from, expr.d)
-        tgt = degree_monomials(n_to, expr.d)
-        tgt_index = {e: i for i, e in enumerate(tgt)}
-        big = _f_extended(vs, n_to)
-        one_big = MultiPoly.constant(ring, big, ring.one())
-        zero_big = MultiPoly.zero(ring, big)
+        tgt_index = {e: i for i, e in enumerate(degree_monomials(n_to, expr.d))}
+        # expand in scratch variables f!1..f!n_to, the basis of the target,
+        # after the h block; the f-exponent of a term names its row
+        big = VarSet(vs.names + tuple(f"f!{i + 1}" for i in range(n_to)),
+                     vs.weights + (1,) * n_to)
         f = [MultiPoly.variable(ring, big, f"f!{i + 1}") for i in range(n_to)]
         # image of e_j: the linear form sum_i h_i_j f_i
         lin = []
         for j in range(n_from):
-            col = zero_big
+            col = MultiPoly.zero(ring, big)
             for i in range(n_to):
                 col = col + h[i][j].rename(big) * f[i]
             lin.append(col)
-        cols = []
-        for exp in src:
-            img = one_big
+        out = [[zero] * len(src) for _ in tgt_index]
+        for c, exp in enumerate(src):
+            img = MultiPoly.constant(ring, big, ring.one())
             for j, e in enumerate(exp):
                 if e:
                     img = img * lin[j] ** e
-            cols.append(img)
-        return _collect_f(cols, tgt_index, n_to, ring, vs)
+            for fexp, entry in img.by_trailing(vs).items():
+                out[tgt_index[fexp]][c] = entry
+        return out
     if isinstance(expr, Ext):
         src = list(combinations(range(n_from), expr.d))
         tgt = list(combinations(range(n_to), expr.d))
@@ -331,39 +323,6 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         width = evaluate(expr.child, n_to).module.ngens
         return [[row[i] for row in inner] for i in range(width)]
     raise TypeError(f"unknown functor node {expr!r}")
-
-
-# scratch variables f_i used to expand symmetric powers; they share the
-# h varset by temporary extension
-_F_VS_CACHE: Dict[Tuple[VarSet, int], VarSet] = {}
-
-
-def _f_extended(vs: VarSet, n_to: int) -> VarSet:
-    key = (vs, n_to)
-    if key not in _F_VS_CACHE:
-        _F_VS_CACHE[key] = VarSet(vs.names + tuple(f"f!{i + 1}" for i in range(n_to)),
-                                  vs.weights + (1,) * n_to)
-    return _F_VS_CACHE[key]
-
-
-def _collect_f(cols: List[MultiPoly], tgt_index: Dict[tuple, int], n_to: int,
-               ring, vs: VarSet) -> List[List[MultiPoly]]:
-    """Split polynomials in the scratch f variables into a matrix over vs."""
-    big = _f_extended(vs, n_to)
-    nh = len(vs)
-    zero = MultiPoly.zero(ring, vs)
-    out = [[zero] * len(cols) for _ in tgt_index]
-    for c, poly in enumerate(cols):
-        if poly.varset != big:
-            poly = poly.rename(big)
-        rows: Dict[int, Dict[tuple, object]] = {}
-        for e, coeff in poly.terms.items():
-            fexp = e[nh:]
-            r = tgt_index[fexp]
-            rows.setdefault(r, {})[e[:nh]] = coeff
-        for r, terms in rows.items():
-            out[r][c] = MultiPoly(ring, vs, terms)
-    return out
 
 
 def _minor(h: List[List[MultiPoly]], rows: tuple, cols: tuple,

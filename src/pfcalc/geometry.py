@@ -61,7 +61,10 @@ def sum_of_powers(num_forms: int, power: int, form_degree: int = 1) -> PolyTrans
     """(q_1, ..., q_m) |-> q_1^k + ... + q_m^k for degree-g forms q_j.
 
     The source is m copies of Sym(g) (Id when g = 1) and the target is
-    Sym(g * k); coordinates are coefficients in the monomial bases.
+    Sym(g * k).  The source coordinates v_j_i are the coefficients of
+    q_j = sum_i v_j_i x^(i-th degree-g monomial), and the target
+    coordinates are the coefficients of sum_j q_j^k in the x variables, one
+    per degree-gk monomial, each a polynomial in the v variables.
     """
     form = Id() if form_degree == 1 else Sym(form_degree)
     source = DirectSum(tuple(form for _ in range(num_forms)))
@@ -72,25 +75,20 @@ def sum_of_powers(num_forms: int, power: int, form_degree: int = 1) -> PolyTrans
         names = tuple(f"v{j + 1}_{i + 1}"
                       for j in range(num_forms) for i in range(len(fbasis)))
         vs = VarSet(names)
-        tbasis = degree_monomials(n, power * form_degree)
-        acc = {exp: MultiPoly.zero(ring, vs) for exp in tbasis}
+        # the v variables, then scratch variables x!1..x!n for the form's
+        # arguments
+        big = VarSet(names + tuple(f"x!{i + 1}" for i in range(n)))
+        units = [(0,) * a + (1,) + (0,) * (len(names) - a - 1)
+                 for a in range(len(names))]
+        total = MultiPoly.zero(ring, big)
         for j in range(num_forms):
-            # q_j as x-exponent -> coefficient polynomial in the v variables
-            q = {}
-            for i, exp in enumerate(fbasis):
-                q[exp] = MultiPoly.variable(ring, vs, names[j * len(fbasis) + i])
-            qk = {tuple([0] * n): MultiPoly.constant(ring, vs, ring.one())}
-            for _ in range(power):
-                nxt: Dict[tuple, MultiPoly] = {}
-                for e1, c1 in qk.items():
-                    for e2, c2 in q.items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        prod = c1 * c2
-                        nxt[e] = nxt[e] + prod if e in nxt else prod
-                qk = nxt
-            for e, c in qk.items():
-                acc[e] = acc[e] + c
-        return vs, [acc[exp] for exp in tbasis]
+            q = MultiPoly(ring, big, {units[j * len(fbasis) + i] + exp: ring.one()
+                                      for i, exp in enumerate(fbasis)})
+            total = total + q ** power
+        coords = total.by_trailing(vs)
+        zero = MultiPoly.zero(ring, vs)
+        return vs, [coords.get(exp, zero)
+                    for exp in degree_monomials(n, power * form_degree)]
 
     label = f"sum-of-{num_forms}-{power}th-powers"
     if form_degree > 1:
@@ -241,10 +239,17 @@ def dimension_per_prime(alpha: PolyTransformation, n: int,
 
 @dataclass(frozen=True)
 class PrimeVerdict:
+    """One prime's verdict from good_primes.
+
+    good: the Groebner basis over F_p has the generic staircase (the
+    leading monomials of the generic basis).  recomputed: p divides r or
+    the generic basis reduced mod p failed the check, so the verdict comes
+    from the ideal over F_p itself; otherwise that reduced generic basis
+    was verified.  dimension is the dimension over F_p.
+    """
     prime: int
     good: bool
     dimension: int
-    staircase_matches: bool
     recomputed: bool
 
 
@@ -303,7 +308,7 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
                     and gb_p.leading_monomials == gb.leading_monomials):
                 # gens_p is a Groebner basis with the generic staircase, and
                 # the dimension depends on the staircase alone
-                verdicts.append(PrimeVerdict(p, True, generic_dim, True, False))
+                verdicts.append(PrimeVerdict(p, True, generic_dim, False))
                 continue
         if inputs_p:
             gb_p = buchberger(inputs_p, order)
@@ -312,7 +317,7 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
         else:
             dim_p = len(vs)
             stairs_match = not gb.generators
-        verdicts.append(PrimeVerdict(p, stairs_match, dim_p, stairs_match, True))
+        verdicts.append(PrimeVerdict(p, stairs_match, dim_p, True))
     return SpecializationReport(cleared, generic_dim, r, tuple(verdicts))
 
 
@@ -415,20 +420,15 @@ def taylor_directional(f: MultiPoly, m: int, p: int):
     if not any(e[i] for e in f.terms for i in range(m)):
         raise NoDependence(f"polynomial does not involve the first {m} variables")
     ynames = tuple(f"ydir{i + 1}" for i in range(m))
-    big = VarSet(vs.names + ynames + ("tdir",),
-                 vs.weights + (1,) * m + (1,))
+    xy = VarSet(vs.names + ynames, vs.weights + (1,) * m)
+    big = VarSet(xy.names + ("tdir",), xy.weights + (1,))
     mapping = {}
     t = MultiPoly.variable(ring, big, "tdir")
     for i in range(m):
         mapping[vs.names[i]] = MultiPoly.variable(ring, big, vs.names[i]) + \
             t * MultiPoly.variable(ring, big, ynames[i])
-    expanded = f.rename(big).substitute(mapping)
-    t_idx = big.index("tdir")
-    y_idx = [big.index(nm) for nm in ynames]
-    buckets: Dict[int, Dict[tuple, object]] = {}
-    for e, c in expanded.terms.items():
-        buckets.setdefault(e[t_idx], {})[e] = c
-    positive = sorted(q for q in buckets if q > 0)
+    by_t = f.rename(big).substitute(mapping).by_trailing(xy)
+    positive = sorted(q for (q,) in by_t if q > 0)
     if not positive:
         raise NoDependence("expansion has no t-dependence")
     q = positive[0]
@@ -445,11 +445,10 @@ def taylor_directional(f: MultiPoly, m: int, p: int):
         if qq != 1:
             raise AssertionError(f"lowest t-power {q} is not a power of {p}")
     hs = [MultiPoly.zero(ring, vs) for _ in range(m)]
-    for e, c in buckets[q].items():
-        ys = [(i, e[yi]) for i, yi in enumerate(y_idx) if e[yi]]
+    for e, c in by_t[(q,)].terms.items():
+        ys = [(i, a) for i, a in enumerate(e[len(vs):]) if a]
         if len(ys) != 1 or ys[0][1] != q:
             raise AssertionError("t^q coefficient is not of the form sum h_i y_i^q")
         i = ys[0][0]
-        small = list(e[:len(vs)])
-        hs[i] = hs[i] + MultiPoly(ring, vs, {tuple(small): c})
+        hs[i] = hs[i] + MultiPoly(ring, vs, {e[:len(vs)]: c})
     return e_exp, hs

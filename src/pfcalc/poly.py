@@ -319,6 +319,22 @@ class MultiPoly:
             out.setdefault(self.varset.weighted_degree(e), {})[e] = c
         return {d: MultiPoly(self.ring, self.varset, t) for d, t in sorted(out.items())}
 
+    def by_trailing(self, vs: VarSet) -> Dict[tuple, "MultiPoly"]:
+        """Split by the trailing block of variables: {exponent of the
+        trailing block: its coefficient, a polynomial over vs}.
+
+        vs must be the leading block of self.varset: its names, in the same
+        order, come first, and the variables after them form the trailing
+        block.  Zero splits to {}.
+        """
+        k = len(vs)
+        if self.varset.names[:k] != vs.names:
+            raise ValueError("vs is not the leading block of the varset")
+        parts: Dict[tuple, Dict[tuple, object]] = {}
+        for e, c in self.terms.items():
+            parts.setdefault(e[k:], {})[e[:k]] = c
+        return {t: MultiPoly(self.ring, vs, terms) for t, terms in parts.items()}
+
     def monic(self, order: MonomialOrder) -> "MultiPoly":
         if self.is_zero():
             return self

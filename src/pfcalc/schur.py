@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial
+from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
 from .functors import FunctorEval
+from .poly import MultiPoly, VarSet, degree_monomials
 from .rings import ZZ, BaseRing, fraction_field_reduction
 
 Index = Tuple[int, ...]  # flattened n x n exponent matrix, row-major
@@ -23,27 +24,7 @@ Index = Tuple[int, ...]  # flattened n x n exponent matrix, row-major
 
 def basis_indices(n: int, d: int) -> List[Index]:
     """All alpha in Z_{>=0}^{n x n} with |alpha| <= d, sorted."""
-    out: List[Index] = []
-
-    def rec(prefix: List[int], remaining: int, slots: int):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], d, n * n)
-    out.sort()
-    return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    return sorted(e for k in range(d + 1) for e in degree_monomials(n * n, k))
 
 
 _TABLE_CACHE: Dict[Tuple[int, int], Dict[Tuple[Index, Index], List[Tuple[Index, int]]]] = {}
@@ -54,36 +35,32 @@ def _integer_table(n: int, d: int) -> Dict[Tuple[Index, Index], List[Tuple[Index
     key = (n, d)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
-    idx = basis_indices(n, d)
-    idx_set = set(idx)
+    nn = n * n
+    vs = VarSet(tuple(f"x{k}" for k in range(nn)) + tuple(f"y{k}" for k in range(nn)))
+    x = [MultiPoly.variable(ZZ, vs, f"x{k}") for k in range(nn)]
+    y = [MultiPoly.variable(ZZ, vs, f"y{k}") for k in range(nn)]
+    z = []
+    for i in range(n):
+        for l in range(n):
+            zil = MultiPoly.zero(ZZ, vs)
+            for j in range(n):
+                zil = zil + x[i * n + j] * y[j * n + l]
+            z.append(zil)
     table: Dict[Tuple[Index, Index], Dict[Index, int]] = {}
-    for gamma in idx:
-        # expand z^gamma = prod_{i,l} (sum_j x_ij y_jl)^{gamma_il}
-        acc: Dict[Tuple[Index, Index], int] = {(
-            (0,) * (n * n), (0,) * (n * n)): 1}
-        for i in range(n):
-            for l in range(n):
-                g = gamma[i * n + l]
-                if g == 0:
-                    continue
-                step: Dict[Tuple[Index, Index], int] = {}
-                mult0 = factorial(g)
-                for c in _compositions(g, n):
-                    m = mult0
-                    for v in c:
-                        m //= factorial(v)
-                    for (a, b), coeff in acc.items():
-                        a2 = list(a)
-                        b2 = list(b)
-                        for j in range(n):
-                            a2[i * n + j] += c[j]
-                            b2[j * n + l] += c[j]
-                        k2 = (tuple(a2), tuple(b2))
-                        step[k2] = step.get(k2, 0) + coeff * m
-                acc = step
-        for (a, b), coeff in acc.items():
-            if a in idx_set and b in idx_set:
-                table.setdefault((a, b), {})[gamma] = coeff
+    powers: Dict[Index, MultiPoly] = {}
+    for gamma in basis_indices(n, d):
+        # z^gamma = z^gamma' * z_k for the last k with gamma_k > 0, and
+        # gamma' comes earlier in the sorted basis
+        ks = [k for k in range(nn) if gamma[k]]
+        if ks:
+            k = ks[-1]
+            zg = powers[gamma[:k] + (gamma[k] - 1,) + gamma[k + 1:]] * z[k]
+        else:
+            zg = MultiPoly.constant(ZZ, vs, 1)
+        powers[gamma] = zg
+        # every term of z^gamma has x- and y-degree |gamma| <= d
+        for e, c in zg.terms.items():
+            table.setdefault((e[:nn], e[nn:]), {})[gamma] = c
     out = {k: sorted(v.items()) for k, v in table.items()}
     _TABLE_CACHE[key] = out
     return out

@@ -396,6 +396,35 @@ def test_runtime_imports_are_used():
     assert not unused
 
 
+def test_private_module_names_are_used():
+    # every module-level _name under src/pfcalc (function, class or
+    # assignment) is referenced in src/pfcalc outside its own definition
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+    defined = set()
+    used = set()
+    for path in sorted(src.rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)}
+            else:
+                names = set()
+            private = {(path.name, n) for n in names
+                       if n.startswith("_") and not n.startswith("__")}
+            defined |= private
+            refs = {node.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            refs |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            refs |= {a.name for node in ast.walk(stmt)
+                     if isinstance(node, ast.ImportFrom) for a in node.names}
+            # a recursive helper's calls to itself do not count
+            used |= refs - {n for _, n in private}
+    assert {(f, n) for f, n in defined if n not in used} == set()
+
+
 def test_dimfn_dual_of_ext_matches_ext(capsys, tmp_path):
     # Ext(2) has no basis at rank 1; its dual must still evaluate there
     tables = {}

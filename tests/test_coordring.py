@@ -118,7 +118,10 @@ def test_direct_sum_shapes():
     N = FPModule.free(ZZ, 2)
     S = direct_sum(M, N)
     assert S.ngens == 3
-    assert len(S.relations) == 1
+    assert S.relations == ((2, 0, 0),)
+    assert direct_sum(N, M).relations == ((0, 0, 2),)
+    with pytest.raises(ValueError, match="common base ring"):
+        direct_sum(M, FPModule.free(QQ, 1))
 
 
 def test_product_ring_multiplicativity_over_field():

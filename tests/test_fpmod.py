@@ -2,7 +2,7 @@
 
 import pytest
 
-from pfcalc.fpmod import (FPModule, FreenessCertificate, fiber_dimension,
+from pfcalc.fpmod import (FPModule, FreenessCertificate, block_sum, fiber_dimension,
                           generic_freeness, semicontinuity_report)
 from pfcalc.linalg import rank
 from pfcalc.rings import ZZ, Fp
@@ -12,6 +12,16 @@ def test_free_module_fibers():
     M = FPModule.free(ZZ, 3)
     for p in (0, 2, 3, 5):
         assert fiber_dimension(M, p) == 3
+
+
+def test_block_sum_places_relations_block_diagonally():
+    a = FPModule.from_ints(ZZ, 2, [[2, 1]])
+    b = FPModule.free(ZZ, 1)
+    c = FPModule.from_ints(ZZ, 2, [[0, 3], [5, 0]])
+    s = block_sum(ZZ, (a, b, c))
+    assert s.ngens == 5
+    assert s.relations == ((2, 1, 0, 0, 0), (0, 0, 0, 0, 3), (0, 0, 0, 5, 0))
+    assert block_sum(ZZ, ()) == FPModule.free(ZZ, 0)
 
 
 def test_torsion_module_z2():

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -15,7 +16,8 @@ from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence,
                              sum_of_powers, target_varset, taylor_directional,
                              vanishing_transfer)
 from pfcalc.groebner import GroebnerBasis, buchberger, eliminate, ideal_dimension
-from pfcalc.poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
+from pfcalc.poly import (Grevlex, MultiPoly, VarSet, degree_monomials, format_poly,
+                         parse_poly)
 from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
 
@@ -57,6 +59,33 @@ def test_size_guard_refusal():
     guards = SizeGuards(max_variables=3)
     with pytest.raises(SizeGuardExceeded):
         image_closure(cube_sum, 2, QQ, guards)
+
+
+@pytest.mark.parametrize("args,n", [((2, 5), 2), ((4, 2, 2), 2), ((1, 3), 3)])
+@pytest.mark.parametrize("ring", [QQ, Fp(7)], ids=str)
+def test_sum_of_powers_coordinates_match_evaluation(args, n, ring):
+    # at integer points v and x, sum_t coord_t(v) x^t = sum_j q_j(x)^k with
+    # q_j(x) = sum_i v_j_i x^(i-th degree-g monomial)
+    num_forms, power, g = args if len(args) == 3 else (*args, 1)
+    vs, coords = sum_of_powers(*args).rule(n, ring)
+    fbasis = degree_monomials(n, g)
+    tbasis = degree_monomials(n, power * g)
+    assert len(coords) == len(tbasis) and len(vs) == num_forms * len(fbasis)
+    rng = random.Random(sum(args) * 10 + n)
+    for _ in range(5):
+        v = [rng.randrange(-9, 10) for _ in range(len(vs))]
+        x = [rng.randrange(-9, 10) for _ in range(n)]
+
+        def mono(e):
+            return prod(a ** b for a, b in zip(x, e))
+
+        point = [ring.from_int(a) for a in v]
+        lhs = ring.zero()
+        for coord, t in zip(coords, tbasis):
+            lhs = ring.add(lhs, ring.mul(coord.evaluate(point), ring.from_int(mono(t))))
+        rhs = sum(sum(v[j * len(fbasis) + i] * mono(e) for i, e in enumerate(fbasis)) ** power
+                  for j in range(num_forms))
+        assert lhs == ring.from_int(rhs)
 
 
 def test_target_varset_weights_match_degree():

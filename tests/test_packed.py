@@ -188,9 +188,9 @@ PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
 # r and the recomputed primes below 100 (every other prime is verified with
 # dimension 3), as the criterion check of each prime's own queue gave them
 GOOD_PRIMES_PINS = {
-    "sop(1,3)@3": (1259712, {2: PrimeVerdict(2, False, 3, False, True),
-                             3: PrimeVerdict(3, False, 3, False, True)}),
-    "sop(1,3,2)@2": (1953125, {5: PrimeVerdict(5, False, 3, False, True)}),
+    "sop(1,3)@3": (1259712, {2: PrimeVerdict(2, False, 3, True),
+                             3: PrimeVerdict(3, False, 3, True)}),
+    "sop(1,3,2)@2": (1953125, {5: PrimeVerdict(5, False, 3, True)}),
 }
 
 
@@ -215,6 +215,6 @@ def test_good_primes_share_one_pair_schedule(monkeypatch):
         r, recomputed = GOOD_PRIMES_PINS[name]
         assert report.r == r
         assert list(report.verdicts) == [
-            recomputed.get(p, PrimeVerdict(p, True, 3, True, False))
+            recomputed.get(p, PrimeVerdict(p, True, 3, False))
             for p in PRIMES_BELOW_100]
     assert len(checked) == 2 * len(PRIMES_BELOW_100) - 3 and all(checked)

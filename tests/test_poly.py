@@ -127,3 +127,22 @@ def test_integer_polynomials():
     f = parse_poly("2*x - 4*y", ZZ, VS)
     assert f.coeff((1, 0, 0)) == 2
     assert (f + f) == parse_poly("4*x - 8*y", ZZ, VS)
+
+
+@pytest.mark.parametrize("ring", [QQ, Fp(3)], ids=str)
+def test_by_trailing_round_trip(ring):
+    big = VarSet(("x", "y", "z", "s", "t"))
+    lead = VarSet(("x", "y", "z"))
+    f = P("3*x^2*s - x*y*s*t + 2*t^3 + z*t^3 + y - 4 + x*y*s", ring, big)
+    parts = f.by_trailing(lead)
+    assert set(parts) == {(1, 0), (1, 1), (0, 3), (0, 0)}
+    total = MultiPoly.zero(ring, big)
+    for trailing, coeff in parts.items():
+        assert coeff.varset == lead and not coeff.is_zero()
+        total = total + coeff.rename(big) * MultiPoly(ring, big, {(0, 0, 0) + trailing: ring.one()})
+    assert total == f
+    assert MultiPoly.zero(ring, big).by_trailing(lead) == {}
+    # an empty trailing block keeps the polynomial whole
+    assert f.by_trailing(big) == {(): f}
+    with pytest.raises(ValueError):
+        f.by_trailing(VarSet(("y", "x")))

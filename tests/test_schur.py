@@ -1,10 +1,12 @@
 """Schur algebras: dimensions, associativity, evaluation maps, spinning."""
 
+import hashlib
 import random
 from math import comb
 
 import pytest
 
+from pfcalc import schur
 from pfcalc.functors import Sym, evaluate
 from pfcalc.rings import Fp, QQ, ZZ
 from pfcalc.schur import (SchurAlgebra, base_change_module, basis_indices,
@@ -128,3 +130,20 @@ def test_base_change_to_qq():
     ev = evaluate(Sym(2), 2)
     module = base_change_module(module_of_functor(ev, 2), 0)
     assert module.algebra.ring.tag() == "QQ"
+
+
+# sha256 of repr(sorted(_integer_table(n, d).items())), as the expansion of
+# z^gamma by compositions and multinomial coefficients gave it
+TABLE_SHA256 = {
+    (2, 4): "ae49f4534e758076325600706b99d39ad7cf2d59c9cd0fdb0462f1bbdda06ae1",
+    (3, 2): "a343e8d9861f0dcd1e80f94a5bee76f19c905028dd44ebe258bac0082dc89654",
+    (1, 5): "d15577e68f680ab3af9ff3857b25f986941b3e8dfed3f51dbaeaeabe831a487a",
+}
+
+
+@pytest.mark.parametrize("n,d", sorted(TABLE_SHA256))
+def test_integer_table_is_pinned(monkeypatch, n, d):
+    monkeypatch.setattr(schur, "_TABLE_CACHE", {})
+    table = schur._integer_table(n, d)
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == TABLE_SHA256[(n, d)]
