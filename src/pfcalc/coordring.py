@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 from . import linalg
 from .fpmod import FPModule, block_sum
 from .poly import MultiPoly, VarSet, degree_monomials, integer_primitive
-from .rings import ZZ, BaseRing
+from .rings import ZZ
 
 
 def _reduce_parameter_exponents(f: MultiPoly, param_idx: List[int], p: int) -> MultiPoly:
@@ -52,12 +52,14 @@ class GradedPieceBasis:
     generator_count: int
 
 
-def _solve_invariance(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]],
-                      x_vs: VarSet) -> Tuple[List[List], BaseRing]:
-    """Kernel of the translation-invariance system on the given candidates.
+def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]],
+                       x_vs: VarSet) -> List[Dict[int, object]]:
+    """The translation-invariance system on the given candidates.
 
-    Candidates are pairs (x-exponent, index into R's field basis); the
-    return value is a list of scalar-field coefficient vectors.
+    Candidates are pairs (x-exponent, index into R's field basis).  Each
+    row is a dict {candidate index: nonzero scalar-field coefficient}; a
+    combination of candidates is translation invariant exactly when every
+    row annihilates its coefficient vector.
     """
     ring = module.ring
     k = ring.scalar_field()
@@ -84,8 +86,7 @@ def _solve_invariance(module: FPModule, candidates: List[Tuple[Tuple[int, ...], 
         shifts[x_vs.names[i]] = sh
 
     p = ring.characteristic()
-    rows: Dict[tuple, List] = {}
-    ncand = len(candidates)
+    rows: Dict[tuple, Dict[int, object]] = {}
     for col, (exp, bidx) in enumerate(candidates):
         big_exp = exp + (0,) * len(pnames)
         g = MultiPoly(ring, big_vs, {big_exp: rbasis[bidx]})
@@ -96,11 +97,8 @@ def _solve_invariance(module: FPModule, candidates: List[Tuple[Tuple[int, ...], 
             for l, coord in enumerate(ring.field_coords(c)):
                 if k.is_zero(coord):
                     continue
-                row = rows.setdefault((e, l), [k.zero()] * ncand)
-                row[col] = coord
-    matrix = [rows[key] for key in sorted(rows)]
-    return linalg.kernel_basis(matrix, k) if matrix else [
-        [k.one() if i == j else k.zero() for j in range(ncand)] for i in range(ncand)], k
+                rows.setdefault((e, l), {})[col] = coord
+    return [rows[key] for key in sorted(rows)]
 
 
 def _piece_from_candidates(module: FPModule,
@@ -109,16 +107,16 @@ def _piece_from_candidates(module: FPModule,
     ring = module.ring
     k = ring.scalar_field()
     rbasis = ring.field_basis()
-    kernel, _ = _solve_invariance(module, candidates, x_vs)
+    system = linalg.Echelon.of(_invariance_system(module, candidates, x_vs), k)
+    kernel = system.kernel(len(candidates))
     if ring == ZZ:
-        kernel = [integer_primitive(v) for v in kernel]
+        kernel = [dict(zip(v, integer_primitive(list(v.values())))) for v in kernel]
 
     polys = []
     for v in kernel:
         terms: Dict[tuple, object] = {}
-        for c, (exp, bidx) in zip(v, candidates):
-            if k.is_zero(c):
-                continue
+        for col, c in v.items():
+            exp, bidx = candidates[col]
             add = ring.scale_by_scalar(rbasis[bidx], c)
             prev = terms.get(exp, ring.zero())
             val = ring.add(prev, add)
@@ -130,20 +128,17 @@ def _piece_from_candidates(module: FPModule,
 
     # greedy R-module generating set: a vector is redundant when it lies in
     # the k-span of ring-basis multiples of vectors already chosen
-    span: List[list] = []
+    column = {cand: col for col, cand in enumerate(candidates)}
+    span = linalg.Echelon(k)
     count = 0
     for v, f in zip(kernel, polys):
-        if span and linalg.rank(span + [v], k) == linalg.rank(span, k):
+        if v in span:
             continue
         count += 1
         for e in rbasis:
             g = f.map_coefficients(lambda c: ring.mul(e, c), ring)
-            w = [k.zero()] * len(candidates)
-            for col, (exp, bidx) in enumerate(candidates):
-                c = g.terms.get(exp)
-                if c is not None:
-                    w[col] = ring.field_coords(c)[bidx]
-            span.append(w)
+            span.insert({column[exp, bidx]: coord for exp, c in g.terms.items()
+                         for bidx, coord in enumerate(ring.field_coords(c))})
     return GradedPieceBasis(module, degree, len(kernel), tuple(polys), count)
 
 
@@ -165,22 +160,21 @@ def graded_piece(module: FPModule, d: int) -> GradedPieceBasis:
 def is_translation_invariant(module: FPModule, f: MultiPoly) -> bool:
     """Check one polynomial against the full translation system."""
     ring = module.ring
-    rbasis = ring.field_basis()
-    x_vs = f.varset
     candidates = []
     coeffs = []
     k = ring.scalar_field()
-    for exp, c in sorted(f.terms.items(), reverse=True):
+    for exp, c in f.terms.items():
         for b, coord in enumerate(ring.field_coords(c)):
             candidates.append((exp, b))
             coeffs.append(coord)
-    kernel, _ = _solve_invariance(module, candidates, x_vs)
-    if not candidates:
-        return True
-    # f is invariant iff its coefficient vector lies in the kernel span
-    if not kernel:
-        return all(k.is_zero(c) for c in coeffs)
-    return linalg.rank(kernel + [coeffs], k) == linalg.rank(kernel, k)
+    # f is invariant iff every row of the system annihilates its coefficients
+    for row in _invariance_system(module, candidates, f.varset):
+        acc = k.zero()
+        for col, x in row.items():
+            acc = k.add(acc, k.mul(x, coeffs[col]))
+        if not k.is_zero(acc):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

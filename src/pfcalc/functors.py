@@ -172,7 +172,8 @@ class FunctorEval:
         h = [[MultiPoly.constant(ring, vs, ring.from_int(matrix[i][j]))
               for j in range(self.rank)] for i in range(n_to)]
         rows = _law_matrix(self.expr, self.rank, n_to, h, ring, vs)
-        return [[e.terms.get((), ring.zero()) for e in row] for row in rows]
+        zero = ring.zero()
+        return [[e.terms.get((), zero) for e in row] for row in rows]
 
 
 _EVAL_CACHE: Dict[Tuple[FunctorExpr, int], FunctorEval] = {}

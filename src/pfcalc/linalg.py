@@ -1,69 +1,145 @@
-"""Exact linear algebra helpers: field row reduction, integer echelon
-forms with pivot tracking, and Smith normal form over the integers.
+"""Exact linear algebra helpers: a sparse incremental row echelon over a
+field, integer echelon forms with pivot tracking, and Smith normal form
+over the integers.
 
-Matrices are lists of rows; entries are ring payloads (see rings.py) for
-the field routines and plain Python ints for the integer routines.
+`Echelon` keeps the reduced row echelon form of the rows inserted so far,
+each row a dict from column to nonzero payload; `insert` reduces a row
+against it and reports whether the row enlarged the span.  `row_reduce`,
+`rank` and `kernel_basis` read their answers off one `Echelon`.  The
+reduced row echelon form of a span is unique, so the order of insertion
+never changes what they return.
+
+Matrices are lists of rows.  Field rows are dense sequences of ring
+payloads (see rings.py) or dicts {column: payload}; the integer routines
+take dense rows of plain Python ints.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .rings import BaseRing
+
+Row = Union[Sequence, Dict[int, object]]
+
+
+class Echelon:
+    """Reduced row echelon form over a field, built one row at a time.
+
+    Each stored row is a dict {column: nonzero payload} whose least
+    column is its pivot, with payload one there; no other stored row has
+    an entry in a pivot column.
+    """
+
+    def __init__(self, ring: BaseRing):
+        if not ring.is_field():
+            raise ValueError(f"row reduction needs a field, got {ring.tag()}")
+        self.ring = ring
+        self._zero = ring.zero()
+        self._rows: Dict[int, Dict[int, object]] = {}  # pivot column -> row
+
+    @classmethod
+    def of(cls, rows: Sequence[Row], ring: BaseRing) -> "Echelon":
+        """The echelon of the span of rows."""
+        ech = cls(ring)
+        for r in rows:
+            ech.insert(r)
+        return ech
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, row: Row) -> bool:
+        return not self.reduce(row)
+
+    def _subtract(self, v: Dict[int, object], f, row: Dict[int, object]):
+        """v -= f * row in place, dropping entries that become zero."""
+        sub, mul, is_zero = self.ring.sub, self.ring.mul, self.ring.is_zero
+        zero = self._zero
+        for j, x in row.items():
+            y = sub(v.get(j, zero), mul(f, x))
+            if is_zero(y):
+                del v[j]
+            else:
+                v[j] = y
+
+    def reduce(self, row: Row) -> Dict[int, object]:
+        """What is left of row after subtracting its pivot components: an
+        empty dict exactly when row lies in the span."""
+        is_zero = self.ring.is_zero
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        v = {j: x for j, x in items if not is_zero(x)}
+        # a stored row is zero in every other pivot column, so eliminating
+        # one pivot leaves the entries of v in the others as they were
+        for p in [j for j in v if j in self._rows]:
+            self._subtract(v, v[p], self._rows[p])
+        return v
+
+    def insert(self, row: Row) -> bool:
+        """Add row to the span; False when it was already there."""
+        v = self.reduce(row)
+        if not v:
+            return False
+        p = min(v)
+        inv = self.ring.inv(v[p])
+        v = {j: self.ring.mul(inv, x) for j, x in v.items()}
+        # clear the new pivot column from the stored rows
+        for r in self._rows.values():
+            if p in r:
+                self._subtract(r, r[p], v)
+        self._rows[p] = v
+        return True
+
+    def pivots(self) -> List[int]:
+        return sorted(self._rows)
+
+    def dense(self, ncols: int) -> List[list]:
+        """The stored rows as dense lists, in pivot order."""
+        return [[self._rows[p].get(j, self._zero) for j in range(ncols)]
+                for p in self.pivots()]
+
+    def kernel(self, ncols: int) -> List[Dict[int, object]]:
+        """Basis of {v : row · v = 0 for every stored row} in ncols columns,
+        one sparse vector per non-pivot column fc in increasing order: 1 at
+        fc and minus column fc of each stored row at its pivot.  Keys come
+        in increasing order, since a pivot lies left of its row's entries."""
+        ring = self.ring
+        basis: Dict[int, Dict[int, object]] = {
+            fc: {} for fc in range(ncols) if fc not in self._rows}
+        for p in self.pivots():
+            for j, x in self._rows[p].items():
+                if j != p:
+                    basis[j][p] = ring.neg(x)
+        one = ring.one()
+        for fc, v in basis.items():
+            v[fc] = one
+        return list(basis.values())
 
 
 def row_reduce(rows: Sequence[Sequence], ring: BaseRing) -> Tuple[List[list], List[int]]:
     """Reduced row echelon form over a field; returns (rref, pivot columns)."""
-    if not ring.is_field():
-        raise ValueError(f"row_reduce needs a field, got {ring.tag()}")
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, len(mat)):
-            if not ring.is_zero(mat[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = ring.inv(mat[row][col])
-        mat[row] = [ring.mul(inv, x) for x in mat[row]]
-        for i in range(len(mat)):
-            if i == row or ring.is_zero(mat[i][col]):
-                continue
-            f = mat[i][col]
-            mat[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(mat[i], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return mat[:row], pivots
+    ech = Echelon.of(rows, ring)
+    return ech.dense(len(rows[0]) if rows else 0), ech.pivots()
 
 
-def rank(rows: Sequence[Sequence], ring: BaseRing) -> int:
-    return len(row_reduce(rows, ring)[1])
+def rank(rows: Sequence[Row], ring: BaseRing) -> int:
+    return len(Echelon.of(rows, ring))
 
 
-def kernel_basis(rows: Sequence[Sequence], ring: BaseRing) -> List[list]:
-    """Basis of the right kernel {v : rows · v = 0} over a field."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = row_reduce(rows, ring)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ring.zero()] * ncols
-        v[fc] = ring.one()
-        for r, pc in zip(rref, pivots):
-            v[pc] = ring.neg(r[fc])
-        basis.append(v)
-    return basis
+def kernel_basis(rows: Sequence[Row], ring: BaseRing,
+                 ncols: Optional[int] = None) -> List[list]:
+    """Basis of the right kernel {v : rows · v = 0} over a field, as dense
+    vectors.
+
+    ncols is the number of columns; it defaults to the length of the first
+    row, so dict rows need it.  With no rows and no ncols the kernel is
+    taken in zero columns.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    zero = ring.zero()
+    return [[v.get(j, zero) for j in range(ncols)]
+            for v in Echelon.of(rows, ring).kernel(ncols)]
 
 
 def integer_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], List[int]]:

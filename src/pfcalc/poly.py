@@ -228,6 +228,8 @@ class MultiPoly:
 
     # -- arithmetic ----------------------------------------------------------
     def _assert_compat(self, other: "MultiPoly"):
+        if self.ring is other.ring and self.varset is other.varset:
+            return
         if self.ring != other.ring or self.varset != other.varset:
             raise ValueError("polynomials live in different rings")
 

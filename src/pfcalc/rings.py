@@ -61,6 +61,8 @@ class BaseRing:
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
+        # subclasses whose payload is false exactly when it equals zero()
+        # answer `not a` instead, without building zero()
         return a == self.zero()
 
     def is_unit(self, a) -> bool:
@@ -139,6 +141,9 @@ class IntegerRing(BaseRing):
     def one(self):
         return 1
 
+    def is_zero(self, a):
+        return not a
+
     def from_int(self, n):
         return n
 
@@ -190,6 +195,9 @@ class RationalField(BaseRing):
 
     def zero(self):
         return Fraction(0)
+
+    def is_zero(self, a):
+        return not a
 
     def one(self):
         return Fraction(1)
@@ -259,6 +267,9 @@ class PrimeField(BaseRing):
 
     def one(self):
         return 1 % self.p
+
+    def is_zero(self, a):
+        return not a
 
     def from_int(self, n):
         return n % self.p
@@ -397,6 +408,9 @@ class QuotientRing(BaseRing):
 
     def zero(self):
         return (self.base.zero(),) * self.deg
+
+    def is_zero(self, a):
+        return not any(a)
 
     def one(self):
         return (self.base.one(),) + (self.base.zero(),) * (self.deg - 1)

@@ -237,28 +237,23 @@ def spin(module: SchurModule, v: Sequence[object]) -> List[list]:
     ring = module.algebra.ring
     if not ring.is_field():
         raise ValueError("spin needs field coefficients")
+    span = linalg.Echelon(ring)
     vec = [ring.coerce(x) for x in v]
-    if all(ring.is_zero(x) for x in vec):
-        return []
-    basis, _ = linalg.row_reduce([vec], ring)
-    changed = True
-    while changed:
-        changed = False
+    # every vector that enlarged the span has its images inserted in turn,
+    # so the span is stable once the queue is empty
+    todo = [vec] if span.insert(vec) else []
+    while todo:
+        w = todo.pop()
         for mat in module.action.values():
-            for w in list(basis):
-                img = [ring.zero()] * module.rank
-                for i in range(module.rank):
-                    acc = ring.zero()
-                    for j in range(module.rank):
-                        acc = ring.add(acc, ring.mul(mat[i][j], w[j]))
-                    img[i] = acc
-                if all(ring.is_zero(x) for x in img):
-                    continue
-                new_basis, piv = linalg.row_reduce(basis + [img], ring)
-                if len(new_basis) > len(basis):
-                    basis = new_basis
-                    changed = True
-    return basis
+            img = []
+            for row in mat:
+                acc = ring.zero()
+                for x, y in zip(row, w):
+                    acc = ring.add(acc, ring.mul(x, y))
+                img.append(acc)
+            if span.insert(img):
+                todo.append(img)
+    return span.dense(module.rank)
 
 
 def base_change_module(module: SchurModule, p: int) -> SchurModule:

@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, validation, caching, determinism."""
 
 import ast
+import hashlib
 import json
 import re
 import sys
@@ -31,6 +32,24 @@ def test_ring_of_module_table(capsys, tmp_path):
     assert code == 0
     dims = [line.split()[1] for line in out.splitlines()[2:]]
     assert dims == ["2", "1", "1", "1", "1", "1"]
+
+
+# sha256 of the json output of ring-of-module over QQ on R^n/(e_1) up to
+# degree d, recorded before the law calculus used a sparse echelon
+RING_OF_MODULE_PINS = {
+    (4, 8): "b1c98bd293d56e98242f3c225dbf5925013bda9046101048299c0609853b2835",
+    (5, 6): "69b30b708a01e25a0e8b2acd0e197f3eaf4da42caf203246c8aabf5dd753d2e7",
+}
+
+
+@pytest.mark.parametrize("n, d", list(RING_OF_MODULE_PINS))
+def test_ring_of_module_free_quotient_pinned(capsys, tmp_path, n, d):
+    cfg = {"ring": "QQ",
+           "module": {"ngens": n, "relations": [[1] + [0] * (n - 1)]},
+           "max_degree": d}
+    code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RING_OF_MODULE_PINS[n, d]
 
 
 def test_dim_per_prime_text(capsys, tmp_path):

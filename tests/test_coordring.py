@@ -1,5 +1,6 @@
 """Coordinate rings of modules: graded pieces, invariance, law calculus."""
 
+import random
 from math import comb
 
 import pytest
@@ -9,8 +10,9 @@ from pfcalc.coordring import (PolyLawRep, bihomogeneous_components,
                               graded_piece, homogeneous_components,
                               is_translation_invariant, product_ring_check)
 from pfcalc.fpmod import FPModule
-from pfcalc.poly import MultiPoly, VarSet, parse_poly
-from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
+from pfcalc.poly import MultiPoly, VarSet, degree_monomials, parse_poly
+from pfcalc.rings import Fp, QQ, ZZ, parse_quotient_payload, ring_from_tag
+from test_linalg import _reference_row_reduce
 
 
 def test_free_module_gives_full_polynomial_ring():
@@ -70,6 +72,65 @@ def test_invariance_over_prime_field_module():
     vs = generator_varset(M)
     f = parse_poly("x1", Fp(2), vs)
     assert is_translation_invariant(M, f)
+
+
+def _coefficient_vector(f, ring, monomials):
+    return [x for exp in monomials
+            for x in ring.field_coords(f.terms.get(exp, ring.zero()))]
+
+
+def test_translation_invariance_matches_piece_span():
+    # f is invariant iff its coefficient vector lies in the scalar span of
+    # the graded piece's basis, decided here by the reference row reduction
+    rng = random.Random(4)
+    dual = ring_from_tag("QQ[t]/(t^2)")
+    f4 = ring_from_tag("Fp(2)[t]/(t^2)")
+    modules = [FPModule.from_ints(QQ, 3, [[1, 2, 0]]),
+               FPModule.from_ints(Fp(3), 2, [[1, 1]]),
+               FPModule.from_ints(ZZ, 2, [[2, 0]]),
+               FPModule(dual, 2, ((parse_quotient_payload(dual, "t"), dual.zero()),)),
+               FPModule(f4, 1, ((parse_quotient_payload(f4, "t"),),))]
+    verdicts = []
+    for M in modules:
+        ring, k = M.ring, M.ring.scalar_field()
+        vs = generator_varset(M)
+        for d in (2, 3):
+            piece = graded_piece(M, d)
+            monomials = degree_monomials(M.ngens, d)
+            span = [_coefficient_vector(b, ring, monomials) for b in piece.basis]
+            for _ in range(6):
+                f = MultiPoly.zero(ring, vs)
+                for b in piece.basis:
+                    f = f + b * ring.coerce(rng.randint(-2, 2))
+                if rng.random() < 0.7:
+                    exp = rng.choice(monomials)
+                    f = f + MultiPoly(ring, vs, {exp: ring.coerce(rng.randint(1, 2))})
+                vec = _coefficient_vector(f, ring, monomials)
+                want = (len(_reference_row_reduce(span + [vec], k)[1])
+                        == len(_reference_row_reduce(span, k)[1]))
+                assert is_translation_invariant(M, f) == want, (M, f)
+                verdicts.append(want)
+    assert 10 < sum(verdicts) < len(verdicts) - 10
+
+
+# (dimension, generator_count) of degrees 0..4, recorded before the greedy
+# generating set used the sparse echelon
+GENERATOR_COUNTS = {
+    ("QQ[t]/(t^2)", ("t", "0")): [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)],
+    ("Fp(2)[t]/(t^2)", ("t",)): [(2, 1), (1, 1), (2, 1), (1, 1), (2, 1)],
+    ("Fp(3)[t]/(t^3)", ("t^2",)): [(3, 1), (2, 1), (2, 1), (3, 1), (2, 1)],
+    ("QQ[t]/(t^2)", ()): [(2, 1), (2, 1), (2, 1), (2, 1), (2, 1)],
+}
+
+
+@pytest.mark.parametrize("tag, relation", list(GENERATOR_COUNTS))
+def test_generator_counts_pinned(tag, relation):
+    R = ring_from_tag(tag)
+    M = FPModule(R, max(len(relation), 1),
+                 (tuple(parse_quotient_payload(R, x) for x in relation),) if relation else ())
+    got = [(graded_piece(M, d).dimension, graded_piece(M, d).generator_count)
+           for d in range(5)]
+    assert got == GENERATOR_COUNTS[tag, relation]
 
 
 def test_negative_degree_rejected():

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
-from pfcalc.linalg import (integer_echelon, integer_rank, kernel_basis, rank,
-                           row_reduce, smith_normal_form)
-from pfcalc.rings import Fp, QQ
+import pytest
+
+from pfcalc.linalg import (Echelon, integer_echelon, integer_rank, kernel_basis,
+                           rank, row_reduce, smith_normal_form)
+from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
 
 def F(x):
@@ -153,3 +155,148 @@ def test_integer_echelon_leaves_its_input_alone():
     rows = [[2, 1, 3], [4, 3, 1], [1, 0, 2]]
     integer_echelon(rows)
     assert rows == [[2, 1, 3], [4, 3, 1], [1, 0, 2]]
+
+
+def _reference_row_reduce(rows, ring):
+    """The dense Gauss-Jordan loop that row_reduce ran before the sparse
+    echelon: every row is rewritten in every column, pivots chosen top down.
+    Entries are compared with zero() so that the oracle does not go through
+    the rings' is_zero."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(row, len(mat)):
+            if mat[i][col] != ring.zero():
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[row], mat[sel] = mat[sel], mat[row]
+        inv = ring.inv(mat[row][col])
+        mat[row] = [ring.mul(inv, x) for x in mat[row]]
+        for i in range(len(mat)):
+            if i == row or mat[i][col] == ring.zero():
+                continue
+            f = mat[i][col]
+            mat[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(mat[i], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    return mat[:row], pivots
+
+
+def _reference_kernel(rows, ring):
+    """Kernel basis read off the reference rref, as kernel_basis did."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    rref, pivots = _reference_row_reduce(rows, ring)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        v = [ring.zero()] * ncols
+        v[fc] = ring.one()
+        for r, pc in zip(rref, pivots):
+            v[pc] = ring.neg(r[fc])
+        basis.append(v)
+    return basis
+
+
+F9 = ring_from_tag("Fp(3)[t]/(t^2+1)")
+FIELDS = [QQ, Fp(5), F9]
+
+
+def _random_element(ring, rng):
+    if ring == QQ:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    if ring == F9:
+        return ring.coerce((rng.randrange(3), rng.randrange(3)))
+    return ring.from_int(rng.randrange(5))
+
+
+def _field_inputs(ring):
+    rng = random.Random(11)
+    zero = ring.zero()
+    yield []
+    for _ in range(25):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        # dense
+        yield [[_random_element(ring, rng) for _ in range(nc)] for _ in range(nr)]
+        # sparse
+        yield [[_random_element(ring, rng) if rng.random() < 0.25 else zero
+                for _ in range(nc)] for _ in range(nr)]
+        # rank-deficient: products of thin factors
+        k = rng.randint(1, min(nr, nc))
+        a = [[_random_element(ring, rng) for _ in range(k)] for _ in range(nr)]
+        b = [[_random_element(ring, rng) for _ in range(nc)] for _ in range(k)]
+        prod = []
+        for i in range(nr):
+            row = []
+            for j in range(nc):
+                acc = zero
+                for t in range(k):
+                    acc = ring.add(acc, ring.mul(a[i][t], b[t][j]))
+                row.append(acc)
+            prod.append(row)
+        yield prod
+        # zero rows mixed in, and an all-zero matrix
+        yield [r if rng.random() < 0.5 else [zero] * nc for r in prod]
+        yield [[zero] * nc for _ in range(nr)]
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=lambda r: r.tag())
+def test_echelon_matches_reference_row_reduce(ring):
+    count = 0
+    deficient = 0
+    for rows in _field_inputs(ring):
+        want_rref, want_pivots = _reference_row_reduce(rows, ring)
+        assert row_reduce(rows, ring) == (want_rref, want_pivots), rows
+        assert rank(rows, ring) == len(want_pivots)
+        assert kernel_basis(rows, ring) == _reference_kernel(rows, ring), rows
+        # the same rows as dicts, the form the law calculus builds
+        sparse = [{j: x for j, x in enumerate(r) if x != ring.zero()} for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        assert kernel_basis(sparse, ring, ncols) == _reference_kernel(rows, ring)
+        assert rank(sparse, ring) == len(want_pivots)
+        deficient += len(want_pivots) < len(rows)
+        count += 1
+    assert count == 126
+    assert deficient > 50
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=lambda r: r.tag())
+def test_echelon_insert_reports_span_membership(ring):
+    rng = random.Random(5)
+    for rows in _field_inputs(ring):
+        ech = Echelon(ring)
+        for i, r in enumerate(rows):
+            before = rank(rows[:i], ring)
+            assert ech.insert(r) == (rank(rows[:i + 1], ring) > before)
+            assert r in ech
+            assert not ech.reduce(r)
+        assert len(ech) == rank(rows, ring)
+    # a vector off the span leaves a nonzero remainder and is not inserted twice
+    ech = Echelon(ring)
+    one, zero = ring.one(), ring.zero()
+    assert ech.insert([one, one, zero])
+    assert [one, zero, zero] not in ech
+    assert ech.insert({0: one})
+    assert not ech.insert([_random_element(ring, rng), zero, zero])
+    assert ech.dense(3) == [[one, zero, zero], [zero, one, zero]]
+
+
+def test_kernel_basis_of_no_rows_is_the_identity_in_ncols():
+    assert kernel_basis([], QQ, 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert kernel_basis([], QQ) == []
+
+
+def test_echelon_needs_a_field():
+    with pytest.raises(ValueError):
+        Echelon(ZZ)
+    with pytest.raises(ValueError):
+        row_reduce([], ring_from_tag("QQ[t]/(t^2)"))

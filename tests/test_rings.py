@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import re
 import time
 from fractions import Fraction
 
@@ -123,78 +122,50 @@ def test_coerce_is_numerator_times_inverse_denominator(tag):
             assert R.coerce(str(n)) == want
 
 
-def _scratch_ring_from_tag(tag):
-    # ring_from_tag as it was before it shared _read_unipoly with
-    # parse_quotient_payload: the modulus was read as a payload of a
-    # provisional quotient of larger degree, with its own term reader.
-    # Kept as a differential oracle.
-    tag = tag.strip().replace(" ", "")
-    m = rings._TAG_RE.match(tag)
-    if m is None:
-        raise ValueError(f"unknown ring tag {tag!r}")
-    if m.group(2) is not None:
-        base = Fp(int(m.group(2)))
-    else:
-        base = ZZ if m.group(1) == "ZZ" else QQ
-    if m.group(3) is None:
-        return base
-    if base is ZZ:
-        raise ValueError("quotient rings over ZZ are not supported")
-    text = m.group(3)
-    deg = 0
-    for mm in re.finditer(r"t(?:\^(\d+))?", text):
-        deg = max(deg, int(mm.group(1)) if mm.group(1) else 1)
-    if deg < 1:
-        raise ValueError(f"modulus in {tag!r} must involve t")
-    scratch = QuotientRing.__new__(QuotientRing)
-    scratch.base = base
-    scratch.deg = deg + 1
-    scratch.modulus = (base.zero(),) * (deg + 1) + (base.one(),)
-    cs = [base.zero()] * (scratch.deg + 4)
-    for piece in re.split(r"\+", text.replace("-", "+-")):
-        piece = piece.strip()
-        if not piece:
-            continue
-        neg = piece.startswith("-")
-        if neg:
-            piece = piece[1:].strip()
-        mt = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*?)?(t(?:\^(\d+))?)?", piece)
-        if mt is None or (mt.group(1) is None and mt.group(2) is None):
-            raise ValueError(f"cannot parse ring element {text!r}")
-        if mt.group(1) is None:
-            coeff = base.one()
-        elif "/" in mt.group(1):
-            num, den = mt.group(1).split("/")
-            coeff = base.mul(base.from_int(int(num)), base.inv(base.from_int(int(den))))
-        else:
-            coeff = base.from_int(int(mt.group(1)))
-        power = 0 if mt.group(2) is None else int(mt.group(3) or 1)
-        if neg:
-            coeff = base.neg(coeff)
-        while power >= len(cs):
-            cs.append(base.zero())
-        cs[power] = base.add(cs[power], coeff)
-    return QuotientRing(base, rings._poly_trim(scratch._reduce(tuple(cs))))
+# ring_from_tag on these tags, pinned at the last commit that still carried
+# the reader it replaced (a provisional QuotientRing.__new__ ring of larger
+# degree with its own term reader), where both agreed on every tag: the
+# resulting tag(), or the kind of exception raised.
+RING_TAGS = {
+    "QQ": "QQ",
+    "Fp(7)": "Fp(7)",
+    "QQ[t]/(t^2+1)": "QQ[t]/(1 + t^2)",
+    "QQ[t]/(t^4+t)": "QQ[t]/(t + t^4)",
+    "QQ[t]/(2*t^2-3)": "QQ[t]/(-3/2 + t^2)",
+    "QQ[t]/(1/2*t^2+t-3/4)": "QQ[t]/(-3/2 + 2*t + t^2)",
+    "QQ[t]/(t)": "QQ[t]/(t)",
+    "QQ[t]/(3*t-1/2)": "QQ[t]/(-1/6 + t)",
+    "QQ[t]/( t^2 - t )": "QQ[t]/(-1*t + t^2)",
+    "QQ[t]/(t^2+t^2+1)": "QQ[t]/(1/2 + t^2)",
+    "Fp(5)[t]/(5*t^2+t)": "Fp(5)[t]/(t)",
+    "Fp(2)[t]/(t^2+t+1)": "Fp(2)[t]/(1 + t + t^2)",
+    "Fp(3)[t]/(t^5-t+2)": "Fp(3)[t]/(2 + 2*t + t^5)",
+    "Fp(7)[t]/(-t^2-1)": "Fp(7)[t]/(1 + t^2)",
+    "Fp(5)[t]/(1/2*t^2+1)": "Fp(5)[t]/(2 + t^2)",
+    "Fp(3)[t]/(t-1)": "Fp(3)[t]/(2 + t)",
+    "Fp(5)[t]/(2+t^3)": "Fp(5)[t]/(2 + t^3)",
+    "Fp(5)[t]/(t^3+4*t^3)": ValueError,
+    "Fp(5)[t]/(5*t^2+5*t)": ValueError,
+    "QQ[t]/(7)": ValueError,
+    "ZZ[t]/(t^2)": ValueError,
+    "Fp(4)": ValueError,
+    "Fp(5)[t]/(t^2+1/5)": ArithmeticError,
+    "QQ[t]/(t^2+1/0)": ArithmeticError,
+    "QQ[t]/(t^2+x)": ValueError,
+}
 
 
-@pytest.mark.parametrize("tag", [
-    "QQ", "Fp(7)", "QQ[t]/(t^2+1)", "QQ[t]/(t^4+t)", "QQ[t]/(2*t^2-3)",
-    "QQ[t]/(1/2*t^2+t-3/4)", "QQ[t]/(t)", "QQ[t]/(3*t-1/2)", "QQ[t]/( t^2 - t )",
-    "QQ[t]/(t^2+t^2+1)", "Fp(5)[t]/(5*t^2+t)", "Fp(2)[t]/(t^2+t+1)",
-    "Fp(3)[t]/(t^5-t+2)", "Fp(7)[t]/(-t^2-1)", "Fp(5)[t]/(1/2*t^2+1)",
-    "Fp(3)[t]/(t-1)", "Fp(5)[t]/(2+t^3)", "Fp(5)[t]/(t^3+4*t^3)",
-    "Fp(5)[t]/(5*t^2+5*t)", "QQ[t]/(7)", "ZZ[t]/(t^2)", "Fp(4)",
-    "Fp(5)[t]/(t^2+1/5)", "QQ[t]/(t^2+1/0)", "QQ[t]/(t^2+x)"])
+@pytest.mark.parametrize("tag", list(RING_TAGS))
 def test_ring_from_tag_matches_scratch_ring_reader(tag):
-    try:
-        want = _scratch_ring_from_tag(tag)
-    except (ValueError, ArithmeticError) as exc:
-        kind = ValueError if isinstance(exc, ValueError) else ArithmeticError
-        with pytest.raises(kind):
+    want = RING_TAGS[tag]
+    if isinstance(want, type):
+        with pytest.raises(want):
             ring_from_tag(tag)
         return
     got = ring_from_tag(tag)
-    assert got == want and got.tag() == want.tag()
+    assert got.tag() == want
+    # the tag reads back as the same ring
+    assert ring_from_tag(want) == got
 
 
 def test_fraction_field_reduction():
@@ -277,3 +248,24 @@ def test_huge_t_powers_are_reduced_by_squaring():
                 text = text.replace("/3", "")
             assert parse_quotient_payload(ring, text) == \
                 ring._reduce(rings._read_unipoly(ring.base, text))
+
+
+def test_is_zero_overrides_agree_with_equality():
+    rng = random.Random(3)
+    rings_under_test = [ZZ, QQ, Fp(2), Fp(7), ring_from_tag("QQ[t]/(t^2)"),
+                        ring_from_tag("Fp(3)[t]/(t^2+1)"),
+                        ring_from_tag("Fp(5)[t]/(t^3+t+1)")]
+    for ring in rings_under_test:
+        # the override, not BaseRing's a == zero(), answers for each ring
+        assert type(ring).is_zero is not rings.BaseRing.is_zero
+        seen = set()
+        for _ in range(200):
+            x = rng.randint(-3, 3)
+            if ring.characteristic() == 0 and ring != ZZ:
+                x = Fraction(x, rng.randint(1, 3))
+            a = ring.mul(ring.coerce(x), ring.coerce(rng.randint(-2, 2)))
+            if isinstance(ring, QuotientRing):
+                a = ring.add(a, ring.mul(ring.gen(), ring.coerce(rng.randint(-1, 1))))
+            assert ring.is_zero(a) == (a == ring.zero()), (ring, a)
+            seen.add(ring.is_zero(a))
+        assert seen == {True, False}, ring

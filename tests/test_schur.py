@@ -7,10 +7,11 @@ from math import comb
 import pytest
 
 from pfcalc import schur
-from pfcalc.functors import Sym, evaluate
+from pfcalc.functors import DirectSum, Ext, Id, Sym, evaluate
 from pfcalc.rings import Fp, QQ, ZZ
-from pfcalc.schur import (SchurAlgebra, base_change_module, basis_indices,
-                          module_of_functor, spin)
+from pfcalc.schur import (SchurAlgebra, SchurModule, base_change_module,
+                          basis_indices, module_of_functor, spin)
+from test_linalg import _reference_row_reduce
 
 
 def test_basis_count():
@@ -117,6 +118,62 @@ def test_non_power_vector_spins_full_module():
     v = [ring.one() for _ in range(module.rank)]
     span = spin(module, v)
     assert len(span) == module.rank
+
+
+def _reference_spin(module, v):
+    """spin as it was before the sparse echelon: the dense row reduction of
+    the basis plus each image, repeated until a full sweep adds nothing."""
+    ring = module.algebra.ring
+    vec = [ring.coerce(x) for x in v]
+    if all(x == ring.zero() for x in vec):
+        return []
+    basis, _ = _reference_row_reduce([vec], ring)
+    changed = True
+    while changed:
+        changed = False
+        for mat in module.action.values():
+            for w in list(basis):
+                img = [ring.zero()] * module.rank
+                for i in range(module.rank):
+                    acc = ring.zero()
+                    for j in range(module.rank):
+                        acc = ring.add(acc, ring.mul(mat[i][j], w[j]))
+                    img[i] = acc
+                new_basis, _ = _reference_row_reduce(basis + [img], ring)
+                if len(new_basis) > len(basis):
+                    basis = new_basis
+                    changed = True
+    return basis
+
+
+def test_spin_matches_reference_spin():
+    rng = random.Random(2)
+    cases = [(Sym(2), 2, 2), (Sym(3), 2, 3), (Sym(2), 2, 0), (Ext(2), 3, 2),
+             (DirectSum((Sym(2), Id())), 2, 5)]
+    sizes = set()
+    for expr, n, p in cases:
+        module = base_change_module(module_of_functor(evaluate(expr, n), expr.degree()), p)
+        ring = module.algebra.ring
+        vectors = [[ring.zero()] * module.rank]
+        vectors += [[ring.one() if j == i else ring.zero() for j in range(module.rank)]
+                    for i in range(module.rank)]
+        vectors += [[ring.from_int(rng.choice((0, 0, 1, 2))) for _ in range(module.rank)]
+                    for _ in range(4)]
+        for v in vectors:
+            got = spin(module, v)
+            assert got == _reference_spin(module, v), (expr, p, v)
+            sizes.add(len(got))
+    # an action that is not closed under products: one shift e_i -> e_(i+1),
+    # whose span from e_1 needs three rounds of images
+    one, zero = QQ.one(), QQ.zero()
+    shift = tuple(tuple(one if i == j + 1 else zero for j in range(4)) for i in range(4))
+    module = SchurModule(SchurAlgebra(1, 1, QQ), 4, {(1,): shift})
+    for v in ([one, zero, zero, zero], [zero, one, one, zero], [zero] * 3 + [one]):
+        got = spin(module, v)
+        assert got == _reference_spin(module, v)
+        sizes.add(len(got))
+    # proper, full and zero spans all occur
+    assert len(sizes) > 3 and {0, 1, 3, 4} <= sizes
 
 
 def test_spin_requires_field():
