@@ -10,13 +10,13 @@ reduced row echelon form of a span is unique, so the order of insertion
 never changes what they return.
 
 Matrices are lists of rows.  Field rows are dense sequences of ring
-payloads (see rings.py) or dicts {column: payload}; the integer routines
-take dense rows of plain Python ints.
+payloads (see rings.py), which `Echelon` also takes as dicts {column:
+payload}; the integer routines take dense rows of plain Python ints.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .rings import BaseRing
 
@@ -122,21 +122,15 @@ def row_reduce(rows: Sequence[Sequence], ring: BaseRing) -> Tuple[List[list], Li
     return ech.dense(len(rows[0]) if rows else 0), ech.pivots()
 
 
-def rank(rows: Sequence[Row], ring: BaseRing) -> int:
+def rank(rows: Sequence[Sequence], ring: BaseRing) -> int:
     return len(Echelon.of(rows, ring))
 
 
-def kernel_basis(rows: Sequence[Row], ring: BaseRing,
-                 ncols: Optional[int] = None) -> List[list]:
-    """Basis of the right kernel {v : rows · v = 0} over a field, as dense
-    vectors.
-
-    ncols is the number of columns; it defaults to the length of the first
-    row, so dict rows need it.  With no rows and no ncols the kernel is
-    taken in zero columns.
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def kernel_basis(rows: Sequence[Sequence], ring: BaseRing) -> List[list]:
+    """Basis of the right kernel {v : rows · v = 0} over a field."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
     zero = ring.zero()
     return [[v.get(j, zero) for j in range(ncols)]
             for v in Echelon.of(rows, ring).kernel(ncols)]

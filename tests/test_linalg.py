@@ -261,8 +261,11 @@ def test_echelon_matches_reference_row_reduce(ring):
         # the same rows as dicts, the form the law calculus builds
         sparse = [{j: x for j, x in enumerate(r) if x != ring.zero()} for r in rows]
         ncols = len(rows[0]) if rows else 0
-        assert kernel_basis(sparse, ring, ncols) == _reference_kernel(rows, ring)
-        assert rank(sparse, ring) == len(want_pivots)
+        ech = Echelon.of(sparse, ring)
+        assert len(ech) == len(want_pivots)
+        assert ech.dense(ncols) == want_rref
+        assert [[v.get(j, ring.zero()) for j in range(ncols)]
+                for v in ech.kernel(ncols)] == _reference_kernel(rows, ring)
         deficient += len(want_pivots) < len(rows)
         count += 1
     assert count == 126
@@ -290,8 +293,9 @@ def test_echelon_insert_reports_span_membership(ring):
     assert ech.dense(3) == [[one, zero, zero], [zero, one, zero]]
 
 
-def test_kernel_basis_of_no_rows_is_the_identity_in_ncols():
-    assert kernel_basis([], QQ, 2) == [[F(1), F(0)], [F(0), F(1)]]
+def test_echelon_kernel_of_no_rows_is_the_identity_in_ncols():
+    assert Echelon(QQ).kernel(2) == [{0: F(1)}, {1: F(1)}]
+    assert Echelon(QQ).kernel(0) == []
     assert kernel_basis([], QQ) == []
 
 
