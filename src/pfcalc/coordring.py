@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 from . import linalg
 from .fpmod import FPModule, block_sum
-from .poly import MultiPoly, VarSet, degree_monomials, integer_primitive
+from .poly import MultiPoly, VarSet, degree_monomials, integer_primitive, substitute_all
 from .rings import ZZ
 
 
@@ -87,10 +87,10 @@ def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...],
 
     p = ring.characteristic()
     rows: Dict[tuple, Dict[int, object]] = {}
-    for col, (exp, bidx) in enumerate(candidates):
-        big_exp = exp + (0,) * len(pnames)
-        g = MultiPoly(ring, big_vs, {big_exp: rbasis[bidx]})
-        delta = g.substitute(shifts) - g
+    gs = [MultiPoly(ring, big_vs, {exp + (0,) * len(pnames): rbasis[bidx]})
+          for exp, bidx in candidates]
+    for col, (g, moved) in enumerate(zip(gs, substitute_all(gs, shifts))):
+        delta = moved - g
         if p > 1:
             delta = _reduce_parameter_exponents(delta, param_idx, p)
         for e, c in delta.terms.items():

@@ -18,7 +18,8 @@ from .functors import DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_par
 from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
                        radical_membership)
 from .linalg import rank
-from .poly import Grevlex, MultiPoly, VarSet, degree_monomials, integer_primitive
+from .poly import (Grevlex, MultiPoly, VarSet, degree_monomials, integer_primitive,
+                   substitute_all)
 from .rings import ZZ, BaseRing, Fp, QQ, fraction_field_reduction
 
 
@@ -371,7 +372,18 @@ def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:
 
 def equivariance_check(subset: ClosedSubsetAtRank,
                        matrices: Optional[Sequence[Sequence[Sequence[int]]]] = None) -> bool:
-    """Stability of the ideal under the induced action of the generator matrices."""
+    """Is V(I) stable under the generator matrices?  True when g.f lies in
+    rad(I) for every generator f of I and every matrix g (by default those
+    of default_generator_matrices), acting through the law of the functor.
+
+    Each moved generator is first tested for membership in I itself, by
+    reduction against the reduced basis already in hand.  That test is
+    exact: I is inside rad(I), so a member is a radical member.  Only a
+    non-member needs the Rabinowitsch run of radical_membership, which
+    answers True when I is not radical and g.f is a radical member
+    without being a member.  Image closure ideals are prime, hence
+    radical, and stable, so their checks run no Buchberger at all.
+    """
     ring = subset.ring
     n = subset.rank
     if matrices is None:
@@ -380,21 +392,20 @@ def equivariance_check(subset: ClosedSubsetAtRank,
         return True
     ev = evaluate(subset.functor, n)
     vs = subset.varset
-    yvars = [MultiPoly.variable(ring, vs, nm) for nm in vs.names]
+    units = [tuple(int(i == j) for i in range(len(vs))) for j in range(len(vs))]
     gens = list(subset.generators)
     for g in matrices:
         act = ev.law_at(g)   # integer entries; the functor lives over ZZ
         mapping = {}
-        for i, nm in enumerate(vs.names):
-            acc = MultiPoly.zero(ring, vs)
-            for j in range(len(yvars)):
-                c = ring.from_int(act[i][j])
+        for nm, row in zip(vs.names, act):
+            terms = {}
+            for unit, a in zip(units, row):
+                c = ring.from_int(a)
                 if not ring.is_zero(c):
-                    acc = acc + yvars[j].map_coefficients(lambda x: ring.mul(c, x), ring)
-            mapping[nm] = acc
-        for f in gens:
-            moved = f.substitute(mapping)
-            if moved.is_zero():
+                    terms[unit] = c
+            mapping[nm] = MultiPoly(ring, vs, terms)
+        for moved in substitute_all(gens, mapping):
+            if moved.is_zero() or subset.gb.contains(moved):
                 continue
             if not radical_membership(moved, gens):
                 return False

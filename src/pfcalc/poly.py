@@ -295,15 +295,16 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = MultiPoly.constant(self.ring, self.varset, self.ring.one())
+        if n == 0:
+            return MultiPoly.constant(self.ring, self.varset, self.ring.one())
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
+                out = base if out is None else out * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -345,33 +346,7 @@ class MultiPoly:
 
     def substitute(self, mapping: Dict[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables; unmapped variables persist."""
-        if not mapping:
-            return self
-        some = next(iter(mapping.values()))
-        ring, vs = some.ring, some.varset
-        if ring != self.ring:
-            raise ValueError("substitution requires matching coefficient rings")
-        out = MultiPoly.zero(ring, vs)
-        cache: Dict[Tuple[int, int], MultiPoly] = {}
-
-        def power(i: int, n: int) -> MultiPoly:
-            key = (i, n)
-            if key not in cache:
-                name = self.varset.names[i]
-                if name in mapping:
-                    base = mapping[name]
-                else:
-                    base = MultiPoly.variable(ring, vs, name)
-                cache[key] = base ** n
-            return cache[key]
-
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(ring, vs, c)
-            for i, n in enumerate(e):
-                if n:
-                    term = term * power(i, n)
-            out = out + term
-        return out
+        return substitute_all([self], mapping)[0]
 
     def evaluate(self, point) -> object:
         """Evaluate at a tuple of ring payloads; returns a payload."""
@@ -429,6 +404,47 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)})"
+
+
+def substitute_all(polys: Sequence[MultiPoly],
+                   mapping: Dict[str, MultiPoly]) -> List[MultiPoly]:
+    """[f.substitute(mapping) for f in polys], sharing one table of the
+    powers of the substituted variables across the whole batch."""
+    if not mapping:
+        return list(polys)
+    some = next(iter(mapping.values()))
+    ring, vs = some.ring, some.varset
+    one = MultiPoly.constant(ring, vs, ring.one())
+    powers: Dict[Tuple[str, int], MultiPoly] = {}
+
+    def power(name: str, n: int) -> MultiPoly:
+        key = (name, n)
+        if key not in powers:
+            base = mapping[name] if name in mapping else \
+                MultiPoly.variable(ring, vs, name)
+            powers[key] = base ** n
+        return powers[key]
+
+    out = []
+    for f in polys:
+        if f.ring != ring:
+            raise ValueError("substitution requires matching coefficient rings")
+        terms: Dict[tuple, object] = {}
+        for e, c in f.terms.items():
+            factors = [power(name, n) for name, n in zip(f.varset.names, e) if n]
+            image = factors[0] if factors else one
+            for factor in factors[1:]:
+                image = image * factor
+            for e2, c2 in image.terms.items():
+                s = ring.mul(c, c2)
+                if e2 in terms:
+                    s = ring.add(terms[e2], s)
+                if ring.is_zero(s):
+                    terms.pop(e2, None)
+                else:
+                    terms[e2] = s
+        out.append(MultiPoly(ring, vs, terms))
+    return out
 
 
 # ---------------------------------------------------------------------------

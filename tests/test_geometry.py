@@ -15,7 +15,8 @@ from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence,
                              four_squares, good_primes, image_closure,
                              sum_of_powers, target_varset, taylor_directional,
                              vanishing_transfer)
-from pfcalc.groebner import GroebnerBasis, buchberger, eliminate, ideal_dimension
+from pfcalc.groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
+                             radical_membership)
 from pfcalc.poly import (Grevlex, MultiPoly, VarSet, degree_monomials, format_poly,
                          parse_poly)
 from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
@@ -337,10 +338,32 @@ def test_vanishing_transfer_detects_modular_collapse():
     assert out == {0: True, 2: True, 3: True}
 
 
-def test_equivariance_of_image_closures():
-    for ring in (QQ, Fp(3)):
-        subset = image_closure(cube_sum, 2, ring)
+def test_equivariance_of_image_closures(monkeypatch):
+    # closure ideals are prime and stable, so every moved generator is a
+    # member of I: the check passes without one Rabinowitsch run, and each
+    # membership verdict equals the radical_membership verdict
+    rabinowitsch = []
+    monkeypatch.setattr(geometry, "radical_membership",
+                        lambda f, G: rabinowitsch.append(f) or radical_membership(f, G))
+    verdicts = []
+    contains = GroebnerBasis.contains
+
+    def recorded(gb, f):
+        verdict = contains(gb, f)
+        verdicts.append((gb, f, verdict))
+        return verdict
+
+    monkeypatch.setattr(GroebnerBasis, "contains", recorded)
+    for alpha, n, ring in ((cube_sum, 2, QQ), (cube_sum, 2, Fp(3)),
+                           (sum_of_powers(1, 3), 3, QQ)):
+        subset = image_closure(alpha, n, ring)
+        verdicts.clear()
         assert equivariance_check(subset)
+        assert rabinowitsch == []
+        assert bool(verdicts) == bool(subset.generators)
+        for gb, f, verdict in verdicts:
+            assert gb is subset.gb
+            assert verdict == radical_membership(f, subset.generators)
 
 
 def test_equivariance_detects_asymmetric_ideal():
@@ -350,6 +373,18 @@ def test_equivariance_detects_asymmetric_ideal():
     gens = [parse_poly("y1", QQ, vs)]
     subset = closed_subset(Sym(3), 2, QQ, gens)
     assert not equivariance_check(subset)
+
+
+def test_equivariance_falls_back_to_the_radical():
+    # <y1^2, y2> is not radical: the swap moves y2 to y1, which lies in
+    # rad I = <y1, y2> but not in I, so only the Rabinowitsch run passes it
+    from pfcalc.geometry import closed_subset
+    from pfcalc.functors import Sym
+    vs = target_varset(Sym(1), 2)
+    gens = [parse_poly(t, QQ, vs) for t in ("y1^2", "y2")]
+    subset = closed_subset(Sym(1), 2, QQ, gens)
+    assert not subset.gb.contains(parse_poly("y1", QQ, vs))
+    assert equivariance_check(subset)
 
 
 def test_taylor_char_zero_derivative():

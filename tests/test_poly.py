@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
-                         format_poly, order_from_tag, parse_poly)
+                         format_poly, order_from_tag, parse_poly, substitute_all)
 from pfcalc.rings import Fp, QQ, ZZ
 
 VS = VarSet(("x", "y", "z"))
@@ -79,6 +79,16 @@ def test_substitute():
 def test_substitute_leaves_unmapped_variables():
     f = P("x*z")
     assert f.substitute({"x": P("y")}) == P("y*z")
+
+
+def test_substitute_all_shares_one_mapping():
+    mapping = {"x": P("y + 1")}
+    fs = [P("x^2 + y"), P("x^2*z - x"), P("3")]
+    assert substitute_all(fs, mapping) == [
+        P("y^2 + 3*y + 1"), P("y^2*z + 2*y*z + z - y - 1"), P("3")]
+    assert substitute_all(fs, {}) == fs
+    with pytest.raises(ValueError):
+        substitute_all([P("x", Fp(5))], mapping)
 
 
 def test_rename_and_restrict():
