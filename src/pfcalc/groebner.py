@@ -61,8 +61,7 @@ from math import gcd
 from operator import mul
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .poly import (Elimination, Grevlex, MonomialOrder, MultiPoly, VarSet,
-                   _exp_lcm, _exp_sub)
+from .poly import Elimination, Grevlex, MonomialOrder, MultiPoly, VarSet
 from .rings import BaseRing, RationalField
 
 
@@ -411,16 +410,6 @@ def _field_reducer(ring: BaseRing, vs: VarSet, order: MonomialOrder,
 def normal_form(f: MultiPoly, G: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
     """Remainder of f modulo G; no term of the result is divisible by any LM(g)."""
     return GroebnerBasis(tuple(G), order, f.ring, f.varset).reduce(f)
-
-
-def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    ring = f.ring
-    lf, cf = f.leading(order)
-    lg, cg = g.leading(order)
-    lcm = _exp_lcm(lf, lg)
-    a = f.term_mul(_exp_sub(lcm, lf), ring.inv(cf))
-    b = g.term_mul(_exp_sub(lcm, lg), ring.inv(cg))
-    return a - b
 
 
 @dataclass(frozen=True)

@@ -144,14 +144,6 @@ def _exp_add(a, b):
     return tuple(map(operator.add, a, b))
 
 
-def _exp_sub(a, b):
-    return tuple(map(operator.sub, a, b))
-
-
-def _exp_lcm(a, b):
-    return tuple([x if x > y else y for x, y in zip(a, b)])  # faster than map(max, a, b)
-
-
 def degree_monomials(n: int, d: int) -> List[Tuple[int, ...]]:
     """Exponent tuples in n variables of total degree d, in decreasing
     lexicographic order ([()] for n = d = 0, [] for n = 0 < d)."""

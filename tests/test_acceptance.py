@@ -21,6 +21,7 @@ from pfcalc.poly import Grevlex, MultiPoly, VarSet, parse_poly
 from pfcalc.rings import (Fp, QQ, ZZ, fraction_field_reduction,
                           parse_quotient_payload, ring_from_tag)
 from pfcalc.schur import SchurAlgebra, base_change_module, module_of_functor, spin
+from tuple_engine import s_polynomial
 
 
 def report(number: int, ok: bool, detail: str):
@@ -305,7 +306,6 @@ def test_criterion_13_oracle_equivalence():
         while True:
             new = None
             for f, g in itertools.combinations(basis, 2):
-                from pfcalc.groebner import s_polynomial
                 r = oracle_nf(s_polynomial(f, g, order), basis)
                 if not r.is_zero():
                     new = r

@@ -52,6 +52,30 @@ def test_ring_of_module_free_quotient_pinned(capsys, tmp_path, n, d):
     assert hashlib.sha256(out.encode()).hexdigest() == RING_OF_MODULE_PINS[n, d]
 
 
+# sha256 of the json output of image-closure over F_q = F_p[t]/(f), recorded
+# while F_q arithmetic still went through schoolbook products and divisions
+IMAGE_CLOSURE_FQ_PINS = {
+    ("Fp(5)[t]/(t^2+2)", 2, 4, 1, 2):
+        "afeb384bd39c6d4a9e5ba0d7ea2ecc2e7c9eda8e44037575b057cc7bcc19c302",
+    ("Fp(3)[t]/(t^2+1)", 2, 2, 1, 3):
+        "ee1b0295eba73914c189229de31b6c765012c7ee85a38e7ce4c3a47782496df8",
+    ("Fp(2)[t]/(t^2+t+1)", 1, 3, 2, 2):
+        "cf1cad9e324340629902b08dffe9a110c5ee2be6a0628498c41c3cc48fec2402",
+}
+
+
+@pytest.mark.parametrize("field, m, k, g, n", list(IMAGE_CLOSURE_FQ_PINS))
+def test_image_closure_over_finite_fields_pinned(capsys, tmp_path, field, m, k, g, n):
+    tr = {"template": "sum-of-powers", "num_forms": m, "power": k}
+    if g != 1:
+        tr["form_degree"] = g
+    cfg = {"transformation": tr, "rank": n, "field": field}
+    code, out, _ = run(capsys, tmp_path, "image-closure", cfg, "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == IMAGE_CLOSURE_FQ_PINS[field, m, k, g, n]
+
+
 def test_dim_per_prime_text(capsys, tmp_path):
     cfg = {"transformation": "cube-sum", "rank": 2, "primes": [2, 3, 5]}
     code, out, _ = run(capsys, tmp_path, "dim-per-prime", cfg)

@@ -12,10 +12,11 @@ from pfcalc import groebner
 from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, _Packing,
                              _Reducers, _field_reducer, buchberger, eliminate,
                              ideal_dimension, normal_form, radical_membership,
-                             s_polynomial, verify_buchberger_criterion)
+                             verify_buchberger_criterion)
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          degree_monomials, parse_poly)
 from pfcalc.rings import Fp, QQ, QuotientRing, ZZ, ring_from_tag
+from tuple_engine import s_polynomial
 
 VS = VarSet(("x", "y"))
 

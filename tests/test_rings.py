@@ -269,3 +269,86 @@ def test_is_zero_overrides_agree_with_equality():
             assert ring.is_zero(a) == (a == ring.zero()), (ring, a)
             seen.add(ring.is_zero(a))
         assert seen == {True, False}, ring
+
+
+# Fields with Zech tables, against a second instance of the same ring whose
+# is_field() is never called, so that it keeps the schoolbook arithmetic.
+ZECH_FIELDS = ["Fp(2)[t]/(t^2+t+1)", "Fp(2)[t]/(t^3+t+1)", "Fp(3)[t]/(t^2+1)",
+               "Fp(5)[t]/(t^2+2)", "Fp(3)[t]/(t^3+2*t+1)", "Fp(7)[t]/(t^2+1)",
+               "Fp(5)[t]/(t+1)"]
+
+
+def _schoolbook_twin(tag):
+    R, S = ring_from_tag(tag), ring_from_tag(tag)
+    assert R.is_field() and R._tables is not None
+    return R, S
+
+
+@pytest.mark.parametrize("tag", ZECH_FIELDS)
+def test_zech_tables_match_schoolbook_on_every_pair(tag):
+    R, S = _schoolbook_twin(tag)
+    elements = list(itertools.product(range(R.base.p), repeat=R.deg))
+    for a in elements:
+        assert R.neg(a) == S.neg(a)
+        for e in (0, 1, 2, 3, 7, len(elements), 10 ** 6 + 3):
+            assert R.power(a, e) == S.power(a, e), (a, e)
+        if any(a):
+            assert R.inv(a) == S.inv(a)
+        for b in elements:
+            assert R.add(a, b) == S.add(a, b), (a, b)
+            assert R.sub(a, b) == S.sub(a, b), (a, b)
+            assert R.mul(a, b) == S.mul(a, b), (a, b)
+    for ring in (R, S):
+        with pytest.raises(NotAUnit):
+            ring.inv(ring.zero())
+    assert S._tables is None
+
+
+@pytest.mark.parametrize("tag", ["Fp(2)[t]/(t^2)", "Fp(3)[t]/(t^3)",
+                                 "QQ[t]/(t^2+1)"])
+def test_no_zech_tables_off_finite_fields(tag):
+    R = ring_from_tag(tag)
+    R.is_field()
+    assert R._tables is None
+    assert not {"add", "sub", "mul", "neg", "inv", "power"} & set(vars(R))
+    with pytest.raises(NotAUnit):
+        R.inv(R.zero())
+    if not R.is_field():
+        # t is a zero divisor
+        with pytest.raises(NotAUnit):
+            R.inv(R.gen())
+
+
+@pytest.mark.parametrize("payload", [(1,), (0,), (1, 0, 0), (3, 0), (0, 3),
+                                     [1, 0]])
+def test_zech_tables_reject_payloads_that_are_not_canonical(payload):
+    # zip in the schoolbook add would silently truncate (1,) against (1, 0)
+    R = ring_from_tag("Fp(3)[t]/(t^2+1)")
+    assert R.is_field()
+    one = R.one()
+    calls = [lambda: R.add(payload, one), lambda: R.add(one, payload),
+             lambda: R.sub(payload, one), lambda: R.sub(one, payload),
+             lambda: R.mul(payload, one), lambda: R.mul(R.zero(), payload),
+             lambda: R.neg(payload), lambda: R.inv(payload),
+             lambda: R.power(payload, 2)]
+    # a list is unhashable, a tuple that is not canonical is no key of log
+    error = TypeError if isinstance(payload, list) else KeyError
+    for call in calls:
+        with pytest.raises(error):
+            call()
+
+
+def test_zech_tables_stop_at_the_order_bound():
+    assert 127 ** 2 <= rings.ZECH_MAX_ORDER < 131 ** 2
+    small, large = ring_from_tag("Fp(127)[t]/(t^2+1)"), ring_from_tag("Fp(131)[t]/(t^2+1)")
+    assert small.is_field() and large.is_field()
+    assert small._tables is not None and large._tables is None
+    rng = random.Random(17)
+    for tag in ("Fp(131)[t]/(t^2+1)", "Fp(2)[t]/(t^17+t^3+1)"):
+        R, S = ring_from_tag(tag), ring_from_tag(tag)
+        assert R.is_field() and R._tables is None
+        for _ in range(50):
+            a, b = (tuple(rng.randrange(R.base.p) for _ in range(R.deg))
+                    for _ in range(2))
+            assert R.mul(a, b) == QuotientRing.mul(S, a, b)
+            assert R.add(a, b) == QuotientRing.add(S, a, b)

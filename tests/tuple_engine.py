@@ -8,12 +8,32 @@ criterion verdicts (see test_packed.py).
 import heapq
 from fractions import Fraction
 from math import gcd
-from operator import mul, neg
+from operator import mul, neg, sub
 from typing import List, Optional, Sequence
 
 from pfcalc.groebner import GroebnerBasis, _require_field
-from pfcalc.poly import MonomialOrder, MultiPoly, VarSet, _exp_add, _exp_lcm, _exp_sub
+from pfcalc.poly import MonomialOrder, MultiPoly, VarSet, _exp_add
 from pfcalc.rings import BaseRing, RationalField
+
+
+def _exp_sub(a, b):
+    return tuple(map(sub, a, b))
+
+
+def _exp_lcm(a, b):
+    return tuple([x if x > y else y for x, y in zip(a, b)])  # faster than map(max, a, b)
+
+
+def s_polynomial(f: MultiPoly, g: MultiPoly, order: MonomialOrder) -> MultiPoly:
+    """lcm/LT(f) * f - lcm/LT(g) * g for lcm the lcm of the two leading
+    monomials: the leading terms cancel."""
+    ring = f.ring
+    lf, cf = f.leading(order)
+    lg, cg = g.leading(order)
+    lcm = _exp_lcm(lf, lg)
+    a = f.term_mul(_exp_sub(lcm, lf), ring.inv(cf))
+    b = g.term_mul(_exp_sub(lcm, lg), ring.inv(cg))
+    return a - b
 
 
 class _Reducers:
