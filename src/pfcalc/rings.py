@@ -38,6 +38,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_divisors(n: int) -> list:
+    return [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+
+
 class BaseRing:
     """Common interface; payloads are raw Python values, see subclasses."""
 
@@ -496,7 +500,7 @@ def _rabin_irreducible(ring: "QuotientRing") -> bool:
         frobenius.append(ring.power(frobenius[-1], p))
     if frobenius[n] != t:
         return False
-    for q in [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]:
+    for q in _prime_divisors(n):
         a, b = ring.modulus, _poly_trim(ring.sub(frobenius[n // q], t))
         while b:
             a, b = b, _poly_divmod(a, b, base)[1]
@@ -527,17 +531,6 @@ def _modulus_irreducible(ring: "QuotientRing") -> bool:
 ZECH_MAX_ORDER = 1 << 14
 
 
-def _prime_factors(n: int) -> list:
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out + [n] if n > 1 else out
-
-
 def _zech_tables(ring: "QuotientRing") -> tuple:
     """Tables of the finite field ring = F_p[t]/(f) of order q, for a
     generator g of its unit group, of order n = q - 1:
@@ -558,7 +551,7 @@ def _zech_tables(ring: "QuotientRing") -> tuple:
     p, d = ring.base.p, ring.deg
     n = p ** d - 1
     one, low = ring.one(), ring.modulus[:-1]
-    tests = [n // r for r in _prime_factors(n)]
+    tests = [n // r for r in _prime_divisors(n)]
 
     def times(x, g_low):
         # x * (t^e + g_low[e-1] t^(e-1) + ... + g_low[0]) by Horner's rule:

@@ -278,15 +278,10 @@ ZECH_FIELDS = ["Fp(2)[t]/(t^2+t+1)", "Fp(2)[t]/(t^3+t+1)", "Fp(3)[t]/(t^2+1)",
                "Fp(5)[t]/(t+1)"]
 
 
-def _schoolbook_twin(tag):
-    R, S = ring_from_tag(tag), ring_from_tag(tag)
-    assert R.is_field() and R._tables is not None
-    return R, S
-
-
 @pytest.mark.parametrize("tag", ZECH_FIELDS)
 def test_zech_tables_match_schoolbook_on_every_pair(tag):
-    R, S = _schoolbook_twin(tag)
+    R, S = ring_from_tag(tag), ring_from_tag(tag)
+    assert R.is_field() and R._tables is not None
     elements = list(itertools.product(range(R.base.p), repeat=R.deg))
     for a in elements:
         assert R.neg(a) == S.neg(a)
