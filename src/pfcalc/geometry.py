@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .functors import DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_parts
 from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
@@ -20,7 +20,8 @@ from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
 from .linalg import rank
 from .poly import (Grevlex, MultiPoly, VarSet, degree_monomials, integer_primitive,
                    substitute_all)
-from .rings import ZZ, BaseRing, Fp, QQ, fraction_field_reduction
+from .rings import (ZZ, BaseRing, Fp, ModularIntegers, NotAUnit, QQ,
+                    fraction_field_reduction, is_prime)
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -262,14 +263,59 @@ class SpecializationReport:
     verdicts: Tuple[PrimeVerdict, ...]
 
 
+def _certified_primes(primes: Sequence[int], cleared: Sequence[MultiPoly],
+                      generators: Sequence[MultiPoly], staircase: frozenset,
+                      pairs: Optional[list] = None) -> Set[int]:
+    """The primes, from a sorted list of distinct primes, at which cleared
+    mod p passes the certificate: the generic staircase, Buchberger's
+    criterion on the pairs (criterion_pairs when None; they depend on the
+    leading monomials alone) and membership of every generator.  This
+    proves p good only when p does not divide good_primes' r.
+
+    All primes are checked at once over ZZ/mZ, m their product (one prime
+    over F_p itself).  Each step of a reduction mod m maps to the same step
+    mod every p | m: the same term is popped, the same first divisor used,
+    and a coefficient that is 0 mod p subtracts a zero multiple.  So a
+    remainder is 0 mod m exactly when it is 0 mod every p.  When the check
+    fails, or a leading coefficient is not a unit mod m, the primes are
+    split into halves and each half is checked again.
+    """
+    ring = Fp(primes[0]) if len(primes) == 1 else ModularIntegers(primes)
+    vs = generators[0].varset
+    gb = GroebnerBasis(tuple(f.map_coefficients(ring.coerce, ring) for f in cleared),
+                       Grevlex(), ring, vs)
+    try:
+        # same staircase first: then the entries keep the leading monomials,
+        # in the same order, of every other batch, and the pairs are shared
+        if gb.leading_monomials == staircase:
+            if pairs is None:
+                pairs = gb.criterion_pairs()
+            if gb.satisfies_criterion(pairs) and all(
+                    gb.contains(g.map_coefficients(ring.coerce, ring))
+                    for g in generators):
+                return set(primes)
+    except NotAUnit:
+        pass
+    if len(primes) == 1:
+        return set()
+    half = len(primes) // 2
+    return (_certified_primes(primes[:half], cleared, generators, staircase, pairs)
+            | _certified_primes(primes[half:], cleared, generators, staircase, pairs))
+
+
 def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> SpecializationReport:
     """Groebner specialization: which primes keep the generic staircase.
 
     r is the product of the leading coefficients of every integer-cleared
     polynomial met during the generic run (inputs, intermediate basis
     elements, and the final basis); primes dividing r are recomputed from
-    scratch, the others are verified by reducing the generic basis mod p
-    and checking Buchberger's criterion plus input membership.
+    scratch.  The others are verified by reducing the generic basis mod p
+    and checking the staircase, Buchberger's criterion and input
+    membership.  They are all checked together over ZZ/mZ, m their
+    product, and the set is halved only where that check fails (see
+    _certified_primes); a single prime that fails is recomputed.  The
+    certificate and the verdicts are those of checking each prime alone,
+    in the order of primes, repeats included.
     """
     if not generators:
         raise ValueError("good_primes needs at least one generator")
@@ -290,27 +336,22 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
         lc = f.leading(order)[1]
         r *= abs(int(lc))
 
+    # p does not divide the leading coefficients of cleared, so no element
+    # vanishes mod p and each keeps its leading monomial; an entry that is
+    # not prime is left to Fp(p) below, which refuses it
+    away = sorted({p for p in primes if is_prime(p) and r % p})
+    verified = (_certified_primes(away, cleared, generators, gb.leading_monomials)
+                if away else set())
     verdicts = []
-    pairs = None
     for p in primes:
+        if p in verified:
+            # cleared mod p is a Groebner basis with the generic staircase,
+            # and the dimension depends on the staircase alone
+            verdicts.append(PrimeVerdict(p, True, generic_dim, False))
+            continue
         ring_p = Fp(p)
         inputs_p = [f for f in (g.map_coefficients(ring_p.coerce, ring_p)
                                 for g in generators) if not f.is_zero()]
-        if r % p != 0:
-            # p does not divide the leading coefficients of cleared, so no
-            # element vanishes mod p and each keeps its leading monomial, in
-            # the same order: every such prime checks the same pairs
-            gens_p = tuple(f.map_coefficients(ring_p.coerce, ring_p) for f in cleared)
-            gb_p = GroebnerBasis(gens_p, order, ring_p, vs)
-            if pairs is None:
-                pairs = gb_p.criterion_pairs()
-            if (gb_p.satisfies_criterion(pairs)
-                    and all(gb_p.contains(f) for f in inputs_p)
-                    and gb_p.leading_monomials == gb.leading_monomials):
-                # gens_p is a Groebner basis with the generic staircase, and
-                # the dimension depends on the staircase alone
-                verdicts.append(PrimeVerdict(p, True, generic_dim, False))
-                continue
         if inputs_p:
             gb_p = buchberger(inputs_p, order)
             dim_p = ideal_dimension(gb_p)

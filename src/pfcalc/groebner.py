@@ -1,9 +1,11 @@
 """Buchberger's algorithm, normal forms, elimination, dimension, radicals.
 
-Coefficients must lie in a field.  One S-pair queue serves both building
-and checking a basis: the normal strategy (least weighted lcm degree, then
-the monomial order on the lcm), skipping pairs with coprime leading
-monomials and pairs caught by the chain criterion.  The weights are unit
+Coefficients must lie in a field; reduction, and so the criterion check,
+also runs over a product of fields such as ZZ/mZ (see _field_reducer), but
+buchberger does not.  One S-pair queue serves both building and checking a
+basis: the normal strategy (least weighted lcm degree, then the monomial
+order on the lcm), skipping pairs with coprime leading monomials and pairs
+caught by the chain criterion.  The weights are unit
 weights unless buchberger or eliminate is given others: weights that make
 the input homogeneous give the sugar strategy of Giovini et al. ("One sugar
 cube, please", ISSAC 1991) in its homogeneous case.  buchberger adds each
@@ -38,9 +40,10 @@ the chain criterion of the pair queue.
 Coefficient arithmetic sits behind one of two kernels, picked once per run
 from the ring:
 
-- the field kernel works on ring payloads (F_p and k[t]/(f)) and keeps
-  basis elements monic; every reduction outside buchberger (normal_form,
-  the criterion check, GroebnerBasis.reduce) runs it, QQ included;
+- the field kernel works on ring payloads (F_p, k[t]/(f) and, for
+  reduction only, ZZ/mZ) and keeps basis elements monic; every reduction
+  outside buchberger (normal_form, the criterion check,
+  GroebnerBasis.reduce) runs it, QQ included;
 - the QQ kernel works fraction-free on integers, keeps basis elements with
   content 1 and positive leading coefficient, and returns a positive
   rational multiple of the field remainder.
@@ -400,8 +403,12 @@ def _widening(run, width: int = 8):
 def _field_reducer(ring: BaseRing, vs: VarSet, order: MonomialOrder,
                    G: Sequence[MultiPoly], width: int = 8) -> tuple:
     """Field kernel and the indexed reducer entries of the nonzero
-    elements of G."""
-    _require_field(ring)
+    elements of G.  Reduction only inverts leading coefficients, so a
+    product of fields such as ZZ/mZ (m squarefree) will do: there an
+    element whose leading coefficient is not a unit raises NotAUnit."""
+    if not ring.is_product_of_fields():
+        raise NonFieldCoefficients(
+            f"reduction needs coefficients in a product of fields, got {ring.tag()}")
     kernel = _FieldKernel(ring, vs, order, width)
     terms = [kernel.prepare(g) for g in G if not g.is_zero()]
     return kernel, _Reducers(kernel.pack, [kernel.entry(t, kernel.lead(t)) for t in terms])

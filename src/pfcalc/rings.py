@@ -1,4 +1,5 @@
-"""Exact coefficient rings: ZZ, QQ, prime fields, and univariate quotients.
+"""Exact coefficient rings: ZZ, QQ, prime fields, univariate quotients, and
+ZZ/mZ for squarefree m.
 
 Every ring value is kept in a canonical form so that equality is plain
 syntactic equality: fractions are reduced with positive denominator,
@@ -14,6 +15,7 @@ coefficient tuples.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Any, Optional, Tuple
@@ -88,6 +90,12 @@ class BaseRing:
 
     def is_field(self) -> bool:
         return False
+
+    def is_product_of_fields(self) -> bool:
+        """Is the ring a finite product of fields, a field included?  Then
+        reducing a polynomial modulo others whose leading coefficients are
+        units is the reduction in every factor at once."""
+        return self.is_field()
 
     def tag(self) -> str:
         raise NotImplementedError
@@ -312,6 +320,71 @@ class PrimeField(BaseRing):
         return hash(("Fp", self.p))
 
 
+class ModularIntegers(BaseRing):
+    """ZZ/mZ for m a product of distinct primes: by the Chinese remainder
+    theorem, the product of the fields F_p for the primes p dividing m.
+    Payloads are ints in [0, m).  A residue is a unit exactly when it is
+    nonzero mod every p, and inv raises NotAUnit otherwise."""
+
+    def __init__(self, primes):
+        primes = sorted(set(primes))
+        if not primes:
+            raise ValueError("ZZ/mZ needs at least one prime")
+        for p in primes:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        self.primes = tuple(primes)
+        self.m = math.prod(primes)
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def sub(self, a, b):
+        return (a - b) % self.m
+
+    def mul(self, a, b):
+        return (a * b) % self.m
+
+    def neg(self, a):
+        return (-a) % self.m
+
+    def inv(self, a):
+        try:
+            return pow(a, -1, self.m)
+        except ValueError:
+            raise NotAUnit(f"{a % self.m} is not a unit in {self.tag()}") from None
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1 % self.m
+
+    def is_zero(self, a):
+        return not a
+
+    def from_int(self, n):
+        return n % self.m
+
+    def characteristic(self):
+        return self.m
+
+    def is_field(self):
+        return len(self.primes) == 1
+
+    def is_product_of_fields(self):
+        return True
+
+    def tag(self):
+        return f"ZZ/({self.m})"
+
+    def __eq__(self, other):
+        return isinstance(other, ModularIntegers) and other.m == self.m
+
+    def __hash__(self):
+        return hash(("ZZ/m", self.m))
+
+
 def _poly_trim(cs: tuple) -> tuple:
     n = len(cs)
     while n > 0 and cs[n - 1] == 0:
@@ -359,10 +432,10 @@ class QuotientRing(BaseRing):
         return r + (self.base.zero(),) * (self.deg - len(r))
 
     def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
+        return tuple(self.base.add(x, y) for x, y in zip(a, b, strict=True))
 
     def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
+        return tuple(self.base.sub(x, y) for x, y in zip(a, b, strict=True))
 
     def mul(self, a, b):
         out = [self.base.zero()] * (2 * self.deg - 1)
@@ -377,7 +450,9 @@ class QuotientRing(BaseRing):
         return tuple(self.base.neg(x) for x in a)
 
     def power(self, a, e: int):
-        """a^e by square-and-multiply."""
+        """a^e by square-and-multiply; a negative e is a power of inv(a)."""
+        if e < 0:
+            return self.power(self.inv(a), -e)
         out = self.one()
         while e:
             if e & 1:
@@ -620,6 +695,8 @@ def _zech_arithmetic(ring: "QuotientRing", log: dict, exp: list, zech: list) -> 
     def power(a, e: int):
         la = log[a]
         if la == Z:
+            if e < 0:
+                raise NotAUnit(f"0 is not a unit in {ring.tag()}")
             return exp[0 if e == 0 else Z]
         return exp[la * e % n]
 

@@ -8,7 +8,7 @@ from math import prod
 import pytest
 
 from pfcalc import geometry
-from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence,
+from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence, PrimeVerdict,
                              SizeGuardExceeded, SizeGuards, _dense_image,
                              _graph_weights, _jacobian_points, _jacobian_rank,
                              cube_sum, dimension_per_prime, equivariance_check,
@@ -19,7 +19,7 @@ from pfcalc.groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimensi
                              radical_membership)
 from pfcalc.poly import (Grevlex, MultiPoly, VarSet, degree_monomials, format_poly,
                          parse_poly)
-from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
+from pfcalc.rings import Fp, ModularIntegers, NotAUnit, QQ, ZZ, ring_from_tag
 
 
 def test_cube_sum_dimensions_rank2():
@@ -319,6 +319,111 @@ def test_good_primes_random_ideals_verified_from_scratch():
                 f.leading(order)[0] for f in report.generic_basis)
             assert stairs == generic_stairs
         checked += 1
+
+
+def _per_prime_verdicts(gens, report, primes):
+    """good_primes' verdicts with every prime away from r checked alone,
+    over F_p on its own pair queue: the reference for the batched check."""
+    order = Grevlex()
+    vs = gens[0].varset
+    stairs = frozenset(f.leading(order)[0] for f in report.generic_basis)
+    out = []
+    for p in primes:
+        ring_p = Fp(p)
+        inputs_p = [f for f in (g.map_coefficients(ring_p.coerce, ring_p)
+                                for g in gens) if not f.is_zero()]
+        if report.r % p:
+            gb_p = GroebnerBasis(tuple(f.map_coefficients(ring_p.coerce, ring_p)
+                                       for f in report.generic_basis),
+                                 order, ring_p, vs)
+            if (gb_p.satisfies_criterion()
+                    and all(gb_p.contains(f) for f in inputs_p)
+                    and gb_p.leading_monomials == stairs):
+                out.append(PrimeVerdict(p, True, report.generic_dimension, False))
+                continue
+        if inputs_p:
+            gb_p = buchberger(inputs_p, order)
+            out.append(PrimeVerdict(p, gb_p.leading_monomials == stairs,
+                                    ideal_dimension(gb_p), True))
+        else:
+            out.append(PrimeVerdict(p, not stairs, len(vs), True))
+    return out
+
+
+def test_batched_good_primes_match_a_per_prime_loop():
+    # unsorted, with repeats: verdicts come in this order, one per entry
+    primes = (7, 2, 3, 5, 3, 11, 13, 2, 97, 89, 31)
+    rng = random.Random(2718)
+    checked = recomputed = 0
+    while checked < 25:
+        vs, gens = _random_integral_ideal(rng)
+        if not gens:
+            continue
+        report = good_primes(gens, primes)
+        assert list(report.verdicts) == _per_prime_verdicts(gens, report, primes)
+        recomputed += sum(v.recomputed for v in report.verdicts)
+        checked += 1
+    assert recomputed  # some primes divide r
+
+
+def _staircase(basis):
+    return frozenset(f.leading(Grevlex())[0] for f in basis)
+
+
+def test_certified_primes_split_on_a_leading_coefficient_that_is_no_unit(monkeypatch):
+    # <3x + y> is its own cleared basis, so 3 divides r and is no unit mod
+    # 2*3*5*7: the batch splits until 3 is alone, where the staircase
+    # changes ({y}, not {x})
+    vs = VarSet(("x", "y"))
+    gens = [parse_poly("3*x + y", ZZ, vs)]
+    report = good_primes(gens, (2, 3, 5, 7))
+    assert report.r % 3 == 0
+    assert list(report.verdicts) == [
+        PrimeVerdict(2, True, 1, False), PrimeVerdict(3, False, 1, True),
+        PrimeVerdict(5, True, 1, False), PrimeVerdict(7, True, 1, False)]
+    m = ModularIntegers((2, 3, 5, 7))
+    gb_m = GroebnerBasis(tuple(f.map_coefficients(m.coerce, m)
+                               for f in report.generic_basis), Grevlex(), m, vs)
+    with pytest.raises(NotAUnit):
+        gb_m.criterion_pairs()
+    calls = []
+    own = geometry._certified_primes
+
+    def spy(primes, *args):
+        calls.append(list(primes))
+        return own(primes, *args)
+
+    monkeypatch.setattr(geometry, "_certified_primes", spy)
+    stairs = _staircase(report.generic_basis)
+    assert geometry._certified_primes([2, 3, 5, 7], report.generic_basis, gens,
+                                      stairs) == {2, 5, 7}
+    assert calls == [[2, 3, 5, 7], [2, 3], [2], [3], [5, 7]]
+    assert own([2, 5, 7], report.generic_basis, gens, stairs) == {2, 5, 7}
+
+
+def test_certified_primes_split_on_a_failed_criterion(monkeypatch):
+    # {x^2, xy + 3y^2} is a Groebner basis mod 3 alone: its one S-pair
+    # leaves 9y^3.  Every leading coefficient is 1, so each batch fails on
+    # the criterion, and every half checks the same pairs
+    vs = VarSet(("x", "y"))
+    gens = [parse_poly("x^2", ZZ, vs), parse_poly("x*y + 3*y^2", ZZ, vs)]
+    cleared = [g.map_coefficients(QQ.coerce, QQ) for g in gens]
+    checked = []
+    own = GroebnerBasis.satisfies_criterion
+
+    def satisfies(self, pairs=None):
+        assert pairs == [(0, 1)]
+        got = own(self, pairs)
+        checked.append((self.ring, got))
+        return got
+
+    monkeypatch.setattr(GroebnerBasis, "satisfies_criterion", satisfies)
+    assert geometry._certified_primes([2, 3, 5, 7], cleared, gens,
+                                      _staircase(cleared)) == {3}
+    assert checked == [
+        (ModularIntegers((2, 3, 5, 7)), False), (ModularIntegers((2, 3)), False),
+        (Fp(2), False), (Fp(3), True), (ModularIntegers((5, 7)), False),
+        (Fp(5), False), (Fp(7), False)]
 
 
 def test_vanishing_transfer():

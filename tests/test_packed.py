@@ -17,7 +17,7 @@ from pfcalc.groebner import (GroebnerBasis, _Overflow, _Packing, buchberger,
                              normal_form, verify_buchberger_criterion)
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          degree_monomials, parse_poly)
-from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
+from pfcalc.rings import Fp, ModularIntegers, QQ, ZZ, ring_from_tag
 
 RINGS = [Fp(2), Fp(5), QQ, ring_from_tag("Fp(3)[t]/(t^2+1)")]
 RING_IDS = ["F2", "F5", "QQ", "F9"]
@@ -187,6 +187,7 @@ def _bench_ideals():
 PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
 # r and the recomputed primes below 100 (every other prime is verified with
 # dimension 3), as the criterion check of each prime's own queue gave them
+# when each prime was checked alone
 GOOD_PRIMES_PINS = {
     "sop(1,3)@3": (1259712, {2: PrimeVerdict(2, False, 3, True),
                              3: PrimeVerdict(3, False, 3, True)}),
@@ -195,26 +196,32 @@ GOOD_PRIMES_PINS = {
 
 
 def test_good_primes_share_one_pair_schedule(monkeypatch):
-    # every verified prime checks the pairs of the first one; they must be
-    # the pairs of that prime's own queue, and each verdict the tuple
-    # engine's verdict on the prime's generators
+    # the primes away from r are checked together over ZZ/mZ, m their
+    # product: one criterion call per ideal, on the pairs of the batch's own
+    # queue; and every verified prime's generators mod p pass the tuple
+    # engine's criterion over F_p itself, a check that skips the batch
     checked = []
     own = GroebnerBasis.satisfies_criterion
 
     def satisfies(self, pairs=None):
         assert pairs is not None and pairs == self.criterion_pairs()
         got = own(self, pairs)
-        assert got == tuple_engine.verify_buchberger_criterion(
-            list(self.generators), self.order)
-        checked.append(got)
+        checked.append((self.ring, got))
         return got
 
     monkeypatch.setattr(GroebnerBasis, "satisfies_criterion", satisfies)
     for name, gens in _bench_ideals():
+        checked.clear()
         report = good_primes(gens, PRIMES_BELOW_100)
         r, recomputed = GOOD_PRIMES_PINS[name]
         assert report.r == r
         assert list(report.verdicts) == [
             recomputed.get(p, PrimeVerdict(p, True, 3, False))
             for p in PRIMES_BELOW_100]
-    assert len(checked) == 2 * len(PRIMES_BELOW_100) - 3 and all(checked)
+        verified = [p for p in PRIMES_BELOW_100 if p not in recomputed]
+        assert checked == [(ModularIntegers(verified), True)]
+        for p in verified:
+            ring_p = Fp(p)
+            gens_p = [f.map_coefficients(ring_p.coerce, ring_p)
+                      for f in report.generic_basis]
+            assert tuple_engine.verify_buchberger_criterion(gens_p, Grevlex())

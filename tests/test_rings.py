@@ -1,6 +1,7 @@
 """Exact coefficient rings: arithmetic, tags, scalar-field structure."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from pfcalc import rings
-from pfcalc.rings import (Fp, NotAUnit, QQ, QuotientRing, ZZ, _poly_divmod,
-                          fraction_field_reduction, parse_quotient_payload,
-                          ring_from_tag)
+from pfcalc.groebner import NonFieldCoefficients, buchberger
+from pfcalc.poly import Grevlex, VarSet, parse_poly
+from pfcalc.rings import (Fp, ModularIntegers, NotAUnit, QQ, QuotientRing, ZZ,
+                          _poly_divmod, fraction_field_reduction,
+                          parse_quotient_payload, ring_from_tag)
 
 
 def test_integer_arithmetic():
@@ -317,7 +320,8 @@ def test_no_zech_tables_off_finite_fields(tag):
 @pytest.mark.parametrize("payload", [(1,), (0,), (1, 0, 0), (3, 0), (0, 3),
                                      [1, 0]])
 def test_zech_tables_reject_payloads_that_are_not_canonical(payload):
-    # zip in the schoolbook add would silently truncate (1,) against (1, 0)
+    # the table path raises on these, as the schoolbook add and sub raise on
+    # a payload of the wrong length
     R = ring_from_tag("Fp(3)[t]/(t^2+1)")
     assert R.is_field()
     one = R.one()
@@ -346,3 +350,95 @@ def test_zech_tables_stop_at_the_order_bound():
                     for _ in range(2))
             assert R.mul(a, b) == S.mul(a, b)
             assert R.add(a, b) == S.add(a, b)
+
+
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_schoolbook_add_and_sub_refuse_payloads_of_the_wrong_length(op):
+    # Fp(2)[t]/(t^2) is no field, so it keeps the schoolbook arithmetic; a
+    # plain zip read add((1,), (1, 0)) as (0,)
+    R = ring_from_tag("Fp(2)[t]/(t^2)")
+    assert not R.is_field()
+    for a, b in (((1,), (1, 0)), ((1, 0), (1,)), ((1, 0, 0), (1, 0))):
+        with pytest.raises(ValueError):
+            getattr(R, op)(a, b)
+    assert getattr(R, op)((1, 1), (1, 0)) == (0, 1)
+
+
+def test_schoolbook_negative_powers_match_the_tables():
+    R, S = ring_from_tag("Fp(3)[t]/(t^2+1)"), ring_from_tag("Fp(3)[t]/(t^2+1)")
+    assert R.is_field() and R._tables is not None and S._tables is None
+    for a in itertools.product(range(3), repeat=2):
+        for e in (-1, -2, -5, -8, -9, -(10 ** 6 + 3)):
+            if any(a):
+                assert S.power(a, e) == R.power(a, e), (a, e)
+                assert S.mul(S.power(a, e), S.power(a, -e)) == S.one()
+            else:
+                for ring in (R, S):
+                    with pytest.raises(NotAUnit):
+                        ring.power(a, e)
+
+
+def test_schoolbook_negative_power_of_a_non_unit_raises_promptly():
+    R = ring_from_tag("Fp(2)[t]/(t^2)")
+    assert not R.is_field()
+    start = time.perf_counter()
+    with pytest.raises(NotAUnit):
+        R.power(R.gen(), -1)
+    assert time.perf_counter() - start < 1.0
+    u = R.add(R.one(), R.gen())   # 1 + t, its own inverse
+    assert R.power(u, -3) == R.inv(u)
+
+
+MODULI = [(2, 3), (2, 3, 5, 7), (5, 13, 97), (3, 7, 11, 19, 23, 29, 31)]
+
+
+@pytest.mark.parametrize("primes", MODULI, ids=str)
+def test_modular_integers_agree_with_every_prime_field(primes):
+    R = ModularIntegers(primes)
+    m = R.m
+    assert m == math.prod(primes) and R.primes == tuple(primes)
+    assert not R.is_field() and R.is_product_of_fields()
+    assert R.characteristic() == m and R.tag() == f"ZZ/({m})"
+    rng = random.Random(m)
+    for _ in range(200):
+        a, b = rng.randrange(-m, 2 * m), rng.randrange(-m, 2 * m)
+        x, y = R.from_int(a), R.from_int(b)
+        assert 0 <= x < m and 0 <= y < m
+        units = all(x % p for p in primes)
+        for p in primes:
+            F = Fp(p)
+            fa, fb = F.from_int(a), F.from_int(b)
+            assert R.add(x, y) % p == F.add(fa, fb)
+            assert R.sub(x, y) % p == F.sub(fa, fb)
+            assert R.mul(x, y) % p == F.mul(fa, fb)
+            assert R.neg(x) % p == F.neg(fa)
+            if units:
+                assert R.inv(x) % p == F.inv(fa)
+        if not units:
+            # zero mod some p: a zero divisor, or 0 itself
+            with pytest.raises(NotAUnit):
+                R.inv(x)
+            assert not R.is_unit(x)
+    assert R.mul(R.coerce(Fraction(1, 101)), 101) == 1
+    for p in primes:
+        with pytest.raises(NotAUnit):
+            R.inv(p)
+        with pytest.raises(NotAUnit):
+            R.coerce(Fraction(1, p))
+
+
+def test_modular_integers_of_one_prime_is_that_field():
+    R = ModularIntegers([7])
+    assert R.is_field() and R.m == 7 and R.inv(3) == Fp(7).inv(3)
+    assert ModularIntegers((5, 3, 5)) == ModularIntegers((3, 5))
+    for bad in ((), (4,), (2, 9)):
+        with pytest.raises(ValueError):
+            ModularIntegers(bad)
+
+
+def test_buchberger_refuses_modular_integers():
+    R = ModularIntegers((2, 3, 5))
+    vs = VarSet(("x", "y"))
+    gens = [parse_poly("x^2 + y", ZZ, vs), parse_poly("x*y + 1", ZZ, vs)]
+    with pytest.raises(NonFieldCoefficients):
+        buchberger([g.map_coefficients(R.coerce, R) for g in gens], Grevlex())
