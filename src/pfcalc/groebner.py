@@ -5,11 +5,11 @@ also runs over a product of fields such as ZZ/mZ (see _field_reducer), but
 buchberger does not.  One S-pair queue serves both building and checking a
 basis: the normal strategy (least weighted lcm degree, then the monomial
 order on the lcm), skipping pairs with coprime leading monomials and pairs
-caught by the chain criterion.  The weights are unit
-weights unless buchberger or eliminate is given others: weights that make
-the input homogeneous give the sugar strategy of Giovini et al. ("One sugar
-cube, please", ISSAC 1991) in its homogeneous case.  buchberger adds each
-nonzero remainder and ends with one minimalize/interreduce pass;
+caught by the chain criterion.  The weights are unit weights unless
+buchberger or eliminate is given others: weights that make the input
+homogeneous give the sugar strategy of Giovini et al. ("One sugar cube,
+please", ISSAC 1991) in its homogeneous case.  buchberger adds each nonzero
+remainder and ends with one minimalize/interreduce pass;
 verify_buchberger_criterion stops at the first one.  A reduced basis is
 unique, so the weights change which pairs get reduced but never the result.
 
