@@ -5,19 +5,30 @@ DirectSum, Compose, Shift and Dual.  Evaluating at rank n yields a module
 with a named basis plus symbolic law matrices: for a map R^n -> R^m given
 by an m x n matrix of indeterminates h_i_j, the law matrix expresses the
 induced map P(R^n) -> P(R^m) in the chosen bases.
+
+Laws are built as sparse rows (Rows): row i is a dict {column j: entry
+(i, j)} that holds the nonzero entries only.  The work then follows the
+nonzero entries, so a diagonal map such as the idempotent of
+shift_decompose costs far less than the square of the basis size.
+FunctorEval.law and FunctorEval.law_at are dense views of those rows,
+with the zeros filled in once, at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .fpmod import FPModule, block_sum, fiber_dimension
 from .poly import MultiPoly, VarSet, degree_monomials
 from .rings import ZZ, BaseRing
+
+# A sparse matrix: row i is {column j: entry (i, j)}, nonzero entries only.
+Rows = List[Dict[int, MultiPoly]]
 
 
 class FunctorExpr:
@@ -152,28 +163,51 @@ class FunctorEval:
     basis_labels: Tuple[str, ...]
 
     def law(self, target_rank: int) -> List[List[MultiPoly]]:
-        """Matrix of P applied to a generic map R^rank -> R^target_rank."""
+        """Matrix of P applied to a generic map R^rank -> R^target_rank.
+
+        A dense view: the law is built as sparse rows (see _law_matrix)
+        and its zero entries are filled in once, at the end.
+        """
         ring = self.module.ring
         vs = hom_varset(target_rank, self.rank)
-        h = [[MultiPoly.variable(ring, vs, f"h_{i + 1}_{j + 1}")
-              for j in range(self.rank)] for i in range(target_rank)]
-        return _law_matrix(self.expr, self.rank, target_rank, h, ring, vs)
+        h = [{j: MultiPoly.variable(ring, vs, f"h_{i + 1}_{j + 1}")
+              for j in range(self.rank)} for i in range(target_rank)]
+        rows = _law_matrix(self.expr, self.rank, target_rank, h, ring, vs)
+        return _dense(rows, self.module.ngens, MultiPoly.zero(ring, vs))
 
     def law_at(self, matrix: Sequence[Sequence[int]]) -> List[List]:
         """Law matrix at a concrete integer matrix; entries are ring payloads.
+
+        A dense view of _law_rows_at, with the ring's zero filled in.
+        """
+        return _dense(self._law_rows_at(matrix), self.module.ngens,
+                      self.module.ring.zero())
+
+    def _law_rows_at(self, matrix: Sequence[Sequence[int]]) -> List[Dict[int, object]]:
+        """Sparse rows {column: nonzero payload} of the law at a concrete
+        integer matrix.
 
         The entries of a concrete matrix are constants, so the law is built
         over the empty varset: h_i_j variables would only add exponent
         slots that stay zero.  Each entry is read off at the exponent ().
         """
         ring = self.module.ring
-        n_to = len(matrix)
         vs = VarSet(())
-        h = [[MultiPoly.constant(ring, vs, ring.from_int(matrix[i][j]))
-              for j in range(self.rank)] for i in range(n_to)]
-        rows = _law_matrix(self.expr, self.rank, n_to, h, ring, vs)
-        zero = ring.zero()
-        return [[e.terms.get((), zero) for e in row] for row in rows]
+        h = []
+        for row in matrix:
+            entries = {}
+            for j in range(self.rank):
+                c = MultiPoly.constant(ring, vs, ring.from_int(row[j]))
+                if not c.is_zero():
+                    entries[j] = c
+            h.append(entries)
+        rows = _law_matrix(self.expr, self.rank, len(matrix), h, ring, vs)
+        return [{j: e.terms[()] for j, e in row.items()} for row in rows]
+
+
+def _dense(rows: List[dict], width: int, zero) -> list:
+    """Sparse rows of the given width as lists, zero where an entry is absent."""
+    return [[row.get(j, zero) for j in range(width)] for row in rows]
 
 
 _EVAL_CACHE: Dict[Tuple[FunctorExpr, int], FunctorEval] = {}
@@ -248,15 +282,20 @@ def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
 
 
 def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
-                h: List[List[MultiPoly]], ring: BaseRing, vs: VarSet) -> List[List[MultiPoly]]:
-    """Law matrix of expr at the (possibly symbolic) matrix h."""
-    zero = MultiPoly.zero(ring, vs)
+                h: Rows, ring: BaseRing, vs: VarSet) -> Rows:
+    """Law matrix of expr at the (possibly symbolic) n_to x n_from matrix h.
+
+    Both h and the result are sparse rows: row i is a dict {column j:
+    entry (i, j)} holding the nonzero entries only, so every combinator
+    touches nonzero entries alone.  The result has one row per basis
+    vector of expr at n_to; its width, the basis size at n_from, is not
+    stored.
+    """
     one = MultiPoly.constant(ring, vs, ring.one())
     if isinstance(expr, Const):
-        m = expr.module.ngens
-        return [[one if i == j else zero for j in range(m)] for i in range(m)]
+        return [{i: one} for i in range(expr.module.ngens)]
     if isinstance(expr, Id):
-        return [list(row) for row in h]
+        return h
     if isinstance(expr, Sym):
         src = degree_monomials(n_from, expr.d)
         tgt_index = {e: i for i, e in enumerate(degree_monomials(n_to, expr.d))}
@@ -264,45 +303,45 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         # after the h block; the f-exponent of a term names its row
         big = VarSet(vs.names + tuple(f"f!{i + 1}" for i in range(n_to)),
                      vs.weights + (1,) * n_to)
-        f = [MultiPoly.variable(ring, big, f"f!{i + 1}") for i in range(n_to)]
-        # image of e_j: the linear form sum_i h_i_j f_i
-        lin = []
-        for j in range(n_from):
-            col = MultiPoly.zero(ring, big)
-            for i in range(n_to):
-                col = col + h[i][j].rename(big) * f[i]
-            lin.append(col)
-        out = [[zero] * len(src) for _ in tgt_index]
+        # image of e_j: the linear form sum_i h_i_j f_i, None when it is zero
+        lin: List[Optional[MultiPoly]] = [None] * n_from
+        for i, row in enumerate(h):
+            f_i = MultiPoly.variable(ring, big, f"f!{i + 1}")
+            for j, x in row.items():
+                term = x.rename(big) * f_i
+                lin[j] = term if lin[j] is None else lin[j] + term
+        out: Rows = [{} for _ in tgt_index]
         for c, exp in enumerate(src):
-            img = MultiPoly.constant(ring, big, ring.one())
+            if any(e and lin[j] is None for j, e in enumerate(exp)):
+                continue
+            img = None
             for j, e in enumerate(exp):
                 if e:
-                    img = img * lin[j] ** e
+                    img = lin[j] ** e if img is None else img * lin[j] ** e
+            if img is None:
+                img = MultiPoly.constant(ring, big, ring.one())
             for fexp, entry in img.by_trailing(vs).items():
                 out[tgt_index[fexp]][c] = entry
         return out
     if isinstance(expr, Ext):
-        src = list(combinations(range(n_from), expr.d))
-        tgt = list(combinations(range(n_to), expr.d))
-        memo: Dict[Tuple[tuple, tuple], MultiPoly] = {}
-        return [[_minor(h, rows, cols, memo, one) for cols in src] for rows in tgt]
+        col_index = {c: k for k, c in enumerate(combinations(range(n_from), expr.d))}
+        memo: Dict[tuple, Dict[tuple, MultiPoly]] = {(): {(): one}}
+        return [{col_index[cols]: x for cols, x in _minors(h, rows, memo).items()}
+                for rows in combinations(range(n_to), expr.d)]
     if isinstance(expr, Tensor):
-        mats = [_law_matrix(c, n_from, n_to, h, ring, vs) for c in expr.children]
         out = None
-        for m in mats:
-            out = m if out is None else _kron(out, m, zero)
-        return out if out is not None else [[one]]
+        for c in expr.children:
+            m = _law_matrix(c, n_from, n_to, h, ring, vs)
+            out = m if out is None else _kron(out, m, evaluate(c, n_from).module.ngens)
+        return out if out is not None else [{0: one}]
     if isinstance(expr, DirectSum):
-        mats = [_law_matrix(c, n_from, n_to, h, ring, vs) for c in expr.children]
-        # a child's law may have no rows, so take its width from its module
-        widths = [evaluate(c, n_from).module.ngens for c in expr.children]
-        out = [[zero] * sum(widths) for _ in range(sum(len(m) for m in mats))]
-        ro = co = 0
-        for m, width in zip(mats, widths):
-            for i, row in enumerate(m):
-                out[ro + i][co:co + width] = row
-            ro += len(m)
-            co += width
+        out = []
+        co = 0
+        for c in expr.children:
+            m = _law_matrix(c, n_from, n_to, h, ring, vs)
+            out.extend({co + j: x for j, x in row.items()} for row in m)
+            # a child's law may have no rows, so take its width from its module
+            co += evaluate(c, n_from).module.ngens
         return out
     if isinstance(expr, Compose):
         inner = _law_matrix(expr.inner, n_from, n_to, h, ring, vs)
@@ -311,76 +350,82 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         return _law_matrix(expr.outer, q_from, q_to, inner, ring, vs)
     if isinstance(expr, Shift):
         m = expr.m
-        big = [[zero] * (m + n_from) for _ in range(m + n_to)]
-        for i in range(m):
-            big[i][i] = one
-        for i in range(n_to):
-            for j in range(n_from):
-                big[m + i][m + j] = h[i][j]
+        big = [{i: one} for i in range(m)]
+        big.extend({m + j: x for j, x in row.items()} for row in h)
         return _law_matrix(expr.child, m + n_from, m + n_to, big, ring, vs)
     if isinstance(expr, Dual):
-        ht = [[h[i][j] for i in range(n_to)] for j in range(n_from)]
-        inner = _law_matrix(expr.child, n_to, n_from, ht, ring, vs)
-        width = evaluate(expr.child, n_to).module.ngens
-        return [[row[i] for row in inner] for i in range(width)]
+        inner = _law_matrix(expr.child, n_to, n_from, _transpose(h, n_from), ring, vs)
+        return _transpose(inner, evaluate(expr.child, n_to).module.ngens)
     raise TypeError(f"unknown functor node {expr!r}")
 
 
-def _minor(h: List[List[MultiPoly]], rows: tuple, cols: tuple,
-           memo: Dict[Tuple[tuple, tuple], MultiPoly], one: MultiPoly) -> MultiPoly:
-    """Determinant of h restricted to the index tuples rows x cols.
+def _transpose(rows: Rows, width: int) -> Rows:
+    """The width x len(rows) transpose of sparse rows of the given width."""
+    out: Rows = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
-    Laplace expansion along the first row.  Sub-minors are memoized by
-    (rows, cols) in memo, so the Ext law builds each one once instead of
-    once per enclosing minor; exact arithmetic makes the result the same
-    polynomial as the unshared expansion.  The empty minor is one.
+
+def _minors(h: Rows, rows: tuple, memo: Dict[tuple, Dict[tuple, MultiPoly]]
+            ) -> Dict[tuple, MultiPoly]:
+    """{cols: determinant of h restricted to rows x cols}, nonzero ones only.
+
+    Laplace expansion along the first row, over its nonzero entries: entry
+    (rows[0], c) times each minor of rows[1:] on columns without c, with
+    the sign of c's position in the merged columns.  The minors of each
+    row tuple are memoized in memo (seeded with {(): {(): one}}), so the
+    Ext law builds each one once; a minor that cancels is left out.
     """
-    if len(rows) <= 1:
-        return h[rows[0]][cols[0]] if rows else one
-    key = (rows, cols)
-    out = memo.get(key)
-    if out is None:
-        rest = rows[1:]
-        out = h[rows[0]][cols[0]] * _minor(h, rest, cols[1:], memo, one)
-        for j in range(1, len(cols)):
-            term = h[rows[0]][cols[j]] * _minor(h, rest, cols[:j] + cols[j + 1:], memo, one)
-            out = out + term if j % 2 == 0 else out - term
-        memo[key] = out
+    out = memo.get(rows)
+    if out is not None:
+        return out
+    first = h[rows[0]]
+    if len(rows) == 1:
+        out = {(c,): x for c, x in first.items()}
+    else:
+        out = {}
+        for sub, minor in _minors(h, rows[1:], memo).items():
+            for c, x in first.items():
+                pos = bisect_left(sub, c)
+                if pos < len(sub) and sub[pos] == c:
+                    continue
+                cols = sub[:pos] + (c,) + sub[pos:]
+                term = x * minor
+                prev = out.get(cols)
+                if pos % 2:
+                    out[cols] = -term if prev is None else prev - term
+                else:
+                    out[cols] = term if prev is None else prev + term
+        out = {cols: x for cols, x in out.items() if not x.is_zero()}
+    memo[rows] = out
     return out
 
 
-def _kron(a: List[List[MultiPoly]], b: List[List[MultiPoly]], zero) -> List[List[MultiPoly]]:
-    if not a or not b:
-        return []
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    out = [[zero] * (ca * cb) for _ in range(ra * rb)]
-    for i in range(ra):
-        for j in range(ca):
-            if a[i][j].is_zero():
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k][j * cb + l] = a[i][j] * b[k][l]
-    return out
+def _kron(a: Rows, b: Rows, cb: int) -> Rows:
+    """Kronecker product of sparse rows; b has cb columns."""
+    return [{j * cb + l: x * y for j, x in ra.items() for l, y in rb.items()}
+            for ra in a for rb in b]
 
 
 def homogeneous_parts(expr: FunctorExpr, n: int) -> Dict[int, List[int]]:
-    """Partition of basis indices by degree, read off the law at t*id."""
+    """Partition of basis indices by degree, read off the law at t*id.
+
+    That law must be diagonal: each column has exactly one nonzero entry,
+    on the diagonal, and that entry is homogeneous in t.
+    """
     ev = evaluate(expr, n)
     ring = ev.module.ring
     tvs = VarSet(("t!",))
     t = MultiPoly.variable(ring, tvs, "t!")
-    zero = MultiPoly.zero(ring, tvs)
-    h = [[t if i == j else zero for j in range(n)] for i in range(n)]
-    mat = _law_matrix(expr, n, n, h, ring, tvs)
+    mat = _law_matrix(expr, n, n, [{i: t} for i in range(n)], ring, tvs)
+    off_diag = {j for i, row in enumerate(mat) for j in row if j != i}
     parts: Dict[int, List[int]] = {}
-    size = ev.module.ngens
-    for j in range(size):
-        entry = mat[j][j]
-        degs = {e[0] for e in entry.terms}
-        off_diag = [i for i in range(size) if i != j and not mat[i][j].is_zero()]
-        if off_diag or len(degs) != 1:
+    for j in range(ev.module.ngens):
+        entry = mat[j].get(j)
+        degs = {e[0] for e in entry.terms} if entry is not None else set()
+        if j in off_diag or len(degs) != 1:
             raise AssertionError(f"basis vector {j} of {expr} is not homogeneous")
         parts.setdefault(degs.pop(), []).append(j)
     return parts
@@ -398,13 +443,15 @@ def shift_decompose(expr: FunctorExpr, m: int, n: int):
     # idempotent P(iota o pi) killing the U-block of U (+) V
     sel = [[1 if (i == j and i >= m) else 0 for j in range(m + n)]
            for i in range(m + n)]
-    emat = ev.law_at(sel)
     ring = ev.module.ring
-    eint = [[_payload_int(ring, x) for x in row] for row in emat]
     # P-part: column span of e; Q-part: column span of 1 - e (e idempotent)
-    cols_e = [[eint[i][j] for i in range(size)] for j in range(size)]
-    cols_c = [[(1 if i == j else 0) - eint[i][j] for i in range(size)]
-              for j in range(size)]
+    cols_e = [[0] * size for _ in range(size)]
+    cols_c = [[0] * j + [1] + [0] * (size - j - 1) for j in range(size)]
+    for i, row in enumerate(ev._law_rows_at(sel)):
+        for j, x in row.items():
+            v = _payload_int(ring, x)
+            cols_e[j][i] = v
+            cols_c[j][i] -= v
     p_basis = linalg.integer_echelon(cols_e)[0]
     q_basis = linalg.integer_echelon(cols_c)[0]
     # the complement must have strictly smaller degree

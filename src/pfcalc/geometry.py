@@ -315,7 +315,8 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
     product, and the set is halved only where that check fails (see
     _certified_primes); a single prime that fails is recomputed.  The
     certificate and the verdicts are those of checking each prime alone,
-    in the order of primes, repeats included.
+    in the order of primes, repeats included; a repeated prime is checked
+    once.
     """
     if not generators:
         raise ValueError("good_primes needs at least one generator")
@@ -342,12 +343,15 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
     away = sorted({p for p in primes if is_prime(p) and r % p})
     verified = (_certified_primes(away, cleared, generators, gb.leading_monomials)
                 if away else set())
-    verdicts = []
+    # one verdict per distinct prime, repeated in the order of primes
+    verdict_of: Dict[int, PrimeVerdict] = {}
     for p in primes:
+        if p in verdict_of:
+            continue
         if p in verified:
             # cleared mod p is a Groebner basis with the generic staircase,
             # and the dimension depends on the staircase alone
-            verdicts.append(PrimeVerdict(p, True, generic_dim, False))
+            verdict_of[p] = PrimeVerdict(p, True, generic_dim, False)
             continue
         ring_p = Fp(p)
         inputs_p = [f for f in (g.map_coefficients(ring_p.coerce, ring_p)
@@ -359,8 +363,9 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
         else:
             dim_p = len(vs)
             stairs_match = not gb.generators
-        verdicts.append(PrimeVerdict(p, stairs_match, dim_p, True))
-    return SpecializationReport(cleared, generic_dim, r, tuple(verdicts))
+        verdict_of[p] = PrimeVerdict(p, stairs_match, dim_p, True)
+    return SpecializationReport(cleared, generic_dim, r,
+                                tuple(verdict_of[p] for p in primes))
 
 
 def vanishing_transfer(f: MultiPoly, generators: Sequence[MultiPoly],

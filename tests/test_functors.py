@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from pfcalc import functors
 from pfcalc.fpmod import FPModule
 from pfcalc.functors import (Compose, Const, DirectSum, Dual, Ext, Id, Shift,
                              Sym, Tensor, binomial_eval, dimension_function,
@@ -84,6 +85,40 @@ def test_homogeneous_parts_partition():
     assert sorted(parts) == [2, 3]
     assert len(parts[2]) == 6
     assert len(parts[3]) == 1
+
+
+@pytest.mark.parametrize("fault", ["off-diagonal", "zero diagonal", "mixed degrees"])
+def test_homogeneous_parts_rejects_a_law_that_is_not_diagonal(monkeypatch, fault):
+    # the law of Id at t*id in rank 2, made faulty in one way
+    def faulty(expr, n_from, n_to, h, ring, vs):
+        t = h[0][0]
+        rows = [{0: t}, {1: t}]
+        if fault == "off-diagonal":
+            rows[0][1] = t
+        elif fault == "zero diagonal":
+            del rows[1][1]
+        else:
+            rows[1][1] = t + t * t
+        return rows
+
+    monkeypatch.setattr(functors, "_law_matrix", faulty)
+    with pytest.raises(AssertionError, match="not homogeneous"):
+        homogeneous_parts(Id(), 2)
+
+
+def test_shift_decompose_multiplies_only_nonzero_entries(monkeypatch):
+    # the idempotent and t*id are diagonal, so the sparse law calculus
+    # makes a few hundred polynomial products (the dense one made 21,440)
+    calls = []
+    own = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return own(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    shift_decompose(DirectSum((Sym(2), Ext(3))), 1, 7)
+    assert 0 < len(calls) <= 1000
 
 
 def test_shift_decompose_sizes():

@@ -366,6 +366,27 @@ def test_batched_good_primes_match_a_per_prime_loop():
     assert recomputed  # some primes divide r
 
 
+def test_good_primes_recomputes_a_repeated_prime_once(monkeypatch):
+    # 3 divides r, so it is recomputed over F_3: one buchberger call for the
+    # generic run and one for the prime, however often it is listed
+    vs = VarSet(("x", "y"))
+    gens = [parse_poly("3*x + y", ZZ, vs), parse_poly("2*x*y + y^2", ZZ, vs)]
+    calls = []
+    own = geometry.buchberger
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return own(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "buchberger", spy)
+    report = good_primes(gens, (3, 3, 3, 3))
+    assert report.r % 3 == 0
+    assert len(calls) == 2
+    assert len(report.verdicts) == 4
+    assert report.verdicts[0].recomputed
+    assert all(v == report.verdicts[0] for v in report.verdicts)
+
+
 def _staircase(basis):
     return frozenset(f.leading(Grevlex())[0] for f in basis)
 
