@@ -311,7 +311,7 @@ def _cmd_schur_table(cfg: dict, args) -> tuple:
     n = _need(cfg, "n", int)
     d = _need(cfg, "d", int)
     if n < 1 or d < 0:
-        raise ConfigError("config keys 'n' and 'd' must be positive")
+        raise ConfigError("config key 'n' must be >= 1 and 'd' >= 0")
     if d > args.max_degree:
         raise SizeGuardExceeded("degree exceeds the size guard",
                                 degree=d, limit=args.max_degree)
@@ -507,8 +507,6 @@ def _cmd_taylor(cfg: dict, args) -> tuple:
     p = ring.characteristic()
     try:
         e, hs = geometry.taylor_directional(f, m, p)
-    except geometry.NoDependence as exc:
-        raise ConfigError(str(exc)) from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     q = p ** e if p else 1

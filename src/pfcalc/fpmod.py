@@ -13,7 +13,7 @@ from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg
-from .rings import ZZ, BaseRing, fraction_field_reduction
+from .rings import QQ, ZZ, BaseRing, fraction_field_reduction
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def fiber_dimension(module: FPModule, p: int) -> int:
     rows = module.integer_relations()
     if not rows:
         return module.ngens
-    rk = linalg.rank([[field.coerce(x) for x in row] for row in rows], field)
+    rk = len(linalg.Echelon.of([[field.coerce(x) for x in r] for r in rows], field))
     # elementary divisors give an independent rank count
     divisors = linalg.smith_normal_form(rows)
     snf_rk = len(divisors) if p == 0 else sum(1 for d in divisors if d % p)
@@ -150,27 +150,22 @@ def generic_freeness(module: FPModule,
         r *= abs(pv)
     k = len(sub_pivots)
 
-    # pick original generators forming the independent set: re-run greedily
+    # pick original generators greedily: keep each that enlarges the span
     chosen: List[Tuple[int, ...]] = []
-    cur: List[List[int]] = []
+    span = linalg.Echelon(QQ)
     for v, q in zip(ngens_sub, quot_rows):
-        if linalg.integer_rank(cur + [q]) > len(cur):
-            cur.append(q)
+        if span.insert([QQ.from_int(x) for x in q]):
             chosen.append(tuple(v))
         if len(chosen) == k:
             break
 
     # complete to a basis of M by unit vectors on quotient coordinates
     m = len(free_cols)
-    for c in free_cols:
+    for pos, c in enumerate(free_cols):
         if len(chosen) == m:
             break
-        e = [0] * n
-        e[c] = 1
-        eq = [e[cc] for cc in free_cols]
-        if linalg.integer_rank(cur + [eq]) > len(cur):
-            cur.append(eq)
-            chosen.append(tuple(e))
+        if span.insert({pos: QQ.one()}):
+            chosen.append(tuple(int(i == c) for i in range(n)))
     if len(chosen) != m:
         raise AssertionError("failed to complete the generic basis")
     return FreenessCertificate(r=r, k=k, m=m, basis_vectors=tuple(chosen))

@@ -10,6 +10,8 @@ Laws are built as sparse rows (Rows): row i is a dict {column j: entry
 (i, j)} that holds the nonzero entries only.  The work then follows the
 nonzero entries, so a diagonal map such as the idempotent of
 shift_decompose costs far less than the square of the basis size.
+shift_decompose reads its two bases off that idempotent's diagonal, which
+is 0/1 in these bases.
 FunctorEval.law and FunctorEval.law_at are dense views of those rows,
 with the zeros filled in once, at the end.
 """
@@ -22,7 +24,6 @@ from itertools import combinations, product
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .fpmod import FPModule, block_sum, fiber_dimension
 from .poly import MultiPoly, VarSet, degree_monomials
 from .rings import ZZ, BaseRing
@@ -435,36 +436,42 @@ def shift_decompose(expr: FunctorExpr, m: int, n: int):
     """Split Sh_m(P)(R^n) into P(R^n) and a lower-degree complement.
 
     Returns (P-part basis, Q-part basis) as integer vectors in the shifted
-    evaluation's coordinates, from the idempotent P(inclusion o projection).
+    evaluation's coordinates, read off the idempotent P(inclusion o
+    projection): unit vectors e_j where its diagonal is 1, and where it is 0.
     """
-    shifted = Shift(m, expr)
     ev = evaluate(expr, m + n)
     size = ev.module.ngens
     # idempotent P(iota o pi) killing the U-block of U (+) V
     sel = [[1 if (i == j and i >= m) else 0 for j in range(m + n)]
            for i in range(m + n)]
     ring = ev.module.ring
-    # P-part: column span of e; Q-part: column span of 1 - e (e idempotent)
-    cols_e = [[0] * size for _ in range(size)]
-    cols_c = [[0] * j + [1] + [0] * (size - j - 1) for j in range(size)]
+    # The law of every combinator sends a diagonal 0/1 matrix D to a
+    # diagonal 0/1 matrix: Id returns D; Sym and Ext give products of
+    # diagonal entries on monomials and wedges; Tensor is a Kronecker
+    # product and DirectSum a block sum; Shift(k, P) applies P to I_k (+) D;
+    # Compose applies the outer law to the inner one, diagonal 0/1 by
+    # induction; Dual transposes, and Const is the identity.  So P(R^n) is
+    # spanned by the unit vectors where the diagonal is 1, and the image of
+    # one minus the idempotent by the others.
+    kept = set()
     for i, row in enumerate(ev._law_rows_at(sel)):
         for j, x in row.items():
-            v = _payload_int(ring, x)
-            cols_e[j][i] = v
-            cols_c[j][i] -= v
-    p_basis = linalg.integer_echelon(cols_e)[0]
-    q_basis = linalg.integer_echelon(cols_c)[0]
+            if _payload_int(ring, x) != 1 or j != i:
+                raise AssertionError(
+                    f"P(iota o pi) of {expr} is not diagonal 0/1 at ({i}, {j})")
+            kept.add(i)
     # the complement must have strictly smaller degree
-    parts = homogeneous_parts(shifted, n)
+    parts = homogeneous_parts(Shift(m, expr), n)
     top = expr.degree()
-    high = set()
-    for d, idxs in parts.items():
-        if d >= top and top > 0:
-            high.update(idxs)
-    for v in q_basis:
-        if any(v[i] for i in high):
-            raise AssertionError("shift complement touches top-degree part")
-    return p_basis, q_basis
+    high = {j for d, idxs in parts.items() if d >= top > 0 for j in idxs}
+    if high - kept:
+        raise AssertionError("shift complement touches top-degree part")
+
+    def unit(j):
+        return [0] * j + [1] + [0] * (size - j - 1)
+
+    return ([unit(j) for j in range(size) if j in kept],
+            [unit(j) for j in range(size) if j not in kept])
 
 
 def _payload_int(ring, x) -> int:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .functors import DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_parts
 from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
                        radical_membership)
-from .linalg import rank
+from .linalg import Echelon
 from .poly import (Grevlex, MultiPoly, VarSet, degree_monomials, integer_primitive,
                    substitute_all)
 from .rings import (ZZ, BaseRing, Fp, ModularIntegers, NotAUnit, QQ,
@@ -161,7 +161,7 @@ def _jacobian_rank(coords: Sequence[MultiPoly], point: Sequence[int],
                         value *= x ** (b - (u == j))
                     row[j] = ring.add(row[j], ring.mul(c, ring.from_int(value)))
         rows.append(row)
-    return rank(rows, ring)
+    return len(Echelon.of(rows, ring))
 
 
 def _jacobian_points(m: int) -> List[List[int]]:

@@ -10,7 +10,7 @@ buchberger or eliminate is given others: weights that make the input
 homogeneous give the sugar strategy of Giovini et al. ("One sugar cube,
 please", ISSAC 1991) in its homogeneous case.  buchberger adds each nonzero
 remainder and ends with one minimalize/interreduce pass;
-verify_buchberger_criterion stops at the first one.  A reduced basis is
+GroebnerBasis.satisfies_criterion stops at the first one.  A reduced basis is
 unique, so the weights change which pairs get reduced but never the result.
 
 Inside the engine a monomial is one int P (Monagan and Pearce, "Polynomial
@@ -42,8 +42,8 @@ from the ring:
 
 - the field kernel works on ring payloads (F_p, k[t]/(f) and, for
   reduction only, ZZ/mZ) and keeps basis elements monic; every reduction
-  outside buchberger (normal_form, the criterion check,
-  GroebnerBasis.reduce) runs it, QQ included;
+  outside buchberger (GroebnerBasis.reduce, .contains and
+  .satisfies_criterion) runs it, QQ included;
 - the QQ kernel works fraction-free on integers, keeps basis elements with
   content 1 and positive leading coefficient, and returns a positive
   rational multiple of the field remainder.
@@ -414,11 +414,6 @@ def _field_reducer(ring: BaseRing, vs: VarSet, order: MonomialOrder,
     return kernel, _Reducers(kernel.pack, [kernel.entry(t, kernel.lead(t)) for t in terms])
 
 
-def normal_form(f: MultiPoly, G: Sequence[MultiPoly], order: MonomialOrder) -> MultiPoly:
-    """Remainder of f modulo G; no term of the result is divisible by any LM(g)."""
-    return GroebnerBasis(tuple(G), order, f.ring, f.varset).reduce(f)
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: Tuple[MultiPoly, ...]
@@ -456,7 +451,8 @@ class GroebnerBasis:
         return _widening(run, kernel.pack.width)
 
     def reduce(self, f: MultiPoly) -> MultiPoly:
-        """Remainder of f modulo the generators, as normal_form gives it."""
+        """Remainder of f modulo the generators: no term of the result is
+        divisible by the leading monomial of a generator."""
         return self._run(lambda kernel, reducers: kernel.to_poly(
             kernel.reduce(kernel.prepare(f), reducers)))
 
@@ -615,19 +611,6 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
             final.append((key(kernel.lead(t)), kernel.to_poly(t).monic(kernel.order)))
     final.sort(key=lambda kf: kf[0])
     return tuple(f for _, f in final)
-
-
-def verify_buchberger_criterion(G: Sequence[MultiPoly], order: MonomialOrder) -> bool:
-    """Is G a Groebner basis: does every S-polynomial reduce to zero modulo G?
-
-    Pairs come from the same queue as in buchberger (_s_pairs), so pairs
-    with coprime leading monomials and pairs caught by the chain criterion
-    are skipped; the first nonzero remainder answers False.
-    """
-    gens = tuple(g for g in G if not g.is_zero())
-    if len(gens) < 2:
-        return True
-    return GroebnerBasis(gens, order, gens[0].ring, gens[0].varset).satisfies_criterion()
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:

@@ -4,8 +4,8 @@ over the integers.
 
 `Echelon` keeps the reduced row echelon form of the rows inserted so far,
 each row a dict from column to nonzero payload; `insert` reduces a row
-against it and reports whether the row enlarged the span.  `row_reduce`,
-`rank` and `kernel_basis` read their answers off one `Echelon`.  The
+against it and reports whether the row enlarged the span; its length is
+the rank, and `dense`, `pivots` and `kernel` read the rest off it.  The
 reduced row echelon form of a span is unique, so the order of insertion
 never changes what they return.
 
@@ -116,26 +116,6 @@ class Echelon:
         return list(basis.values())
 
 
-def row_reduce(rows: Sequence[Sequence], ring: BaseRing) -> Tuple[List[list], List[int]]:
-    """Reduced row echelon form over a field; returns (rref, pivot columns)."""
-    ech = Echelon.of(rows, ring)
-    return ech.dense(len(rows[0]) if rows else 0), ech.pivots()
-
-
-def rank(rows: Sequence[Sequence], ring: BaseRing) -> int:
-    return len(Echelon.of(rows, ring))
-
-
-def kernel_basis(rows: Sequence[Sequence], ring: BaseRing) -> List[list]:
-    """Basis of the right kernel {v : rows · v = 0} over a field."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    zero = ring.zero()
-    return [[v.get(j, zero) for j in range(ncols)]
-            for v in Echelon.of(rows, ring).kernel(ncols)]
-
-
 def integer_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], List[int]]:
     """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
@@ -182,10 +162,6 @@ def integer_echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], Lis
         if row == len(mat):
             break
     return mat[:row], pivots, pivot_vals
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(integer_echelon(rows)[1])
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> List[int]:

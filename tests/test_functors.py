@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from pfcalc import functors
+from pfcalc import functors, linalg
 from pfcalc.fpmod import FPModule
 from pfcalc.functors import (Compose, Const, DirectSum, Dual, Ext, Id, Shift,
                              Sym, Tensor, binomial_eval, dimension_function,
@@ -119,6 +119,36 @@ def test_shift_decompose_multiplies_only_nonzero_entries(monkeypatch):
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     shift_decompose(DirectSum((Sym(2), Ext(3))), 1, 7)
     assert 0 < len(calls) <= 1000
+
+
+def test_shift_decompose_runs_no_integer_echelon(monkeypatch):
+    # the idempotent is diagonal 0/1, so both bases are read off its diagonal
+    calls = []
+    own = linalg.integer_echelon
+
+    def counting(rows):
+        calls.append(None)
+        return own(rows)
+
+    monkeypatch.setattr(linalg, "integer_echelon", counting)
+    dimension_function(DirectSum((Sym(2), Ext(3))), [2], 7)
+    assert calls == []
+
+
+@pytest.mark.parametrize("entry", [(1, 0, 1), (1, 1, 2)],
+                         ids=["off-diagonal", "diagonal-2"])
+def test_shift_decompose_rejects_an_idempotent_off_diagonal_0_1(monkeypatch, entry):
+    i, j, value = entry
+    own = functors.FunctorEval._law_rows_at
+
+    def faulty(self, matrix):
+        rows = own(self, matrix)
+        rows[i][j] = value
+        return rows
+
+    monkeypatch.setattr(functors.FunctorEval, "_law_rows_at", faulty)
+    with pytest.raises(AssertionError, match="not diagonal 0/1"):
+        shift_decompose(Sym(2), 1, 2)
 
 
 def test_shift_decompose_sizes():

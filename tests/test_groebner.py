@@ -11,8 +11,7 @@ import pytest
 from pfcalc import groebner
 from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, _Packing,
                              _Reducers, _field_reducer, buchberger, eliminate,
-                             ideal_dimension, normal_form, radical_membership,
-                             verify_buchberger_criterion)
+                             ideal_dimension, radical_membership)
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          degree_monomials, parse_poly)
 from pfcalc.rings import Fp, QQ, QuotientRing, ZZ, ring_from_tag
@@ -28,21 +27,22 @@ def P(text, ring=QQ, vs=VS):
 def test_normal_form_single_divisor():
     f = P("x^2*y + x")
     g = P("x*y - 1")
-    r = normal_form(f, [g], Grevlex())
+    r = GroebnerBasis((g,), Grevlex(), QQ, VS).reduce(f)
     assert r == P("2*x")
 
 
 def test_normal_form_is_idempotent():
     gens = [P("x^2 - y"), P("x*y - 1")]
     f = P("x^5 + y^3 - x")
-    r = normal_form(f, gens, Grevlex())
-    assert normal_form(r, gens, Grevlex()) == r
+    basis = GroebnerBasis(tuple(gens), Grevlex(), QQ, VS)
+    r = basis.reduce(f)
+    assert basis.reduce(r) == r
 
 
 def test_normal_form_requires_field():
     with pytest.raises(NonFieldCoefficients):
-        normal_form(parse_poly("2*x", ZZ, VS), [parse_poly("x", ZZ, VS)],
-                    Grevlex())
+        GroebnerBasis((parse_poly("x", ZZ, VS),), Grevlex(), ZZ, VS).reduce(
+            parse_poly("2*x", ZZ, VS))
 
 
 def test_s_polynomial_cancels_leading_terms():
@@ -86,14 +86,14 @@ def test_reduced_basis_is_monic_and_self_reduced():
         assert g.leading(Grevlex())[1] == 1
         others = [h for h in gb.generators if h is not g]
         if others:
-            assert normal_form(g, others, Grevlex()) == g
+            assert GroebnerBasis(tuple(others), Grevlex(), QQ, VS).reduce(g) == g
 
 
 def test_verify_buchberger_criterion():
     gb = buchberger([P("x^2 - y"), P("x*y - 1")], Grevlex())
-    assert verify_buchberger_criterion(gb.generators, Grevlex())
-    assert not verify_buchberger_criterion([P("x^2 - y"), P("x*y - 1")],
-                                           Grevlex())
+    assert gb.satisfies_criterion()
+    assert not GroebnerBasis((P("x^2 - y"), P("x*y - 1")), Grevlex(), QQ,
+                             VS).satisfies_criterion()
 
 
 def test_ideal_dimension_cases():
@@ -175,7 +175,7 @@ def test_groebner_over_fp():
     F5 = Fp(5)
     gens = [parse_poly("x^2 + y", F5, VS), parse_poly("x*y + 3", F5, VS)]
     gb = buchberger(gens, Grevlex())
-    assert verify_buchberger_criterion(gb.generators, Grevlex())
+    assert gb.satisfies_criterion()
     for g in gens:
         assert gb.contains(g)
 
@@ -260,7 +260,8 @@ def _random_poly(rng, ring, vs, max_degree):
                          ids=["F5", "QQ", "F9"])
 def test_oracle_equivalence_f5(ring):
     # F5 and F9 run the field kernel (F9 with tuple payloads), QQ the
-    # fraction-free kernel; normal_form runs the field kernel on all three
+    # fraction-free kernel; GroebnerBasis.reduce runs the field kernel on
+    # all three
     rng = random.Random(20240817)
     order = Grevlex()
     checked = 0
@@ -272,7 +273,7 @@ def test_oracle_equivalence_f5(ring):
             continue
         # normal form agreement on a random probe polynomial
         probe = _random_poly(rng, ring, VS, 3)
-        assert normal_form(probe, gens, order) == \
+        assert GroebnerBasis(tuple(gens), order, ring, VS).reduce(probe) == \
             _oracle_normal_form(probe, gens, order)
         # identical staircases (the reduced basis is unique, the oracle's
         # basis is not reduced, so compare minimal leading monomials)
@@ -286,12 +287,13 @@ def test_oracle_equivalence_f5(ring):
         # must still equal the all-pairs check, on the inputs, on the
         # oracle's unreduced basis (which must pass), on that basis without
         # its last added element, and on the reduced basis plus the inputs
-        assert verify_buchberger_criterion(oracle, order)
+        assert GroebnerBasis(tuple(oracle), order, ring, VS).satisfies_criterion()
         for cand in (gens, oracle, oracle[:-1], list(gb.generators) + gens):
             all_pairs = all(
                 _oracle_normal_form(s_polynomial(f, g, order), cand, order).is_zero()
                 for f, g in itertools.combinations(cand, 2))
-            assert verify_buchberger_criterion(cand, order) == all_pairs
+            assert GroebnerBasis(tuple(cand), order, ring,
+                                 VS).satisfies_criterion() == all_pairs
         checked += 1
 
 
@@ -426,8 +428,9 @@ def test_first_divisor_matches_linear_scan(ring, monkeypatch):
     monkeypatch.setattr(_Reducers, "first_divisor", checked)
     for gens, order in _random_ideals(ring, 5150, 40):
         gb = buchberger(gens, order)
-        verify_buchberger_criterion(list(gb.generators) + gens, order)
-        normal_form(gens[0] * gens[-1], gb.generators, order)
+        GroebnerBasis(gb.generators + tuple(gens), order, ring,
+                      VS4).satisfies_criterion()
+        gb.reduce(gens[0] * gens[-1])
     # every exponent met while reducing: S-polynomials, interreduction,
     # verification and normal forms; many with a choice of divisor
     assert divisor_counts.count(0) > 300

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from pfcalc.linalg import (Echelon, integer_echelon, integer_rank, kernel_basis,
-                           rank, row_reduce, smith_normal_form)
+from pfcalc.linalg import Echelon, integer_echelon, smith_normal_form
 from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
 
@@ -16,30 +15,31 @@ def F(x):
 
 def test_row_reduce_identifies_pivots():
     rows = [[F(1), F(2), F(3)], [F(2), F(4), F(7)]]
-    rref, pivots = row_reduce(rows, QQ)
-    assert pivots == [0, 2]
+    ech = Echelon.of(rows, QQ)
+    rref = ech.dense(3)
+    assert ech.pivots() == [0, 2]
     assert rref[0] == [F(1), F(2), F(0)]
     assert rref[1] == [F(0), F(0), F(1)]
 
 
 def test_rank_over_fp():
     rows = [[1, 2], [2, 4]]
-    assert rank(rows, Fp(5)) == 1
-    assert rank(rows, Fp(2)) == 1
-    assert rank([[1, 0], [0, 1]], Fp(2)) == 2
+    assert len(Echelon.of(rows, Fp(5))) == 1
+    assert len(Echelon.of(rows, Fp(2))) == 1
+    assert len(Echelon.of([[1, 0], [0, 1]], Fp(2))) == 2
 
 
 def test_kernel_basis_annihilates():
     rows = [[F(1), F(2), F(3)], [F(4), F(5), F(6)]]
-    ker = kernel_basis(rows, QQ)
+    ker = Echelon.of(rows, QQ).kernel(3)
     assert len(ker) == 1
     v = ker[0]
     for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) == 0
+        assert sum(a * v.get(j, 0) for j, a in enumerate(row)) == 0
 
 
 def test_kernel_of_full_rank_map_is_trivial():
-    assert kernel_basis([[F(1), F(0)], [F(0), F(1)]], QQ) == []
+    assert Echelon.of([[F(1), F(0)], [F(0), F(1)]], QQ).kernel(2) == []
 
 
 def test_integer_echelon_pivots():
@@ -47,14 +47,15 @@ def test_integer_echelon_pivots():
     ech, cols, pivots = integer_echelon(rows)
     assert cols == [0, 1]
     assert len(pivots) == 2
-    assert integer_rank(rows) == 2
+    assert len(ech) == 2
 
 
 def test_rank_mod_p_drops():
     rows = [[2, 4]]
-    assert integer_rank(rows) == 1
+    assert len(integer_echelon(rows)[1]) == 1
     for p, expected in ((2, 0), (3, 1)):
-        assert rank([[Fp(p).coerce(x) for x in r] for r in rows], Fp(p)) == expected
+        assert len(Echelon.of([[Fp(p).coerce(x) for x in r] for r in rows],
+                              Fp(p))) == expected
 
 
 def test_smith_normal_form_divisibility():
@@ -158,7 +159,7 @@ def test_integer_echelon_leaves_its_input_alone():
 
 
 def _reference_row_reduce(rows, ring):
-    """The dense Gauss-Jordan loop that row_reduce ran before the sparse
+    """The dense Gauss-Jordan loop that pfcalc ran before the sparse
     echelon: every row is rewritten in every column, pivots chosen top down.
     Entries are compared with zero() so that the oracle does not go through
     the rings' is_zero."""
@@ -192,7 +193,7 @@ def _reference_row_reduce(rows, ring):
 
 
 def _reference_kernel(rows, ring):
-    """Kernel basis read off the reference rref, as kernel_basis did."""
+    """Kernel basis read off the reference rref, as dense vectors."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -255,12 +256,14 @@ def test_echelon_matches_reference_row_reduce(ring):
     deficient = 0
     for rows in _field_inputs(ring):
         want_rref, want_pivots = _reference_row_reduce(rows, ring)
-        assert row_reduce(rows, ring) == (want_rref, want_pivots), rows
-        assert rank(rows, ring) == len(want_pivots)
-        assert kernel_basis(rows, ring) == _reference_kernel(rows, ring), rows
+        ncols = len(rows[0]) if rows else 0
+        dense = Echelon.of(rows, ring)
+        assert (dense.dense(ncols), dense.pivots()) == (want_rref, want_pivots), rows
+        assert len(dense) == len(want_pivots)
+        assert [[v.get(j, ring.zero()) for j in range(ncols)]
+                for v in dense.kernel(ncols)] == _reference_kernel(rows, ring), rows
         # the same rows as dicts, the form the law calculus builds
         sparse = [{j: x for j, x in enumerate(r) if x != ring.zero()} for r in rows]
-        ncols = len(rows[0]) if rows else 0
         ech = Echelon.of(sparse, ring)
         assert len(ech) == len(want_pivots)
         assert ech.dense(ncols) == want_rref
@@ -278,11 +281,11 @@ def test_echelon_insert_reports_span_membership(ring):
     for rows in _field_inputs(ring):
         ech = Echelon(ring)
         for i, r in enumerate(rows):
-            before = rank(rows[:i], ring)
-            assert ech.insert(r) == (rank(rows[:i + 1], ring) > before)
+            before = len(Echelon.of(rows[:i], ring))
+            assert ech.insert(r) == (len(Echelon.of(rows[:i + 1], ring)) > before)
             assert r in ech
             assert not ech.reduce(r)
-        assert len(ech) == rank(rows, ring)
+        assert len(ech) == len(Echelon.of(rows, ring))
     # a vector off the span leaves a nonzero remainder and is not inserted twice
     ech = Echelon(ring)
     one, zero = ring.one(), ring.zero()
@@ -296,11 +299,11 @@ def test_echelon_insert_reports_span_membership(ring):
 def test_echelon_kernel_of_no_rows_is_the_identity_in_ncols():
     assert Echelon(QQ).kernel(2) == [{0: F(1)}, {1: F(1)}]
     assert Echelon(QQ).kernel(0) == []
-    assert kernel_basis([], QQ) == []
+    assert Echelon.of([], QQ).kernel(0) == []
 
 
 def test_echelon_needs_a_field():
     with pytest.raises(ValueError):
         Echelon(ZZ)
     with pytest.raises(ValueError):
-        row_reduce([], ring_from_tag("QQ[t]/(t^2)"))
+        Echelon(ring_from_tag("QQ[t]/(t^2)"))

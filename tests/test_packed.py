@@ -13,8 +13,7 @@ import pytest
 import tuple_engine
 from pfcalc import groebner
 from pfcalc.geometry import PrimeVerdict, good_primes
-from pfcalc.groebner import (GroebnerBasis, _Overflow, _Packing, buchberger,
-                             normal_form, verify_buchberger_criterion)
+from pfcalc.groebner import GroebnerBasis, _Overflow, _Packing, buchberger
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          degree_monomials, parse_poly)
 from pfcalc.rings import Fp, ModularIntegers, QQ, ZZ, ring_from_tag
@@ -78,13 +77,13 @@ def test_packed_engine_matches_tuple_engine(ring, order):
         gb, _ = _assert_same_run(gens, order, weights)
         for G in (gens, list(gb.generators), list(gb.generators) + gens,
                   list(gb.generators)[1:] + gens[:1]):
-            got = verify_buchberger_criterion(G, order)
+            got = GroebnerBasis(tuple(G), order, ring, VS4).satisfies_criterion()
             assert got == tuple_engine.verify_buchberger_criterion(G, order)
             verdicts.append(got)
         f = gens[0] * gens[-1] + gens[-1]
         kernel, reducers = tuple_engine._field_reducer(ring, VS4, order, gb.generators)
         want = kernel.to_poly(kernel.reduce(f.terms, reducers))
-        assert _terms([normal_form(f, gb.generators, order)]) == _terms([want])
+        assert _terms([gb.reduce(f)]) == _terms([want])
         assert gb.contains(f - want)
     # both verdicts occur
     assert True in verdicts and False in verdicts
@@ -167,7 +166,7 @@ def test_repack_after_a_lex_overflow_keeps_the_log_clean(gens, ring):
     assert len(log) == len(_tuple_buchberger(F, Lex())[1])
     # the criterion check and the cached reducer re-pack too
     for G in (F, list(gb.generators)):
-        assert verify_buchberger_criterion(G, Lex()) == \
+        assert GroebnerBasis(tuple(G), Lex(), ring, vs).satisfies_criterion() == \
             tuple_engine.verify_buchberger_criterion(G, Lex())
     basis = GroebnerBasis(tuple(F), Lex(), ring, vs)
     f = parse_poly("x^200*y^3 + x", ring, vs)
