@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from math import comb
 from typing import List, Optional, Sequence
 
 from . import geometry
@@ -36,6 +37,10 @@ COMMANDS = ("ring-of-module", "schur-table", "dimfn", "image-closure",
             "dim-per-prime", "good-primes", "equivariance", "taylor")
 
 CACHE_VERSION = "1"
+
+# schur-table refuses a table whose size bound (see _cmd_schur_table) is
+# above this; (3, 4) and (2, 8) stay under it, (4, 3) and (6, 2) do not
+SCHUR_TABLE_LIMIT = 500_000
 
 
 class ConfigError(ValueError):
@@ -315,19 +320,22 @@ def _cmd_schur_table(cfg: dict, args) -> tuple:
     if d > args.max_degree:
         raise SizeGuardExceeded("degree exceeds the size guard",
                                 degree=d, limit=args.max_degree)
+    # each term of each z^gamma is a product of |gamma| <= d of the n^3
+    # terms x_ij y_jl, so the table has at most C(n^3 + d, d) entries, each
+    # with indices of n^2 exponents
+    size = comb(n ** 3 + d, d) * n * n
+    if size > SCHUR_TABLE_LIMIT:
+        raise SizeGuardExceeded("Schur algebra table exceeds the size guard",
+                                table_size=size, limit=SCHUR_TABLE_LIMIT)
     ring = _ring_from_config(cfg) if "ring" in cfg else ZZ
     algebra = SchurAlgebra(n, d, ring)
     lines = [f"structure constants of S_<={d}(U), dim U = {n}, "
              f"over {ring.tag()} ({algebra.dimension()} basis elements)"]
     triples = []
-    basis = algebra.basis
-    for alpha in basis:
-        for beta in basis:
-            prod = algebra.structure_constants(alpha, beta)
-            for gamma in sorted(prod.coeffs):
-                c = ring.fmt(prod.coeffs[gamma])
-                triples.append((alpha, beta, gamma, c))
-                lines.append(f"({alpha}, {beta}, {gamma}) -> {c}")
+    for alpha, beta, gamma, c in algebra.structure_constants():
+        c = ring.fmt(c)
+        triples.append((alpha, beta, gamma, c))
+        lines.append(f"({alpha}, {beta}, {gamma}) -> {c}")
     doc = {"command": "schur-table", "n": n, "d": d, "ring": ring.tag(),
            "dimension": algebra.dimension(),
            "triples": [{"alpha": list(a), "beta": list(b),

@@ -193,6 +193,9 @@ class IntegerRing(BaseRing):
         return hash("ZZ")
 
 
+_FRACTION_ONE = Fraction(1)
+
+
 class RationalField(BaseRing):
     def add(self, a, b):
         return a + b
@@ -209,7 +212,7 @@ class RationalField(BaseRing):
     def inv(self, a):
         if a == 0:
             raise NotAUnit("0 is not a unit in QQ")
-        return 1 / a
+        return _FRACTION_ONE / a
 
     def zero(self):
         return Fraction(0)

@@ -5,6 +5,8 @@ Basis elements s_alpha are indexed by n x n exponent matrices alpha with
 of s_gamma in s_alpha * s_beta is the coefficient of x^alpha y^beta in
 z^gamma where z_il = sum_j x_ij y_jl.  Modules come from polynomial
 functors via the coefficients phi_alpha of the symbolic law matrix.
+`structure_constants` reads the integer table directly, and `multiply` is
+the general product.
 """
 
 from __future__ import annotations
@@ -119,9 +121,22 @@ class SchurAlgebra:
                         out[gamma] = cur
         return SchurElem(self, out)
 
-    def structure_constants(self, alpha: Index, beta: Index) -> "SchurElem":
-        return self.multiply(self.element({alpha: self.ring.one()}),
-                             self.element({beta: self.ring.one()}))
+    def structure_constants(self) -> List[Tuple[Index, Index, Index, object]]:
+        """Every (alpha, beta, gamma, c) with c != 0 the coefficient of
+        s_gamma in s_alpha * s_beta, sorted by alpha, then beta, then gamma.
+
+        The integer constants are mapped into the ring, and those that vanish
+        there (2 over F_2) are left out.  A list, so that its one call does
+        all the work.
+        """
+        ring = self.ring
+        out = []
+        for (alpha, beta), pairs in sorted(_integer_table(self.n, self.d).items()):
+            for gamma, c in pairs:
+                c = ring.from_int(c)
+                if not ring.is_zero(c):
+                    out.append((alpha, beta, gamma, c))
+        return out
 
     def evaluation_embed(self, phi: Sequence[Sequence[object]]) -> "SchurElem":
         """ev_phi, the image of phi in End(U): coefficient x^alpha(phi) at alpha."""

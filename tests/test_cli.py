@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from pfcalc.cli import (GBCache, build_parser, deserialize_basis, main,
 from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
 from pfcalc.rings import QQ
+from pfcalc.schur import SchurAlgebra
 
 
 def run(capsys, tmp_path, command, config, *extra):
@@ -219,6 +221,24 @@ def test_schur_table_rank_zero_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, tmp_path, "schur-table", {"n": 0, "d": 0})
     assert code == 2
     assert "'n' must be >= 1 and 'd' >= 0" in err
+
+
+@pytest.mark.parametrize("n,d", [(3, 8), (4, 4), (4, 3), (6, 2)])
+def test_schur_table_size_guard_exit_3(capsys, tmp_path, n, d):
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, "schur-table", {"n": n, "d": d})
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("refused: Schur algebra table exceeds the size guard")
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (2, 8), (5, 2)])
+def test_schur_table_size_guard_admits(monkeypatch, capsys, tmp_path, n, d):
+    # the guard alone is under test, so the table itself is not built
+    monkeypatch.setattr(SchurAlgebra, "structure_constants", lambda self: [])
+    code, out, _ = run(capsys, tmp_path, "schur-table", {"n": n, "d": d})
+    assert code == 0
+    assert out.startswith(f"structure constants of S_<={d}(U), dim U = {n}")
 
 
 def test_equivariance_command(capsys, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 
 from pfcalc import rings
 from pfcalc.groebner import NonFieldCoefficients, buchberger
+from pfcalc.linalg import Echelon
 from pfcalc.poly import Grevlex, VarSet, parse_poly
 from pfcalc.rings import (Fp, ModularIntegers, NotAUnit, QQ, QuotientRing, ZZ,
                           _poly_divmod, fraction_field_reduction,
@@ -38,6 +39,15 @@ def test_rational_field():
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert QQ.is_field()
     assert QQ.tag() == "QQ"
+
+
+def test_rational_inverse_is_a_fraction():
+    # an int payload must not fall into float division
+    assert type(QQ.inv(2)) is Fraction and QQ.inv(2) == Fraction(1, 2)
+    assert type(QQ.inv(Fraction(-2, 3))) is Fraction and QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    rows = Echelon.of([[2, 1]], QQ).dense(2)
+    assert rows == [[1, Fraction(1, 2)]]
+    assert all(type(x) is Fraction for row in rows for x in row)
 
 
 def test_prime_field():

@@ -10,7 +10,7 @@ import pytest
 from pfcalc import schur
 from pfcalc.cli import main
 from pfcalc.functors import DirectSum, Ext, Id, Sym, evaluate
-from pfcalc.rings import Fp, QQ, ZZ
+from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 from pfcalc.schur import (SchurAlgebra, SchurModule, base_change_module,
                           basis_indices, module_of_functor, spin)
 from test_linalg import _reference_row_reduce
@@ -297,3 +297,46 @@ def test_schur_table_output_is_pinned(capsys, tmp_path, n, d, ring, fmt):
     assert main(["schur-table", "--config", str(path), "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCHUR_TABLE_SHA256[(n, d, ring, fmt)]
+
+
+@pytest.mark.parametrize("tag", ["ZZ", "QQ", "Fp(2)", "Fp(3)[t]/(t^2+1)"])
+@pytest.mark.parametrize("n,d", [(2, 2), (1, 4), (2, 3)])
+def test_structure_constants_match_multiply(n, d, tag):
+    # multiply is the reference: every ordered pair of basis elements, its
+    # product's nonzero coefficients in increasing gamma
+    ring = ring_from_tag(tag)
+    algebra = SchurAlgebra(n, d, ring)
+    want = []
+    for alpha in algebra.basis:
+        for beta in algebra.basis:
+            prod = algebra.multiply(algebra.element({alpha: ring.one()}),
+                                    algebra.element({beta: ring.one()}))
+            want += [(alpha, beta, gamma, prod.coeffs[gamma])
+                     for gamma in sorted(prod.coeffs)]
+    got = algebra.structure_constants()
+    assert got == want
+    assert all(not ring.is_zero(c) for *_, c in got)
+    if tag == "Fp(2)" and n > 1:
+        # the even multinomial constants vanish over F_2 and are dropped
+        full = sum(len(pairs) for pairs in schur._integer_table(n, d).values())
+        assert len(got) < full
+
+
+def test_schur_table_reads_the_table_once(monkeypatch, capsys, tmp_path):
+    calls = {"structure_constants": 0, "element": 0}
+
+    def counted(name):
+        original = getattr(SchurAlgebra, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(SchurAlgebra, name, wrapper)
+
+    counted("structure_constants")
+    counted("element")
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "ring": "QQ"}))
+    assert main(["schur-table", "--config", str(path)]) == 0
+    assert "structure constants of S_<=2(U)" in capsys.readouterr().out
+    assert calls == {"structure_constants": 1, "element": 0}
