@@ -126,8 +126,9 @@ class SchurAlgebra:
         s_gamma in s_alpha * s_beta, sorted by alpha, then beta, then gamma.
 
         The integer constants are mapped into the ring, and those that vanish
-        there (2 over F_2) are left out.  A list, so that its one call does
-        all the work.
+        there (2 over F_2) are left out.  It returns a list, not a generator,
+        so that all the work happens inside this call, which bench/tracer.py
+        times.
         """
         ring = self.ring
         out = []
