@@ -18,8 +18,9 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from math import comb
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from . import geometry
 from .coordring import graded_piece
@@ -30,6 +31,7 @@ from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
                        image_closure, sum_of_powers, target_varset)
 from .groebner import GroebnerBasis, ideal_dimension
 from .poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
+from .render import render_json
 from .rings import ZZ, BaseRing, fraction_field_reduction, is_prime, \
     ring_from_tag
 
@@ -41,6 +43,10 @@ CACHE_VERSION = "1"
 # schur-table refuses a table whose size bound (see _cmd_schur_table) is
 # above this; (3, 4) and (2, 8) stay under it, (4, 3) and (6, 2) do not
 SCHUR_TABLE_LIMIT = 500_000
+
+# a k[t]/(f) ring tag whose modulus has degree above this is refused before
+# is_field runs Rabin's test on it (0.4 s at degree 64 over F_5, 18 s at 200)
+MODULUS_DEGREE_LIMIT = 64
 
 
 class ConfigError(ValueError):
@@ -84,9 +90,14 @@ def _prime_list(cfg: dict, key: str = "primes") -> List[int]:
 def _ring_from_config(cfg: dict, key: str = "ring") -> BaseRing:
     tag = _need(cfg, key, str)
     try:
-        return ring_from_tag(tag)
+        ring = ring_from_tag(tag)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
+    degree = len(ring.field_basis())
+    if degree > MODULUS_DEGREE_LIMIT:
+        raise SizeGuardExceeded("ring modulus degree exceeds the size guard",
+                                degree=degree, limit=MODULUS_DEGREE_LIMIT)
+    return ring
 
 
 def _field_from_config(cfg: dict, key: str = "field") -> BaseRing:
@@ -271,7 +282,8 @@ def _cached_image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
 
 # ---------------------------------------------------------------------------
 # Command handlers.  Each returns (json_doc, text_lines, csv_spec) where
-# csv_spec is None or (header, rows).
+# csv_spec is None or (header, rows); lines and rows may be iterators, which
+# only the format that is written consumes.
 
 
 def _cmd_ring_of_module(cfg: dict, args) -> tuple:
@@ -299,10 +311,9 @@ def _cmd_ring_of_module(cfg: dict, args) -> tuple:
     rows = []
     for d in sorted(degrees):
         piece = graded_piece(module, d)
-        span = ", ".join(format_poly(b) for b in piece.basis) or "0"
-        lines.append(f"{d:>6}  {piece.dimension:>9}  {span}")
-        rows.append({"degree": d, "dimension": piece.dimension,
-                     "basis": [format_poly(b) for b in piece.basis]})
+        basis = [format_poly(b) for b in piece.basis]
+        lines.append(f"{d:>6}  {piece.dimension:>9}  {', '.join(basis) or '0'}")
+        rows.append({"degree": d, "dimension": piece.dimension, "basis": basis})
     doc = {"command": "ring-of-module", "ring": ring.tag(),
            "ngens": module.ngens, "pieces": rows}
     csv_spec = (("degree", "dimension", "basis_size"),
@@ -329,20 +340,18 @@ def _cmd_schur_table(cfg: dict, args) -> tuple:
                                 table_size=size, limit=SCHUR_TABLE_LIMIT)
     ring = _ring_from_config(cfg) if "ring" in cfg else ZZ
     algebra = SchurAlgebra(n, d, ring)
-    lines = [f"structure constants of S_<={d}(U), dim U = {n}, "
-             f"over {ring.tag()} ({algebra.dimension()} basis elements)"]
-    triples = []
-    for alpha, beta, gamma, c in algebra.structure_constants():
-        c = ring.fmt(c)
-        triples.append((alpha, beta, gamma, c))
-        lines.append(f"({alpha}, {beta}, {gamma}) -> {c}")
+    triples = [(a, b, g, ring.fmt(c))
+               for a, b, g, c in algebra.structure_constants()]
+    lines = chain([f"structure constants of S_<={d}(U), dim U = {n}, "
+                   f"over {ring.tag()} ({algebra.dimension()} basis elements)"],
+                  (f"({a}, {b}, {g}) -> {c}" for a, b, g, c in triples))
     doc = {"command": "schur-table", "n": n, "d": d, "ring": ring.tag(),
            "dimension": algebra.dimension(),
            "triples": [{"alpha": list(a), "beta": list(b),
                         "gamma": list(g), "c": c} for a, b, g, c in triples]}
     csv_spec = (("alpha", "beta", "gamma", "c"),
-                [(" ".join(map(str, a)), " ".join(map(str, b)),
-                  " ".join(map(str, g)), c) for a, b, g, c in triples])
+                ((" ".join(map(str, a)), " ".join(map(str, b)),
+                  " ".join(map(str, g)), c) for a, b, g, c in triples))
     return doc, lines, csv_spec
 
 
@@ -546,20 +555,17 @@ HANDLERS = {
 
 
 def _render_csv(csv_spec) -> str:
-    if csv_spec is None:
-        return ""
     header, rows = csv_spec
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     return buf.getvalue()
 
 
-def _emit(args, doc: dict, lines: List[str], csv_spec):
+def _emit(args, doc: dict, lines: Iterable[str], csv_spec):
     if args.format == "json":
-        primary = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        primary = render_json(doc) + "\n"
         ext = "json"
     elif args.format == "csv":
         if csv_spec is None:

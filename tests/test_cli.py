@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from pfcalc.cli import (GBCache, build_parser, deserialize_basis, main,
-                        serialize_basis)
+from pfcalc.cli import (MODULUS_DEGREE_LIMIT, GBCache, build_parser,
+                        deserialize_basis, main, serialize_basis)
 from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
-from pfcalc.rings import QQ
+from pfcalc.rings import QQ, QuotientRing, ring_from_tag
 from pfcalc.schur import SchurAlgebra
 
 
@@ -239,6 +239,48 @@ def test_schur_table_size_guard_admits(monkeypatch, capsys, tmp_path, n, d):
     code, out, _ = run(capsys, tmp_path, "schur-table", {"n": n, "d": d})
     assert code == 0
     assert out.startswith(f"structure constants of S_<={d}(U), dim U = {n}")
+
+
+def _modulus_jobs(tag):
+    return [("ring-of-module", {"ring": tag, "module": {"ngens": 1},
+                                "max_degree": 1}),
+            ("schur-table", {"n": 1, "d": 1, "ring": tag}),
+            ("image-closure", {"transformation": "cube-sum", "rank": 2,
+                               "field": tag}),
+            ("taylor", {"variables": ["x"], "polynomial": "x^2",
+                        "direction_count": 1, "field": tag})]
+
+
+@pytest.mark.parametrize("command,cfg",
+                         _modulus_jobs("Fp(5)[t]/(t^200+t+1)")
+                         + _modulus_jobs("QQ[t]/(t^200+t+1)")
+                         + _modulus_jobs(f"Fp(2)[t]/(t^{MODULUS_DEGREE_LIMIT + 1}+t+1)"))
+def test_modulus_degree_guard_exit_3(monkeypatch, capsys, tmp_path, command, cfg):
+    # refused before is_field runs Rabin's test (18 s at degree 200 over F_5)
+    calls = []
+    is_field = QuotientRing.is_field
+    monkeypatch.setattr(QuotientRing, "is_field",
+                        lambda self: calls.append(self) or is_field(self))
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, command, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and calls == []
+    assert err.startswith("refused: ring modulus degree exceeds the size guard")
+
+
+@pytest.mark.parametrize("tag", ["Fp(5)[t]/(t^2+2)",
+                                 f"Fp(2)[t]/(t^{MODULUS_DEGREE_LIMIT}+t+1)"])
+def test_modulus_degree_guard_admits(capsys, tmp_path, tag):
+    code, out, _ = run(capsys, tmp_path, "schur-table",
+                       {"n": 1, "d": 2, "ring": tag})
+    assert code == 0
+    assert out.startswith("structure constants of S_<=2(U), dim U = 1")
+    cfg = {"ring": tag, "module": {"ngens": 1, "relations": [["t"]]},
+           "max_degree": 0}
+    code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg)
+    assert code == 0
+    assert out.startswith("coordinate ring of a module over "
+                          + ring_from_tag(tag).tag())
 
 
 def test_equivariance_command(capsys, tmp_path):

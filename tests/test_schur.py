@@ -299,6 +299,27 @@ def test_schur_table_output_is_pinned(capsys, tmp_path, n, d, ring, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SCHUR_TABLE_SHA256[(n, d, ring, fmt)]
 
 
+@pytest.mark.parametrize("n,d,ring,fmt", sorted(SCHUR_TABLE_SHA256))
+def test_schur_table_out_files_are_pinned(capsys, tmp_path, n, d, ring, fmt):
+    # --out writes the primary format and, for text and json, the csv file
+    # too; each file holds the pinned stdout of its format
+    cfg = {"n": n, "d": d}
+    if ring != "ZZ":
+        cfg["ring"] = ring
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    outdir = tmp_path / "results"
+    assert main(["schur-table", "--config", str(path), "--format", fmt,
+                 "--out", str(outdir)]) == 0
+    assert capsys.readouterr().out == ""
+    ext = {"text": "txt", "json": "json", "csv": "csv"}[fmt]
+    files = {f"schur-table.{ext}": fmt, "schur-table.csv": "csv"}
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(files)
+    for name, written in files.items():
+        digest = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+        assert digest == SCHUR_TABLE_SHA256[(n, d, ring, written)], name
+
+
 @pytest.mark.parametrize("tag", ["ZZ", "QQ", "Fp(2)", "Fp(3)[t]/(t^2+1)"])
 @pytest.mark.parametrize("n,d", [(2, 2), (1, 4), (2, 3)])
 def test_structure_constants_match_multiply(n, d, tag):
