@@ -93,7 +93,7 @@ def _ring_from_config(cfg: dict, key: str = "ring") -> BaseRing:
         ring = ring_from_tag(tag)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
-    degree = len(ring.field_basis())
+    degree = len(ring.field_coords(ring.one()))
     if degree > MODULUS_DEGREE_LIMIT:
         raise SizeGuardExceeded("ring modulus degree exceeds the size guard",
                                 degree=degree, limit=MODULUS_DEGREE_LIMIT)

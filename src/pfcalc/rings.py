@@ -419,10 +419,11 @@ class QuotientRing(BaseRing):
             raise ValueError("modulus must have degree >= 1")
         if not base.is_unit(modulus[-1]):
             raise ValueError("modulus must have unit leading coefficient")
-        # normalize to a monic modulus
+        # normalize to a monic modulus; zeros (false payloads in QQ and
+        # Fp) are kept as they are, so a sparse modulus costs little
         il = base.inv(modulus[-1])
         self.base = base
-        self.modulus = tuple(base.mul(c, il) for c in modulus)
+        self.modulus = tuple(c and base.mul(c, il) for c in modulus)
         self.deg = len(self.modulus) - 1
         self._is_field = None  # memoized verdict of is_field
         self._tables = None  # (log, exp, zech) of a small finite field
@@ -747,8 +748,8 @@ def _read_unipoly(base: BaseRing, text: str,
         terms = ([(power, coeff)] if ring is None or power < ring.deg else
                  enumerate(ring.scale_by_scalar(ring.power(ring.gen(), power), coeff)))
         for k, c in terms:
-            while k >= len(cs):
-                cs.append(base.zero())
+            if k >= len(cs):
+                cs.extend([base.zero()] * (k + 1 - len(cs)))
             cs[k] = base.add(cs[k], c)
     return tuple(cs)
 

@@ -254,9 +254,12 @@ def _modulus_jobs(tag):
 @pytest.mark.parametrize("command,cfg",
                          _modulus_jobs("Fp(5)[t]/(t^200+t+1)")
                          + _modulus_jobs("QQ[t]/(t^200+t+1)")
-                         + _modulus_jobs(f"Fp(2)[t]/(t^{MODULUS_DEGREE_LIMIT + 1}+t+1)"))
+                         + _modulus_jobs(f"Fp(2)[t]/(t^{MODULUS_DEGREE_LIMIT + 1}+t+1)")
+                         + _modulus_jobs("Fp(5)[t]/(t^1000000+1)")
+                         + _modulus_jobs("QQ[t]/(3*t^1000000+t+1)"))
 def test_modulus_degree_guard_exit_3(monkeypatch, capsys, tmp_path, command, cfg):
-    # refused before is_field runs Rabin's test (18 s at degree 200 over F_5)
+    # refused before is_field runs Rabin's test (18 s at degree 200 over F_5),
+    # and with the degree read in O(d) a modulus of degree 10^6 is refused too
     calls = []
     is_field = QuotientRing.is_field
     monkeypatch.setattr(QuotientRing, "is_field",
