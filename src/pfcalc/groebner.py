@@ -33,9 +33,9 @@ Reducer entries live in one divisor index, _Reducers.  For each digit k of P
 Python int, bit i for entry i) of the entries whose leading monomial has at
 most a in digit k.  The entries whose leading monomial divides a monomial
 are the AND of one such bitset per digit (degree digits only filter more),
-and the first of them in list order is the lowest set bit.  The same AND,
-restricted to the entries whose pairs with i and with j are both done, is
-the chain criterion of the pair queue.
+and the first of them in list order is the lowest set bit.  The same AND
+finds the entries k that may chain a pair (i, j) in the pair queue, which
+then decides the chain criterion by queue order alone (see _s_pairs).
 
 Coefficient arithmetic sits behind one of two kernels, picked once per run
 from the ring:
@@ -489,37 +489,66 @@ def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None):
     (i, j).  weights holds one positive weight per variable; None means
     unit weights.  Entries the caller adds to reducers while iterating join
     the queue before the next pair.  Skipped: coprime leading monomials
-    (their lcm is their product), and chained pairs (another LM(k) divides
-    the lcm and the pairs (i, k) and (j, k) are both done).
+    (their lcm is their product), and chained pairs (Buchberger's chain
+    criterion: another LM(k) divides the lcm, and the pairs (i, k) and
+    (j, k), yielded or skipped, both came before (i, j)).
 
-    done[i] is the bitset of the k whose pair with i has been popped, so the
-    chain test is one index lookup: the entries dividing the lcm within
-    done[i] & done[j], which holds neither i nor j.
+    Key order alone decides the chain criterion.  Say LM(k) divides
+    L = lcm(LM i, LM j).  Then lcm(i, k) and lcm(j, k) divide L; a proper
+    divisor has a strictly smaller key, as the weights are positive, and
+    an equal lcm falls to the index tie-break.  A pair of smaller key whose
+    entries exist comes first; one of larger key holds j or a k > j, so it
+    joins the queue no earlier than (i, j) and comes later.  So (i, k) and
+    (j, k) both came first exactly when k < i, or [k < j or
+    lcm(i, k) != L] and lcm(j, k) != L.  That needs no record of earlier
+    pairs, and entries only join: a pair is tested when queued, against
+    the n entries there are then, and not queued when coprime or chained.
+    At its pop it is tested again only against the entries that joined
+    since (within = -1 << n), and not at all when none did.
     """
     pack = reducers.pack
     lcm_of, mask, digits = pack.lcm, pack.mask, pack.digits
+    dividing = reducers.dividing
     w = [0] * pack.size  # weights by digit
     for v, k in enumerate(pack.pos):
         w[k] = weights[v] if weights else 1
     entries = reducers.entries
+
+    def chained(i, j, lcm, d):
+        """Does an entry of d, a bitset of entries whose LM divides lcm,
+        chain (i, j)?"""
+        if d & ((1 << i) - 1):
+            return True
+        lmi, lmj = entries[i][0], entries[j][0]
+        while d:
+            k = (d & -d).bit_length() - 1
+            lmk = entries[k][0]
+            if (k < j or lcm_of(lmi, lmk) != lcm) and lcm_of(lmj, lmk) != lcm:
+                return True
+            d &= d - 1
+        return False
+
     heap: list = []
-    done: List[int] = []
+    queued = 0
     while True:
-        for j in range(len(done), len(entries)):
+        n = len(entries)
+        for j in range(queued, n):
             lmj = entries[j][0]
             for i in range(j):
-                lcm = lcm_of(entries[i][0], lmj)
-                heapq.heappush(heap, (sum(map(mul, w, digits(lcm))),
-                                      lcm - 2 * (lcm & mask), i, j, lcm))
-            done.append(0)
+                lmi = entries[i][0]
+                lcm = lcm_of(lmi, lmj)
+                if lcm == lmi + lmj:
+                    continue
+                d = dividing(lcm, ~(1 << i | 1 << j))
+                if not (d and chained(i, j, lcm, d)):
+                    heapq.heappush(heap, (sum(map(mul, w, digits(lcm))),
+                                          lcm - 2 * (lcm & mask), i, j, lcm, n))
+        queued = n
         if not heap:
             return
-        _, _, i, j, lcm = heapq.heappop(heap)
-        done[i] |= 1 << j
-        done[j] |= 1 << i
-        if lcm == entries[i][0] + entries[j][0]:
-            continue  # no variable in both leading monomials
-        if not reducers.dividing(lcm, done[i] & done[j]):
+        _, _, i, j, lcm, pushed = heapq.heappop(heap)
+        d = pushed < n and dividing(lcm, -1 << pushed)
+        if not (d and chained(i, j, lcm, d)):
             yield i, j, lcm
 
 

@@ -476,6 +476,54 @@ def test_s_pairs_match_done_set_queue(ring, monkeypatch):
     assert reordered > 10
 
 
+def _hand_queue(lms, joins=None):
+    """The pairs (i, j) of _s_pairs over entries with leading monomials lms
+    (exponent tuples in x, y, z, grevlex), checked against _set_s_pairs
+    step by step; after the t-th pair, the monomials joins[t] join."""
+    pack = _Packing(Grevlex(), 3)
+    reducers = _Reducers(pack, [(pack.pack(e), 1, []) for e in lms])
+    reference = _set_s_pairs(_Unpacked(reducers), _nested_grevlex_key)
+    pairs = []
+    for i, j, lcm in groebner._s_pairs(reducers):
+        assert (i, j, pack.unpack(lcm)) == next(reference)
+        pairs.append((i, j))
+        for e in (joins or {}).get(len(pairs), ()):
+            reducers.add((pack.pack(e), 1, []))
+    assert next(reference, None) is None
+    return pairs
+
+
+def test_s_pairs_equal_lcm_between_i_and_j():
+    # xy, xz, yz: every pair has lcm xyz.  (0, 2) is not chained by k = 1,
+    # as (1, 2) comes after it; (1, 2) is chained by k = 0
+    assert _hand_queue([(1, 1, 0), (1, 0, 1), (0, 1, 1)]) == [(0, 1), (0, 2)]
+    # x^2z, xyz, y^2z: k = 1 chains (0, 2), as lcm(1, 2) = xy^2z != x^2y^2z
+    assert _hand_queue([(2, 0, 1), (1, 1, 1), (0, 2, 1)]) == [(1, 2), (0, 1)]
+    # xy, z, yz: k = 1 chains (0, 2) although lcm(0, 1) = xyz, as (0, 1)
+    # comes first by index
+    assert _hand_queue([(1, 1, 0), (0, 0, 1), (0, 1, 1)]) == [(1, 2)]
+
+
+def test_s_pairs_equal_lcm_after_j():
+    # xy, yz, xz: k = 2 does not chain (0, 1), as lcm(0, 2) = xyz comes
+    # after it
+    assert _hand_queue([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == [(0, 1), (0, 2)]
+    # x^2z, y^2z, xyz: k = 2 chains (0, 1), whose lcm x^2y^2z neither
+    # lcm(0, 2) nor lcm(1, 2) reaches
+    assert _hand_queue([(2, 0, 1), (0, 2, 1), (1, 1, 1)]) == [(1, 2), (0, 2)]
+    # xy, yz, z: k = 2 does not chain (0, 1), as lcm(0, 2) = xyz comes
+    # after it, though lcm(1, 2) = yz comes before
+    assert _hand_queue([(1, 1, 0), (0, 1, 1), (0, 0, 1)]) == [(1, 2), (0, 1)]
+
+
+def test_s_pairs_chained_after_the_push():
+    # x^2z, y^2z, xz^2: (0, 1) is queued, as nothing chains it; xyz joins
+    # after the first pair and chains (0, 1) and (1, 2) before they pop
+    lms = [(2, 0, 1), (0, 2, 1), (1, 0, 2)]
+    assert _hand_queue(lms) == [(0, 2), (1, 2), (0, 1)]
+    assert _hand_queue(lms, {1: [(1, 1, 1)]}) == [(0, 2), (2, 3), (1, 3), (0, 3)]
+
+
 @pytest.mark.parametrize("ring", DIFF_RINGS, ids=DIFF_IDS)
 @pytest.mark.parametrize("homogeneous", [True, False], ids=["hom", "inhom"])
 def test_weighted_buchberger_matches_unit_weights(ring, homogeneous):
