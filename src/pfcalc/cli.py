@@ -44,8 +44,10 @@ CACHE_VERSION = "1"
 # above this; (3, 4) and (2, 8) stay under it, (4, 3) and (6, 2) do not
 SCHUR_TABLE_LIMIT = 500_000
 
-# a k[t]/(f) ring tag whose modulus has degree above this is refused before
-# is_field runs Rabin's test on it (0.4 s at degree 64 over F_5, 18 s at 200)
+# a k[t]/(f) ring tag whose modulus has degree d above this is refused before
+# is_field runs Rabin's test on it (0.4 s at degree 64 over F_5, 18 s at 200),
+# and so is one whose d^3 * bit_length(p), the test's cost, is above its
+# value over F_31 at this degree (1.1 s; 2.2 s over F_65537)
 MODULUS_DEGREE_LIMIT = 64
 
 
@@ -94,9 +96,10 @@ def _ring_from_config(cfg: dict, key: str = "ring") -> BaseRing:
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
     degree = len(ring.field_coords(ring.one()))
-    if degree > MODULUS_DEGREE_LIMIT:
+    bits = ring.characteristic().bit_length()
+    if degree > MODULUS_DEGREE_LIMIT or degree ** 3 * bits > MODULUS_DEGREE_LIMIT ** 3 * 5:
         raise SizeGuardExceeded("ring modulus degree exceeds the size guard",
-                                degree=degree, limit=MODULUS_DEGREE_LIMIT)
+                                degree=degree, limit=MODULUS_DEGREE_LIMIT, p_bits=bits)
     return ring
 
 

@@ -256,7 +256,9 @@ def _modulus_jobs(tag):
                          + _modulus_jobs("QQ[t]/(t^200+t+1)")
                          + _modulus_jobs(f"Fp(2)[t]/(t^{MODULUS_DEGREE_LIMIT + 1}+t+1)")
                          + _modulus_jobs("Fp(5)[t]/(t^1000000+1)")
-                         + _modulus_jobs("QQ[t]/(3*t^1000000+t+1)"))
+                         + _modulus_jobs("QQ[t]/(3*t^1000000+t+1)")
+                         + _modulus_jobs("Fp(65537)[t]/(t^64+t+1)")
+                         + _modulus_jobs("Fp(2147483647)[t]/(t^64+t+1)"))
 def test_modulus_degree_guard_exit_3(monkeypatch, capsys, tmp_path, command, cfg):
     # refused before is_field runs Rabin's test (18 s at degree 200 over F_5),
     # and with the degree read in O(d) a modulus of degree 10^6 is refused too
@@ -272,7 +274,8 @@ def test_modulus_degree_guard_exit_3(monkeypatch, capsys, tmp_path, command, cfg
 
 
 @pytest.mark.parametrize("tag", ["Fp(5)[t]/(t^2+2)",
-                                 f"Fp(2)[t]/(t^{MODULUS_DEGREE_LIMIT}+t+1)"])
+                                 f"Fp(2)[t]/(t^{MODULUS_DEGREE_LIMIT}+t+1)",
+                                 f"Fp(31)[t]/(t^{MODULUS_DEGREE_LIMIT}+t+1)"])
 def test_modulus_degree_guard_admits(capsys, tmp_path, tag):
     code, out, _ = run(capsys, tmp_path, "schur-table",
                        {"n": 1, "d": 2, "ring": tag})
