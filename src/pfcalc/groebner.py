@@ -514,9 +514,9 @@ def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None):
         w[k] = weights[v] if weights else 1
     entries = reducers.entries
 
-    def chained(i, j, lcm, d):
-        """Does an entry of d, a bitset of entries whose LM divides lcm,
-        chain (i, j)?"""
+    def chained(i, j, lcm, within):
+        """Does an entry in within, which holds neither i nor j, chain (i, j)?"""
+        d = dividing(lcm, within)
         if d & ((1 << i) - 1):
             return True
         lmi, lmj = entries[i][0], entries[j][0]
@@ -537,18 +537,14 @@ def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None):
             for i in range(j):
                 lmi = entries[i][0]
                 lcm = lcm_of(lmi, lmj)
-                if lcm == lmi + lmj:
-                    continue
-                d = dividing(lcm, ~(1 << i | 1 << j))
-                if not (d and chained(i, j, lcm, d)):
+                if lcm != lmi + lmj and not chained(i, j, lcm, ~(1 << i | 1 << j)):
                     heapq.heappush(heap, (sum(map(mul, w, digits(lcm))),
                                           lcm - 2 * (lcm & mask), i, j, lcm, n))
         queued = n
         if not heap:
             return
         _, _, i, j, lcm, pushed = heapq.heappop(heap)
-        d = pushed < n and dividing(lcm, -1 << pushed)
-        if not (d and chained(i, j, lcm, d)):
+        if pushed == n or not chained(i, j, lcm, -1 << pushed):
             yield i, j, lcm
 
 
