@@ -52,6 +52,9 @@ Both kernels reduce by one deterministic rule: the largest remaining term
 first, by the first basis element in list order whose leading monomial
 divides it.  So the two kernels meet the same leading monomials, and bases
 are bit-stable.
+Each interreduced final element becomes a monic MultiPoly in one pass,
+kernel.to_monic: the QQ kernel divides by the leading coefficient as it
+converts, and the field kernel's elements are monic already.
 """
 
 from __future__ import annotations
@@ -286,6 +289,10 @@ class _FieldKernel(_Kernel):
         unpack = self.pack.unpack
         return MultiPoly(self.ring, self.vs, {unpack(e): c for e, c in terms.items()})
 
+    def to_monic(self, terms: dict, lm: int) -> MultiPoly:
+        """to_poly of a normalized element, which is monic already."""
+        return self.to_poly(terms)
+
 
 class _RationalKernel(_Kernel):
     """Fraction-free QQ arithmetic on integer coefficients; normalized
@@ -389,6 +396,12 @@ class _RationalKernel(_Kernel):
         unpack = self.pack.unpack
         return MultiPoly(self.ring, self.vs,
                          {unpack(e): Fraction(c) for e, c in terms.items()})
+
+    def to_monic(self, terms: dict, lm: int) -> MultiPoly:
+        """terms divided by their coefficient at lm, as a MultiPoly."""
+        unpack, lc = self.pack.unpack, terms[lm]
+        return MultiPoly(self.ring, self.vs,
+                         {unpack(e): Fraction(c, lc) for e, c in terms.items()})
 
 
 def _widening(run, width: int = 8):
@@ -628,12 +641,15 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
             keep.append(i)
     kept = _Reducers(kernel.pack, [entries[i] for i in keep])
     final = []
+    # kept leading monomials divide no other kept one, so interreduction
+    # changes tails only and entries[i][0] stays the leading monomial
     for pos, i in enumerate(keep):
         t = (kernel.reduce(basis[i], kept, ~(1 << pos)) if len(keep) > 1
              else basis[i])
         if t:
             log(t)
-            final.append((key(kernel.lead(t)), kernel.to_poly(t).monic(kernel.order)))
+            lm = entries[i][0]
+            final.append((key(lm), kernel.to_monic(t, lm)))
     final.sort(key=lambda kf: kf[0])
     return tuple(f for _, f in final)
 

@@ -535,6 +535,17 @@ def test_weighted_buchberger_matches_unit_weights(ring, homogeneous):
             assert buchberger(gens, order, weights=weights).generators == expected
 
 
+@pytest.mark.parametrize("ring", [QQ, Fp(5), ring_from_tag("Fp(3)[t]/(t^2+1)")],
+                         ids=["QQ", "F5", "F9"])
+def test_every_basis_element_is_monic(ring):
+    # the field kernel converts its final elements without dividing by the
+    # leading coefficient: it keeps them monic through interreduction
+    for homogeneous in (True, False):
+        for gens, order in _random_ideals(ring, 11, 12, homogeneous):
+            for g in buchberger(gens, order).generators:
+                assert g.leading(order)[1] == ring.one()
+
+
 def test_weights_must_be_positive_one_per_variable():
     gens = [P("x^2 - y"), P("x*y - 1")]
     for weights in ((1,), (1, 0), (1, 2, 3)):
