@@ -166,6 +166,19 @@ def integer_primitive(values: Sequence[Fraction]) -> List[Fraction]:
     return [a * den / num for a in values] if num else list(values)
 
 
+def _accumulate(ring: BaseRing, terms: dict, other: dict, combine) -> dict:
+    """terms with combine(terms[e], c) in place for each term e, c of other
+    (the ring's zero for a missing e), zero results dropped."""
+    zero = ring.zero()
+    for e, c in other.items():
+        s = combine(terms.get(e, zero), c)
+        if ring.is_zero(s):
+            terms.pop(e, None)
+        else:
+            terms[e] = s
+    return terms
+
+
 class MultiPoly:
     __slots__ = ("ring", "varset", "terms")
 
@@ -227,27 +240,13 @@ class MultiPoly:
 
     def __add__(self, other):
         self._assert_compat(other)
-        ring = self.ring
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = ring.add(terms.get(e, ring.zero()), c)
-            if ring.is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return MultiPoly(ring, self.varset, terms)
+        return MultiPoly(self.ring, self.varset, _accumulate(
+            self.ring, dict(self.terms), other.terms, self.ring.add))
 
     def __sub__(self, other):
         self._assert_compat(other)
-        ring = self.ring
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = ring.sub(terms.get(e, ring.zero()), c)
-            if ring.is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return MultiPoly(ring, self.varset, terms)
+        return MultiPoly(self.ring, self.varset, _accumulate(
+            self.ring, dict(self.terms), other.terms, self.ring.sub))
 
     def __neg__(self):
         ring = self.ring
@@ -446,7 +445,7 @@ def substitute_all(polys: Sequence[MultiPoly],
 def _fmt_coeff(ring: BaseRing, c) -> str:
     s = ring.fmt(c)
     if isinstance(ring, QuotientRing) and ("+" in s or "*" in s or "^" in s):
-        return f"({s})"
+        return f"({s.replace(' + -', ' - ')})"  # parse_poly reads no "+ -"
     return s
 
 
@@ -480,116 +479,117 @@ def format_poly(p: MultiPoly) -> str:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
-
-
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ValueError(f"cannot tokenize polynomial at {text[pos:]!r}")
-        if m.group("num"):
-            out.append(("num", int(m.group("num"))))
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-        pos = m.end()
-    return out
+    r"\s*(?:(\d+)\s*/\s*(\d+)|(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\)))"
+    r"(?:\s*\^\s*(\d+))?|([-+*/^(]))")
 
 
 class _Parser:
-    def __init__(self, tokens, ring: BaseRing, vs: VarSet):
-        self.toks = tokens
-        self.i = 0
-        self.ring = ring
-        self.vs = vs
+    """Recursive descent on term dicts: a product of atoms folds into one
+    term; only a parenthesized factor is multiplied as a MultiPoly.  A token
+    (kind, value, power or None) is an operator, a fraction "q" a/b (no
+    power), an integer "n", a name "v" or ")"; kind None ends the list."""
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
+    def __init__(self, text: str, ring: BaseRing, vs: VarSet):
+        self.toks, pos = [], 0
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != pos:
+                break
+            pos = m.end()
+            num, den, n, name, close, k, op = m.groups()
+            k = None if k is None else int(k)
+            self.toks.append(("q", (int(num), int(den)), None) if den else
+                             ("n", int(n), k) if n else ("v", name, k) if name else
+                             (")", None, k) if close else (op, None, None))
+        if pos != len(text):
+            raise ValueError(f"cannot tokenize polynomial at {text[pos:]!r}")
+        self.toks.append((None, None, None))
+        self.i, self.ring, self.vs = 0, ring, vs
+        self.index = {name: i for i, name in enumerate(vs.names)}
 
-    def take(self):
-        t = self.peek()
+    def parse_sum(self) -> dict:
+        ring, toks = self.ring, self.toks
+        sign = toks[self.i][0]
+        if sign == "+" or sign == "-":
+            self.i += 1
+        terms = self.parse_product()
+        if sign == "-":
+            terms = {e: ring.neg(c) for e, c in terms.items()}
+        while True:
+            op = toks[self.i][0]
+            if op != "+" and op != "-":
+                return terms
+            self.i += 1
+            _accumulate(ring, terms, self.parse_product(),
+                        ring.add if op == "+" else ring.sub)
+
+    def parse_product(self) -> dict:
+        """The factors multiplied left to right; the atoms since the last
+        parenthesized factor fold into one term exp * coeff (1 when None)."""
+        ring, vs, toks = self.ring, self.vs, self.toks
+        poly, exp, coeff, folded = None, [0] * len(vs), None, False
+
+        def joined():  # poly times the folded term
+            c = ring.one() if coeff is None else coeff
+            mono = MultiPoly(ring, vs, {} if ring.is_zero(c) else {tuple(exp): c})
+            return mono if poly is None else poly * mono
+
+        while True:
+            f = self.parse_factor(exp)
+            if isinstance(f, MultiPoly):
+                if folded:
+                    poly = joined()
+                poly = f if poly is None else poly * f
+                exp, coeff, folded = [0] * len(vs), None, False
+            else:
+                folded = True
+                if f is not None:
+                    coeff = f if coeff is None else ring.mul(coeff, f)
+            kind = toks[self.i][0]
+            if kind == "*":
+                self.i += 1
+            elif kind != "v" and kind != "(":
+                return (joined() if folded else poly).terms
+
+    def parse_factor(self, exp: list):
+        """One factor with its power: a parenthesized one as a MultiPoly, an
+        atom folded into exp with its coefficient (None for a variable)."""
+        ring = self.ring
+        kind, val, k = self.toks[self.i]
         self.i += 1
-        return t
-
-    def parse(self) -> MultiPoly:
-        p = self.parse_sum()
-        if self.i != len(self.toks):
-            raise ValueError("trailing input in polynomial")
-        return p
-
-    def parse_sum(self) -> MultiPoly:
-        sign = 1
-        kind, val = self.peek()
-        if (kind, val) == ("op", "-"):
-            self.take()
-            sign = -1
-        elif (kind, val) == ("op", "+"):
-            self.take()
-        p = self.parse_product()
-        if sign < 0:
-            p = -p
-        while True:
-            kind, val = self.peek()
-            if (kind, val) == ("op", "+"):
-                self.take()
-                p = p + self.parse_product()
-            elif (kind, val) == ("op", "-"):
-                self.take()
-                p = p - self.parse_product()
-            else:
-                return p
-
-    def parse_product(self) -> MultiPoly:
-        p = self.parse_factor()
-        while True:
-            kind, val = self.peek()
-            if (kind, val) == ("op", "*"):
-                self.take()
-                p = p * self.parse_factor()
-            elif kind in ("name",) or (kind, val) == ("op", "("):
-                p = p * self.parse_factor()
-            else:
-                return p
-
-    def parse_factor(self) -> MultiPoly:
-        kind, val = self.take()
-        if kind == "num":
-            if self.peek() == ("op", "/"):
-                self.take()
-                k3, v3 = self.take()
-                if k3 != "num":
-                    raise ValueError("expected denominator")
-                return MultiPoly.constant(self.ring, self.vs, Fraction(val, v3))
-            return self._maybe_power(MultiPoly.constant(self.ring, self.vs, val))
-        if kind == "name":
-            if val == "t" and isinstance(self.ring, QuotientRing) and "t" not in self.vs.names:
-                return self._maybe_power(
-                    MultiPoly.constant(self.ring, self.vs, self.ring.gen()))
-            if val not in self.vs.names:
+        if kind == "q":
+            return ring.coerce(Fraction(*val))
+        if kind == "n":
+            f = ring.coerce(val)
+            if k is None and self.toks[self.i][0] == "/":
+                raise ValueError("expected denominator")
+        elif kind == "v":
+            if val == "t" and isinstance(ring, QuotientRing) and "t" not in self.index:
+                f = ring.gen()
+            elif val not in self.index:
                 raise ValueError(f"undeclared variable {val!r}")
-            return self._maybe_power(MultiPoly.variable(self.ring, self.vs, val))
-        if (kind, val) == ("op", "("):
-            p = self.parse_sum()
-            kind, val = self.take()
-            if (kind, val) != ("op", ")"):
+            else:
+                f = None
+                exp[self.index[val]] += 1 if k is None else k
+        elif kind == "(":
+            f = MultiPoly(ring, self.vs, self.parse_sum())
+            kind, _, k = self.toks[self.i]
+            if kind != ")":
                 raise ValueError("expected ')'")
-            return self._maybe_power(p)
-        raise ValueError(f"unexpected token {val!r}")
-
-    def _maybe_power(self, p: MultiPoly) -> MultiPoly:
-        kind, val = self.peek()
-        if (kind, val) == ("op", "^"):
-            self.take()
-            k2, v2 = self.take()
-            if k2 != "num":
+            self.i += 1
+        else:
+            raise ValueError(f"unexpected token {kind!r}")
+        if k is None:
+            if self.toks[self.i][0] == "^":
                 raise ValueError("expected integer exponent")
-            return p ** v2
-        return p
+            return f
+        return (f ** k if isinstance(f, MultiPoly) else
+                None if f is None else ring.power(f, k))
 
 
 def parse_poly(text: str, ring: BaseRing, vs: VarSet) -> MultiPoly:
     """Parse syntax like '3*x^2*y - 1/2*z'."""
-    return _Parser(_tokenize(text), ring, vs).parse()
+    parser = _Parser(text, ring, vs)
+    terms = parser.parse_sum()
+    if parser.toks[parser.i][0] is not None:
+        raise ValueError("trailing input in polynomial")
+    return MultiPoly(ring, vs, terms)

@@ -63,6 +63,18 @@ class BaseRing:
     def inv(self, a):
         raise NotImplementedError
 
+    def power(self, a, e: int):
+        """a^e by square-and-multiply; a negative e is a power of inv(a)."""
+        if e < 0:
+            return self.power(self.inv(a), -e)
+        out = self.one()
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
     def zero(self):
         raise NotImplementedError
 
@@ -452,18 +464,6 @@ class QuotientRing(BaseRing):
 
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)
-
-    def power(self, a, e: int):
-        """a^e by square-and-multiply; a negative e is a power of inv(a)."""
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        out = self.one()
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
 
     def inv(self, a):
         # extended Euclid in k[t] against the modulus

@@ -1,12 +1,13 @@
 """Sparse multivariate polynomials: arithmetic, orders, parsing, grading."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          format_poly, order_from_tag, parse_poly, substitute_all)
-from pfcalc.rings import Fp, QQ, ZZ
+from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
 VS = VarSet(("x", "y", "z"))
 
@@ -63,6 +64,32 @@ def test_parse_format_round_trip():
     for t in texts:
         f = P(t)
         assert parse_poly(format_poly(f), QQ, VS) == f
+
+
+@pytest.mark.parametrize("tag", ["ZZ", "QQ", "Fp(7)", "Fp(3)[t]/(t^2+1)", "QQ[t]/(t^2-2)"])
+def test_parse_format_round_trip_random(tag):
+    # random terms with exponents up to 12; the payload types must survive
+    ring = ring_from_tag(tag)
+    rng = random.Random(tag)
+    dens = range(1, 10) if ring.scalar_field() == QQ and ring != ZZ else (1,)
+
+    def coefficient():
+        c = ring.zero()
+        for b in ring.field_basis():
+            k = Fraction(rng.randint(-20, 20), rng.choice(dens))
+            c = ring.add(c, ring.mul(b, ring.coerce(k)))
+        return c
+
+    for _ in range(80):
+        terms = {}
+        for _ in range(rng.randint(0, 6)):
+            c = coefficient()
+            if not ring.is_zero(c):
+                terms[tuple(rng.randint(0, 12) for _ in VS.names)] = c
+        f = MultiPoly(ring, VS, terms)
+        g = parse_poly(format_poly(f), ring, VS)
+        assert g == f
+        assert repr(sorted(g.terms.items())) == repr(sorted(f.terms.items()))
 
 
 def test_parse_rejects_unknown_variable():
