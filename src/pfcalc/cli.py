@@ -32,8 +32,8 @@ from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
 from .groebner import GroebnerBasis, ideal_dimension
 from .poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
 from .render import render_json
-from .rings import ZZ, BaseRing, fraction_field_reduction, is_prime, \
-    ring_from_tag
+from .rings import ZZ, BaseRing, PRIME_TEST_LIMIT, fraction_field_reduction, \
+    is_prime, ring_from_tag
 
 COMMANDS = ("ring-of-module", "schur-table", "dimfn", "image-closure",
             "dim-per-prime", "good-primes", "equivariance", "taylor")
@@ -84,7 +84,7 @@ def _opt(cfg: dict, key: str, typ, default, where: str = "config"):
 def _prime_list(cfg: dict, key: str = "primes") -> List[int]:
     primes = _need(cfg, key, list)
     for p in primes:
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int) or p >= PRIME_TEST_LIMIT or not is_prime(p):
             raise ConfigError(f"config key {key!r} must list primes, got {p!r}")
     return primes
 

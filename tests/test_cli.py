@@ -289,6 +289,23 @@ def test_modulus_degree_guard_admits(capsys, tmp_path, tag):
                           + ring_from_tag(tag).tag())
 
 
+@pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)],
+                         ids=["2^61-1", "2^89-1"])
+def test_large_prime_configs_answer_at_once(capsys, tmp_path, p, code):
+    # is_prime decides 2^61 - 1 by Miller-Rabin; 2^89 - 1 is past the
+    # limit of its bases, and the config is refused as naming no prime
+    jobs = [("schur-table", {"n": 1, "d": 2, "ring": f"Fp({p})"}, "ring"),
+            ("good-primes", {"variables": ["x"], "generators": ["3*x"],
+                             "primes": [2, p]}, "primes")]
+    for command, cfg, key in jobs:
+        start = time.perf_counter()
+        got, out, err = run(capsys, tmp_path, command, cfg)
+        assert time.perf_counter() - start < 1.0
+        assert got == code
+        if code:
+            assert out == "" and f"config key {key!r}" in err and str(p) in err
+
+
 def test_equivariance_command(capsys, tmp_path):
     cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
     code, out, _ = run(capsys, tmp_path, "equivariance", cfg)

@@ -12,9 +12,9 @@ from pfcalc import rings
 from pfcalc.groebner import NonFieldCoefficients, buchberger
 from pfcalc.linalg import Echelon
 from pfcalc.poly import Grevlex, VarSet, parse_poly
-from pfcalc.rings import (Fp, ModularIntegers, NotAUnit, QQ, QuotientRing, ZZ,
-                          _poly_divmod, fraction_field_reduction,
-                          parse_quotient_payload, ring_from_tag)
+from pfcalc.rings import (PRIME_TEST_LIMIT, Fp, ModularIntegers, NotAUnit, QQ,
+                          QuotientRing, ZZ, _poly_divmod, fraction_field_reduction,
+                          is_prime, parse_quotient_payload, ring_from_tag)
 
 
 def test_integer_arithmetic():
@@ -452,3 +452,27 @@ def test_buchberger_refuses_modular_integers():
     gens = [parse_poly("x^2 + y", ZZ, vs), parse_poly("x*y + 1", ZZ, vs)]
     with pytest.raises(NonFieldCoefficients):
         buchberger([g.map_coefficients(R.coerce, R) for g in gens], Grevlex())
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for q in range(2, 317):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, 10 ** 5, q))
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if sieve[n]]
+
+
+def test_is_prime_on_large_numbers():
+    start = time.perf_counter()
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert is_prime(10 ** 24 + 7)  # the least prime above 10^24
+    assert PRIME_TEST_LIMIT == 1287836182261 * 2575672364521
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37: composite
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert not is_prime(2 ** 61 + 1) and not is_prime(1000003 * (2 ** 61 - 1))
+    assert time.perf_counter() - start < 1.0
+    for n in (PRIME_TEST_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
