@@ -329,12 +329,6 @@ class MultiPoly:
             parts.setdefault(e[k:], {})[e[:k]] = c
         return {t: MultiPoly(self.ring, vs, terms) for t, terms in parts.items()}
 
-    def monic(self, order: MonomialOrder) -> "MultiPoly":
-        if self.is_zero():
-            return self
-        _, lc = self.leading(order)
-        return self.scale(self.ring.inv(lc))
-
     def substitute(self, mapping: Dict[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables; unmapped variables persist."""
         return substitute_all([self], mapping)[0]

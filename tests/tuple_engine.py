@@ -423,7 +423,8 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
              else basis[i])
         if t:
             log(t)
-            final.append((keyof(lead(t)), kernel.to_poly(t).monic(order)))
+            lm = lead(t)
+            final.append((keyof(lm), kernel.to_poly(t).scale(ring.inv(t[lm]))))
     final.sort(key=lambda kf: kf[0])
     return GroebnerBasis(tuple(f for _, f in final), order, ring, vs)
 
