@@ -4,14 +4,14 @@ Coefficients must lie in a field; reduction, and so the criterion check,
 also runs over a product of fields such as ZZ/mZ (see _field_reducer), but
 buchberger does not.  One S-pair queue serves both building and checking a
 basis: the normal strategy (least weighted lcm degree, then the monomial
-order on the lcm), skipping pairs with coprime leading monomials and pairs
-caught by the chain criterion.  The weights are unit weights unless
-buchberger or eliminate is given others: weights that make the input
-homogeneous give the sugar strategy of Giovini et al. ("One sugar cube,
-please", ISSAC 1991) in its homogeneous case.  buchberger adds each nonzero
-remainder and ends with one minimalize/interreduce pass;
-GroebnerBasis.satisfies_criterion stops at the first one.  A reduced basis is
-unique, so the weights change which pairs get reduced but never the result.
+order on the lcm), under unit weights unless buchberger or eliminate is
+given others; weights that make the input homogeneous give the sugar
+strategy of Giovini et al. ("One sugar cube, please", ISSAC 1991).  A
+reduced basis is unique, so the weights change which pairs get reduced but
+never the result.  buchberger adds each nonzero remainder and ends with one
+minimalize/interreduce pass; eliminate interreduces only the elements it
+returns, those free of the eliminated block.
+GroebnerBasis.satisfies_criterion stops at the first nonzero remainder.
 
 Inside the engine a monomial is one int P (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -33,9 +33,10 @@ Reducer entries live in one divisor index, _Reducers.  For each digit k of P
 Python int, bit i for entry i) of the entries whose leading monomial has at
 most a in digit k.  The entries whose leading monomial divides a monomial
 are the AND of one such bitset per digit (degree digits only filter more),
-and the first of them in list order is the lowest set bit.  The same AND
-finds the entries k that may chain a pair (i, j) in the pair queue, which
-then decides the chain criterion by queue order alone (see _s_pairs).
+and the first of them in list order is the lowest set bit.  The pair queue
+skips coprime pairs and chained ones (see _s_pairs): those among a new
+entry's pairs when it joins, those that later entries chain, which this AND
+finds, at their pop.
 
 Coefficient arithmetic sits behind one of two kernels, picked once per run
 from the ring:
@@ -129,12 +130,17 @@ class _Packing:
         return P - 2 * (P & self.mask)
 
     def lcm(self, a: int, b: int) -> int:
+        return self.graded(self.maximum(a, b))
+
+    def maximum(self, a: int, b: int) -> int:
+        """Digit-wise maximum of the exponent digits, degree digits 0."""
+        ge = ((a | self.guard) - b) & self.guard   # guard bit where a >= b
+        return (b ^ ((a ^ b) & (ge - (ge >> self.width - 1)))) & self.exps
+
+    def graded(self, x: int) -> int:
+        """x with each block's degree digit: the block, shifted to its first
+        digit and times ones, sums its digits into its last one."""
         guard = self.guard
-        ge = ((a | guard) - b) & guard   # the guard bit of each digit a >= b
-        x = (b ^ ((a ^ b) & (ge - (ge >> self.width - 1)))) & self.exps
-        # per nonempty graded block: shifted to its first digit and
-        # multiplied by ones, its digits sum into its last digit; that sum
-        # is its degree digit
         for shift, ones, last, at in self.sums:
             x |= ((x >> shift) * ones >> last & self.digit) << at
         if x & guard:
@@ -507,57 +513,57 @@ def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None):
     (j, k), yielded or skipped, both came before (i, j)).
 
     Key order alone decides the chain criterion.  Say LM(k) divides
-    L = lcm(LM i, LM j).  Then lcm(i, k) and lcm(j, k) divide L; a proper
-    divisor has a strictly smaller key, as the weights are positive, and
-    an equal lcm falls to the index tie-break.  A pair of smaller key whose
-    entries exist comes first; one of larger key holds j or a k > j, so it
-    joins the queue no earlier than (i, j) and comes later.  So (i, k) and
-    (j, k) both came first exactly when k < i, or [k < j or
-    lcm(i, k) != L] and lcm(j, k) != L.  That needs no record of earlier
-    pairs, and entries only join: a pair is tested when queued, against
-    the n entries there are then, and not queued when coprime or chained.
-    At its pop it is tested again only against the entries that joined
-    since (within = -1 << n), and not at all when none did.
+    L = lcm(LM i, LM j), so lcm(i, k) and lcm(j, k) divide L: a proper
+    divisor has a smaller key, as the weights are positive, and an equal
+    lcm falls to the index tie-break.  So k < j chains (i, j) exactly when
+    lcm(k, j) != L or k < i, and as LM(k) | L exactly when lcm(k, j) | L,
+    (i, j) escapes every k < j exactly when L is divisibility-minimal among
+    the lcm(k, j), k < j, ties going to the lowest k (Gebauer and Moeller,
+    JSC 6, 1988).  So when j joins, its lcms' exponent digits are sorted,
+    a proper divisor being a smaller int, and each is kept when no kept
+    one divides it; coprime pairs take part but are not pushed, and only
+    pushed pairs get degree digits.  A k > j with LM(k) | L chains (i, j)
+    exactly when lcm(i, k) != L and lcm(j, k) != L; such entries, of the
+    first batch or joined later, are tested at the pop.
     """
     pack = reducers.pack
-    lcm_of, mask, digits = pack.lcm, pack.mask, pack.digits
+    maximum, graded, digits = pack.maximum, pack.graded, pack.digits
+    guard, mask, exps = pack.guard, pack.mask, pack.exps
     dividing = reducers.dividing
     w = [0] * pack.size  # weights by digit
     for v, k in enumerate(pack.pos):
         w[k] = weights[v] if weights else 1
     entries = reducers.entries
-
-    def chained(i, j, lcm, within):
-        """Does an entry in within, which holds neither i nor j, chain (i, j)?"""
-        d = dividing(lcm, within)
-        if d & ((1 << i) - 1):
-            return True
-        lmi, lmj = entries[i][0], entries[j][0]
-        while d:
-            k = (d & -d).bit_length() - 1
-            lmk = entries[k][0]
-            if (k < j or lcm_of(lmi, lmk) != lcm) and lcm_of(lmj, lmk) != lcm:
-                return True
-            d &= d - 1
-        return False
-
+    lms: list = []  # leading monomials of the queued entries
     heap: list = []
-    queued = 0
     while True:
         n = len(entries)
-        for j in range(queued, n):
-            lmj = entries[j][0]
-            for i in range(j):
-                lmi = entries[i][0]
-                lcm = lcm_of(lmi, lmj)
-                if lcm != lmi + lmj and not chained(i, j, lcm, ~(1 << i | 1 << j)):
-                    heapq.heappush(heap, (sum(map(mul, w, digits(lcm))),
-                                          lcm - 2 * (lcm & mask), i, j, lcm, n))
-        queued = n
+        for j in range(len(lms), n):
+            b = entries[j][0]
+            minimal = []
+            for x, i in sorted([(maximum(a, b), i) for i, a in enumerate(lms)]):
+                xg = x | guard
+                for m in minimal:
+                    if (xg - m) & guard == guard:  # m divides x
+                        break
+                else:
+                    minimal.append(x)
+                    if x != (lms[i] + b) & exps:  # not coprime
+                        lcm = graded(x)
+                        heapq.heappush(heap, (sum(map(mul, w, digits(lcm))),
+                                              lcm - 2 * (lcm & mask), i, j, lcm))
+            lms.append(b)
         if not heap:
             return
-        _, _, i, j, lcm, pushed = heapq.heappop(heap)
-        if pushed == n or not chained(i, j, lcm, -1 << pushed):
+        _, _, i, j, lcm = heapq.heappop(heap)
+        d = dividing(lcm, -2 << j) if n > j + 1 else 0
+        x = lcm & exps
+        while d:  # is (i, j) chained by an entry k > j?
+            lmk = entries[(d & -d).bit_length() - 1][0]
+            if maximum(lms[i], lmk) != x and maximum(lms[j], lmk) != x:
+                break
+            d &= d - 1
+        else:
             yield i, j, lcm
 
 
@@ -568,9 +574,8 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
 
     Pairs come from the queue of _s_pairs under weights, one positive
     integer per variable (unit weights when None), and each nonzero
-    remainder joins the basis.  The weights pick the pair sequence only;
-    the reduced basis is the same for all of them, but weights that leave
-    the input inhomogeneous can make the run much slower.  When
+    remainder joins the basis.  Weights that leave the input inhomogeneous
+    can make the run much slower.  When
     new_poly_log is given, every polynomial entering the intermediate basis
     is appended to it before normalization: the inputs, each nonzero
     S-polynomial remainder and each interreduced final element.  Over QQ
@@ -578,11 +583,19 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
     divided out during the run divides one of their leading coefficients;
     this supports prime specialisation.
     """
+    gens = _reduced_basis(F, order, new_poly_log, weights)
+    return GroebnerBasis(gens, order, F[0].ring, F[0].varset)
+
+
+def _reduced_basis(F: Sequence[MultiPoly], order: MonomialOrder,
+                   new_poly_log=None, weights=None, front: int = 0) -> tuple:
+    """buchberger's generators; with front > 0, under elim(front), only
+    those free of the front block's variables."""
     inputs = [f for f in F if not f.is_zero()]
     if not inputs:
         if not F:
             raise ValueError("buchberger needs at least one polynomial")
-        return GroebnerBasis((), order, F[0].ring, F[0].varset)
+        return ()
     ring, vs = inputs[0].ring, inputs[0].varset
     _require_field(ring)
     if weights is not None and (len(weights) != len(vs) or min(weights) < 1):
@@ -594,22 +607,23 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
         if new_poly_log is not None:
             del new_poly_log[logged:]  # what a narrower run logged
         return _complete(kernel(ring, vs, order, width), inputs, new_poly_log,
-                         weights)
+                         weights, front)
 
-    return GroebnerBasis(_widening(run), order, ring, vs)
+    return _widening(run)
 
 
 def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
-              new_poly_log: Optional[list], weights) -> tuple:
-    """The generators of buchberger's reduced basis, computed by kernel."""
-    key = kernel.pack.key
+              new_poly_log: Optional[list], weights, front: int = 0) -> tuple:
+    """The generators of _reduced_basis, computed by kernel."""
+    pack = kernel.pack
+    key = pack.key
 
     def log(terms):
         if new_poly_log is not None:
             new_poly_log.append(kernel.to_poly(terms))
 
     basis: list = []
-    reducers = _Reducers(kernel.pack)
+    reducers = _Reducers(pack)
     entries = reducers.entries
 
     def add(terms):
@@ -628,10 +642,14 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
             add(r)
 
     # minimalize: drop entry i when an earlier LM divides LM(i) or a later
-    # LM divides it properly (of equal LMs the first is kept); then
+    # LM divides it properly (of equal LMs the first is kept), and under
+    # elim(front) when LM(i) reaches the front block's top digits; then
     # interreduce each kept element against the others
+    bound = 1 << pack.width * min(pack.pos[:front], default=pack.size)
     keep = []
     for i, (lm, *_) in enumerate(entries):
+        if lm >= bound:
+            continue
         d = reducers.dividing(lm) & ~(1 << i)
         if d & ((1 << i) - 1):
             continue
@@ -639,7 +657,7 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
             d &= d - 1
         if not d:
             keep.append(i)
-    kept = _Reducers(kernel.pack, [entries[i] for i in keep])
+    kept = _Reducers(pack, [entries[i] for i in keep])
     final = []
     # kept leading monomials divide no other kept one, so interreduction
     # changes tails only and entries[i][0] stays the leading monomial
@@ -650,8 +668,7 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
             log(t)
             lm = entries[i][0]
             final.append((key(lm), kernel.to_monic(t, lm)))
-    final.sort(key=lambda kf: kf[0])
-    return tuple(f for _, f in final)
+    return tuple(f for _, f in sorted(final, key=lambda kf: kf[0]))
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:
@@ -708,13 +725,9 @@ def eliminate(G: Sequence[MultiPoly], drop: Set[str],
     order = Elimination(len(front)) if front else Grevlex()
     if weights is not None:
         weights = tuple(weights[vs.index(n)] for n in front + back)
-    gb = buchberger([g.rename(block_vs) for g in gens], order, weights=weights)
     kept_vs = VarSet(tuple(back), tuple(vs.weights[vs.index(n)] for n in back))
-    out = []
-    for g in gb.generators:
-        if not (g.variables_used() & drop):
-            out.append(g.restrict(kept_vs))
-    return out
+    return [g.restrict(kept_vs) for g in _reduced_basis(
+        [g.rename(block_vs) for g in gens], order, weights=weights, front=len(front))]
 
 
 def radical_membership(f: MultiPoly, G: Sequence[MultiPoly]) -> bool:

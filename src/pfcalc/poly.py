@@ -375,14 +375,6 @@ class MultiPoly:
             out[tuple(e[i] for i in idx)] = c
         return MultiPoly(self.ring, new_vs, out)
 
-    def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, v in enumerate(e):
-                if v:
-                    used.add(self.varset.names[i])
-        return used
-
     # -- printing ------------------------------------------------------------
     def __str__(self):
         return format_poly(self)

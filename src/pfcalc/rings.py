@@ -81,15 +81,17 @@ class BaseRing:
         raise NotImplementedError
 
     def power(self, a, e: int):
-        """a^e by square-and-multiply; a negative e is a power of inv(a)."""
+        """a^e by square-and-multiply from the top bit, so e.bit_length() - 1
+        squarings; a negative e is a power of inv(a)."""
         if e < 0:
             return self.power(self.inv(a), -e)
-        out = self.one()
-        while e:
-            if e & 1:
+        if not e:
+            return self.one()
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
                 out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
         return out
 
     def zero(self):

@@ -507,7 +507,7 @@ def test_ring_types_are_tested_only_in_rings():
     # where it picks an algorithm or a syntax (the Groebner kernel, the
     # parenthesized quotient-ring coefficient, the parser's t)
     classes = {"IntegerRing", "RationalField", "PrimeField", "QuotientRing"}
-    allowed = {("groebner.py", "buchberger"), ("poly.py", "_fmt_coeff"),
+    allowed = {("groebner.py", "_reduced_basis"), ("poly.py", "_fmt_coeff"),
                ("poly.py", "parse_factor")}
     found = set()
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from pfcalc import groebner
+from pfcalc.geometry import _graph_weights, sum_of_powers, target_varset
 from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, _Packing,
                              _Reducers, _field_reducer, buchberger, eliminate,
                              ideal_dimension, radical_membership)
@@ -524,6 +525,81 @@ def test_s_pairs_chained_after_the_push():
     assert _hand_queue(lms, {1: [(1, 1, 1)]}) == [(0, 2), (2, 3), (1, 3), (0, 3)]
 
 
+def test_s_pairs_later_input_chains_at_the_pop():
+    # x^2z, y^2z, xyz in one batch: all three pairs are pushed, (0, 1) as
+    # no k < 1 chains it; entry 2 > 1 chains it at its pop
+    lms = [(2, 0, 1), (0, 2, 1), (1, 1, 1)]
+    assert _hand_queue(lms) == [(1, 2), (0, 2)]
+    assert _counted_queue(Grevlex(), lms)[1:] == (3, 3)
+
+
+def test_s_pairs_equal_lcms_go_to_the_lowest_index():
+    # x, y, xy: lcm(0, 2) = lcm(1, 2) = xy, so (0, 2) is kept and (1, 2)
+    # chained; (0, 1) is coprime
+    assert _hand_queue([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == [(0, 2)]
+    # z, xz, xy: (0, 2) is coprime but still wins the tie at xyz over
+    # (1, 2), which is not pushed
+    assert _hand_queue([(0, 0, 1), (1, 0, 1), (1, 1, 0)]) == [(0, 1)]
+    assert _counted_queue(Grevlex(), [(0, 0, 1), (1, 0, 1), (1, 1, 0)])[1:] == (1, 3)
+
+
+def _counted_queue(order, lms, joins=None, weights=None):
+    """The pairs of _s_pairs over entries with leading monomials lms under
+    order, checked against _set_s_pairs as in _hand_queue; with the number
+    of pushes onto the pair heap and of candidate pairs.  Every full lcm
+    (degree digits included) that the queue makes must be pushed."""
+    pack = _Packing(order, len(lms[0]))
+    reducers = _Reducers(pack, [(pack.pack(e), 1, []) for e in lms])
+    reference = _set_s_pairs(_Unpacked(reducers), _nested_key(order), weights)
+    graded, pushed = [], []
+    grade = _Packing.graded
+
+    def push(heap, item):
+        pushed.append(item[-1])
+        heapq.heappush(heap, item)
+
+    def recorded(self, x):
+        graded.append(grade(self, x))
+        return graded[-1]
+
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Packing, "graded", recorded)
+        mp.setattr(groebner, "heapq", type("H", (), {
+            "heappush": staticmethod(push), "heappop": staticmethod(heapq.heappop)}))
+        for i, j, lcm in groebner._s_pairs(reducers, weights):
+            assert (i, j, pack.unpack(lcm)) == next(reference)
+            pairs.append((i, j))
+            for e in (joins or {}).get(len(pairs), ()):
+                reducers.add((pack.pack(e), 1, []))
+    assert next(reference, None) is None
+    assert graded == pushed
+    n = len(reducers.entries)
+    return pairs, len(pushed), n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("order", [Lex(), Grevlex(), Elimination(1),
+                                   Elimination(2), Elimination(3)],
+                         ids=["lex", "grevlex", "elim1", "elim2", "elim3"])
+def test_s_pairs_match_done_set_queue_on_random_monomials(order):
+    # batches and later joins, repeated and dividing leading monomials and
+    # equal lcms, under unit and random weights
+    rng = random.Random(5156)
+    pushes = candidates = 0
+    for _ in range(150):
+        def monomial():
+            return tuple(rng.randrange(3) for _ in VS4.names)
+        lms = [monomial() for _ in range(rng.randrange(2, 9))]
+        joins = {t: [monomial() for _ in range(rng.randrange(1, 3))]
+                 for t in range(1, 6) if rng.random() < 0.4}
+        weights = None if rng.random() < 0.3 else _random_weights(rng)
+        _, p, c = _counted_queue(order, lms, joins, weights)
+        pushes += p
+        candidates += c
+    # most candidates are coprime or chained, and get no full lcm
+    assert candidates > 3 * pushes > 0
+
+
 @pytest.mark.parametrize("ring", DIFF_RINGS, ids=DIFF_IDS)
 @pytest.mark.parametrize("homogeneous", [True, False], ids=["hom", "inhom"])
 def test_weighted_buchberger_matches_unit_weights(ring, homogeneous):
@@ -557,17 +633,77 @@ def test_eliminate_permutes_weights_with_the_variables(monkeypatch):
     # eliminate moves the dropped variable t to the front block, and its
     # weight moves with it; the basis does not depend on the weights
     seen = []
-    run = groebner.buchberger
+    run = groebner._reduced_basis
 
-    def recorded(F, order, new_poly_log=None, weights=None):
+    def recorded(F, order, new_poly_log=None, weights=None, front=0):
         seen.append((F[0].varset.names, weights))
-        return run(F, order, new_poly_log, weights)
+        return run(F, order, new_poly_log, weights, front)
 
-    monkeypatch.setattr(groebner, "buchberger", recorded)
+    monkeypatch.setattr(groebner, "_reduced_basis", recorded)
     vs = VarSet(("x", "y", "t"))
     gens = [parse_poly("x - t^2", QQ, vs), parse_poly("y - t^3", QQ, vs)]
     assert eliminate(gens, {"t"}, (2, 3, 1)) == eliminate(gens, {"t"})
     assert seen == [(("t", "x", "y"), (1, 2, 3)), (("t", "x", "y"), None)]
+
+
+def _eliminated_part(gens, drop, weights=None):
+    """The generators free of the dropped variables in the full reduced
+    basis under the order eliminate uses, restricted to the others."""
+    vs = gens[0].varset
+    front = [n for n in vs.names if n in drop]
+    back = [n for n in vs.names if n not in drop]
+    block_vs = VarSet(tuple(front + back),
+                      tuple(vs.weights[vs.index(n)] for n in front + back))
+    kept_vs = VarSet(tuple(back), tuple(vs.weights[vs.index(n)] for n in back))
+    if weights is not None:
+        weights = tuple(weights[vs.index(n)] for n in front + back)
+    gb = buchberger([g.rename(block_vs) for g in gens], Elimination(len(front)),
+                    weights=weights)
+    return [g.restrict(kept_vs) for g in gb.generators
+            if not any(any(e[:len(front)]) for e in g.terms)]
+
+
+def _graph_ideal(alpha, n, ring):
+    """The graph ideal of image_closure, its source variables and weights."""
+    src_vs, coords = alpha.rule(n, ring)
+    y_vs = target_varset(alpha.target, n)
+    big_vs = VarSet(src_vs.names + y_vs.names, src_vs.weights + y_vs.weights)
+    gens = [MultiPoly.variable(ring, big_vs, y) - c.rename(big_vs)
+            for y, c in zip(y_vs.names, coords)]
+    return gens, set(src_vs.names), _graph_weights(src_vs, coords)
+
+
+def _counted_to_monic(monkeypatch):
+    calls = []
+    for kernel in (groebner._RationalKernel, groebner._FieldKernel):
+        def counted(self, terms, lm, run=kernel.to_monic):
+            calls.append(lm)
+            return run(self, terms, lm)
+        monkeypatch.setattr(kernel, "to_monic", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", DIFF_RINGS, ids=DIFF_IDS)
+def test_eliminate_is_the_free_part_of_the_full_basis(ring, monkeypatch):
+    # eliminate interreduces and converts only the generators it returns
+    calls = _counted_to_monic(monkeypatch)
+    rng = random.Random(5157)
+    cases = [_graph_ideal(sum_of_powers(m, k), 2, ring)
+             for m, k in [(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 3)]]
+    cases += [(gens, {rng.choice(VS4.names)}, _random_weights(rng))
+              for gens, _ in _random_ideals(ring, 5158, 12)]
+    smaller = 0
+    for gens, drop, weights in cases:
+        want = _eliminated_part(gens, drop, weights)
+        full = len(calls)
+        del calls[:]
+        got = eliminate(gens, drop, weights)
+        assert got == want
+        assert len(calls) == len(got)
+        smaller += len(got) < full
+        del calls[:]
+    # the full bases hold generators in the dropped variables too
+    assert smaller >= len(cases) // 2
 
 
 @pytest.mark.parametrize("order", [Lex(), Grevlex(), Elimination(1),

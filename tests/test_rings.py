@@ -476,3 +476,33 @@ def test_is_prime_on_large_numbers():
     for n in (PRIME_TEST_LIMIT, 2 ** 89 - 1):
         with pytest.raises(ValueError):
             is_prime(n)
+
+
+POWER_RINGS = [(Fp(7), 3), (QQ, Fraction(-3, 2)),
+               (ring_from_tag("Fp(101)[t]/(t^3+t+1)"), (2, 5, 1))]
+
+
+@pytest.mark.parametrize("ring, a", POWER_RINGS, ids=["F7", "QQ", "F101^3"])
+def test_power_matches_repeated_multiplication(ring, a, monkeypatch):
+    # the k[t]/(f) ring multiplies by schoolbook, not by Zech tables
+    a = ring.coerce(a)
+    assert getattr(ring, "_tables", None) is None
+    products = []
+    mul = ring.mul
+
+    def counted(x, y):
+        products.append(x is y)
+        return mul(x, y)
+
+    monkeypatch.setattr(ring, "mul", counted)
+    want = ring.one()
+    for e in range(201):
+        products.clear()
+        assert ring.power(a, e) == want, e
+        # left to right: a square per bit after the top one, and a product
+        # with a per further set bit; never a product with one
+        assert len(products) == max(e.bit_length() - 1, 0) + max(bin(e).count("1") - 1, 0)
+        if ring is not POWER_RINGS[0][0]:  # Fp payloads are shared small ints
+            assert sum(products) <= max(e.bit_length() - 1, 0)
+        want = mul(want, a)
+    assert ring.power(a, -3) == ring.inv(mul(mul(a, a), a))
