@@ -6,12 +6,13 @@ buchberger does not.  One S-pair queue serves both building and checking a
 basis: the normal strategy (least weighted lcm degree, then the monomial
 order on the lcm), under unit weights unless buchberger or eliminate is
 given others; weights that make the input homogeneous give the sugar
-strategy of Giovini et al. ("One sugar cube, please", ISSAC 1991).  A
-reduced basis is unique, so the weights change which pairs get reduced but
-never the result.  buchberger adds each nonzero remainder and ends with one
-minimalize/interreduce pass; eliminate interreduces only the elements it
-returns, those free of the eliminated block.
-GroebnerBasis.satisfies_criterion stops at the first nonzero remainder.
+strategy of Giovini et al. ("One sugar cube, please", ISSAC 1991) in its
+homogeneous case.  A reduced basis is unique, so the weights change which
+pairs get reduced but never the result.  buchberger adds each nonzero
+remainder and ends with one minimalize/interreduce pass; eliminate
+interreduces only the elements it returns, those free of the eliminated
+block.  GroebnerBasis.satisfies_criterion stops at the first nonzero
+remainder.
 
 Inside the engine a monomial is one int P (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -574,8 +575,9 @@ def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
 
     Pairs come from the queue of _s_pairs under weights, one positive
     integer per variable (unit weights when None), and each nonzero
-    remainder joins the basis.  Weights that leave the input inhomogeneous
-    can make the run much slower.  When
+    remainder joins the basis.  The weights pick the pair sequence only;
+    the reduced basis is the same for all of them, but weights that leave
+    the input inhomogeneous can make the run much slower.  When
     new_poly_log is given, every polynomial entering the intermediate basis
     is appended to it before normalization: the inputs, each nonzero
     S-polynomial remainder and each interreduced final element.  Over QQ
@@ -668,7 +670,8 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
             log(t)
             lm = entries[i][0]
             final.append((key(lm), kernel.to_monic(t, lm)))
-    return tuple(f for _, f in sorted(final, key=lambda kf: kf[0]))
+    final.sort(key=lambda kf: kf[0])
+    return tuple(f for _, f in final)
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:

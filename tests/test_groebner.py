@@ -5,6 +5,7 @@ import itertools
 import operator
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -477,21 +478,47 @@ def test_s_pairs_match_done_set_queue(ring, monkeypatch):
     assert reordered > 10
 
 
+def _counted_queue(order, lms, joins=None, weights=None):
+    """The pairs of _s_pairs over entries with leading monomials lms under
+    order, checked against _set_s_pairs step by step (after the t-th pair,
+    the monomials joins[t] join); with the number of pushes onto the pair
+    heap and of candidate pairs.  Every full lcm (degree digits included)
+    that the queue makes must be pushed."""
+    pack = _Packing(order, len(lms[0]))
+    reducers = _Reducers(pack, [(pack.pack(e), 1, []) for e in lms])
+    reference = _set_s_pairs(_Unpacked(reducers), _nested_key(order), weights)
+    graded, pushed = [], []
+    grade = _Packing.graded
+
+    def push(heap, item):
+        pushed.append(item[-1])
+        heapq.heappush(heap, item)
+
+    def recorded(self, x):
+        graded.append(grade(self, x))
+        return graded[-1]
+
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Packing, "graded", recorded)
+        mp.setattr(groebner, "heapq", SimpleNamespace(heappush=push,
+                                                      heappop=heapq.heappop))
+        for i, j, lcm in groebner._s_pairs(reducers, weights):
+            assert (i, j, pack.unpack(lcm)) == next(reference)
+            pairs.append((i, j))
+            for e in (joins or {}).get(len(pairs), ()):
+                reducers.add((pack.pack(e), 1, []))
+    assert next(reference, None) is None
+    assert graded == pushed
+    n = len(reducers.entries)
+    return pairs, len(pushed), n * (n - 1) // 2
+
+
 def _hand_queue(lms, joins=None):
     """The pairs (i, j) of _s_pairs over entries with leading monomials lms
     (exponent tuples in x, y, z, grevlex), checked against _set_s_pairs
     step by step; after the t-th pair, the monomials joins[t] join."""
-    pack = _Packing(Grevlex(), 3)
-    reducers = _Reducers(pack, [(pack.pack(e), 1, []) for e in lms])
-    reference = _set_s_pairs(_Unpacked(reducers), _nested_grevlex_key)
-    pairs = []
-    for i, j, lcm in groebner._s_pairs(reducers):
-        assert (i, j, pack.unpack(lcm)) == next(reference)
-        pairs.append((i, j))
-        for e in (joins or {}).get(len(pairs), ()):
-            reducers.add((pack.pack(e), 1, []))
-    assert next(reference, None) is None
-    return pairs
+    return _counted_queue(Grevlex(), lms, joins)[0]
 
 
 def test_s_pairs_equal_lcm_between_i_and_j():
@@ -541,41 +568,6 @@ def test_s_pairs_equal_lcms_go_to_the_lowest_index():
     # (1, 2), which is not pushed
     assert _hand_queue([(0, 0, 1), (1, 0, 1), (1, 1, 0)]) == [(0, 1)]
     assert _counted_queue(Grevlex(), [(0, 0, 1), (1, 0, 1), (1, 1, 0)])[1:] == (1, 3)
-
-
-def _counted_queue(order, lms, joins=None, weights=None):
-    """The pairs of _s_pairs over entries with leading monomials lms under
-    order, checked against _set_s_pairs as in _hand_queue; with the number
-    of pushes onto the pair heap and of candidate pairs.  Every full lcm
-    (degree digits included) that the queue makes must be pushed."""
-    pack = _Packing(order, len(lms[0]))
-    reducers = _Reducers(pack, [(pack.pack(e), 1, []) for e in lms])
-    reference = _set_s_pairs(_Unpacked(reducers), _nested_key(order), weights)
-    graded, pushed = [], []
-    grade = _Packing.graded
-
-    def push(heap, item):
-        pushed.append(item[-1])
-        heapq.heappush(heap, item)
-
-    def recorded(self, x):
-        graded.append(grade(self, x))
-        return graded[-1]
-
-    pairs = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Packing, "graded", recorded)
-        mp.setattr(groebner, "heapq", type("H", (), {
-            "heappush": staticmethod(push), "heappop": staticmethod(heapq.heappop)}))
-        for i, j, lcm in groebner._s_pairs(reducers, weights):
-            assert (i, j, pack.unpack(lcm)) == next(reference)
-            pairs.append((i, j))
-            for e in (joins or {}).get(len(pairs), ()):
-                reducers.add((pack.pack(e), 1, []))
-    assert next(reference, None) is None
-    assert graded == pushed
-    n = len(reducers.entries)
-    return pairs, len(pushed), n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("order", [Lex(), Grevlex(), Elimination(1),
