@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional, Sequence
 from . import geometry
 from .coordring import graded_piece
 from .fpmod import FPModule
-from .functors import dimension_function, parse_functor
+from .functors import dimension_function, parse_functor, rank_at
 from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
                        SizeGuardExceeded, equivariance_check, good_primes,
                        image_closure, sum_of_powers, target_varset)
@@ -49,6 +49,12 @@ SCHUR_TABLE_LIMIT = 500_000
 # and so is one whose d^3 * bit_length(p), the test's cost, is above its
 # value over F_31 at this degree (1.1 s; 2.2 s over F_65537)
 MODULUS_DEGREE_LIMIT = 64
+
+# dimfn refuses a functor whose rank at the window is above this:
+# shift_decompose holds rank^2 entries of unit vectors there (Sym(4) with
+# primes 2-7 took 0.2 s and 33 MB at window 12, rank 1,365; 0.6 s and 66 MB
+# at window 14, rank 2,380; 1.4 s and 142 MB at window 16, rank 3,876)
+DIMFN_RANK_LIMIT = 2_500
 
 
 class ConfigError(ValueError):
@@ -371,6 +377,10 @@ def _cmd_dimfn(cfg: dict, args) -> tuple:
         raise SizeGuardExceeded("functor degree exceeds the size guard",
                                 degree=expr.degree(), limit=args.max_degree)
     try:
+        size = rank_at(expr, max(window, 0))
+        if size > DIMFN_RANK_LIMIT:
+            raise SizeGuardExceeded("functor rank at the window exceeds the size guard",
+                                    rank=size, limit=DIMFN_RANK_LIMIT)
         report = dimension_function(expr, primes, window)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

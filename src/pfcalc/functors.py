@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fpmod import FPModule, block_sum, fiber_dimension
@@ -280,6 +280,32 @@ def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
     out = FunctorEval(expr, n, mod, labels)
     _EVAL_CACHE[key] = out
     return out
+
+
+def rank_at(expr: FunctorExpr, n: int) -> int:
+    """The number of basis elements of P(R^n), from the expression alone:
+    evaluate(expr, n).module.ngens without the evaluation."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    if isinstance(expr, Const):
+        return expr.module.ngens
+    if isinstance(expr, Id):
+        return n
+    if isinstance(expr, Sym):
+        return comb(n + expr.d - 1, expr.d) if n else int(expr.d == 0)
+    if isinstance(expr, Ext):
+        return comb(n, expr.d)
+    if isinstance(expr, Tensor):
+        return prod(rank_at(c, n) for c in expr.children)
+    if isinstance(expr, DirectSum):
+        return sum(rank_at(c, n) for c in expr.children)
+    if isinstance(expr, Compose):
+        return rank_at(expr.outer, rank_at(expr.inner, n))
+    if isinstance(expr, Shift):
+        return rank_at(expr.child, expr.m + n)
+    if isinstance(expr, Dual):
+        return rank_at(expr.child, n)
+    raise TypeError(f"unknown functor node {expr!r}")
 
 
 def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,

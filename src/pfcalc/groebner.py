@@ -57,6 +57,25 @@ are bit-stable.
 Each interreduced final element becomes a monic MultiPoly in one pass,
 kernel.to_monic: the QQ kernel divides by the leading coefficient as it
 converts, and the field kernel's elements are monic already.
+
+A graph ideal skips the pairs that would reduce to zero (Traverso, "Hilbert
+functions and the Buchberger algorithm", JSC 22, 1996).  Under elim(b),
+inputs c*y_j - f_j, each y_j a variable after the block in no other input
+and f_j in the block's variables and homogeneous of weighted degree w(y_j),
+form a regular sequence of homogeneous elements, so over every field S/I
+has the Hilbert series prod_j (1 - t^w(y_j)) / prod_v (1 - t^w_v), and so
+has S/LT(I).  The leading monomials of the entries generate J in LT(I), so
+HF(S/J, d) >= HF(S/I, d), with equality exactly when J and LT(I) agree in
+degree d.  Then every pair of degree d reduces to zero: its remainder lies
+in I, has degree d and a leading monomial outside J.  Pairs come in
+nondecreasing degree and each nonzero remainder of degree d lowers
+HF(S/J, d) by one, so the excess is read once per degree from the numerator
+N(J) of the Hilbert series of S/J, and pairs are yielded but not reduced
+while it is 0.  N(J) gains -t^deg(b) N(J : b) as entry b joins, from the
+minimal generators of J : b that _s_pairs builds anyway.  The skipped pairs
+are exactly zero reductions, so bases are unchanged.  At the end
+N(J) = N(I), which with G in I proves G a Groebner basis; a mismatch, or a
+negative excess, raises AssertionError.
 """
 
 from __future__ import annotations
@@ -137,6 +156,15 @@ class _Packing:
         """Digit-wise maximum of the exponent digits, degree digits 0."""
         ge = ((a | self.guard) - b) & self.guard   # guard bit where a >= b
         return (b ^ ((a ^ b) & (ge - (ge >> self.width - 1)))) & self.exps
+
+    def degree(self, weights: Optional[Sequence[int]] = None):
+        """The weighted degree of packed monomials, as a function; weights
+        holds one per variable, None means unit weights."""
+        w = [0] * self.size  # by digit
+        for v, k in enumerate(self.pos):
+            w[k] = weights[v] if weights else 1
+        digits = self.digits
+        return lambda P: sum(map(mul, w, digits(P)))
 
     def graded(self, x: int) -> int:
         """x with each block's degree digit: the block, shifted to its first
@@ -503,12 +531,18 @@ class GroebnerBasis:
         return self._run(task)
 
 
-def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None):
+def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None,
+             joined=None):
     """S-pairs (i, j, lcm), i < j, of indexed reducer entries in the normal
     strategy: least weighted lcm degree, then least lcm in the order, then
     (i, j).  weights holds one positive weight per variable; None means
     unit weights.  Entries the caller adds to reducers while iterating join
-    the queue before the next pair.  Skipped: coprime leading monomials
+    the queue before the next pair.  When entry j joins, joined(b, minimal),
+    if given, gets its leading monomial b and the exponent digits of the
+    divisibility-minimal lcm(LM i, b), i < j, coprime ones included: divided
+    by b, these are the minimal generators of the colon ideal
+    <LM i : i < j> : b, which is <1> when an earlier LM divides b (then
+    minimal is b's exponent digits alone).  Skipped: coprime leading monomials
     (their lcm is their product), and chained pairs (Buchberger's chain
     criterion: another LM(k) divides the lcm, and the pairs (i, k) and
     (j, k), yielded or skipped, both came before (i, j)).
@@ -528,12 +562,9 @@ def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None):
     first batch or joined later, are tested at the pop.
     """
     pack = reducers.pack
-    maximum, graded, digits = pack.maximum, pack.graded, pack.digits
+    maximum, graded, degree = pack.maximum, pack.graded, pack.degree(weights)
     guard, mask, exps = pack.guard, pack.mask, pack.exps
     dividing = reducers.dividing
-    w = [0] * pack.size  # weights by digit
-    for v, k in enumerate(pack.pos):
-        w[k] = weights[v] if weights else 1
     entries = reducers.entries
     lms: list = []  # leading monomials of the queued entries
     heap: list = []
@@ -551,8 +582,10 @@ def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None):
                     minimal.append(x)
                     if x != (lms[i] + b) & exps:  # not coprime
                         lcm = graded(x)
-                        heapq.heappush(heap, (sum(map(mul, w, digits(lcm))),
-                                              lcm - 2 * (lcm & mask), i, j, lcm))
+                        heapq.heappush(heap, (degree(lcm), lcm - 2 * (lcm & mask),
+                                              i, j, lcm))
+            if joined:
+                joined(b, minimal)
             lms.append(b)
         if not heap:
             return
@@ -635,13 +668,39 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
         basis.append(terms)
         reducers.add(kernel.entry(terms, lm))
 
+    # a graph ideal skips the pairs of degree d while need, the excess of
+    # HF(S/J) over HF(S/I) at d, is 0 (see the module docstring)
+    w = weights or (1,) * len(kernel.vs)
+    target = _graph_numerator(inputs, w, front)
+    joined = None
+    if target is not None:
+        degree, exps = pack.degree(w), pack.exps
+        excess = _minus_shifted({0: 1}, target, 0)  # N(J) - N(I), J = <LM>
+
+        def joined(b, minimal):
+            nonlocal excess
+            colon = _hilbert_numerator([x - (b & exps) for x in minimal], pack, degree)
+            excess = _minus_shifted(excess, colon, degree(b))
+
     for terms in sorted(map(kernel.prepare, inputs),
                         key=lambda t: key(kernel.lead(t))):
         add(terms)
-    for i, j, lcm in _s_pairs(reducers, weights):
+    top = need = 0
+    for i, j, lcm in _s_pairs(reducers, weights, joined):
+        if joined:
+            d = degree(lcm)
+            if d > top:
+                top, need = d, _hilbert_function(excess, w, d)
+                if need < 0:
+                    raise AssertionError(f"staircase below HF(S/I) at degree {d}")
+            if not need:
+                continue
         r = kernel.reduce(kernel.spoly(entries[i], entries[j], lcm), reducers)
         if r:
             add(r)
+            need -= 1
+    if joined and any(excess.values()):
+        raise AssertionError("staircase numerator is not the graph ideal's")
 
     # minimalize: drop entry i when an earlier LM divides LM(i) or a later
     # LM divides it properly (of equal LMs the first is kept), and under
@@ -672,6 +731,95 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
             final.append((key(lm), kernel.to_monic(t, lm)))
     final.sort(key=lambda kf: kf[0])
     return tuple(f for _, f in final)
+
+
+def _graph_numerator(inputs: Sequence[MultiPoly], w: Sequence[int], front: int):
+    """prod_j (1 - t^w(y_j)) as {exponent: coefficient} when the inputs
+    are c*y_j - f_j, y_j a variable after the front block in no other
+    input and f_j in the front block's variables of weighted degree w(y_j)
+    under the weights w; otherwise None."""
+    if not front:
+        return None
+    seen = set()
+    numerator = {0: 1}
+    for f in inputs:
+        ys = [e for e in f.terms if any(e[front:])]
+        if len(ys) != 1 or any(ys[0][:front]) or sum(ys[0]) != 1:
+            return None
+        y = ys[0].index(1)
+        if y in seen or any(sum(map(mul, e, w)) != w[y] for e in f.terms):
+            return None
+        seen.add(y)
+        numerator = _minus_shifted(numerator, numerator, w[y])
+    return numerator
+
+
+def _minus_shifted(p: dict, q: dict, s: int) -> dict:
+    """p - t^s * q, for polynomials in t held as {exponent: coefficient}."""
+    out = dict(p)
+    for a, c in q.items():
+        out[a + s] = out.get(a + s, 0) - c
+    return out
+
+
+def _hilbert_numerator(gens: Sequence[int], pack: _Packing, degree) -> dict:
+    """The numerator N of the Hilbert series N(t) / prod_v (1 - t^w_v) of
+    S/<gens>, as {exponent: coefficient}.  gens are packed monomials of
+    pack, none dividing another, with zero degree digits; degree gives the
+    weighted degree of one.  Pairwise coprime generators give
+    prod_g (1 - t^deg g).  Otherwise take a variable v in two generators
+    and its least positive exponent e among them: with M' the generators
+    free of v, N(M) = (1 - t^s) N(M') + t^s N(M : x_v^e), s = e w_v (the
+    pivot recursion of Bigatti, JPAA 117, 1997).  The recursion works on
+    N(2^K): by Taylor's resolution no coefficient of N exceeds
+    2^len(gens) in size, so K = len(gens) + 2 reads them back exactly."""
+    guard, width, digit = pack.guard, pack.width, pack.digit
+    ones = guard >> width - 1
+    K = len(gens) + 2
+
+    def numerator(gens):
+        seen = twice = 0
+        for g in gens:
+            s = ((g | guard) - ones) & guard  # guard bits of g's nonzero digits
+            twice |= seen & s
+            seen |= s
+        if not twice:  # pairwise coprime; a unit generator makes N zero
+            n = 1
+            for g in gens:
+                n -= n << K * degree(g)
+            return n
+        shift = (twice & -twice).bit_length() - width  # v's digit
+        e = min(g >> shift & digit for g in gens if g >> shift & digit)
+        rest = [g for g in gens if not g >> shift & digit]
+        cut = [g - (e << shift) for g in gens if g >> shift & digit]
+        # cutting keeps divisibility among the cut generators, and only those
+        # now free of v can divide one of rest: both lists stay minimal
+        free = [g for g in cut if not g >> shift & digit]
+        colon = cut + [h for h in rest
+                       if not any(((h | guard) - g) & guard == guard for g in free)]
+        rest = numerator(rest)
+        return rest - (rest - numerator(colon) << K * degree(e << shift))
+
+    x, out, k = numerator(gens), {}, 0
+    while x:  # the signed base-2^K digits of x
+        c = x & (1 << K) - 1
+        x >>= K
+        if c >> K - 1:
+            c -= 1 << K
+            x += 1
+        if c:
+            out[k] = c
+        k += 1
+    return out
+
+
+def _hilbert_function(numerator: dict, weights: Sequence[int], d: int) -> int:
+    """The coefficient of t^d in numerator / prod_v (1 - t^weights[v])."""
+    counts = [1] + [0] * d  # monomials of each weighted degree up to d
+    for wv in weights:
+        for k in range(wv, d + 1):
+            counts[k] += counts[k - wv]
+    return sum(c * counts[d - k] for k, c in numerator.items() if k <= d)
 
 
 def ideal_dimension(G: GroebnerBasis) -> int:

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from pfcalc.cli import (MODULUS_DEGREE_LIMIT, GBCache, build_parser,
-                        deserialize_basis, main, serialize_basis)
+from pfcalc.cli import (DIMFN_RANK_LIMIT, MODULUS_DEGREE_LIMIT, GBCache,
+                        build_parser, deserialize_basis, main, serialize_basis)
+from pfcalc.functors import parse_functor, rank_at
 from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
 from pfcalc.rings import QQ, QuotientRing, ring_from_tag
@@ -287,6 +288,35 @@ def test_modulus_degree_guard_admits(capsys, tmp_path, tag):
     assert code == 0
     assert out.startswith("coordinate ring of a module over "
                           + ring_from_tag(tag).tag())
+
+
+@pytest.mark.parametrize("window", [15, 30, 10 ** 12])
+def test_dimfn_window_guard_exit_3(capsys, tmp_path, window):
+    # refused from the functor's rank at the window, before any evaluation:
+    # at window 30 the unit vectors of shift_decompose alone would hold
+    # 40,920^2 entries
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, "dimfn",
+                         {"functor": "Sym(4)", "primes": [2], "window": window})
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("refused: functor rank at the window exceeds the size guard")
+
+
+def test_dimfn_window_guard_admits():
+    # Sym(4) at window 12 and every dimfn job of the benchmark stay below it
+    jobs = [("Sym(4)", 12), ("Sym(4)", 14), ("Sym(4)", 7), ("Ext(4) (+) Sym(3)", 6),
+            ("Shift(1, Sym(3))", 6), ("Sym(2) (+) Ext(3)", 7)]
+    assert all(rank_at(parse_functor(f), w) <= DIMFN_RANK_LIMIT for f, w in jobs)
+    assert rank_at(parse_functor("Sym(4)"), 15) > DIMFN_RANK_LIMIT
+
+
+def test_dimfn_sym4_at_window_12_runs(capsys, tmp_path):
+    code, out, _ = run(capsys, tmp_path, "dimfn",
+                       {"functor": "Sym(4)", "primes": [2], "window": 12},
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["table"]["2"][12] == rank_at(parse_functor("Sym(4)"), 12)
 
 
 @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)],

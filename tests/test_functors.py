@@ -10,7 +10,7 @@ from pfcalc.fpmod import FPModule
 from pfcalc.functors import (Compose, Const, DirectSum, Dual, Ext, Id, Shift,
                              Sym, Tensor, binomial_eval, dimension_function,
                              dual, evaluate, homogeneous_parts, parse_functor,
-                             hom_varset, shift_decompose)
+                             hom_varset, rank_at, shift_decompose)
 from pfcalc.poly import MultiPoly
 from pfcalc.rings import ZZ
 
@@ -228,6 +228,17 @@ LAW_EXPRS = ("Id", "Sym(2)", "Sym(3)", "Ext(2)", "Ext(3)", "Sym(2) (+) Ext(2)",
              "Ext(3) (+) Id", "Dual(Ext(2))", "Dual(Sym(2) (+) Ext(3))",
              "Tensor(Id, Ext(2))", "Shift(1, Ext(2))", "Compose(Sym(2), Ext(2))",
              "Const(ZZ/2) (+) Id")
+
+
+@pytest.mark.parametrize("text", LAW_EXPRS + ("Sym(0)", "Ext(0)", "Const(ZZ^3)",
+                                             "Compose(Ext(2), Sym(2))",
+                                             "Shift(2, Tensor(Sym(2), Ext(2)))"))
+def test_rank_at_is_the_evaluated_rank(text):
+    expr = parse_functor(text)
+    for n in range(5):
+        assert rank_at(expr, n) == evaluate(expr, n).module.ngens
+    with pytest.raises(ValueError):
+        rank_at(expr, -1)
 
 
 @pytest.mark.parametrize("text", LAW_EXPRS)

@@ -444,9 +444,9 @@ def test_s_pairs_match_done_set_queue(ring, monkeypatch):
     yielded = []
     bitset_queue = groebner._s_pairs
 
-    def paired(reducers, weights=None):
+    def paired(reducers, weights=None, joined=None):
         reference = _set_s_pairs(_Unpacked(reducers), _nested_key(order), weights)
-        for pair in bitset_queue(reducers, weights):
+        for pair in bitset_queue(reducers, weights, joined):
             i, j, lcm = pair
             assert (i, j, reducers.pack.unpack(lcm)) == next(reference)
             yielded.append(pair)
@@ -714,3 +714,160 @@ def test_flat_keys_sort_like_nested_keys(order):
         pack = _Packing(order, n)
         assert sorted(exps, key=lambda e: pack.key(pack.pack(e))) == \
             sorted(exps, key=nested)
+
+
+# ---------------------------------------------------------------------------
+# The Hilbert-driven skip of graph-ideal runs: the numerator against
+# standard-monomial counts, the skipped pairs against an unskipped run, and
+# the certificate against engines that lose a remainder.
+
+
+def _minimal(gens):
+    gens = set(gens)
+    return [g for g in gens if not any(h != g and _divides(h, g) for h in gens)]
+
+
+def test_hilbert_numerator_matches_standard_monomial_counts():
+    # seeded random monomial ideals in 1-4 variables, weights 1-3, at 8- and
+    # 16-bit digits: the numerator of the whole ideal, and the one _complete
+    # builds a generator b at a time as N(J + b) = N(J) - t^deg(b) N(J : b),
+    # where a repeated or divisible generator gives the unit colon ideal
+    rng = random.Random(5160)
+    top = 8
+    units = mixed = 0
+    for _ in range(300):
+        n = rng.randrange(1, 5)
+        w = tuple(rng.randrange(1, 4) for _ in range(n))
+        pack = _Packing(Lex(), n, rng.choice((8, 16)))
+        degree = pack.degree(w)
+
+        def numerator(gens):
+            return groebner._hilbert_numerator(
+                [pack.pack(g) for g in _minimal(gens)], pack, degree)
+
+        gens = [tuple(rng.randrange(4) for _ in range(n))
+                for _ in range(rng.randrange(8))]
+        if gens and rng.randrange(3) == 0:
+            gens.append(rng.choice(gens))
+        mixed += any(sum(map(bool, g)) > 1 for g in gens)
+        built = {0: 1}
+        for k, b in enumerate(gens):
+            colon = [tuple(x - y if x > y else 0 for x, y in zip(a, b))
+                     for a in gens[:k]]
+            units += any(not any(c) for c in colon)
+            built = groebner._minus_shifted(built, numerator(colon),
+                                            degree(pack.pack(b)))
+        whole = numerator(gens)
+        standard = [0] * (top + 1)
+        for m in itertools.product(*(range(top // wv + 1) for wv in w)):
+            d = sum(map(operator.mul, m, w))
+            if d <= top and not any(_divides(g, m) for g in gens):
+                standard[d] += 1
+        assert [groebner._hilbert_function(whole, w, d)
+                for d in range(top + 1)] == standard
+        assert [groebner._hilbert_function(built, w, d)
+                for d in range(top + 1)] == standard
+    assert units > 100 and mixed > 75
+
+
+def _logged_reductions(monkeypatch):
+    """Events of every Buchberger run from now on: ("pair", i, j, lcm) as
+    the queue yields a pair, (nonzero,) as an S-polynomial is reduced."""
+    events = []
+    queue = groebner._s_pairs
+
+    def logged(reducers, weights=None, joined=None):
+        for pair in queue(reducers, weights, joined):
+            events.append(("pair",) + pair)
+            yield pair
+
+    monkeypatch.setattr(groebner, "_s_pairs", logged)
+    for kernel in (groebner._RationalKernel, groebner._FieldKernel):
+        def counted(self, terms, reducers, within=-1, run=kernel.reduce):
+            r = run(self, terms, reducers, within)
+            if within == -1:  # not interreduction
+                events.append((bool(r),))
+            return r
+        monkeypatch.setattr(kernel, "reduce", counted)
+    return events
+
+
+def _pair_outcomes(events):
+    """[(i, j, lcm), remainder nonzero, or None when the pair was skipped]."""
+    out = []
+    for event in events:
+        if event[0] == "pair":
+            out.append([event[1:], None])
+        else:
+            out[-1][1] = event[0]
+    return out
+
+
+def test_graph_ideal_skips_only_zero_reductions(monkeypatch):
+    # sop(2,5)@2 over QQ: buchberger on the same inputs, order and weights
+    # has no front block, so it reduces every pair; eliminate skips 349 of
+    # the 446 that reduce to zero, and no other
+    events = _logged_reductions(monkeypatch)
+    gens, drop, weights = _graph_ideal(sum_of_powers(2, 5), 2, QQ)
+    want = _eliminated_part(gens, drop, weights)
+    unskipped = _pair_outcomes(events)
+    del events[:]
+    assert eliminate(gens, drop, weights) == want
+    skipped = _pair_outcomes(events)
+    assert [p for p, _ in skipped] == [p for p, _ in unskipped]
+    assert len(unskipped) == 535 and None not in [r for _, r in unskipped]
+    assert [r for _, r in unskipped].count(False) == 446
+    assert [r for _, r in skipped].count(None) == 349
+    for (_, got), (_, full) in zip(skipped, unskipped):
+        assert got == full or (got is None and full is False)
+
+
+@pytest.mark.parametrize("ring", [QQ, Fp(2), Fp(5), ring_from_tag("Fp(3)[t]/(t^2+1)")],
+                         ids=["QQ", "F2", "F5", "F9"])
+def test_eliminate_of_seeded_graph_ideals_is_the_free_part(ring, monkeypatch):
+    # seeded sum-of-powers graph ideals: eliminate, which skips, keeps the
+    # generators free of the source variables in the full basis, which
+    # does not
+    events = _logged_reductions(monkeypatch)
+    rng = random.Random(5161)
+    shapes = [(1, 2, 1, 3), (1, 3, 1, 3), (2, 2, 1, 3), (1, 2, 2, 2), (1, 3, 2, 2),
+              (2, 3, 1, 2), (3, 2, 1, 2), (2, 4, 1, 2), (1, 5, 1, 2)]
+    skips = 0
+    for m, k, g, n in rng.sample(shapes, 5):
+        gens, drop, weights = _graph_ideal(sum_of_powers(m, k, g), n, ring)
+        want = _eliminated_part(gens, drop, weights)
+        del events[:]
+        assert eliminate(gens, drop, weights) == want
+        skips += [r for _, r in _pair_outcomes(events)].count(None)
+    assert skips > 50
+
+
+def test_a_dropped_remainder_fails_the_certificate(monkeypatch):
+    # an engine that loses the first nonzero remainder, and every later one
+    # with its leading monomial: that monomial of LT(I) never joins J, so
+    # HF(S/J) stays above HF(S/I) and the numerators differ at the end
+    dropped = []
+    run = groebner._RationalKernel.reduce
+
+    def dropping(self, terms, reducers, within=-1):
+        r = run(self, terms, reducers, within)
+        if r and within == -1 and (not dropped or self.lead(r) == dropped[0]):
+            dropped.append(self.lead(r))
+            return {}
+        return r
+
+    monkeypatch.setattr(groebner._RationalKernel, "reduce", dropping)
+    gens, drop, weights = _graph_ideal(sum_of_powers(2, 5), 2, QQ)
+    with pytest.raises(AssertionError, match="numerator"):
+        eliminate(gens, drop, weights)
+    assert dropped
+
+
+def test_a_staircase_below_the_hilbert_function_raises(monkeypatch):
+    # claim N(I) = 1, the zero ideal's: the first pair's lcm already lies in
+    # J, so HF(S/J) falls below the claimed HF(S/I) at its degree
+    monkeypatch.setattr(groebner, "_graph_numerator",
+                        lambda inputs, w, front: {0: 1})
+    gens, drop, weights = _graph_ideal(sum_of_powers(1, 3), 2, QQ)
+    with pytest.raises(AssertionError, match="below"):
+        eliminate(gens, drop, weights)
