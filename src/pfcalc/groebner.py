@@ -60,22 +60,24 @@ converts, and the field kernel's elements are monic already.
 
 A graph ideal skips the pairs that would reduce to zero (Traverso, "Hilbert
 functions and the Buchberger algorithm", JSC 22, 1996).  Under elim(b),
-inputs c*y_j - f_j, each y_j a variable after the block in no other input
-and f_j in the block's variables and homogeneous of weighted degree w(y_j),
-form a regular sequence of homogeneous elements, so over every field S/I
-has the Hilbert series prod_j (1 - t^w(y_j)) / prod_v (1 - t^w_v), and so
-has S/LT(I).  The leading monomials of the entries generate J in LT(I), so
-HF(S/J, d) >= HF(S/I, d), with equality exactly when J and LT(I) agree in
-degree d.  Then every pair of degree d reduces to zero: its remainder lies
-in I, has degree d and a leading monomial outside J.  Pairs come in
-nondecreasing degree and each nonzero remainder of degree d lowers
-HF(S/J, d) by one, so the excess is read once per degree from the numerator
-N(J) of the Hilbert series of S/J, and pairs are yielded but not reduced
-while it is 0.  N(J) gains -t^deg(b) N(J : b) as entry b joins, from the
-minimal generators of J : b that _s_pairs builds anyway.  The skipped pairs
-are exactly zero reductions, so bases are unchanged.  At the end
-N(J) = N(I), which with G in I proves G a Groebner basis; a mismatch, or a
-negative excess, raises AssertionError.
+inputs c*y_j - f_j, each y_j a variable after the block that no other input
+holds and f_j a polynomial in the block's variables, homogeneous of weighted
+degree w(y_j), form a regular sequence of homogeneous elements.  So over
+every field S/I, and with it S/LT(I), has the Hilbert series
+prod_j (1 - t^w(y_j)) / prod_v (1 - t^w_v).  The entries' leading monomials
+generate an ideal J inside LT(I), so HF(S/J, d) >= HF(S/I, d), with
+equality exactly when J and LT(I) agree in degree d; then every pair of
+degree d reduces to zero, since its remainder lies in I, has degree d and
+has a leading monomial outside J.  Pairs come in nondecreasing degree, and
+each nonzero remainder of degree d lowers HF(S/J, d) by one.  So the excess
+HF(S/J, d) - HF(S/I, d) is read once per degree, at its first pair, from
+the numerator N(J) of the Hilbert series of S/J, and then counted down;
+while it is 0, pairs are yielded but not reduced.  As an entry with leading
+monomial m joins, N(J) gains -t^deg(m) N(J : m), from the minimal
+generators of J : m that _s_pairs builds anyway.  Only zero reductions are
+skipped, so bases are unchanged.  At the end N(J) = N(I), which together
+with G in I proves G a Groebner basis; a mismatch, or a negative excess,
+raises AssertionError.
 """
 
 from __future__ import annotations
@@ -766,8 +768,8 @@ def _hilbert_numerator(gens: Sequence[int], pack: _Packing, degree) -> dict:
     """The numerator N of the Hilbert series N(t) / prod_v (1 - t^w_v) of
     S/<gens>, as {exponent: coefficient}.  gens are packed monomials of
     pack, none dividing another, with zero degree digits; degree gives the
-    weighted degree of one.  Pairwise coprime generators give
-    prod_g (1 - t^deg g).  Otherwise take a variable v in two generators
+    weighted degree of one.  A generator g coprime to the others gives a
+    factor 1 - t^deg g.  For the rest take a variable v in two generators
     and its least positive exponent e among them: with M' the generators
     free of v, N(M) = (1 - t^s) N(M') + t^s N(M : x_v^e), s = e w_v (the
     pivot recursion of Bigatti, JPAA 117, 1997).  The recursion works on
@@ -778,27 +780,30 @@ def _hilbert_numerator(gens: Sequence[int], pack: _Packing, degree) -> dict:
     K = len(gens) + 2
 
     def numerator(gens):
-        seen = twice = 0
+        seen = twice = 0  # guard bits of the digits in one, in two generators
         for g in gens:
-            s = ((g | guard) - ones) & guard  # guard bits of g's nonzero digits
+            s = ((g | guard) - ones) & guard
             twice |= seen & s
             seen |= s
-        if not twice:  # pairwise coprime; a unit generator makes N zero
-            n = 1
-            for g in gens:
+        n, core = 1, []
+        for g in gens:  # one coprime to the others factors out
+            if ((g | guard) - ones) & twice:
+                core.append(g)
+            else:  # a unit generator makes N zero
                 n -= n << K * degree(g)
+        if not core:
             return n
         shift = (twice & -twice).bit_length() - width  # v's digit
-        e = min(g >> shift & digit for g in gens if g >> shift & digit)
-        rest = [g for g in gens if not g >> shift & digit]
-        cut = [g - (e << shift) for g in gens if g >> shift & digit]
+        e = min(g >> shift & digit for g in core if g >> shift & digit)
+        rest = [g for g in core if not g >> shift & digit]
+        cut = [g - (e << shift) for g in core if g >> shift & digit]
         # cutting keeps divisibility among the cut generators, and only those
         # now free of v can divide one of rest: both lists stay minimal
         free = [g for g in cut if not g >> shift & digit]
         colon = cut + [h for h in rest
                        if not any(((h | guard) - g) & guard == guard for g in free)]
         rest = numerator(rest)
-        return rest - (rest - numerator(colon) << K * degree(e << shift))
+        return n * (rest - (rest - numerator(colon) << K * degree(e << shift)))
 
     x, out, k = numerator(gens), {}, 0
     while x:  # the signed base-2^K digits of x
