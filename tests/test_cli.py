@@ -303,20 +303,17 @@ def test_dimfn_window_guard_exit_3(capsys, tmp_path, window):
     assert err.startswith("refused: functor rank at the window exceeds the size guard")
 
 
-def test_dimfn_window_guard_admits():
-    # Sym(4) at window 12 and every dimfn job of the benchmark stay below it
-    jobs = [("Sym(4)", 12), ("Sym(4)", 14), ("Sym(4)", 7), ("Ext(4) (+) Sym(3)", 6),
-            ("Shift(1, Sym(3))", 6), ("Sym(2) (+) Ext(3)", 7)]
-    assert all(rank_at(parse_functor(f), w) <= DIMFN_RANK_LIMIT for f, w in jobs)
-    assert rank_at(parse_functor("Sym(4)"), 15) > DIMFN_RANK_LIMIT
-
-
-def test_dimfn_sym4_at_window_12_runs(capsys, tmp_path):
+def test_dimfn_window_guard_admits(capsys, tmp_path):
+    # Sym(4) runs at window 12, and it and every dimfn job of the benchmark
+    # stay below the guard
     code, out, _ = run(capsys, tmp_path, "dimfn",
                        {"functor": "Sym(4)", "primes": [2], "window": 12},
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["table"]["2"][12] == rank_at(parse_functor("Sym(4)"), 12)
+    jobs = [("Sym(4)", 14), ("Sym(4)", 7), ("Ext(4) (+) Sym(3)", 6),
+            ("Shift(1, Sym(3))", 6), ("Sym(2) (+) Ext(3)", 7)]
+    assert all(rank_at(parse_functor(f), w) <= DIMFN_RANK_LIMIT for f, w in jobs)
 
 
 @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)],
