@@ -871,3 +871,19 @@ def test_a_staircase_below_the_hilbert_function_raises(monkeypatch):
     gens, drop, weights = _graph_ideal(sum_of_powers(1, 3), 2, QQ)
     with pytest.raises(AssertionError, match="below"):
         eliminate(gens, drop, weights)
+
+
+@pytest.mark.parametrize("ring", [QQ, Fp(5)], ids=["QQ", "F5"])
+def test_graph_ideal_skip_at_16_bit_digits(ring, monkeypatch):
+    # exponents past 127 overflow the 8-bit digits at once, so the skip and
+    # the certificate run at 16 bits
+    events = _logged_reductions(monkeypatch)
+    vs = VarSet(("s", "t", "y1", "y2", "y3"))
+    gens = [parse_poly(p, ring, vs)
+            for p in ("y1 - s^60*t^40", "y2 - t^150", "y3 - s^90*t^60")]
+    weights = (1, 1, 100, 150, 150)
+    want = _eliminated_part(gens, {"s", "t"}, weights)
+    del events[:]
+    got = eliminate(gens, {"s", "t"}, weights)
+    assert got == want and len(got) == 1  # y1^3 - y3^2
+    assert [r for _, r in _pair_outcomes(events)].count(None) > 0
