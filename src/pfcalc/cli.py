@@ -50,10 +50,11 @@ SCHUR_TABLE_LIMIT = 500_000
 # value over F_31 at this degree (1.1 s; 2.2 s over F_65537)
 MODULUS_DEGREE_LIMIT = 64
 
-# dimfn refuses a functor whose rank at the window is above this:
-# shift_decompose holds rank^2 entries of unit vectors there (Sym(4) with
-# primes 2-7 took 0.2 s and 33 MB at window 12, rank 1,365; 0.6 s and 66 MB
-# at window 14, rank 2,380; 1.4 s and 142 MB at window 16, rank 3,876)
+# dimfn refuses a functor whose rank at the window is above this, to bound
+# its running time, which grows faster than the rank (Sym(4) with primes 2-7
+# in a fresh process on a 2-vCPU Xeon VM: 0.10-0.15 s and 19 MB peak RSS at
+# window 12, rank 1,365; 0.24-0.33 s and 21 MB at window 14, rank 2,380;
+# 0.52-0.55 s and 22 MB at window 16, rank 3,876)
 DIMFN_RANK_LIMIT = 2_500
 
 

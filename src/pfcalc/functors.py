@@ -461,9 +461,10 @@ def homogeneous_parts(expr: FunctorExpr, n: int) -> Dict[int, List[int]]:
 def shift_decompose(expr: FunctorExpr, m: int, n: int):
     """Split Sh_m(P)(R^n) into P(R^n) and a lower-degree complement.
 
-    Returns (P-part basis, Q-part basis) as integer vectors in the shifted
-    evaluation's coordinates, read off the idempotent P(inclusion o
-    projection): unit vectors e_j where its diagonal is 1, and where it is 0.
+    Returns (P-part basis, Q-part basis) as the sorted indices j of the
+    unit vectors e_j, in the shifted evaluation's coordinates, that span
+    them, read off the idempotent P(inclusion o projection): where its
+    diagonal is 1, and where it is 0.
     """
     ev = evaluate(expr, m + n)
     size = ev.module.ngens
@@ -492,12 +493,7 @@ def shift_decompose(expr: FunctorExpr, m: int, n: int):
     high = {j for d, idxs in parts.items() if d >= top > 0 for j in idxs}
     if high - kept:
         raise AssertionError("shift complement touches top-degree part")
-
-    def unit(j):
-        return [0] * j + [1] + [0] * (size - j - 1)
-
-    return ([unit(j) for j in range(size) if j in kept],
-            [unit(j) for j in range(size) if j not in kept])
+    return sorted(kept), [j for j in range(size) if j not in kept]
 
 
 def _payload_int(ring, x) -> int:

@@ -123,29 +123,6 @@ def target_varset(target: FunctorExpr, n: int) -> VarSet:
     return VarSet(tuple(f"y{i + 1}" for i in range(size)), tuple(weights))
 
 
-def closed_subset(target: FunctorExpr, n: int, ring: BaseRing,
-                  generators: Sequence[MultiPoly]) -> ClosedSubsetAtRank:
-    gens = tuple(generators)
-    vs = gens[0].varset if gens else target_varset(target, n)
-    gb = buchberger(list(gens), Grevlex()) if gens else \
-        GroebnerBasis((), Grevlex(), ring, vs)
-    return ClosedSubsetAtRank(target, n, ring, vs, gens, gb)
-
-
-def _graph_weights(src_vs: VarSet, coords: Sequence[MultiPoly]) -> Optional[Tuple[int, ...]]:
-    """Weights that make every y_i - coord_i of the graph ideal homogeneous:
-    1 for each source variable and deg(coord_i) for y_i, 1 for a zero
-    coordinate.  None (unit weights) when a coordinate is constant or
-    inhomogeneous."""
-    ydeg = []
-    for coord in coords:
-        degs = {sum(e) for e in coord.terms} or {1}
-        if len(degs) > 1 or 0 in degs:
-            return None
-        ydeg.append(degs.pop())
-    return (1,) * len(src_vs) + tuple(ydeg)
-
-
 def _jacobian_rank(coords: Sequence[MultiPoly], point: Sequence[int],
                    ring: BaseRing) -> int:
     """Rank over ring of the Jacobian (d coord_i / d v_j) at an integer point."""
@@ -184,10 +161,12 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     """Zariski closure of the image of alpha at rank n, over QQ or F_p.
 
     The closure ideal is the graph ideal <y_i - coord_i> eliminated of the
-    source variables, whose Buchberger run picks pairs by the weights of
-    _graph_weights: those make the graph ideal homogeneous, so the run
-    follows the sugar strategy, and the reduced basis is unique, so the
-    output does not depend on them.
+    source variables.  eliminate recognizes the graph ideal: when every
+    coordinate is zero or homogeneous of positive degree, its run picks
+    pairs by the weights that make the graph ideal homogeneous (the sugar
+    strategy) and skips the pairs that reduce to zero; otherwise it takes
+    unit weights.  The reduced basis is unique, so the output does not
+    depend on the weights.
 
     Dense images skip elimination.  If the N x m Jacobian of the N
     coordinates has rank N at one point of k^m, the ideal is 0 and the empty
@@ -217,7 +196,7 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     gens = []
     for yname, coord in zip(y_vs.names, coords):
         gens.append(MultiPoly.variable(ring, big_vs, yname) - coord.rename(big_vs))
-    eliminated = eliminate(gens, set(src_vs.names), _graph_weights(src_vs, coords))
+    eliminated = eliminate(gens, set(src_vs.names))
     guards.check_basis(len(eliminated))
     kept = tuple(eliminated)
     # the tail block of the elimination order is grevlex on y_vs, so the
@@ -264,43 +243,37 @@ class SpecializationReport:
 
 
 def _certified_primes(primes: Sequence[int], cleared: Sequence[MultiPoly],
-                      generators: Sequence[MultiPoly], staircase: frozenset,
-                      pairs: Optional[list] = None) -> Set[int]:
+                      generators: Sequence[MultiPoly], staircase: frozenset) -> Set[int]:
     """The primes, from a sorted list of distinct primes, at which cleared
     mod p passes the certificate: the generic staircase, Buchberger's
-    criterion on the pairs (criterion_pairs when None; they depend on the
-    leading monomials alone) and membership of every generator.  This
-    proves p good only when p does not divide good_primes' r.
+    criterion on the pairs of its own queue and membership of every
+    generator.  This proves p good only when p does not divide
+    good_primes' r.
 
-    All primes are checked at once over ZZ/mZ, m their product (one prime
-    over F_p itself).  Each step of a reduction mod m maps to the same step
-    mod every p | m: the same term is popped, the same first divisor used,
-    and a coefficient that is 0 mod p subtracts a zero multiple.  So a
-    remainder is 0 mod m exactly when it is 0 mod every p.  When the check
-    fails, or a leading coefficient is not a unit mod m, the primes are
-    split into halves and each half is checked again.
+    All primes are checked at once over ZZ/mZ, m their product (a field
+    when there is one prime).  Each step of a reduction mod m maps to the
+    same step mod every p | m: the same term is popped, the same first
+    divisor used, and a coefficient that is 0 mod p subtracts a zero
+    multiple.  So a remainder is 0 mod m exactly when it is 0 mod every p.
+    When the check fails, or a leading coefficient is not a unit mod m, the
+    primes are split into halves and each half is checked again.
     """
-    ring = Fp(primes[0]) if len(primes) == 1 else ModularIntegers(primes)
+    ring = ModularIntegers(primes)
     vs = generators[0].varset
     gb = GroebnerBasis(tuple(f.map_coefficients(ring.coerce, ring) for f in cleared),
                        Grevlex(), ring, vs)
     try:
-        # same staircase first: then the entries keep the leading monomials,
-        # in the same order, of every other batch, and the pairs are shared
-        if gb.leading_monomials == staircase:
-            if pairs is None:
-                pairs = gb.criterion_pairs()
-            if gb.satisfies_criterion(pairs) and all(
-                    gb.contains(g.map_coefficients(ring.coerce, ring))
-                    for g in generators):
-                return set(primes)
+        if (gb.leading_monomials == staircase and gb.satisfies_criterion()
+                and all(gb.contains(g.map_coefficients(ring.coerce, ring))
+                        for g in generators)):
+            return set(primes)
     except NotAUnit:
         pass
     if len(primes) == 1:
         return set()
     half = len(primes) // 2
-    return (_certified_primes(primes[:half], cleared, generators, staircase, pairs)
-            | _certified_primes(primes[half:], cleared, generators, staircase, pairs))
+    return (_certified_primes(primes[:half], cleared, generators, staircase)
+            | _certified_primes(primes[half:], cleared, generators, staircase))
 
 
 def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> SpecializationReport:

@@ -4,15 +4,16 @@ Coefficients must lie in a field; reduction, and so the criterion check,
 also runs over a product of fields such as ZZ/mZ (see _field_reducer), but
 buchberger does not.  One S-pair queue serves both building and checking a
 basis: the normal strategy (least weighted lcm degree, then the monomial
-order on the lcm), under unit weights unless buchberger or eliminate is
-given others; weights that make the input homogeneous give the sugar
-strategy of Giovini et al. ("One sugar cube, please", ISSAC 1991) in its
-homogeneous case.  A reduced basis is unique, so the weights change which
-pairs get reduced but never the result.  buchberger adds each nonzero
-remainder and ends with one minimalize/interreduce pass; eliminate
-interreduces only the elements it returns, those free of the eliminated
-block.  GroebnerBasis.satisfies_criterion stops at the first nonzero
-remainder.
+order on the lcm), under unit weights unless buchberger is given others or
+eliminate meets a graph ideal, which takes its own (see below); weights
+that make the input homogeneous give the sugar strategy of Giovini et al.
+("One sugar cube, please", ISSAC 1991) in its homogeneous case.  A reduced
+basis is unique, so the weights change which pairs get reduced but never
+the result.  buchberger adds each nonzero remainder and ends with one
+minimalize/interreduce pass; eliminate interreduces only the elements it
+returns, those free of the eliminated block.
+GroebnerBasis.satisfies_criterion reduces each pair as its queue yields it
+and stops at the first nonzero remainder.
 
 Inside the engine a monomial is one int P (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -61,8 +62,10 @@ converts, and the field kernel's elements are monic already.
 A graph ideal skips the pairs that would reduce to zero (Traverso, "Hilbert
 functions and the Buchberger algorithm", JSC 22, 1996).  Under elim(b),
 inputs c*y_j - f_j, each y_j a variable after the block that no other input
-holds and f_j a polynomial in the block's variables, homogeneous of weighted
-degree w(y_j), form a regular sequence of homogeneous elements.  So over
+holds and f_j a polynomial in the block's variables, zero or homogeneous of
+positive degree, form a graph ideal.  Under the weights w of _graph_grading
+(w(y_j) = deg f_j, 1 when f_j = 0, and 1 for every other variable) they are
+a regular sequence of homogeneous elements, and the run takes w.  So over
 every field S/I, and with it S/LT(I), has the Hilbert series
 prod_j (1 - t^w(y_j)) / prod_v (1 - t^w_v).  The entries' leading monomials
 generate an ideal J inside LT(I), so HF(S/J, d) >= HF(S/I, d), with
@@ -510,25 +513,15 @@ class GroebnerBasis:
         return self._run(lambda kernel, reducers: not kernel.reduce(
             kernel.prepare(f), reducers))
 
-    def criterion_pairs(self) -> list:
-        """The pairs (i, j) of nonzero generators that satisfies_criterion
-        checks.  The queue reads leading monomials alone, so bases with the
-        same ones in the same order share the list."""
-        return self._run(lambda kernel, reducers: [
-            (i, j) for i, j, _ in _s_pairs(reducers)])
-
-    def satisfies_criterion(self, pairs: Optional[Sequence[tuple]] = None) -> bool:
-        """Does every S-polynomial of the queue's pairs, or of pairs from
-        criterion_pairs, reduce to zero?  The first nonzero remainder
-        answers False."""
+    def satisfies_criterion(self) -> bool:
+        """Does the S-polynomial of every pair of the generators' queue
+        (_s_pairs, unit weights) reduce to zero?  Each pair is reduced as the
+        queue yields it, and the first nonzero remainder answers False."""
         def task(kernel, reducers):
             entries = reducers.entries
-            lcm = reducers.pack.lcm
-            queue = (_s_pairs(reducers) if pairs is None else
-                     ((i, j, lcm(entries[i][0], entries[j][0])) for i, j in pairs))
-            return not any(kernel.reduce(kernel.spoly(entries[i], entries[j], m),
+            return not any(kernel.reduce(kernel.spoly(entries[i], entries[j], lcm),
                                          reducers)
-                           for i, j, m in queue)
+                           for i, j, lcm in _s_pairs(reducers))
 
         return self._run(task)
 
@@ -670,13 +663,14 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
         basis.append(terms)
         reducers.add(kernel.entry(terms, lm))
 
-    # a graph ideal skips the pairs of degree d while need, the excess of
-    # HF(S/J) over HF(S/I) at d, is 0 (see the module docstring)
-    w = weights or (1,) * len(kernel.vs)
-    target = _graph_numerator(inputs, w, front)
+    # a graph ideal takes its own weights, and skips the pairs of degree d
+    # while need, the excess of HF(S/J) over HF(S/I) at d, is 0 (see the
+    # module docstring)
+    graph = _graph_grading(inputs, front)
     joined = None
-    if target is not None:
-        degree, exps = pack.degree(w), pack.exps
+    if graph:
+        weights, target = graph
+        degree, exps = pack.degree(weights), pack.exps
         excess = _minus_shifted({0: 1}, target, 0)  # N(J) - N(I), J = <LM>
 
         def joined(b, minimal):
@@ -692,7 +686,7 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
         if joined:
             d = degree(lcm)
             if d > top:
-                top, need = d, _hilbert_function(excess, w, d)
+                top, need = d, _hilbert_function(excess, weights, d)
                 if need < 0:
                     raise AssertionError(f"staircase below HF(S/I) at degree {d}")
             if not need:
@@ -735,13 +729,17 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
     return tuple(f for _, f in final)
 
 
-def _graph_numerator(inputs: Sequence[MultiPoly], w: Sequence[int], front: int):
-    """prod_j (1 - t^w(y_j)) as {exponent: coefficient} when the inputs
-    are c*y_j - f_j, y_j a variable after the front block in no other
-    input and f_j in the front block's variables of weighted degree w(y_j)
-    under the weights w; otherwise None."""
+def _graph_grading(inputs: Sequence[MultiPoly], front: int):
+    """(w, prod_j (1 - t^w(y_j))), the numerator as {exponent:
+    coefficient}, when under elim(front) the inputs are c*y_j - f_j: y_j a
+    variable after the front block, of exponent 1, in no other input, and
+    f_j in the front block's variables, zero or homogeneous of positive
+    degree.  w, one weight per variable, makes every input homogeneous:
+    deg f_j for y_j (1 when f_j = 0), 1 for every other variable.
+    Otherwise None."""
     if not front:
         return None
+    weights = [1] * len(inputs[0].varset)
     seen = set()
     numerator = {0: 1}
     for f in inputs:
@@ -749,11 +747,13 @@ def _graph_numerator(inputs: Sequence[MultiPoly], w: Sequence[int], front: int):
         if len(ys) != 1 or any(ys[0][:front]) or sum(ys[0]) != 1:
             return None
         y = ys[0].index(1)
-        if y in seen or any(sum(map(mul, e, w)) != w[y] for e in f.terms):
+        degrees = {sum(e) for e in f.terms if e != ys[0]} or {1}
+        if y in seen or len(degrees) > 1 or 0 in degrees:
             return None
         seen.add(y)
-        numerator = _minus_shifted(numerator, numerator, w[y])
-    return numerator
+        weights[y] = degrees.pop()
+        numerator = _minus_shifted(numerator, numerator, weights[y])
+    return tuple(weights), numerator
 
 
 def _minus_shifted(p: dict, q: dict, s: int) -> dict:
@@ -860,12 +860,13 @@ def ideal_dimension(G: GroebnerBasis) -> int:
     return best
 
 
-def eliminate(G: Sequence[MultiPoly], drop: Set[str],
-              weights: Optional[Sequence[int]] = None) -> List[MultiPoly]:
+def eliminate(G: Sequence[MultiPoly], drop: Set[str]) -> List[MultiPoly]:
     """Generators of <G> intersected with the subring without the dropped vars.
 
-    weights, one per variable of G's varset in its order, grade the pair
-    selection of the Buchberger run (see buchberger); None means unit weights.
+    The run is under elim(b), the dropped variables in the front block.  A
+    graph ideal there (see _graph_grading) picks its pairs by its own
+    weights and skips its zero reductions; any other input takes unit
+    weights.
     """
     gens = [g for g in G if not g.is_zero()]
     if not gens:
@@ -879,11 +880,9 @@ def eliminate(G: Sequence[MultiPoly], drop: Set[str],
     block_vs = VarSet(tuple(front + back),
                       tuple(vs.weights[vs.index(n)] for n in front + back))
     order = Elimination(len(front)) if front else Grevlex()
-    if weights is not None:
-        weights = tuple(weights[vs.index(n)] for n in front + back)
     kept_vs = VarSet(tuple(back), tuple(vs.weights[vs.index(n)] for n in back))
     return [g.restrict(kept_vs) for g in _reduced_basis(
-        [g.rename(block_vs) for g in gens], order, weights=weights, front=len(front))]
+        [g.rename(block_vs) for g in gens], order, front=len(front))]
 
 
 def radical_membership(f: MultiPoly, G: Sequence[MultiPoly]) -> bool:

@@ -292,9 +292,8 @@ def test_modulus_degree_guard_admits(capsys, tmp_path, tag):
 
 @pytest.mark.parametrize("window", [15, 30, 10 ** 12])
 def test_dimfn_window_guard_exit_3(capsys, tmp_path, window):
-    # refused from the functor's rank at the window, before any evaluation:
-    # at window 30 the unit vectors of shift_decompose alone would hold
-    # 40,920^2 entries
+    # refused from the functor's rank at the window (40,920 at window 30),
+    # before any evaluation
     start = time.perf_counter()
     code, out, err = run(capsys, tmp_path, "dimfn",
                          {"functor": "Sym(4)", "primes": [2], "window": window})
@@ -526,6 +525,49 @@ def test_groebner_and_linalg_functions_are_used_in_src():
     unused = {name for name, home in public.items()
               if not used.get(name, set()) - {home}}
     assert unused == set()
+
+
+def test_groebner_defaulted_parameters_are_passed_in_src():
+    # a defaulted parameter of a public function or method of groebner.py
+    # that no call in src/ passes is an option that does nothing.
+    # buchberger's weights is kept: tests/test_engine_pins.py pins weighted
+    # new_poly_log runs through it
+    allowed = {("buchberger", "weights")}
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+    defaulted = {}  # (function, parameter) -> positional index, None if keyword-only
+
+    def collect(fn, skip):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for k, a in enumerate(positional[first:], first):
+            defaulted[(fn.name, a.arg)] = k - skip
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                defaulted[(fn.name, a.arg)] = None
+
+    for node in ast.parse((src / "groebner.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            collect(node, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    collect(fn, 1)
+    passed = set()
+    for path in sorted(src.rglob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            splat = any(isinstance(a, ast.Starred) for a in call.args)
+            for (fn, param), pos in defaulted.items():
+                if fn == name and (
+                        splat or any(kw.arg in (param, None) for kw in call.keywords)
+                        or (pos is not None and len(call.args) > pos)):
+                    passed.add((fn, param))
+    assert allowed <= set(defaulted)
+    assert set(defaulted) - passed - allowed == set()
 
 
 def test_ring_types_are_tested_only_in_rings():

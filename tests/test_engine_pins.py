@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from pfcalc import groebner
 from pfcalc.geometry import good_primes
 from pfcalc.groebner import GroebnerBasis, buchberger
 from test_packed import (ORDER_IDS, ORDERS, PRIMES_BELOW_100, RING_IDS, RINGS,
@@ -40,7 +41,8 @@ def engine_digests(ring, order) -> dict:
         for G in (gens, list(gb.generators), list(gb.generators) + gens,
                   list(gb.generators)[1:] + gens[:1]):
             basis = GroebnerBasis(tuple(G), order, ring, VS4)
-            texts["criterion_pairs"].append(repr(basis.criterion_pairs()))
+            texts["criterion_pairs"].append(repr(
+                [(i, j) for i, j, _ in groebner._s_pairs(basis._reducer[1])]))
             texts["verdicts"].append(repr(basis.satisfies_criterion()))
     return {k: hashlib.sha256("\n".join(v).encode()).hexdigest()
             for k, v in texts.items()}

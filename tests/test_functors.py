@@ -152,9 +152,11 @@ def test_shift_decompose_rejects_an_idempotent_off_diagonal_0_1(monkeypatch, ent
 
 
 def test_shift_decompose_sizes():
+    # two sorted index lists that split the shifted evaluation's basis
     p_basis, q_basis = shift_decompose(Sym(2), 1, 2)
     total = evaluate(Sym(2), 3).module.ngens
-    assert len(p_basis) + len(q_basis) == total
+    assert sorted(p_basis + q_basis) == list(range(total))
+    assert p_basis == sorted(p_basis) and q_basis == sorted(q_basis)
     assert len(p_basis) == evaluate(Sym(2), 2).module.ngens
 
 

@@ -1,22 +1,24 @@
 """Closed subsets at finite rank: image closures, specialization, symmetry."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from pfcalc import geometry
-from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence, PrimeVerdict,
-                             SizeGuardExceeded, SizeGuards, _dense_image,
-                             _graph_weights, _jacobian_points, _jacobian_rank,
+from pfcalc import geometry, groebner
+from pfcalc.functors import Id, Sym
+from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence, PolyTransformation,
+                             PrimeVerdict, SizeGuardExceeded, SizeGuards,
+                             _dense_image, _jacobian_points, _jacobian_rank,
                              cube_sum, dimension_per_prime, equivariance_check,
                              four_squares, good_primes, image_closure,
                              sum_of_powers, target_varset, taylor_directional,
                              vanishing_transfer)
-from pfcalc.groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
-                             radical_membership)
+from pfcalc.groebner import (GroebnerBasis, _graph_grading, buchberger, eliminate,
+                             ideal_dimension, radical_membership)
 from pfcalc.poly import (Grevlex, MultiPoly, VarSet, degree_monomials, format_poly,
                          parse_poly)
 from pfcalc.rings import Fp, ModularIntegers, NotAUnit, QQ, ZZ, ring_from_tag
@@ -205,9 +207,9 @@ def test_cube_sum_over_f3_falls_through_to_elimination(monkeypatch):
     # everywhere and the certificate cannot fire
     calls = []
 
-    def counted(G, drop, weights=None):
-        calls.append(weights)
-        return eliminate(G, drop, weights)
+    def counted(G, drop):
+        calls.append(drop)
+        return eliminate(G, drop)
 
     monkeypatch.setattr(geometry, "eliminate", counted)
     for n in (2, 3):
@@ -235,13 +237,97 @@ def test_jacobian_rank_one_short_certifies_nothing(ring):
     assert ideal_dimension(subset.gb) == 5
 
 
+def _derived_weights(src_vs, coords):
+    """The weights the engine derives for the graph ideal of coords, as
+    image_closure hands it to eliminate, or None when it finds none."""
+    y_vs = VarSet(tuple(f"y{i + 1}" for i in range(len(coords))))
+    big_vs = VarSet(src_vs.names + y_vs.names)
+    gens = [MultiPoly.variable(c.ring, big_vs, y) - c.rename(big_vs)
+            for y, c in zip(y_vs.names, coords)]
+    graph = _graph_grading(gens, len(src_vs))
+    return graph and graph[0]
+
+
+def _graph_weights(src_vs, coords):
+    """The weights image_closure once passed to eliminate: 1 for each source
+    variable and deg(coord_i) for y_i, 1 for a zero coordinate; None (unit
+    weights) when a coordinate is constant or inhomogeneous."""
+    ydeg = []
+    for coord in coords:
+        degs = {sum(e) for e in coord.terms} or {1}
+        if len(degs) > 1 or 0 in degs:
+            return None
+        ydeg.append(degs.pop())
+    return (1,) * len(src_vs) + tuple(ydeg)
+
+
+def test_derived_weights_match_the_graph_weights_of_sums_of_powers():
+    # every sum_of_powers(m, k, g) with m <= 4, k <= 5, g <= 2 at ranks 1-3,
+    # the variable guard's refusals included, over five fields
+    zeros = 0
+    for ring in (QQ, Fp(2), Fp(3), Fp(5), ring_from_tag("Fp(3)[t]/(t^2+1)")):
+        for m, k, g, n in itertools.product(range(1, 5), range(1, 6), (1, 2),
+                                            (1, 2, 3)):
+            src_vs, coords = sum_of_powers(m, k, g).rule(n, ring)
+            weights = _graph_weights(src_vs, coords)
+            assert weights is not None
+            assert _derived_weights(src_vs, coords) == weights
+            zeros += any(c.is_zero() for c in coords)
+    assert zeros > 100
+
+
+def _two_by_two(third):
+    """(v1, v2) |-> (v1^2, v1*v2, third) from Id to Sym(2) at rank 2."""
+    def rule(n, ring):
+        vs = VarSet(("v1", "v2"))
+        return vs, [parse_poly(t, ring, vs) for t in ("v1^2", "v1*v2", third)]
+
+    return PolyTransformation(Id(), Sym(2), f"custom {third}", rule)
+
+
+@pytest.mark.parametrize("third", ["3", "v2^2 + v1"], ids=["constant", "inhomogeneous"])
+@pytest.mark.parametrize("ring", [QQ, Fp(5)], ids=["QQ", "F5"])
+def test_no_graph_weights_for_a_constant_or_inhomogeneous_coordinate(
+        third, ring, monkeypatch):
+    # the engine finds no graph ideal: unit weights, and every pair reduced
+    alpha = _two_by_two(third)
+    src_vs, coords = alpha.rule(2, ring)
+    assert _graph_weights(src_vs, coords) is None
+    assert _derived_weights(src_vs, coords) is None
+    runs = []
+    queue = groebner._s_pairs
+
+    def recorded(reducers, weights=None, joined=None):
+        pairs = []
+        runs.append((weights, joined, pairs))
+        for pair in queue(reducers, weights, joined):
+            pairs.append(pair)
+            yield pair
+
+    reduced = []
+    kernel = groebner._RationalKernel if ring == QQ else groebner._FieldKernel
+    spoly = kernel.spoly
+
+    def counted(self, ef, eg, lcm):
+        reduced.append(lcm)
+        return spoly(self, ef, eg, lcm)
+
+    monkeypatch.setattr(groebner, "_s_pairs", recorded)
+    monkeypatch.setattr(kernel, "spoly", counted)
+    subset = image_closure(alpha, 2, ring)
+    assert subset.generators
+    [(weights, joined, pairs)] = runs
+    assert weights is None and joined is None
+    assert pairs and reduced == [lcm for _, _, lcm in pairs]
+
+
 def test_graph_weights_give_zero_coordinates_weight_one():
     # over F2 the xyz coefficient 6*v1_1*v1_2*v1_3 + ... of the rank-3
     # cube-sum is zero; it gets weight 1 and the run keeps weighted pairs
     src_vs, coords = cube_sum.rule(3, Fp(2))
     zeros = [i for i, c in enumerate(coords) if c.is_zero()]
     assert len(zeros) == 1
-    weights = _graph_weights(src_vs, coords)
+    weights = _derived_weights(src_vs, coords)
     assert weights == (1,) * len(src_vs) + tuple(
         1 if i in zeros else 3 for i in range(len(coords)))
 
@@ -251,7 +337,7 @@ def test_graph_weights_are_coordinate_degrees():
     # has degree k = 2 in the source variables
     src_vs, coords = four_squares.rule(2, QQ)
     assert set(target_varset(four_squares.target, 2).weights) == {4}
-    assert _graph_weights(src_vs, coords) == (1,) * len(src_vs) + (2,) * len(coords)
+    assert _derived_weights(src_vs, coords) == (1,) * len(src_vs) + (2,) * len(coords)
 
 
 def test_graph_weights_fall_back_to_unit_weights():
@@ -259,8 +345,8 @@ def test_graph_weights_fall_back_to_unit_weights():
     homogeneous = parse_poly("a*b", QQ, vs)
     for bad in ("a^2 + b", "3"):
         coords = [homogeneous, parse_poly(bad, QQ, vs)]
-        assert _graph_weights(vs, coords) is None
-    assert _graph_weights(vs, [homogeneous]) == (1, 1, 2)
+        assert _derived_weights(vs, coords) is None
+    assert _derived_weights(vs, [homogeneous]) == (1, 1, 2)
 
 
 def test_vanishing_transfer_3x():
@@ -406,7 +492,7 @@ def test_certified_primes_split_on_a_leading_coefficient_that_is_no_unit(monkeyp
     gb_m = GroebnerBasis(tuple(f.map_coefficients(m.coerce, m)
                                for f in report.generic_basis), Grevlex(), m, vs)
     with pytest.raises(NotAUnit):
-        gb_m.criterion_pairs()
+        gb_m.satisfies_criterion()
     calls = []
     own = geometry._certified_primes
 
@@ -425,26 +511,24 @@ def test_certified_primes_split_on_a_leading_coefficient_that_is_no_unit(monkeyp
 def test_certified_primes_split_on_a_failed_criterion(monkeypatch):
     # {x^2, xy + 3y^2} is a Groebner basis mod 3 alone: its one S-pair
     # leaves 9y^3.  Every leading coefficient is 1, so each batch fails on
-    # the criterion, and every half checks the same pairs
+    # the criterion, and every half, a single prime too, is checked over
+    # ZZ/mZ on its own queue
     vs = VarSet(("x", "y"))
     gens = [parse_poly("x^2", ZZ, vs), parse_poly("x*y + 3*y^2", ZZ, vs)]
     cleared = [g.map_coefficients(QQ.coerce, QQ) for g in gens]
     checked = []
     own = GroebnerBasis.satisfies_criterion
 
-    def satisfies(self, pairs=None):
-        assert pairs == [(0, 1)]
-        got = own(self, pairs)
+    def satisfies(self):
+        got = own(self)
         checked.append((self.ring, got))
         return got
 
     monkeypatch.setattr(GroebnerBasis, "satisfies_criterion", satisfies)
     assert geometry._certified_primes([2, 3, 5, 7], cleared, gens,
                                       _staircase(cleared)) == {3}
-    assert checked == [
-        (ModularIntegers((2, 3, 5, 7)), False), (ModularIntegers((2, 3)), False),
-        (Fp(2), False), (Fp(3), True), (ModularIntegers((5, 7)), False),
-        (Fp(5), False), (Fp(7), False)]
+    assert checked == [(ModularIntegers(primes), primes == (3,)) for primes in
+                       [(2, 3, 5, 7), (2, 3), (2,), (3,), (5, 7), (5,), (7,)]]
 
 
 def test_vanishing_transfer():
@@ -492,23 +576,24 @@ def test_equivariance_of_image_closures(monkeypatch):
             assert verdict == radical_membership(f, subset.generators)
 
 
+def _closed_subset(target, n, gens):
+    """The closed subset of target at rank n cut out by gens, over QQ."""
+    return ClosedSubsetAtRank(target, n, QQ, gens[0].varset, tuple(gens),
+                              buchberger(gens, Grevlex()))
+
+
 def test_equivariance_detects_asymmetric_ideal():
-    from pfcalc.geometry import closed_subset
-    from pfcalc.functors import Sym
     vs = target_varset(Sym(3), 2)
     gens = [parse_poly("y1", QQ, vs)]
-    subset = closed_subset(Sym(3), 2, QQ, gens)
-    assert not equivariance_check(subset)
+    assert not equivariance_check(_closed_subset(Sym(3), 2, gens))
 
 
 def test_equivariance_falls_back_to_the_radical():
     # <y1^2, y2> is not radical: the swap moves y2 to y1, which lies in
     # rad I = <y1, y2> but not in I, so only the Rabinowitsch run passes it
-    from pfcalc.geometry import closed_subset
-    from pfcalc.functors import Sym
     vs = target_varset(Sym(1), 2)
     gens = [parse_poly(t, QQ, vs) for t in ("y1^2", "y2")]
-    subset = closed_subset(Sym(1), 2, QQ, gens)
+    subset = _closed_subset(Sym(1), 2, gens)
     assert not subset.gb.contains(parse_poly("y1", QQ, vs))
     assert equivariance_check(subset)
 

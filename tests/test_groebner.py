@@ -10,13 +10,14 @@ from types import SimpleNamespace
 import pytest
 
 from pfcalc import groebner
-from pfcalc.geometry import _graph_weights, sum_of_powers, target_varset
+from pfcalc.geometry import sum_of_powers, target_varset
 from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, _Packing,
                              _Reducers, _field_reducer, buchberger, eliminate,
                              ideal_dimension, radical_membership)
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          degree_monomials, parse_poly)
 from pfcalc.rings import Fp, QQ, QuotientRing, ZZ, ring_from_tag
+from test_geometry import _graph_weights
 from tuple_engine import s_polynomial
 
 VS = VarSet(("x", "y"))
@@ -621,38 +622,34 @@ def test_weights_must_be_positive_one_per_variable():
             buchberger(gens, Grevlex(), weights=weights)
 
 
-def test_eliminate_permutes_weights_with_the_variables(monkeypatch):
-    # eliminate moves the dropped variable t to the front block, and its
-    # weight moves with it; the basis does not depend on the weights
-    seen = []
-    run = groebner._reduced_basis
-
-    def recorded(F, order, new_poly_log=None, weights=None, front=0):
-        seen.append((F[0].varset.names, weights))
-        return run(F, order, new_poly_log, weights, front)
-
-    monkeypatch.setattr(groebner, "_reduced_basis", recorded)
-    vs = VarSet(("x", "y", "t"))
-    gens = [parse_poly("x - t^2", QQ, vs), parse_poly("y - t^3", QQ, vs)]
-    assert eliminate(gens, {"t"}, (2, 3, 1)) == eliminate(gens, {"t"})
-    assert seen == [(("t", "x", "y"), (1, 2, 3)), (("t", "x", "y"), None)]
-
-
-def _eliminated_part(gens, drop, weights=None):
-    """The generators free of the dropped variables in the full reduced
-    basis under the order eliminate uses, restricted to the others."""
+def _in_blocks(gens, drop):
+    """gens in eliminate's variable order, the dropped variables first; the
+    number of those, and the varset of the others."""
     vs = gens[0].varset
     front = [n for n in vs.names if n in drop]
     back = [n for n in vs.names if n not in drop]
     block_vs = VarSet(tuple(front + back),
                       tuple(vs.weights[vs.index(n)] for n in front + back))
     kept_vs = VarSet(tuple(back), tuple(vs.weights[vs.index(n)] for n in back))
-    if weights is not None:
-        weights = tuple(weights[vs.index(n)] for n in front + back)
-    gb = buchberger([g.rename(block_vs) for g in gens], Elimination(len(front)),
-                    weights=weights)
+    return [g.rename(block_vs) for g in gens], len(front), kept_vs
+
+
+def _eliminated_part(gens, drop, weights=None):
+    """The generators free of the dropped variables in the full reduced
+    basis under the order eliminate uses, restricted to the others; the
+    weights follow that order."""
+    blocked, front, kept_vs = _in_blocks(gens, drop)
+    gb = buchberger(blocked, Elimination(front), weights=weights)
     return [g.restrict(kept_vs) for g in gb.generators
-            if not any(any(e[:len(front)]) for e in g.terms)]
+            if not any(any(e[:front]) for e in g.terms)]
+
+
+def _eliminate(gens, drop, weights):
+    """eliminate's run under the given weights, which an input that is no
+    graph ideal takes (a graph ideal takes its own)."""
+    blocked, front, kept_vs = _in_blocks(gens, drop)
+    return [g.restrict(kept_vs) for g in groebner._reduced_basis(
+        blocked, Elimination(front), weights=weights, front=front)]
 
 
 def _graph_ideal(alpha, n, ring):
@@ -689,7 +686,7 @@ def test_eliminate_is_the_free_part_of_the_full_basis(ring, monkeypatch):
         want = _eliminated_part(gens, drop, weights)
         full = len(calls)
         del calls[:]
-        got = eliminate(gens, drop, weights)
+        got = _eliminate(gens, drop, weights)
         assert got == want
         assert len(calls) == len(got)
         smaller += len(got) < full
@@ -812,7 +809,7 @@ def test_graph_ideal_skips_only_zero_reductions(monkeypatch):
     want = _eliminated_part(gens, drop, weights)
     unskipped = _pair_outcomes(events)
     del events[:]
-    assert eliminate(gens, drop, weights) == want
+    assert eliminate(gens, drop) == want
     skipped = _pair_outcomes(events)
     assert [p for p, _ in skipped] == [p for p, _ in unskipped]
     assert len(unskipped) == 535 and None not in [r for _, r in unskipped]
@@ -837,7 +834,7 @@ def test_eliminate_of_seeded_graph_ideals_is_the_free_part(ring, monkeypatch):
         gens, drop, weights = _graph_ideal(sum_of_powers(m, k, g), n, ring)
         want = _eliminated_part(gens, drop, weights)
         del events[:]
-        assert eliminate(gens, drop, weights) == want
+        assert eliminate(gens, drop) == want
         skips += [r for _, r in _pair_outcomes(events)].count(None)
     assert skips > 50
 
@@ -857,20 +854,21 @@ def test_a_dropped_remainder_fails_the_certificate(monkeypatch):
         return r
 
     monkeypatch.setattr(groebner._RationalKernel, "reduce", dropping)
-    gens, drop, weights = _graph_ideal(sum_of_powers(2, 5), 2, QQ)
+    gens, drop, _ = _graph_ideal(sum_of_powers(2, 5), 2, QQ)
     with pytest.raises(AssertionError, match="numerator"):
-        eliminate(gens, drop, weights)
+        eliminate(gens, drop)
     assert dropped
 
 
 def test_a_staircase_below_the_hilbert_function_raises(monkeypatch):
     # claim N(I) = 1, the zero ideal's: the first pair's lcm already lies in
     # J, so HF(S/J) falls below the claimed HF(S/I) at its degree
-    monkeypatch.setattr(groebner, "_graph_numerator",
-                        lambda inputs, w, front: {0: 1})
-    gens, drop, weights = _graph_ideal(sum_of_powers(1, 3), 2, QQ)
+    grading = groebner._graph_grading
+    monkeypatch.setattr(groebner, "_graph_grading",
+                        lambda inputs, front: (grading(inputs, front)[0], {0: 1}))
+    gens, drop, _ = _graph_ideal(sum_of_powers(1, 3), 2, QQ)
     with pytest.raises(AssertionError, match="below"):
-        eliminate(gens, drop, weights)
+        eliminate(gens, drop)
 
 
 @pytest.mark.parametrize("ring", [QQ, Fp(5)], ids=["QQ", "F5"])
@@ -884,6 +882,6 @@ def test_graph_ideal_skip_at_16_bit_digits(ring, monkeypatch):
     weights = (1, 1, 100, 150, 150)
     want = _eliminated_part(gens, {"s", "t"}, weights)
     del events[:]
-    got = eliminate(gens, {"s", "t"}, weights)
+    got = eliminate(gens, {"s", "t"})
     assert got == want and len(got) == 1  # y1^3 - y3^2
     assert [r for _, r in _pair_outcomes(events)].count(None) > 0

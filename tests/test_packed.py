@@ -196,15 +196,14 @@ GOOD_PRIMES_PINS = {
 
 def test_good_primes_share_one_pair_schedule(monkeypatch):
     # the primes away from r are checked together over ZZ/mZ, m their
-    # product: one criterion call per ideal, on the pairs of the batch's own
-    # queue; and every verified prime's generators mod p pass the tuple
-    # engine's criterion over F_p itself, a check that skips the batch
+    # product: one criterion call per ideal, on the batch's own queue; and
+    # every verified prime's generators mod p pass the tuple engine's
+    # criterion over F_p itself, a check that skips the batch
     checked = []
     own = GroebnerBasis.satisfies_criterion
 
-    def satisfies(self, pairs=None):
-        assert pairs is not None and pairs == self.criterion_pairs()
-        got = own(self, pairs)
+    def satisfies(self):
+        got = own(self)
         checked.append((self.ring, got))
         return got
 
