@@ -20,7 +20,7 @@ import sys
 import time
 from itertools import chain
 from math import comb
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import geometry
 from .coordring import graded_piece
@@ -56,6 +56,17 @@ MODULUS_DEGREE_LIMIT = 64
 # window 12, rank 1,365; 0.24-0.33 s and 21 MB at window 14, rank 2,380;
 # 0.52-0.55 s and 22 MB at window 16, rank 3,876)
 DIMFN_RANK_LIMIT = 2_500
+
+# ring-of-module refuses a job whose work estimate W is above this.  For n
+# generators, s relation rows, R of dimension k over its scalar field and
+# top degree d, the invariance system has C(n + d - 1, d) * k columns, and
+# each column's translate has up to C(s * k + d, d) monomials in the
+# parameters, each read off in k coordinates: W = C(n + d - 1, d) * k^2 *
+# C(s * k + d, d).  R/(t) over Fp(2)[t]/(t^64 + t + 1), a zero module, took
+# 0.7 s at degree 1 (W = 266k), 1.4-2.0 s at degree 2 (8.8M) and 54 s at
+# degree 3 (196M) on a 2-vCPU Xeon VM; over Fp(2)[t]/(t^16 + t + 1) degree 3
+# (248k) takes 0.14 s
+MODULE_PIECE_LIMIT = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -170,8 +181,8 @@ def _scalar_from_config(x, ring: BaseRing):
 
 
 TRANSFORMATION_SHORTCUTS = {
-    "cube-sum": (2, 3, 1),
-    "four-squares": (4, 2, 2),
+    "cube-sum": geometry.cube_sum,
+    "four-squares": geometry.four_squares,
 }
 
 
@@ -182,7 +193,7 @@ def _transformation_from_config(cfg: dict) -> PolyTransformation:
             raise ConfigError(
                 f"config key 'transformation': unknown template {tr!r}; "
                 f"known: {sorted(TRANSFORMATION_SHORTCUTS)}")
-        return sum_of_powers(*TRANSFORMATION_SHORTCUTS[tr])
+        return TRANSFORMATION_SHORTCUTS[tr]
     _check_keys(tr, ("template", "num_forms", "power", "form_degree"),
                 "transformation")
     template = _need(tr, "template", str, "transformation")
@@ -195,6 +206,14 @@ def _transformation_from_config(cfg: dict) -> PolyTransformation:
     if num_forms < 1 or power < 1 or form_degree < 1:
         raise ConfigError("transformation sizes must be >= 1")
     return sum_of_powers(num_forms, power, form_degree)
+
+
+def _transformation_and_rank(cfg: dict) -> Tuple[PolyTransformation, int]:
+    alpha = _transformation_from_config(cfg)
+    n = _need(cfg, "rank", int)
+    if n < 1:
+        raise ConfigError("config key 'rank' must be >= 1")
+    return alpha, n
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +330,15 @@ def _cmd_ring_of_module(cfg: dict, args) -> tuple:
         degrees = list(range(top + 1))
     else:
         raise ConfigError("missing config key 'degrees' (or 'max_degree')")
-    if max(degrees, default=0) > args.max_degree:
+    top = max(degrees, default=0)
+    if top > args.max_degree:
         raise SizeGuardExceeded("degree exceeds the size guard",
-                                degree=max(degrees), limit=args.max_degree)
+                                degree=top, limit=args.max_degree)
+    n, s, k = module.ngens, len(module.relations), len(ring.field_basis())
+    work = comb(n + top - 1, top) * k * k * comb(s * k + top, top)
+    if work > MODULE_PIECE_LIMIT:
+        raise SizeGuardExceeded("module coordinate ring exceeds the size guard",
+                                work=work, limit=MODULE_PIECE_LIMIT)
 
     lines = [f"coordinate ring of a module over {ring.tag()}, "
              f"{module.ngens} generator(s), {len(module.relations)} relation(s)",
@@ -415,10 +440,7 @@ def _geometry_guards(args) -> SizeGuards:
 
 def _cmd_image_closure(cfg: dict, args) -> tuple:
     _check_keys(cfg, ("transformation", "rank", "field"))
-    alpha = _transformation_from_config(cfg)
-    n = _need(cfg, "rank", int)
-    if n < 1:
-        raise ConfigError("config key 'rank' must be >= 1")
+    alpha, n = _transformation_and_rank(cfg)
     ring = _field_from_config(cfg)
     subset = _cached_image_closure(alpha, n, ring, _geometry_guards(args),
                                    args.cache)
@@ -438,10 +460,7 @@ def _cmd_image_closure(cfg: dict, args) -> tuple:
 
 def _cmd_dim_per_prime(cfg: dict, args) -> tuple:
     _check_keys(cfg, ("transformation", "rank", "primes"))
-    alpha = _transformation_from_config(cfg)
-    n = _need(cfg, "rank", int)
-    if n < 1:
-        raise ConfigError("config key 'rank' must be >= 1")
+    alpha, n = _transformation_and_rank(cfg)
     primes = _prime_list(cfg)
     guards = _geometry_guards(args)
 
@@ -502,10 +521,7 @@ def _cmd_good_primes(cfg: dict, args) -> tuple:
 
 def _cmd_equivariance(cfg: dict, args) -> tuple:
     _check_keys(cfg, ("transformation", "rank", "field"))
-    alpha = _transformation_from_config(cfg)
-    n = _need(cfg, "rank", int)
-    if n < 1:
-        raise ConfigError("config key 'rank' must be >= 1")
+    alpha, n = _transformation_and_rank(cfg)
     ring = _field_from_config(cfg)
     subset = _cached_image_closure(alpha, n, ring, _geometry_guards(args),
                                    args.cache)

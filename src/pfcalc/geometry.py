@@ -250,11 +250,11 @@ def _certified_primes(primes: Sequence[int], cleared: Sequence[MultiPoly],
     generator.  This proves p good only when p does not divide
     good_primes' r.
 
-    All primes are checked at once over ZZ/mZ, m their product (a field
-    when there is one prime).  Each step of a reduction mod m maps to the
-    same step mod every p | m: the same term is popped, the same first
-    divisor used, and a coefficient that is 0 mod p subtracts a zero
-    multiple.  So a remainder is 0 mod m exactly when it is 0 mod every p.
+    All primes are checked at once over ZZ/mZ, m their product (the field
+    Fp(p) itself when there is one prime p).  Each step of a reduction mod
+    m maps to the same step mod every p | m: the same term is popped, the
+    same first divisor used, and a coefficient that is 0 mod p subtracts a
+    zero multiple.  So a remainder is 0 mod m exactly when it is 0 mod every p.
     When the check fails, or a leading coefficient is not a unit mod m, the
     primes are split into halves and each half is checked again.
     """

@@ -1,9 +1,10 @@
-"""Exact coefficient rings: ZZ, QQ, prime fields, univariate quotients, and
-ZZ/mZ for squarefree m.
+"""Exact coefficient rings: ZZ, QQ, ZZ/mZ for squarefree m (the prime
+field F_p is ZZ/pZ, tagged Fp(p)), and univariate quotients k[t]/(f) over
+QQ or F_p.
 
 Every ring value is kept in a canonical form so that equality is plain
 syntactic equality: fractions are reduced with positive denominator,
-residues live in [0, p), and quotient-ring values are reduced modulo the
+residues live in [0, m), and quotient-ring values are reduced modulo the
 defining polynomial.  Payloads are immutable.  Ring objects are immutable
 as values (equality and hash depend on the base and modulus alone), but a
 finite field F_p[t]/(f) of order at most ZECH_MAX_ORDER caches Zech
@@ -131,8 +132,8 @@ class BaseRing:
     def tag(self) -> str:
         raise NotImplementedError
 
-    # Base field used for linear algebra over this ring (QQ or Fp), together
-    # with a basis of the ring over that field.
+    # Base field used for linear algebra over this ring (QQ or F_p; ZZ/mZ
+    # is its own), together with a basis of the ring over that field.
     def scalar_field(self) -> "BaseRing":
         raise NotImplementedError
 
@@ -290,75 +291,12 @@ class RationalField(BaseRing):
         return hash("QQ")
 
 
-class PrimeField(BaseRing):
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise NotAUnit(f"0 is not a unit in {self.tag()}")
-        return pow(a, self.p - 2, self.p)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
-
-    def is_zero(self, a):
-        return not a
-
-    def from_int(self, n):
-        return n % self.p
-
-    def characteristic(self):
-        return self.p
-
-    def is_field(self):
-        return True
-
-    def tag(self):
-        return f"Fp({self.p})"
-
-    def scalar_field(self):
-        return self
-
-    def field_basis(self):
-        return (1,)
-
-    def field_coords(self, a):
-        return (a % self.p,)
-
-    def scale_by_scalar(self, a, c):
-        return (a * c) % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-
 class ModularIntegers(BaseRing):
     """ZZ/mZ for m a product of distinct primes: by the Chinese remainder
-    theorem, the product of the fields F_p for the primes p dividing m.
-    Payloads are ints in [0, m).  A residue is a unit exactly when it is
-    nonzero mod every p, and inv raises NotAUnit otherwise."""
+    theorem, the product of the fields F_p for the primes p dividing m, and
+    the field F_p itself when m = p.  Payloads are ints in [0, m).  A
+    residue is a unit exactly when it is nonzero mod every p, and inv raises
+    NotAUnit otherwise."""
 
     def __init__(self, primes):
         primes = sorted(set(primes))
@@ -410,7 +348,19 @@ class ModularIntegers(BaseRing):
         return True
 
     def tag(self):
-        return f"ZZ/({self.m})"
+        return f"Fp({self.m})" if self.is_field() else f"ZZ/({self.m})"
+
+    def scalar_field(self):
+        return self
+
+    def field_basis(self):
+        return (1,)
+
+    def field_coords(self, a):
+        return (a % self.m,)
+
+    def scale_by_scalar(self, a, c):
+        return (a * c) % self.m
 
     def __eq__(self, other):
         return isinstance(other, ModularIntegers) and other.m == self.m
@@ -443,7 +393,8 @@ class QuotientRing(BaseRing):
     """k[t]/(f) for k = QQ or Fp; payloads are coefficient tuples of deg < deg f."""
 
     def __init__(self, base: BaseRing, modulus: Tuple[Any, ...]):
-        if not (isinstance(base, (RationalField, PrimeField))):
+        if not (isinstance(base, RationalField)
+                or isinstance(base, ModularIntegers) and base.is_field()):
             raise ValueError("quotient base must be QQ or a prime field")
         modulus = _poly_trim(tuple(base.coerce(c) for c in modulus))
         if len(modulus) < 2:
@@ -550,8 +501,8 @@ class QuotientRing(BaseRing):
             # the verdict and the tables are computed by the schoolbook
             # arithmetic below, which the table-driven one then replaces
             self._is_field = _modulus_irreducible(self)
-            if (self._is_field and isinstance(self.base, PrimeField)
-                    and self.base.p ** self.deg <= ZECH_MAX_ORDER):
+            if (self._is_field and isinstance(self.base, ModularIntegers)
+                    and self.base.m ** self.deg <= ZECH_MAX_ORDER):
                 self._tables = _zech_tables(self)
                 vars(self).update(_zech_arithmetic(self, *self._tables))
         return self._is_field
@@ -591,7 +542,7 @@ def _rabin_irreducible(ring: "QuotientRing") -> bool:
     """Rabin's test for the modulus f of degree n over F_p: f is irreducible
     iff t^(p^n) = t mod f and gcd(f, t^(p^(n/q)) - t) = 1 for every prime q
     dividing n.  Powers of t are taken in the ring, that is modulo f."""
-    base, p, n = ring.base, ring.base.p, ring.deg
+    base, p, n = ring.base, ring.characteristic(), ring.deg
     t = ring.gen()
     frobenius = [t]  # frobenius[i] = t^(p^i) mod f
     for _ in range(n):
@@ -611,7 +562,7 @@ def _modulus_irreducible(ring: "QuotientRing") -> bool:
     base, modulus = ring.base, ring.modulus
     if ring.deg == 1:
         return True
-    if isinstance(base, PrimeField):
+    if isinstance(base, ModularIntegers):
         return _rabin_irreducible(ring)
     # QQ: defer to sympy for irreducibility of the modulus
     import sympy
@@ -646,7 +597,7 @@ def _zech_tables(ring: "QuotientRing") -> tuple:
     polynomial of degree at most deg reduced mod f, so one is found.  The
     order test runs on the ring's schoolbook arithmetic; the powers of g are
     then built by Horner's rule, O(deg * deg g) per power."""
-    p, d = ring.base.p, ring.deg
+    p, d = ring.characteristic(), ring.deg
     n = p ** d - 1
     one, low = ring.one(), ring.modulus[:-1]
     tests = [n // r for r in _prime_divisors(n)]
@@ -782,19 +733,16 @@ ZZ = IntegerRing()
 QQ = RationalField()
 
 
-def Fp(p: int) -> PrimeField:
-    return PrimeField(p)
+def Fp(p: int) -> ModularIntegers:
+    """The prime field F_p = ZZ/pZ; ValueError when p is not prime."""
+    return ModularIntegers((p,))
 
 
 def fraction_field_reduction(r: BaseRing, p: int) -> BaseRing:
     """The residue field of ZZ at (p): QQ for p = 0, Fp otherwise."""
     if not isinstance(r, IntegerRing):
         raise ValueError("fraction_field_reduction expects the integers")
-    if p == 0:
-        return QQ
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return PrimeField(p)
+    return QQ if p == 0 else Fp(p)
 
 
 _TAG_RE = re.compile(
@@ -808,7 +756,7 @@ def ring_from_tag(tag: str) -> BaseRing:
     if m is None:
         raise ValueError(f"unknown ring tag {tag!r}")
     if m.group(2) is not None:
-        base: BaseRing = PrimeField(int(m.group(2)))
+        base: BaseRing = Fp(int(m.group(2)))
     elif m.group(1) == "ZZ":
         base = ZZ
     else:

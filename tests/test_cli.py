@@ -315,6 +315,28 @@ def test_dimfn_window_guard_admits(capsys, tmp_path):
     assert all(rank_at(parse_functor(f), w) <= DIMFN_RANK_LIMIT for f, w in jobs)
 
 
+@pytest.mark.parametrize("degrees", [[3], [0, 1, 2, 3], [2]])
+def test_module_piece_guard_exit_3(capsys, tmp_path, degrees):
+    # t is a unit of the degree-64 field, so R/(t) is 0, but its invariance
+    # system at degree 3 took 54 s; refused from the largest degree asked for
+    cfg = {"ring": "Fp(2)[t]/(t^64+t+1)",
+           "module": {"ngens": 1, "relations": [["t"]]}, "degrees": degrees}
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, "ring-of-module", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("refused: module coordinate ring exceeds the size guard")
+
+
+def test_module_piece_guard_admits(capsys, tmp_path):
+    # the same zero module over a degree-16 field runs at degree 3
+    cfg = {"ring": "Fp(2)[t]/(t^16+t+1)",
+           "module": {"ngens": 1, "relations": [["t"]]}, "degrees": [3]}
+    code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pieces"] == [{"basis": [], "degree": 3, "dimension": 0}]
+
+
 @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)],
                          ids=["2^61-1", "2^89-1"])
 def test_large_prime_configs_answer_at_once(capsys, tmp_path, p, code):
@@ -575,7 +597,7 @@ def test_ring_types_are_tested_only_in_rings():
     # string literal, and outside rings.py a ring's class is tested only
     # where it picks an algorithm or a syntax (the Groebner kernel, the
     # parenthesized quotient-ring coefficient, the parser's t)
-    classes = {"IntegerRing", "RationalField", "PrimeField", "QuotientRing"}
+    classes = {"IntegerRing", "RationalField", "ModularIntegers", "QuotientRing"}
     allowed = {("groebner.py", "_reduced_basis"), ("poly.py", "_fmt_coeff"),
                ("poly.py", "parse_factor")}
     found = set()
