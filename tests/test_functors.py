@@ -28,6 +28,9 @@ def test_const_evaluation():
     ev = evaluate(c, 7)
     assert ev.module.ngens == 1
     assert len(ev.module.relations) == 1
+    # a Shift below rank 0 is refused, also when its child ignores the rank
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
+        evaluate(Shift(-5, c), 1)
 
 
 def test_degrees():
@@ -232,13 +235,42 @@ LAW_EXPRS = ("Id", "Sym(2)", "Sym(3)", "Ext(2)", "Ext(3)", "Sym(2) (+) Ext(2)",
              "Const(ZZ/2) (+) Id")
 
 
+# evaluate(expr, n).module.ngens at n = 0..6, recorded while evaluate still
+# counted its basis in a recursion of its own.  Every one of these modules
+# is free except that of Const(ZZ/2) (+) Id, whose one relation is twice its
+# first generator.
+EVALUATED_RANKS = {
+    "Id": (0, 1, 2, 3, 4, 5, 6),
+    "Sym(2)": (0, 1, 3, 6, 10, 15, 21),
+    "Sym(3)": (0, 1, 4, 10, 20, 35, 56),
+    "Ext(2)": (0, 0, 1, 3, 6, 10, 15),
+    "Ext(3)": (0, 0, 0, 1, 4, 10, 20),
+    "Sym(2) (+) Ext(2)": (0, 1, 4, 9, 16, 25, 36),
+    "Ext(3) (+) Id": (0, 1, 2, 4, 8, 15, 26),
+    "Dual(Ext(2))": (0, 0, 1, 3, 6, 10, 15),
+    "Dual(Sym(2) (+) Ext(3))": (0, 1, 3, 7, 14, 25, 41),
+    "Tensor(Id, Ext(2))": (0, 0, 2, 9, 24, 50, 90),
+    "Shift(1, Ext(2))": (0, 1, 3, 6, 10, 15, 21),
+    "Compose(Sym(2), Ext(2))": (0, 0, 1, 6, 21, 55, 120),
+    "Const(ZZ/2) (+) Id": (1, 2, 3, 4, 5, 6, 7),
+    "Sym(0)": (1, 1, 1, 1, 1, 1, 1),
+    "Ext(0)": (1, 1, 1, 1, 1, 1, 1),
+    "Const(ZZ^3)": (3, 3, 3, 3, 3, 3, 3),
+    "Compose(Ext(2), Sym(2))": (0, 0, 3, 15, 45, 105, 210),
+    "Shift(2, Tensor(Sym(2), Ext(2)))": (3, 18, 60, 150, 315, 588, 1008),
+}
+
+
 @pytest.mark.parametrize("text", LAW_EXPRS + ("Sym(0)", "Ext(0)", "Const(ZZ^3)",
                                              "Compose(Ext(2), Sym(2))",
                                              "Shift(2, Tensor(Sym(2), Ext(2)))"))
 def test_rank_at_is_the_evaluated_rank(text):
     expr = parse_functor(text)
-    for n in range(5):
-        assert rank_at(expr, n) == evaluate(expr, n).module.ngens
+    for n, ngens in enumerate(EVALUATED_RANKS[text]):
+        relations = ((2,) + (0,) * n,) if text == "Const(ZZ/2) (+) Id" else ()
+        assert rank_at(expr, n) == ngens
+        module = evaluate(expr, n).module
+        assert (module.ngens, module.relations) == (ngens, relations)
     with pytest.raises(ValueError):
         rank_at(expr, -1)
 
