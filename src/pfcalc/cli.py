@@ -107,18 +107,19 @@ def _prime_list(cfg: dict, key: str = "primes") -> List[int]:
     return primes
 
 
-def _ring_from_config(cfg: dict, key: str = "ring") -> BaseRing:
-    tag = _need(cfg, key, str)
-    try:
-        ring = ring_from_tag(tag)
-    except (ValueError, ArithmeticError) as exc:
-        raise ConfigError(f"config key {key!r}: {exc}") from None
-    degree = len(ring.field_coords(ring.one()))
-    bits = ring.characteristic().bit_length()
+def _check_modulus(degree: int, characteristic: int):
+    bits = characteristic.bit_length()
     if degree > MODULUS_DEGREE_LIMIT or degree ** 3 * bits > MODULUS_DEGREE_LIMIT ** 3 * 5:
         raise SizeGuardExceeded("ring modulus degree exceeds the size guard",
                                 degree=degree, limit=MODULUS_DEGREE_LIMIT, p_bits=bits)
-    return ring
+
+
+def _ring_from_config(cfg: dict, key: str = "ring") -> BaseRing:
+    tag = _need(cfg, key, str)
+    try:
+        return ring_from_tag(tag, _check_modulus)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
 def _field_from_config(cfg: dict, key: str = "field") -> BaseRing:
@@ -289,6 +290,7 @@ def _cached_image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
                           cache: Optional[GBCache]) -> ClosedSubsetAtRank:
     if cache is None:
         return image_closure(alpha, n, ring, guards)
+    guards.check_variables(alpha, n)
     src_vs, coords = alpha.rule(n, ring)
     graph_texts = [f"y{i + 1} - ({format_poly(c)})"
                    for i, c in enumerate(coords)]

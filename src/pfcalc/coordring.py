@@ -10,6 +10,7 @@ law calculus (homogeneous and bihomogeneous parts, products, composition).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from . import linalg
@@ -42,14 +43,33 @@ class GradedPieceBasis:
     """Scalar-field basis of one graded piece of R[M].
 
     dimension counts over the scalar field k of R (the QQ-rank of the
-    integer solution lattice when R = ZZ); generator_count is the size of
-    a greedy R-module generating set inside that basis.
+    integer solution lattice when R = ZZ).
     """
     module: FPModule
     degree: int
     dimension: int
     basis: Tuple[MultiPoly, ...]
-    generator_count: int
+
+    @cached_property
+    def generator_count(self) -> int:
+        """The size of a greedy R-module generating set inside basis: an
+        element is redundant when it lies in the k-span of the ring-basis
+        multiples of the elements already chosen."""
+        ring = self.module.ring
+
+        def coords(f: MultiPoly) -> Dict[tuple, object]:
+            return {(exp, b): x for exp, c in f.terms.items()
+                    for b, x in enumerate(ring.field_coords(c))}
+
+        span = linalg.Echelon(ring.scalar_field())
+        count = 0
+        for f in self.basis:
+            if coords(f) in span:
+                continue
+            count += 1
+            for e in ring.field_basis():
+                span.insert(coords(f.map_coefficients(lambda c: ring.mul(e, c), ring)))
+        return count
 
 
 def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]],
@@ -125,21 +145,7 @@ def _piece_from_candidates(module: FPModule,
             else:
                 terms[exp] = val
         polys.append(MultiPoly(ring, x_vs, terms))
-
-    # greedy R-module generating set: a vector is redundant when it lies in
-    # the k-span of ring-basis multiples of vectors already chosen
-    column = {cand: col for col, cand in enumerate(candidates)}
-    span = linalg.Echelon(k)
-    count = 0
-    for v, f in zip(kernel, polys):
-        if v in span:
-            continue
-        count += 1
-        for e in rbasis:
-            g = f.map_coefficients(lambda c: ring.mul(e, c), ring)
-            span.insert({column[exp, bidx]: coord for exp, c in g.terms.items()
-                         for bidx, coord in enumerate(ring.field_coords(c))})
-    return GradedPieceBasis(module, degree, len(kernel), tuple(polys), count)
+    return GradedPieceBasis(module, degree, len(kernel), tuple(polys))
 
 
 def generator_varset(module: FPModule) -> VarSet:

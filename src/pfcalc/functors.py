@@ -1,10 +1,12 @@
 """Polynomial functors as combinator trees with concrete evaluations.
 
 A functor expression is built from Const, Id, Sym(d), Ext(d), Tensor,
-DirectSum, Compose, Shift and Dual.  Evaluating at rank n yields a module
-with a named basis plus symbolic law matrices: for a map R^n -> R^m given
-by an m x n matrix of indeterminates h_i_j, the law matrix expresses the
-induced map P(R^n) -> P(R^m) in the chosen bases.
+DirectSum, Compose, Shift and Dual.  Evaluating at rank n yields the
+module P(R^n) plus symbolic law matrices: for a map R^n -> R^m given by an
+m x n matrix of indeterminates h_i_j, the law matrix expresses the induced
+map P(R^n) -> P(R^m) in the chosen bases.  rank_at gives the size of that
+basis from the expression alone; the module is free of that rank except
+where Const summands carry relations.
 
 Laws are built as sparse rows (Rows): row i is a dict {column j: entry
 (i, j)} that holds the nonzero entries only.  The work then follows the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -157,11 +159,10 @@ def hom_varset(m: int, n: int) -> VarSet:
 
 @dataclass(frozen=True)
 class FunctorEval:
-    """One functor evaluated at one rank: module, basis labels, law maker."""
+    """One functor evaluated at one rank: the module P(R^rank) and its laws."""
     expr: FunctorExpr
     rank: int
     module: FPModule
-    basis_labels: Tuple[str, ...]
 
     def law(self, target_rank: int) -> List[List[MultiPoly]]:
         """Matrix of P applied to a generic map R^rank -> R^target_rank.
@@ -211,9 +212,6 @@ def _dense(rows: List[dict], width: int, zero) -> list:
     return [[row.get(j, zero) for j in range(width)] for row in rows]
 
 
-_EVAL_CACHE: Dict[Tuple[FunctorExpr, int], FunctorEval] = {}
-
-
 def _check_free(expr: FunctorExpr, why: str):
     if isinstance(expr, Const) and expr.module.relations:
         raise ValueError(f"{why} requires free evaluations, got torsion in {expr}")
@@ -226,65 +224,27 @@ def _check_free(expr: FunctorExpr, why: str):
 
 
 def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
-    """Module of P(R^n) with deterministic basis labels."""
+    """P(R^n).  Its module is free of rank rank_at(expr, n), except that a
+    Const node gives its own module, a DirectSum the block sum of its
+    children's and a Shift its child's at the shifted rank, so the relations
+    of Const summands are kept."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    key = (expr, n)
-    if key in _EVAL_CACHE:
-        return _EVAL_CACHE[key]
-    ring = expr.ring()
     if isinstance(expr, Const):
         mod = expr.module
-        labels = tuple(f"c{i + 1}" for i in range(mod.ngens))
-    elif isinstance(expr, Id):
-        mod = FPModule.free(ring, n)
-        labels = tuple(f"e{i + 1}" for i in range(n))
-    elif isinstance(expr, Sym):
-        basis = degree_monomials(n, expr.d)
-        mod = FPModule.free(ring, len(basis))
-        labels = tuple("*".join(f"e{i + 1}^{e}" if e > 1 else f"e{i + 1}"
-                                for i, e in enumerate(exp) if e) or "1"
-                       for exp in basis)
-    elif isinstance(expr, Ext):
-        basis = list(combinations(range(n), expr.d))
-        mod = FPModule.free(ring, len(basis))
-        labels = tuple("^".join(f"e{i + 1}" for i in idx) or "1" for idx in basis)
-    elif isinstance(expr, Tensor):
-        _check_free(expr, "Tensor")
-        subs = [evaluate(c, n) for c in expr.children]
-        mod = FPModule.free(ring, prod(s.module.ngens for s in subs))
-        labels = tuple("(" + ")⊗(".join(ls) + ")"
-                       for ls in product(*[s.basis_labels for s in subs]))
     elif isinstance(expr, DirectSum):
-        subs = [evaluate(c, n) for c in expr.children]
-        mod = block_sum(ring, [s.module for s in subs])
-        labels = tuple(f"[{k}]{lab}" for k, s in enumerate(subs)
-                       for lab in s.basis_labels)
-    elif isinstance(expr, Compose):
-        _check_free(expr, "Compose")
-        inner = evaluate(expr.inner, n)
-        outer = evaluate(expr.outer, inner.module.ngens)
-        mod = FPModule.free(ring, outer.module.ngens)
-        labels = outer.basis_labels
+        mod = block_sum(expr.ring(), [evaluate(c, n).module for c in expr.children])
     elif isinstance(expr, Shift):
-        child = evaluate(expr.child, expr.m + n)
-        mod = child.module
-        labels = child.basis_labels
-    elif isinstance(expr, Dual):
-        _check_free(expr, "Dual")
-        child = evaluate(expr.child, n)
-        mod = child.module
-        labels = tuple(f"({lab})*" for lab in child.basis_labels)
+        mod = evaluate(expr.child, expr.m + n).module
     else:
-        raise TypeError(f"unknown functor node {expr!r}")
-    out = FunctorEval(expr, n, mod, labels)
-    _EVAL_CACHE[key] = out
-    return out
+        if isinstance(expr, (Tensor, Compose, Dual)):
+            _check_free(expr, type(expr).__name__)
+        mod = FPModule.free(expr.ring(), rank_at(expr, n))
+    return FunctorEval(expr, n, mod)
 
 
 def rank_at(expr: FunctorExpr, n: int) -> int:
-    """The number of basis elements of P(R^n), from the expression alone:
-    evaluate(expr, n).module.ngens without the evaluation."""
+    """The number of basis elements of P(R^n), from the expression alone."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
     if isinstance(expr, Const):
@@ -359,7 +319,7 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         out = None
         for c in expr.children:
             m = _law_matrix(c, n_from, n_to, h, ring, vs)
-            out = m if out is None else _kron(out, m, evaluate(c, n_from).module.ngens)
+            out = m if out is None else _kron(out, m, rank_at(c, n_from))
         return out if out is not None else [{0: one}]
     if isinstance(expr, DirectSum):
         out = []
@@ -367,12 +327,12 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         for c in expr.children:
             m = _law_matrix(c, n_from, n_to, h, ring, vs)
             out.extend({co + j: x for j, x in row.items()} for row in m)
-            # a child's law may have no rows, so take its width from its module
-            co += evaluate(c, n_from).module.ngens
+            # a child's law may have no rows, so take its width from its rank
+            co += rank_at(c, n_from)
         return out
     if isinstance(expr, Compose):
         inner = _law_matrix(expr.inner, n_from, n_to, h, ring, vs)
-        q_from = evaluate(expr.inner, n_from).module.ngens
+        q_from = rank_at(expr.inner, n_from)
         q_to = len(inner)
         return _law_matrix(expr.outer, q_from, q_to, inner, ring, vs)
     if isinstance(expr, Shift):
@@ -382,7 +342,7 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         return _law_matrix(expr.child, m + n_from, m + n_to, big, ring, vs)
     if isinstance(expr, Dual):
         inner = _law_matrix(expr.child, n_to, n_from, _transpose(h, n_from), ring, vs)
-        return _transpose(inner, evaluate(expr.child, n_to).module.ngens)
+        return _transpose(inner, rank_at(expr.child, n_to))
     raise TypeError(f"unknown functor node {expr!r}")
 
 
@@ -519,11 +479,6 @@ def _binomial_fit(values: List[int], max_degree: int) -> List[int]:
     return coeffs
 
 
-def binomial_eval(coeffs: Sequence[int], n: int) -> int:
-    from math import comb
-    return sum(a * comb(n, i) for i, a in enumerate(coeffs))
-
-
 @dataclass(frozen=True)
 class DimReport:
     expr: FunctorExpr
@@ -557,10 +512,6 @@ def dimension_function(expr: FunctorExpr, primes: Sequence[int], window: int) ->
     coeffs = {p: tuple(_binomial_fit(list(v), expr.degree())) for p, v in table.items()}
     jumping = tuple(p for p in plist[1:] if coeffs[p] != coeffs[0])
     return DimReport(expr, window, table, coeffs, jumping)
-
-
-def dual(expr: FunctorExpr, n: int) -> FunctorEval:
-    return evaluate(Dual(expr), n)
 
 
 def parse_functor(text: str) -> FunctorExpr:

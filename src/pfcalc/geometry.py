@@ -14,7 +14,8 @@ from itertools import product as iproduct
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .functors import DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_parts
+from .functors import (DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_parts,
+                       rank_at)
 from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
                        radical_membership)
 from .linalg import Echelon
@@ -35,6 +36,14 @@ class SizeGuardExceeded(RuntimeError):
 class SizeGuards:
     max_variables: int = 40
     max_basis: int = 5000
+
+    def check_variables(self, alpha: "PolyTransformation", n: int):
+        """Refuse a graph ideal of alpha at rank n in more than max_variables
+        variables, counted from the functors before the rule runs."""
+        total = rank_at(alpha.source, n) + rank_at(alpha.target, n)
+        if total > self.max_variables:
+            raise SizeGuardExceeded("too many variables for the graph ideal",
+                                    variables=total, limit=self.max_variables)
 
     def check_basis(self, size: int):
         """Refuse an eliminated basis of more than max_basis generators."""
@@ -114,7 +123,7 @@ class ClosedSubsetAtRank:
 
 def target_varset(target: FunctorExpr, n: int) -> VarSet:
     """y-variables for the coordinates of P(K^n), weighted by degree."""
-    size = evaluate(target, n).module.ngens
+    size = rank_at(target, n)
     parts = homogeneous_parts(target, n)
     weights = [1] * size
     for d, idxs in parts.items():
@@ -178,16 +187,13 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     fields), and Q would be a smaller relation.  A rank below N certifies
     nothing, and elimination runs.
     """
+    guards.check_variables(alpha, n)
     if not ring.is_field():
         raise ValueError(f"image closure needs a field, got {ring.tag()}")
     src_vs, coords = alpha.rule(n, ring)
     y_vs = target_varset(alpha.target, n)
-    if len(coords) != len(y_vs):
-        raise AssertionError("rule output does not match the target functor rank")
-    total_vars = len(src_vs) + len(y_vs)
-    if total_vars > guards.max_variables:
-        raise SizeGuardExceeded("too many variables for the graph ideal",
-                                variables=total_vars, limit=guards.max_variables)
+    if len(src_vs) != rank_at(alpha.source, n) or len(coords) != len(y_vs):
+        raise AssertionError("rule output does not match the functor ranks")
     if _dense_image(coords, len(src_vs), ring):
         return ClosedSubsetAtRank(alpha.target, n, ring, y_vs, (),
                                   GroebnerBasis((), Grevlex(), ring, y_vs))

@@ -19,7 +19,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 class NotAUnit(ArithmeticError):
@@ -694,13 +694,13 @@ def _fmt_unipoly(base: BaseRing, cs: tuple) -> str:
     return " + ".join(parts)
 
 
-def _read_unipoly(base: BaseRing, text: str,
-                  ring: Optional[QuotientRing] = None) -> tuple:
-    """Coefficients over base, low to high, of a t-polynomial such as
-    '1 + t', '2*t^2' or '-1/2*t'.  Given ring, a term c*t^k with k at least
-    the modulus degree is first reduced in ring, t^k by square-and-multiply,
-    so the list never grows past that degree."""
-    cs = []
+def _unipoly_terms(base: BaseRing, text: str,
+                   ring: Optional[QuotientRing] = None) -> Dict[int, Any]:
+    """{power: coefficient over base} of a t-polynomial such as '1 + t',
+    '2*t^2' or '-1/2*t', coefficients that cancel included.  Given ring, a
+    term c*t^k with k at least the modulus degree is first reduced in ring,
+    t^k by square-and-multiply, so no power reaches that degree."""
+    out: Dict[int, Any] = {}
     for piece in re.split(r"\+", text.replace("-", "+-")):
         piece = piece.strip()
         if not piece:
@@ -718,15 +718,22 @@ def _read_unipoly(base: BaseRing, text: str,
         terms = ([(power, coeff)] if ring is None or power < ring.deg else
                  enumerate(ring.scale_by_scalar(ring.power(ring.gen(), power), coeff)))
         for k, c in terms:
-            if k >= len(cs):
-                cs.extend([base.zero()] * (k + 1 - len(cs)))
-            cs[k] = base.add(cs[k], c)
+            out[k] = base.add(out.get(k, base.zero()), c)
+    return out
+
+
+def _dense_unipoly(base: BaseRing, terms: Dict[int, Any]) -> tuple:
+    """The coefficients of {power: coefficient} terms, low to high."""
+    cs = [base.zero()] * (max(terms, default=-1) + 1)
+    for k, c in terms.items():
+        cs[k] = c
     return tuple(cs)
 
 
 def parse_quotient_payload(ring: QuotientRing, text: str):
     """Parse expressions like '1 + t', '2*t^2', 't' into a payload."""
-    return ring._reduce(_read_unipoly(ring.base, text, ring))
+    terms = _unipoly_terms(ring.base, text, ring)
+    return ring._reduce(_dense_unipoly(ring.base, terms))
 
 
 ZZ = IntegerRing()
@@ -749,8 +756,14 @@ _TAG_RE = re.compile(
     r"^(ZZ|QQ|Fp\((\d+)\))(?:\[t\]/\((.+)\))?$")
 
 
-def ring_from_tag(tag: str) -> BaseRing:
-    """Parse a textual ring tag like 'QQ', 'Fp(7)', 'QQ[t]/(t^2)'."""
+def ring_from_tag(tag: str,
+                  check_modulus: Optional[Callable[[int, int], None]] = None
+                  ) -> BaseRing:
+    """Parse a textual ring tag like 'QQ', 'Fp(7)', 'QQ[t]/(t^2)'.
+
+    check_modulus(degree, characteristic), when given, sees the degree of
+    the modulus of a k[t]/(f) tag before its coefficients are laid out, so
+    it can refuse a modulus of huge degree by raising."""
     tag = tag.strip().replace(" ", "")
     m = _TAG_RE.match(tag)
     if m is None:
@@ -765,4 +778,8 @@ def ring_from_tag(tag: str) -> BaseRing:
         return base
     if base is ZZ:
         raise ValueError("quotient rings over ZZ are not supported")
-    return QuotientRing(base, _read_unipoly(base, m.group(3)))
+    terms = _unipoly_terms(base, m.group(3))
+    if check_modulus is not None:
+        degree = max((k for k, c in terms.items() if not base.is_zero(c)), default=0)
+        check_modulus(degree, base.characteristic())
+    return QuotientRing(base, _dense_unipoly(base, terms))

@@ -6,6 +6,7 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,20 @@ def test_size_guard_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, tmp_path, "dim-per-prime", cfg)
     assert code == 3
     assert "variables" in err
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("rank", [80, 10 ** 6])
+def test_image_closure_variable_guard_exit_3(capsys, tmp_path, rank, cached):
+    # the graph ideal's variables are counted from the functors before the
+    # rule expands; with the rule first, rank 80 was refused after 16.8 s
+    cfg = {"transformation": "cube-sum", "rank": rank, "field": "QQ"}
+    extra = ("--cache-dir", str(tmp_path / "cache")) if cached else ()
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, "image-closure", cfg, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("refused: too many variables for the graph ideal")
 
 
 def test_invalid_json_exit_2(capsys, tmp_path):
@@ -259,10 +274,13 @@ def _modulus_jobs(tag):
                          + _modulus_jobs("Fp(5)[t]/(t^1000000+1)")
                          + _modulus_jobs("QQ[t]/(3*t^1000000+t+1)")
                          + _modulus_jobs("Fp(65537)[t]/(t^64+t+1)")
-                         + _modulus_jobs("Fp(2147483647)[t]/(t^64+t+1)"))
+                         + _modulus_jobs("Fp(2147483647)[t]/(t^64+t+1)")
+                         + _modulus_jobs("Fp(5)[t]/(t^10000000+1)")
+                         + _modulus_jobs("Fp(5)[t]/(t^1000000000000+1)"))
 def test_modulus_degree_guard_exit_3(monkeypatch, capsys, tmp_path, command, cfg):
     # refused before is_field runs Rabin's test (18 s at degree 200 over F_5),
-    # and with the degree read in O(d) a modulus of degree 10^6 is refused too
+    # and with the degree read off the modulus's terms before its coefficient
+    # list is laid out, a modulus of degree 10^7 or 10^12 is refused too
     calls = []
     is_field = QuotientRing.is_field
     monkeypatch.setattr(QuotientRing, "is_field",
@@ -521,6 +539,19 @@ def test_runtime_imports_are_stdlib():
     assert outside <= allowed
 
 
+def _referenced_names(tree) -> Counter:
+    """How often each name occurs in tree as a name, an attribute or an import."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
 def test_groebner_and_linalg_functions_are_used_in_src():
     # a public function of these modules that no other module calls is
     # test-only code: tests call the surviving API instead
@@ -533,19 +564,26 @@ def test_groebner_and_linalg_functions_are_used_in_src():
             public.update({node.name: path.name for node in tree.body
                            if isinstance(node, ast.FunctionDef)
                            and not node.name.startswith("_")})
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
+        for name in _referenced_names(tree):
             used.setdefault(name, set()).add(path.name)
     assert public
     unused = {name for name, home in public.items()
               if not used.get(name, set()) - {home}}
+    assert unused == set()
+
+
+def test_functors_functions_are_used_in_src():
+    # a public function of functors.py that src/ names only inside its own
+    # body is test-only code; functors.py itself calls some of them
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+    used = Counter()
+    for path in sorted(src.rglob("*.py")):
+        used += _referenced_names(ast.parse(path.read_text()))
+    public = [node for node in ast.parse((src / "functors.py").read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert public
+    unused = {node.name for node in public
+              if used[node.name] == _referenced_names(node)[node.name]}
     assert unused == set()
 
 

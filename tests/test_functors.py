@@ -8,9 +8,9 @@ import pytest
 from pfcalc import functors, linalg
 from pfcalc.fpmod import FPModule
 from pfcalc.functors import (Compose, Const, DirectSum, Dual, Ext, Id, Shift,
-                             Sym, Tensor, binomial_eval, dimension_function,
-                             dual, evaluate, homogeneous_parts, parse_functor,
-                             hom_varset, rank_at, shift_decompose)
+                             Sym, Tensor, dimension_function, evaluate,
+                             homogeneous_parts, parse_functor, hom_varset,
+                             rank_at, shift_decompose)
 from pfcalc.poly import MultiPoly
 from pfcalc.rings import ZZ
 
@@ -74,7 +74,7 @@ def test_ext_law_is_determinantal():
 
 
 def test_dual_law_is_transpose_inverse_free():
-    ev = dual(Sym(2), 2)
+    ev = evaluate(Dual(Sym(2)), 2)
     base = evaluate(Sym(2), 2)
     g = [[2, 1], [1, 1]]
     dual_law = ev.law_at(g)
@@ -168,7 +168,7 @@ def test_dimension_function_sym2():
     assert report.table[0] == tuple(comb(n + 1, 2) for n in range(6))
     assert report.jumping_primes == ()
     for p, coeffs in report.coefficients.items():
-        assert binomial_eval(coeffs, 4) == report.table[p][4]
+        assert sum(a * comb(4, i) for i, a in enumerate(coeffs)) == report.table[p][4]
 
 
 def test_dimension_function_jumping_prime():

@@ -260,7 +260,8 @@ def test_huge_t_powers_are_reduced_by_squaring():
             if ring.characteristic():
                 text = text.replace("/3", "")
             assert parse_quotient_payload(ring, text) == \
-                ring._reduce(rings._read_unipoly(ring.base, text))
+                ring._reduce(rings._dense_unipoly(ring.base,
+                                                  rings._unipoly_terms(ring.base, text)))
 
 
 def test_is_zero_overrides_agree_with_equality():
