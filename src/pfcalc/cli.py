@@ -28,7 +28,7 @@ from .fpmod import FPModule
 from .functors import dimension_function, parse_functor, rank_at
 from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
                        SizeGuardExceeded, equivariance_check, good_primes,
-                       image_closure, sum_of_powers, target_varset)
+                       image_closure, sum_of_powers)
 from .groebner import GroebnerBasis, ideal_dimension
 from .poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
 from .render import render_json
@@ -290,14 +290,13 @@ def _cached_image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
                           cache: Optional[GBCache]) -> ClosedSubsetAtRank:
     if cache is None:
         return image_closure(alpha, n, ring, guards)
-    guards.check_variables(alpha, n)
-    src_vs, coords = alpha.rule(n, ring)
+    expansion = geometry._expansion(alpha, n, ring, guards)
+    src_vs, coords, vs = expansion
     graph_texts = [f"y{i + 1} - ({format_poly(c)})"
                    for i, c in enumerate(coords)]
     key = GBCache.key(graph_texts, f"elim({len(src_vs)})", ring.tag())
     hit = cache.lookup(key)
     if hit is not None:
-        vs = target_varset(alpha.target, n)
         if hit.ring == ring and hit.order == Grevlex() and hit.varset == vs:
             guards.check_basis(len(hit.generators))
             return ClosedSubsetAtRank(alpha.target, n, ring, vs,
@@ -306,7 +305,7 @@ def _cached_image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
               f"holds a {hit.order.tag()} basis over {hit.ring.tag()}, not a "
               f"grevlex basis over {ring.tag()} in the target variables",
               file=sys.stderr)
-    subset = image_closure(alpha, n, ring, guards)
+    subset = geometry._closure(alpha, n, ring, guards, expansion)
     cache.store(key, subset.gb)
     return subset
 

@@ -13,7 +13,9 @@ Laws are built as sparse rows (Rows): row i is a dict {column j: entry
 nonzero entries, so a diagonal map such as the idempotent of
 shift_decompose costs far less than the square of the basis size.
 shift_decompose reads its two bases off that idempotent's diagonal, which
-is 0/1 in these bases.
+is 0/1 in these bases.  The entries are polynomials in the h_i_j for a
+symbolic map and plain ints at a concrete integer matrix: the combinators
+need only *, +, - and a zero test, so one _law_matrix builds both.
 FunctorEval.law and FunctorEval.law_at are dense views of those rows,
 with the zeros filled in once, at the end.
 """
@@ -30,8 +32,9 @@ from .fpmod import FPModule, block_sum, fiber_dimension
 from .poly import MultiPoly, VarSet, degree_monomials
 from .rings import ZZ, BaseRing
 
-# A sparse matrix: row i is {column j: entry (i, j)}, nonzero entries only.
-Rows = List[Dict[int, MultiPoly]]
+# A sparse matrix: row i is {column j: entry (i, j)}, nonzero entries only;
+# the entries are MultiPolys or ints (see _law_matrix).
+Rows = List[Dict[int, object]]
 
 
 class FunctorExpr:
@@ -177,34 +180,24 @@ class FunctorEval:
         rows = _law_matrix(self.expr, self.rank, target_rank, h, ring, vs)
         return _dense(rows, self.module.ngens, MultiPoly.zero(ring, vs))
 
-    def law_at(self, matrix: Sequence[Sequence[int]]) -> List[List]:
-        """Law matrix at a concrete integer matrix; entries are ring payloads.
+    def law_at(self, matrix: Sequence[Sequence[int]]) -> List[List[int]]:
+        """Law matrix at a concrete integer matrix; entries are ints, the
+        payloads of ZZ, over which the functor lives.
 
-        A dense view of _law_rows_at, with the ring's zero filled in.
+        A dense view of _law_rows_at, with 0 filled in.
         """
-        return _dense(self._law_rows_at(matrix), self.module.ngens,
-                      self.module.ring.zero())
+        return _dense(self._law_rows_at(matrix), self.module.ngens, 0)
 
-    def _law_rows_at(self, matrix: Sequence[Sequence[int]]) -> List[Dict[int, object]]:
-        """Sparse rows {column: nonzero payload} of the law at a concrete
+    def _law_rows_at(self, matrix: Sequence[Sequence[int]]) -> List[Dict[int, int]]:
+        """Sparse rows {column: nonzero int} of the law at a concrete
         integer matrix.
 
-        The entries of a concrete matrix are constants, so the law is built
-        over the empty varset: h_i_j variables would only add exponent
-        slots that stay zero.  Each entry is read off at the exponent ().
+        The entries of a concrete matrix are constants, so the combinators
+        multiply and add ints; only the Sym node expands polynomials, in
+        the scratch variables of the target basis alone.
         """
-        ring = self.module.ring
-        vs = VarSet(())
-        h = []
-        for row in matrix:
-            entries = {}
-            for j in range(self.rank):
-                c = MultiPoly.constant(ring, vs, ring.from_int(row[j]))
-                if not c.is_zero():
-                    entries[j] = c
-            h.append(entries)
-        rows = _law_matrix(self.expr, self.rank, len(matrix), h, ring, vs)
-        return [{j: e.terms[()] for j, e in row.items()} for row in rows]
+        h = [{j: row[j] for j in range(self.rank) if row[j]} for row in matrix]
+        return _law_matrix(self.expr, self.rank, len(matrix), h, ZZ, None)
 
 
 def _dense(rows: List[dict], width: int, zero) -> list:
@@ -269,16 +262,19 @@ def rank_at(expr: FunctorExpr, n: int) -> int:
 
 
 def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
-                h: Rows, ring: BaseRing, vs: VarSet) -> Rows:
-    """Law matrix of expr at the (possibly symbolic) n_to x n_from matrix h.
+                h: Rows, ring: BaseRing, vs: Optional[VarSet]) -> Rows:
+    """Law matrix of expr at the n_to x n_from matrix h.
 
-    Both h and the result are sparse rows: row i is a dict {column j:
-    entry (i, j)} holding the nonzero entries only, so every combinator
-    touches nonzero entries alone.  The result has one row per basis
-    vector of expr at n_to; its width, the basis size at n_from, is not
-    stored.
+    The entries of h are MultiPolys over ring and vs (a symbolic matrix),
+    or, when vs is None, payloads of ring that *, + and - act on: ints of
+    ZZ for a concrete integer matrix.  Both h and the result are sparse
+    rows: row i is a dict {column j: entry (i, j)} holding the nonzero
+    entries only, so every combinator touches nonzero entries alone.  The
+    result has one row per basis vector of expr at n_to; its width, the
+    basis size at n_from, is not stored.
     """
-    one = MultiPoly.constant(ring, vs, ring.one())
+    scalar = vs is None
+    one = ring.one() if scalar else MultiPoly.constant(ring, vs, ring.one())
     if isinstance(expr, Const):
         return [{i: one} for i in range(expr.module.ngens)]
     if isinstance(expr, Id):
@@ -287,15 +283,17 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         src = degree_monomials(n_from, expr.d)
         tgt_index = {e: i for i, e in enumerate(degree_monomials(n_to, expr.d))}
         # expand in scratch variables f!1..f!n_to, the basis of the target,
-        # after the h block; the f-exponent of a term names its row
-        big = VarSet(vs.names + tuple(f"f!{i + 1}" for i in range(n_to)),
-                     vs.weights + (1,) * n_to)
+        # after the h block (none for scalar entries); the f-exponent of a
+        # term names its row
+        head = VarSet(()) if scalar else vs
+        big = VarSet(head.names + tuple(f"f!{i + 1}" for i in range(n_to)),
+                     head.weights + (1,) * n_to)
         # image of e_j: the linear form sum_i h_i_j f_i, None when it is zero
         lin: List[Optional[MultiPoly]] = [None] * n_from
         for i, row in enumerate(h):
             f_i = MultiPoly.variable(ring, big, f"f!{i + 1}")
             for j, x in row.items():
-                term = x.rename(big) * f_i
+                term = f_i.scale(x) if scalar else x.rename(big) * f_i
                 lin[j] = term if lin[j] is None else lin[j] + term
         out: Rows = [{} for _ in tgt_index]
         for c, exp in enumerate(src):
@@ -307,13 +305,15 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
                     img = lin[j] ** e if img is None else img * lin[j] ** e
             if img is None:
                 img = MultiPoly.constant(ring, big, ring.one())
-            for fexp, entry in img.by_trailing(vs).items():
+            for fexp, entry in (img.terms if scalar else img.by_trailing(vs)).items():
                 out[tgt_index[fexp]][c] = entry
         return out
     if isinstance(expr, Ext):
         col_index = {c: k for k, c in enumerate(combinations(range(n_from), expr.d))}
-        memo: Dict[tuple, Dict[tuple, MultiPoly]] = {(): {(): one}}
-        return [{col_index[cols]: x for cols, x in _minors(h, rows, memo).items()}
+        memo: Dict[tuple, Dict[tuple, object]] = {(): {(): one}}
+        is_zero = ring.is_zero if scalar else MultiPoly.is_zero
+        return [{col_index[cols]: x
+                 for cols, x in _minors(h, rows, memo, is_zero).items()}
                 for rows in combinations(range(n_to), expr.d)]
     if isinstance(expr, Tensor):
         out = None
@@ -355,15 +355,16 @@ def _transpose(rows: Rows, width: int) -> Rows:
     return out
 
 
-def _minors(h: Rows, rows: tuple, memo: Dict[tuple, Dict[tuple, MultiPoly]]
-            ) -> Dict[tuple, MultiPoly]:
+def _minors(h: Rows, rows: tuple, memo: Dict[tuple, Dict[tuple, object]],
+            is_zero) -> Dict[tuple, object]:
     """{cols: determinant of h restricted to rows x cols}, nonzero ones only.
 
     Laplace expansion along the first row, over its nonzero entries: entry
     (rows[0], c) times each minor of rows[1:] on columns without c, with
     the sign of c's position in the merged columns.  The minors of each
     row tuple are memoized in memo (seeded with {(): {(): one}}), so the
-    Ext law builds each one once; a minor that cancels is left out.
+    Ext law builds each one once; a minor that cancels, as is_zero tells,
+    is left out.
     """
     out = memo.get(rows)
     if out is not None:
@@ -373,7 +374,7 @@ def _minors(h: Rows, rows: tuple, memo: Dict[tuple, Dict[tuple, MultiPoly]]
         out = {(c,): x for c, x in first.items()}
     else:
         out = {}
-        for sub, minor in _minors(h, rows[1:], memo).items():
+        for sub, minor in _minors(h, rows[1:], memo, is_zero).items():
             for c, x in first.items():
                 pos = bisect_left(sub, c)
                 if pos < len(sub) and sub[pos] == c:
@@ -385,7 +386,7 @@ def _minors(h: Rows, rows: tuple, memo: Dict[tuple, Dict[tuple, MultiPoly]]
                     out[cols] = -term if prev is None else prev - term
                 else:
                     out[cols] = term if prev is None else prev + term
-        out = {cols: x for cols, x in out.items() if not x.is_zero()}
+        out = {cols: x for cols, x in out.items() if not is_zero(x)}
     memo[rows] = out
     return out
 

@@ -187,6 +187,15 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     fields), and Q would be a smaller relation.  A rank below N certifies
     nothing, and elimination runs.
     """
+    return _closure(alpha, n, ring, guards, _expansion(alpha, n, ring, guards))
+
+
+def _expansion(alpha: PolyTransformation, n: int, ring: BaseRing,
+               guards: SizeGuards) -> tuple:
+    """(source varset, coordinates, target varset) of alpha at rank n over
+    the field ring, with the rule's sizes checked against the functors:
+    the part of image_closure that a caller keying a cache on the
+    coordinates needs before it looks up, so the rule runs once."""
     guards.check_variables(alpha, n)
     if not ring.is_field():
         raise ValueError(f"image closure needs a field, got {ring.tag()}")
@@ -194,6 +203,13 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     y_vs = target_varset(alpha.target, n)
     if len(src_vs) != rank_at(alpha.source, n) or len(coords) != len(y_vs):
         raise AssertionError("rule output does not match the functor ranks")
+    return src_vs, coords, y_vs
+
+
+def _closure(alpha: PolyTransformation, n: int, ring: BaseRing,
+             guards: SizeGuards, expansion: tuple) -> ClosedSubsetAtRank:
+    """image_closure from the _expansion of alpha at rank n over ring."""
+    src_vs, coords, y_vs = expansion
     if _dense_image(coords, len(src_vs), ring):
         return ClosedSubsetAtRank(alpha.target, n, ring, y_vs, (),
                                   GroebnerBasis((), Grevlex(), ring, y_vs))
@@ -408,6 +424,13 @@ def equivariance_check(subset: ClosedSubsetAtRank,
     answers True when I is not radical and g.f is a radical member
     without being a member.  Image closure ideals are prime, hence
     radical, and stable, so their checks run no Buchberger at all.
+
+    The law at an integer matrix is linear, so it moves a nonzero multiple
+    c*f to c*(g.f), and an ideal holds c*(g.f) exactly when it holds g.f.
+    So the generators are moved in the form ring.primitive gives them:
+    over QQ their integer-primitive multiples, substituted and tested for
+    membership over ZZ without one fraction.  Only the Rabinowitsch run
+    takes the moved generator back over ring.
     """
     ring = subset.ring
     n = subset.rank
@@ -418,21 +441,24 @@ def equivariance_check(subset: ClosedSubsetAtRank,
     ev = evaluate(subset.functor, n)
     vs = subset.varset
     units = [tuple(int(i == j) for i in range(len(vs))) for j in range(len(vs))]
-    gens = list(subset.generators)
+    gens = []
+    for f in subset.generators:
+        work, coeffs = ring.primitive(list(f.terms.values()))
+        gens.append(MultiPoly(work, vs, dict(zip(f.terms, coeffs))))
     for g in matrices:
-        act = ev.law_at(g)   # integer entries; the functor lives over ZZ
         mapping = {}
-        for nm, row in zip(vs.names, act):
+        for nm, row in zip(vs.names, ev._law_rows_at(g)):
             terms = {}
-            for unit, a in zip(units, row):
-                c = ring.from_int(a)
-                if not ring.is_zero(c):
-                    terms[unit] = c
-            mapping[nm] = MultiPoly(ring, vs, terms)
+            for j, a in row.items():
+                c = work.from_int(a)
+                if not work.is_zero(c):
+                    terms[units[j]] = c
+            mapping[nm] = MultiPoly(work, vs, terms)
         for moved in substitute_all(gens, mapping):
             if moved.is_zero() or subset.gb.contains(moved):
                 continue
-            if not radical_membership(moved, gens):
+            if not radical_membership(moved.map_coefficients(ring.coerce, ring),
+                                      subset.generators):
                 return False
     return True
 

@@ -40,16 +40,17 @@ skips coprime pairs and chained ones (see _s_pairs): those among a new
 entry's pairs when it joins, those that later entries chain, which this AND
 finds, at their pop.
 
-Coefficient arithmetic sits behind one of two kernels, picked once per run
-from the ring:
+Coefficient arithmetic sits behind one of two kernels, which _kernel picks
+from the ring for buchberger and for GroebnerBasis alike:
 
 - the field kernel works on ring payloads (F_p, k[t]/(f) and, for
-  reduction only, ZZ/mZ) and keeps basis elements monic; every reduction
-  outside buchberger (GroebnerBasis.reduce, .contains and
-  .satisfies_criterion) runs it, QQ included;
+  reduction only, ZZ/mZ) and keeps basis elements monic;
 - the QQ kernel works fraction-free on integers, keeps basis elements with
-  content 1 and positive leading coefficient, and returns a positive
-  rational multiple of the field remainder.
+  content 1 and positive leading coefficient, and its reduce returns a
+  positive rational multiple of the field remainder.  That is all a zero
+  test needs (GroebnerBasis.contains and .satisfies_criterion);
+  GroebnerBasis.reduce divides by the multiple, which the reduction
+  tracks as it scales and strips its integers, so the remainder is exact.
 
 Both kernels reduce by one deterministic rule: the largest remaining term
 first, by the first basis element in list order whose leading monomial
@@ -89,7 +90,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -325,6 +326,10 @@ class _FieldKernel(_Kernel):
                     pending[e3] = val
         return result
 
+    def remainder(self, f: MultiPoly, reducers: _Reducers) -> MultiPoly:
+        """The remainder of f modulo the reducer entries."""
+        return self.to_poly(self.reduce(self.prepare(f), reducers))
+
     def to_poly(self, terms: dict) -> MultiPoly:
         unpack = self.pack.unpack
         return MultiPoly(self.ring, self.vs, {unpack(e): c for e, c in terms.items()})
@@ -339,10 +344,9 @@ class _RationalKernel(_Kernel):
     means content 1 with a positive leading coefficient."""
 
     def prepare(self, f: MultiPoly) -> dict:
-        """Clear denominators with their least common multiple."""
-        den = 1
-        for c in f.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
+        """Clear denominators with their least common multiple; integer
+        coefficients, as of a polynomial over ZZ, pass unchanged."""
+        den = _denominator(f)
         pack = self.pack.pack
         return {pack(e): int(c * den) for e, c in f.terms.items()}
 
@@ -379,13 +383,30 @@ class _RationalKernel(_Kernel):
         """Pseudo-remainder modulo the reducer entries in within, with
         integer arithmetic; the result is the true normal form times a
         positive rational, which normalize removes."""
+        return self.pseudo_remainder(terms, reducers, within)[0]
+
+    def remainder(self, f: MultiPoly, reducers: _Reducers) -> MultiPoly:
+        """The remainder of f modulo the reducer entries, exactly: the
+        pseudo-remainder of f's cleared form over the multiple it carries."""
+        r, num, den = self.pseudo_remainder(self.prepare(f), reducers)
+        den *= _denominator(f)
+        unpack = self.pack.unpack
+        return MultiPoly(self.ring, self.vs,
+                         {unpack(e): Fraction(c * num, den) for e, c in r.items()})
+
+    def pseudo_remainder(self, terms: dict, reducers: _Reducers,
+                         within: int = -1) -> tuple:
+        """(r, num, den): r is reduce's pseudo-remainder, and r * num / den
+        the true normal form.  Each step multiplies every coefficient by the
+        same positive integer, or divides them all by a common factor; den
+        is the product of the multipliers and num that of the factors."""
         first_divisor = reducers.first_divisor
         mask, guard = self.pack.mask, self.pack.guard
         pending = dict(terms)
         result = {}
         heap = [(2 * (e & mask) - e, e) for e in pending]
         heapq.heapify(heap)
-        swell = 1
+        swell = num = den = 1
         while heap:
             if swell.bit_length() > 256:
                 # strip accumulated content so integers stay small
@@ -397,6 +418,7 @@ class _RationalKernel(_Kernel):
                 if g > 1:
                     pending = {e: v // g for e, v in pending.items()}
                     result = {e: v // g for e, v in result.items()}
+                    num *= g
                 swell = 1
             _, exp = heapq.heappop(heap)
             if exp & guard:
@@ -418,6 +440,7 @@ class _RationalKernel(_Kernel):
                     result[e2] *= mult
                 c *= mult
                 swell *= mult
+                den *= mult
             factor = c // lc
             for e2, c2 in tail:
                 e3 = e2 + exp
@@ -430,7 +453,7 @@ class _RationalKernel(_Kernel):
                     pending[e3] = val
                 else:
                     pending.pop(e3, None)
-        return result
+        return result, num, den
 
     def to_poly(self, terms: dict) -> MultiPoly:
         unpack = self.pack.unpack
@@ -444,6 +467,11 @@ class _RationalKernel(_Kernel):
                          {unpack(e): Fraction(c, lc) for e, c in terms.items()})
 
 
+def _denominator(f: MultiPoly) -> int:
+    """The least common multiple of the denominators of f's coefficients."""
+    return lcm(*(c.denominator for c in f.terms.values()))
+
+
 def _widening(run, width: int = 8):
     """run(width), and again at twice the width after each overflow."""
     while True:
@@ -453,16 +481,24 @@ def _widening(run, width: int = 8):
             width *= 2
 
 
+def _kernel(ring: BaseRing, vs: VarSet, order: MonomialOrder,
+            width: int = 8) -> _Kernel:
+    """The coefficient kernel of ring: fraction-free integers over QQ, the
+    ring's own payloads otherwise."""
+    kind = _RationalKernel if isinstance(ring, RationalField) else _FieldKernel
+    return kind(ring, vs, order, width)
+
+
 def _field_reducer(ring: BaseRing, vs: VarSet, order: MonomialOrder,
                    G: Sequence[MultiPoly], width: int = 8) -> tuple:
-    """Field kernel and the indexed reducer entries of the nonzero
+    """The kernel of ring and the indexed reducer entries of the nonzero
     elements of G.  Reduction only inverts leading coefficients, so a
     product of fields such as ZZ/mZ (m squarefree) will do: there an
     element whose leading coefficient is not a unit raises NotAUnit."""
     if not ring.is_product_of_fields():
         raise NonFieldCoefficients(
             f"reduction needs coefficients in a product of fields, got {ring.tag()}")
-    kernel = _FieldKernel(ring, vs, order, width)
+    kernel = _kernel(ring, vs, order, width)
     terms = [kernel.prepare(g) for g in G if not g.is_zero()]
     return kernel, _Reducers(kernel.pack, [kernel.entry(t, kernel.lead(t)) for t in terms])
 
@@ -484,7 +520,7 @@ class GroebnerBasis:
 
     @cached_property
     def _reducer(self) -> tuple:
-        """Field kernel and indexed reducer entries of the nonzero
+        """The ring's kernel and the indexed reducer entries of the nonzero
         generators, built once per basis at the narrowest width that packs
         them."""
         return _widening(lambda width: _field_reducer(
@@ -506,10 +542,11 @@ class GroebnerBasis:
     def reduce(self, f: MultiPoly) -> MultiPoly:
         """Remainder of f modulo the generators: no term of the result is
         divisible by the leading monomial of a generator."""
-        return self._run(lambda kernel, reducers: kernel.to_poly(
-            kernel.reduce(kernel.prepare(f), reducers)))
+        return self._run(lambda kernel, reducers: kernel.remainder(f, reducers))
 
     def contains(self, f: MultiPoly) -> bool:
+        """Is the remainder of f zero?  Over QQ the test runs on integers,
+        so f may also be given over ZZ."""
         return self._run(lambda kernel, reducers: not kernel.reduce(
             kernel.prepare(f), reducers))
 
@@ -630,13 +667,12 @@ def _reduced_basis(F: Sequence[MultiPoly], order: MonomialOrder,
     _require_field(ring)
     if weights is not None and (len(weights) != len(vs) or min(weights) < 1):
         raise ValueError("weights must give one positive integer per variable")
-    kernel = _RationalKernel if isinstance(ring, RationalField) else _FieldKernel
     logged = 0 if new_poly_log is None else len(new_poly_log)
 
     def run(width):
         if new_poly_log is not None:
             del new_poly_log[logged:]  # what a narrower run logged
-        return _complete(kernel(ring, vs, order, width), inputs, new_poly_log,
+        return _complete(_kernel(ring, vs, order, width), inputs, new_poly_log,
                          weights, front)
 
     return _widening(run)

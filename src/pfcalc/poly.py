@@ -12,10 +12,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .rings import BaseRing, QuotientRing
+from .rings import QQ, BaseRing, QuotientRing
 
 
 @dataclass(frozen=True)
@@ -159,11 +158,9 @@ def degree_monomials(n: int, d: int) -> List[Tuple[int, ...]]:
 
 def integer_primitive(values: Sequence[Fraction]) -> List[Fraction]:
     """The positive rational multiple of values that is integral with
-    content 1: lcm of the denominators over gcd of the numerators.  An
-    all-zero sequence comes back unchanged."""
-    den = lcm(*(a.denominator for a in values))
-    num = gcd(*(a.numerator * (den // a.denominator) for a in values))
-    return [a * den / num for a in values] if num else list(values)
+    content 1 (see RationalField.primitive).  An all-zero sequence comes
+    back unchanged."""
+    return list(map(Fraction, QQ.primitive(values)[1]))
 
 
 def _accumulate(ring: BaseRing, terms: dict, other: dict, combine) -> dict:

@@ -160,6 +160,13 @@ class BaseRing:
                             self.inv(self.from_int(x.denominator)))
         raise TypeError(f"cannot coerce {x!r} into {self.tag()}")
 
+    def primitive(self, payloads: list) -> Tuple["BaseRing", list]:
+        """A ring, and the payloads there of a nonzero multiple of the
+        payload vector, for work that needs the vector only up to such a
+        multiple: the vector itself in this ring.  QQ gives its
+        integer-primitive multiple over ZZ."""
+        return self, payloads
+
     def fmt(self, a) -> str:
         return str(a)
 
@@ -262,6 +269,15 @@ class RationalField(BaseRing):
         if isinstance(x, Fraction):
             return x
         return super().coerce(x)
+
+    def primitive(self, payloads):
+        """Over ZZ, the positive multiple with content 1: times the lcm of
+        the denominators, over the gcd of the numerators.  An all-zero
+        vector stays zero."""
+        den = math.lcm(*(a.denominator for a in payloads))
+        ints = [a.numerator * (den // a.denominator) for a in payloads]
+        num = math.gcd(*ints)
+        return ZZ, [a // num for a in ints] if num else ints
 
     def characteristic(self):
         return 0

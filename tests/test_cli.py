@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, validation, caching, determinism."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from pfcalc import cli
 from pfcalc.cli import (DIMFN_RANK_LIMIT, MODULUS_DEGREE_LIMIT, GBCache,
                         build_parser, deserialize_basis, main, serialize_basis)
-from pfcalc.functors import parse_functor, rank_at
+from pfcalc.functors import Sym, parse_functor, rank_at
 from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
 from pfcalc.rings import QQ, QuotientRing, ring_from_tag
@@ -484,6 +486,38 @@ def test_cache_hit_obeys_max_basis(capsys, tmp_path):
     assert "eliminated basis too large" in hit[2]
 
 
+def test_cached_jobs_expand_the_rule_once_and_check_it(monkeypatch, capsys, tmp_path):
+    # a cold job with --cache-dir runs the rule once, for the cache key and
+    # the closure alike; a hit checks the rule's sizes against the functors
+    calls = []
+    source = []  # a source functor to put in place of the true one
+    own = cli.sum_of_powers
+
+    def counted(*args):
+        alpha = own(*args)
+
+        def rule(n, ring):
+            calls.append(n)
+            return alpha.rule(n, ring)
+
+        return dataclasses.replace(alpha, rule=rule,
+                                   source=source[0] if source else alpha.source)
+
+    monkeypatch.setattr(cli, "sum_of_powers", counted)
+    cfg = {"transformation": {"template": "sum-of-powers", "num_forms": 1, "power": 3},
+           "rank": 3, "field": "QQ"}
+    for command in ("image-closure", "equivariance"):
+        calls.clear()
+        code, _, _ = run(capsys, tmp_path, command, cfg,
+                         "--cache-dir", str(tmp_path / command))
+        assert code == 0 and calls == [3]
+    # same rule, so same cache key, but a source functor of another rank
+    source.append(Sym(2))
+    with pytest.raises(AssertionError, match="rule output does not match"):
+        run(capsys, tmp_path, "equivariance", cfg,
+            "--cache-dir", str(tmp_path / "equivariance"))
+
+
 @pytest.mark.parametrize("field, value", [("order", "lex"), ("ring", "Fp(7)")])
 def test_cache_mismatched_entry_is_recomputed(capsys, tmp_path, field, value):
     cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
@@ -636,7 +670,7 @@ def test_ring_types_are_tested_only_in_rings():
     # where it picks an algorithm or a syntax (the Groebner kernel, the
     # parenthesized quotient-ring coefficient, the parser's t)
     classes = {"IntegerRing", "RationalField", "ModularIntegers", "QuotientRing"}
-    allowed = {("groebner.py", "_reduced_basis"), ("poly.py", "_fmt_coeff"),
+    allowed = {("groebner.py", "_kernel"), ("poly.py", "_fmt_coeff"),
                ("poly.py", "parse_factor")}
     found = set()
 

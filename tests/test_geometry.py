@@ -21,7 +21,8 @@ from pfcalc.groebner import (GroebnerBasis, _graph_grading, buchberger, eliminat
                              ideal_dimension, radical_membership)
 from pfcalc.poly import (Grevlex, MultiPoly, VarSet, degree_monomials, format_poly,
                          parse_poly)
-from pfcalc.rings import Fp, ModularIntegers, NotAUnit, QQ, ZZ, ring_from_tag
+from pfcalc.rings import (Fp, ModularIntegers, NotAUnit, QQ, RationalField, ZZ,
+                          ring_from_tag)
 
 
 def test_cube_sum_dimensions_rank2():
@@ -564,8 +565,15 @@ def test_equivariance_of_image_closures(monkeypatch):
         return verdict
 
     monkeypatch.setattr(GroebnerBasis, "contains", recorded)
+    # and seeded sums of powers (m forms, k-th powers, rank n) whose
+    # closures have generators: two over QQ, one over a small F_p
+    rng = random.Random(2611)
+    shapes = rng.sample([(1, 2, 3), (1, 3, 2), (1, 4, 2), (2, 2, 3)], 3)
+    fields = (QQ, QQ, Fp(rng.choice((2, 5, 7))))
+    seeded = tuple((sum_of_powers(m, k), n, field)
+                   for (m, k, n), field in zip(shapes, fields))
     for alpha, n, ring in ((cube_sum, 2, QQ), (cube_sum, 2, Fp(3)),
-                           (sum_of_powers(1, 3), 3, QQ)):
+                           (sum_of_powers(1, 3), 3, QQ)) + seeded:
         subset = image_closure(alpha, n, ring)
         verdicts.clear()
         assert equivariance_check(subset)
@@ -574,6 +582,32 @@ def test_equivariance_of_image_closures(monkeypatch):
         for gb, f, verdict in verdicts:
             assert gb is subset.gb
             assert verdict == radical_membership(f, subset.generators)
+
+
+def test_equivariance_over_QQ_runs_in_integers(monkeypatch):
+    # the generators are moved in their integer-primitive forms over ZZ and
+    # tested by the fraction-free QQ kernel: no product goes through QQ
+    # and no reduction through the field kernel
+    subsets = [image_closure(alpha, n, QQ)
+               for alpha, n in ((cube_sum, 2), (sum_of_powers(1, 3), 3))]
+    control = image_closure(sum_of_powers(1, 3), 3, Fp(5))
+    calls = []
+
+    def counting(name, own):
+        def counted(*args):
+            calls.append(name)
+            return own(*args)
+        return counted
+
+    monkeypatch.setattr(RationalField, "mul", counting("mul", RationalField.mul))
+    monkeypatch.setattr(groebner._FieldKernel, "reduce",
+                        counting("reduce", groebner._FieldKernel.reduce))
+    for subset in subsets:
+        assert equivariance_check(subset)
+    assert calls == []
+    # the counters see the field kernel of a closure over F_p
+    assert equivariance_check(control)
+    assert "reduce" in calls and "mul" not in calls
 
 
 def _closed_subset(target, n, gens):

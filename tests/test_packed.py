@@ -6,6 +6,7 @@ and the pair schedule that good_primes shares between primes."""
 import json
 import operator
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -223,3 +224,72 @@ def test_good_primes_share_one_pair_schedule(monkeypatch):
             gens_p = [f.map_coefficients(ring_p.coerce, ring_p)
                       for f in report.generic_basis]
             assert tuple_engine.verify_buchberger_criterion(gens_p, Grevlex())
+
+
+def _combination(rng, gens):
+    """A random member of <gens>: each generator times a term of degree at
+    most 2 with a small rational coefficient."""
+    out = MultiPoly.zero(QQ, gens[0].varset)
+    for g in gens:
+        e = rng.choice([m for d in range(3) for m in degree_monomials(len(VS4), d)])
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        out = out + g * MultiPoly(QQ, VS4, {e: c} if c else {})
+    return out
+
+
+def _fraction_free(monkeypatch):
+    """Make any reduction through the field kernel fail."""
+    def refused(*args):
+        raise AssertionError("QQ membership ran the field kernel")
+
+    monkeypatch.setattr(groebner._FieldKernel, "reduce", refused)
+
+
+@pytest.mark.parametrize("order", [Grevlex(), Elimination(1), Elimination(2)],
+                         ids=["grevlex", "elim1", "elim2"])
+def test_qq_membership_is_fraction_free(monkeypatch, order):
+    # contains over QQ reduces on integers, and its verdict is that of the
+    # tuple engine's Fraction remainder, on members and on non-members;
+    # reduce divides out the multiple and returns that remainder exactly
+    rng = random.Random(f"membership {order.tag()}")
+    verdicts = set()
+    for gens in _random_ideals(QQ, rng, 12):
+        gb = buchberger(gens, order)
+        kernel, reducers = tuple_engine._field_reducer(QQ, VS4, order, gb.generators)
+        _fraction_free(monkeypatch)
+        for _ in range(4):
+            member = _combination(rng, gens)
+            term = MultiPoly(QQ, VS4, {rng.choice(degree_monomials(len(VS4), 2)):
+                                       Fraction(rng.randint(1, 9), rng.randint(1, 9))})
+            for f in (member, member + term):
+                want = kernel.to_poly(kernel.reduce(f.terms, reducers))
+                assert gb.contains(f) == want.is_zero()
+                assert _terms([gb.reduce(f)]) == _terms([want])
+                verdicts.add(want.is_zero())
+        monkeypatch.undo()
+    assert verdicts == {True, False}
+
+
+def test_qq_membership_reruns_at_16_bits(monkeypatch):
+    # a basis whose exponents need 16-bit digits, and a member whose
+    # exponents overflow the 8-bit reducer of a basis that fits in it:
+    # both take the wider re-run of _widening, still on integers
+    vs = VarSet(("x", "y"))
+    x = MultiPoly.variable(QQ, vs, "x")
+    for text, width in (("3*x^130 - 2*y^2 + x", 16), ("2*x^3*y - 3*y^2 + 1", 8)):
+        gb = buchberger([parse_poly(text, QQ, vs)], Grevlex())
+        assert gb._reducer[0].pack.width == width
+        kernel, reducers = tuple_engine._field_reducer(QQ, vs, Grevlex(), gb.generators)
+        _fraction_free(monkeypatch)
+        rebuilt = []
+        own = groebner._field_reducer
+        monkeypatch.setattr(groebner, "_field_reducer",
+                            lambda *args: rebuilt.append(args[-1]) or own(*args))
+        member = gb.generators[0] * (x ** 200 * Fraction(-4, 9) + x)
+        for f in (member, member + x ** 201):
+            want = kernel.to_poly(kernel.reduce(f.terms, reducers))
+            assert gb.contains(f) == want.is_zero() == (f is member)
+            assert _terms([gb.reduce(f)]) == _terms([want])
+        # the 8-bit reducer is rebuilt at 16 bits for each call
+        assert rebuilt == ([] if width == 16 else [16] * 4)
+        monkeypatch.undo()
