@@ -251,12 +251,12 @@ def test_qq_membership_is_fraction_free(monkeypatch, order):
     # contains over QQ reduces on integers, and its verdict is that of the
     # tuple engine's Fraction remainder, on members and on non-members;
     # reduce divides out the multiple and returns that remainder exactly
+    _fraction_free(monkeypatch)
     rng = random.Random(f"membership {order.tag()}")
     verdicts = set()
     for gens in _random_ideals(QQ, rng, 12):
         gb = buchberger(gens, order)
         kernel, reducers = tuple_engine._field_reducer(QQ, VS4, order, gb.generators)
-        _fraction_free(monkeypatch)
         for _ in range(4):
             member = _combination(rng, gens)
             term = MultiPoly(QQ, VS4, {rng.choice(degree_monomials(len(VS4), 2)):
@@ -266,7 +266,6 @@ def test_qq_membership_is_fraction_free(monkeypatch, order):
                 assert gb.contains(f) == want.is_zero()
                 assert _terms([gb.reduce(f)]) == _terms([want])
                 verdicts.add(want.is_zero())
-        monkeypatch.undo()
     assert verdicts == {True, False}
 
 
@@ -274,22 +273,22 @@ def test_qq_membership_reruns_at_16_bits(monkeypatch):
     # a basis whose exponents need 16-bit digits, and a member whose
     # exponents overflow the 8-bit reducer of a basis that fits in it:
     # both take the wider re-run of _widening, still on integers
+    _fraction_free(monkeypatch)
+    rebuilt = []  # the width of each reducer built
+    own = groebner._field_reducer
+    monkeypatch.setattr(groebner, "_field_reducer",
+                        lambda *args: rebuilt.append(args[-1]) or own(*args))
     vs = VarSet(("x", "y"))
     x = MultiPoly.variable(QQ, vs, "x")
     for text, width in (("3*x^130 - 2*y^2 + x", 16), ("2*x^3*y - 3*y^2 + 1", 8)):
         gb = buchberger([parse_poly(text, QQ, vs)], Grevlex())
-        assert gb._reducer[0].pack.width == width
         kernel, reducers = tuple_engine._field_reducer(QQ, vs, Grevlex(), gb.generators)
-        _fraction_free(monkeypatch)
-        rebuilt = []
-        own = groebner._field_reducer
-        monkeypatch.setattr(groebner, "_field_reducer",
-                            lambda *args: rebuilt.append(args[-1]) or own(*args))
+        rebuilt.clear()
         member = gb.generators[0] * (x ** 200 * Fraction(-4, 9) + x)
         for f in (member, member + x ** 201):
             want = kernel.to_poly(kernel.reduce(f.terms, reducers))
             assert gb.contains(f) == want.is_zero() == (f is member)
             assert _terms([gb.reduce(f)]) == _terms([want])
-        # the 8-bit reducer is rebuilt at 16 bits for each call
-        assert rebuilt == ([] if width == 16 else [16] * 4)
-        monkeypatch.undo()
+        # the cached reducer is tried at 8 bits first and kept at width;
+        # an 8-bit one is rebuilt at 16 bits for each of the four calls
+        assert rebuilt == {16: [8, 16], 8: [8] + [16] * 4}[width]
