@@ -19,7 +19,7 @@ from pfcalc import groebner
 from pfcalc.geometry import good_primes
 from pfcalc.groebner import GroebnerBasis, buchberger
 from test_packed import (ORDER_IDS, ORDERS, PRIMES_BELOW_100, RING_IDS, RINGS,
-                         VS4, _bench_ideals, _random_ideals)
+                         VS4, _bench_ideals, _random_ideals, _skip_weight_draws)
 
 
 def _terms(polys):
@@ -28,14 +28,13 @@ def _terms(polys):
 
 def engine_digests(ring, order) -> dict:
     """{what: sha256} over the runs of test_packed's engine comparison for
-    ring and order: the same ideals, weights and criterion inputs."""
+    ring and order: the same ideals and criterion inputs."""
     rng = random.Random(f"{ring.tag()} {order.tag()}")
     texts = {"basis": [], "log": [], "criterion_pairs": [], "verdicts": []}
     for gens in _random_ideals(ring, rng, 15):
-        weights = None if rng.random() < 0.5 else tuple(
-            rng.randrange(1, 4) for _ in VS4.names)
+        _skip_weight_draws(rng)
         log = []
-        gb = buchberger(gens, order, new_poly_log=log, weights=weights)
+        gb = buchberger(gens, order, new_poly_log=log)
         texts["basis"].append(_terms(gb.generators))
         texts["log"].append(_terms(log))
         for G in (gens, list(gb.generators), list(gb.generators) + gens,
@@ -60,7 +59,7 @@ ENGINE_PINS = {
         "basis":
             "8c5684d920b5da7acbec53d7a6e61de1b4a0aec7e7f60826c6ebd23466485780",
         "log":
-            "ed6af126b34dc5ce19926e75f89b25eca3d1ebdc4c57dc54ae527545fd2db578",
+            "a40f7348a9f372642811388355f11cfca23ad933a7d1e9a381a51d77ac4295cf",
         "criterion_pairs":
             "bca21dfc4998196c2b03fbc0949855c2c37e1cd553e9066ec3280b6799e7bb73",
         "verdicts":
@@ -70,7 +69,7 @@ ENGINE_PINS = {
         "basis":
             "b8c9cbb052d073d3da7a38165aaa0408ded5583444b2087e6a8d81ccbd7e2024",
         "log":
-            "cfa68a204b8ee03cfd67c7027be0a987f43d8646631ae82da4a9d9e0c9b358b5",
+            "24acd6a3c1423d4b3732b0f278581ac982e971505306c667f73486900388922f",
         "criterion_pairs":
             "46d582f5fc05b7ccbb68518d197c89bee22942e8ae52ab34b2fffb8eaa927bab",
         "verdicts":
@@ -80,7 +79,7 @@ ENGINE_PINS = {
         "basis":
             "4a5d8eb3fe2c2f3aca516e7283d662635b1f39dfc06503627de4c16f4ffab528",
         "log":
-            "9c5bb930ddab4c6ef5689234bc65480dc72b2899c30df471ce12b59d8097ee9c",
+            "b2e7e2c1c27664d2a8eb99bc83882ea6cf70b38802064e7837bb6c734819cad1",
         "criterion_pairs":
             "125a42e53a3691fd5fafba3237ab0db34d7ee372b825d1d459aa0613ad623499",
         "verdicts":
@@ -90,7 +89,7 @@ ENGINE_PINS = {
         "basis":
             "3c2565a3b3b679fa1ef300af754163a42e353581a253e9c49658cfafb261b0cd",
         "log":
-            "162b47d23209ddfa31cbb8197b11a67a6a1caa5c310b75e7e114b00e58ebcc2f",
+            "fbef256febc060dc096037949d797344f189351f96aeba2de0013deda2d1dda9",
         "criterion_pairs":
             "91ba39a17713c62600d3b870e338351cd38944eb6c0eb9613558f2dbdafef915",
         "verdicts":
@@ -130,7 +129,7 @@ ENGINE_PINS = {
         "basis":
             "2e860ee3a95f6a5be6e89d9280c5f523426ec10c7b46bcbb887bd9e196f66b2f",
         "log":
-            "0cb1a5b54d58af95242732e50cbe0f6a1b2b109d3fb92fc91ceb18b348b77e6e",
+            "885d11051a08a15e25d2b14e7992890de25fcded0912c9daaa313acee98f2935",
         "criterion_pairs":
             "c8c3cc124c0230234b40623f177a1cf3c42899b28c7206dc12af69ac29438da4",
         "verdicts":
@@ -140,7 +139,7 @@ ENGINE_PINS = {
         "basis":
             "e157c1ff690bacbcf5c2fc138c6d33bf4035e27a993a60ed9b3609d5c02b67f5",
         "log":
-            "113a2742be6cd5c371cc4cf670099689d30ad8b76319dcde4c72d6d377265083",
+            "d0e3363fc06d6cfbf19068ce315335c8e2f3566f3a78b9ffb1a1c228e7dbc688",
         "criterion_pairs":
             "7934900798b6b47228ffe23c7e55f6821aa70b0793d203cd0caa62c87762313b",
         "verdicts":
@@ -150,7 +149,7 @@ ENGINE_PINS = {
         "basis":
             "f7715c69c9e0c61bff543aff4fce7a79f2bad1239ac5736a40f442193100eb86",
         "log":
-            "f1cc6fc4fb7b544f5adc374fbf968b9ca47cd542e53d5a1323457aec35fe0cc5",
+            "ce9ec578ddf1082f01675e029119814be3fadd2d432405d393ccf54008e0caf7",
         "criterion_pairs":
             "37bfc7fb22b2e4394361aa810a0fab0e454628a84432fb11d2672be3cd7b6160",
         "verdicts":
@@ -160,7 +159,7 @@ ENGINE_PINS = {
         "basis":
             "81d622eceaaa3d00dc0892346e6f5d01721eb6cf26dd94742eac62e0e12460f0",
         "log":
-            "83a111a1cdfc5e0fdebf8d49b43a34bc3c98d41b796ad926e3a86dd7e5f114b0",
+            "a3d7b85b84b42c2914c43257cf7836671fb1df0746ab0671b9e5c1a6bf77681f",
         "criterion_pairs":
             "bb64b9d08f47e843e70fcec90eb385687e856f5558baa6dec8e4d5d032d73bb1",
         "verdicts":
@@ -190,7 +189,7 @@ ENGINE_PINS = {
         "basis":
             "66ac0fb03e76abd35988fc9ec55345a01bad19ebcd550e1c6652dc49ffb2ebdd",
         "log":
-            "809ded28b545db4d31c2c9ad4466989eaa92bd5e4d9d54c3f6e2b47110503a87",
+            "9ea7e79c10c0fc1f70f5f42e28ac8d8cb3e950185a3aee366b10c68b2bf03723",
         "criterion_pairs":
             "5f55941cf42ccf2001e8e72a1e2e69009f1cde79417d933d58938087bb351713",
         "verdicts":
@@ -200,7 +199,7 @@ ENGINE_PINS = {
         "basis":
             "3b2466cfcb08b1f6ff2489fd52715a5067bee3012642ef7fba04c0c9a2fef9de",
         "log":
-            "713ae1a135dcf61ab27aaffb84e237781520c31e73a29279a5ba5ad3ce8d75cf",
+            "b8032656b1b0143eddd40d1c9bb4248a585e06a2e33be6f1a891f43a5e82caf1",
         "criterion_pairs":
             "fb776e2987beb77b2daf4488afb843dfcc60a52db8e11b43df56221851a37a5a",
         "verdicts":
@@ -220,7 +219,7 @@ ENGINE_PINS = {
         "basis":
             "15c64960d8f304385665e8078845d53ec742465c697f9572dce40e998e47ac75",
         "log":
-            "b6bc272bc95ecfbe8648c47b8799f2c62c0a422f28203b6835fdd98677b29f4a",
+            "909158fc452e51e6526a9b2623a610065c667830d7bc8d49996deb4d296491be",
         "criterion_pairs":
             "1ec4897921f4b7a0a1f6899528a791c91548bd54c7a1d01595dd42e8dcd27483",
         "verdicts":
@@ -230,7 +229,7 @@ ENGINE_PINS = {
         "basis":
             "03e36a1f799962522cfe625e808ba3ad970838cbb65c2ed997d7b705e7409ef9",
         "log":
-            "3370f0752a4e9892e7d812710e6ee717739914c034c13d4dc971958d87536c7a",
+            "6db940fa5c44c7c53fb34b9cf896b5f581f135d112a4bb1bcd8a1764b1c182d2",
         "criterion_pairs":
             "0cfb4914262c10916520ec5a9e7371a7540d0b994c315cbcb5f44e9f7a2fa48a",
         "verdicts":

@@ -3,6 +3,7 @@
 order keys against order.key; re-packing at wider digits after an overflow;
 and the pair schedule that good_primes shares between primes."""
 
+import hashlib
 import json
 import operator
 import random
@@ -31,6 +32,19 @@ def _terms(polys):
     """Each polynomial's terms in dict order: the engines must agree even on
     the order in which terms were inserted."""
     return [list(f.terms.items()) for f in polys]
+
+
+def _digest(runs) -> str:
+    """sha256 of the repr of each run, one per line."""
+    return hashlib.sha256("\n".join(map(repr, runs)).encode()).hexdigest()
+
+
+def _skip_weight_draws(rng):
+    """Consume the draws that once chose each ideal's pair weights, so that
+    the seeded ideals stay the ones the pins were recorded on."""
+    if rng.random() >= 0.5:
+        for _ in VS4.names:
+            rng.randrange(1, 4)
 
 
 def _tuple_buchberger(F, order, weights=None):
@@ -86,6 +100,7 @@ def test_packed_engine_matches_tuple_engine(ring, order):
         want = kernel.to_poly(kernel.reduce(f.terms, reducers))
         assert _terms([gb.reduce(f)]) == _terms([want])
         assert gb.contains(f - want)
+        assert want.is_zero()  # f lies in the ideal
     # both verdicts occur
     assert True in verdicts and False in verdicts
 
@@ -136,13 +151,16 @@ def test_packed_keys_compare_like_order_keys(order):
 def test_repack_after_an_input_overflow():
     # 130 does not fit an 8-bit digit: the run re-packs before logging
     vs = VarSet(("x", "y"))
+    runs = []
     for ring in (QQ, Fp(5)):
         F = [parse_poly(t, ring, vs) for t in ("x^130 - y", "x*y - 1")]
-        _assert_same_run(F, Grevlex())
-        _assert_same_run(F[:1], Grevlex())
-        # a grevlex degree past 127 from exponents that fit
-        _assert_same_run([parse_poly("x^100*y^30 - 1", ring, vs),
-                          parse_poly("x^2 - y", ring, vs)], Grevlex())
+        # the last: a grevlex degree past 127 from exponents that fit
+        for G in (F, F[:1], [parse_poly("x^100*y^30 - 1", ring, vs),
+                             parse_poly("x^2 - y", ring, vs)]):
+            _assert_same_run(G, Grevlex())
+            want, want_log = _tuple_buchberger(G, Grevlex())
+            runs += [_terms(want.generators), _terms(want_log)]
+    assert _digest(runs) == INPUT_OVERFLOW_PIN
 
 
 @pytest.mark.parametrize("gens", [["x - y^100", "x*y^30 - 1"],   # S-polynomial
@@ -166,9 +184,11 @@ def test_repack_after_a_lex_overflow_keeps_the_log_clean(gens, ring):
     assert _terms(log[:2]) == _terms(early)
     assert len(log) == len(_tuple_buchberger(F, Lex())[1])
     # the criterion check and the cached reducer re-pack too
+    verdicts = []
     for G in (F, list(gb.generators)):
+        verdicts.append(tuple_engine.verify_buchberger_criterion(G, Lex()))
         assert GroebnerBasis(tuple(G), Lex(), ring, vs).satisfies_criterion() == \
-            tuple_engine.verify_buchberger_criterion(G, Lex())
+            verdicts[-1]
     basis = GroebnerBasis(tuple(F), Lex(), ring, vs)
     f = parse_poly("x^200*y^3 + x", ring, vs)
     kernel, reducers = tuple_engine._field_reducer(ring, vs, Lex(), F)
@@ -176,6 +196,9 @@ def test_repack_after_a_lex_overflow_keeps_the_log_clean(gens, ring):
     assert _terms([basis.reduce(f)]) == _terms([want])
     one = MultiPoly.constant(ring, vs, 1)
     assert basis.contains(f - want) and not basis.contains(f - want + one)
+    want_gb, want_log = _tuple_buchberger(F, Lex())
+    assert _digest([_terms(want_gb.generators), _terms(want_log), verdicts,
+                    _terms([want])]) == LEX_OVERFLOW_PINS[(ring.tag(), *gens)]
 
 
 def _bench_ideals():
@@ -254,6 +277,7 @@ def test_qq_membership_is_fraction_free(monkeypatch, order):
     _fraction_free(monkeypatch)
     rng = random.Random(f"membership {order.tag()}")
     verdicts = set()
+    remainders = []
     for gens in _random_ideals(QQ, rng, 12):
         gb = buchberger(gens, order)
         kernel, reducers = tuple_engine._field_reducer(QQ, VS4, order, gb.generators)
@@ -266,7 +290,9 @@ def test_qq_membership_is_fraction_free(monkeypatch, order):
                 assert gb.contains(f) == want.is_zero()
                 assert _terms([gb.reduce(f)]) == _terms([want])
                 verdicts.add(want.is_zero())
+                remainders.append(_terms([want]))
     assert verdicts == {True, False}
+    assert _digest(remainders) == QQ_MEMBERSHIP_PINS[order.tag()]
 
 
 def test_qq_membership_reruns_at_16_bits(monkeypatch):
@@ -280,6 +306,7 @@ def test_qq_membership_reruns_at_16_bits(monkeypatch):
                         lambda *args: rebuilt.append(args[-1]) or own(*args))
     vs = VarSet(("x", "y"))
     x = MultiPoly.variable(QQ, vs, "x")
+    remainders = []
     for text, width in (("3*x^130 - 2*y^2 + x", 16), ("2*x^3*y - 3*y^2 + 1", 8)):
         gb = buchberger([parse_poly(text, QQ, vs)], Grevlex())
         kernel, reducers = tuple_engine._field_reducer(QQ, vs, Grevlex(), gb.generators)
@@ -289,6 +316,33 @@ def test_qq_membership_reruns_at_16_bits(monkeypatch):
             want = kernel.to_poly(kernel.reduce(f.terms, reducers))
             assert gb.contains(f) == want.is_zero() == (f is member)
             assert _terms([gb.reduce(f)]) == _terms([want])
+            remainders.append(_terms([want]))
         # the cached reducer is tried at 8 bits first and kept at width;
         # an 8-bit one is rebuilt at 16 bits for each of the four calls
         assert rebuilt == {16: [8, 16], 8: [8] + [16] * 4}[width]
+    assert _digest(remainders) == WIDE_MEMBERSHIP_PIN
+
+
+# sha256 pins (_digest) of what the tuple engine gave on the inputs above:
+# the bases and logged polynomials of the overflow runs with the criterion
+# verdicts and remainder of the lex one, and the remainders of the QQ
+# membership tests
+INPUT_OVERFLOW_PIN = \
+    "ef126fbab2fa107bbe7382dbe019c63b680698794b04a49f3b0bd2bfad305848"
+LEX_OVERFLOW_PINS = {
+    ("QQ", "x - y^100", "x*y^30 - 1"):
+        "6545ee95747f6255bfbc60699c01a97501fcfd3bb027b2be2b504c85bfccdc70",
+    ("QQ", "x - y^70", "x^2 - y"):
+        "c7733e316b03a0e8da1d50c445c061156bf902720d46e050856a68dabb3beb7c",
+    ("Fp(7)", "x - y^100", "x*y^30 - 1"):
+        "acfca8e97f0c2f08047c2dd2465b4f5c237fac7b61cc1aaf0c3bea0cf49d98cf",
+    ("Fp(7)", "x - y^70", "x^2 - y"):
+        "a3643e64a46e1efa4dac5b203ede7b68a1b4d5e45f8adb2b3ad4c6920f7d7e55",
+}
+QQ_MEMBERSHIP_PINS = {
+    "grevlex": "cc4388a81d214f6d997b4f3fba4640f7cd2bb36ad0fd8f86c257d068782d9804",
+    "elim(1)": "c3877f1da8f6bbe8bc595f05566bfc735beff81232e3d258a877be91275d15af",
+    "elim(2)": "4af36ef9ec1c2144c6addd73f4100cc65113edb4dfc4d8f85768c04c6b204e2c",
+}
+WIDE_MEMBERSHIP_PIN = \
+    "ce1450025a36aea27bbb198884e22fae1fda137e4e0257588116a6aa694861b4"
