@@ -83,11 +83,16 @@ def _check_keys(cfg: dict, allowed: Sequence[str], where: str = "config"):
         raise ConfigError(f"unknown {where} key {unknown[0]!r}")
 
 
+def _is_int(x) -> bool:
+    """Is x an integer?  JSON true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _need(cfg: dict, key: str, typ, where: str = "config"):
     if key not in cfg:
         raise ConfigError(f"missing {where} key {key!r}")
     val = cfg[key]
-    if typ is not None and not isinstance(val, typ):
+    if typ is not None and (not isinstance(val, typ) or isinstance(val, bool)):
         raise ConfigError(f"{where} key {key!r} has the wrong type "
                           f"({type(val).__name__})")
     return val
@@ -99,11 +104,11 @@ def _opt(cfg: dict, key: str, typ, default, where: str = "config"):
     return _need(cfg, key, typ, where)
 
 
-def _prime_list(cfg: dict, key: str = "primes") -> List[int]:
-    primes = _need(cfg, key, list)
+def _prime_list(cfg: dict) -> List[int]:
+    primes = _need(cfg, "primes", list)
     for p in primes:
-        if not isinstance(p, int) or p >= PRIME_TEST_LIMIT or not is_prime(p):
-            raise ConfigError(f"config key {key!r} must list primes, got {p!r}")
+        if not _is_int(p) or p >= PRIME_TEST_LIMIT or not is_prime(p):
+            raise ConfigError(f"config key 'primes' must list primes, got {p!r}")
     return primes
 
 
@@ -122,10 +127,10 @@ def _ring_from_config(cfg: dict, key: str = "ring") -> BaseRing:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
-def _field_from_config(cfg: dict, key: str = "field") -> BaseRing:
-    ring = _ring_from_config(cfg, key)
+def _field_from_config(cfg: dict) -> BaseRing:
+    ring = _ring_from_config(cfg, "field")
     if not ring.is_field():
-        raise ConfigError(f"config key {key!r} must name a field, got {ring.tag()}")
+        raise ConfigError(f"config key 'field' must name a field, got {ring.tag()}")
     return ring
 
 
@@ -133,11 +138,13 @@ def _varset_from_config(cfg: dict) -> VarSet:
     names = _need(cfg, "variables", list)
     if not names or not all(isinstance(n, str) for n in names):
         raise ConfigError("config key 'variables' must be a nonempty list of names")
+    if len(set(names)) != len(names):
+        raise ConfigError("config key 'variables' must not repeat a name")
     weights = _opt(cfg, "weights", list, None)
     if weights is None:
         return VarSet(tuple(names))
     if len(weights) != len(names) or not all(
-            isinstance(w, int) and w >= 1 for w in weights):
+            _is_int(w) and w >= 1 for w in weights):
         raise ConfigError("config key 'weights' must list positive integers, "
                           "one per variable")
     return VarSet(tuple(names), tuple(weights))
@@ -173,7 +180,7 @@ def _module_from_config(cfg: dict, ring: BaseRing) -> FPModule:
 
 
 def _scalar_from_config(x, ring: BaseRing):
-    if not isinstance(x, (int, str)):
+    if not (_is_int(x) or isinstance(x, str)):
         raise ConfigError(f"bad scalar {x!r}: expected int or string")
     try:
         return ring.coerce(x)
@@ -271,7 +278,9 @@ class GBCache:
         try:
             with open(path, "rb") as fh:
                 return deserialize_basis(fh.read())
-        except (ValueError, KeyError, OSError, ArithmeticError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, OSError,
+                ArithmeticError) as exc:
+            # TypeError and AttributeError: valid JSON of the wrong shape
             print(f"warning: ignoring corrupt cache entry {path}: {exc}",
                   file=sys.stderr)
             return None
@@ -322,7 +331,7 @@ def _cmd_ring_of_module(cfg: dict, args) -> tuple:
     module = _module_from_config(cfg, ring)
     if "degrees" in cfg:
         degrees = _need(cfg, "degrees", list)
-        if not all(isinstance(d, int) and d >= 0 for d in degrees):
+        if not all(_is_int(d) and d >= 0 for d in degrees):
             raise ConfigError("config key 'degrees' must list integers >= 0")
     elif "max_degree" in cfg:
         top = _need(cfg, "max_degree", int)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 from .rings import QQ, ZZ, BaseRing, fraction_field_reduction
@@ -87,17 +87,6 @@ def fiber_dimension(module: FPModule, p: int) -> int:
         raise AssertionError(
             f"rank disagreement at p={p}: elimination {rk}, Smith form {snf_rk}")
     return module.ngens - rk
-
-
-def semicontinuity_report(module: FPModule, primes: Sequence[int]) -> Dict[int, int]:
-    """Fiber dimensions at 0 and each listed prime; dims never drop below generic."""
-    table = {0: fiber_dimension(module, 0)}
-    for p in primes:
-        table[p] = fiber_dimension(module, p)
-        if table[p] < table[0]:
-            raise AssertionError(
-                f"semicontinuity violated at p={p}: {table[p]} < generic {table[0]}")
-    return table
 
 
 def generic_freeness(module: FPModule,

@@ -3,8 +3,8 @@
 Image closures of polynomial transformations via graph-ideal elimination
 (or a Jacobian certificate when the image is dense),
 per-prime dimensions, good-prime detection by Groebner specialization,
-vanishing transfer, equivariance checking on a generating set of matrix
-substitutions, and the directional Taylor expansion.
+equivariance checking on a generating set of matrix substitutions, and the
+directional Taylor expansion.
 """
 
 from __future__ import annotations
@@ -361,20 +361,6 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
         verdict_of[p] = PrimeVerdict(p, stairs_match, dim_p, True)
     return SpecializationReport(cleared, generic_dim, r,
                                 tuple(verdict_of[p] for p in primes))
-
-
-def vanishing_transfer(f: MultiPoly, generators: Sequence[MultiPoly],
-                       primes: Sequence[int]) -> Dict[int, bool]:
-    """Does f vanish on V(I) over QQ and over each F_p?  Radical membership."""
-    if f.ring != ZZ:
-        raise ValueError("vanishing_transfer expects integral input")
-    out = {}
-    for p in [0, *primes]:
-        field = fraction_field_reduction(ZZ, p)
-        f_p, *gens_p = (g.map_coefficients(field.coerce, field)
-                        for g in [f, *generators])
-        out[p] = radical_membership(f_p, gens_p)
-    return out
 
 
 def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:

@@ -4,12 +4,12 @@ Coefficients must lie in a field; reduction, and so the criterion check,
 also runs over a product of fields such as ZZ/mZ (see _field_reducer), but
 buchberger does not.  One S-pair queue serves both building and checking a
 basis: the normal strategy (least weighted lcm degree, then the monomial
-order on the lcm), under unit weights unless buchberger is given others or
-eliminate meets a graph ideal, which takes its own (see below); weights
-that make the input homogeneous give the sugar strategy of Giovini et al.
-("One sugar cube, please", ISSAC 1991) in its homogeneous case.  A reduced
-basis is unique, so the weights change which pairs get reduced but never
-the result.  buchberger adds each nonzero remainder and ends with one
+order on the lcm).  Every variable has weight 1, unless eliminate meets a
+graph ideal: then _graph_grading gives the weights that make the input
+homogeneous (see below), the sugar strategy of Giovini et al. ("One sugar
+cube, please", ISSAC 1991) in its homogeneous case.  A reduced basis is
+unique, so the weights change which pairs get reduced but never the
+result.  buchberger adds each nonzero remainder and ends with one
 minimalize/interreduce pass; eliminate interreduces only the elements it
 returns, those free of the eliminated block.
 GroebnerBasis.satisfies_criterion reduces each pair as its queue yields it
@@ -634,28 +634,25 @@ def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None,
 
 
 def buchberger(F: Sequence[MultiPoly], order: MonomialOrder,
-               new_poly_log: Optional[list] = None,
-               weights: Optional[Sequence[int]] = None) -> GroebnerBasis:
+               new_poly_log: Optional[list] = None) -> GroebnerBasis:
     """Reduced Groebner basis of <F>.  All-zero input yields the empty basis.
 
-    Pairs come from the queue of _s_pairs under weights, one positive
-    integer per variable (unit weights when None), and each nonzero
-    remainder joins the basis.  The weights pick the pair sequence only;
-    the reduced basis is the same for all of them, but weights that leave
-    the input inhomogeneous can make the run much slower.  When
-    new_poly_log is given, every polynomial entering the intermediate basis
-    is appended to it before normalization: the inputs, each nonzero
-    S-polynomial remainder and each interreduced final element.  Over QQ
+    Pairs come from the queue of _s_pairs under unit weights, and each
+    nonzero remainder joins the basis; only a graph ideal that eliminate
+    meets takes other weights (_graph_grading).  When new_poly_log is
+    given, every polynomial entering the intermediate basis is appended to
+    it before normalization: the inputs, each nonzero S-polynomial
+    remainder and each interreduced final element.  Over QQ
     these are the integer forms before content removal, so every integer
     divided out during the run divides one of their leading coefficients;
     this supports prime specialisation.
     """
-    gens = _reduced_basis(F, order, new_poly_log, weights)
+    gens = _reduced_basis(F, order, new_poly_log)
     return GroebnerBasis(gens, order, F[0].ring, F[0].varset)
 
 
 def _reduced_basis(F: Sequence[MultiPoly], order: MonomialOrder,
-                   new_poly_log=None, weights=None, front: int = 0) -> tuple:
+                   new_poly_log=None, front: int = 0) -> tuple:
     """buchberger's generators; with front > 0, under elim(front), only
     those free of the front block's variables."""
     inputs = [f for f in F if not f.is_zero()]
@@ -665,21 +662,19 @@ def _reduced_basis(F: Sequence[MultiPoly], order: MonomialOrder,
         return ()
     ring, vs = inputs[0].ring, inputs[0].varset
     _require_field(ring)
-    if weights is not None and (len(weights) != len(vs) or min(weights) < 1):
-        raise ValueError("weights must give one positive integer per variable")
     logged = 0 if new_poly_log is None else len(new_poly_log)
 
     def run(width):
         if new_poly_log is not None:
             del new_poly_log[logged:]  # what a narrower run logged
         return _complete(_kernel(ring, vs, order, width), inputs, new_poly_log,
-                         weights, front)
+                         front)
 
     return _widening(run)
 
 
 def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
-              new_poly_log: Optional[list], weights, front: int = 0) -> tuple:
+              new_poly_log: Optional[list], front: int = 0) -> tuple:
     """The generators of _reduced_basis, computed by kernel."""
     pack = kernel.pack
     key = pack.key
@@ -703,7 +698,7 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
     # while need, the excess of HF(S/J) over HF(S/I) at d, is 0 (see the
     # module docstring)
     graph = _graph_grading(inputs, front)
-    joined = None
+    weights = joined = None
     if graph:
         weights, target = graph
         degree, exps = pack.degree(weights), pack.exps
@@ -854,10 +849,11 @@ def _hilbert_numerator(gens: Sequence[int], pack: _Packing, degree) -> dict:
     return out
 
 
-def _hilbert_function(numerator: dict, weights: Sequence[int], d: int) -> int:
-    """The coefficient of t^d in numerator / prod_v (1 - t^weights[v])."""
+def _hilbert_function(numerator: dict, degrees: Sequence[int], d: int) -> int:
+    """The coefficient of t^d in numerator / prod_v (1 - t^degrees[v]),
+    degrees[v] being the degree of variable v."""
     counts = [1] + [0] * d  # monomials of each weighted degree up to d
-    for wv in weights:
+    for wv in degrees:
         for k in range(wv, d + 1):
             counts[k] += counts[k - wv]
     return sum(c * counts[d - k] for k, c in numerator.items() if k <= d)

@@ -21,7 +21,7 @@ from pfcalc.poly import Grevlex, MultiPoly, VarSet, parse_poly
 from pfcalc.rings import (Fp, QQ, ZZ, fraction_field_reduction,
                           parse_quotient_payload, ring_from_tag)
 from pfcalc.schur import SchurAlgebra, base_change_module, module_of_functor, spin
-from tuple_engine import s_polynomial
+from test_groebner import s_polynomial
 
 
 def report(number: int, ok: bool, detail: str):

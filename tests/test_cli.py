@@ -189,6 +189,34 @@ def test_string_scalar_matches_int(capsys, tmp_path, ring, text, value):
     assert tables[0] == tables[1]
 
 
+@pytest.mark.parametrize("command,cfg,key", [
+    ("image-closure", {"transformation": "cube-sum", "rank": True, "field": "QQ"},
+     "rank"),
+    ("schur-table", {"n": 2, "d": True}, "d"),
+    ("dimfn", {"functor": "Const(ZZ/2)", "primes": [2], "window": True}, "window"),
+    ("ring-of-module", {"ring": "ZZ", "module": {"ngens": True}, "degrees": [0]},
+     "ngens"),
+    ("ring-of-module", {"ring": "ZZ", "module": {"ngens": 1}, "degrees": [True]},
+     "degrees"),
+], ids=["rank", "d", "window", "ngens", "degrees"])
+def test_json_booleans_are_not_integers_exit_2(capsys, tmp_path, command, cfg, key):
+    # JSON true is a Python bool, and so an int: it must not run as 1 (a
+    # window of true printed "window 0..True")
+    code, out, err = run(capsys, tmp_path, command, cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("good-primes", {"variables": ["x", "x"], "generators": ["3*x"], "primes": [2]}),
+    ("taylor", {"variables": ["x", "x"], "polynomial": "x^2", "direction_count": 1}),
+], ids=["good-primes", "taylor"])
+def test_repeated_variable_name_exit_2(capsys, tmp_path, command, cfg):
+    code, out, err = run(capsys, tmp_path, command, cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "variables" in err
+
+
 @pytest.mark.parametrize("command,cfg", [
     ("dimfn", {"functor": "Sym(2)", "window": 3}),
     ("dim-per-prime", {"transformation": "cube-sum", "rank": 2}),
@@ -472,6 +500,27 @@ def test_cache_entry_with_zero_denominator_is_recomputed(capsys, tmp_path):
     assert "1/0" not in entry.read_text()  # the recomputed basis replaced it
 
 
+@pytest.mark.parametrize("entry", [
+    [], "gb", None, {"names": 5}, {"generators": [5]}, {"ring": 5}, {"order": []},
+], ids=["list", "string", "null", "names", "generators", "ring", "order"])
+def test_cache_entry_of_the_wrong_shape_is_recomputed(capsys, tmp_path, entry):
+    # valid JSON that is no cache document, or whose fields have the wrong
+    # types, is a corrupt entry: warned about, recomputed and overwritten
+    cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
+    code1, out1, _ = run(capsys, tmp_path, "image-closure", cfg)
+    cache_dir = tmp_path / "cache"
+    run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
+    (path,) = cache_dir.iterdir()
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(good, **entry) if isinstance(entry, dict) else entry))
+    code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
+                           "--cache-dir", str(cache_dir))
+    assert code1 == code2 == 0
+    assert out2 == out1
+    assert "corrupt cache entry" in err
+    assert json.loads(path.read_text()) == good
+
+
 def test_cache_hit_obeys_max_basis(capsys, tmp_path):
     cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
     cache_dir = tmp_path / "cache"
@@ -606,27 +655,59 @@ def test_groebner_and_linalg_functions_are_used_in_src():
     assert unused == set()
 
 
-def test_functors_functions_are_used_in_src():
-    # a public function of functors.py that src/ names only inside its own
-    # body is test-only code; functors.py itself calls some of them
+def _functions_unused_in_src(module: str) -> set:
+    """The public functions of module that src/ names only inside their own
+    body; the module itself may call them."""
     src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
     used = Counter()
     for path in sorted(src.rglob("*.py")):
         used += _referenced_names(ast.parse(path.read_text()))
-    public = [node for node in ast.parse((src / "functors.py").read_text()).body
+    public = [node for node in ast.parse((src / module).read_text()).body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     assert public
-    unused = {node.name for node in public
-              if used[node.name] == _referenced_names(node)[node.name]}
-    assert unused == set()
+    return {node.name for node in public
+            if used[node.name] == _referenced_names(node)[node.name]}
+
+
+def test_functors_functions_are_used_in_src():
+    # a public function of functors.py that src/ does not call is test-only
+    # code
+    assert _functions_unused_in_src("functors.py") == set()
+
+
+# public functions that only tests call, each kept for what it backs
+TEST_ONLY_FUNCTIONS = {
+    # the oracle that tests check graded_piece against
+    ("coordring.py", "is_translation_invariant"),
+    # the law calculus of polynomial laws on a module
+    ("coordring.py", "homogeneous_components"),
+    ("coordring.py", "bihomogeneous_components"),
+    ("coordring.py", "compose_laws"),
+    # the paper's R[M (+) N] = R[M] (x) R[N], degree by degree
+    ("coordring.py", "product_ring_check"),
+    # acceptance criterion 10
+    ("fpmod.py", "generic_freeness"),
+    # the README's usage example
+    ("geometry.py", "dimension_per_prime"),
+    # acceptance criterion 6
+    ("schur.py", "module_of_functor"),
+    ("schur.py", "spin"),
+    ("schur.py", "base_change_module"),
+}
+
+
+def test_public_functions_are_used_in_src_or_kept_by_name():
+    # a public function of these modules that src/ does not call is
+    # test-only code: it goes, or TEST_ONLY_FUNCTIONS says what it backs
+    modules = ("coordring.py", "fpmod.py", "geometry.py", "schur.py")
+    unused = {(module, name) for module in modules
+              for name in _functions_unused_in_src(module)}
+    assert unused == TEST_ONLY_FUNCTIONS
 
 
 def test_groebner_defaulted_parameters_are_passed_in_src():
     # a defaulted parameter of a public function or method of groebner.py
-    # that no call in src/ passes is an option that does nothing.
-    # buchberger's weights is kept: tests/test_engine_pins.py pins weighted
-    # new_poly_log runs through it
-    allowed = {("buchberger", "weights")}
+    # that no call in src/ passes is an option that does nothing
     src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
     defaulted = {}  # (function, parameter) -> positional index, None if keyword-only
 
@@ -660,8 +741,8 @@ def test_groebner_defaulted_parameters_are_passed_in_src():
                         splat or any(kw.arg in (param, None) for kw in call.keywords)
                         or (pos is not None and len(call.args) > pos)):
                     passed.add((fn, param))
-    assert allowed <= set(defaulted)
-    assert set(defaulted) - passed - allowed == set()
+    assert defaulted
+    assert set(defaulted) - passed == set()
 
 
 def test_ring_types_are_tested_only_in_rings():

@@ -2,8 +2,9 @@
 pairs and verdicts on the seeded ideals of test_packed.py, and the
 good_primes report on both ideals of bench/data/ideals.json.
 
-The digests were recorded while the packed engine still matched the tuple
-engine of tuple_engine.py on every one of these runs, so they keep that
+Every run is at unit weights.  The bases, logs and verdicts were recorded
+while the packed engine still matched the engine on exponent tuples it
+replaced, run at unit weights on the same ideals, so they keep that
 oracle's verdict for any later change to the engine or its pair queue.
 Each digest is the sha256 of a text rendering: a polynomial as the list of
 its terms in dict order (insertion order is part of what is pinned), the

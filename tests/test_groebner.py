@@ -17,14 +17,32 @@ from pfcalc.groebner import (GroebnerBasis, NonFieldCoefficients, _Packing,
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          degree_monomials, parse_poly)
 from pfcalc.rings import Fp, QQ, QuotientRing, ZZ, ring_from_tag
-from test_geometry import _graph_weights
-from tuple_engine import s_polynomial
 
 VS = VarSet(("x", "y"))
 
 
 def P(text, ring=QQ, vs=VS):
     return parse_poly(text, ring, vs)
+
+
+def _exp_sub(a, b):
+    return tuple(map(operator.sub, a, b))
+
+
+def _exp_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def s_polynomial(f: MultiPoly, g: MultiPoly, order) -> MultiPoly:
+    """lcm/LT(f) * f - lcm/LT(g) * g for lcm the lcm of the two leading
+    monomials: the leading terms cancel."""
+    ring = f.ring
+    lf, cf = f.leading(order)
+    lg, cg = g.leading(order)
+    lcm = _exp_lcm(lf, lg)
+    a = f.term_mul(_exp_sub(lcm, lf), ring.inv(cf))
+    b = g.term_mul(_exp_sub(lcm, lg), ring.inv(cg))
+    return a - b
 
 
 def test_normal_form_single_divisor():
@@ -458,10 +476,8 @@ def test_s_pairs_match_done_set_queue(ring, monkeypatch):
     rng = random.Random(5153)
     reordered = 0
     for gens, order in _random_ideals(ring, 5151, 40):
-        # buchberger: the queue grows with each nonzero remainder, under
-        # unit weights and under random positive weights
+        # buchberger: the queue grows with each nonzero remainder
         gb = buchberger(gens, order)
-        buchberger(gens, order, weights=_random_weights(rng))
         # verification: a fixed G, every pair the queue gives
         for G in (gens, list(gb.generators), list(gb.generators) + gens):
             _, reducers = _field_reducer(ring, VS4, order, G)
@@ -593,17 +609,6 @@ def test_s_pairs_match_done_set_queue_on_random_monomials(order):
     assert candidates > 3 * pushes > 0
 
 
-@pytest.mark.parametrize("ring", DIFF_RINGS, ids=DIFF_IDS)
-@pytest.mark.parametrize("homogeneous", [True, False], ids=["hom", "inhom"])
-def test_weighted_buchberger_matches_unit_weights(ring, homogeneous):
-    # a reduced basis is unique, so weights pick the pairs but not the result
-    rng = random.Random(5154)
-    for gens, order in _random_ideals(ring, 5155, 30, homogeneous):
-        expected = buchberger(gens, order).generators
-        for weights in ((1, 1, 1, 1), _random_weights(rng), _random_weights(rng)):
-            assert buchberger(gens, order, weights=weights).generators == expected
-
-
 @pytest.mark.parametrize("ring", [QQ, Fp(5), ring_from_tag("Fp(3)[t]/(t^2+1)")],
                          ids=["QQ", "F5", "F9"])
 def test_every_basis_element_is_monic(ring):
@@ -613,13 +618,6 @@ def test_every_basis_element_is_monic(ring):
         for gens, order in _random_ideals(ring, 11, 12, homogeneous):
             for g in buchberger(gens, order).generators:
                 assert g.leading(order)[1] == ring.one()
-
-
-def test_weights_must_be_positive_one_per_variable():
-    gens = [P("x^2 - y"), P("x*y - 1")]
-    for weights in ((1,), (1, 0), (1, 2, 3)):
-        with pytest.raises(ValueError):
-            buchberger(gens, Grevlex(), weights=weights)
 
 
 def _in_blocks(gens, drop):
@@ -634,32 +632,25 @@ def _in_blocks(gens, drop):
     return [g.rename(block_vs) for g in gens], len(front), kept_vs
 
 
-def _eliminated_part(gens, drop, weights=None):
+def _eliminated_part(gens, drop):
     """The generators free of the dropped variables in the full reduced
-    basis under the order eliminate uses, restricted to the others; the
-    weights follow that order."""
+    basis under the order eliminate uses, restricted to the others: a
+    buchberger run at unit weights, which has no front block, so it neither
+    takes a graph ideal's weights nor skips a pair."""
     blocked, front, kept_vs = _in_blocks(gens, drop)
-    gb = buchberger(blocked, Elimination(front), weights=weights)
+    gb = buchberger(blocked, Elimination(front))
     return [g.restrict(kept_vs) for g in gb.generators
             if not any(any(e[:front]) for e in g.terms)]
 
 
-def _eliminate(gens, drop, weights):
-    """eliminate's run under the given weights, which an input that is no
-    graph ideal takes (a graph ideal takes its own)."""
-    blocked, front, kept_vs = _in_blocks(gens, drop)
-    return [g.restrict(kept_vs) for g in groebner._reduced_basis(
-        blocked, Elimination(front), weights=weights, front=front)]
-
-
 def _graph_ideal(alpha, n, ring):
-    """The graph ideal of image_closure, its source variables and weights."""
+    """The graph ideal of image_closure and its source variables."""
     src_vs, coords = alpha.rule(n, ring)
     y_vs = target_varset(alpha.target, n)
     big_vs = VarSet(src_vs.names + y_vs.names, src_vs.weights + y_vs.weights)
     gens = [MultiPoly.variable(ring, big_vs, y) - c.rename(big_vs)
             for y, c in zip(y_vs.names, coords)]
-    return gens, set(src_vs.names), _graph_weights(src_vs, coords)
+    return gens, set(src_vs.names)
 
 
 def _counted_to_monic(monkeypatch):
@@ -679,14 +670,15 @@ def test_eliminate_is_the_free_part_of_the_full_basis(ring, monkeypatch):
     rng = random.Random(5157)
     cases = [_graph_ideal(sum_of_powers(m, k), 2, ring)
              for m, k in [(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 3)]]
-    cases += [(gens, {rng.choice(VS4.names)}, _random_weights(rng))
-              for gens, _ in _random_ideals(ring, 5158, 12)]
+    for gens, _ in _random_ideals(ring, 5158, 12):
+        cases.append((gens, {rng.choice(VS4.names)}))
+        _random_weights(rng)  # the draw that once chose the run's weights
     smaller = 0
-    for gens, drop, weights in cases:
-        want = _eliminated_part(gens, drop, weights)
+    for gens, drop in cases:
+        want = _eliminated_part(gens, drop)
         full = len(calls)
         del calls[:]
-        got = _eliminate(gens, drop, weights)
+        got = eliminate(gens, drop)
         assert got == want
         assert len(calls) == len(got)
         smaller += len(got) < full
@@ -800,13 +792,23 @@ def _pair_outcomes(events):
     return out
 
 
+def _unskipped(gens, drop):
+    """eliminate with the skip off: every degree claims an excess over the
+    graph ideal's Hilbert function, so every pair the queue yields is
+    reduced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_hilbert_function", lambda numerator, degrees, d: 1 << 30)
+        return eliminate(gens, drop)
+
+
 def test_graph_ideal_skips_only_zero_reductions(monkeypatch):
-    # sop(2,5)@2 over QQ: buchberger on the same inputs, order and weights
-    # has no front block, so it reduces every pair; eliminate skips 349 of
-    # the 446 that reduce to zero, and no other
+    # sop(2,5)@2 over QQ: with the skip off, eliminate reduces every pair;
+    # with it on, it skips 349 of the 446 that reduce to zero, and no other
     events = _logged_reductions(monkeypatch)
-    gens, drop, weights = _graph_ideal(sum_of_powers(2, 5), 2, QQ)
-    want = _eliminated_part(gens, drop, weights)
+    gens, drop = _graph_ideal(sum_of_powers(2, 5), 2, QQ)
+    want = _eliminated_part(gens, drop)
+    del events[:]
+    assert _unskipped(gens, drop) == want
     unskipped = _pair_outcomes(events)
     del events[:]
     assert eliminate(gens, drop) == want
@@ -831,8 +833,8 @@ def test_eliminate_of_seeded_graph_ideals_is_the_free_part(ring, monkeypatch):
               (2, 3, 1, 2), (3, 2, 1, 2), (2, 4, 1, 2), (1, 5, 1, 2)]
     skips = 0
     for m, k, g, n in rng.sample(shapes, 5):
-        gens, drop, weights = _graph_ideal(sum_of_powers(m, k, g), n, ring)
-        want = _eliminated_part(gens, drop, weights)
+        gens, drop = _graph_ideal(sum_of_powers(m, k, g), n, ring)
+        want = _eliminated_part(gens, drop)
         del events[:]
         assert eliminate(gens, drop) == want
         skips += [r for _, r in _pair_outcomes(events)].count(None)
@@ -854,7 +856,7 @@ def test_a_dropped_remainder_fails_the_certificate(monkeypatch):
         return r
 
     monkeypatch.setattr(groebner._RationalKernel, "reduce", dropping)
-    gens, drop, _ = _graph_ideal(sum_of_powers(2, 5), 2, QQ)
+    gens, drop = _graph_ideal(sum_of_powers(2, 5), 2, QQ)
     with pytest.raises(AssertionError, match="numerator"):
         eliminate(gens, drop)
     assert dropped
@@ -866,7 +868,7 @@ def test_a_staircase_below_the_hilbert_function_raises(monkeypatch):
     grading = groebner._graph_grading
     monkeypatch.setattr(groebner, "_graph_grading",
                         lambda inputs, front: (grading(inputs, front)[0], {0: 1}))
-    gens, drop, _ = _graph_ideal(sum_of_powers(1, 3), 2, QQ)
+    gens, drop = _graph_ideal(sum_of_powers(1, 3), 2, QQ)
     with pytest.raises(AssertionError, match="below"):
         eliminate(gens, drop)
 
@@ -879,8 +881,7 @@ def test_graph_ideal_skip_at_16_bit_digits(ring, monkeypatch):
     vs = VarSet(("s", "t", "y1", "y2", "y3"))
     gens = [parse_poly(p, ring, vs)
             for p in ("y1 - s^60*t^40", "y2 - t^150", "y3 - s^90*t^60")]
-    weights = (1, 1, 100, 150, 150)
-    want = _eliminated_part(gens, {"s", "t"}, weights)
+    want = _eliminated_part(gens, {"s", "t"})
     del events[:]
     got = eliminate(gens, {"s", "t"})
     assert got == want and len(got) == 1  # y1^3 - y3^2

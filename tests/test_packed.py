@@ -1,7 +1,12 @@
-"""The packed-monomial Groebner engine against the tuple engine it replaced
-(tuple_engine.py): bases, logged polynomials and criterion verdicts; packed
-order keys against order.key; re-packing at wider digits after an overflow;
-and the pair schedule that good_primes shares between primes."""
+"""The packed-monomial Groebner engine: packed order keys against
+order.key; re-packing at wider digits after an overflow; fraction-free QQ
+membership; and the pair schedule that good_primes shares between primes.
+
+The engine replaced one on exponent tuples, which served as its
+differential oracle until the pins below and those of test_engine_pins.py
+held what it returned on every input here: bases, logged polynomials,
+criterion verdicts and remainders.
+"""
 
 import hashlib
 import json
@@ -12,13 +17,13 @@ from pathlib import Path
 
 import pytest
 
-import tuple_engine
 from pfcalc import groebner
 from pfcalc.geometry import PrimeVerdict, good_primes
 from pfcalc.groebner import GroebnerBasis, _Overflow, _Packing, buchberger
 from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
                          degree_monomials, parse_poly)
 from pfcalc.rings import Fp, ModularIntegers, QQ, ZZ, ring_from_tag
+from test_groebner import _exp_lcm
 
 RINGS = [Fp(2), Fp(5), QQ, ring_from_tag("Fp(3)[t]/(t^2+1)")]
 RING_IDS = ["F2", "F5", "QQ", "F9"]
@@ -29,8 +34,8 @@ IDEALS = Path(__file__).resolve().parents[1] / "bench" / "data" / "ideals.json"
 
 
 def _terms(polys):
-    """Each polynomial's terms in dict order: the engines must agree even on
-    the order in which terms were inserted."""
+    """Each polynomial's terms in dict order: the pins hold even the order in
+    which terms were inserted."""
     return [list(f.terms.items()) for f in polys]
 
 
@@ -47,19 +52,10 @@ def _skip_weight_draws(rng):
             rng.randrange(1, 4)
 
 
-def _tuple_buchberger(F, order, weights=None):
+def _run(F, order):
+    """buchberger's basis of F and the polynomials it logged."""
     log = []
-    gb = tuple_engine.buchberger(F, order, new_poly_log=log, weights=weights)
-    return gb, log
-
-
-def _assert_same_run(F, order, weights=None):
-    log = []
-    gb = buchberger(F, order, new_poly_log=log, weights=weights)
-    want, want_log = _tuple_buchberger(F, order, weights)
-    assert _terms(gb.generators) == _terms(want.generators)
-    assert _terms(log) == _terms(want_log)
-    return gb, log
+    return buchberger(F, order, new_poly_log=log), log
 
 
 def _random_ideals(ring, rng, count):
@@ -84,25 +80,20 @@ def _random_ideals(ring, rng, count):
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
 @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
 def test_packed_engine_matches_tuple_engine(ring, order):
+    # the seeded ideals of test_engine_pins, which pins the tuple engine's
+    # bases, logs and criterion verdicts on them: both verdicts occur, and a
+    # member reduces to zero, as it did there
     rng = random.Random(f"{ring.tag()} {order.tag()}")
-    verdicts = []
+    verdicts = set()
     for gens in _random_ideals(ring, rng, 15):
-        weights = None if rng.random() < 0.5 else tuple(
-            rng.randrange(1, 4) for _ in VS4.names)
-        gb, _ = _assert_same_run(gens, order, weights)
+        _skip_weight_draws(rng)
+        gb = buchberger(gens, order)
         for G in (gens, list(gb.generators), list(gb.generators) + gens,
                   list(gb.generators)[1:] + gens[:1]):
-            got = GroebnerBasis(tuple(G), order, ring, VS4).satisfies_criterion()
-            assert got == tuple_engine.verify_buchberger_criterion(G, order)
-            verdicts.append(got)
+            verdicts.add(GroebnerBasis(tuple(G), order, ring, VS4).satisfies_criterion())
         f = gens[0] * gens[-1] + gens[-1]
-        kernel, reducers = tuple_engine._field_reducer(ring, VS4, order, gb.generators)
-        want = kernel.to_poly(kernel.reduce(f.terms, reducers))
-        assert _terms([gb.reduce(f)]) == _terms([want])
-        assert gb.contains(f - want)
-        assert want.is_zero()  # f lies in the ideal
-    # both verdicts occur
-    assert True in verdicts and False in verdicts
+        assert gb.reduce(f).is_zero() and gb.contains(f)
+    assert verdicts == {True, False}
 
 
 def _sign(a, b):
@@ -139,7 +130,7 @@ def test_packed_keys_compare_like_order_keys(order):
         except _Overflow:
             assert (pa + pb) & pack.guard
         try:
-            want = pack.pack(tuple_engine._exp_lcm(a, b))
+            want = pack.pack(_exp_lcm(a, b))
         except _Overflow:
             with pytest.raises(_Overflow):
                 pack.lcm(pa, pb)
@@ -149,7 +140,8 @@ def test_packed_keys_compare_like_order_keys(order):
 
 
 def test_repack_after_an_input_overflow():
-    # 130 does not fit an 8-bit digit: the run re-packs before logging
+    # 130 does not fit an 8-bit digit: the run re-packs before logging, so
+    # its bases and logs are the tuple engine's, as pinned
     vs = VarSet(("x", "y"))
     runs = []
     for ring in (QQ, Fp(5)):
@@ -157,9 +149,8 @@ def test_repack_after_an_input_overflow():
         # the last: a grevlex degree past 127 from exponents that fit
         for G in (F, F[:1], [parse_poly("x^100*y^30 - 1", ring, vs),
                              parse_poly("x^2 - y", ring, vs)]):
-            _assert_same_run(G, Grevlex())
-            want, want_log = _tuple_buchberger(G, Grevlex())
-            runs += [_terms(want.generators), _terms(want_log)]
+            gb, log = _run(G, Grevlex())
+            runs += [_terms(gb.generators), _terms(log)]
     assert _digest(runs) == INPUT_OVERFLOW_PIN
 
 
@@ -175,30 +166,24 @@ def test_repack_after_a_lex_overflow_keeps_the_log_clean(gens, ring):
         ring, vs, Lex())
     early = []
     with pytest.raises(_Overflow):
-        groebner._complete(kernel, F, early, None)
+        groebner._complete(kernel, F, early)
     assert len(early) == 2
-    # the whole run re-packs at 16 bits; its log is the tuple engine's, so
-    # the inputs the 8-bit run logged are not left in it a second time
-    gb, log = _assert_same_run(F, Lex())
+    # the whole run re-packs at 16 bits, and the inputs the 8-bit run logged
+    # are not left in its log a second time
+    gb, log = _run(F, Lex())
     assert max(max(e) for g in gb.generators for e in g.terms) > 127
     assert _terms(log[:2]) == _terms(early)
-    assert len(log) == len(_tuple_buchberger(F, Lex())[1])
     # the criterion check and the cached reducer re-pack too
-    verdicts = []
-    for G in (F, list(gb.generators)):
-        verdicts.append(tuple_engine.verify_buchberger_criterion(G, Lex()))
-        assert GroebnerBasis(tuple(G), Lex(), ring, vs).satisfies_criterion() == \
-            verdicts[-1]
+    verdicts = [GroebnerBasis(tuple(G), Lex(), ring, vs).satisfies_criterion()
+                for G in (F, list(gb.generators))]
     basis = GroebnerBasis(tuple(F), Lex(), ring, vs)
     f = parse_poly("x^200*y^3 + x", ring, vs)
-    kernel, reducers = tuple_engine._field_reducer(ring, vs, Lex(), F)
-    want = kernel.to_poly(kernel.reduce(f.terms, reducers))
-    assert _terms([basis.reduce(f)]) == _terms([want])
+    r = basis.reduce(f)
     one = MultiPoly.constant(ring, vs, 1)
-    assert basis.contains(f - want) and not basis.contains(f - want + one)
-    want_gb, want_log = _tuple_buchberger(F, Lex())
-    assert _digest([_terms(want_gb.generators), _terms(want_log), verdicts,
-                    _terms([want])]) == LEX_OVERFLOW_PINS[(ring.tag(), *gens)]
+    assert basis.contains(f - r) and not basis.contains(f - r + one)
+    # all of it as the tuple engine gave it
+    assert _digest([_terms(gb.generators), _terms(log), verdicts, _terms([r])]) == \
+        LEX_OVERFLOW_PINS[(ring.tag(), *gens)]
 
 
 def _bench_ideals():
@@ -221,8 +206,9 @@ GOOD_PRIMES_PINS = {
 def test_good_primes_share_one_pair_schedule(monkeypatch):
     # the primes away from r are checked together over ZZ/mZ, m their
     # product: one criterion call per ideal, on the batch's own queue; and
-    # every verified prime's generators mod p pass the tuple engine's
-    # criterion over F_p itself, a check that skips the batch
+    # every verified prime's generators mod p pass the criterion over F_p
+    # itself, a check that skips the batch, as they passed the tuple
+    # engine's
     checked = []
     own = GroebnerBasis.satisfies_criterion
 
@@ -244,9 +230,9 @@ def test_good_primes_share_one_pair_schedule(monkeypatch):
         assert checked == [(ModularIntegers(verified), True)]
         for p in verified:
             ring_p = Fp(p)
-            gens_p = [f.map_coefficients(ring_p.coerce, ring_p)
-                      for f in report.generic_basis]
-            assert tuple_engine.verify_buchberger_criterion(gens_p, Grevlex())
+            gens_p = tuple(f.map_coefficients(ring_p.coerce, ring_p)
+                           for f in report.generic_basis)
+            assert own(GroebnerBasis(gens_p, Grevlex(), ring_p, gens_p[0].varset))
 
 
 def _combination(rng, gens):
@@ -272,25 +258,23 @@ def _fraction_free(monkeypatch):
                          ids=["grevlex", "elim1", "elim2"])
 def test_qq_membership_is_fraction_free(monkeypatch, order):
     # contains over QQ reduces on integers, and its verdict is that of the
-    # tuple engine's Fraction remainder, on members and on non-members;
-    # reduce divides out the multiple and returns that remainder exactly
+    # remainder, on members and on non-members; reduce divides out the
+    # multiple and returns the tuple engine's Fraction remainder exactly
     _fraction_free(monkeypatch)
     rng = random.Random(f"membership {order.tag()}")
     verdicts = set()
     remainders = []
     for gens in _random_ideals(QQ, rng, 12):
         gb = buchberger(gens, order)
-        kernel, reducers = tuple_engine._field_reducer(QQ, VS4, order, gb.generators)
         for _ in range(4):
             member = _combination(rng, gens)
             term = MultiPoly(QQ, VS4, {rng.choice(degree_monomials(len(VS4), 2)):
                                        Fraction(rng.randint(1, 9), rng.randint(1, 9))})
             for f in (member, member + term):
-                want = kernel.to_poly(kernel.reduce(f.terms, reducers))
-                assert gb.contains(f) == want.is_zero()
-                assert _terms([gb.reduce(f)]) == _terms([want])
-                verdicts.add(want.is_zero())
-                remainders.append(_terms([want]))
+                r = gb.reduce(f)
+                assert gb.contains(f) == r.is_zero()
+                verdicts.add(r.is_zero())
+                remainders.append(_terms([r]))
     assert verdicts == {True, False}
     assert _digest(remainders) == QQ_MEMBERSHIP_PINS[order.tag()]
 
@@ -298,7 +282,8 @@ def test_qq_membership_is_fraction_free(monkeypatch, order):
 def test_qq_membership_reruns_at_16_bits(monkeypatch):
     # a basis whose exponents need 16-bit digits, and a member whose
     # exponents overflow the 8-bit reducer of a basis that fits in it:
-    # both take the wider re-run of _widening, still on integers
+    # both take the wider re-run of _widening, still on integers, and the
+    # remainders are the tuple engine's, as pinned
     _fraction_free(monkeypatch)
     rebuilt = []  # the width of each reducer built
     own = groebner._field_reducer
@@ -309,14 +294,12 @@ def test_qq_membership_reruns_at_16_bits(monkeypatch):
     remainders = []
     for text, width in (("3*x^130 - 2*y^2 + x", 16), ("2*x^3*y - 3*y^2 + 1", 8)):
         gb = buchberger([parse_poly(text, QQ, vs)], Grevlex())
-        kernel, reducers = tuple_engine._field_reducer(QQ, vs, Grevlex(), gb.generators)
         rebuilt.clear()
         member = gb.generators[0] * (x ** 200 * Fraction(-4, 9) + x)
         for f in (member, member + x ** 201):
-            want = kernel.to_poly(kernel.reduce(f.terms, reducers))
-            assert gb.contains(f) == want.is_zero() == (f is member)
-            assert _terms([gb.reduce(f)]) == _terms([want])
-            remainders.append(_terms([want]))
+            r = gb.reduce(f)
+            assert gb.contains(f) == r.is_zero() == (f is member)
+            remainders.append(_terms([r]))
         # the cached reducer is tried at 8 bits first and kept at width;
         # an 8-bit one is rebuilt at 16 bits for each of the four calls
         assert rebuilt == {16: [8, 16], 8: [8] + [16] * 4}[width]
