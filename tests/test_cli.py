@@ -198,7 +198,11 @@ def test_string_scalar_matches_int(capsys, tmp_path, ring, text, value):
      "ngens"),
     ("ring-of-module", {"ring": "ZZ", "module": {"ngens": 1}, "degrees": [True]},
      "degrees"),
-], ids=["rank", "d", "window", "ngens", "degrees"])
+    ("ring-of-module", {"ring": "ZZ", "module": {"ngens": 1, "relations": [[True]]},
+                        "degrees": [0]}, "scalar"),
+    ("good-primes", {"variables": ["x"], "weights": [True], "generators": ["3*x"],
+                     "primes": [2]}, "weights"),
+], ids=["rank", "d", "window", "ngens", "degrees", "relations", "weights"])
 def test_json_booleans_are_not_integers_exit_2(capsys, tmp_path, command, cfg, key):
     # JSON true is a Python bool, and so an int: it must not run as 1 (a
     # window of true printed "window 0..True")
