@@ -481,7 +481,7 @@ def _cmd_dim_per_prime(cfg: dict, args) -> tuple:
         ms = int((time.perf_counter() - t0) * 1000)
         return p, ideal_dimension(subset.gb), len(subset.gb.generators), ms
 
-    results = [one(p) for p in [0] + [p for p in primes if p != 0]]
+    results = [one(p) for p in dict.fromkeys([0, *primes])]
     lines = [f"dimension of the image closure of {alpha.name} at rank {n}",
              "field  dimension"]
     for p, dim, _, _ in results:
@@ -536,16 +536,19 @@ def _cmd_equivariance(cfg: dict, args) -> tuple:
     subset = _cached_image_closure(alpha, n, ring, _geometry_guards(args),
                                    args.cache)
     ok = equivariance_check(subset)
-    dim = ideal_dimension(subset.gb)
     verdict = "PASS" if ok else "FAIL"
     lines = [f"equivariance of the image closure of {alpha.name} at rank {n} "
              f"over {ring.tag()}",
              f"checked on generators: {verdict}"]
     doc = {"command": "equivariance", "transformation": alpha.name, "rank": n,
            "field": ring.tag(), "equivariant_on_generators": ok}
-    csv_spec = (("prime", "dimension", "basis_size", "time_ms"),
-                [(ring.characteristic(), dim, len(subset.gb.generators),
-                  args.elapsed_ms())])
+
+    def rows():
+        # only the csv output prints the dimension
+        yield (ring.characteristic(), ideal_dimension(subset.gb),
+               len(subset.gb.generators), args.elapsed_ms())
+
+    csv_spec = (("prime", "dimension", "basis_size", "time_ms"), rows())
     return doc, lines, csv_spec
 
 

@@ -10,12 +10,13 @@ where Const summands carry relations.
 
 Laws are built as sparse rows (Rows): row i is a dict {column j: entry
 (i, j)} that holds the nonzero entries only.  The work then follows the
-nonzero entries, so a diagonal map such as the idempotent of
-shift_decompose costs far less than the square of the basis size.
-shift_decompose reads its two bases off that idempotent's diagonal, which
-is 0/1 in these bases.  The entries are polynomials in the h_i_j for a
-symbolic map and plain ints at a concrete integer matrix: the combinators
-need only *, +, - and a zero test, so one _law_matrix builds both.
+nonzero entries, so a diagonal map such as diag(s*I_m, t*I_n) costs far
+less than the square of the basis size.  Its law is diagonal too, one
+monomial s^a t^b per basis vector, and homogeneous_parts and
+shift_decompose read the degrees and the shift split off it.  The entries
+are polynomials in the h_i_j for a symbolic map and plain ints at a
+concrete integer matrix: the combinators need only *, +, - and a zero
+test, so one _law_matrix builds both.
 FunctorEval.law and FunctorEval.law_at are dense views of those rows,
 with the zeros filled in once, at the end.
 """
@@ -397,25 +398,40 @@ def _kron(a: Rows, b: Rows, cb: int) -> Rows:
             for ra in a for rb in b]
 
 
-def homogeneous_parts(expr: FunctorExpr, n: int) -> Dict[int, List[int]]:
-    """Partition of basis indices by degree, read off the law at t*id.
+def _diagonal_degrees(expr: FunctorExpr, m: int, n: int) -> List[Tuple[int, int]]:
+    """The pairs (a_j, b_j), one per basis vector e_j of P(R^(m+n)), with
+    P(diag(s*I_m, t*I_n)) e_j = s^a_j * t^b_j * e_j.
 
-    That law must be diagonal: each column has exactly one nonzero entry,
-    on the diagonal, and that entry is homogeneous in t.
+    The law of every combinator sends a diagonal matrix D of monomials with
+    coefficient 1 to another: Id returns D; Sym and Ext give products of
+    diagonal entries on monomials and wedges; Tensor is a Kronecker product
+    and DirectSum a block sum; Shift(k, P) applies P to I_k (+) D; Compose
+    applies the outer law to the inner one, of that shape by induction;
+    Dual transposes, and Const is the identity.  An AssertionError reports
+    a law of any other shape.
     """
-    ev = evaluate(expr, n)
-    ring = ev.module.ring
-    tvs = VarSet(("t!",))
-    t = MultiPoly.variable(ring, tvs, "t!")
-    mat = _law_matrix(expr, n, n, [{i: t} for i in range(n)], ring, tvs)
-    off_diag = {j for i, row in enumerate(mat) for j in row if j != i}
+    ring = evaluate(expr, m + n).module.ring
+    vs = VarSet(("s!", "t!"))
+    s = MultiPoly.variable(ring, vs, "s!")
+    t = MultiPoly.variable(ring, vs, "t!")
+    h = [{i: s} for i in range(m)] + [{m + i: t} for i in range(n)]
+    out = []
+    for j, row in enumerate(_law_matrix(expr, m + n, m + n, h, ring, vs)):
+        entry = row.get(j)
+        if len(row) != 1 or entry is None or len(entry.terms) != 1 \
+                or next(iter(entry.terms.values())) != ring.one():
+            raise AssertionError(
+                f"basis vector {j} of {expr} is not homogeneous: its law at "
+                f"diag(s*I_{m}, t*I_{n}) is not one monomial on the diagonal")
+        out.append(next(iter(entry.terms)))
+    return out
+
+
+def homogeneous_parts(expr: FunctorExpr, n: int) -> Dict[int, List[int]]:
+    """Partition of basis indices by degree, read off the law at t*id."""
     parts: Dict[int, List[int]] = {}
-    for j in range(ev.module.ngens):
-        entry = mat[j].get(j)
-        degs = {e[0] for e in entry.terms} if entry is not None else set()
-        if j in off_diag or len(degs) != 1:
-            raise AssertionError(f"basis vector {j} of {expr} is not homogeneous")
-        parts.setdefault(degs.pop(), []).append(j)
+    for j, (_, b) in enumerate(_diagonal_degrees(expr, 0, n)):
+        parts.setdefault(b, []).append(j)
     return parts
 
 
@@ -424,43 +440,16 @@ def shift_decompose(expr: FunctorExpr, m: int, n: int):
 
     Returns (P-part basis, Q-part basis) as the sorted indices j of the
     unit vectors e_j, in the shifted evaluation's coordinates, that span
-    them, read off the idempotent P(inclusion o projection): where its
-    diagonal is 1, and where it is 0.
+    them, read off the law of P at diag(s*I_m, t*I_n): e_j lies in P(R^n)
+    exactly when its entry has no s.
     """
-    ev = evaluate(expr, m + n)
-    size = ev.module.ngens
-    # idempotent P(iota o pi) killing the U-block of U (+) V
-    sel = [[1 if (i == j and i >= m) else 0 for j in range(m + n)]
-           for i in range(m + n)]
-    ring = ev.module.ring
-    # The law of every combinator sends a diagonal 0/1 matrix D to a
-    # diagonal 0/1 matrix: Id returns D; Sym and Ext give products of
-    # diagonal entries on monomials and wedges; Tensor is a Kronecker
-    # product and DirectSum a block sum; Shift(k, P) applies P to I_k (+) D;
-    # Compose applies the outer law to the inner one, diagonal 0/1 by
-    # induction; Dual transposes, and Const is the identity.  So P(R^n) is
-    # spanned by the unit vectors where the diagonal is 1, and the image of
-    # one minus the idempotent by the others.
-    kept = set()
-    for i, row in enumerate(ev._law_rows_at(sel)):
-        for j, x in row.items():
-            if _payload_int(ring, x) != 1 or j != i:
-                raise AssertionError(
-                    f"P(iota o pi) of {expr} is not diagonal 0/1 at ({i}, {j})")
-            kept.add(i)
+    pairs = _diagonal_degrees(expr, m, n)
     # the complement must have strictly smaller degree
-    parts = homogeneous_parts(Shift(m, expr), n)
     top = expr.degree()
-    high = {j for d, idxs in parts.items() if d >= top > 0 for j in idxs}
-    if high - kept:
+    if any(a and b >= top > 0 for a, b in pairs):
         raise AssertionError("shift complement touches top-degree part")
-    return sorted(kept), [j for j in range(size) if j not in kept]
-
-
-def _payload_int(ring, x) -> int:
-    if isinstance(x, int):
-        return x
-    raise ValueError(f"expected integer payload over {ring.tag()}, got {x!r}")
+    return ([j for j, (a, _) in enumerate(pairs) if not a],
+            [j for j, (a, _) in enumerate(pairs) if a])
 
 
 def _binomial_fit(values: List[int], max_degree: int) -> List[int]:
@@ -490,7 +479,7 @@ class DimReport:
 
 
 def dimension_function(expr: FunctorExpr, primes: Sequence[int], window: int) -> DimReport:
-    """Fiber dimensions of P(R^n) per prime, cross-checked two ways.
+    """Fiber dimensions of P(R^n) per distinct prime, cross-checked two ways.
 
     Direct fiber dimensions must satisfy f_p(n+1) = f_p(n) + g_p(n) where
     g_p(n) is the rank of the shift complement; the fitted interpolating
@@ -498,7 +487,7 @@ def dimension_function(expr: FunctorExpr, primes: Sequence[int], window: int) ->
     """
     if window < expr.degree() + 1:
         raise ValueError("window must exceed the functor degree")
-    plist = [0] + [p for p in primes if p != 0]
+    plist = list(dict.fromkeys([0, *primes]))
     table = {}
     for p in plist:
         table[p] = tuple(fiber_dimension(evaluate(expr, n).module, p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .functors import (DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_parts,
                        rank_at)
@@ -229,13 +229,13 @@ def _closure(alpha: PolyTransformation, n: int, ring: BaseRing,
 
 
 def dimension_per_prime(alpha: PolyTransformation, n: int,
-                        primes: Sequence[int],
-                        guards: SizeGuards = DEFAULT_GUARDS) -> Dict[int, int]:
-    """Dimension of the image closure over QQ (key 0) and each F_p."""
+                        primes: Sequence[int]) -> Dict[int, int]:
+    """Dimension of the image closure over QQ (key 0) and each distinct F_p,
+    in order of first appearance."""
     out = {}
-    for p in [0] + [q for q in primes if q != 0]:
+    for p in dict.fromkeys([0, *primes]):
         ring = fraction_field_reduction(ZZ, p)
-        subset = image_closure(alpha, n, ring, guards)
+        subset = image_closure(alpha, n, ring)
         out[p] = ideal_dimension(subset.gb)
     return out
 
@@ -397,11 +397,10 @@ def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:
     return mats
 
 
-def equivariance_check(subset: ClosedSubsetAtRank,
-                       matrices: Optional[Sequence[Sequence[Sequence[int]]]] = None) -> bool:
+def equivariance_check(subset: ClosedSubsetAtRank) -> bool:
     """Is V(I) stable under the generator matrices?  True when g.f lies in
-    rad(I) for every generator f of I and every matrix g (by default those
-    of default_generator_matrices), acting through the law of the functor.
+    rad(I) for every generator f of I and every matrix g of
+    default_generator_matrices, acting through the law of the functor.
 
     Each moved generator is first tested for membership in I itself, by
     reduction against the reduced basis already in hand.  That test is
@@ -420,8 +419,6 @@ def equivariance_check(subset: ClosedSubsetAtRank,
     """
     ring = subset.ring
     n = subset.rank
-    if matrices is None:
-        matrices = default_generator_matrices(n, ring)
     if not subset.generators:
         return True
     ev = evaluate(subset.functor, n)
@@ -431,7 +428,7 @@ def equivariance_check(subset: ClosedSubsetAtRank,
     for f in subset.generators:
         work, coeffs = ring.primitive(list(f.terms.values()))
         gens.append(MultiPoly(work, vs, dict(zip(f.terms, coeffs))))
-    for g in matrices:
+    for g in default_generator_matrices(n, ring):
         mapping = {}
         for nm, row in zip(vs.names, ev._law_rows_at(g)):
             terms = {}

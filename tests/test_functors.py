@@ -1,5 +1,6 @@
 """Polynomial functor expressions: evaluation, laws, shifts, dimensions."""
 
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb
 
@@ -138,20 +139,56 @@ def test_shift_decompose_runs_no_integer_echelon(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("entry", [(1, 0, 1), (1, 1, 2)],
-                         ids=["off-diagonal", "diagonal-2"])
-def test_shift_decompose_rejects_an_idempotent_off_diagonal_0_1(monkeypatch, entry):
-    i, j, value = entry
-    own = functors.FunctorEval._law_rows_at
+@pytest.mark.parametrize("fault", ["off-diagonal", "diagonal-2"])
+def test_shift_decompose_rejects_a_law_off_diagonal_monomials(monkeypatch, fault):
+    # the law of Sym(2) at diag(s, t, t), made faulty in one way
+    own = functors._law_matrix
 
-    def faulty(self, matrix):
-        rows = own(self, matrix)
-        rows[i][j] = value
+    def faulty(expr, n_from, n_to, h, ring, vs):
+        rows = own(expr, n_from, n_to, h, ring, vs)
+        t = h[-1][n_from - 1]
+        if fault == "off-diagonal":
+            rows[1][0] = t
+        else:
+            rows[1][1] = t + t
         return rows
 
-    monkeypatch.setattr(functors.FunctorEval, "_law_rows_at", faulty)
-    with pytest.raises(AssertionError, match="not diagonal 0/1"):
+    monkeypatch.setattr(functors, "_law_matrix", faulty)
+    with pytest.raises(AssertionError, match="not homogeneous"):
         shift_decompose(Sym(2), 1, 2)
+
+
+def test_shift_decompose_and_homogeneous_parts_build_one_law_each(monkeypatch):
+    # one law at diag(s*I_m, t*I_n) gives both bases and the degrees; no
+    # law at an integer matrix is built beside it
+    calls = Counter()
+    depth = [0]
+    own_law = functors._law_matrix
+    own_shift = functors.shift_decompose
+
+    def law(*args):
+        calls["law"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return own_law(*args)
+        finally:
+            depth[0] -= 1
+
+    def shift(*args):
+        calls["shift"] += 1
+        return own_shift(*args)
+
+    def rows_at(self, matrix):
+        calls["rows_at"] += 1
+        return []
+
+    monkeypatch.setattr(functors, "_law_matrix", law)
+    monkeypatch.setattr(functors, "shift_decompose", shift)
+    monkeypatch.setattr(functors.FunctorEval, "_law_rows_at", rows_at)
+    dimension_function(DirectSum((Sym(2), Ext(3))), [2], 7)
+    assert calls == {"shift": 7, "law": 7}
+    homogeneous_parts(DirectSum((Sym(2), Ext(3))), 3)
+    assert calls == {"shift": 7, "law": 8}
 
 
 def test_shift_decompose_sizes():
@@ -177,6 +214,14 @@ def test_dimension_function_jumping_prime():
     assert report.jumping_primes == (2,)
     assert report.table[2][0] == 1
     assert report.table[0][0] == 0
+
+
+def test_dimension_function_reads_each_prime_once():
+    # a repeated prime is one prime: one table row, one jumping prime
+    expr = DirectSum((Const(FPModule.from_ints(ZZ, 1, [[2]])), Id()))
+    report = dimension_function(expr, [2, 3, 2], 3)
+    assert list(report.table) == [0, 2, 3]
+    assert report.jumping_primes == (2,)
 
 
 def test_dimension_function_window_validation():

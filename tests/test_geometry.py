@@ -53,6 +53,20 @@ def test_four_squares_dimension_per_prime():
     assert dims[2] == 3
 
 
+def test_dimension_per_prime_runs_a_repeated_prime_once(monkeypatch):
+    fields = []
+    own = geometry.image_closure
+
+    def closure(alpha, n, ring, *rest):
+        fields.append(ring.tag())
+        return own(alpha, n, ring, *rest)
+
+    monkeypatch.setattr(geometry, "image_closure", closure)
+    dims = dimension_per_prime(cube_sum, 2, (3, 2, 3))
+    assert list(dims.items()) == [(0, 4), (3, 2), (2, 4)]
+    assert fields == ["QQ", "Fp(3)", "Fp(2)"]
+
+
 def test_image_closure_requires_field():
     with pytest.raises(ValueError):
         image_closure(cube_sum, 2, ZZ)
