@@ -417,13 +417,12 @@ def _diagonal_degrees(expr: FunctorExpr, m: int, n: int) -> List[Tuple[int, int]
     h = [{i: s} for i in range(m)] + [{m + i: t} for i in range(n)]
     out = []
     for j, row in enumerate(_law_matrix(expr, m + n, m + n, h, ring, vs)):
-        entry = row.get(j)
-        if len(row) != 1 or entry is None or len(entry.terms) != 1 \
-                or next(iter(entry.terms.values())) != ring.one():
+        terms = list(row[j].terms.items()) if list(row) == [j] else []
+        if len(terms) != 1 or terms[0][1] != ring.one():
             raise AssertionError(
                 f"basis vector {j} of {expr} is not homogeneous: its law at "
                 f"diag(s*I_{m}, t*I_{n}) is not one monomial on the diagonal")
-        out.append(next(iter(entry.terms)))
+        out.append(terms[0][0])
     return out
 
 

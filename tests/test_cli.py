@@ -794,9 +794,7 @@ def test_groebner_defaulted_parameters_are_passed_in_src():
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for fn in node.body:
                     if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
-                        static = any(getattr(d, "id", None) == "staticmethod"
-                                     for d in fn.decorator_list)
-                        collect(path.name, fn, 0 if static else 1)
+                        collect(path.name, fn, 1)
     passed = set()
     for path in sorted(src.rglob("*.py")):
         for call in ast.walk(ast.parse(path.read_text())):

@@ -111,8 +111,8 @@ def test_homogeneous_parts_rejects_a_law_that_is_not_diagonal(monkeypatch, fault
 
 
 def test_shift_decompose_multiplies_only_nonzero_entries(monkeypatch):
-    # the idempotent and t*id are diagonal, so the sparse law calculus
-    # makes a few hundred polynomial products (the dense one made 21,440)
+    # diag(s*I_m, t*I_n) is diagonal, so the sparse law calculus makes
+    # about a hundred polynomial products (the dense one made 21,440)
     calls = []
     own = MultiPoly.__mul__
 
@@ -126,7 +126,8 @@ def test_shift_decompose_multiplies_only_nonzero_entries(monkeypatch):
 
 
 def test_shift_decompose_runs_no_integer_echelon(monkeypatch):
-    # the idempotent is diagonal 0/1, so both bases are read off its diagonal
+    # the law at diag(s*I_m, t*I_n) is diagonal, so both bases are read off
+    # its diagonal
     calls = []
     own = linalg.integer_echelon
 
