@@ -475,7 +475,7 @@ def _cmd_dim_per_prime(cfg: dict, args) -> tuple:
     guards = _geometry_guards(args)
 
     def one(p: int):
-        ring = fraction_field_reduction(ZZ, p)
+        ring = fraction_field_reduction(p)
         t0 = time.perf_counter()
         subset = _cached_image_closure(alpha, n, ring, guards, args.cache)
         ms = int((time.perf_counter() - t0) * 1000)
@@ -557,7 +557,7 @@ def _cmd_taylor(cfg: dict, args) -> tuple:
                       "field"))
     vs = _varset_from_config(cfg)
     ring = _field_from_config(cfg) if "field" in cfg else \
-        fraction_field_reduction(ZZ, 0)
+        fraction_field_reduction(0)
     [f] = _polys_from_config([_need(cfg, "polynomial", str)], "polynomial",
                              ring, vs)
     m = _need(cfg, "direction_count", int)

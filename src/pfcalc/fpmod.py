@@ -75,7 +75,7 @@ class FreenessCertificate:
 
 def fiber_dimension(module: FPModule, p: int) -> int:
     """dim over K_p of K_p tensor M, i.e. ngens - rank of the relations mod p."""
-    field = fraction_field_reduction(ZZ, p)
+    field = fraction_field_reduction(p)
     rows = module.integer_relations()
     if not rows:
         return module.ngens

@@ -42,22 +42,18 @@ class FunctorExpr:
     def degree(self) -> int:
         raise NotImplementedError
 
-    def ring(self) -> BaseRing:
-        return ZZ
-
-    def __add__(self, other):
-        return DirectSum((self, other))
-
 
 @dataclass(frozen=True)
 class Const(FunctorExpr):
     module: FPModule
 
+    def __post_init__(self):
+        ring = self.module.ring
+        if ring != ZZ:
+            raise ValueError(f"Const needs a module over ZZ, got one over {ring.tag()}")
+
     def degree(self):
         return 0
-
-    def ring(self):
-        return self.module.ring
 
     def __str__(self):
         rel = self.module.relations
@@ -227,13 +223,13 @@ def evaluate(expr: FunctorExpr, n: int) -> FunctorEval:
     if isinstance(expr, Const):
         mod = expr.module
     elif isinstance(expr, DirectSum):
-        mod = block_sum(expr.ring(), [evaluate(c, n).module for c in expr.children])
+        mod = block_sum(ZZ, [evaluate(c, n).module for c in expr.children])
     elif isinstance(expr, Shift):
         mod = evaluate(expr.child, expr.m + n).module
     else:
         if isinstance(expr, (Tensor, Compose, Dual)):
             _check_free(expr, type(expr).__name__)
-        mod = FPModule.free(expr.ring(), rank_at(expr, n))
+        mod = FPModule.free(ZZ, rank_at(expr, n))
     return FunctorEval(expr, n, mod)
 
 

@@ -133,7 +133,7 @@ class _Packing:
         self.sums = [(width * slots.index(b[0]),
                       sum(1 << width * k for k in range(len(b))),
                       width * (len(b) - 1), width * slots.index(b))
-                     for b in self.blocks if b]  # for lcm: see there
+                     for b in self.blocks if b]  # for graded: see there
         self.digit = (1 << width) - 1
         self.guard = sum(1 << width * (k + 1) - 1 for k in range(self.size))
         self.exps = sum(self.digit << width * k for k in self.pos)
@@ -154,9 +154,6 @@ class _Packing:
 
     def key(self, P: int) -> int:
         return P - 2 * (P & self.mask)
-
-    def lcm(self, a: int, b: int) -> int:
-        return self.graded(self.maximum(a, b))
 
     def maximum(self, a: int, b: int) -> int:
         """Digit-wise maximum of the exponent digits, degree digits 0."""

@@ -209,10 +209,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def coeff(self, exp: tuple):
-        """Coefficient payload of a monomial (the ring's zero if absent)."""
-        return self.terms.get(exp, self.ring.zero())
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 

@@ -440,13 +440,7 @@ class QuotientRing(BaseRing):
         return tuple(self.base.sub(x, y) for x, y in zip(a, b, strict=True))
 
     def mul(self, a, b):
-        out = [self.base.zero()] * (2 * self.deg - 1)
-        for i, x in enumerate(a):
-            if self.base.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
-        return self._reduce(out)
+        return self._reduce(self._poly_mul(a, b))
 
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)
@@ -471,6 +465,8 @@ class QuotientRing(BaseRing):
             return ()
         out = [self.base.zero()] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
+            if self.base.is_zero(x):
+                continue
             for j, y in enumerate(b):
                 out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
         return _poly_trim(tuple(out))
@@ -761,10 +757,8 @@ def Fp(p: int) -> ModularIntegers:
     return ModularIntegers((p,))
 
 
-def fraction_field_reduction(r: BaseRing, p: int) -> BaseRing:
+def fraction_field_reduction(p: int) -> BaseRing:
     """The residue field of ZZ at (p): QQ for p = 0, Fp otherwise."""
-    if not isinstance(r, IntegerRing):
-        raise ValueError("fraction_field_reduction expects the integers")
     return QQ if p == 0 else Fp(p)
 
 

@@ -95,13 +95,6 @@ class SchurAlgebra:
                 clean[a] = c
         return SchurElem(self, clean)
 
-    def zero(self) -> "SchurElem":
-        return SchurElem(self, {})
-
-    def s(self, alpha: Sequence[Sequence[int]]) -> "SchurElem":
-        flat = tuple(x for row in alpha for x in row)
-        return self.element({flat: self.ring.one()})
-
     def multiply(self, a: "SchurElem", b: "SchurElem") -> "SchurElem":
         table = _integer_table(self.n, self.d)
         ring = self.ring
@@ -166,40 +159,12 @@ class SchurElem:
     algebra: SchurAlgebra
     coeffs: Dict[Index, object]
 
-    def __add__(self, other: "SchurElem") -> "SchurElem":
-        ring = self.algebra.ring
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            cur = ring.add(out.get(a, ring.zero()), c)
-            if ring.is_zero(cur):
-                out.pop(a, None)
-            else:
-                out[a] = cur
-        return SchurElem(self.algebra, out)
-
     def __mul__(self, other: "SchurElem") -> "SchurElem":
         return self.algebra.multiply(self, other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SchurElem) and self.algebra == other.algebra
                 and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.algebra, tuple(sorted(self.coeffs.items(), key=str))))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        ring = self.algebra.ring
-        parts = []
-        for a in sorted(self.coeffs):
-            c = self.coeffs[a]
-            head = "" if c == ring.one() else f"{ring.fmt(c)}*"
-            parts.append(f"{head}s{a}")
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -276,7 +241,7 @@ def base_change_module(module: SchurModule, p: int) -> SchurModule:
     """Reduce an integral SchurModule into K_p (QQ for p = 0, F_p otherwise)."""
     if module.algebra.ring != ZZ:
         raise ValueError("base change starts from an integral module")
-    target = fraction_field_reduction(ZZ, p)
+    target = fraction_field_reduction(p)
     algebra = SchurAlgebra(module.algebra.n, module.algebra.d, target)
     action = {a: tuple(tuple(target.from_int(x) for x in row) for row in mat)
               for a, mat in module.action.items()}

@@ -68,7 +68,7 @@ def test_criterion_04_cube_sum_dimensions():
     for n, exp in expected.items():
         results[n] = {}
         for p in exp:
-            ring = fraction_field_reduction(ZZ, p)
+            ring = fraction_field_reduction(p)
             t0 = time.perf_counter()
             subset = image_closure(cube_sum, n, ring)
             dt = time.perf_counter() - t0

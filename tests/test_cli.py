@@ -761,6 +761,49 @@ def test_public_functions_are_used_in_src_or_kept_by_name():
     assert unused == TEST_ONLY_FUNCTIONS
 
 
+# public methods that only tests call, each kept for what it backs
+TEST_ONLY_METHODS = {
+    # the law pins
+    ("functors.py", "FunctorEval", "law_at"),
+    # acceptance criterion 5
+    ("poly.py", "MultiPoly", "total_degree"),
+    # acceptance criterion 11
+    ("poly.py", "MultiPoly", "is_weighted_homogeneous"),
+    # the brute-force oracle of acceptance criterion 13
+    ("poly.py", "MultiPoly", "term_mul"),
+    # the rule check of test_geometry.py
+    ("poly.py", "MultiPoly", "evaluate"),
+    # acceptance criterion 8
+    ("schur.py", "SchurAlgebra", "element"),
+    ("schur.py", "SchurAlgebra", "identity_element"),
+    # test_schur.py
+    ("schur.py", "SchurModule", "act"),
+}
+
+
+def test_public_methods_are_used_in_src_or_kept_by_name():
+    # a public method of a public class under src/pfcalc whose name src/
+    # reads as an attribute only inside its own body is test-only code: it
+    # goes, or TEST_ONLY_METHODS says what it backs.  Names are matched
+    # alone, so a method that shares its name with a used one passes, and
+    # dunder methods are not seen
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+
+    def attributes(tree):
+        return Counter(node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute))
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.rglob("*.py"))}
+    used = sum(map(attributes, trees.values()), Counter())
+    unused = {(module, cls.name, fn.name)
+              for module, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+              and used[fn.name] == attributes(fn)[fn.name]}
+    assert unused == TEST_ONLY_METHODS
+
+
 # defaulted parameters that no call in src/ passes, each kept for a reason
 UNPASSED_DEFAULTS = {
     # the console script calls main() bare; tests pass their own argv

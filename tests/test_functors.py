@@ -1,5 +1,6 @@
 """Polynomial functor expressions: evaluation, laws, shifts, dimensions."""
 
+import re
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb
@@ -13,7 +14,7 @@ from pfcalc.functors import (Compose, Const, DirectSum, Dual, Ext, Id, Shift,
                              homogeneous_parts, parse_functor, hom_varset,
                              rank_at, shift_decompose)
 from pfcalc.poly import MultiPoly
-from pfcalc.rings import ZZ
+from pfcalc.rings import Fp, QQ, ZZ
 
 
 def test_evaluation_ranks():
@@ -32,6 +33,14 @@ def test_const_evaluation():
     # a Shift below rank 0 is refused, also when its child ignores the rank
     with pytest.raises(ValueError, match="rank must be nonnegative"):
         evaluate(Shift(-5, c), 1)
+
+
+@pytest.mark.parametrize("ring", [Fp(3), QQ], ids=str)
+def test_const_needs_a_module_over_zz(ring):
+    # a functor lives over ZZ: a constant over another ring would make its
+    # direct sums evaluate over ZZ with a summand over that ring
+    with pytest.raises(ValueError, match=re.escape(f"got one over {ring.tag()}")):
+        Const(FPModule.free(ring, 1))
 
 
 def test_degrees():

@@ -13,7 +13,8 @@ from pfcalc.functors import Id, Sym
 from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence, PolyTransformation,
                              PrimeVerdict, SizeGuardExceeded, SizeGuards,
                              _dense_image, _jacobian_points, _jacobian_rank,
-                             cube_sum, dimension_per_prime, equivariance_check,
+                             cube_sum, default_generator_matrices,
+                             dimension_per_prime, equivariance_check,
                              four_squares, good_primes, image_closure,
                              sum_of_powers, target_varset, taylor_directional)
 from pfcalc.groebner import (GroebnerBasis, _graph_grading, buchberger, eliminate,
@@ -635,8 +636,8 @@ def test_equivariance_over_QQ_runs_in_integers(monkeypatch):
 
 
 def _closed_subset(target, n, gens):
-    """The closed subset of target at rank n cut out by gens, over QQ."""
-    return ClosedSubsetAtRank(target, n, QQ, gens[0].varset, tuple(gens),
+    """The closed subset of target at rank n cut out by gens, over their ring."""
+    return ClosedSubsetAtRank(target, n, gens[0].ring, gens[0].varset, tuple(gens),
                               buchberger(gens, Grevlex()))
 
 
@@ -654,6 +655,65 @@ def test_equivariance_falls_back_to_the_radical():
     subset = _closed_subset(Sym(1), 2, gens)
     assert not subset.gb.contains(parse_poly("y1", QQ, vs))
     assert equivariance_check(subset)
+
+
+def _generators_with_every_idempotent(n, ring):
+    """default_generator_matrices with its one idempotent diag(1, ..., 1, 0)
+    replaced by every diagonal 0/1 matrix but I, as it once was."""
+    one = [[[int(i == j < n - 1) for j in range(n)] for i in range(n)]] if n else []
+    mats = default_generator_matrices(n, ring)
+    assert mats[len(mats) - len(one):] == one
+    return mats[:len(mats) - len(one)] + [
+        [[bits[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for bits in itertools.product((0, 1), repeat=n) if not all(bits)]
+
+
+def _asymmetric():
+    vs = target_varset(Sym(3), 2)
+    return _closed_subset(Sym(3), 2, [parse_poly("y1", QQ, vs)])
+
+
+def _not_radical():
+    vs = target_varset(Sym(1), 2)
+    return _closed_subset(Sym(1), 2, [parse_poly(t, QQ, vs) for t in ("y1^2", "y2")])
+
+
+def _unstable_under_idempotents_alone():
+    # f = y1^3*y2 - y1*y2^3 is the product of the lines of F_3^2, which
+    # GL_2(F_3) permutes, so it moves f to det(g)*f and f^2 - 1 to itself;
+    # diag(1, 0) moves f^2 - 1 to -1
+    vs = target_varset(Id(), 2)
+    return _closed_subset(Id(), 2, [parse_poly("(y1^3*y2 - y1*y2^3)^2 - 1", Fp(3), vs)])
+
+
+@pytest.mark.parametrize("subset,stable", [
+    (lambda: image_closure(cube_sum, 2, QQ), True),
+    (lambda: image_closure(cube_sum, 2, Fp(3)), True),
+    (lambda: image_closure(sum_of_powers(1, 3), 3, QQ), True),
+    (_not_radical, True),
+    (_asymmetric, False),
+    (_unstable_under_idempotents_alone, False),
+], ids=["cube-sum-QQ", "cube-sum-F3", "sop-1-3-QQ", "not-radical", "asymmetric",
+        "idempotents-alone"])
+def test_one_idempotent_gives_the_verdict_of_every_idempotent(subset, stable, monkeypatch):
+    subset = subset()
+    assert equivariance_check(subset) == stable
+    monkeypatch.setattr(geometry, "default_generator_matrices",
+                        _generators_with_every_idempotent)
+    assert equivariance_check(subset) == stable
+
+
+@pytest.mark.parametrize("ring", [QQ, Fp(3), Fp(2)], ids=str)
+def test_generator_matrices_grow_quadratically(ring):
+    # transpositions, transvections, a scaling per variable outside
+    # characteristic 2, and one idempotent: 13 at rank 3 and 71 at rank 7
+    # over QQ, where every idempotent made 19 and 197
+    scalings = ring.characteristic() != 2
+    for n in range(8):
+        count = len(default_generator_matrices(n, ring))
+        assert count == n * (n - 1) // 2 + n * (n - 1) + scalings * n + (n > 0)
+        old = len(_generators_with_every_idempotent(n, ring))
+        assert old == count - (n > 0) + 2 ** n - 1
 
 
 def test_taylor_char_zero_derivative():

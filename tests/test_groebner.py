@@ -180,6 +180,10 @@ def test_eliminate_rejects_unknown_variable():
         eliminate([P("x")], {"w"})
 
 
+def test_eliminate_of_zero_polynomials_is_empty():
+    assert eliminate([MultiPoly.zero(QQ, VS)] * 2, {"x"}) == []
+
+
 def test_eliminate_nothing_is_the_grevlex_basis():
     gens = [P("x^2 - y"), P("x*y - 1")]
     assert eliminate(gens, set()) == list(buchberger(gens, Grevlex()).generators)
@@ -190,6 +194,15 @@ def test_radical_membership():
     assert radical_membership(P("x"), gens)
     assert not radical_membership(P("y"), gens)
     assert radical_membership(P("x*y"), gens)
+
+
+def test_radical_membership_renames_its_variable_past_a_taken_name():
+    # the Rabinowitsch variable is z_rad unless the varset has one already;
+    # were it the varset's own z_rad, z_rad = 0 would put 1 = 1 - z_rad*x
+    # in the ideal and pass x
+    vs = VarSet(("x", "z_rad"))
+    assert not radical_membership(P("x", vs=vs), [P("z_rad", vs=vs)])
+    assert radical_membership(P("x*z_rad", vs=vs), [P("x^2", vs=vs)])
 
 
 def test_groebner_over_fp():

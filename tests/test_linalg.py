@@ -74,6 +74,12 @@ def test_smith_normal_form_of_single_relation():
     assert smith_normal_form([[2, 4]]) == [2]
 
 
+def test_smith_normal_form_fixes_a_pivot_that_divides_no_entry():
+    # 2 does not divide 3: the fix-up adds the row of 3 to the pivot row,
+    # and the chain becomes 1 | 6
+    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+
+
 def _reference_echelon(rows, stats):
     """The Bareiss loop as it was before rows that cannot change were
     skipped: every row below the pivot is rewritten in every column.

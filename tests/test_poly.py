@@ -162,7 +162,7 @@ def test_evaluate():
 
 def test_integer_polynomials():
     f = parse_poly("2*x - 4*y", ZZ, VS)
-    assert f.coeff((1, 0, 0)) == 2
+    assert f.terms[(1, 0, 0)] == 2
     assert (f + f) == parse_poly("4*x - 8*y", ZZ, VS)
 
 

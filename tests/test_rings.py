@@ -182,10 +182,10 @@ def test_ring_from_tag_matches_scratch_ring_reader(tag):
 
 
 def test_fraction_field_reduction():
-    assert fraction_field_reduction(ZZ, 0).tag() == "QQ"
-    assert fraction_field_reduction(ZZ, 5).tag() == "Fp(5)"
+    assert fraction_field_reduction(0).tag() == "QQ"
+    assert fraction_field_reduction(5).tag() == "Fp(5)"
     with pytest.raises(ValueError):
-        fraction_field_reduction(ZZ, 4)
+        fraction_field_reduction(4)
 
 
 def _trial_division_irreducible(field, modulus):
