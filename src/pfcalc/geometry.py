@@ -364,12 +364,10 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
 
 def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:
     """Transpositions, transvections, one scaling per variable outside
-    characteristic 2, and the idempotent diag(1, ..., 1, 0).
-
-    Conjugating that idempotent by the transposition of i and n puts its
-    zero at i, and products of those give every diagonal 0/1 matrix, the
-    zero matrix included.  So the set generates the same monoid as one with
-    all 2^n - 1 of them, in at most n^2 + n(n - 1)/2 + 1 matrices.
+    characteristic 2, and diag(1, ..., 1, 0).  Its conjugates by the
+    transpositions put its zero at each i, and their products give every
+    diagonal 0/1 matrix, the zero matrix included: the set generates the
+    monoid that all 2^n - 1 of them would, in n^2 + n(n - 1)/2 + 1 matrices.
     """
     mats = []
 
@@ -403,11 +401,10 @@ def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:
 
 
 def equivariance_check(subset: ClosedSubsetAtRank) -> bool:
-    """Is V(I) stable under the monoid of matrices that
-    default_generator_matrices generates?  A set stable under two matrices
-    is stable under their product, so the generators suffice: True when
-    g.f lies in rad(I) for every generator f of I and every matrix g of
-    default_generator_matrices, acting through the law of the functor.
+    """Is V(I) stable under the monoid that default_generator_matrices
+    generates?  It is when it is stable under each generator: when g.f lies
+    in rad(I) for every generator f of I and every matrix g of that set,
+    acting through the law of the functor.
 
     Each moved generator is first tested for membership in I itself, by
     reduction against the reduced basis already in hand.  That test is

@@ -440,7 +440,13 @@ class QuotientRing(BaseRing):
         return tuple(self.base.sub(x, y) for x, y in zip(a, b, strict=True))
 
     def mul(self, a, b):
-        return self._reduce(self._poly_mul(a, b))
+        out = [self.base.zero()] * (2 * self.deg - 1)
+        for i, x in enumerate(a):
+            if self.base.is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
+        return self._reduce(out)
 
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)
@@ -465,8 +471,6 @@ class QuotientRing(BaseRing):
             return ()
         out = [self.base.zero()] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if self.base.is_zero(x):
-                continue
             for j, y in enumerate(b):
                 out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
         return _poly_trim(tuple(out))

@@ -162,10 +162,6 @@ class SchurElem:
     def __mul__(self, other: "SchurElem") -> "SchurElem":
         return self.algebra.multiply(self, other)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SchurElem) and self.algebra == other.algebra
-                and self.coeffs == other.coeffs)
-
 
 @dataclass(frozen=True)
 class SchurModule:
