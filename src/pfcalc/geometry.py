@@ -367,7 +367,7 @@ def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:
     characteristic 2, and diag(1, ..., 1, 0).  Its conjugates by the
     transpositions put its zero at each i, and their products give every
     diagonal 0/1 matrix, the zero matrix included: the set generates the
-    monoid that all 2^n - 1 of them would, in n^2 + n(n - 1)/2 + 1 matrices.
+    monoid that all 2^n - 1 of them would, in <= n^2 + n(n - 1)/2 + 1 matrices.
     """
     mats = []
 
