@@ -9,14 +9,16 @@ basis from the expression alone; the module is free of that rank except
 where Const summands carry relations.
 
 Laws are built as sparse rows (Rows): row i is a dict {column j: entry
-(i, j)} that holds the nonzero entries only.  The work then follows the
-nonzero entries, so a diagonal map such as diag(s*I_m, t*I_n) costs far
-less than the square of the basis size.  Its law is diagonal too, one
-monomial s^a t^b per basis vector, and homogeneous_parts and
-shift_decompose read the degrees and the shift split off it.  The entries
-are polynomials in the h_i_j for a symbolic map and plain ints at a
-concrete integer matrix: the combinators need only *, +, - and a zero
-test, so one _law_matrix builds both.
+(i, j)} that holds the nonzero entries only, so the work follows the
+nonzero entries.  The entries are polynomials in the h_i_j for a
+symbolic map and plain ints at a concrete integer matrix: the combinators
+need only *, +, - and a zero test, so one _law_matrix builds both.
+The law of P at diag(s*I_m, t*I_n) is diagonal, one monomial s^a t^b per
+basis vector; homogeneous_parts and shift_decompose read the degrees b
+and the shift split (a = 0) off it.  They never build that law:
+_diagonal_degrees computes the pairs (a, b) by a recursion over the
+expression, since each combinator's law at a diagonal matrix of
+monomials is again one, whose exponents are sums of the input's.
 FunctorEval.law and FunctorEval.law_at are dense views of those rows,
 with the zeros filled in once, at the end.
 """
@@ -278,7 +280,8 @@ def _law_matrix(expr: FunctorExpr, n_from: int, n_to: int,
         return h
     if isinstance(expr, Sym):
         src = degree_monomials(n_from, expr.d)
-        tgt_index = {e: i for i, e in enumerate(degree_monomials(n_to, expr.d))}
+        tgt = src if n_to == n_from else degree_monomials(n_to, expr.d)
+        tgt_index = {e: i for i, e in enumerate(tgt)}
         # expand in scratch variables f!1..f!n_to, the basis of the target,
         # after the h block (none for scalar entries); the f-exponent of a
         # term names its row
@@ -398,28 +401,78 @@ def _diagonal_degrees(expr: FunctorExpr, m: int, n: int) -> List[Tuple[int, int]
     """The pairs (a_j, b_j), one per basis vector e_j of P(R^(m+n)), with
     P(diag(s*I_m, t*I_n)) e_j = s^a_j * t^b_j * e_j.
 
-    The law of every combinator sends a diagonal matrix D of monomials with
-    coefficient 1 to another: Id returns D; Sym and Ext give products of
-    diagonal entries on monomials and wedges; Tensor is a Kronecker product
-    and DirectSum a block sum; Shift(k, P) applies P to I_k (+) D; Compose
-    applies the outer law to the inner one, of that shape by induction;
-    Dual transposes, and Const is the identity.  An AssertionError reports
-    a law of any other shape.
+    The law is not built.  By induction on expr, the law of every
+    combinator sends a diagonal matrix D of monomials with coefficient 1,
+    given by the exponent pairs of its diagonal, to another, whose pairs
+    are sums of D's (see _degrees): Const is the identity and Id returns D;
+    Sym and Ext multiply the diagonal entries over each monomial and each
+    wedge of their basis; Tensor is a Kronecker product and DirectSum a
+    block sum; Compose applies the outer law to the inner one; Shift(k, P)
+    applies P to I_k (+) D, and Dual transposes, which leaves a diagonal
+    matrix as it is.  As evaluate does, it refuses a negative rank and
+    torsion under Tensor, Compose or Dual.
     """
-    ring = evaluate(expr, m + n).module.ring
-    vs = VarSet(("s!", "t!"))
-    s = MultiPoly.variable(ring, vs, "s!")
-    t = MultiPoly.variable(ring, vs, "t!")
-    h = [{i: s} for i in range(m)] + [{m + i: t} for i in range(n)]
-    out = []
-    for j, row in enumerate(_law_matrix(expr, m + n, m + n, h, ring, vs)):
-        terms = list(row[j].terms.items()) if list(row) == [j] else []
-        if len(terms) != 1 or terms[0][1] != ring.one():
-            raise AssertionError(
-                f"basis vector {j} of {expr} is not homogeneous: its law at "
-                f"diag(s*I_{m}, t*I_{n}) is not one monomial on the diagonal")
-        out.append(terms[0][0])
-    return out
+    if m < 0 or n < 0:
+        raise ValueError("rank must be nonnegative")
+    return _degrees(expr, [(1, 0)] * m + [(0, 1)] * n, False)
+
+
+def _degrees(expr: FunctorExpr, diag: List[Tuple[int, int]],
+             free: bool) -> List[Tuple[int, int]]:
+    """The exponent pairs of the diagonal of expr's law at the diagonal
+    matrix whose pairs are diag, in the law's basis order.  free tells
+    that an enclosing Tensor, Compose or Dual has refused torsion below."""
+    if isinstance(expr, Const):
+        return [(0, 0)] * expr.module.ngens
+    if isinstance(expr, Id):
+        return diag
+    if isinstance(expr, Sym):
+        return _combination_sums(diag, expr.d, True)
+    if isinstance(expr, Ext):
+        return _combination_sums(diag, expr.d, False)
+    if isinstance(expr, (Tensor, Compose, Dual)) and not free:
+        _check_free(expr, type(expr).__name__)
+        free = True
+    if isinstance(expr, Tensor):
+        out = [(0, 0)]
+        for c in expr.children:
+            out = [(a + x, b + y) for a, b in out for x, y in _degrees(c, diag, free)]
+        return out
+    if isinstance(expr, DirectSum):
+        return [p for c in expr.children for p in _degrees(c, diag, free)]
+    if isinstance(expr, Compose):
+        return _degrees(expr.outer, _degrees(expr.inner, diag, free), free)
+    if isinstance(expr, Shift):
+        if expr.m < 0:
+            raise ValueError(f"rank must be nonnegative: {expr} shifts by {expr.m}")
+        return _degrees(expr.child, [(0, 0)] * expr.m + diag, free)
+    if isinstance(expr, Dual):
+        return _degrees(expr.child, diag, free)
+    raise TypeError(f"unknown functor node {expr!r}")
+
+
+def _combination_sums(pairs: List[Tuple[int, int]], d: int,
+                      repeat: bool) -> List[Tuple[int, int]]:
+    """The sums of the pairs over each combinations_with_replacement(pairs,
+    d) when repeat, else over each combinations(pairs, d), in that order.
+
+    These are the Sym(d) and Ext(d) bases: degree_monomials lists its
+    exponents in the order of combinations_with_replacement.  Built one
+    degree at a time: sums[i] holds the sums over the combinations of
+    pairs[i:], which are pairs[i] plus those of one degree less over
+    pairs[i:] (repeat) or pairs[i + 1:], then the sums of pairs[i + 1:].
+    """
+    if d < 0:
+        raise ValueError(f"degree must be nonnegative, got {d}")
+    n = len(pairs)
+    sums = [[(0, 0)]] * (n + 1)
+    for _ in range(d):
+        nxt: List[List[Tuple[int, int]]] = [[]] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            a, b = pairs[i]
+            nxt[i] = [(a + x, b + y) for x, y in sums[i + (not repeat)]] + nxt[i + 1]
+        sums = nxt
+    return sums[0]
 
 
 def homogeneous_parts(expr: FunctorExpr, n: int) -> Dict[int, List[int]]:

@@ -425,6 +425,18 @@ class QuotientRing(BaseRing):
         self.deg = len(self.modulus) - 1
         self._is_field = None  # memoized verdict of is_field
         self._tables = None  # (log, exp, zech) of a small finite field
+        # t^(deg + k) mod f for k < deg - 1, the high half of a product,
+        # as its nonzero coefficients (j, c_j); t^(deg + k + 1) is t times
+        # t^(deg + k) with its top coefficient folded back by t^deg = -f_low
+        zero = base.zero()
+        top_row = [base.neg(c) if c else zero for c in self.modulus[:-1]]
+        row = top_row
+        self._fold = []
+        for _ in range(self.deg - 1):
+            self._fold.append([(j, c) for j, c in enumerate(row) if c])
+            top, row = row[-1], [zero] + row[:-1]
+            if top:
+                row = [base.add(x, base.mul(top, y)) for x, y in zip(row, top_row)]
 
     def _reduce(self, cs) -> tuple:
         cs = _poly_trim(tuple(cs))
@@ -440,13 +452,21 @@ class QuotientRing(BaseRing):
         return tuple(self.base.sub(x, y) for x, y in zip(a, b, strict=True))
 
     def mul(self, a, b):
+        # schoolbook over the nonzero coefficients, then the coefficients
+        # of t^deg and above fold back through the rows of self._fold
+        add, mul = self.base.add, self.base.mul
         out = [self.base.zero()] * (2 * self.deg - 1)
+        b = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
-            if self.base.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(x, y))
-        return self._reduce(out)
+            if x:
+                for j, y in b:
+                    out[i + j] = add(out[i + j], mul(x, y))
+        low = out[:self.deg]
+        for c, row in zip(out[self.deg:], self._fold):
+            if c:
+                for j, r in row:
+                    low[j] = add(low[j], mul(c, r))
+        return tuple(low)
 
     def neg(self, a):
         return tuple(self.base.neg(x) for x in a)

@@ -1,5 +1,6 @@
 """Polynomial functor expressions: evaluation, laws, shifts, dimensions."""
 
+import random
 import re
 from collections import Counter
 from itertools import combinations, permutations
@@ -13,7 +14,7 @@ from pfcalc.functors import (Compose, Const, DirectSum, Dual, Ext, Id, Shift,
                              Sym, Tensor, dimension_function, evaluate,
                              homogeneous_parts, parse_functor, hom_varset,
                              rank_at, shift_decompose)
-from pfcalc.poly import MultiPoly
+from pfcalc.poly import MultiPoly, VarSet
 from pfcalc.rings import Fp, QQ, ZZ
 
 
@@ -100,9 +101,133 @@ def test_homogeneous_parts_partition():
     assert len(parts[3]) == 1
 
 
+def _law_degrees(expr, m, n):
+    """The oracle for functors._diagonal_degrees: the pairs (a_j, b_j) read
+    off the law of expr that _law_matrix builds at diag(s*I_m, t*I_n).  The
+    law must be square of the evaluated size and hold in row j exactly its
+    diagonal entry, one monomial s^a_j t^b_j with coefficient 1."""
+    size = evaluate(expr, m + n).module.ngens
+    vs = VarSet(("s!", "t!"))
+    s = MultiPoly.variable(ZZ, vs, "s!")
+    t = MultiPoly.variable(ZZ, vs, "t!")
+    h = [{i: s} for i in range(m)] + [{m + i: t} for i in range(n)]
+    rows = functors._law_matrix(expr, m + n, m + n, h, ZZ, vs)
+    assert len(rows) == size and all(0 <= j < size for row in rows for j in row), \
+        f"the law of {expr} at rank {m + n} is not {size} x {size}"
+    out = []
+    for j, row in enumerate(rows):
+        terms = list(row[j].terms.items()) if list(row) == [j] else []
+        if len(terms) != 1 or terms[0][1] != 1:
+            raise AssertionError(
+                f"basis vector {j} of {expr} is not homogeneous: its law at "
+                f"diag(s*I_{m}, t*I_{n}) is not one monomial on the diagonal")
+        out.append(terms[0][0])
+    return out
+
+
+# every combinator, Const in and out of a Tensor, Compose both ways, Dual
+# of a Tensor and nested Shifts
+DEGREE_EXPRS = ("Id", "Sym(0)", "Sym(3)", "Ext(0)", "Ext(2)", "Tensor(Id, Sym(2))",
+                "Tensor(Const(ZZ^2), Ext(2))", "Compose(Sym(2), Ext(2))",
+                "Compose(Ext(2), Sym(2))", "Dual(Sym(2))", "Dual(Tensor(Id, Sym(2)))",
+                "Const(ZZ^2) (+) Sym(2)", "Const(ZZ/2) (+) Id", "Tensor()",
+                "Shift(1, Shift(2, Sym(2)))", "Shift(2, Tensor(Id, Shift(1, Ext(2))))",
+                "Shift(1, Dual(Shift(1, Ext(3) (+) Id)))")
+
+
+def _check_degrees(expr):
+    for m in range(3):
+        for n in range(5):
+            want = _law_degrees(expr, m, n)
+            assert functors._diagonal_degrees(expr, m, n) == want, (m, n)
+            if m == 0:
+                parts = {}
+                for j, (_, b) in enumerate(want):
+                    parts.setdefault(b, []).append(j)
+                assert homogeneous_parts(expr, n) == parts, n
+            top = expr.degree()
+            if any(a and b >= top > 0 for a, b in want):
+                with pytest.raises(AssertionError, match="top-degree"):
+                    shift_decompose(expr, m, n)
+            else:
+                assert shift_decompose(expr, m, n) == (
+                    [j for j, (a, _) in enumerate(want) if not a],
+                    [j for j, (a, _) in enumerate(want) if a]), (m, n)
+
+
+@pytest.mark.parametrize("text", DEGREE_EXPRS)
+def test_diagonal_degrees_match_the_law(text):
+    # "Tensor()" has no parse; it is the empty tensor product, rank 1
+    _check_degrees(Tensor(()) if text == "Tensor()" else parse_functor(text))
+
+
+def _random_functor(rng, depth):
+    """A free functor expression of depth at most depth."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Id()
+        if kind == 1:
+            return Const(FPModule.free(ZZ, rng.randrange(3)))
+        return (Sym if kind == 2 else Ext)(rng.randrange(4))
+    kind = rng.randrange(5)
+    child = _random_functor(rng, depth - 1)
+    if kind == 0:
+        return Tensor((child, _random_functor(rng, depth - 1)))
+    if kind == 1:
+        return DirectSum((child, _random_functor(rng, depth - 1)))
+    if kind == 2:
+        return Compose(child, _random_functor(rng, depth - 1))
+    if kind == 3:
+        return Shift(rng.randrange(3), child)
+    return Dual(child)
+
+
+def test_diagonal_degrees_match_the_law_on_random_functors():
+    # the symbolic law costs about the square of the basis, so trees whose
+    # rank at 6 exceeds 400 are drawn again
+    rng = random.Random(20)
+    checked = []
+    while len(checked) < 60:
+        expr = _random_functor(rng, 3)
+        if rank_at(expr, 6) <= 400:
+            _check_degrees(expr)
+            checked.append(type(expr).__name__)
+    assert {"Tensor", "DirectSum", "Compose", "Shift", "Dual"} <= set(checked)
+
+
+@pytest.mark.parametrize("text", ["Tensor(Const(ZZ/2), Id)", "Compose(Sym(2), Const(ZZ/2) (+) Id)",
+                                  "Compose(Const(ZZ/3), Const(ZZ/2))", "Dual(Const(ZZ/2))",
+                                  "Id (+) Shift(1, Dual(Tensor(Sym(2), Const(ZZ/2))))"])
+def test_diagonal_degrees_refuse_torsion_as_evaluate_does(text):
+    # torsion under Tensor, Compose or Dual, with evaluate's message
+    expr = parse_functor(text)
+    with pytest.raises(ValueError, match="requires free evaluations") as want:
+        evaluate(expr, 3)
+    for call in (lambda: homogeneous_parts(expr, 3), lambda: shift_decompose(expr, 1, 2)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: homogeneous_parts(Id(), -1),
+    lambda: homogeneous_parts(Shift(-5, Const(FPModule.free(ZZ, 2))), 1),
+    lambda: homogeneous_parts(Shift(-1, Id()), 2),
+    lambda: shift_decompose(Id(), 1, -2),
+    lambda: shift_decompose(Sym(2), -1, 2),
+    lambda: shift_decompose(Tensor((Id(), Shift(-1, Sym(2)))), 1, 1),
+], ids=["rank", "shift below 0", "negative shift", "n", "m", "under Tensor"])
+def test_diagonal_degrees_refuse_a_negative_rank(call):
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
+        call()
+
+
 @pytest.mark.parametrize("fault", ["off-diagonal", "zero diagonal", "mixed degrees"])
 def test_homogeneous_parts_rejects_a_law_that_is_not_diagonal(monkeypatch, fault):
-    # the law of Id at t*id in rank 2, made faulty in one way
+    # homogeneous_parts reads its degrees by a recursion, checked against
+    # the oracle _law_degrees; the oracle must reject a faulty law of Id at
+    # t*id in rank 2
     def faulty(expr, n_from, n_to, h, ring, vs):
         t = h[0][0]
         rows = [{0: t}, {1: t}]
@@ -116,12 +241,12 @@ def test_homogeneous_parts_rejects_a_law_that_is_not_diagonal(monkeypatch, fault
 
     monkeypatch.setattr(functors, "_law_matrix", faulty)
     with pytest.raises(AssertionError, match="not homogeneous"):
-        homogeneous_parts(Id(), 2)
+        _law_degrees(Id(), 0, 2)
 
 
 def test_shift_decompose_multiplies_only_nonzero_entries(monkeypatch):
-    # diag(s*I_m, t*I_n) is diagonal, so the sparse law calculus makes
-    # about a hundred polynomial products (the dense one made 21,440)
+    # the degrees come from a recursion on exponent pairs, so no polynomial
+    # is multiplied (the sparse law made 121 products, the dense one 21,440)
     calls = []
     own = MultiPoly.__mul__
 
@@ -131,7 +256,7 @@ def test_shift_decompose_multiplies_only_nonzero_entries(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "__mul__", counting)
     shift_decompose(DirectSum((Sym(2), Ext(3))), 1, 7)
-    assert 0 < len(calls) <= 1000
+    assert calls == []
 
 
 def test_shift_decompose_runs_no_integer_echelon(monkeypatch):
@@ -151,7 +276,8 @@ def test_shift_decompose_runs_no_integer_echelon(monkeypatch):
 
 @pytest.mark.parametrize("fault", ["off-diagonal", "diagonal-2"])
 def test_shift_decompose_rejects_a_law_off_diagonal_monomials(monkeypatch, fault):
-    # the law of Sym(2) at diag(s, t, t), made faulty in one way
+    # the oracle _law_degrees, which the recursion of shift_decompose is
+    # checked against, must reject a faulty law of Sym(2) at diag(s, t, t)
     own = functors._law_matrix
 
     def faulty(expr, n_from, n_to, h, ring, vs):
@@ -165,25 +291,20 @@ def test_shift_decompose_rejects_a_law_off_diagonal_monomials(monkeypatch, fault
 
     monkeypatch.setattr(functors, "_law_matrix", faulty)
     with pytest.raises(AssertionError, match="not homogeneous"):
-        shift_decompose(Sym(2), 1, 2)
+        _law_degrees(Sym(2), 1, 2)
 
 
-def test_shift_decompose_and_homogeneous_parts_build_one_law_each(monkeypatch):
-    # one law at diag(s*I_m, t*I_n) gives both bases and the degrees; no
-    # law at an integer matrix is built beside it
+def test_shift_decompose_and_homogeneous_parts_build_no_law(monkeypatch):
+    # the degrees and both bases come from the recursion on exponent pairs:
+    # no law is built, symbolic or at an integer matrix
     calls = Counter()
-    depth = [0]
     own_law = functors._law_matrix
     own_shift = functors.shift_decompose
     own_rows_at = functors.FunctorEval._law_rows_at
 
     def law(*args):
-        calls["law"] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return own_law(*args)
-        finally:
-            depth[0] -= 1
+        calls["law"] += 1
+        return own_law(*args)
 
     def shift(*args):
         calls["shift"] += 1
@@ -197,9 +318,9 @@ def test_shift_decompose_and_homogeneous_parts_build_one_law_each(monkeypatch):
     monkeypatch.setattr(functors, "shift_decompose", shift)
     monkeypatch.setattr(functors.FunctorEval, "_law_rows_at", rows_at)
     dimension_function(DirectSum((Sym(2), Ext(3))), [2], 7)
-    assert calls == {"shift": 7, "law": 7}
+    assert calls == {"shift": 7}
     homogeneous_parts(DirectSum((Sym(2), Ext(3))), 3)
-    assert calls == {"shift": 7, "law": 8}
+    assert calls == {"shift": 7}
 
 
 def test_shift_decompose_sizes():

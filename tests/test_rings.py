@@ -511,3 +511,41 @@ def test_power_matches_repeated_multiplication(ring, a, monkeypatch):
             assert sum(products) <= max(e.bit_length() - 1, 0)
         want = mul(want, a)
     assert ring.power(a, -3) == ring.inv(mul(mul(a, a), a))
+
+
+# QQ and F_p moduli, low-to-high, fields and not: a non-monic dense one, a
+# sparse one and a power of t among them
+FOLD_MODULI = [
+    (QQ, (1, 0, 1)),                 # t^2 + 1, a field
+    (QQ, (1, 2, 0, 3)),              # 3t^3 + 2t + 1, a field
+    (QQ, (0, 0, 1)),                 # t^2
+    (QQ, (0, -1, 0, 1)),             # t^3 - t
+    (Fp(5), (2, 0, 1)),              # t^2 + 2 over F5, a field
+    (Fp(2), (1, 1, 0, 0, 1)),        # t^4 + t + 1 over F2, a field
+    (Fp(3), (0, 0, 0, 1)),           # t^3 over F3
+    (Fp(7), (6, 0, 3, 0, 0, 2)),     # 2t^5 + 3t^2 + 6 over F7, reducible
+]
+
+
+@pytest.mark.parametrize("base, modulus", FOLD_MODULI,
+                         ids=[f"{b.tag()}{m}" for b, m in FOLD_MODULI])
+def test_folded_mul_matches_long_division(base, modulus):
+    # mul folds the high half of a product back through precomputed rows;
+    # the reference reduces the full product by long division.  Both must
+    # give the same payload, entry by entry and type by type
+    R = QuotientRing(base, modulus)
+    assert R._tables is None
+    rng = random.Random(repr(modulus))
+
+    def coefficient():
+        if rng.random() < 0.35:
+            return base.zero()
+        if base == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return base.from_int(rng.randrange(base.characteristic()))
+
+    for _ in range(300):
+        a, b = (tuple(coefficient() for _ in range(R.deg)) for _ in range(2))
+        got, want = R.mul(a, b), R._reduce(R._poly_mul(a, b))
+        assert got == want, (a, b)
+        assert [type(x) for x in got] == [type(x) for x in want], (a, b)
