@@ -414,14 +414,12 @@ def _diagonal_degrees(expr: FunctorExpr, m: int, n: int) -> List[Tuple[int, int]
     """
     if m < 0 or n < 0:
         raise ValueError("rank must be nonnegative")
-    return _degrees(expr, [(1, 0)] * m + [(0, 1)] * n, False)
+    return _degrees(expr, [(1, 0)] * m + [(0, 1)] * n)
 
 
-def _degrees(expr: FunctorExpr, diag: List[Tuple[int, int]],
-             free: bool) -> List[Tuple[int, int]]:
+def _degrees(expr: FunctorExpr, diag: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """The exponent pairs of the diagonal of expr's law at the diagonal
-    matrix whose pairs are diag, in the law's basis order.  free tells
-    that an enclosing Tensor, Compose or Dual has refused torsion below."""
+    matrix whose pairs are diag, in the law's basis order."""
     if isinstance(expr, Const):
         return [(0, 0)] * expr.module.ngens
     if isinstance(expr, Id):
@@ -430,24 +428,23 @@ def _degrees(expr: FunctorExpr, diag: List[Tuple[int, int]],
         return _combination_sums(diag, expr.d, True)
     if isinstance(expr, Ext):
         return _combination_sums(diag, expr.d, False)
-    if isinstance(expr, (Tensor, Compose, Dual)) and not free:
+    if isinstance(expr, (Tensor, Compose, Dual)):
         _check_free(expr, type(expr).__name__)
-        free = True
     if isinstance(expr, Tensor):
         out = [(0, 0)]
         for c in expr.children:
-            out = [(a + x, b + y) for a, b in out for x, y in _degrees(c, diag, free)]
+            out = [(a + x, b + y) for a, b in out for x, y in _degrees(c, diag)]
         return out
     if isinstance(expr, DirectSum):
-        return [p for c in expr.children for p in _degrees(c, diag, free)]
+        return [p for c in expr.children for p in _degrees(c, diag)]
     if isinstance(expr, Compose):
-        return _degrees(expr.outer, _degrees(expr.inner, diag, free), free)
+        return _degrees(expr.outer, _degrees(expr.inner, diag))
     if isinstance(expr, Shift):
         if expr.m < 0:
             raise ValueError(f"rank must be nonnegative: {expr} shifts by {expr.m}")
-        return _degrees(expr.child, [(0, 0)] * expr.m + diag, free)
+        return _degrees(expr.child, [(0, 0)] * expr.m + diag)
     if isinstance(expr, Dual):
-        return _degrees(expr.child, diag, free)
+        return _degrees(expr.child, diag)
     raise TypeError(f"unknown functor node {expr!r}")
 
 

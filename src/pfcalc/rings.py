@@ -456,10 +456,10 @@ class QuotientRing(BaseRing):
         # of t^deg and above fold back through the rows of self._fold
         add, mul = self.base.add, self.base.mul
         out = [self.base.zero()] * (2 * self.deg - 1)
-        b = [(j, y) for j, y in enumerate(b) if y]
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in b:
+                for j, y in b_terms:
                     out[i + j] = add(out[i + j], mul(x, y))
         low = out[:self.deg]
         for c, row in zip(out[self.deg:], self._fold):
