@@ -217,9 +217,12 @@ def test_diagonal_degrees_refuse_torsion_as_evaluate_does(text):
     lambda: shift_decompose(Id(), 1, -2),
     lambda: shift_decompose(Sym(2), -1, 2),
     lambda: shift_decompose(Tensor((Id(), Shift(-1, Sym(2)))), 1, 1),
-], ids=["rank", "shift below 0", "negative shift", "n", "m", "under Tensor"])
-def test_diagonal_degrees_refuse_a_negative_rank(call):
-    with pytest.raises(ValueError, match="rank must be nonnegative"):
+    lambda: homogeneous_parts(Sym(-1), 2),
+    lambda: shift_decompose(Compose(Ext(-1), Id()), 1, 1),
+], ids=["rank", "shift below 0", "negative shift", "n", "m", "under Tensor",
+        "Sym degree", "Ext degree"])
+def test_diagonal_degrees_refuse_a_negative_rank_or_degree(call):
+    with pytest.raises(ValueError, match="(rank|degree) must be nonnegative"):
         call()
 
 
@@ -246,7 +249,7 @@ def test_homogeneous_parts_rejects_a_law_that_is_not_diagonal(monkeypatch, fault
 
 def test_shift_decompose_multiplies_only_nonzero_entries(monkeypatch):
     # the degrees come from a recursion on exponent pairs, so no polynomial
-    # is multiplied (the sparse law made 121 products, the dense one 21,440)
+    # is multiplied
     calls = []
     own = MultiPoly.__mul__
 
