@@ -79,6 +79,10 @@ class Id(FunctorExpr):
 class Sym(FunctorExpr):
     d: int
 
+    def __post_init__(self):
+        if self.d < 0:
+            raise ValueError(f"degree must be nonnegative, got Sym({self.d})")
+
     def degree(self):
         return self.d
 
@@ -89,6 +93,10 @@ class Sym(FunctorExpr):
 @dataclass(frozen=True)
 class Ext(FunctorExpr):
     d: int
+
+    def __post_init__(self):
+        if self.d < 0:
+            raise ValueError(f"degree must be nonnegative, got Ext({self.d})")
 
     def degree(self):
         return self.d
@@ -135,6 +143,10 @@ class Compose(FunctorExpr):
 class Shift(FunctorExpr):
     m: int
     child: FunctorExpr
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"rank must be nonnegative, got a shift by {self.m}")
 
     def degree(self):
         return self.child.degree()
@@ -440,8 +452,6 @@ def _degrees(expr: FunctorExpr, diag: List[Tuple[int, int]]) -> List[Tuple[int, 
     if isinstance(expr, Compose):
         return _degrees(expr.outer, _degrees(expr.inner, diag))
     if isinstance(expr, Shift):
-        if expr.m < 0:
-            raise ValueError(f"rank must be nonnegative: {expr} shifts by {expr.m}")
         return _degrees(expr.child, [(0, 0)] * expr.m + diag)
     if isinstance(expr, Dual):
         return _degrees(expr.child, diag)
@@ -459,8 +469,6 @@ def _combination_sums(pairs: List[Tuple[int, int]], d: int,
     pairs[i:], which are pairs[i] plus those of one degree less over
     pairs[i:] (repeat) or pairs[i + 1:], then the sums of pairs[i + 1:].
     """
-    if d < 0:
-        raise ValueError(f"degree must be nonnegative, got {d}")
     n = len(pairs)
     sums = [[(0, 0)]] * (n + 1)
     for _ in range(d):
@@ -570,10 +578,10 @@ def parse_functor(text: str) -> FunctorExpr:
         nonlocal pos
         skip()
         start = pos
-        while pos < len(s) and (s[pos].isdigit() or s[pos] == "-"):
+        while pos < len(s) and s[pos] in "0123456789":
             pos += 1
         if start == pos:
-            raise ValueError(f"expected integer at position {start} in {text!r}")
+            raise ValueError(f"expected a nonnegative integer at position {start} in {text!r}")
         return int(s[start:pos])
 
     def atom() -> FunctorExpr:

@@ -363,48 +363,45 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
 
 
 def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:
-    """Transpositions, transvections, one scaling per variable outside
-    characteristic 2, and diag(1, ..., 1, 0).  Its conjugates by the
-    transpositions put its zero at each i, and their products give every
-    diagonal 0/1 matrix, the zero matrix included: the set generates the
-    monoid that all 2^n - 1 of them would, in <= n^2 + n(n - 1)/2 + 1 matrices.
+    """The swap (1 2), the n-cycle (from rank 3: at rank 2 it is the swap),
+    the transvection I + E_12, the scaling diag(2, 1, ..., 1) outside
+    characteristic 2, and diag(1, ..., 1, 0) last: at most five matrices.
+
+    They generate the monoid of every transposition, every transvection
+    I + E_ij, every scaling by 2 in one place outside characteristic 2 and
+    every diagonal 0/1 matrix.  The
+    swap and the cycle generate S_n, and in a finite group every inverse is
+    a positive power, so the monoid holds each P_s and P_s^-1.  Conjugating
+    by them gives I + E_s(1)s(2), which is every transvection, the 2 at
+    each place of the scaling and the zero at each place of the idempotent,
+    whose products give every diagonal 0/1 matrix.  Conversely the cycle is
+    a product of transpositions.
     """
+    def matrix(entry):
+        return [[entry(i, j) for j in range(n)] for i in range(n)]
+
     mats = []
-
-    def ident():
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = ident()
-            m[i][i] = m[j][j] = 0
-            m[i][j] = m[j][i] = 1
-            mats.append(m)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                m = ident()
-                m[i][j] = 1
-                mats.append(m)
-    # a non-identity unit scaling when the field has one
-    char = ring.characteristic()
-    if char != 2:
-        for i in range(n):
-            m = ident()
-            m[i][i] = 2
-            mats.append(m)
+    if n >= 2:
+        mats.append(matrix(lambda i, j: int(j == (1 - i if i < 2 else i))))
+    if n >= 3:
+        mats.append(matrix(lambda i, j: int(j == (i + 1) % n)))
+    if n >= 2:
+        mats.append(matrix(lambda i, j: int(i == j or (i, j) == (0, 1))))
+    if n and ring.characteristic() != 2:
+        mats.append(matrix(lambda i, j: (i == j) * (2 if i == 0 else 1)))
     if n:
-        m = ident()
-        m[n - 1][n - 1] = 0
-        mats.append(m)
+        mats.append(matrix(lambda i, j: int(i == j < n - 1)))
     return mats
 
 
 def equivariance_check(subset: ClosedSubsetAtRank) -> bool:
-    """Is V(I) stable under the monoid that default_generator_matrices
-    generates?  It is when it is stable under each generator: when g.f lies
-    in rad(I) for every generator f of I and every matrix g of that set,
-    acting through the law of the functor.
+    """Is V(I) stable under the monoid of the transpositions, the
+    transvections I + E_ij, the scalings by 2 outside characteristic 2 and
+    the diagonal 0/1 matrices, acting through the law of the functor?
+    default_generator_matrices gives at most five matrices that generate
+    it, and V(I) is stable under a monoid exactly when it is stable under
+    its generators: when g.f lies in rad(I) for every generator f of I and
+    every matrix g of that set.
 
     Each moved generator is first tested for membership in I itself, by
     reduction against the reduced basis already in hand.  That test is

@@ -704,16 +704,27 @@ def test_one_idempotent_gives_the_verdict_of_every_idempotent(subset, stable, mo
 
 
 @pytest.mark.parametrize("ring", [QQ, Fp(3), Fp(2)], ids=str)
-def test_generator_matrices_grow_quadratically(ring):
-    # transpositions, transvections, a scaling per variable outside
-    # characteristic 2, and one idempotent: 13 at rank 3 and 71 at rank 7
-    # over QQ, where every idempotent made 19 and 197
-    scalings = ring.characteristic() != 2
+def test_generator_matrices_are_at_most_five(ring):
+    # (1 2), the 3-cycle from rank 3, I + E_12, diag(2, 1, ...) outside
+    # characteristic 2 and the idempotent last: 0, 2, 4, 5 over QQ, where
+    # every transposition, transvection and scaling made 0, 2, 7, 13
+    scaling = ring.characteristic() != 2
+    assert default_generator_matrices(0, ring) == []
+    assert default_generator_matrices(1, ring) == [[[2]]] * scaling + [[[0]]]
+    assert default_generator_matrices(2, ring) == [
+        [[0, 1], [1, 0]], [[1, 1], [0, 1]]] + [[[2, 0], [0, 1]]] * scaling + [
+        [[1, 0], [0, 0]]]
+    assert default_generator_matrices(3, ring) == [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]]] + [
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]]] * scaling + [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]]]
     for n in range(8):
-        count = len(default_generator_matrices(n, ring))
-        assert count == n * (n - 1) // 2 + n * (n - 1) + scalings * n + (n > 0)
-        old = len(_generators_with_every_idempotent(n, ring))
-        assert old == count - (n > 0) + 2 ** n - 1
+        mats = default_generator_matrices(n, ring)
+        assert len(mats) == min(n, 3) + (n >= 2) + scaling * (n > 0) <= 5
+        # _generators_with_every_idempotent asserts the idempotent is last
+        assert len(_generators_with_every_idempotent(n, ring)) == \
+            len(mats) - (n > 0) + 2 ** n - 1
 
 
 def test_taylor_char_zero_derivative():
