@@ -363,18 +363,14 @@ def good_primes(generators: Sequence[MultiPoly], primes: Sequence[int]) -> Speci
 
 
 def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:
-    """The swap (1 2), the n-cycle (from rank 3: at rank 2 it is the swap),
-    the transvection I + E_12, the scaling diag(2, 1, ..., 1) outside
-    characteristic 2, and diag(1, ..., 1, 0) last: at most five matrices.
+    """(1 2), the n-cycle from rank 3 (at rank 2 it is (1 2)), I + E_12,
+    diag(2, 1, ..., 1) outside characteristic 2, and diag(1, ..., 1, 0) last.
 
-    They generate the monoid of every transposition, every transvection
-    I + E_ij, every scaling by 2 in one place outside characteristic 2 and
-    every diagonal 0/1 matrix.  The
-    swap and the cycle generate S_n, and in a finite group every inverse is
-    a positive power, so the monoid holds each P_s and P_s^-1.  Conjugating
-    by them gives I + E_s(1)s(2), which is every transvection, the 2 at
-    each place of the scaling and the zero at each place of the idempotent,
-    whose products give every diagonal 0/1 matrix.  Conversely the cycle is
+    They generate the monoid of every transposition, transvection I + E_ij,
+    scaling by 2 in one place and diagonal 0/1 matrix.  (1 2) and the cycle
+    generate S_n, where every inverse is a positive power.  Conjugating by
+    the P_s gives every I + E_s(1)s(2), the 2 and the 0 at every place, and
+    products of the 0s every diagonal 0/1 matrix.  Conversely the cycle is
     a product of transpositions.
     """
     def matrix(entry):
@@ -395,13 +391,10 @@ def default_generator_matrices(n: int, ring: BaseRing) -> List[List[List[int]]]:
 
 
 def equivariance_check(subset: ClosedSubsetAtRank) -> bool:
-    """Is V(I) stable under the monoid of the transpositions, the
-    transvections I + E_ij, the scalings by 2 outside characteristic 2 and
-    the diagonal 0/1 matrices, acting through the law of the functor?
-    default_generator_matrices gives at most five matrices that generate
-    it, and V(I) is stable under a monoid exactly when it is stable under
-    its generators: when g.f lies in rad(I) for every generator f of I and
-    every matrix g of that set.
+    """Is V(I) stable under the monoid that default_generator_matrices
+    generates?  It is when it is stable under each of those at most five
+    matrices: when g.f lies in rad(I) for every generator f of I and every
+    matrix g of that set, acting through the law of the functor.
 
     Each moved generator is first tested for membership in I itself, by
     reduction against the reduced basis already in hand.  That test is

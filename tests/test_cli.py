@@ -289,6 +289,18 @@ def test_taylor_no_dependence_exit_2(capsys, tmp_path):
     assert "does not involve the first 1 variables" in err
 
 
+@pytest.mark.parametrize("functor,position", [
+    ("Sym(-1)", 4), ("Shift(-1, Id)", 6), ("Const(ZZ/-2)", 9), ("Sym(1-2)", 5)])
+def test_dimfn_negative_integer_exit_2(capsys, tmp_path, functor, position):
+    # refused by the parser, at the sign, before any evaluation
+    cfg = {"functor": functor, "primes": [2], "window": 3}
+    code, out, err = run(capsys, tmp_path, "dimfn", cfg)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config key 'functor': expected ")
+    assert err.endswith(f" at position {position} in {functor!r}\n")
+    assert functor[position] == "-"
+
+
 def test_schur_table_rank_zero_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, tmp_path, "schur-table", {"n": 0, "d": 0})
     assert code == 2

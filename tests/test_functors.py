@@ -370,6 +370,23 @@ def test_parse_functor_const():
     assert expr.children[0].module.relations == ((2,),)
 
 
+@pytest.mark.parametrize("build", [lambda: Sym(-1), lambda: Ext(-1),
+                                   lambda: Shift(-1, Id())], ids=["Sym", "Ext", "Shift"])
+def test_negative_degree_or_shift_is_refused_when_built(build):
+    with pytest.raises(ValueError, match="(rank|degree) must be nonnegative"):
+        build()
+
+
+@pytest.mark.parametrize("text,position", [
+    ("Sym(-1)", 4), ("Ext( -3)", 5), ("Shift(-1, Id)", 6), ("Const(ZZ/-2)", 9),
+    ("Const(ZZ^-1)", 9), ("Sym(1-2)", 5), ("Sym(+1)", 4)])
+def test_parse_functor_reads_digits_only(text, position):
+    with pytest.raises(ValueError, match=f"at position {position} in ") as err:
+        parse_functor(text)
+    assert text[position] in "-+"
+    assert str(err.value).startswith(("expected a nonnegative integer", "expected ')'"))
+
+
 def test_parse_functor_rejects_garbage():
     with pytest.raises(ValueError):
         parse_functor("Sym(2) + + Ext(3)")

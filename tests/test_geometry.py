@@ -686,7 +686,7 @@ def _unstable_under_idempotents_alone():
     return _closed_subset(Id(), 2, [parse_poly("(y1^3*y2 - y1*y2^3)^2 - 1", Fp(3), vs)])
 
 
-@pytest.mark.parametrize("subset,stable", [
+_VERDICT_CASES = pytest.mark.parametrize("subset,stable", [
     (lambda: image_closure(cube_sum, 2, QQ), True),
     (lambda: image_closure(cube_sum, 2, Fp(3)), True),
     (lambda: image_closure(sum_of_powers(1, 3), 3, QQ), True),
@@ -695,6 +695,9 @@ def _unstable_under_idempotents_alone():
     (_unstable_under_idempotents_alone, False),
 ], ids=["cube-sum-QQ", "cube-sum-F3", "sop-1-3-QQ", "not-radical", "asymmetric",
         "idempotents-alone"])
+
+
+@_VERDICT_CASES
 def test_one_idempotent_gives_the_verdict_of_every_idempotent(subset, stable, monkeypatch):
     subset = subset()
     assert equivariance_check(subset) == stable
@@ -725,6 +728,134 @@ def test_generator_matrices_are_at_most_five(ring):
         # _generators_with_every_idempotent asserts the idempotent is last
         assert len(_generators_with_every_idempotent(n, ring)) == \
             len(mats) - (n > 0) + 2 ** n - 1
+
+
+def _quadratic_generator_matrices(n, ring):
+    """The set default_generator_matrices gave before it was cut to five:
+    every transposition, every transvection I + E_ij, a scaling by 2 in
+    each place outside characteristic 2, and diag(1, ..., 1, 0) last."""
+    def ident():
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
+    mats = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = ident()
+            m[i][i] = m[j][j] = 0
+            m[i][j] = m[j][i] = 1
+            mats.append(m)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                m = ident()
+                m[i][j] = 1
+                mats.append(m)
+    if ring.characteristic() != 2:
+        for i in range(n):
+            m = ident()
+            m[i][i] = 2
+            mats.append(m)
+    if n:
+        m = ident()
+        m[n - 1][n - 1] = 0
+        mats.append(m)
+    return mats
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def _frozen(m):
+    return tuple(map(tuple, m))
+
+
+@pytest.mark.parametrize("ring", [QQ, Fp(2)], ids=str)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generator_matrices_generate_the_monoid_of_the_quadratic_set(ring, n):
+    new = [_frozen(m) for m in default_generator_matrices(n, ring)]
+    old = [_frozen(m) for m in _quadratic_generator_matrices(n, ring)]
+    ident = _frozen([[int(i == j) for j in range(n)] for i in range(n)])
+    # the swap and the cycle (the swap alone at rank 2) spell every P_s:
+    # breadth first over words in them, by integer products
+    perms = new[:min(n - 1, 2)]
+    group, frontier = {ident}, [ident]
+    while frontier:
+        frontier = [q for q in {_matmul(p, s) for p in frontier for s in perms}
+                    if q not in group]
+        group.update(frontier)
+    assert len(group) == prod(range(1, n + 1))
+
+    def inverse(p):
+        # P_s^(ord - 1), a positive word for P_s^-1
+        power, last = p, ident
+        while power != ident:
+            power, last = _matmul(power, p), power
+        assert _matmul(last, p) == ident
+        return last
+
+    words = group | {_matmul(_matmul(p, x), inverse(p))
+                     for p in group for x in new[len(perms):]}
+    assert set(old) <= words
+    # and the cycle is a word in the old transpositions:
+    # (n-1 n) ... (2 3)(1 2)
+    product = ident
+    for i in reversed(range(n - 1)):
+        product = _matmul(product, old[i * n - i * (i + 1) // 2])
+    assert (n < 3 or new[1] == product) and new[0] in old
+
+
+def _seeded_verdict_cases(seed):
+    """Closed subsets at ranks 1-4 over QQ, F2, F3 and F9, from a seed, each
+    with the verdict it must have or None.  An image closure of a sum of
+    powers is stable, and with one seeded form added it mostly is not.
+    Where the closure is everything, a power of the maximal ideal is
+    stable, and the form plus 1 cuts out a hypersurface off the origin,
+    which diag(1, ..., 1, 0) or the scaling moves."""
+    rng = random.Random(seed)
+    cases = []
+    for ring in (QQ, Fp(2), Fp(3), ring_from_tag("Fp(3)[t]/(t^2+1)")):
+        for n in range(1, 5):
+            m, k = rng.choice([(1, 2), (2, 2)] + [(1, 3), (1, 4)] * (n < 4))
+            closure = image_closure(sum_of_powers(m, k), n, ring)
+            vs = closure.varset
+            monos = degree_monomials(len(vs.names), rng.randrange(1, 3))
+            form = MultiPoly(ring, vs, {x: ring.from_int(rng.choice((1, -1)))
+                                        for x in rng.sample(monos, min(2, len(monos)))})
+            if closure.generators:
+                stable = list(closure.generators)
+                moved = stable + [form]
+            else:
+                e = rng.randrange(1, 3)
+                stable = [MultiPoly(ring, vs, {x: ring.one()})
+                          for x in degree_monomials(len(vs.names), e)]
+                moved = [form + MultiPoly(ring, vs, {(0,) * len(vs.names): ring.one()})]
+            cases.append((_closed_subset(closure.functor, n, stable), True))
+            cases.append((_closed_subset(closure.functor, n, moved), None))
+    return cases
+
+
+@_VERDICT_CASES
+def test_five_matrices_give_the_verdict_of_the_quadratic_set(subset, stable, monkeypatch):
+    subset = subset()
+    assert equivariance_check(subset) == stable
+    monkeypatch.setattr(geometry, "default_generator_matrices",
+                        _quadratic_generator_matrices)
+    assert equivariance_check(subset) == stable
+
+
+@pytest.mark.parametrize("seed", [3101, 3102])
+def test_five_matrices_give_the_verdict_of_the_quadratic_set_on_seeded_ideals(
+        seed, monkeypatch):
+    cases = _seeded_verdict_cases(seed)
+    five = [equivariance_check(subset) for subset, _ in cases]
+    monkeypatch.setattr(geometry, "default_generator_matrices",
+                        _quadratic_generator_matrices)
+    quadratic = [equivariance_check(subset) for subset, _ in cases]
+    assert five == quadratic
+    assert all(verdict for verdict, (_, stable) in zip(five, cases) if stable)
+    assert five.count(False) >= len(cases) // 4
 
 
 def test_taylor_char_zero_derivative():
