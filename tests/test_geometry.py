@@ -780,6 +780,9 @@ def test_generator_matrices_generate_the_monoid_of_the_quadratic_set(ring, n):
     # the swap and the cycle (the swap alone at rank 2) spell every P_s:
     # breadth first over words in them, by integer products
     perms = new[:min(n - 1, 2)]
+    # permutation matrices, so the search below stays inside S_n and ends
+    assert all(sorted(map(sorted, p)) == sorted(map(sorted, ident)) ==
+               sorted(map(sorted, zip(*p))) for p in perms)
     group, frontier = {ident}, [ident]
     while frontier:
         frontier = [q for q in {_matmul(p, s) for p in frontier for s in perms}
