@@ -708,9 +708,9 @@ def test_one_idempotent_gives_the_verdict_of_every_idempotent(subset, stable, mo
 
 @pytest.mark.parametrize("ring", [QQ, Fp(3), Fp(2)], ids=str)
 def test_generator_matrices_are_at_most_five(ring):
-    # (1 2), the 3-cycle from rank 3, I + E_12, diag(2, 1, ...) outside
+    # (1 2), the n-cycle from rank 3, I + E_12, diag(2, 1, ...) outside
     # characteristic 2 and the idempotent last: 0, 2, 4, 5 over QQ, where
-    # every transposition, transvection and scaling made 0, 2, 7, 13
+    # every transposition, transvection and scaling made 0, 2, 6, 13
     scaling = ring.characteristic() != 2
     assert default_generator_matrices(0, ring) == []
     assert default_generator_matrices(1, ring) == [[[2]]] * scaling + [[[0]]]
