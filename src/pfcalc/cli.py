@@ -65,8 +65,12 @@ DIMFN_RANK_LIMIT = 2_500
 # C(s * k + d, d).  R/(t) over Fp(2)[t]/(t^64 + t + 1), a zero module, took
 # 0.7 s at degree 1 (W = 266k), 1.4-2.0 s at degree 2 (8.8M) and 54 s at
 # degree 3 (196M) on a 2-vCPU Xeon VM; over Fp(2)[t]/(t^16 + t + 1) degree 3
-# (248k) takes 0.14 s
+# (248k) takes 0.14 s.  W misses the echelon cost of the C(n + d - 1, d) * k
+# candidates of a large free part, so their number is bounded too:
+# QQ^n/(e_1) took 4.5 s at n = 10, d = 8 (24,310 candidates), 1.1 s at
+# (12, 6) (12,376) and 0.5 s at (8, 8) (6,435)
 MODULE_PIECE_LIMIT = 1_000_000
+MODULE_CANDIDATE_LIMIT = 10_000
 
 
 class ConfigError(ValueError):
@@ -345,10 +349,14 @@ def _cmd_ring_of_module(cfg: dict, args) -> tuple:
         raise SizeGuardExceeded("degree exceeds the size guard",
                                 degree=top, limit=args.max_degree)
     n, s, k = module.ngens, len(module.relations), len(ring.field_basis())
-    work = comb(n + top - 1, top) * k * k * comb(s * k + top, top)
+    candidates = comb(n + top - 1, top) * k
+    work = candidates * k * comb(s * k + top, top)
     if work > MODULE_PIECE_LIMIT:
         raise SizeGuardExceeded("module coordinate ring exceeds the size guard",
                                 work=work, limit=MODULE_PIECE_LIMIT)
+    if candidates > MODULE_CANDIDATE_LIMIT:
+        raise SizeGuardExceeded("module coordinate ring exceeds the size guard",
+                                candidates=candidates, limit=MODULE_CANDIDATE_LIMIT)
 
     lines = [f"coordinate ring of a module over {ring.tag()}, "
              f"{module.ngens} generator(s), {len(module.relations)} relation(s)",
@@ -646,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="Groebner basis cache directory "
                              "(default: $PFCALC_CACHE_DIR)")
-    parser.add_argument("--max-variables", type=int, default=40)
-    parser.add_argument("--max-basis", type=int, default=5000)
+    parser.add_argument("--max-variables", type=int, default=SizeGuards.max_variables)
+    parser.add_argument("--max-basis", type=int, default=SizeGuards.max_basis)
     parser.add_argument("--max-degree", type=int, default=8)
     return parser
 

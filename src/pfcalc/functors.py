@@ -217,7 +217,7 @@ def _dense(rows: List[dict], width: int, zero) -> list:
 
 
 def _check_free(expr: FunctorExpr, why: str):
-    if isinstance(expr, Const) and expr.module.relations:
+    if isinstance(expr, Const) and any(any(row) for row in expr.module.relations):
         raise ValueError(f"{why} requires free evaluations, got torsion in {expr}")
     for attr in ("children", "child", "outer", "inner"):
         sub = getattr(expr, attr, None)

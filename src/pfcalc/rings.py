@@ -11,6 +11,11 @@ finite field F_p[t]/(f) of order at most ZECH_MAX_ORDER caches Zech
 logarithm tables once is_field() first returns True, and from then on
 does its arithmetic by table lookup; its payloads stay the same canonical
 coefficient tuples.
+
+BaseRing holds the arithmetic of Python-number payloads once: ZZ inherits
+it whole, QQ inherits all but zero, one and from_int (Fractions), and ZZ/mZ
+keeps its own add, sub, mul, neg and from_int (reduced mod m).  ZZ keeps
+QQ as its scalar field.  k[t]/(f) overrides every default.
 """
 
 from __future__ import annotations
@@ -63,20 +68,25 @@ def _prime_divisors(n: int) -> list:
 
 
 class BaseRing:
-    """Common interface; payloads are raw Python values, see subclasses."""
+    """Common interface.  Payloads are raw Python values, see subclasses.
+    The defaults serve a ring whose payloads are Python numbers in
+    canonical form: the operators for add, sub, mul and neg, 0 and 1 for
+    zero and one, n itself for from_int, `not a` for is_zero, the ring as
+    its own scalar field with basis (one(),), equality by type.  inv,
+    characteristic and tag have no default."""
 
     # -- payload arithmetic -------------------------------------------------
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return a - b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def inv(self, a):
         raise NotImplementedError
@@ -96,18 +106,16 @@ class BaseRing:
         return out
 
     def zero(self):
-        raise NotImplementedError
+        return 0
 
     def one(self):
-        raise NotImplementedError
+        return 1
 
     def from_int(self, n: int):
-        raise NotImplementedError
+        return n
 
     def is_zero(self, a) -> bool:
-        # subclasses whose payload is false exactly when it equals zero()
-        # answer `not a` instead, without building zero()
-        return a == self.zero()
+        return not a
 
     def is_unit(self, a) -> bool:
         try:
@@ -135,18 +143,18 @@ class BaseRing:
     # Base field used for linear algebra over this ring (QQ or F_p; ZZ/mZ
     # is its own), together with a basis of the ring over that field.
     def scalar_field(self) -> "BaseRing":
-        raise NotImplementedError
+        return self
 
     def field_basis(self) -> Tuple[Any, ...]:
-        raise NotImplementedError
+        return (self.one(),)
 
     def field_coords(self, a) -> Tuple[Any, ...]:
         """Coordinates of a payload with respect to field_basis()."""
-        raise NotImplementedError
+        return (a,)
 
     def scale_by_scalar(self, a, c):
         """Multiply a payload by a scalar of scalar_field()."""
-        raise NotImplementedError
+        return self.mul(a, c)
 
     def coerce(self, x):
         """An int, a Fraction or rational text such as "-3/4" as a payload,
@@ -170,39 +178,21 @@ class BaseRing:
     def fmt(self, a) -> str:
         return str(a)
 
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
     def __repr__(self):
         return self.tag()
 
 
 class IntegerRing(BaseRing):
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a in (1, -1):
             return a
         raise NotAUnit(f"{a} is not a unit in ZZ")
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def is_zero(self, a):
-        return not a
-
-    def from_int(self, n):
-        return n
 
     def characteristic(self):
         return 0
@@ -213,9 +203,6 @@ class IntegerRing(BaseRing):
     def scalar_field(self):
         return QQ
 
-    def field_basis(self):
-        return (1,)
-
     def field_coords(self, a):
         return (Fraction(a),)
 
@@ -225,29 +212,11 @@ class IntegerRing(BaseRing):
             raise ValueError("non-integral scalar multiple in ZZ")
         return v.numerator
 
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("ZZ")
-
 
 _FRACTION_ONE = Fraction(1)
 
 
 class RationalField(BaseRing):
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise NotAUnit("0 is not a unit in QQ")
@@ -255,9 +224,6 @@ class RationalField(BaseRing):
 
     def zero(self):
         return Fraction(0)
-
-    def is_zero(self, a):
-        return not a
 
     def one(self):
         return Fraction(1)
@@ -287,24 +253,6 @@ class RationalField(BaseRing):
 
     def tag(self):
         return "QQ"
-
-    def scalar_field(self):
-        return self
-
-    def field_basis(self):
-        return (Fraction(1),)
-
-    def field_coords(self, a):
-        return (a,)
-
-    def scale_by_scalar(self, a, c):
-        return a * c
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
 
 
 class ModularIntegers(BaseRing):
@@ -342,15 +290,6 @@ class ModularIntegers(BaseRing):
         except ValueError:
             raise NotAUnit(f"{a % self.m} is not a unit in {self.tag()}") from None
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.m
-
-    def is_zero(self, a):
-        return not a
-
     def from_int(self, n):
         return n % self.m
 
@@ -365,18 +304,6 @@ class ModularIntegers(BaseRing):
 
     def tag(self):
         return f"Fp({self.m})" if self.is_field() else f"ZZ/({self.m})"
-
-    def scalar_field(self):
-        return self
-
-    def field_basis(self):
-        return (1,)
-
-    def field_coords(self, a):
-        return (a % self.m,)
-
-    def scale_by_scalar(self, a, c):
-        return (a * c) % self.m
 
     def __eq__(self, other):
         return isinstance(other, ModularIntegers) and other.m == self.m

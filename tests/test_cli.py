@@ -8,6 +8,7 @@ import re
 import sys
 import time
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -414,6 +415,20 @@ def test_module_piece_guard_exit_3(capsys, tmp_path, degrees):
     assert err.startswith("refused: module coordinate ring exceeds the size guard")
 
 
+@pytest.mark.parametrize("n, d", [(10, 8), (12, 6)])
+def test_module_piece_guard_refuses_a_large_free_part(capsys, tmp_path, n, d):
+    # QQ^n/(e_1) has W below the limit, but C(n + d - 1, d) candidates above
+    # 10,000: (10, 8) took 4.5 s and (12, 6) 1.1 s
+    cfg = {"ring": "QQ", "module": {"ngens": n, "relations": [[1] + [0] * (n - 1)]},
+           "max_degree": d}
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, "ring-of-module", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("refused: module coordinate ring exceeds the size guard")
+    assert f"candidates={comb(n + d - 1, d)}" in err
+
+
 def test_module_piece_guard_admits(capsys, tmp_path):
     # the same zero module over a degree-16 field runs at degree 3
     cfg = {"ring": "Fp(2)[t]/(t^16+t+1)",
@@ -688,6 +703,34 @@ def test_runtime_imports_are_stdlib():
     for path in sorted(src.rglob("*.py")):
         visit(ast.parse(path.read_text()), path, None)
     assert outside <= allowed
+
+
+def test_rings_do_not_copy_base_ring_methods():
+    # a subclass of BaseRing in rings.py inherits a method whose body,
+    # docstring aside, would repeat BaseRing's
+    def bodies(cls):
+        out = {}
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef):
+                body = fn.body
+                if ast.get_docstring(fn) is not None:
+                    body = body[1:]
+                out[fn.name] = [ast.dump(stmt) for stmt in body]
+        return out
+
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+    rings, base, copies = {"BaseRing"}, None, set()
+    for cls in ast.parse((src / "rings.py").read_text()).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if cls.name == "BaseRing":
+            base = bodies(cls)
+        elif any(isinstance(b, ast.Name) and b.id in rings for b in cls.bases):
+            rings.add(cls.name)
+            copies |= {(cls.name, name) for name, body in bodies(cls).items()
+                       if base.get(name) == body}
+    assert base and len(rings) > 1
+    assert copies == set()
 
 
 def _referenced_names(tree) -> Counter:

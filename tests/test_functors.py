@@ -198,7 +198,8 @@ def test_diagonal_degrees_match_the_law_on_random_functors():
 
 @pytest.mark.parametrize("text", ["Tensor(Const(ZZ/2), Id)", "Compose(Sym(2), Const(ZZ/2) (+) Id)",
                                   "Compose(Const(ZZ/3), Const(ZZ/2))", "Dual(Const(ZZ/2))",
-                                  "Id (+) Shift(1, Dual(Tensor(Sym(2), Const(ZZ/2))))"])
+                                  "Id (+) Shift(1, Dual(Tensor(Sym(2), Const(ZZ/2))))",
+                                  "Tensor(Const(ZZ/1), Id)"])
 def test_diagonal_degrees_refuse_torsion_as_evaluate_does(text):
     # torsion under Tensor, Compose or Dual, with evaluate's message
     expr = parse_functor(text)
@@ -208,6 +209,19 @@ def test_diagonal_degrees_refuse_torsion_as_evaluate_does(text):
         with pytest.raises(ValueError) as got:
             call()
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text", ["Tensor(Const({}), Id)", "Dual(Const({}))"])
+def test_zero_relation_is_not_torsion(text):
+    # Const(ZZ/0) is ZZ with a zero relation row, so it passes where
+    # Const(ZZ) does and gives the same answers
+    zero_row, free = parse_functor(text.format("ZZ/0")), parse_functor(text.format("ZZ"))
+    for n in range(4):
+        assert evaluate(zero_row, n).module == evaluate(free, n).module
+        assert homogeneous_parts(zero_row, n) == homogeneous_parts(free, n)
+        assert shift_decompose(zero_row, 1, n) == shift_decompose(free, 1, n)
+    assert dimension_function(zero_row, [2, 3], 4).table == \
+        dimension_function(free, [2, 3], 4).table
 
 
 @pytest.mark.parametrize("call", [

@@ -294,8 +294,8 @@ def _random_poly(rng, ring, vs, max_degree):
                          ids=["F5", "QQ", "F9"])
 def test_oracle_equivalence_f5(ring):
     # F5 and F9 run the field kernel (F9 with tuple payloads), QQ the
-    # fraction-free kernel; GroebnerBasis.reduce runs the field kernel on
-    # all three
+    # fraction-free kernel, and so does GroebnerBasis.reduce: over QQ it
+    # runs _RationalKernel.remainder
     rng = random.Random(20240817)
     order = Grevlex()
     checked = 0
