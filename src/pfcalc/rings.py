@@ -12,10 +12,10 @@ logarithm tables once is_field() first returns True, and from then on
 does its arithmetic by table lookup; its payloads stay the same canonical
 coefficient tuples.
 
-BaseRing holds the arithmetic of Python-number payloads once: ZZ inherits
-it whole, QQ inherits all but zero, one and from_int (Fractions), and ZZ/mZ
-keeps its own add, sub, mul, neg and from_int (reduced mod m).  ZZ keeps
-QQ as its scalar field.  k[t]/(f) overrides every default.
+BaseRing holds the arithmetic of Python-number payloads once.  ZZ inherits
+all of it; QQ all but zero, one and from_int, which give Fractions; ZZ/mZ
+all but add, sub, mul, neg and from_int, which reduce mod m.  ZZ takes QQ
+as its scalar field.  k[t]/(f) overrides every default.
 """
 
 from __future__ import annotations
