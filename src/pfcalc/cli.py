@@ -26,7 +26,7 @@ from . import geometry
 from .coordring import graded_piece
 from .fpmod import FPModule
 from .functors import dimension_function, parse_functor, rank_at
-from .geometry import (ClosedSubsetAtRank, PolyTransformation, SizeGuards,
+from .geometry import (MAX_VARIABLES, ClosedSubsetAtRank, PolyTransformation,
                        SizeGuardExceeded, equivariance_check, good_primes,
                        image_closure, sum_of_powers)
 from .groebner import GroebnerBasis, ideal_dimension
@@ -40,8 +40,13 @@ COMMANDS = ("ring-of-module", "schur-table", "dimfn", "image-closure",
 
 CACHE_VERSION = "1"
 
+# ring-of-module, schur-table and dimfn refuse a degree above this
+MAX_DEGREE = 8
+
 # schur-table refuses a table whose size bound (see _cmd_schur_table) is
-# above this; (3, 4) and (2, 8) stay under it, (4, 3) and (6, 2) do not
+# above this; (3, 4) and (2, 8) stay under it, (4, 3) and (6, 2) do not, nor,
+# from the products z_il built first, (13, 0) and (12, 1) (n = 25 at d = 0
+# took 1.3 s)
 SCHUR_TABLE_LIMIT = 500_000
 
 # a k[t]/(f) ring tag whose modulus has degree d above this is refused before
@@ -56,6 +61,11 @@ MODULUS_DEGREE_LIMIT = 64
 # window 12, rank 1,365; 0.24-0.33 s and 21 MB at window 14, rank 2,380;
 # 0.52-0.55 s and 22 MB at window 16, rank 3,876)
 DIMFN_RANK_LIMIT = 2_500
+
+# dimfn refuses a window above this too: a functor of degree 0 has one rank
+# at every window, so the rank guard does not bound it (Const(ZZ) with
+# primes 2, 3: 0.05 s at window 2,500, 0.14 s at 5,000, 1.6 s at 20,000)
+DIMFN_WINDOW_LIMIT = 2_500
 
 # ring-of-module refuses a job whose work estimate W is above this.  For n
 # generators, s relation rows, R of dimension k over its scalar field and
@@ -299,11 +309,10 @@ class GBCache:
 
 
 def _cached_image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
-                          guards: SizeGuards,
                           cache: Optional[GBCache]) -> ClosedSubsetAtRank:
     if cache is None:
-        return image_closure(alpha, n, ring, guards)
-    expansion = geometry._expansion(alpha, n, ring, guards)
+        return image_closure(alpha, n, ring)
+    expansion = geometry._expansion(alpha, n, ring)
     src_vs, coords, vs = expansion
     graph_texts = [f"y{i + 1} - ({format_poly(c)})"
                    for i, c in enumerate(coords)]
@@ -311,14 +320,14 @@ def _cached_image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     hit = cache.lookup(key)
     if hit is not None:
         if hit.ring == ring and hit.order == Grevlex() and hit.varset == vs:
-            guards.check_basis(len(hit.generators))
+            geometry.check_basis(len(hit.generators))
             return ClosedSubsetAtRank(alpha.target, n, ring, vs,
                                       hit.generators, hit)
         print(f"warning: ignoring mismatched cache entry {cache._path(key)}: "
               f"holds a {hit.order.tag()} basis over {hit.ring.tag()}, not a "
               f"grevlex basis over {ring.tag()} in the target variables",
               file=sys.stderr)
-    subset = geometry._closure(alpha, n, ring, guards, expansion)
+    subset = geometry._closure(alpha, n, ring, expansion)
     cache.store(key, subset.gb)
     return subset
 
@@ -345,9 +354,9 @@ def _cmd_ring_of_module(cfg: dict, args) -> tuple:
     else:
         raise ConfigError("missing config key 'degrees' (or 'max_degree')")
     top = max(degrees, default=0)
-    if top > args.max_degree:
+    if top > MAX_DEGREE:
         raise SizeGuardExceeded("degree exceeds the size guard",
-                                degree=top, limit=args.max_degree)
+                                degree=top, limit=MAX_DEGREE)
     n, s, k = module.ngens, len(module.relations), len(ring.field_basis())
     candidates = comb(n + top - 1, top) * k
     work = candidates * k * comb(s * k + top, top)
@@ -361,12 +370,14 @@ def _cmd_ring_of_module(cfg: dict, args) -> tuple:
     lines = [f"coordinate ring of a module over {ring.tag()}, "
              f"{module.ngens} generator(s), {len(module.relations)} relation(s)",
              "degree  dimension  spanning set"]
-    rows = []
-    for d in sorted(degrees):
+    pieces = {}  # one piece per degree, however often it is listed
+    for d in sorted(set(degrees)):
         piece = graded_piece(module, d)
-        basis = [format_poly(b) for b in piece.basis]
-        lines.append(f"{d:>6}  {piece.dimension:>9}  {', '.join(basis) or '0'}")
-        rows.append({"degree": d, "dimension": piece.dimension, "basis": basis})
+        pieces[d] = {"degree": d, "dimension": piece.dimension,
+                     "basis": [format_poly(b) for b in piece.basis]}
+    rows = [pieces[d] for d in sorted(degrees)]
+    lines.extend(f"{r['degree']:>6}  {r['dimension']:>9}  {', '.join(r['basis']) or '0'}"
+                 for r in rows)
     doc = {"command": "ring-of-module", "ring": ring.tag(),
            "ngens": module.ngens, "pieces": rows}
     csv_spec = (("degree", "dimension", "basis_size"),
@@ -381,13 +392,14 @@ def _cmd_schur_table(cfg: dict, args) -> tuple:
     d = _need(cfg, "d", int)
     if n < 1 or d < 0:
         raise ConfigError("config key 'n' must be >= 1 and 'd' >= 0")
-    if d > args.max_degree:
+    if d > MAX_DEGREE:
         raise SizeGuardExceeded("degree exceeds the size guard",
-                                degree=d, limit=args.max_degree)
+                                degree=d, limit=MAX_DEGREE)
     # each term of each z^gamma is a product of |gamma| <= d of the n^3
     # terms x_ij y_jl, so the table has at most C(n^3 + d, d) entries, each
-    # with indices of n^2 exponents
-    size = comb(n ** 3 + d, d) * n * n
+    # with indices of n^2 exponents; the n^2 products z_il, built before d is
+    # read, hold n^3 terms of 2n^2 exponents
+    size = comb(n ** 3 + d, d) * n * n + 2 * n ** 5
     if size > SCHUR_TABLE_LIMIT:
         raise SizeGuardExceeded("Schur algebra table exceeds the size guard",
                                 table_size=size, limit=SCHUR_TABLE_LIMIT)
@@ -417,14 +429,17 @@ def _cmd_dimfn(cfg: dict, args) -> tuple:
         raise ConfigError(f"config key 'functor': {exc}") from None
     primes = _prime_list(cfg)
     window = _need(cfg, "window", int)
-    if expr.degree() > args.max_degree:
+    if expr.degree() > MAX_DEGREE:
         raise SizeGuardExceeded("functor degree exceeds the size guard",
-                                degree=expr.degree(), limit=args.max_degree)
+                                degree=expr.degree(), limit=MAX_DEGREE)
     try:
         size = rank_at(expr, max(window, 0))
         if size > DIMFN_RANK_LIMIT:
             raise SizeGuardExceeded("functor rank at the window exceeds the size guard",
                                     rank=size, limit=DIMFN_RANK_LIMIT)
+        if window > DIMFN_WINDOW_LIMIT:
+            raise SizeGuardExceeded("dimfn window exceeds the size guard",
+                                    window=window, limit=DIMFN_WINDOW_LIMIT)
         report = dimension_function(expr, primes, window)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -452,16 +467,11 @@ def _cmd_dimfn(cfg: dict, args) -> tuple:
     return doc, lines, csv_spec
 
 
-def _geometry_guards(args) -> SizeGuards:
-    return SizeGuards(max_variables=args.max_variables, max_basis=args.max_basis)
-
-
 def _cmd_image_closure(cfg: dict, args) -> tuple:
     _check_keys(cfg, ("transformation", "rank", "field"))
     alpha, n = _transformation_and_rank(cfg)
     ring = _field_from_config(cfg)
-    subset = _cached_image_closure(alpha, n, ring, _geometry_guards(args),
-                                   args.cache)
+    subset = _cached_image_closure(alpha, n, ring, args.cache)
     dim = ideal_dimension(subset.gb)
     lines = [f"image closure of {alpha.name} at rank {n} over {ring.tag()}",
              f"ideal generators ({len(subset.generators)}):"]
@@ -480,12 +490,11 @@ def _cmd_dim_per_prime(cfg: dict, args) -> tuple:
     _check_keys(cfg, ("transformation", "rank", "primes"))
     alpha, n = _transformation_and_rank(cfg)
     primes = _prime_list(cfg)
-    guards = _geometry_guards(args)
 
     def one(p: int):
         ring = fraction_field_reduction(p)
         t0 = time.perf_counter()
-        subset = _cached_image_closure(alpha, n, ring, guards, args.cache)
+        subset = _cached_image_closure(alpha, n, ring, args.cache)
         ms = int((time.perf_counter() - t0) * 1000)
         return p, ideal_dimension(subset.gb), len(subset.gb.generators), ms
 
@@ -505,9 +514,9 @@ def _cmd_dim_per_prime(cfg: dict, args) -> tuple:
 def _cmd_good_primes(cfg: dict, args) -> tuple:
     _check_keys(cfg, ("variables", "weights", "generators", "primes"))
     vs = _varset_from_config(cfg)
-    if len(vs) > args.max_variables:
+    if len(vs) > MAX_VARIABLES:
         raise SizeGuardExceeded("too many variables",
-                                variables=len(vs), limit=args.max_variables)
+                                variables=len(vs), limit=MAX_VARIABLES)
     gens = _polys_from_config(_need(cfg, "generators", list), "generators",
                               ZZ, vs)
     primes = _prime_list(cfg)
@@ -541,8 +550,7 @@ def _cmd_equivariance(cfg: dict, args) -> tuple:
     _check_keys(cfg, ("transformation", "rank", "field"))
     alpha, n = _transformation_and_rank(cfg)
     ring = _field_from_config(cfg)
-    subset = _cached_image_closure(alpha, n, ring, _geometry_guards(args),
-                                   args.cache)
+    subset = _cached_image_closure(alpha, n, ring, args.cache)
     ok = equivariance_check(subset)
     verdict = "PASS" if ok else "FAIL"
     lines = [f"equivariance of the image closure of {alpha.name} at rank {n} "
@@ -654,9 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="Groebner basis cache directory "
                              "(default: $PFCALC_CACHE_DIR)")
-    parser.add_argument("--max-variables", type=int, default=SizeGuards.max_variables)
-    parser.add_argument("--max-basis", type=int, default=SizeGuards.max_basis)
-    parser.add_argument("--max-degree", type=int, default=8)
     return parser
 
 

@@ -506,14 +506,17 @@ def shift_decompose(expr: FunctorExpr, m: int, n: int):
 
 
 def _binomial_fit(values: List[int], max_degree: int) -> List[int]:
-    """Coefficients a_i with f(n) = sum a_i * C(n, i), from finite differences."""
+    """Coefficients a_i with f(n) = sum a_i * C(n, i), from finite differences.
+
+    A row of zeros past row max_degree ends the fit: every row after it is
+    zero, and so is every coefficient that it and they would add."""
     diffs = list(values)
     coeffs = []
     for i in range(len(values)):
+        if i > max_degree and not any(diffs):
+            break
         coeffs.append(diffs[0])
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        if not diffs:
-            break
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) - 1 > max_degree:

@@ -31,27 +31,25 @@ class SizeGuardExceeded(RuntimeError):
         self.measured = measured
 
 
-@dataclass(frozen=True)
-class SizeGuards:
-    max_variables: int = 40
-    max_basis: int = 5000
-
-    def check_variables(self, alpha: "PolyTransformation", n: int):
-        """Refuse a graph ideal of alpha at rank n in more than max_variables
-        variables, counted from the functors before the rule runs."""
-        total = rank_at(alpha.source, n) + rank_at(alpha.target, n)
-        if total > self.max_variables:
-            raise SizeGuardExceeded("too many variables for the graph ideal",
-                                    variables=total, limit=self.max_variables)
-
-    def check_basis(self, size: int):
-        """Refuse an eliminated basis of more than max_basis generators."""
-        if size > self.max_basis:
-            raise SizeGuardExceeded("eliminated basis too large",
-                                    basis_size=size, limit=self.max_basis)
+# bounds on a graph ideal's variables and on its eliminated basis
+MAX_VARIABLES = 40
+MAX_BASIS = 5000
 
 
-DEFAULT_GUARDS = SizeGuards()
+def check_variables(alpha: "PolyTransformation", n: int):
+    """Refuse a graph ideal of alpha at rank n in more than MAX_VARIABLES
+    variables, counted from the functors before the rule runs."""
+    total = rank_at(alpha.source, n) + rank_at(alpha.target, n)
+    if total > MAX_VARIABLES:
+        raise SizeGuardExceeded("too many variables for the graph ideal",
+                                variables=total, limit=MAX_VARIABLES)
+
+
+def check_basis(size: int):
+    """Refuse an eliminated basis of more than MAX_BASIS generators."""
+    if size > MAX_BASIS:
+        raise SizeGuardExceeded("eliminated basis too large",
+                                basis_size=size, limit=MAX_BASIS)
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,8 @@ def _dense_image(coords: Sequence[MultiPoly], nsrc: int, ring: BaseRing) -> bool
         for point in _jacobian_points(nsrc))
 
 
-def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
-                  guards: SizeGuards = DEFAULT_GUARDS) -> ClosedSubsetAtRank:
+def image_closure(alpha: PolyTransformation, n: int,
+                  ring: BaseRing) -> ClosedSubsetAtRank:
     """Zariski closure of the image of alpha at rank n, over QQ or F_p.
 
     The closure ideal is the graph ideal <y_i - coord_i> eliminated of the
@@ -186,16 +184,15 @@ def image_closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     fields), and Q would be a smaller relation.  A rank below N certifies
     nothing, and elimination runs.
     """
-    return _closure(alpha, n, ring, guards, _expansion(alpha, n, ring, guards))
+    return _closure(alpha, n, ring, _expansion(alpha, n, ring))
 
 
-def _expansion(alpha: PolyTransformation, n: int, ring: BaseRing,
-               guards: SizeGuards) -> tuple:
+def _expansion(alpha: PolyTransformation, n: int, ring: BaseRing) -> tuple:
     """(source varset, coordinates, target varset) of alpha at rank n over
     the field ring, with the rule's sizes checked against the functors:
     the part of image_closure that a caller keying a cache on the
     coordinates needs before it looks up, so the rule runs once."""
-    guards.check_variables(alpha, n)
+    check_variables(alpha, n)
     if not ring.is_field():
         raise ValueError(f"image closure needs a field, got {ring.tag()}")
     src_vs, coords = alpha.rule(n, ring)
@@ -206,7 +203,7 @@ def _expansion(alpha: PolyTransformation, n: int, ring: BaseRing,
 
 
 def _closure(alpha: PolyTransformation, n: int, ring: BaseRing,
-             guards: SizeGuards, expansion: tuple) -> ClosedSubsetAtRank:
+             expansion: tuple) -> ClosedSubsetAtRank:
     """image_closure from the _expansion of alpha at rank n over ring."""
     src_vs, coords, y_vs = expansion
     if _dense_image(coords, len(src_vs), ring):
@@ -218,7 +215,7 @@ def _closure(alpha: PolyTransformation, n: int, ring: BaseRing,
     for yname, coord in zip(y_vs.names, coords):
         gens.append(MultiPoly.variable(ring, big_vs, yname) - coord.rename(big_vs))
     eliminated = eliminate(gens, set(src_vs.names))
-    guards.check_basis(len(eliminated))
+    check_basis(len(eliminated))
     kept = tuple(eliminated)
     # the tail block of the elimination order is grevlex on y_vs, so the
     # eliminated part of the reduced basis is already the reduced, monic,

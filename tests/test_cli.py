@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from pfcalc import cli
-from pfcalc.cli import (DIMFN_RANK_LIMIT, MODULUS_DEGREE_LIMIT, GBCache,
-                        build_parser, deserialize_basis, main, serialize_basis)
+from pfcalc import cli, geometry
+from pfcalc.cli import (DIMFN_RANK_LIMIT, DIMFN_WINDOW_LIMIT, MODULUS_DEGREE_LIMIT,
+                        GBCache, build_parser, deserialize_basis, main,
+                        serialize_basis)
 from pfcalc.functors import Sym, parse_functor, rank_at
 from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
@@ -107,9 +108,9 @@ def test_dim_per_prime_runs_a_repeated_prime_once(monkeypatch, capsys, tmp_path,
     fields = []
     own = cli._cached_image_closure
 
-    def closure(alpha, n, ring, guards, cache):
+    def closure(alpha, n, ring, cache):
         fields.append(ring.tag())
-        return own(alpha, n, ring, guards, cache)
+        return own(alpha, n, ring, cache)
 
     monkeypatch.setattr(cli, "_cached_image_closure", closure)
     cfg = {"transformation": "cube-sum", "rank": 2, "primes": [3, 3]}
@@ -146,12 +147,25 @@ def test_missing_config_key_exit_2(capsys, tmp_path):
     assert "primes" in err
 
 
-def test_size_guard_exit_3(capsys, tmp_path):
-    cfg = {"transformation": {"template": "sum-of-powers", "num_forms": 9,
-                              "power": 3}, "rank": 4, "primes": [2]}
-    code, _, err = run(capsys, tmp_path, "dim-per-prime", cfg)
-    assert code == 3
-    assert "variables" in err
+@pytest.mark.parametrize("command,cfg,message", [
+    ("dim-per-prime", {"transformation": {"template": "sum-of-powers", "num_forms": 9,
+                                          "power": 3}, "rank": 4, "primes": [2]},
+     "too many variables for the graph ideal"),
+    ("ring-of-module", {"ring": "QQ", "module": {"ngens": 1}, "max_degree": 9},
+     "degree exceeds the size guard"),
+    ("schur-table", {"n": 1, "d": 9}, "degree exceeds the size guard"),
+    ("dimfn", {"functor": "Sym(9)", "primes": [2], "window": 10},
+     "functor degree exceeds the size guard"),
+    ("good-primes", {"variables": [f"x{i}" for i in range(41)],
+                     "generators": ["x0"], "primes": [2]}, "too many variables"),
+], ids=["dim-per-prime", "ring-of-module", "schur-table", "dimfn", "good-primes"])
+def test_size_guard_exit_3(capsys, tmp_path, command, cfg, message):
+    # degree 9 is one above MAX_DEGREE, and 41 variables one above MAX_VARIABLES
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, command, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith(f"refused: {message}; measured ")
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
@@ -308,7 +322,7 @@ def test_schur_table_rank_zero_exit_2(capsys, tmp_path):
     assert "'n' must be >= 1 and 'd' >= 0" in err
 
 
-@pytest.mark.parametrize("n,d", [(3, 8), (4, 4), (4, 3), (6, 2)])
+@pytest.mark.parametrize("n,d", [(3, 8), (4, 4), (4, 3), (6, 2), (60, 0), (12, 1)])
 def test_schur_table_size_guard_exit_3(capsys, tmp_path, n, d):
     start = time.perf_counter()
     code, out, err = run(capsys, tmp_path, "schur-table", {"n": n, "d": d})
@@ -317,7 +331,7 @@ def test_schur_table_size_guard_exit_3(capsys, tmp_path, n, d):
     assert err.startswith("refused: Schur algebra table exceeds the size guard")
 
 
-@pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (2, 8), (5, 2)])
+@pytest.mark.parametrize("n,d", [(3, 3), (3, 4), (2, 8), (5, 2), (12, 0), (11, 1)])
 def test_schur_table_size_guard_admits(monkeypatch, capsys, tmp_path, n, d):
     # the guard alone is under test, so the table itself is not built
     monkeypatch.setattr(SchurAlgebra, "structure_constants", lambda self: [])
@@ -400,6 +414,50 @@ def test_dimfn_window_guard_admits(capsys, tmp_path):
     jobs = [("Sym(4)", 14), ("Sym(4)", 7), ("Ext(4) (+) Sym(3)", 6),
             ("Shift(1, Sym(3))", 6), ("Sym(2) (+) Ext(3)", 7)]
     assert all(rank_at(parse_functor(f), w) <= DIMFN_RANK_LIMIT for f, w in jobs)
+
+
+@pytest.mark.parametrize("functor,primes,window", [
+    ("Const(ZZ)", [2, 3], DIMFN_WINDOW_LIMIT + 1), ("Const(ZZ)", [2, 3], 20_000),
+    ("Const(ZZ/2)", [2], 100_000)])
+def test_dimfn_degree_zero_window_guard_exit_3(capsys, tmp_path, functor, primes, window):
+    # a degree-0 functor's rank never grows, so its window has its own limit;
+    # Const(ZZ) took 27 s at window 20,000 when the fit took every row
+    cfg = {"functor": functor, "primes": primes, "window": window}
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, "dimfn", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == ("refused: dimfn window exceeds the size guard; measured "
+                   f"limit={DIMFN_WINDOW_LIMIT}, window={window}\n")
+
+
+def test_dimfn_degree_zero_window_guard_admits(capsys, tmp_path):
+    cfg = {"functor": "Const(ZZ)", "primes": [2, 3], "window": DIMFN_WINDOW_LIMIT}
+    code, out, _ = run(capsys, tmp_path, "dimfn", cfg, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["table"]["3"] == [1] * (DIMFN_WINDOW_LIMIT + 1)
+    assert doc["coefficients"] == {"0": [1], "2": [1], "3": [1]}
+
+
+def test_ring_of_module_computes_a_repeated_degree_once(capsys, tmp_path):
+    # 20,000 listed copies of degree 8 took 43 s when each built its piece
+    cfg = {"ring": "QQ[t]/(t^2)", "module": {"ngens": 2, "relations": [["t", 0]]},
+           "degrees": [8]}
+    code, once, _ = run(capsys, tmp_path, "ring-of-module", cfg)
+    assert code == 0
+    lines = once.splitlines(keepends=True)
+    cfg["degrees"] = [8] * 20_000
+    start = time.perf_counter()
+    code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == "".join(lines[:2]) + lines[2] * 20_000
+    cfg["degrees"] = [2, 0, 2, 1, 0]
+    code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg, "--format", "json")
+    pieces = json.loads(out)["pieces"]
+    assert [p["degree"] for p in pieces] == [0, 0, 1, 2, 2]
+    assert pieces[0] == pieces[1] and pieces[3] == pieces[4]
 
 
 @pytest.mark.parametrize("degrees", [[3], [0, 1, 2, 3], [2]])
@@ -604,14 +662,15 @@ def test_cache_entry_of_the_wrong_shape_is_recomputed(capsys, tmp_path, entry):
     assert json.loads(path.read_text()) == good
 
 
-def test_cache_hit_obeys_max_basis(capsys, tmp_path):
+def test_cache_hit_obeys_max_basis(monkeypatch, capsys, tmp_path):
     cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
     cache_dir = tmp_path / "cache"
     code, _, _ = run(capsys, tmp_path, "image-closure", cfg,
                      "--cache-dir", str(cache_dir))
     assert code == 0
-    miss = run(capsys, tmp_path, "image-closure", cfg, "--max-basis", "1")
-    hit = run(capsys, tmp_path, "image-closure", cfg, "--max-basis", "1",
+    monkeypatch.setattr(geometry, "MAX_BASIS", 1)
+    miss = run(capsys, tmp_path, "image-closure", cfg)
+    hit = run(capsys, tmp_path, "image-closure", cfg,
               "--cache-dir", str(cache_dir))
     assert miss[0] == hit[0] == 3
     assert miss[2] == hit[2]
@@ -731,6 +790,35 @@ def test_rings_do_not_copy_base_ring_methods():
                        if base.get(name) == body}
     assert base and len(rings) > 1
     assert copies == set()
+
+
+def test_size_guard_limits_are_module_constants():
+    # every limit= passed to SizeGuardExceeded under src/pfcalc names an
+    # UPPER_CASE constant bound at the top level of its module, so that no
+    # guard can come back as a flag or a field of args
+    src = Path(__file__).resolve().parents[1] / "src" / "pfcalc"
+    found, loose = 0, set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                constants |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+            elif isinstance(stmt, ast.ImportFrom):
+                constants |= {a.asname or a.name for a in stmt.names}
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "SizeGuardExceeded"):
+                continue
+            for kw in call.keywords:
+                if kw.arg == "limit":
+                    found += 1
+                    value = kw.value
+                    if not (isinstance(value, ast.Name) and value.id.isupper()
+                            and value.id in constants):
+                        loose.add((path.name, call.lineno, ast.unparse(value)))
+    assert found >= 10
+    assert loose == set()
 
 
 def _referenced_names(tree) -> Counter:

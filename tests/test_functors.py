@@ -370,6 +370,46 @@ def test_dimension_function_window_validation():
         dimension_function(Sym(2), [2], 1)
 
 
+def _binomial_fit_of_every_row(values, max_degree):
+    """The fit as it was before a zero row past max_degree ended it: every
+    row of differences is built.  The oracle of the test below."""
+    diffs = list(values)
+    coeffs = []
+    for _ in range(len(values)):
+        coeffs.append(diffs[0])
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) - 1 > max_degree:
+        raise AssertionError(
+            f"dimension data needs degree {len(coeffs) - 1}, expected <= {max_degree}")
+    return coeffs
+
+
+def test_binomial_fit_matches_the_fit_of_every_row():
+    # polynomial data, some of it with one value moved off, so that the fit
+    # fails; the coefficients and the error text must both agree
+    def fit(f, values, max_degree):
+        try:
+            return f(values, max_degree)
+        except AssertionError as exc:
+            return str(exc)
+
+    rng = random.Random(20261019)
+    failures = 0
+    for _ in range(3000):
+        coeffs = [rng.randrange(-5, 6) for _ in range(rng.randrange(8))]
+        values = [sum(a * comb(n, i) for i, a in enumerate(coeffs))
+                  for n in range(rng.randrange(12))]
+        if values and rng.random() < 0.3:
+            values[rng.randrange(len(values))] += rng.choice((-1, 1))
+        max_degree = rng.randrange(6)
+        want = fit(_binomial_fit_of_every_row, values, max_degree)
+        assert fit(functors._binomial_fit, values, max_degree) == want
+        failures += isinstance(want, str)
+    assert 500 < failures < 2500
+
+
 def test_parse_functor_round_trip():
     texts = ("Sym(2)", "Ext(3)", "Sym(2) (+) Ext(3)", "Tensor(Id, Id)",
              "Shift(1, Sym(2))", "Dual(Sym(2))", "Compose(Sym(2), Sym(2))")

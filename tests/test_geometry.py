@@ -11,7 +11,7 @@ import pytest
 from pfcalc import geometry, groebner
 from pfcalc.functors import Id, Sym
 from pfcalc.geometry import (ClosedSubsetAtRank, NoDependence, PolyTransformation,
-                             PrimeVerdict, SizeGuardExceeded, SizeGuards,
+                             PrimeVerdict, SizeGuardExceeded,
                              _dense_image, _jacobian_points, _jacobian_rank,
                              cube_sum, default_generator_matrices,
                              dimension_per_prime, equivariance_check,
@@ -73,10 +73,10 @@ def test_image_closure_requires_field():
         image_closure(cube_sum, 2, ZZ)
 
 
-def test_size_guard_refusal():
-    guards = SizeGuards(max_variables=3)
+def test_size_guard_refusal(monkeypatch):
+    monkeypatch.setattr(geometry, "MAX_VARIABLES", 3)
     with pytest.raises(SizeGuardExceeded):
-        image_closure(cube_sum, 2, QQ, guards)
+        image_closure(cube_sum, 2, QQ)
 
 
 @pytest.mark.parametrize("args,n", [((2, 5), 2), ((4, 2, 2), 2), ((1, 3), 3)])
