@@ -441,7 +441,7 @@ def test_dimfn_degree_zero_window_guard_admits(capsys, tmp_path):
 
 
 def test_ring_of_module_computes_a_repeated_degree_once(capsys, tmp_path):
-    # 20,000 listed copies of degree 8 took 43 s when each built its piece
+    # 20,000 listed copies of degree 8 took 44 s when each built its piece
     cfg = {"ring": "QQ[t]/(t^2)", "module": {"ngens": 2, "relations": [["t", 0]]},
            "degrees": [8]}
     code, once, _ = run(capsys, tmp_path, "ring-of-module", cfg)
