@@ -60,6 +60,48 @@ def test_ring_of_module_free_quotient_pinned(capsys, tmp_path, n, d):
     assert hashlib.sha256(out.encode()).hexdigest() == RING_OF_MODULE_PINS[n, d]
 
 
+# sha256 of ring-of-module stdout for degrees 0-5 in each format, recorded
+# while every characteristic still solved the parametric translation system
+RING_OF_MODULE_FORMAT_PINS = {
+    ("QQ[t]/(t^2+1)", (("1+t", "2"),)): (
+        "7c509fa81bc9716e610bb53b9cd4842fe5cb6db72551c53b6ab055d7a5b9ce72",
+        "cbd998948236efd832429c61338828c3dccfe018f309a37ee2862e3e3024e8c0",
+        "e0e378b3b193d54a60e2ab95bef7a69485fc24a655f90456edfdd1ead3ed49ff"),
+    ("QQ[t]/(t^3)", (("t", "t^2"),)): (
+        "539f6f7ea703a54cdd3b9d79427db14436ff7c0606a452baf56ee5964565222e",
+        "300f5b71908e267dbd3e4083abf6e221e4ce6b84b2de025ca0fa13ba0a486ebe",
+        "358bc1ad29521f7ad34225a68178a6711844cff9c74ce43e72d1cc35a6140574"),
+    ("ZZ", ((2, 4), (0, 6))): (
+        "dac16cd4d01cc105df5fdaf4e5f81d654fce915de7b9450ad944cfed743974c2",
+        "2dd2dd455ad62a2ae65fd3a5d150f2189939fea762a113d13262b98960589ec4",
+        "2d269d81aa40da017ad94ea7aa003efbb33d03a6eb42b76690c65c56a3cc9720"),
+    ("QQ", ((1, 2, 0), (0, 1, 3))): (
+        "a97bd96fffa25f21ef910af1e75e6d2e93b2c10ee436b02fb02c236779e11333",
+        "14fd7a0892d1362683e116a00ae321512e658a6498055873f8d751b4d3b44cff",
+        "4a7eef3d9be5b289715f5717317b049f5fdfbb8c9ced6d1da8348dd1ee8166cf"),
+    ("Fp(3)", ((1, 1),)): (
+        "587572e3fa1b5164072f8ba5b39717bbad6141b5d408c1a2d967557a55c86171",
+        "e26159eaa713861bf56937ac4c5a0079d3ad37bfe40f0e6c37e1962a49cc74c9",
+        "4a7eef3d9be5b289715f5717317b049f5fdfbb8c9ced6d1da8348dd1ee8166cf"),
+    ("Fp(2)[t]/(t^2)", (("t",),)): (
+        "33e104a47df3ddfb4944fac00514d31e14db57e6bdedaaad1debd0cf4c1c14a5",
+        "34fbb1d686b338620ebce0b90e740e0a93110b5c9e69adcd13121a65e3aef428",
+        "612de8bfec9c520e32bdab9fd08ad4cbcb50bc75f0c0af6a51ca1642b41d8d63"),
+}
+
+
+@pytest.mark.parametrize("tag, relations", list(RING_OF_MODULE_FORMAT_PINS))
+def test_ring_of_module_formats_pinned(capsys, tmp_path, tag, relations):
+    cfg = {"ring": tag,
+           "module": {"ngens": len(relations[0]),
+                      "relations": [list(row) for row in relations]},
+           "max_degree": 5}
+    for fmt, want in zip(("text", "json", "csv"), RING_OF_MODULE_FORMAT_PINS[tag, relations]):
+        code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
 # sha256 of the json output of image-closure over F_q = F_p[t]/(f), recorded
 # while F_q arithmetic still went through schoolbook products and divisions
 IMAGE_CLOSURE_FQ_PINS = {
