@@ -3,8 +3,24 @@
 A polynomial law M -> R on M = R^n / O is a polynomial in the generator
 coordinates x_1..x_n that is invariant under translation by every element
 of O.  Each graded piece is cut out by a linear system over the scalar
-field of R; this module builds and solves that system, and provides the
-law calculus (homogeneous and bihomogeneous parts, products, composition).
+field k of R, built in one of two ways that have the same solutions:
+
+- in characteristic p, the translation system: substitute x -> x + sum
+  a_jl * e_l * u_j, with one parameter a_jl per relation row u_j and field
+  basis element e_l of R, and ask the difference to vanish; the parameters
+  range over k, so a^p = a for k = F_p;
+- in characteristic 0 (QQ, ZZ, QQ[t]/(f)), the derivation rows D_w f = 0
+  for the directions w = e_l * u_j, D_w = sum_i w_i d/dx_i.  By Taylor's
+  formula f(x + a*w) - f(x) = sum_{m >= 1} a^m / m! * D_w^m f, so D_w f = 0
+  makes every term vanish, and translations commute, so invariance under
+  each w gives invariance under their k-span.  The two systems have the
+  same kernel, hence the same reduced row echelon form and the same basis.
+  In characteristic p there is no 1/m!: x^p has derivative 0 but is not
+  translation invariant.
+
+is_translation_invariant checks against the translation system in every
+characteristic.  This module also provides the law calculus (homogeneous
+and bihomogeneous parts, products, composition).
 """
 
 from __future__ import annotations
@@ -79,7 +95,8 @@ def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...],
     Candidates are pairs (x-exponent, index into R's field basis).  Each
     row is a dict {candidate index: nonzero scalar-field coefficient}; a
     combination of candidates is translation invariant exactly when every
-    row annihilates its coefficient vector.
+    row annihilates its coefficient vector.  Graded pieces use it in
+    characteristic p only; is_translation_invariant in every one.
     """
     ring = module.ring
     k = ring.scalar_field()
@@ -121,13 +138,50 @@ def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...],
     return [rows[key] for key in sorted(rows)]
 
 
+def _derivation_system(module: FPModule,
+                       candidates: List[Tuple[Tuple[int, ...], int]]) -> List[Dict[int, object]]:
+    """The derivation system on the given candidates, for R of characteristic 0.
+
+    For each direction w = e_l * u_j (u_j a relation row, e_l the
+    field basis of R) the derivation D_w = sum_i w_i d/dx_i sends the
+    candidate e_b * x^alpha to sum_i alpha_i * w_i * e_b * x^(alpha - e_i).
+    A row, keyed (direction, beta, coordinate), holds the scalar-field
+    coordinate of the coefficient at x^beta; rows come in sorted key order,
+    in the row format of _invariance_system, whose kernel they share (see
+    the module docstring).  Over ZZ the system is solved over QQ.  In
+    characteristic p the kernels differ: over F_p, x^p has derivative 0,
+    yet (x + a)^p - x^p = a^p = a.
+    """
+    ring = module.ring
+    k = ring.scalar_field()
+    rbasis = ring.field_basis()
+    # a zero direction writes no entry
+    directions = [tuple(ring.mul(e, x) for x in u) for u in module.relations for e in rbasis]
+    rows: Dict[tuple, Dict[int, object]] = {}
+    for col, (exp, bidx) in enumerate(candidates):
+        for dnum, w in enumerate(directions):
+            for i, (a, wi) in enumerate(zip(exp, w)):
+                if not a or ring.is_zero(wi):
+                    continue
+                beta = exp[:i] + (a - 1,) + exp[i + 1:]
+                scale = k.from_int(a)
+                for l, coord in enumerate(ring.field_coords(ring.mul(wi, rbasis[bidx]))):
+                    if not k.is_zero(coord):
+                        rows.setdefault((dnum, beta, l), {})[col] = k.mul(scale, coord)
+    return [rows[key] for key in sorted(rows)]
+
+
 def _piece_from_candidates(module: FPModule,
                            candidates: List[Tuple[Tuple[int, ...], int]],
                            x_vs: VarSet, degree: int) -> GradedPieceBasis:
     ring = module.ring
     k = ring.scalar_field()
     rbasis = ring.field_basis()
-    system = linalg.Echelon.of(_invariance_system(module, candidates, x_vs), k)
+    if ring.characteristic() == 0:
+        rows = _derivation_system(module, candidates)
+    else:
+        rows = _invariance_system(module, candidates, x_vs)
+    system = linalg.Echelon.of(rows, k)
     kernel = system.kernel(len(candidates))
     if ring == ZZ:
         kernel = [dict(zip(v, integer_primitive(list(v.values())))) for v in kernel]

@@ -18,17 +18,10 @@ from .functors import (DirectSum, FunctorExpr, Id, Sym, evaluate, homogeneous_pa
 from .groebner import (GroebnerBasis, buchberger, eliminate, ideal_dimension,
                        radical_membership)
 from .linalg import Echelon
-from .poly import (Grevlex, MultiPoly, VarSet, degree_monomials, integer_primitive,
-                   substitute_all)
+from .poly import (Grevlex, MultiPoly, SizeGuardExceeded, VarSet, degree_monomials,
+                   integer_primitive, substitute_all)
 from .rings import (ZZ, BaseRing, Fp, ModularIntegers, NotAUnit, QQ,
                     fraction_field_reduction, is_prime)
-
-
-class SizeGuardExceeded(RuntimeError):
-    def __init__(self, message: str, **measured):
-        super().__init__(message + "; measured " +
-                         ", ".join(f"{k}={v}" for k, v in sorted(measured.items())))
-        self.measured = measured
 
 
 # bounds on a graph ideal's variables and on its eliminated basis

@@ -457,6 +457,77 @@ def format_poly(p: MultiPoly) -> str:
     return out
 
 
+class SizeGuardExceeded(RuntimeError):
+    """A job refused before it runs: an estimate of its size is above a
+    fixed limit.  The message names each measured quantity."""
+
+    def __init__(self, message: str, **measured):
+        super().__init__(message + "; measured " +
+                         ", ".join(f"{k}={v}" for k, v in sorted(measured.items())))
+        self.measured = measured
+
+
+# parse_poly refuses a power, or a product of parenthesized factors, whose
+# estimated size is above these before it expands it.  An m-term f has at
+# most C(m + j - 1, j) terms in f^j, and squaring builds f^k from f^ceil(k/2)
+# and f^floor(k/2), so it makes about the product of their term counts, at
+# least the term count of f^k; a product of two factors makes the product of
+# their term counts.  Each such product of coefficients costs d^2 scalar
+# products for R of dimension d over its scalar field.  Over QQ,
+# (a+b+c+d+e+f)^10 (63,504 products) took 0.26 s, ^12 (213,444) 1.3 s and
+# ^15 (1.0M) 5.5 s, and (x+1)^1000 (250,500) 2.1 s.  In characteristic 0
+# each coefficient of c^k has about k * bits(c) bits and each of f^k about
+# k * (bits(f) + log2(m)), so f^k has about C(m + k - 1, k) times that,
+# where bits is log2 of the largest numerator or denominator, per power in an
+# extension (see _bits_per_power); 3^10000000 (15.8M bits) took 4.3 s.
+PARSE_PRODUCT_LIMIT = 100_000
+PARSE_BIT_LIMIT = 4_000_000
+
+
+def _power_terms(m: int, k: int) -> int:
+    """C(m + k - 1, k), the most terms the k-th power of an m-term
+    polynomial has, or PARSE_PRODUCT_LIMIT + 1 once it is above that."""
+    n, out = m + k - 1, 1
+    for i in range(1, min(k, m - 1) + 1):  # C(n, i) grows up to i = n / 2
+        out = out * (n - i + 1) // i
+        if out > PARSE_PRODUCT_LIMIT:
+            return PARSE_PRODUCT_LIMIT + 1
+    return out
+
+
+def _bits_per_power(ring: BaseRing, c) -> int:
+    """About how many bits each factor c adds to a coefficient in
+    characteristic 0: ceil(log2) of the largest numerator or denominator
+    among the coordinates of c^d, over d, the dimension of R over its scalar
+    field (so that a power of t in k[t]/(f) counts the modulus it meets)."""
+    d = len(ring.field_basis())
+    top = max(max(abs(x.numerator), x.denominator)
+              for x in map(Fraction, ring.field_coords(ring.power(c, d))))
+    return -(-(top - 1).bit_length() // d)
+
+
+def _check_products(ring: BaseRing, products: int):
+    """Refuse an expansion that makes this many products of coefficients."""
+    scalar_products = products * len(ring.field_basis()) ** 2
+    if scalar_products > PARSE_PRODUCT_LIMIT:
+        raise SizeGuardExceeded("polynomial expansion exceeds the size guard",
+                                scalar_products=scalar_products,
+                                limit=PARSE_PRODUCT_LIMIT)
+
+
+def _check_power(ring: BaseRing, coeffs: list, k: int):
+    """Refuse the k-th power of a polynomial with these coefficients (a
+    constant has one) when an estimate above is over its limit."""
+    m = len(coeffs)
+    _check_products(ring, _power_terms(m, (k + 1) // 2) * _power_terms(m, k // 2))
+    if ring.characteristic() == 0 and coeffs:
+        growth = max(_bits_per_power(ring, c) for c in coeffs) + (m - 1).bit_length()
+        bits = _power_terms(m, k) * k * growth
+        if bits > PARSE_BIT_LIMIT:
+            raise SizeGuardExceeded("polynomial expansion exceeds the size guard",
+                                    coefficient_bits=bits, limit=PARSE_BIT_LIMIT)
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(\d+)\s*/\s*(\d+)|(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\)))"
     r"(?:\s*\^\s*(\d+))?|([-+*/^(]))")
@@ -517,6 +588,8 @@ class _Parser:
             if isinstance(f, MultiPoly):
                 if folded:
                     poly = joined()
+                if poly is not None:
+                    _check_products(ring, len(poly.terms) * len(f.terms))
                 poly = f if poly is None else poly * f
                 exp, coeff, folded = [0] * len(vs), None, False
             else:
@@ -561,8 +634,13 @@ class _Parser:
             if self.toks[self.i][0] == "^":
                 raise ValueError("expected integer exponent")
             return f
-        return (f ** k if isinstance(f, MultiPoly) else
-                None if f is None else ring.power(f, k))
+        if f is None:
+            return None
+        if isinstance(f, MultiPoly):
+            _check_power(ring, list(f.terms.values()), k)
+            return f ** k
+        _check_power(ring, [f], k)
+        return ring.power(f, k)
 
 
 def parse_poly(text: str, ring: BaseRing, vs: VarSet) -> MultiPoly:

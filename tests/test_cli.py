@@ -515,6 +515,22 @@ def test_module_piece_guard_exit_3(capsys, tmp_path, degrees):
     assert err.startswith("refused: module coordinate ring exceeds the size guard")
 
 
+@pytest.mark.parametrize("command, cfg, measured", [
+    ("taylor", {"variables": list("abcdef"), "polynomial": "(a+b+c+d+e+f)^15",
+                "direction_count": 1}, "scalar_products=1019304"),
+    ("good-primes", {"variables": ["x"], "generators": ["3^10000000*x"],
+                     "primes": [2]}, "coefficient_bits=20000000"),
+], ids=["taylor", "good-primes"])
+def test_parser_power_guard_exit_3(capsys, tmp_path, command, cfg, measured):
+    # the parser expanded ^15 in 5.5 s and built 3^10000000 in 4.3 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, command, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("refused: polynomial expansion exceeds the size guard")
+    assert measured in err
+
+
 @pytest.mark.parametrize("n, d", [(10, 8), (12, 6)])
 def test_module_piece_guard_refuses_a_large_free_part(capsys, tmp_path, n, d):
     # QQ^n/(e_1) has W below the limit, but C(n + d - 1, d) candidates above

@@ -5,12 +5,13 @@ from math import comb
 
 import pytest
 
+from pfcalc import coordring
 from pfcalc.coordring import (PolyLawRep, bihomogeneous_components,
                               compose_laws, direct_sum, generator_varset,
                               graded_piece, homogeneous_components,
                               is_translation_invariant, product_ring_check)
 from pfcalc.fpmod import FPModule
-from pfcalc.poly import MultiPoly, VarSet, degree_monomials, parse_poly
+from pfcalc.poly import MultiPoly, VarSet, degree_monomials, format_poly, parse_poly
 from pfcalc.rings import Fp, QQ, ZZ, parse_quotient_payload, ring_from_tag
 from test_linalg import _reference_row_reduce
 
@@ -111,6 +112,71 @@ def test_translation_invariance_matches_piece_span():
                 assert is_translation_invariant(M, f) == want, (M, f)
                 verdicts.append(want)
     assert 10 < sum(verdicts) < len(verdicts) - 10
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_field_line_has_no_invariants_through_degree_p_plus_one(p):
+    # x^p has derivative 0 but (x + a)^p - x^p = a^p, so characteristic p
+    # needs the translation system, not the derivation rows
+    M = FPModule.from_ints(Fp(p), 1, [[1]])
+    assert [graded_piece(M, d).dimension for d in range(p + 2)] == [1] + [0] * (p + 1)
+
+
+CHAR_ZERO_TAGS = ["QQ", "ZZ", "QQ[t]/(t^2)", "QQ[t]/(t^2+1)", "QQ[t]/(t^3)",
+                  "QQ[t]/(t^3-2)"]
+
+
+def _random_module(rng, ring):
+    k = ring.scalar_field()
+    n = rng.randint(1, 3)
+
+    def scalar():
+        out = ring.zero()
+        for e in ring.field_basis():
+            out = ring.add(out, ring.scale_by_scalar(e, k.from_int(rng.randint(-2, 2))))
+        return out
+
+    rows = tuple(tuple(scalar() for _ in range(n)) for _ in range(rng.randint(0, 2)))
+    return FPModule(ring, n, rows)
+
+
+def test_derivation_rows_match_translation_system(monkeypatch):
+    # in characteristic 0 both systems have the same kernel, so every piece
+    # prints the same basis
+    rng = random.Random(34)
+    cases = []
+    while len(cases) < 80:
+        M, d = _random_module(rng, ring_from_tag(rng.choice(CHAR_ZERO_TAGS))), rng.randint(0, 5)
+        # the translation system's size, as ring-of-module estimates it,
+        # kept small so that the parametric substitution stays quick
+        k = len(M.ring.field_basis())
+        if comb(M.ngens + d - 1, d) * k * k * comb(len(M.relations) * k + d, d) <= 3000:
+            cases.append((M, d))
+
+    def show(piece):
+        return piece.dimension, [format_poly(b) for b in piece.basis]
+
+    fast = [show(graded_piece(M, d)) for M, d in cases]
+    monkeypatch.setattr(coordring, "_derivation_system", lambda M, cands:
+                        coordring._invariance_system(M, cands, generator_varset(M)))
+    assert [show(graded_piece(M, d)) for M, d in cases] == fast
+    assert sum(dim for dim, _ in fast) > 0
+    assert any(M.relations and dim for (M, _), (dim, _) in zip(cases, fast))
+
+
+def test_char_zero_piece_substitutes_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("substitute_all called")
+
+    monkeypatch.setattr(coordring, "substitute_all", refuse)
+    dual = ring_from_tag("QQ[t]/(t^2)")
+    for M in (FPModule.from_ints(QQ, 3, [[1, 2, 0], [0, 1, 3]]),
+              FPModule.from_ints(ZZ, 2, [[2, 4], [0, 6]]),
+              FPModule(dual, 2, ((parse_quotient_payload(dual, "t"), dual.one()),))):
+        for d in range(4):
+            graded_piece(M, d)
+    assert product_ring_check(FPModule.from_ints(QQ, 2, [[1, 1]]),
+                              FPModule.free(QQ, 1), 2, 1)[0]
 
 
 # (dimension, generator_count) of degrees 0..4, recorded before the greedy

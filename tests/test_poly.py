@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from pfcalc.poly import (Elimination, Grevlex, Lex, MultiPoly, VarSet,
-                         format_poly, order_from_tag, parse_poly, substitute_all)
+from pfcalc.poly import (PARSE_PRODUCT_LIMIT, Elimination, Grevlex, Lex, MultiPoly,
+                         SizeGuardExceeded, VarSet, _power_terms, format_poly,
+                         order_from_tag, parse_poly, substitute_all)
 from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
 VS = VarSet(("x", "y", "z"))
@@ -183,3 +185,51 @@ def test_by_trailing_round_trip(ring):
     assert f.by_trailing(big) == {(): f}
     with pytest.raises(ValueError):
         f.by_trailing(VarSet(("y", "x")))
+
+
+SIX = VarSet(tuple("abcdefxy"))
+
+
+@pytest.mark.parametrize("text, tag, terms", [
+    ("(a+b+c+d+e+f)^10", "QQ", 3003),
+    ("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^5", "Fp(7)", 336),
+    ("(x+1)^630", "Fp(2)", 64),  # 2^6 of its binomials are odd (Lucas)
+    ("2^4000000*x", "QQ", 1),
+    ("3^10000000*x", "Fp(7)", 1),
+    ("(x)^100000000 + (1)^100000000", "QQ", 2),
+    ("t^100000*x", "QQ[t]/(t^2-18446744073709551616)", 1),
+])
+def test_parser_expands_powers_under_the_size_guard(text, tag, terms):
+    assert len(parse_poly(text, ring_from_tag(tag), SIX).terms) == terms
+
+
+@pytest.mark.parametrize("text, tag, measured", [
+    ("(a+b+c+d+e+f)^11", "QQ", "scalar_products=116424"),
+    ("(a+b+c+d+e+f)^15", "Fp(7)", "scalar_products=1019304"),
+    ("(x+1)^631", "QQ", "scalar_products=100172"),
+    ("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^6", "QQ", "scalar_products=116424"),
+    # d^2 = 9 scalar products per coefficient product over a cubic extension
+    ("(t+x)^300", "QQ[t]/(t^3-5*t-7)", "scalar_products=205209"),
+    ("3^10000000*x", "QQ", "coefficient_bits=20000000"),
+    ("(3^1000*x+1)^300", "ZZ", "coefficient_bits=143215800"),
+    # t^2 = 2^64, so each power of t adds 32 bits
+    ("t^1000000*x", "QQ[t]/(t^2-18446744073709551616)", "coefficient_bits=32000000"),
+])
+def test_parser_refuses_a_large_power_before_expanding_it(text, tag, measured):
+    with pytest.raises(SizeGuardExceeded, match="polynomial expansion exceeds") as exc:
+        parse_poly(text, ring_from_tag(tag), SIX)
+    assert measured in str(exc.value)
+
+
+def test_power_term_estimate_bounds_the_expansion():
+    rng = random.Random(7)
+    for m in range(0, 5):
+        for k in range(0, 7):
+            assert _power_terms(m, k) == (comb(m + k - 1, k) if m else 1)
+    assert _power_terms(6, 30) == PARSE_PRODUCT_LIMIT + 1  # C(35, 5) = 324,632
+    assert _power_terms(2, 10 ** 12) == PARSE_PRODUCT_LIMIT + 1
+    for _ in range(20):
+        f = MultiPoly(QQ, VS, {(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)):
+                               Fraction(rng.randint(1, 5)) for _ in range(rng.randint(1, 4))})
+        k = rng.randint(0, 5)
+        assert len((f ** k).terms) <= _power_terms(len(f.terms), k)
