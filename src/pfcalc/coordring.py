@@ -138,8 +138,8 @@ def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...],
     return [rows[key] for key in sorted(rows)]
 
 
-def _derivation_system(module: FPModule,
-                       candidates: List[Tuple[Tuple[int, ...], int]]) -> List[Dict[int, object]]:
+def _derivation_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]]
+                       ) -> List[Dict[int, object]]:
     """The derivation system on the given candidates, for R of characteristic 0.
 
     For each direction w = e_l * u_j (u_j a relation row, e_l the
@@ -156,7 +156,8 @@ def _derivation_system(module: FPModule,
     k = ring.scalar_field()
     rbasis = ring.field_basis()
     # a zero direction writes no entry
-    directions = [tuple(ring.mul(e, x) for x in u) for u in module.relations for e in rbasis]
+    directions = [tuple(ring.mul(e, x) for x in u)
+                  for u in module.relations for e in rbasis]
     rows: Dict[tuple, Dict[int, object]] = {}
     for col, (exp, bidx) in enumerate(candidates):
         for dnum, w in enumerate(directions):

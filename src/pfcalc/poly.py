@@ -467,19 +467,20 @@ class SizeGuardExceeded(RuntimeError):
         self.measured = measured
 
 
-# parse_poly refuses a power, or a product of parenthesized factors, whose
-# estimated size is above these before it expands it.  An m-term f has at
-# most C(m + j - 1, j) terms in f^j, and squaring builds f^k from f^ceil(k/2)
-# and f^floor(k/2), so it makes about the product of their term counts, at
-# least the term count of f^k; a product of two factors makes the product of
-# their term counts.  Each such product of coefficients costs d^2 scalar
-# products for R of dimension d over its scalar field.  Over QQ,
-# (a+b+c+d+e+f)^10 (63,504 products) took 0.26 s, ^12 (213,444) 1.3 s and
-# ^15 (1.0M) 5.5 s, and (x+1)^1000 (250,500) 2.1 s.  In characteristic 0
-# each coefficient of c^k has about k * bits(c) bits and each of f^k about
-# k * (bits(f) + log2(m)), so f^k has about C(m + k - 1, k) times that,
-# where bits is log2 of the largest numerator or denominator, per power in an
-# extension (see _bits_per_power); 3^10000000 (15.8M bits) took 4.3 s.
+# parse_poly refuses a power or a product whose estimated size is above
+# these before it expands it.  An m-term f has at most C(m + j - 1, j) terms
+# in f^j, and squaring builds f^k from f^ceil(k/2) and f^floor(k/2), so it
+# makes about the product of their term counts, at least the term count of
+# f^k; a product of two factors makes the product of their term counts.
+# Each such product of coefficients costs d^2 scalar products for R of
+# dimension d over its scalar field.  Over QQ, (a+b+c+d+e+f)^10 (63,504
+# products) took 0.26 s, ^12 (213,444) 1.3 s and ^15 (1.0M) 5.5 s, and
+# (x+1)^1000 (250,500) 2.1 s.  In characteristic 0 a coefficient of c^k has
+# about k * bits(c) bits, one of f^k about k * (bits(f) + log2(m)), and one
+# of a product about the sum of its factors' bits, where bits is log2 of the
+# largest numerator or denominator; a power is refused on the bits of all
+# its C(m + k - 1, k) coefficients together.  3^10000000 (15.8M bits) took
+# 4.3 s, and the product of five 3^1900000 10.6 s.
 PARSE_PRODUCT_LIMIT = 100_000
 PARSE_BIT_LIMIT = 4_000_000
 
@@ -495,15 +496,20 @@ def _power_terms(m: int, k: int) -> int:
     return out
 
 
-def _bits_per_power(ring: BaseRing, c) -> int:
-    """About how many bits each factor c adds to a coefficient in
-    characteristic 0: ceil(log2) of the largest numerator or denominator
-    among the coordinates of c^d, over d, the dimension of R over its scalar
-    field (so that a power of t in k[t]/(f) counts the modulus it meets)."""
-    d = len(ring.field_basis())
+def _bits(ring: BaseRing, c) -> int:
+    """ceil(log2) of the largest numerator or denominator among the
+    coordinates of c (characteristic 0)."""
     top = max(max(abs(x.numerator), x.denominator)
-              for x in map(Fraction, ring.field_coords(ring.power(c, d))))
-    return -(-(top - 1).bit_length() // d)
+              for x in map(Fraction, ring.field_coords(c)))
+    return (top - 1).bit_length()
+
+
+def _bits_per_power(ring: BaseRing, c) -> int:
+    """About how many bits each factor c adds to a coefficient of a power:
+    the bits of c^d over d, the dimension of R over its scalar field, so
+    that a power of t in k[t]/(f) counts the modulus it meets."""
+    d = len(ring.field_basis())
+    return -(-_bits(ring, ring.power(c, d)) // d)
 
 
 def _check_products(ring: BaseRing, products: int):
@@ -515,6 +521,12 @@ def _check_products(ring: BaseRing, products: int):
                                 limit=PARSE_PRODUCT_LIMIT)
 
 
+def _check_bits(bits: int):
+    if bits > PARSE_BIT_LIMIT:
+        raise SizeGuardExceeded("polynomial expansion exceeds the size guard",
+                                coefficient_bits=bits, limit=PARSE_BIT_LIMIT)
+
+
 def _check_power(ring: BaseRing, coeffs: list, k: int):
     """Refuse the k-th power of a polynomial with these coefficients (a
     constant has one) when an estimate above is over its limit."""
@@ -522,10 +534,22 @@ def _check_power(ring: BaseRing, coeffs: list, k: int):
     _check_products(ring, _power_terms(m, (k + 1) // 2) * _power_terms(m, k // 2))
     if ring.characteristic() == 0 and coeffs:
         growth = max(_bits_per_power(ring, c) for c in coeffs) + (m - 1).bit_length()
-        bits = _power_terms(m, k) * k * growth
-        if bits > PARSE_BIT_LIMIT:
-            raise SizeGuardExceeded("polynomial expansion exceeds the size guard",
-                                    coefficient_bits=bits, limit=PARSE_BIT_LIMIT)
+        _check_bits(_power_terms(m, k) * k * growth)
+
+
+def _check_product(ring: BaseRing, a: list, b: list):
+    """Refuse the product of two polynomials with these coefficients when an
+    estimate above is over its limit."""
+    _check_products(ring, len(a) * len(b))
+    if ring.characteristic() == 0 and a and b:
+        _check_bits(max(_bits(ring, c) for c in a) + max(_bits(ring, c) for c in b)
+                    + (min(len(a), len(b)) - 1).bit_length())
+
+
+def _times(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f * g, checked by _check_product first."""
+    _check_product(f.ring, list(f.terms.values()), list(g.terms.values()))
+    return f * g
 
 
 _TOKEN_RE = re.compile(
@@ -581,20 +605,20 @@ class _Parser:
         def joined():  # poly times the folded term
             c = ring.one() if coeff is None else coeff
             mono = MultiPoly(ring, vs, {} if ring.is_zero(c) else {tuple(exp): c})
-            return mono if poly is None else poly * mono
+            return mono if poly is None else _times(poly, mono)
 
         while True:
             f = self.parse_factor(exp)
             if isinstance(f, MultiPoly):
                 if folded:
                     poly = joined()
-                if poly is not None:
-                    _check_products(ring, len(poly.terms) * len(f.terms))
-                poly = f if poly is None else poly * f
+                poly = f if poly is None else _times(poly, f)
                 exp, coeff, folded = [0] * len(vs), None, False
             else:
                 folded = True
                 if f is not None:
+                    if coeff is not None:
+                        _check_product(ring, [coeff], [f])
                     coeff = f if coeff is None else ring.mul(coeff, f)
             kind = toks[self.i][0]
             if kind == "*":

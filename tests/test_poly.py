@@ -197,9 +197,11 @@ SIX = VarSet(tuple("abcdefxy"))
     ("2^4000000*x", "QQ", 1),
     ("3^10000000*x", "Fp(7)", 1),
     ("(x)^100000000 + (1)^100000000", "QQ", 2),
+    ("(x+1)^200*(x+1)^200", "QQ", 401),
+    ("3^1000000*3^1000000*x", "ZZ", 1),
     ("t^100000*x", "QQ[t]/(t^2-18446744073709551616)", 1),
 ])
-def test_parser_expands_powers_under_the_size_guard(text, tag, terms):
+def test_parser_expands_what_the_size_guard_admits(text, tag, terms):
     assert len(parse_poly(text, ring_from_tag(tag), SIX).terms) == terms
 
 
@@ -212,10 +214,14 @@ def test_parser_expands_powers_under_the_size_guard(text, tag, terms):
     ("(t+x)^300", "QQ[t]/(t^3-5*t-7)", "scalar_products=205209"),
     ("3^10000000*x", "QQ", "coefficient_bits=20000000"),
     ("(3^1000*x+1)^300", "ZZ", "coefficient_bits=143215800"),
+    # a product's coefficient: the bits of its factors' coefficients added
+    ("3^1300000*3^1300000*x", "QQ", "coefficient_bits=4120904"),
+    ("3^1300000*(x)*3^1300000", "QQ", "coefficient_bits=4120904"),
+    ("(3^1300000*x+1)*(3^1300000*x+1)", "QQ", "coefficient_bits=4120905"),
     # t^2 = 2^64, so each power of t adds 32 bits
     ("t^1000000*x", "QQ[t]/(t^2-18446744073709551616)", "coefficient_bits=32000000"),
 ])
-def test_parser_refuses_a_large_power_before_expanding_it(text, tag, measured):
+def test_parser_refuses_a_large_expansion_before_making_it(text, tag, measured):
     with pytest.raises(SizeGuardExceeded, match="polynomial expansion exceeds") as exc:
         parse_poly(text, ring_from_tag(tag), SIX)
     assert measured in str(exc.value)
