@@ -293,7 +293,7 @@ class GBCache:
             with open(path, "rb") as fh:
                 return deserialize_basis(fh.read())
         except (ValueError, KeyError, TypeError, AttributeError, OSError,
-                ArithmeticError) as exc:
+                ArithmeticError, SizeGuardExceeded) as exc:
             # TypeError and AttributeError: valid JSON of the wrong shape
             print(f"warning: ignoring corrupt cache entry {path}: {exc}",
                   file=sys.stderr)

@@ -699,6 +699,24 @@ def test_cache_entry_with_zero_denominator_is_recomputed(capsys, tmp_path):
     assert "1/0" not in entry.read_text()  # the recomputed basis replaced it
 
 
+def test_cache_entry_the_parser_refuses_is_recomputed(capsys, tmp_path):
+    # a power past the parser's size guard is a corrupt entry, not a refusal
+    cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
+    code1, out1, _ = run(capsys, tmp_path, "image-closure", cfg)
+    cache_dir = tmp_path / "cache"
+    run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
+    (entry,) = cache_dir.iterdir()
+    doc = json.loads(entry.read_text())
+    doc["generators"][0] = f"({doc['names'][0]} + 1)^1000"
+    entry.write_text(json.dumps(doc, sort_keys=True))
+    code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
+                           "--cache-dir", str(cache_dir))
+    assert code1 == code2 == 0
+    assert out2 == out1
+    assert "corrupt cache entry" in err and "size guard" in err
+    assert "^1000" not in entry.read_text()
+
+
 @pytest.mark.parametrize("entry", [
     [], "gb", None, {"names": 5}, {"generators": [5]}, {"ring": 5}, {"order": []},
 ], ids=["list", "string", "null", "names", "generators", "ring", "order"])
