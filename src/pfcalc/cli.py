@@ -69,16 +69,16 @@ DIMFN_WINDOW_LIMIT = 2_500
 
 # ring-of-module refuses a job whose work estimate W is above this.  For n
 # generators, s relation rows, R of dimension k over its scalar field and
-# top degree d, the invariance system has C(n + d - 1, d) * k columns, and
+# top degree d, the translation system has C(n + d - 1, d) * k columns, and
 # each column's translate has up to C(s * k + d, d) monomials in the
 # parameters, each read off in k coordinates: W = C(n + d - 1, d) * k^2 *
-# C(s * k + d, d).  R/(t) over Fp(2)[t]/(t^64 + t + 1), a zero module, took
-# 0.7 s at degree 1 (W = 266k), 1.4-2.0 s at degree 2 (8.8M) and 54 s at
-# degree 3 (196M) on a 2-vCPU Xeon VM; over Fp(2)[t]/(t^16 + t + 1) degree 3
-# (248k) takes 0.14 s.  W misses the echelon cost of the C(n + d - 1, d) * k
-# candidates of a large free part, so their number is bounded too:
-# QQ^n/(e_1) took 4.5 s at n = 10, d = 8 (24,310 candidates), 1.1 s at
-# (12, 6) (12,376) and 0.5 s at (8, 8) (6,435)
+# C(s * k + d, d).  Only the oracle builds that system now (graded pieces
+# solve the Hasse-derivative rows), but W is kept, so the same jobs run and
+# exit 3.  With it, R/(t) over Fp(2)[t]/(t^64 + t + 1) took 0.7 s at degree 1
+# (W = 266k), 1.4-2.0 s at 2 (8.8M) and 54 s at 3 (196M) on a 2-vCPU Xeon VM;
+# the Hasse rows take 0.08-0.2 s.  W misses the echelon cost of a large free
+# part, so its C(n + d - 1, d) * k candidates are bounded too: QQ^n/(e_1) took
+# 4.5 s at n = 10, d = 8 (24,310), 1.1 s at (12, 6) (12,376), 0.5 s at (8, 8)
 MODULE_PIECE_LIMIT = 1_000_000
 MODULE_CANDIDATE_LIMIT = 10_000
 

@@ -2,31 +2,29 @@
 
 A polynomial law M -> R on M = R^n / O is a polynomial in the generator
 coordinates x_1..x_n that is invariant under translation by every element
-of O.  Each graded piece is cut out by a linear system over the scalar
-field k of R, built in one of two ways that have the same solutions:
-
-- in characteristic p, the translation system: substitute x -> x + sum
-  a_jl * e_l * u_j, with one parameter a_jl per relation row u_j and field
-  basis element e_l of R, and ask the difference to vanish; the parameters
-  range over k, so a^p = a for k = F_p;
-- in characteristic 0 (QQ, ZZ, QQ[t]/(f)), the derivation rows D_w f = 0
-  for the directions w = e_l * u_j, D_w = sum_i w_i d/dx_i.  By Taylor's
-  formula f(x + a*w) - f(x) = sum_{m >= 1} a^m / m! * D_w^m f, so D_w f = 0
-  makes every term vanish, and translations commute, so invariance under
-  each w gives invariance under their k-span.  The two systems have the
-  same kernel, hence the same reduced row echelon form and the same basis.
-  In characteristic p there is no 1/m!: x^p has derivative 0 but is not
-  translation invariant.
-
-is_translation_invariant checks against the translation system in every
-characteristic.  This module also provides the law calculus (homogeneous
-and bihomogeneous parts, products, composition).
+of O.  In every characteristic a graded piece is cut out, over the scalar
+field k of R, by the Hasse-derivative rows D_w^(m) f = 0 for the
+directions w = e_l * u_j (u_j a relation row, e_l the field basis of R);
+over any ring, f(x + a*w) = sum_m a^m * D_w^(m) f.  Translations compose,
+and the k-span of the directions is their ZZ-span over F_p and has it
+Zariski-dense over QQ, so f is invariant exactly when f(x + w) = f(x) for
+each w.  As f(x + w) - f(x) = sum_{m >= 1} D_w^(m) f, with D_w^(m) f
+homogeneous of degree d - m, that holds exactly when every D_w^(m) f is 0.
+In characteristic 0, D^(m) = D^m / m!, so m = 1 suffices.  In
+characteristic p, D^(a) D^(b) = C(a + b, a) D^(a + b) and Lucas's theorem
+give D^(m) = prod_k (D^(p^k))^(m_k) / m_k! for m = sum_k m_k p^k, so the
+orders p^k suffice.  The translation system of _invariance_system has the
+same kernel, hence the same reduced row echelon form and basis; only the
+oracle is_translation_invariant builds it.  The law calculus (homogeneous
+and bihomogeneous parts, products, composition) is here too.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from math import comb, prod
 from typing import Dict, List, Tuple
 
 from . import linalg
@@ -95,8 +93,8 @@ def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...],
     Candidates are pairs (x-exponent, index into R's field basis).  Each
     row is a dict {candidate index: nonzero scalar-field coefficient}; a
     combination of candidates is translation invariant exactly when every
-    row annihilates its coefficient vector.  Graded pieces use it in
-    characteristic p only; is_translation_invariant in every one.
+    row annihilates its coefficient vector.  Only the oracle
+    is_translation_invariant builds it; graded pieces solve _hasse_system.
     """
     ring = module.ring
     k = ring.scalar_field()
@@ -138,37 +136,48 @@ def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...],
     return [rows[key] for key in sorted(rows)]
 
 
-def _derivation_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]]
-                       ) -> List[Dict[int, object]]:
-    """The derivation system on the given candidates, for R of characteristic 0.
-
-    For each direction w = e_l * u_j (u_j a relation row, e_l the
-    field basis of R) the derivation D_w = sum_i w_i d/dx_i sends the
-    candidate e_b * x^alpha to sum_i alpha_i * w_i * e_b * x^(alpha - e_i).
-    A row, keyed (direction, beta, coordinate), holds the scalar-field
-    coordinate of the coefficient at x^beta; rows come in sorted key order,
-    in the row format of _invariance_system, whose kernel they share (see
-    the module docstring).  Over ZZ the system is solved over QQ.  In
-    characteristic p the kernels differ: over F_p, x^p has derivative 0,
-    yet (x + a)^p - x^p = a^p = a.
-    """
+def _hasse_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]],
+                  degree: int) -> List[Dict[int, object]]:
+    """The rows D_w^(m) f = 0 on candidates of one degree (all of it, or one
+    bidegree), for w = e_l * u_j and m = 1, p, p^2, ... up to degree (m = 1
+    alone in characteristic 0).  D_w^(m) sends e_b * x^alpha to the sum over
+    gamma <= alpha, |gamma| = m, of e_b * prod_i C(alpha_i, gamma_i) *
+    w_i^gamma_i * x^(alpha - gamma).  A row, keyed (direction, beta,
+    coordinate), holds the scalar-field coordinate at x^beta; rows come in
+    sorted key order, in the row format of _invariance_system."""
     ring = module.ring
     k = ring.scalar_field()
     rbasis = ring.field_basis()
-    # a zero direction writes no entry
+    p = ring.characteristic()
+    orders = [p ** i for i in range(degree.bit_length()) if p ** i <= degree] if p else (
+        [1] if degree else [])
     directions = [tuple(ring.mul(e, x) for x in u)
                   for u in module.relations for e in rbasis]
+    column = {cand: col for col, cand in enumerate(candidates)}
     rows: Dict[tuple, Dict[int, object]] = {}
-    for col, (exp, bidx) in enumerate(candidates):
-        for dnum, w in enumerate(directions):
-            for i, (a, wi) in enumerate(zip(exp, w)):
-                if not a or ring.is_zero(wi):
-                    continue
-                beta = exp[:i] + (a - 1,) + exp[i + 1:]
-                scale = k.from_int(a)
-                for l, coord in enumerate(ring.field_coords(ring.mul(wi, rbasis[bidx]))):
-                    if not k.is_zero(coord):
-                        rows.setdefault((dnum, beta, l), {})[col] = k.mul(scale, coord)
+    for m in orders:
+        betas = degree_monomials(module.ngens, degree - m)
+        for gamma in degree_monomials(module.ngens, m):
+            # the nonzero w^gamma = prod_i w_i^gamma_i; a zero one writes no entry
+            powers = [(dnum, wg) for dnum, w in enumerate(directions) if not ring.is_zero(
+                wg := reduce(ring.mul, [ring.power(wi, g) for wi, g in zip(w, gamma) if g]))]
+            # for each e_b, the nonzero (direction, coordinate, value) of e_b * w^gamma
+            terms = [[(dnum, l, x) for dnum, wg in powers
+                      for l, x in enumerate(ring.field_coords(ring.mul(e, wg)))
+                      if not k.is_zero(x)] for e in rbasis]
+            scaled: Dict[int, list] = {}  # c = prod_i C(alpha_i, gamma_i) -> c * terms
+            for beta in betas if powers else ():
+                alpha = tuple(map(operator.add, beta, gamma))
+                c = prod(map(comb, alpha, gamma))
+                if c not in scaled:
+                    s = k.from_int(c)
+                    scaled[c] = [] if k.is_zero(s) else [
+                        [(dnum, l, k.mul(s, x)) for dnum, l, x in es] for es in terms]
+                for b, entries in enumerate(scaled[c]):
+                    col = column.get((alpha, b))
+                    if col is not None:
+                        for dnum, l, x in entries:
+                            rows.setdefault((dnum, beta, l), {})[col] = x
     return [rows[key] for key in sorted(rows)]
 
 
@@ -178,11 +187,7 @@ def _piece_from_candidates(module: FPModule,
     ring = module.ring
     k = ring.scalar_field()
     rbasis = ring.field_basis()
-    if ring.characteristic() == 0:
-        rows = _derivation_system(module, candidates)
-    else:
-        rows = _invariance_system(module, candidates, x_vs)
-    system = linalg.Echelon.of(rows, k)
+    system = linalg.Echelon.of(_hasse_system(module, candidates, degree), k)
     kernel = system.kernel(len(candidates))
     if ring == ZZ:
         kernel = [dict(zip(v, integer_primitive(list(v.values())))) for v in kernel]
@@ -191,14 +196,9 @@ def _piece_from_candidates(module: FPModule,
     for v in kernel:
         terms: Dict[tuple, object] = {}
         for col, c in v.items():
-            exp, bidx = candidates[col]
-            add = ring.scale_by_scalar(rbasis[bidx], c)
-            prev = terms.get(exp, ring.zero())
-            val = ring.add(prev, add)
-            if ring.is_zero(val):
-                terms.pop(exp, None)
-            else:
-                terms[exp] = val
+            # the field basis is independent over k, so no sum comes out zero
+            exp, b = candidates[col]
+            terms[exp] = ring.add(terms.get(exp, ring.zero()), ring.scale_by_scalar(rbasis[b], c))
         polys.append(MultiPoly(ring, x_vs, terms))
     return GradedPieceBasis(module, degree, len(kernel), tuple(polys))
 

@@ -115,15 +115,26 @@ def test_translation_invariance_matches_piece_span():
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_prime_field_line_has_no_invariants_through_degree_p_plus_one(p):
-    # x^p has derivative 0 but (x + a)^p - x^p = a^p, so characteristic p
-    # needs the translation system, not the derivation rows
+def test_prime_field_line_has_no_invariants_through_degree_p_squared_plus_one(p):
+    # x^p has D^(1) = 0, and x^(p^2) has D^(1) = D^(p) = 0, yet
+    # (x + a)^(p^2) - x^(p^2) = a^(p^2) = a: only the order p^2 refuses it
     M = FPModule.from_ints(Fp(p), 1, [[1]])
-    assert [graded_piece(M, d).dimension for d in range(p + 2)] == [1] + [0] * (p + 1)
+    assert [graded_piece(M, d).dimension for d in range(p * p + 2)] == [1] + [0] * (p * p + 1)
+
+
+@pytest.mark.parametrize("tag", ["QQ", "Fp(3)", "Fp(2)[t]/(t^2)"])
+def test_module_without_generators(tag):
+    # R[0] = R: its degree-0 piece is R, dim_k R over k, one generator
+    R = ring_from_tag(tag)
+    pieces = [graded_piece(FPModule.free(R, 0), d) for d in range(3)]
+    assert [p.dimension for p in pieces] == [len(R.field_basis()), 0, 0]
+    assert [p.generator_count for p in pieces] == [1, 0, 0]
 
 
 CHAR_ZERO_TAGS = ["QQ", "ZZ", "QQ[t]/(t^2)", "QQ[t]/(t^2+1)", "QQ[t]/(t^3)",
                   "QQ[t]/(t^3-2)"]
+CHAR_P_TAGS = ["Fp(2)", "Fp(3)", "Fp(5)", "Fp(7)", "Fp(2)[t]/(t^2)", "Fp(3)[t]/(t^3)",
+               "Fp(3)[t]/(t^2+1)", "Fp(2)[t]/(t^3+t+1)", "Fp(5)[t]/(t^2+2)"]
 
 
 def _random_module(rng, ring):
@@ -140,13 +151,15 @@ def _random_module(rng, ring):
     return FPModule(ring, n, rows)
 
 
-def test_derivation_rows_match_translation_system(monkeypatch):
-    # in characteristic 0 both systems have the same kernel, so every piece
-    # prints the same basis
-    rng = random.Random(34)
+def test_hasse_rows_match_translation_system(monkeypatch):
+    # both systems have the same kernel in every characteristic, so every
+    # piece prints the same basis; over F_2 and F_3 the degrees reach p^2
+    rng = random.Random(35)
     cases = []
-    while len(cases) < 80:
-        M, d = _random_module(rng, ring_from_tag(rng.choice(CHAR_ZERO_TAGS))), rng.randint(0, 5)
+    while len(cases) < 160:
+        ring = ring_from_tag(rng.choice(CHAR_ZERO_TAGS + CHAR_P_TAGS))
+        p = ring.characteristic()
+        M, d = _random_module(rng, ring), rng.randint(0, p * p if p in (2, 3) else 5)
         # the translation system's size, as ring-of-module estimates it,
         # kept small so that the parametric substitution stays quick
         k = len(M.ring.field_basis())
@@ -157,26 +170,35 @@ def test_derivation_rows_match_translation_system(monkeypatch):
         return piece.dimension, [format_poly(b) for b in piece.basis]
 
     fast = [show(graded_piece(M, d)) for M, d in cases]
-    monkeypatch.setattr(coordring, "_derivation_system", lambda M, cands:
+    monkeypatch.setattr(coordring, "_hasse_system", lambda M, cands, degree:
                         coordring._invariance_system(M, cands, generator_varset(M)))
     assert [show(graded_piece(M, d)) for M, d in cases] == fast
-    assert sum(dim for dim, _ in fast) > 0
-    assert any(M.relations and dim for (M, _), (dim, _) in zip(cases, fast))
+    for char_p in (False, True):
+        drawn = [(M, d, dim) for (M, d), (dim, _) in zip(cases, fast)
+                 if (M.ring.characteristic() > 0) == char_p]
+        assert any(M.relations and dim for M, _, dim in drawn)
+    assert {(M.ring.characteristic(), d) for M, d in cases} >= {(2, 4), (3, 9)}
 
 
-def test_char_zero_piece_substitutes_nothing(monkeypatch):
+def test_graded_piece_substitutes_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("substitute_all called")
 
     monkeypatch.setattr(coordring, "substitute_all", refuse)
     dual = ring_from_tag("QQ[t]/(t^2)")
+    f4 = ring_from_tag("Fp(2)[t]/(t^2)")
+    f9 = ring_from_tag("Fp(3)[t]/(t^2+1)")
     for M in (FPModule.from_ints(QQ, 3, [[1, 2, 0], [0, 1, 3]]),
               FPModule.from_ints(ZZ, 2, [[2, 4], [0, 6]]),
-              FPModule(dual, 2, ((parse_quotient_payload(dual, "t"), dual.one()),))):
+              FPModule(dual, 2, ((parse_quotient_payload(dual, "t"), dual.one()),)),
+              FPModule.from_ints(Fp(3), 2, [[1, 1]]),
+              FPModule(f4, 1, ((parse_quotient_payload(f4, "t"),),)),
+              FPModule(f9, 2, ((parse_quotient_payload(f9, "t"), f9.one()),))):
         for d in range(4):
             graded_piece(M, d)
-    assert product_ring_check(FPModule.from_ints(QQ, 2, [[1, 1]]),
-                              FPModule.free(QQ, 1), 2, 1)[0]
+    for field in (QQ, Fp(2)):
+        assert product_ring_check(FPModule.from_ints(field, 2, [[1, 1]]),
+                                  FPModule.free(field, 1), 2, 1)[0]
 
 
 # (dimension, generator_count) of degrees 0..4, recorded before the greedy
