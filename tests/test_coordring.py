@@ -174,9 +174,8 @@ def test_hasse_rows_match_translation_system(monkeypatch):
                         coordring._invariance_system(M, cands, generator_varset(M)))
     assert [show(graded_piece(M, d)) for M, d in cases] == fast
     for char_p in (False, True):
-        drawn = [(M, d, dim) for (M, d), (dim, _) in zip(cases, fast)
-                 if (M.ring.characteristic() > 0) == char_p]
-        assert any(M.relations and dim for M, _, dim in drawn)
+        assert any(M.relations and dim for (M, _), (dim, _) in zip(cases, fast)
+                   if (M.ring.characteristic() > 0) == char_p)
     assert {(M.ring.characteristic(), d) for M, d in cases} >= {(2, 4), (3, 9)}
 
 
