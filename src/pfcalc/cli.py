@@ -23,7 +23,7 @@ from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import geometry
-from .coordring import graded_piece
+from .coordring import check_system_size, graded_piece
 from .fpmod import FPModule
 from .functors import dimension_function, parse_functor, rank_at
 from .geometry import (MAX_VARIABLES, ClosedSubsetAtRank, PolyTransformation,
@@ -42,6 +42,10 @@ CACHE_VERSION = "1"
 
 # ring-of-module, schur-table and dimfn refuse a degree above this
 MAX_DEGREE = 8
+
+# main reads and prints no integer of more digits than this, whatever PYTHONINTMAXSTRDIGITS
+# says (quadratic: 0.3 ms at 4,228 digits, 25 s at 1.2M on a 2-vCPU VM); a printed one exits 3
+INT_DIGIT_LIMIT = 4_300
 
 # schur-table refuses a table whose size bound (see _cmd_schur_table) is
 # above this; (3, 4) and (2, 8) stay under it, (4, 3) and (6, 2) do not, nor,
@@ -66,22 +70,6 @@ DIMFN_RANK_LIMIT = 2_500
 # at every window, so the rank guard does not bound it (Const(ZZ) with
 # primes 2, 3: 0.05 s at window 2,500, 0.14 s at 5,000, 1.6 s at 20,000)
 DIMFN_WINDOW_LIMIT = 2_500
-
-# ring-of-module refuses a job whose work estimate W is above this.  For n
-# generators, s relation rows, R of dimension k over its scalar field and
-# top degree d, the translation system has C(n + d - 1, d) * k columns, and
-# each column's translate has up to C(s * k + d, d) monomials in the
-# parameters, each read off in k coordinates: W = C(n + d - 1, d) * k^2 *
-# C(s * k + d, d).  Only the oracle builds that system now (graded pieces
-# solve the Hasse-derivative rows), but W is kept, so the same jobs run and
-# exit 3.  With it, R/(t) over Fp(2)[t]/(t^64 + t + 1) took 0.7 s at degree 1
-# (W = 266k), 1.4-2.0 s at 2 (8.8M) and 54 s at 3 (196M) on a 2-vCPU Xeon VM;
-# the Hasse rows take 0.08-0.2 s.  W misses the echelon cost of a large free
-# part, so its C(n + d - 1, d) * k candidates are bounded too: QQ^n/(e_1) took
-# 4.5 s at n = 10, d = 8 (24,310), 1.1 s at (12, 6) (12,376), 0.5 s at (8, 8)
-MODULE_PIECE_LIMIT = 1_000_000
-MODULE_CANDIDATE_LIMIT = 10_000
-
 
 class ConfigError(ValueError):
     """Invalid job config; the message names the offending key."""
@@ -357,15 +345,7 @@ def _cmd_ring_of_module(cfg: dict, args) -> tuple:
     if top > MAX_DEGREE:
         raise SizeGuardExceeded("degree exceeds the size guard",
                                 degree=top, limit=MAX_DEGREE)
-    n, s, k = module.ngens, len(module.relations), len(ring.field_basis())
-    candidates = comb(n + top - 1, top) * k
-    work = candidates * k * comb(s * k + top, top)
-    if work > MODULE_PIECE_LIMIT:
-        raise SizeGuardExceeded("module coordinate ring exceeds the size guard",
-                                work=work, limit=MODULE_PIECE_LIMIT)
-    if candidates > MODULE_CANDIDATE_LIMIT:
-        raise SizeGuardExceeded("module coordinate ring exceeds the size guard",
-                                candidates=candidates, limit=MODULE_CANDIDATE_LIMIT)
+    check_system_size(module, degrees)
 
     lines = [f"coordinate ring of a module over {ring.tag()}, "
              f"{module.ngens} generator(s), {len(module.relations)} relation(s)",
@@ -666,6 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    sys.set_int_max_str_digits(INT_DIGIT_LIMIT)
     parser = build_parser()
     args = parser.parse_args(argv)
     cache_dir = args.cache_dir or os.environ.get("PFCALC_CACHE_DIR")
@@ -678,7 +659,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # an integer literal above INT_DIGIT_LIMIT digits too
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     if not isinstance(cfg, dict):
@@ -692,6 +673,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except SizeGuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        print("refused: printed integer exceeds the size guard; measured "
+              f"limit={INT_DIGIT_LIMIT}", file=sys.stderr)
         return 3
     return 0
 

@@ -13,10 +13,10 @@ homogeneous of degree d - m, that holds exactly when every D_w^(m) f is 0.
 In characteristic 0, D^(m) = D^m / m!, so m = 1 suffices.  In
 characteristic p, D^(a) D^(b) = C(a + b, a) D^(a + b) and Lucas's theorem
 give D^(m) = prod_k (D^(p^k))^(m_k) / m_k! for m = sum_k m_k p^k, so the
-orders p^k suffice.  The translation system of _invariance_system has the
-same kernel, hence the same reduced row echelon form and basis; only the
-oracle is_translation_invariant builds it.  The law calculus (homogeneous
-and bihomogeneous parts, products, composition) is here too.
+orders p^k suffice.  Graded pieces solve these rows alone; the tests keep
+the parametric translation system, which needs no density step, as their
+oracle.  The law calculus (homogeneous and bihomogeneous parts, products,
+composition) is here too.
 """
 
 from __future__ import annotations
@@ -29,27 +29,8 @@ from typing import Dict, List, Tuple
 
 from . import linalg
 from .fpmod import FPModule, block_sum
-from .poly import MultiPoly, VarSet, degree_monomials, integer_primitive, substitute_all
+from .poly import MultiPoly, SizeGuardExceeded, VarSet, degree_monomials, integer_primitive
 from .rings import ZZ
-
-
-def _reduce_parameter_exponents(f: MultiPoly, param_idx: List[int], p: int) -> MultiPoly:
-    """Apply a^p = a to the parameter variables (their values range over F_p)."""
-    ring = f.ring
-    out: Dict[tuple, object] = {}
-    for e, c in f.terms.items():
-        e2 = list(e)
-        for i in param_idx:
-            if e2[i] > 0:
-                e2[i] = (e2[i] - 1) % (p - 1) + 1
-        key = tuple(e2)
-        prev = out.get(key)
-        c2 = c if prev is None else ring.add(prev, c)
-        if ring.is_zero(c2):
-            out.pop(key, None)
-        else:
-            out[key] = c2
-    return MultiPoly(ring, f.varset, out)
 
 
 @dataclass(frozen=True)
@@ -86,54 +67,10 @@ class GradedPieceBasis:
         return count
 
 
-def _invariance_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]],
-                       x_vs: VarSet) -> List[Dict[int, object]]:
-    """The translation-invariance system on the given candidates.
-
-    Candidates are pairs (x-exponent, index into R's field basis).  Each
-    row is a dict {candidate index: nonzero scalar-field coefficient}; a
-    combination of candidates is translation invariant exactly when every
-    row annihilates its coefficient vector.  Only the oracle
-    is_translation_invariant builds it; graded pieces solve _hasse_system.
-    """
-    ring = module.ring
-    k = ring.scalar_field()
-    rbasis = ring.field_basis()
-    n = module.ngens
-    s = len(module.relations)
-    pnames = tuple(f"a_{j + 1}_{l + 1}" for j in range(s) for l in range(len(rbasis)))
-    big_vs = VarSet(x_vs.names + pnames, x_vs.weights + (1,) * len(pnames))
-    param_idx = [big_vs.index(nm) for nm in pnames]
-
-    shifts = {}
-    for i in range(n):
-        sh = MultiPoly.variable(ring, big_vs, x_vs.names[i])
-        for j, u in enumerate(module.relations):
-            if ring.is_zero(u[i]):
-                continue
-            for l, e in enumerate(rbasis):
-                coeff = ring.mul(e, u[i])
-                if ring.is_zero(coeff):
-                    continue
-                exp = [0] * len(big_vs)
-                exp[param_idx[j * len(rbasis) + l]] = 1
-                sh = sh + MultiPoly(ring, big_vs, {tuple(exp): coeff})
-        shifts[x_vs.names[i]] = sh
-
-    p = ring.characteristic()
-    rows: Dict[tuple, Dict[int, object]] = {}
-    gs = [MultiPoly(ring, big_vs, {exp + (0,) * len(pnames): rbasis[bidx]})
-          for exp, bidx in candidates]
-    for col, (g, moved) in enumerate(zip(gs, substitute_all(gs, shifts))):
-        delta = moved - g
-        if p > 1:
-            delta = _reduce_parameter_exponents(delta, param_idx, p)
-        for e, c in delta.terms.items():
-            for l, coord in enumerate(ring.field_coords(c)):
-                if k.is_zero(coord):
-                    continue
-                rows.setdefault((e, l), {})[col] = coord
-    return [rows[key] for key in sorted(rows)]
+def _orders(p: int, d: int) -> List[int]:
+    """The orders m of the Hasse rows at degree d: 1, p, p^2, ... up to d in
+    characteristic p, 1 alone in characteristic 0, none at d = 0."""
+    return [p ** i for i in range(d.bit_length()) if p ** i <= d] if p else [1] if d else []
 
 
 def _hasse_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]],
@@ -143,19 +80,16 @@ def _hasse_system(module: FPModule, candidates: List[Tuple[Tuple[int, ...], int]
     alone in characteristic 0).  D_w^(m) sends e_b * x^alpha to the sum over
     gamma <= alpha, |gamma| = m, of e_b * prod_i C(alpha_i, gamma_i) *
     w_i^gamma_i * x^(alpha - gamma).  A row, keyed (direction, beta,
-    coordinate), holds the scalar-field coordinate at x^beta; rows come in
-    sorted key order, in the row format of _invariance_system."""
+    coordinate), holds the scalar-field coordinate at x^beta as a dict
+    {candidate index: nonzero coefficient}; rows come in sorted key order."""
     ring = module.ring
     k = ring.scalar_field()
     rbasis = ring.field_basis()
-    p = ring.characteristic()
-    orders = [p ** i for i in range(degree.bit_length()) if p ** i <= degree] if p else (
-        [1] if degree else [])
     directions = [tuple(ring.mul(e, x) for x in u)
                   for u in module.relations for e in rbasis]
     column = {cand: col for col, cand in enumerate(candidates)}
     rows: Dict[tuple, Dict[int, object]] = {}
-    for m in orders:
+    for m in _orders(ring.characteristic(), degree):
         betas = degree_monomials(module.ngens, degree - m)
         for gamma in degree_monomials(module.ngens, m):
             # the nonzero w^gamma = prod_i w_i^gamma_i; a zero one writes no entry
@@ -203,6 +137,25 @@ def _piece_from_candidates(module: FPModule,
     return GradedPieceBasis(module, degree, len(kernel), tuple(polys))
 
 
+# ring-of-module refuses a job whose Hasse systems at the distinct degrees have
+# more rows plus columns than this; a unit costs 20-70 us on a 2-vCPU Xeon VM,
+# but fill-in is not counted: QQ^8/(1, ..., 1) at degree 8 (19,305) takes 6 s
+MODULE_SYSTEM_LIMIT = 20_000
+
+
+def check_system_size(module: FPModule, degrees: List[int]) -> None:
+    """Refuse a job whose Hasse systems have more rows, the keys (direction,
+    beta, coordinate) of _hasse_system, plus columns than the limit."""
+    n, s, k = module.ngens, len(module.relations), len(module.ring.field_basis())
+    # C(n + e - 1, e) monomials of degree e; the max makes it 1 at n = e = 0
+    rows = sum(s * k * comb(max(n + d - m - 1, 0), d - m) * k
+               for d in set(degrees) for m in _orders(module.ring.characteristic(), d))
+    columns = sum(comb(max(n + d - 1, 0), d) * k for d in set(degrees))
+    if rows + columns > MODULE_SYSTEM_LIMIT:
+        raise SizeGuardExceeded("module coordinate ring exceeds the size guard",
+                                rows=rows, columns=columns, limit=MODULE_SYSTEM_LIMIT)
+
+
 def generator_varset(module: FPModule) -> VarSet:
     return VarSet(tuple(f"x{i + 1}" for i in range(module.ngens)))
 
@@ -216,26 +169,6 @@ def graded_piece(module: FPModule, d: int) -> GradedPieceBasis:
     candidates = [(exp, b) for exp in degree_monomials(module.ngens, d)
                   for b in range(len(rbasis))]
     return _piece_from_candidates(module, candidates, x_vs, d)
-
-
-def is_translation_invariant(module: FPModule, f: MultiPoly) -> bool:
-    """Check one polynomial against the full translation system."""
-    ring = module.ring
-    candidates = []
-    coeffs = []
-    k = ring.scalar_field()
-    for exp, c in f.terms.items():
-        for b, coord in enumerate(ring.field_coords(c)):
-            candidates.append((exp, b))
-            coeffs.append(coord)
-    # f is invariant iff every row of the system annihilates its coefficients
-    for row in _invariance_system(module, candidates, f.varset):
-        acc = k.zero()
-        for col, x in row.items():
-            acc = k.add(acc, k.mul(x, coeffs[col]))
-        if not k.is_zero(acc):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,13 @@ from pfcalc import cli, geometry
 from pfcalc.cli import (DIMFN_RANK_LIMIT, DIMFN_WINDOW_LIMIT, MODULUS_DEGREE_LIMIT,
                         GBCache, build_parser, deserialize_basis, main,
                         serialize_basis)
+from pfcalc.coordring import check_system_size
 from pfcalc.functors import Sym, parse_functor, rank_at
 from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
 from pfcalc.rings import QQ, QuotientRing, ring_from_tag
 from pfcalc.schur import SchurAlgebra
+from test_render import load_workloads
 
 
 def run(capsys, tmp_path, command, config, *extra):
@@ -502,12 +504,13 @@ def test_ring_of_module_computes_a_repeated_degree_once(capsys, tmp_path):
     assert pieces[0] == pieces[1] and pieces[3] == pieces[4]
 
 
-@pytest.mark.parametrize("degrees", [[3], [0, 1, 2, 3], [2]])
+@pytest.mark.parametrize("degrees", [{"degrees": [0, 1, 2, 3]}, {"max_degree": 8}],
+                         ids=["0-3", "0-8"])
 def test_module_piece_guard_exit_3(capsys, tmp_path, degrees):
-    # t is a unit of the degree-64 field, so R/(t) is 0, but its invariance
-    # system at degree 3 took 54 s; refused from the largest degree asked for
+    # t is a unit of the degree-64 field, so R/(t) is 0, but its Hasse systems
+    # over degrees 0-3 have 20,736 rows plus columns, and 86,592 over 0-8
     cfg = {"ring": "Fp(2)[t]/(t^64+t+1)",
-           "module": {"ngens": 1, "relations": [["t"]]}, "degrees": degrees}
+           "module": {"ngens": 1, "relations": [["t"]]}, **degrees}
     start = time.perf_counter()
     code, out, err = run(capsys, tmp_path, "ring-of-module", cfg)
     assert time.perf_counter() - start < 1.0
@@ -533,8 +536,8 @@ def test_parser_power_guard_exit_3(capsys, tmp_path, command, cfg, measured):
 
 @pytest.mark.parametrize("n, d", [(10, 8), (12, 6)])
 def test_module_piece_guard_refuses_a_large_free_part(capsys, tmp_path, n, d):
-    # QQ^n/(e_1) has W below the limit, but C(n + d - 1, d) candidates above
-    # 10,000: (10, 8) took 4.5 s and (12, 6) 1.1 s
+    # QQ^n/(e_1) up to degree d has C(n + d, d) columns in all: (10, 8) took
+    # 4.5 s and (12, 6) 1.1 s
     cfg = {"ring": "QQ", "module": {"ngens": n, "relations": [[1] + [0] * (n - 1)]},
            "max_degree": d}
     start = time.perf_counter()
@@ -542,16 +545,50 @@ def test_module_piece_guard_refuses_a_large_free_part(capsys, tmp_path, n, d):
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert err.startswith("refused: module coordinate ring exceeds the size guard")
-    assert f"candidates={comb(n + d - 1, d)}" in err
+    assert f"columns={comb(n + d, d)}," in err
 
 
-def test_module_piece_guard_admits(capsys, tmp_path):
-    # the same zero module over a degree-16 field runs at degree 3
-    cfg = {"ring": "Fp(2)[t]/(t^16+t+1)",
-           "module": {"ngens": 1, "relations": [["t"]]}, "degrees": [3]}
+@pytest.mark.parametrize("tag, d", [("Fp(2)[t]/(t^16+t+1)", 3), ("Fp(2)[t]/(t^64+t+1)", 2),
+                                    ("Fp(2)[t]/(t^64+t+1)", 3)])
+def test_module_piece_guard_admits(capsys, tmp_path, tag, d):
+    # the same zero module runs at one degree; over the degree-64 field the
+    # former translation-system estimate refused [2] and [3]
+    cfg = {"ring": tag, "module": {"ngens": 1, "relations": [["t"]]}, "degrees": [d]}
     code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg, "--format", "json")
     assert code == 0
-    assert json.loads(out)["pieces"] == [{"basis": [], "degree": 3, "dimension": 0}]
+    assert json.loads(out)["pieces"] == [{"basis": [], "degree": d, "dimension": 0}]
+
+
+def _module_guard_admits(cfg: dict) -> bool:
+    ring = cli._ring_from_config(cfg)
+    degrees = cfg.get("degrees", range(cfg.get("max_degree", 0) + 1))
+    try:
+        check_system_size(cli._module_from_config(cfg, ring), list(degrees))
+    except geometry.SizeGuardExceeded:
+        return False
+    return True
+
+
+def _free_quotient(n: int, tag: str, row: list, d: int) -> dict:
+    return {"ring": tag, "module": {"ngens": n, "relations": [row]}, "max_degree": d}
+
+
+def test_module_guard_table():
+    # the guard alone, on every ring-of-module job of the benchmark, the pins
+    # and the admitted configs above; seconds are one run in a fresh process
+    # on a 2-vCPU Xeon VM
+    jobs = [job.config for job in load_workloads().WORKLOADS["algebra"](list)
+            if job.command == "ring-of-module"]
+    assert len(jobs) == 5
+    jobs += [_free_quotient(n, "QQ", [1] + [0] * (n - 1), d) for n, d in RING_OF_MODULE_PINS]
+    jobs += [{"ring": tag, "module": {"ngens": len(rows[0]), "relations": [list(r) for r in rows]},
+              "max_degree": 5} for tag, rows in RING_OF_MODULE_FORMAT_PINS]
+    jobs += [{"ring": "Fp(2)[t]/(t^16+t+1)", "module": {"ngens": 1, "relations": [["t"]]},
+              "degrees": [3]}]
+    assert all(map(_module_guard_admits, jobs))
+    # Fp(3)^8/(1, ..., 1) up to degree 8 has 20,592 rows plus columns and
+    # took 3.6 s with the Hasse rows
+    assert not _module_guard_admits(_free_quotient(8, "Fp(3)", [1] * 8, 8))
 
 
 @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)],
@@ -952,8 +989,6 @@ def test_functors_functions_are_used_in_src():
 
 # public functions that only tests call, each kept for what it backs
 TEST_ONLY_FUNCTIONS = {
-    # the oracle that tests check graded_piece against
-    ("coordring.py", "is_translation_invariant"),
     # the law calculus of polynomial laws on a module
     ("coordring.py", "homogeneous_components"),
     ("coordring.py", "bihomogeneous_components"),
