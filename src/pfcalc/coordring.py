@@ -139,7 +139,7 @@ def _piece_from_candidates(module: FPModule,
 
 # ring-of-module refuses a job whose Hasse systems at the distinct degrees have
 # more rows plus columns than this; a unit costs 20-70 us on a 2-vCPU Xeon VM,
-# but fill-in is not counted: QQ^8/(1, ..., 1) at degree 8 (19,305) takes 6 s
+# but fill-in is not counted: QQ^8/(1, ..., 1) up to degree 8 (19,305) takes 10 s
 MODULE_SYSTEM_LIMIT = 20_000
 
 

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from pfcalc import cli, geometry
-from pfcalc.cli import (DIMFN_RANK_LIMIT, DIMFN_WINDOW_LIMIT, MODULUS_DEGREE_LIMIT,
-                        GBCache, build_parser, deserialize_basis, main,
-                        serialize_basis)
+from pfcalc.cli import (DIMFN_RANK_LIMIT, DIMFN_WINDOW_LIMIT, INT_DIGIT_LIMIT,
+                        MODULUS_DEGREE_LIMIT, GBCache, build_parser,
+                        deserialize_basis, main, serialize_basis)
 from pfcalc.coordring import check_system_size
 from pfcalc.functors import Sym, parse_functor, rank_at
 from pfcalc.groebner import buchberger
@@ -504,11 +504,10 @@ def test_ring_of_module_computes_a_repeated_degree_once(capsys, tmp_path):
     assert pieces[0] == pieces[1] and pieces[3] == pieces[4]
 
 
-@pytest.mark.parametrize("degrees", [{"degrees": [0, 1, 2, 3]}, {"max_degree": 8}],
-                         ids=["0-3", "0-8"])
+@pytest.mark.parametrize("degrees", [{"max_degree": 8}, {"degrees": [0, 1, 2, 3]}])
 def test_module_piece_guard_exit_3(capsys, tmp_path, degrees):
     # t is a unit of the degree-64 field, so R/(t) is 0, but its Hasse systems
-    # over degrees 0-3 have 20,736 rows plus columns, and 86,592 over 0-8
+    # over degrees 0-8 have 86,592 rows plus columns, and 20,736 over 0-3
     cfg = {"ring": "Fp(2)[t]/(t^64+t+1)",
            "module": {"ngens": 1, "relations": [["t"]]}, **degrees}
     start = time.perf_counter()
@@ -534,6 +533,45 @@ def test_parser_power_guard_exit_3(capsys, tmp_path, command, cfg, measured):
     assert measured in err
 
 
+@pytest.mark.parametrize("command, cfg, code", [
+    ("good-primes", {"variables": ["x", "y"], "generators": ["3^2000*x - y"], "primes": [2]}, 0),
+    ("good-primes", {"variables": ["x", "y"], "generators": ["3^5000*x - y"], "primes": [2]}, 3),
+    ("good-primes", {"variables": ["x"], "generators": ["2^4000000*x"], "primes": [2]}, 3),
+    ("taylor", {"variables": ["x"], "polynomial": "3^10000*x", "direction_count": 1}, 3),
+    ("taylor", {"variables": ["x"], "polynomial": "2^4000000*x", "direction_count": 1}, 3),
+], ids=["3^2000", "3^5000", "2^4000000", "taylor-3^10000", "taylor-2^4000000"])
+@pytest.mark.parametrize("caller_limit", [None, 0])
+def test_printed_integer_digit_guard(capsys, tmp_path, command, cfg, code, caller_limit):
+    # a printed integer above INT_DIGIT_LIMIT digits exits 3, whatever limit
+    # the caller set (0 lifts it), instead of a ValueError traceback; with
+    # the limit lifted, printing 2^4000000 (1.2M digits) took 25 s
+    previous = sys.get_int_max_str_digits()
+    if caller_limit is not None:
+        sys.set_int_max_str_digits(caller_limit)
+    try:
+        start = time.perf_counter()
+        got, out, err = run(capsys, tmp_path, command, cfg)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == ("refused: printed integer exceeds the size guard; measured "
+                       f"limit={INT_DIGIT_LIMIT}\n")
+
+
+def test_config_integer_digit_guard(capsys, tmp_path):
+    # a config integer literal above INT_DIGIT_LIMIT digits is a bad config
+    path = tmp_path / "job.json"
+    path.write_text('{"ring": "QQ", "module": {"ngens": 1, "relations": [[1%s]]}, '
+                    '"degrees": [1]}' % ("0" * INT_DIGIT_LIMIT))
+    assert main(["ring-of-module", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: config is not valid JSON: Exceeds the limit")
+
+
 @pytest.mark.parametrize("n, d", [(10, 8), (12, 6)])
 def test_module_piece_guard_refuses_a_large_free_part(capsys, tmp_path, n, d):
     # QQ^n/(e_1) up to degree d has C(n + d, d) columns in all: (10, 8) took
@@ -548,15 +586,15 @@ def test_module_piece_guard_refuses_a_large_free_part(capsys, tmp_path, n, d):
     assert f"columns={comb(n + d, d)}," in err
 
 
-@pytest.mark.parametrize("tag, d", [("Fp(2)[t]/(t^16+t+1)", 3), ("Fp(2)[t]/(t^64+t+1)", 2),
-                                    ("Fp(2)[t]/(t^64+t+1)", 3)])
-def test_module_piece_guard_admits(capsys, tmp_path, tag, d):
-    # the same zero module runs at one degree; over the degree-64 field the
-    # former translation-system estimate refused [2] and [3]
-    cfg = {"ring": tag, "module": {"ngens": 1, "relations": [["t"]]}, "degrees": [d]}
-    code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg, "--format", "json")
-    assert code == 0
-    assert json.loads(out)["pieces"] == [{"basis": [], "degree": d, "dimension": 0}]
+def test_module_piece_guard_admits(capsys, tmp_path):
+    # the same zero module runs at one degree: 528 rows plus columns over
+    # the degree-16 field, 8,256 over the degree-64 one
+    for tag, d in [("Fp(2)[t]/(t^16+t+1)", 3), ("Fp(2)[t]/(t^64+t+1)", 2),
+                   ("Fp(2)[t]/(t^64+t+1)", 3)]:
+        cfg = {"ring": tag, "module": {"ngens": 1, "relations": [["t"]]}, "degrees": [d]}
+        code, out, _ = run(capsys, tmp_path, "ring-of-module", cfg, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["pieces"] == [{"basis": [], "degree": d, "dimension": 0}]
 
 
 def _module_guard_admits(cfg: dict) -> bool:
@@ -574,9 +612,9 @@ def _free_quotient(n: int, tag: str, row: list, d: int) -> dict:
 
 
 def test_module_guard_table():
-    # the guard alone, on every ring-of-module job of the benchmark, the pins
-    # and the admitted configs above; seconds are one run in a fresh process
-    # on a 2-vCPU Xeon VM
+    # the guard alone, in milliseconds, on every ring-of-module job of the
+    # benchmark, the pins and the degree-16 case above; in a fresh process on
+    # a 2-vCPU Xeon VM each of them took 0.15-0.21 s
     jobs = [job.config for job in load_workloads().WORKLOADS["algebra"](list)
             if job.command == "ring-of-module"]
     assert len(jobs) == 5
@@ -587,7 +625,7 @@ def test_module_guard_table():
               "degrees": [3]}]
     assert all(map(_module_guard_admits, jobs))
     # Fp(3)^8/(1, ..., 1) up to degree 8 has 20,592 rows plus columns and
-    # took 3.6 s with the Hasse rows
+    # took 3.9 s when it ran
     assert not _module_guard_admits(_free_quotient(8, "Fp(3)", [1] * 8, 8))
 
 
