@@ -504,10 +504,12 @@ def test_ring_of_module_computes_a_repeated_degree_once(capsys, tmp_path):
     assert pieces[0] == pieces[1] and pieces[3] == pieces[4]
 
 
-@pytest.mark.parametrize("degrees", [{"max_degree": 8}, {"degrees": [0, 1, 2, 3]}])
+@pytest.mark.parametrize("degrees", [{"max_degree": 8}, {"degrees": [0, 1, 2, 3]},
+                                     {"degrees": [8, 4]}])
 def test_module_piece_guard_exit_3(capsys, tmp_path, degrees):
     # t is a unit of the degree-64 field, so R/(t) is 0, but its Hasse systems
-    # over degrees 0-8 have 86,592 rows plus columns, and 20,736 over 0-3
+    # over degrees 0-8 have 86,592 rows plus columns, 20,736 over 0-3 and
+    # 28,800 over 4 and 8, though each degree alone is under the limit
     cfg = {"ring": "Fp(2)[t]/(t^64+t+1)",
            "module": {"ngens": 1, "relations": [["t"]]}, **degrees}
     start = time.perf_counter()
