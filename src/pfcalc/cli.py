@@ -53,12 +53,6 @@ INT_DIGIT_LIMIT = 4_300
 # took 1.3 s)
 SCHUR_TABLE_LIMIT = 500_000
 
-# a k[t]/(f) ring tag whose modulus has degree d above this is refused before
-# is_field runs Rabin's test on it (0.4 s at degree 64 over F_5, 18 s at 200),
-# and so is one whose d^3 * bit_length(p), the test's cost, is above its
-# value over F_31 at this degree (1.1 s; 2.2 s over F_65537)
-MODULUS_DEGREE_LIMIT = 64
-
 # dimfn refuses a functor whose rank at the window is above this, to bound
 # its running time, which grows faster than the rank (Sym(4) with primes 2-7
 # in a fresh process on a 2-vCPU Xeon VM: 0.10-0.15 s and 19 MB peak RSS at
@@ -114,17 +108,10 @@ def _prime_list(cfg: dict) -> List[int]:
     return primes
 
 
-def _check_modulus(degree: int, characteristic: int):
-    bits = characteristic.bit_length()
-    if degree > MODULUS_DEGREE_LIMIT or degree ** 3 * bits > MODULUS_DEGREE_LIMIT ** 3 * 5:
-        raise SizeGuardExceeded("ring modulus degree exceeds the size guard",
-                                degree=degree, limit=MODULUS_DEGREE_LIMIT, p_bits=bits)
-
-
 def _ring_from_config(cfg: dict, key: str = "ring") -> BaseRing:
     tag = _need(cfg, key, str)
     try:
-        return ring_from_tag(tag, _check_modulus)
+        return ring_from_tag(tag)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
@@ -184,8 +171,10 @@ def _module_from_config(cfg: dict, ring: BaseRing) -> FPModule:
 def _scalar_from_config(x, ring: BaseRing):
     if not (_is_int(x) or isinstance(x, str)):
         raise ConfigError(f"bad scalar {x!r}: expected int or string")
-    try:
-        return ring.coerce(x)
+    try:  # text goes through the parser's work meter, t^k over k[t]/(f) too
+        if _is_int(x):
+            return ring.coerce(x)
+        return parse_poly(x, ring, VarSet(())).terms.get((), ring.zero())
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad scalar {x!r}: {exc}") from None
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, List, Sequence, Tuple
 
-from .rings import QQ, BaseRing, QuotientRing
+from .rings import QQ, BaseRing, QuotientRing, SizeGuardExceeded
 
 
 @dataclass(frozen=True)
@@ -457,43 +457,21 @@ def format_poly(p: MultiPoly) -> str:
     return out
 
 
-class SizeGuardExceeded(RuntimeError):
-    """A job refused before it runs: an estimate of its size is above a
-    fixed limit.  The message names each measured quantity."""
-
-    def __init__(self, message: str, **measured):
-        super().__init__(message + "; measured " +
-                         ", ".join(f"{k}={v}" for k, v in sorted(measured.items())))
-        self.measured = measured
-
-
-# parse_poly refuses a power or a product whose estimated size is above
-# these before it expands it.  An m-term f has at most C(m + j - 1, j) terms
-# in f^j, and squaring builds f^k from f^ceil(k/2) and f^floor(k/2), so it
-# makes about the product of their term counts, at least the term count of
-# f^k; a product of two factors makes the product of their term counts.
-# Each such product of coefficients costs d^2 scalar products for R of
-# dimension d over its scalar field.  Over QQ, (a+b+c+d+e+f)^10 (63,504
-# products) took 0.26 s, ^12 (213,444) 1.3 s and ^15 (1.0M) 5.5 s, and
-# (x+1)^1000 (250,500) 2.1 s.  In characteristic 0 a coefficient of c^k has
-# about k * bits(c) bits, one of f^k about k * (bits(f) + log2(m)), and one
-# of a product about the sum of its factors' bits, where bits is log2 of the
-# largest numerator or denominator; a power is refused on the bits of all
-# its C(m + k - 1, k) coefficients together.  3^10000000 (15.8M bits) took
-# 4.3 s, and the product of five 3^1900000 10.6 s.
-PARSE_PRODUCT_LIMIT = 100_000
-PARSE_BIT_LIMIT = 4_000_000
-
-
-def _power_terms(m: int, k: int) -> int:
-    """C(m + k - 1, k), the most terms the k-th power of an m-term
-    polynomial has, or PARSE_PRODUCT_LIMIT + 1 once it is above that."""
-    n, out = m + k - 1, 1
-    for i in range(1, min(k, m - 1) + 1):  # C(n, i) grows up to i = n / 2
-        out = out * (n - i + 1) // i
-        if out > PARSE_PRODUCT_LIMIT:
-            return PARSE_PRODUCT_LIMIT + 1
-    return out
+# parse_poly refuses a polynomial once the multiplications it makes would
+# pass this much work.  A product of two coefficients costs d * (2d - 1)
+# units over R of dimension d over its scalar field: d^2 scalar products and
+# the d(d - 1) more with which k[t]/(f) folds the top half back.  In
+# characteristic 0 it costs 1 + bits(a) * bits(b) / 2^20 times that, as one
+# product of two 4,096-bit integers (18 us) takes as long as about 16 small
+# coefficient products.  A power is charged step by step as it is squared,
+# and the charges add up over the whole polynomial.  In process on a 2-vCPU
+# Xeon VM, (a+b+c+d+e+f)^10 over QQ (43,380 units) took 0.18-0.25 s, ^15 over
+# F_7 (23,751) 0.03 s and 2^100000*x (3,593) 1 ms.  A unit of QQ arithmetic
+# takes up to about 5 us, so a refusal comes within about 0.25 s:
+# (x + y + 1)^60 over QQ after 0.18-0.20 s, (x+1)^631 after 0.12-0.16 s,
+# (t+x)^300 over QQ[t]/(t^3-5*t-7) after 0.08 s and t^3000000*x there after
+# 0.01 s.
+PARSE_WORK_LIMIT = 50_000
 
 
 def _bits(ring: BaseRing, c) -> int:
@@ -502,54 +480,6 @@ def _bits(ring: BaseRing, c) -> int:
     top = max(max(abs(x.numerator), x.denominator)
               for x in map(Fraction, ring.field_coords(c)))
     return (top - 1).bit_length()
-
-
-def _bits_per_power(ring: BaseRing, c) -> int:
-    """About how many bits each factor c adds to a coefficient of a power:
-    the bits of c^d over d, the dimension of R over its scalar field, so
-    that a power of t in k[t]/(f) counts the modulus it meets."""
-    d = len(ring.field_basis())
-    return -(-_bits(ring, ring.power(c, d)) // d)
-
-
-def _check_products(ring: BaseRing, products: int):
-    """Refuse an expansion that makes this many products of coefficients."""
-    scalar_products = products * len(ring.field_basis()) ** 2
-    if scalar_products > PARSE_PRODUCT_LIMIT:
-        raise SizeGuardExceeded("polynomial expansion exceeds the size guard",
-                                scalar_products=scalar_products,
-                                limit=PARSE_PRODUCT_LIMIT)
-
-
-def _check_bits(bits: int):
-    if bits > PARSE_BIT_LIMIT:
-        raise SizeGuardExceeded("polynomial expansion exceeds the size guard",
-                                coefficient_bits=bits, limit=PARSE_BIT_LIMIT)
-
-
-def _check_power(ring: BaseRing, coeffs: list, k: int):
-    """Refuse the k-th power of a polynomial with these coefficients (a
-    constant has one) when an estimate above is over its limit."""
-    m = len(coeffs)
-    _check_products(ring, _power_terms(m, (k + 1) // 2) * _power_terms(m, k // 2))
-    if ring.characteristic() == 0 and coeffs:
-        growth = max(_bits_per_power(ring, c) for c in coeffs) + (m - 1).bit_length()
-        _check_bits(_power_terms(m, k) * k * growth)
-
-
-def _check_product(ring: BaseRing, a: list, b: list):
-    """Refuse the product of two polynomials with these coefficients when an
-    estimate above is over its limit."""
-    _check_products(ring, len(a) * len(b))
-    if ring.characteristic() == 0 and a and b:
-        _check_bits(max(_bits(ring, c) for c in a) + max(_bits(ring, c) for c in b)
-                    + (min(len(a), len(b)) - 1).bit_length())
-
-
-def _times(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """f * g, checked by _check_product first."""
-    _check_product(f.ring, list(f.terms.values()), list(g.terms.values()))
-    return f * g
 
 
 _TOKEN_RE = re.compile(
@@ -561,7 +491,8 @@ class _Parser:
     """Recursive descent on term dicts: a product of atoms folds into one
     term; only a parenthesized factor is multiplied as a MultiPoly.  A token
     (kind, value, power or None) is an operator, a fraction "q" a/b (no
-    power), an integer "n", a name "v" or ")"; kind None ends the list."""
+    power), an integer "n", a name "v" or ")"; kind None ends the list.
+    Every multiplication goes through mul, which charges it to self.work."""
 
     def __init__(self, text: str, ring: BaseRing, vs: VarSet):
         self.toks, pos = [], 0
@@ -577,8 +508,41 @@ class _Parser:
         if pos != len(text):
             raise ValueError(f"cannot tokenize polynomial at {text[pos:]!r}")
         self.toks.append((None, None, None))
-        self.i, self.ring, self.vs = 0, ring, vs
+        self.i, self.ring, self.vs, self.work = 0, ring, vs, 0
         self.index = {name: i for i, name in enumerate(vs.names)}
+
+    def mul(self, a, b):
+        """a * b for two polynomials or two coefficients, charged to
+        self.work before it is made (see PARSE_WORK_LIMIT)."""
+        ring = self.ring
+        poly = isinstance(a, MultiPoly)
+        xs, ys = (a.terms.values(), b.terms.values()) if poly else ((a,), (b,))
+        work = len(xs) * len(ys)
+        if ring.characteristic() == 0:
+            work += (sum(_bits(ring, x) for x in xs)
+                     * sum(_bits(ring, y) for y in ys)) >> 20
+        d = len(ring.field_basis())
+        self.work += d * (2 * d - 1) * work
+        if self.work > PARSE_WORK_LIMIT:
+            raise SizeGuardExceeded("polynomial expansion exceeds the size guard",
+                                    work=self.work, limit=PARSE_WORK_LIMIT)
+        return a * b if poly else ring.mul(a, b)
+
+    def power(self, f, k: int):
+        """f^k for a polynomial or a coefficient f, squared in the order of
+        MultiPoly.__pow__ with each product charged by mul."""
+        if k == 0:
+            one = self.ring.one()
+            return MultiPoly.constant(self.ring, self.vs, one) \
+                if isinstance(f, MultiPoly) else one
+        out = None
+        while k:
+            if k & 1:
+                out = f if out is None else self.mul(out, f)
+            k >>= 1
+            if k:
+                f = self.mul(f, f)
+        return out
 
     def parse_sum(self) -> dict:
         ring, toks = self.ring, self.toks
@@ -605,21 +569,19 @@ class _Parser:
         def joined():  # poly times the folded term
             c = ring.one() if coeff is None else coeff
             mono = MultiPoly(ring, vs, {} if ring.is_zero(c) else {tuple(exp): c})
-            return mono if poly is None else _times(poly, mono)
+            return mono if poly is None else self.mul(poly, mono)
 
         while True:
             f = self.parse_factor(exp)
             if isinstance(f, MultiPoly):
                 if folded:
                     poly = joined()
-                poly = f if poly is None else _times(poly, f)
+                poly = f if poly is None else self.mul(poly, f)
                 exp, coeff, folded = [0] * len(vs), None, False
             else:
                 folded = True
                 if f is not None:
-                    if coeff is not None:
-                        _check_product(ring, [coeff], [f])
-                    coeff = f if coeff is None else ring.mul(coeff, f)
+                    coeff = f if coeff is None else self.mul(coeff, f)
             kind = toks[self.i][0]
             if kind == "*":
                 self.i += 1
@@ -658,13 +620,7 @@ class _Parser:
             if self.toks[self.i][0] == "^":
                 raise ValueError("expected integer exponent")
             return f
-        if f is None:
-            return None
-        if isinstance(f, MultiPoly):
-            _check_power(ring, list(f.terms.values()), k)
-            return f ** k
-        _check_power(ring, [f], k)
-        return ring.power(f, k)
+        return None if f is None else self.power(f, k)
 
 
 def parse_poly(text: str, ring: BaseRing, vs: VarSet) -> MultiPoly:

@@ -24,11 +24,22 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 class NotAUnit(ArithmeticError):
     """Raised when inverting a non-unit; the message names the element."""
+
+
+class SizeGuardExceeded(RuntimeError):
+    """A job refused: an estimate of its size made before it runs, or the
+    work it has measured as it runs, is above a fixed limit.  The message
+    names each measured quantity."""
+
+    def __init__(self, message: str, **measured):
+        super().__init__(message + "; measured " +
+                         ", ".join(f"{k}={v}" for k, v in sorted(measured.items())))
+        self.measured = measured
 
 
 # Miller-Rabin with the prime bases 2..41 is exact below PRIME_TEST_LIMIT,
@@ -716,15 +727,19 @@ def fraction_field_reduction(p: int) -> BaseRing:
 _TAG_RE = re.compile(
     r"^(ZZ|QQ|Fp\((\d+)\))(?:\[t\]/\((.+)\))?$")
 
+# a k[t]/(f) ring tag whose modulus has degree d above this is refused before
+# is_field runs Rabin's test on it (0.4 s at degree 64 over F_5, 18 s at 200),
+# and so is one whose d^3 * bit_length(p), the test's cost, is above its
+# value over F_31 at this degree (1.1 s; 2.2 s over F_65537)
+MODULUS_DEGREE_LIMIT = 64
 
-def ring_from_tag(tag: str,
-                  check_modulus: Optional[Callable[[int, int], None]] = None
-                  ) -> BaseRing:
+
+def ring_from_tag(tag: str) -> BaseRing:
     """Parse a textual ring tag like 'QQ', 'Fp(7)', 'QQ[t]/(t^2)'.
 
-    check_modulus(degree, characteristic), when given, sees the degree of
-    the modulus of a k[t]/(f) tag before its coefficients are laid out, so
-    it can refuse a modulus of huge degree by raising."""
+    The degree of the modulus of a k[t]/(f) tag is checked against
+    MODULUS_DEGREE_LIMIT before its coefficients are laid out, so a
+    modulus of huge degree is refused (SizeGuardExceeded)."""
     tag = tag.strip().replace(" ", "")
     m = _TAG_RE.match(tag)
     if m is None:
@@ -740,7 +755,9 @@ def ring_from_tag(tag: str,
     if base is ZZ:
         raise ValueError("quotient rings over ZZ are not supported")
     terms = _unipoly_terms(base, m.group(3))
-    if check_modulus is not None:
-        degree = max((k for k, c in terms.items() if not base.is_zero(c)), default=0)
-        check_modulus(degree, base.characteristic())
+    degree = max((k for k, c in terms.items() if not base.is_zero(c)), default=0)
+    bits = base.characteristic().bit_length()
+    if degree > MODULUS_DEGREE_LIMIT or degree ** 3 * bits > MODULUS_DEGREE_LIMIT ** 3 * 5:
+        raise SizeGuardExceeded("ring modulus degree exceeds the size guard",
+                                degree=degree, limit=MODULUS_DEGREE_LIMIT, p_bits=bits)
     return QuotientRing(base, _dense_unipoly(base, terms))

@@ -14,14 +14,13 @@ from pathlib import Path
 import pytest
 
 from pfcalc import cli, geometry
-from pfcalc.cli import (DIMFN_RANK_LIMIT, DIMFN_WINDOW_LIMIT, INT_DIGIT_LIMIT,
-                        MODULUS_DEGREE_LIMIT, GBCache, build_parser,
-                        deserialize_basis, main, serialize_basis)
+from pfcalc.cli import (DIMFN_RANK_LIMIT, DIMFN_WINDOW_LIMIT, INT_DIGIT_LIMIT, GBCache,
+                        build_parser, deserialize_basis, main, serialize_basis)
 from pfcalc.coordring import check_system_size
 from pfcalc.functors import Sym, parse_functor, rank_at
 from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
-from pfcalc.rings import QQ, QuotientRing, ring_from_tag
+from pfcalc.rings import MODULUS_DEGREE_LIMIT, QQ, QuotientRing, ring_from_tag
 from pfcalc.schur import SchurAlgebra
 from test_render import load_workloads
 
@@ -268,6 +267,18 @@ def test_string_scalar_matches_int(capsys, tmp_path, ring, text, value):
         assert code == 0
         tables.append(out)
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("ring,entry", [("QQ", "1e10000000"), ("QQ[t]/(t^2)", "1 + -t")])
+def test_string_scalar_outside_the_parser_syntax_exit_2(capsys, tmp_path, ring, entry):
+    # a text entry is read by parse_poly: exponent notation, which Fraction
+    # read (1e10000000 in 11 s), and a sign after "+" are validation errors
+    cfg = {"ring": ring, "module": {"ngens": 1, "relations": [[entry]]}, "degrees": [0]}
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, "ring-of-module", cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad scalar {entry!r}")
 
 
 @pytest.mark.parametrize("command,cfg,key", [
@@ -519,14 +530,28 @@ def test_module_piece_guard_exit_3(capsys, tmp_path, degrees):
     assert err.startswith("refused: module coordinate ring exceeds the size guard")
 
 
+EIGHT = "+".join(f"3^1000000*{v}" for v in "abcdefgh")
+
+
 @pytest.mark.parametrize("command, cfg, measured", [
     ("taylor", {"variables": list("abcdef"), "polynomial": "(a+b+c+d+e+f)^15",
-                "direction_count": 1}, "scalar_products=1019304"),
+                "direction_count": 1}, "work=1042913"),
     ("good-primes", {"variables": ["x"], "generators": ["3^10000000*x"],
-                     "primes": [2]}, "coefficient_bits=20000000"),
-], ids=["taylor", "good-primes"])
+                     "primes": [2]}, "work=55365"),
+    ("good-primes", {"variables": list("abcdefgh"), "generators": [f"({EIGHT})*({EIGHT})"],
+                     "primes": [2]}, "work=83485"),
+    ("taylor", {"variables": ["x"], "polynomial": "t^3000000*x", "direction_count": 1,
+                "field": "QQ[t]/(t^3-5*t-7)"}, "work=62715"),
+    ("ring-of-module", {"ring": "QQ[t]/(t^3-5*t-7)", "degrees": [1],
+                        "module": {"ngens": 1, "relations": [["t^4000000"]]}}, "work=178965"),
+], ids=["taylor", "good-primes", "good-primes-product", "taylor-extension", "relation-entry"])
 def test_parser_power_guard_exit_3(capsys, tmp_path, command, cfg, measured):
-    # the parser expanded ^15 in 5.5 s and built 3^10000000 in 4.3 s
+    # the parser expanded ^15 in 5.5 s and built 3^10000000 in 4.3 s; size
+    # estimates admitted the product of the two sums of eight 3^1000000 (16.9 s
+    # in parse_poly) and t^3000000*x (5.9 s), and no guard saw the relation
+    # entry (5.8 s to read it); sympy, which tests the cubic field, is
+    # imported before the clock starts
+    ring_from_tag("QQ[t]/(t^3-5*t-7)").is_field()
     start = time.perf_counter()
     code, out, err = run(capsys, tmp_path, command, cfg)
     assert time.perf_counter() - start < 1.0
@@ -538,10 +563,10 @@ def test_parser_power_guard_exit_3(capsys, tmp_path, command, cfg, measured):
 @pytest.mark.parametrize("command, cfg, code", [
     ("good-primes", {"variables": ["x", "y"], "generators": ["3^2000*x - y"], "primes": [2]}, 0),
     ("good-primes", {"variables": ["x", "y"], "generators": ["3^5000*x - y"], "primes": [2]}, 3),
-    ("good-primes", {"variables": ["x"], "generators": ["2^4000000*x"], "primes": [2]}, 3),
+    ("good-primes", {"variables": ["x"], "generators": ["2^100000*x"], "primes": [2]}, 3),
     ("taylor", {"variables": ["x"], "polynomial": "3^10000*x", "direction_count": 1}, 3),
-    ("taylor", {"variables": ["x"], "polynomial": "2^4000000*x", "direction_count": 1}, 3),
-], ids=["3^2000", "3^5000", "2^4000000", "taylor-3^10000", "taylor-2^4000000"])
+    ("taylor", {"variables": ["x"], "polynomial": "2^100000*x", "direction_count": 1}, 3),
+], ids=["3^2000", "3^5000", "2^100000", "taylor-3^10000", "taylor-2^100000"])
 @pytest.mark.parametrize("caller_limit", [None, 0])
 def test_printed_integer_digit_guard(capsys, tmp_path, command, cfg, code, caller_limit):
     # a printed integer above INT_DIGIT_LIMIT digits exits 3, whatever limit
@@ -784,14 +809,34 @@ def test_cache_entry_the_parser_refuses_is_recomputed(capsys, tmp_path):
     run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
     (entry,) = cache_dir.iterdir()
     doc = json.loads(entry.read_text())
-    doc["generators"][0] = f"({doc['names'][0]} + 1)^1000"
+    doc["generators"][0] = "({} + {} + {} + 1)^80".format(*doc["names"])
     entry.write_text(json.dumps(doc, sort_keys=True))
     code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
                            "--cache-dir", str(cache_dir))
     assert code1 == code2 == 0
     assert out2 == out1
     assert "corrupt cache entry" in err and "size guard" in err
-    assert "^1000" not in entry.read_text()
+    assert "^80" not in entry.read_text()
+
+
+def test_cache_entry_ring_of_huge_degree_is_recomputed(capsys, tmp_path):
+    # the reader checks the modulus of the entry's ring tag as a config's;
+    # laying out the fold of this one took 45 s
+    cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
+    code1, out1, _ = run(capsys, tmp_path, "image-closure", cfg)
+    cache_dir = tmp_path / "cache"
+    run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
+    (entry,) = cache_dir.iterdir()
+    good = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(good, ring="Fp(2)[t]/(t^30000+t+1)"), sort_keys=True))
+    start = time.perf_counter()
+    code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
+                           "--cache-dir", str(cache_dir))
+    assert time.perf_counter() - start < 1.0
+    assert code1 == code2 == 0
+    assert out2 == out1
+    assert "corrupt cache entry" in err and "ring modulus degree exceeds" in err
+    assert json.loads(entry.read_text()) == good
 
 
 @pytest.mark.parametrize("entry", [

@@ -1,13 +1,13 @@
 """Sparse multivariate polynomials: arithmetic, orders, parsing, grading."""
 
 import random
+import time
 from fractions import Fraction
-from math import comb
 
 import pytest
 
-from pfcalc.poly import (PARSE_PRODUCT_LIMIT, Elimination, Grevlex, Lex, MultiPoly,
-                         SizeGuardExceeded, VarSet, _power_terms, format_poly,
+from pfcalc.poly import (PARSE_WORK_LIMIT, Elimination, Grevlex, Lex, MultiPoly,
+                         SizeGuardExceeded, VarSet, _Parser, format_poly,
                          order_from_tag, parse_poly, substitute_all)
 from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
@@ -188,54 +188,100 @@ def test_by_trailing_round_trip(ring):
 
 
 SIX = VarSet(tuple("abcdefxy"))
+EIGHT = "+".join(f"3^1000000*{v}" for v in SIX.names)
 
 
 @pytest.mark.parametrize("text, tag, terms", [
     ("(a+b+c+d+e+f)^10", "QQ", 3003),
-    ("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^5", "Fp(7)", 336),
+    ("(a+b+c+d+e+f)^15", "Fp(7)", 126),  # most multinomials vanish mod 7
     ("(x+1)^630", "Fp(2)", 64),  # 2^6 of its binomials are odd (Lucas)
-    ("2^4000000*x", "QQ", 1),
+    ("(x+1)^1000", "Fp(3)", 16),
+    ("2^100000*x", "QQ", 1),
+    ("3^200000*x", "ZZ", 1),
     ("3^10000000*x", "Fp(7)", 1),
     ("(x)^100000000 + (1)^100000000", "QQ", 2),
-    ("(x+1)^200*(x+1)^200", "QQ", 401),
-    ("3^1000000*3^1000000*x", "ZZ", 1),
-    ("t^100000*x", "QQ[t]/(t^2-18446744073709551616)", 1),
+    ("(t+x)^300", "Fp(3)[t]/(t^2+1)", 12),
+    ("(t+x)^60", "QQ[t]/(t^3-5*t-7)", 61),
 ])
 def test_parser_expands_what_the_size_guard_admits(text, tag, terms):
     assert len(parse_poly(text, ring_from_tag(tag), SIX).terms) == terms
 
 
-@pytest.mark.parametrize("text, tag, measured", [
-    ("(a+b+c+d+e+f)^11", "QQ", "scalar_products=116424"),
-    ("(a+b+c+d+e+f)^15", "Fp(7)", "scalar_products=1019304"),
-    ("(x+1)^631", "QQ", "scalar_products=100172"),
-    ("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^6", "QQ", "scalar_products=116424"),
-    # d^2 = 9 scalar products per coefficient product over a cubic extension
-    ("(t+x)^300", "QQ[t]/(t^3-5*t-7)", "scalar_products=205209"),
-    ("3^10000000*x", "QQ", "coefficient_bits=20000000"),
-    ("(3^1000*x+1)^300", "ZZ", "coefficient_bits=143215800"),
-    # a product's coefficient: the bits of its factors' coefficients added
-    ("3^1300000*3^1300000*x", "QQ", "coefficient_bits=4120904"),
-    ("3^1300000*(x)*3^1300000", "QQ", "coefficient_bits=4120904"),
-    ("(3^1300000*x+1)*(3^1300000*x+1)", "QQ", "coefficient_bits=4120905"),
-    # t^2 = 2^64, so each power of t adds 32 bits
-    ("t^1000000*x", "QQ[t]/(t^2-18446744073709551616)", "coefficient_bits=32000000"),
+@pytest.mark.parametrize("text, tag, work", [
+    ("(a+b+c+d+e+f)^11", "QQ", 88552),
+    ("(a+b+c+d+e+f)^20", "Fp(7)", 73215),
+    ("(x+1)^631", "QQ", 95196),
+    ("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^6", "QQ", 120783),
+    # two factors that are admitted alone
+    ("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^5", "Fp(7)", 65970),
+    ("(x+1)^200*(x+1)^200", "QQ", 72697),
+    # d(2d - 1) = 15 units per coefficient product over a cubic extension
+    ("(t+x)^300", "QQ[t]/(t^3-5*t-7)", 93405),
+    # in characteristic 0 a product is charged by its operands' bits too
+    ("3^10000000*x", "QQ", 55365),
+    ("2^4000000*x", "QQ", 104507),
+    ("(3^1000*x+1)^300", "ZZ", 148320),
+    ("3^1000000*3^1000000*x", "ZZ", 83485),
+    ("3^1300000*(x)*3^1300000", "QQ", 62106),
+    pytest.param(f"({EIGHT})*({EIGHT})", "ZZ", 83485, id="eight-3^1000000-squared"),
+    # each squaring of t^(2^j) is charged from the coordinates it holds
+    ("t^100000*x", "QQ[t]/(t^2-18446744073709551616)", 135702),
+    ("t^1000000*x", "QQ[t]/(t^2-18446744073709551616)", 131346),
+    ("t^3000000*x", "QQ[t]/(t^3-5*t-7)", 62715),
 ])
-def test_parser_refuses_a_large_expansion_before_making_it(text, tag, measured):
+def test_parser_refuses_a_large_expansion_before_making_it(text, tag, work):
     with pytest.raises(SizeGuardExceeded, match="polynomial expansion exceeds") as exc:
         parse_poly(text, ring_from_tag(tag), SIX)
-    assert measured in str(exc.value)
+    assert exc.value.measured == {"work": work, "limit": PARSE_WORK_LIMIT}
 
 
-def test_power_term_estimate_bounds_the_expansion():
-    rng = random.Random(7)
-    for m in range(0, 5):
-        for k in range(0, 7):
-            assert _power_terms(m, k) == (comb(m + k - 1, k) if m else 1)
-    assert _power_terms(6, 30) == PARSE_PRODUCT_LIMIT + 1  # C(35, 5) = 324,632
-    assert _power_terms(2, 10 ** 12) == PARSE_PRODUCT_LIMIT + 1
+def test_parser_charges_add_up_over_the_polynomial():
+    # each 2^100000 costs 3,593 units, so thirteen fit in one budget and
+    # fourteen do not, although each power is admitted alone
+    parser = _Parser(" + ".join(["2^100000*x"] * 13), QQ, SIX)
+    assert parser.parse_sum() == {(0,) * 6 + (1, 0): Fraction(13 << 100000)}
+    assert parser.work == 46709
+    with pytest.raises(SizeGuardExceeded) as exc:
+        parse_poly(" + ".join(["2^100000*x"] * 14), QQ, SIX)
+    assert exc.value.measured["work"] == 50302
+
+
+SWEEP_TAGS = ("QQ", "ZZ", "Fp(7)", "QQ[t]/(t^3-5*t-7)", "Fp(3)[t]/(t^2+1)")
+
+
+def _sweep_expression(rng: random.Random, names: list) -> str:
+    """A product of 1-8 factors, each a sum of 1-6 monomials with
+    coefficients up to 3^200000, raised to a power up to 10^7 or not."""
+    def monomial():
+        coeff = (f"3^{int(200_000 ** rng.random())}" if rng.random() < 0.6
+                 else str(rng.randint(1, 9)))
+        return "*".join([coeff] + [f"{n}^{rng.randint(1, 3)}"
+                                   for n in rng.sample(names, rng.randint(0, 2))])
+
+    def factor():
+        body = " + ".join(monomial() for _ in range(rng.randint(1, 6)))
+        return f"({body})^{int(10 ** (7 * rng.random()))}" if rng.random() < 0.7 \
+            else f"({body})"
+
+    return "*".join(factor() for _ in range(rng.randint(1, 8)))
+
+
+def test_parser_sweep_finishes_within_a_second():
+    # seeded expressions, each admitted or refused within 1 s; seed 3 gives
+    # 20 cases, 5 admitted, and the slowest, (8*y^3 + 3^9)^2143273 over QQ,
+    # was refused after 0.2 s on a 2-vCPU VM (0.75 s for all 20)
+    rng = random.Random(3)
+    vs = VarSet(("x", "y", "z"))
+    total = 0.0
     for _ in range(20):
-        f = MultiPoly(QQ, VS, {(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)):
-                               Fraction(rng.randint(1, 5)) for _ in range(rng.randint(1, 4))})
-        k = rng.randint(0, 5)
-        assert len((f ** k).terms) <= _power_terms(len(f.terms), k)
+        tag = rng.choice(SWEEP_TAGS)
+        text = _sweep_expression(rng, list(vs.names) + ["t"] * ("[t]" in tag))
+        start = time.perf_counter()
+        try:
+            parse_poly(text, ring_from_tag(tag), vs)
+        except SizeGuardExceeded:
+            pass
+        took = time.perf_counter() - start
+        assert took < 1.0, (tag, text)
+        total += took
+    assert total < 5.0
