@@ -222,7 +222,10 @@ def test_parser_expands_what_the_size_guard_admits(text, tag, terms):
     ("2^4000000*x", "QQ", 104507),
     ("(3^1000*x+1)^300", "ZZ", 148320),
     ("3^1000000*3^1000000*x", "ZZ", 83485),
+    # refused at the first 3^1300000, before any product
+    ("3^1300000*3^1300000*x", "QQ", 62106),
     ("3^1300000*(x)*3^1300000", "QQ", 62106),
+    ("(3^1300000*x+1)*(3^1300000*x+1)", "QQ", 62106),
     pytest.param(f"({EIGHT})*({EIGHT})", "ZZ", 83485, id="eight-3^1000000-squared"),
     # each squaring of t^(2^j) is charged from the coordinates it holds
     ("t^100000*x", "QQ[t]/(t^2-18446744073709551616)", 135702),
