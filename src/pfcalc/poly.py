@@ -467,8 +467,8 @@ def format_poly(p: MultiPoly) -> str:
 # and the charges add up over the whole polynomial.  In process on a 2-vCPU
 # Xeon VM, (a+b+c+d+e+f)^10 over QQ (43,380 units) took 0.18-0.25 s, ^15 over
 # F_7 (23,751) 0.03 s and 2^100000*x (3,593) 1 ms.  A unit of QQ arithmetic
-# takes up to about 5 us, so a refusal comes within about 0.25 s:
-# (x + y + 1)^60 over QQ after 0.18-0.20 s, (x+1)^631 after 0.12-0.16 s,
+# takes up to about 5 us, so a refusal comes within about 0.3 s:
+# (x + y + 1)^60 over QQ after 0.18-0.28 s, (x+1)^631 after 0.12-0.2 s,
 # (t+x)^300 over QQ[t]/(t^3-5*t-7) after 0.08 s and t^3000000*x there after
 # 0.01 s.
 PARSE_WORK_LIMIT = 50_000
