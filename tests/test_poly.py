@@ -213,7 +213,8 @@ def test_parser_expands_what_the_size_guard_admits(text, tag, terms):
     ("(x+1)^631", "QQ", 95196),
     ("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^6", "QQ", 120783),
     # two factors that are admitted alone
-    ("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^5", "Fp(7)", 65970),
+    pytest.param("(a+b+c+d+e+f)^5*(a+b+c+d+e+f)^5", "Fp(7)", 65970,
+                 id="two-6-variable-fifth-powers-Fp(7)"),
     ("(x+1)^200*(x+1)^200", "QQ", 72697),
     # d(2d - 1) = 15 units per coefficient product over a cubic extension
     ("(t+x)^300", "QQ[t]/(t^3-5*t-7)", 93405),
