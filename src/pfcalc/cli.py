@@ -30,7 +30,8 @@ from .geometry import (MAX_VARIABLES, ClosedSubsetAtRank, PolyTransformation,
                        SizeGuardExceeded, equivariance_check, good_primes,
                        image_closure, sum_of_powers)
 from .groebner import GroebnerBasis, ideal_dimension
-from .poly import Grevlex, MultiPoly, VarSet, format_poly, parse_poly
+from .poly import (Grevlex, MultiPoly, VarSet, format_poly, order_from_tag, parse_poly,
+                   parse_polys)
 from .render import render_json
 from .rings import ZZ, BaseRing, PRIME_TEST_LIMIT, fraction_field_reduction, \
     is_prime, ring_from_tag
@@ -141,15 +142,12 @@ def _varset_from_config(cfg: dict) -> VarSet:
 
 def _polys_from_config(texts: list, key: str, ring: BaseRing,
                        vs: VarSet) -> List[MultiPoly]:
-    out = []
-    for t in texts:
-        if not isinstance(t, str):
-            raise ConfigError(f"config key {key!r} must list polynomial strings")
-        try:
-            out.append(parse_poly(t, ring, vs))
-        except (ValueError, ArithmeticError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
-    return out
+    if not all(isinstance(t, str) for t in texts):
+        raise ConfigError(f"config key {key!r} must list polynomial strings")
+    try:  # one work budget for all the texts
+        return list(parse_polys(texts, ring, vs))
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
 
 
 def _module_from_config(cfg: dict, ring: BaseRing) -> FPModule:
@@ -159,22 +157,25 @@ def _module_from_config(cfg: dict, ring: BaseRing) -> FPModule:
     if ngens < 1:
         raise ConfigError("module key 'ngens' must be >= 1")
     relations = _opt(mod, "relations", list, [], "module")
+    # the text entries of all the rows share one work budget
+    texts = parse_polys([x for row in relations if isinstance(row, list)
+                         for x in row if isinstance(x, str)], ring, VarSet(()))
     rows = []
     for row in relations:
         if not isinstance(row, list) or len(row) != ngens:
             raise ConfigError(f"module key 'relations': row {row!r} must have "
                               f"{ngens} entries")
-        rows.append(tuple(_scalar_from_config(x, ring) for x in row))
+        rows.append(tuple(_scalar_from_config(x, ring, texts) for x in row))
     return FPModule(ring, ngens, tuple(rows))
 
 
-def _scalar_from_config(x, ring: BaseRing):
+def _scalar_from_config(x, ring: BaseRing, texts):
     if not (_is_int(x) or isinstance(x, str)):
         raise ConfigError(f"bad scalar {x!r}: expected int or string")
-    try:  # text goes through the parser's work meter, t^k over k[t]/(f) too
+    try:  # a text entry is the next of texts, under their one work budget
         if _is_int(x):
             return ring.coerce(x)
-        return parse_poly(x, ring, VarSet(())).terms.get((), ring.zero())
+        return next(texts).terms.get((), ring.zero())
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad scalar {x!r}: {exc}") from None
 
@@ -232,14 +233,13 @@ def serialize_basis(gb: GroebnerBasis) -> bytes:
 
 
 def deserialize_basis(blob: bytes) -> GroebnerBasis:
-    from .poly import order_from_tag
     doc = json.loads(blob.decode())
     if doc.get("version") != CACHE_VERSION:
         raise ValueError(f"cache version {doc.get('version')!r} != {CACHE_VERSION}")
     ring = ring_from_tag(doc["ring"])
     vs = VarSet(tuple(doc["names"]), tuple(doc["weights"]))
     order = order_from_tag(doc["order"])
-    gens = tuple(parse_poly(t, ring, vs) for t in doc["generators"])
+    gens = tuple(parse_poly(t, ring, vs) for t in doc["generators"])  # a budget each
     return GroebnerBasis(gens, order, ring, vs)
 
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .rings import QQ, BaseRing, QuotientRing, SizeGuardExceeded
 
@@ -176,6 +176,19 @@ def _accumulate(ring: BaseRing, terms: dict, other: dict, combine) -> dict:
     return terms
 
 
+def _square_and_multiply(f, k: int, mul):
+    """f^k for k >= 1 from the low bit up: out times f at each set bit, f
+    squared between bits, every product made by mul."""
+    out = None
+    while k:
+        if k & 1:
+            out = f if out is None else mul(out, f)
+        k >>= 1
+        if k:
+            f = mul(f, f)
+    return out
+
+
 class MultiPoly:
     __slots__ = ("ring", "varset", "terms")
 
@@ -211,9 +224,6 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
-
-    def weighted_degree(self) -> int:
-        return max((self.varset.weighted_degree(e) for e in self.terms), default=-1)
 
     def is_weighted_homogeneous(self) -> bool:
         degs = {self.varset.weighted_degree(e) for e in self.terms}
@@ -281,15 +291,7 @@ class MultiPoly:
             raise ValueError("negative power")
         if n == 0:
             return MultiPoly.constant(self.ring, self.varset, self.ring.one())
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _square_and_multiply(self, n, operator.mul)
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.ring == other.ring
@@ -457,16 +459,16 @@ def format_poly(p: MultiPoly) -> str:
     return out
 
 
-# parse_poly refuses a polynomial once the multiplications it makes would
-# pass this much work.  A product of two coefficients costs d * (2d - 1)
+# parse_polys refuses its texts once the multiplications it makes for them
+# would pass this much work.  A product of two coefficients costs d * (2d - 1)
 # units over R of dimension d over its scalar field: d^2 scalar products and
 # the d(d - 1) more with which k[t]/(f) folds the top half back.  In
 # characteristic 0 it costs 1 + bits(a) * bits(b) / 2^20 times that, as one
 # product of two 4,096-bit integers (18 us) takes as long as about 16 small
 # coefficient products.  A power is charged step by step as it is squared,
-# and the charges add up over the whole polynomial.  In process on a 2-vCPU
-# Xeon VM, (a+b+c+d+e+f)^10 over QQ (43,380 units) took 0.18-0.25 s, ^15 over
-# F_7 (23,751) 0.03 s and 2^100000*x (3,593) 1 ms.  A unit of QQ arithmetic
+# and the charges add up over all the texts.  In process on a 2-vCPU Xeon VM,
+# (a+b+c+d+e+f)^10 over QQ (43,380 units) took 0.18-0.25 s, ^15 over F_7
+# (23,751) 0.03 s and 2^100000*x (3,593) 1 ms.  A unit of QQ arithmetic
 # takes up to about 5 us, so a refusal comes within about 0.3 s:
 # (x + y + 1)^60 over QQ after 0.18-0.28 s, (x+1)^631 after 0.12-0.2 s,
 # (t+x)^300 over QQ[t]/(t^3-5*t-7) after 0.08 s and t^3000000*x there after
@@ -492,9 +494,14 @@ class _Parser:
     term; only a parenthesized factor is multiplied as a MultiPoly.  A token
     (kind, value, power or None) is an operator, a fraction "q" a/b (no
     power), an integer "n", a name "v" or ")"; kind None ends the list.
-    Every multiplication goes through mul, which charges it to self.work."""
+    Every multiplication goes through mul, which charges it to self.work,
+    one budget for all the texts the parser reads."""
 
-    def __init__(self, text: str, ring: BaseRing, vs: VarSet):
+    def __init__(self, ring: BaseRing, vs: VarSet):
+        self.ring, self.vs, self.work = ring, vs, 0
+        self.index = {name: i for i, name in enumerate(vs.names)}
+
+    def read(self, text: str) -> MultiPoly:
         self.toks, pos = [], 0
         for m in _TOKEN_RE.finditer(text):
             if m.start() != pos:
@@ -508,8 +515,11 @@ class _Parser:
         if pos != len(text):
             raise ValueError(f"cannot tokenize polynomial at {text[pos:]!r}")
         self.toks.append((None, None, None))
-        self.i, self.ring, self.vs, self.work = 0, ring, vs, 0
-        self.index = {name: i for i, name in enumerate(vs.names)}
+        self.i = 0
+        terms = self.parse_sum()
+        if self.toks[self.i][0] is not None:
+            raise ValueError("trailing input in polynomial")
+        return MultiPoly(self.ring, self.vs, terms)
 
     def mul(self, a, b):
         """a * b for two polynomials or two coefficients, charged to
@@ -529,20 +539,13 @@ class _Parser:
         return a * b if poly else ring.mul(a, b)
 
     def power(self, f, k: int):
-        """f^k for a polynomial or a coefficient f, squared in the order of
-        MultiPoly.__pow__ with each product charged by mul."""
+        """f^k for a polynomial or a coefficient f, by the square-and-multiply
+        of MultiPoly.__pow__ with each product charged by mul."""
         if k == 0:
             one = self.ring.one()
             return MultiPoly.constant(self.ring, self.vs, one) \
                 if isinstance(f, MultiPoly) else one
-        out = None
-        while k:
-            if k & 1:
-                out = f if out is None else self.mul(out, f)
-            k >>= 1
-            if k:
-                f = self.mul(f, f)
-        return out
+        return _square_and_multiply(f, k, self.mul)
 
     def parse_sum(self) -> dict:
         ring, toks = self.ring, self.toks
@@ -623,10 +626,14 @@ class _Parser:
         return None if f is None else self.power(f, k)
 
 
+def parse_polys(texts: Iterable[str], ring: BaseRing, vs: VarSet) -> Iterator[MultiPoly]:
+    """The polynomials of texts in turn, each read as by parse_poly, with
+    the multiplications of all of them charged to one PARSE_WORK_LIMIT."""
+    parser = _Parser(ring, vs)
+    for text in texts:
+        yield parser.read(text)
+
+
 def parse_poly(text: str, ring: BaseRing, vs: VarSet) -> MultiPoly:
-    """Parse syntax like '3*x^2*y - 1/2*z'."""
-    parser = _Parser(text, ring, vs)
-    terms = parser.parse_sum()
-    if parser.toks[parser.i][0] is not None:
-        raise ValueError("trailing input in polynomial")
-    return MultiPoly(ring, vs, terms)
+    """Parse syntax like '3*x^2*y - 1/2*z'; the one-text case of parse_polys."""
+    return next(parse_polys((text,), ring, vs))

@@ -16,6 +16,10 @@ BaseRing holds the arithmetic of Python-number payloads once.  ZZ inherits
 all of it; QQ all but zero, one and from_int, which give Fractions; ZZ/mZ
 all but add, sub, mul, neg and from_int, which reduce mod m.  ZZ takes QQ
 as its scalar field.  k[t]/(f) overrides every default.
+
+This module reads no polynomial text: coerce takes numbers and payloads,
+and ring_from_tag reads the modulus of a tag with poly.parse_poly, the one
+reader of polynomial text, under its work meter.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Tuple
 
 
 class NotAUnit(ArithmeticError):
@@ -168,10 +172,9 @@ class BaseRing:
         return self.mul(a, c)
 
     def coerce(self, x):
-        """An int, a Fraction or rational text such as "-3/4" as a payload,
-        num * den^-1: a denominator that is not a unit raises NotAUnit."""
-        if isinstance(x, str):
-            x = Fraction(x)
+        """An int or a Fraction as a payload, num * den^-1: a denominator
+        that is not a unit raises NotAUnit.  Text is read by
+        poly.parse_poly."""
         if isinstance(x, int):
             return self.from_int(x)
         if isinstance(x, Fraction):
@@ -463,8 +466,6 @@ class QuotientRing(BaseRing):
     def coerce(self, x):
         if isinstance(x, tuple):
             return self._reduce(tuple(self.base.coerce(c) for c in x))
-        if isinstance(x, str):
-            return parse_quotient_payload(self, x)
         return super().coerce(x)
 
     def characteristic(self):
@@ -668,48 +669,6 @@ def _fmt_unipoly(base: BaseRing, cs: tuple) -> str:
     return " + ".join(parts)
 
 
-def _unipoly_terms(base: BaseRing, text: str,
-                   ring: Optional[QuotientRing] = None) -> Dict[int, Any]:
-    """{power: coefficient over base} of a t-polynomial such as '1 + t',
-    '2*t^2' or '-1/2*t', coefficients that cancel included.  Given ring, a
-    term c*t^k with k at least the modulus degree is first reduced in ring,
-    t^k by square-and-multiply, so no power reaches that degree."""
-    out: Dict[int, Any] = {}
-    for piece in re.split(r"\+", text.replace("-", "+-")):
-        piece = piece.strip()
-        if not piece:
-            continue
-        neg = piece.startswith("-")
-        if neg:
-            piece = piece[1:].strip()
-        m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*?)?(t(?:\^(\d+))?)?", piece)
-        if m is None or (m.group(1) is None and m.group(2) is None):
-            raise ValueError(f"cannot parse ring element {text!r}")
-        coeff = base.one() if m.group(1) is None else base.coerce(m.group(1))
-        power = 0 if m.group(2) is None else int(m.group(3) or 1)
-        if neg:
-            coeff = base.neg(coeff)
-        terms = ([(power, coeff)] if ring is None or power < ring.deg else
-                 enumerate(ring.scale_by_scalar(ring.power(ring.gen(), power), coeff)))
-        for k, c in terms:
-            out[k] = base.add(out.get(k, base.zero()), c)
-    return out
-
-
-def _dense_unipoly(base: BaseRing, terms: Dict[int, Any]) -> tuple:
-    """The coefficients of {power: coefficient} terms, low to high."""
-    cs = [base.zero()] * (max(terms, default=-1) + 1)
-    for k, c in terms.items():
-        cs[k] = c
-    return tuple(cs)
-
-
-def parse_quotient_payload(ring: QuotientRing, text: str):
-    """Parse expressions like '1 + t', '2*t^2', 't' into a payload."""
-    terms = _unipoly_terms(ring.base, text, ring)
-    return ring._reduce(_dense_unipoly(ring.base, terms))
-
-
 ZZ = IntegerRing()
 QQ = RationalField()
 
@@ -725,7 +684,7 @@ def fraction_field_reduction(p: int) -> BaseRing:
 
 
 _TAG_RE = re.compile(
-    r"^(ZZ|QQ|Fp\((\d+)\))(?:\[t\]/\((.+)\))?$")
+    r"^(ZZ|QQ|Fp\((\d+)\))(?:\[t\]/\(([-+*/^0-9t]+)\))?$")
 
 # a k[t]/(f) ring tag whose modulus has degree d above this is refused before
 # is_field runs Rabin's test on it (0.4 s at degree 64 over F_5, 18 s at 200),
@@ -737,9 +696,11 @@ MODULUS_DEGREE_LIMIT = 64
 def ring_from_tag(tag: str) -> BaseRing:
     """Parse a textual ring tag like 'QQ', 'Fp(7)', 'QQ[t]/(t^2)'.
 
-    The degree of the modulus of a k[t]/(f) tag is checked against
-    MODULUS_DEGREE_LIMIT before its coefficients are laid out, so a
-    modulus of huge degree is refused (SizeGuardExceeded)."""
+    The modulus of a k[t]/(f) tag is read by poly.parse_poly over k in the
+    one variable t, and its degree is checked against MODULUS_DEGREE_LIMIT
+    before its coefficients are laid out, so a modulus of huge degree is
+    refused (SizeGuardExceeded)."""
+    from .poly import VarSet, parse_poly  # poly imports this module
     tag = tag.strip().replace(" ", "")
     m = _TAG_RE.match(tag)
     if m is None:
@@ -754,10 +715,14 @@ def ring_from_tag(tag: str) -> BaseRing:
         return base
     if base is ZZ:
         raise ValueError("quotient rings over ZZ are not supported")
-    terms = _unipoly_terms(base, m.group(3))
-    degree = max((k for k, c in terms.items() if not base.is_zero(c)), default=0)
+    # tags print a modulus as "-7 + -5*t + t^3", and parse_poly reads no "+-"
+    terms = parse_poly(m.group(3).replace("+-", "-"), base, VarSet(("t",))).terms
+    degree = max((k for (k,) in terms), default=0)
     bits = base.characteristic().bit_length()
     if degree > MODULUS_DEGREE_LIMIT or degree ** 3 * bits > MODULUS_DEGREE_LIMIT ** 3 * 5:
         raise SizeGuardExceeded("ring modulus degree exceeds the size guard",
                                 degree=degree, limit=MODULUS_DEGREE_LIMIT, p_bits=bits)
-    return QuotientRing(base, _dense_unipoly(base, terms))
+    modulus = [base.zero()] * (degree + 1)
+    for (k,), c in terms.items():
+        modulus[k] = c
+    return QuotientRing(base, tuple(modulus))

@@ -18,8 +18,7 @@ from pfcalc.geometry import (cube_sum, four_squares, good_primes,
                              image_closure, sum_of_powers, taylor_directional)
 from pfcalc.groebner import GroebnerBasis, buchberger, ideal_dimension
 from pfcalc.poly import Grevlex, MultiPoly, VarSet, parse_poly
-from pfcalc.rings import (Fp, QQ, ZZ, fraction_field_reduction,
-                          parse_quotient_payload, ring_from_tag)
+from pfcalc.rings import Fp, QQ, ZZ, fraction_field_reduction, ring_from_tag
 from pfcalc.schur import SchurAlgebra, base_change_module, module_of_functor, spin
 from test_groebner import s_polynomial
 
@@ -35,7 +34,7 @@ def report(number: int, ok: bool, detail: str):
 
 def _dual_number_module(tag: str) -> FPModule:
     R = ring_from_tag(tag)
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     return FPModule(R, 1, ((t,),))
 
 

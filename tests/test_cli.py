@@ -544,13 +544,25 @@ EIGHT = "+".join(f"3^1000000*{v}" for v in "abcdefgh")
                 "field": "QQ[t]/(t^3-5*t-7)"}, "work=62715"),
     ("ring-of-module", {"ring": "QQ[t]/(t^3-5*t-7)", "degrees": [1],
                         "module": {"ngens": 1, "relations": [["t^4000000"]]}}, "work=178965"),
-], ids=["taylor", "good-primes", "good-primes-product", "taylor-extension", "relation-entry"])
+    ("good-primes", {"variables": list("abcdefi"), "primes": [2],
+                     "generators": ["(a+b+c+d+e+f)^10 + i"] * 20}, "work=59733"),
+    ("ring-of-module", {"ring": "QQ", "degrees": [3], "module": {"ngens": 3, "relations": [
+        ["3^150000", "7^90000", "5^100000"], ["11^80000", "3^150001", "2^300000"]]}},
+     "work=51434"),
+    ("ring-of-module", {"ring": "QQ", "degrees": [1, 2, 3, 4, 5],
+                        "module": {"ngens": 2, "relations": [["3^200000", "7^100000"]]}},
+     "work=64095"),
+], ids=["taylor", "good-primes", "good-primes-product", "taylor-extension", "relation-entry",
+        "good-primes-twenty-generators", "relation-rows", "relation-row"])
 def test_parser_power_guard_exit_3(capsys, tmp_path, command, cfg, measured):
     # the parser expanded ^15 in 5.5 s and built 3^10000000 in 4.3 s; size
     # estimates admitted the product of the two sums of eight 3^1000000 (16.9 s
     # in parse_poly) and t^3000000*x (5.9 s), and no guard saw the relation
     # entry (5.8 s to read it); sympy, which tests the cubic field, is
-    # imported before the clock starts
+    # imported before the clock starts.  Each text of the last three is
+    # admitted alone, but the texts of one config share one budget: with a
+    # budget per text the twenty generators took 1.5 s to read, the two rows
+    # ran for more than 110 s and the one row 4.7 s
     ring_from_tag("QQ[t]/(t^3-5*t-7)").is_field()
     start = time.perf_counter()
     code, out, err = run(capsys, tmp_path, command, cfg)
@@ -1094,7 +1106,8 @@ TEST_ONLY_FUNCTIONS = {
 def test_public_functions_are_used_in_src_or_kept_by_name():
     # a public function of these modules that src/ does not call is
     # test-only code: it goes, or TEST_ONLY_FUNCTIONS says what it backs
-    modules = ("coordring.py", "fpmod.py", "geometry.py", "schur.py")
+    modules = ("coordring.py", "fpmod.py", "geometry.py", "poly.py", "rings.py",
+               "schur.py")
     unused = {(module, name) for module in modules
               for name in _functions_unused_in_src(module)}
     assert unused == TEST_ONLY_FUNCTIONS

@@ -14,7 +14,7 @@ from pfcalc.coordring import (PolyLawRep, bihomogeneous_components,
 from pfcalc.fpmod import FPModule
 from pfcalc.poly import (MultiPoly, VarSet, degree_monomials, format_poly, parse_poly,
                          substitute_all)
-from pfcalc.rings import Fp, QQ, ZZ, parse_quotient_payload, ring_from_tag
+from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 from test_linalg import _reference_row_reduce
 
 
@@ -122,8 +122,7 @@ def test_free_module_gives_full_polynomial_ring():
 def test_dual_numbers_quotient_module():
     # R = QQ[t]/(t^2), M = R/(t): dims 2,1,1,1,1,1,1
     R = ring_from_tag("QQ[t]/(t^2)")
-    from pfcalc.rings import parse_quotient_payload
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     M = FPModule(R, 1, ((t,),))
     dims = [graded_piece(M, d).dimension for d in range(7)]
     assert dims == [2, 1, 1, 1, 1, 1, 1]
@@ -131,8 +130,7 @@ def test_dual_numbers_quotient_module():
 
 def test_char_two_quotient_module():
     R = ring_from_tag("Fp(2)[t]/(t^2)")
-    from pfcalc.rings import parse_quotient_payload
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     M = FPModule(R, 1, ((t,),))
     dims = [graded_piece(M, d).dimension for d in range(7)]
     assert dims == [2, 1, 2, 1, 2, 1, 2]
@@ -147,8 +145,7 @@ def test_z_torsion_module_collapses():
 
 def test_basis_elements_are_invariant():
     R = ring_from_tag("QQ[t]/(t^2)")
-    from pfcalc.rings import parse_quotient_payload
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     M = FPModule(R, 1, ((t,),))
     piece = graded_piece(M, 3)
     for b in piece.basis:
@@ -157,8 +154,7 @@ def test_basis_elements_are_invariant():
 
 def test_non_invariant_polynomial_rejected():
     R = ring_from_tag("QQ[t]/(t^2)")
-    from pfcalc.rings import parse_quotient_payload
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     M = FPModule(R, 1, ((t,),))
     vs = generator_varset(M)
     x = MultiPoly.variable(R, vs, "x1")
@@ -186,8 +182,8 @@ def test_translation_invariance_matches_piece_span():
     modules = [FPModule.from_ints(QQ, 3, [[1, 2, 0]]),
                FPModule.from_ints(Fp(3), 2, [[1, 1]]),
                FPModule.from_ints(ZZ, 2, [[2, 0]]),
-               FPModule(dual, 2, ((parse_quotient_payload(dual, "t"), dual.zero()),)),
-               FPModule(f4, 1, ((parse_quotient_payload(f4, "t"),),))]
+               FPModule(dual, 2, ((dual.gen(), dual.zero()),)),
+               FPModule(f4, 1, ((f4.gen(),),))]
     verdicts = []
     for M in modules:
         ring, k = M.ring, M.ring.scalar_field()
@@ -286,10 +282,10 @@ def test_graded_piece_substitutes_nothing(monkeypatch):
     f9 = ring_from_tag("Fp(3)[t]/(t^2+1)")
     for M in (FPModule.from_ints(QQ, 3, [[1, 2, 0], [0, 1, 3]]),
               FPModule.from_ints(ZZ, 2, [[2, 4], [0, 6]]),
-              FPModule(dual, 2, ((parse_quotient_payload(dual, "t"), dual.one()),)),
+              FPModule(dual, 2, ((dual.gen(), dual.one()),)),
               FPModule.from_ints(Fp(3), 2, [[1, 1]]),
-              FPModule(f4, 1, ((parse_quotient_payload(f4, "t"),),)),
-              FPModule(f9, 2, ((parse_quotient_payload(f9, "t"), f9.one()),))):
+              FPModule(f4, 1, ((f4.gen(),),)),
+              FPModule(f9, 2, ((f9.gen(), f9.one()),))):
         for d in range(4):
             graded_piece(M, d)
     for field in (QQ, Fp(2)):
@@ -310,8 +306,8 @@ GENERATOR_COUNTS = {
 @pytest.mark.parametrize("tag, relation", list(GENERATOR_COUNTS))
 def test_generator_counts_pinned(tag, relation):
     R = ring_from_tag(tag)
-    M = FPModule(R, max(len(relation), 1),
-                 (tuple(parse_quotient_payload(R, x) for x in relation),) if relation else ())
+    row = tuple(parse_poly(x, R, VarSet(())).terms.get((), R.zero()) for x in relation)
+    M = FPModule(R, max(len(relation), 1), (row,) if relation else ())
     got = [(graded_piece(M, d).dimension, graded_piece(M, d).generator_count)
            for d in range(5)]
     assert got == GENERATOR_COUNTS[tag, relation]
@@ -379,8 +375,7 @@ def test_product_ring_multiplicativity_over_field():
 
 def test_product_ring_multiplicativity_dual_numbers():
     R = ring_from_tag("QQ[t]/(t^2)")
-    from pfcalc.rings import parse_quotient_payload
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     M = FPModule(R, 1, ((t,),))
     ok, direct, product = product_ring_check(M, M, 1, 1)
     assert ok

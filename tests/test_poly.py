@@ -8,7 +8,7 @@ import pytest
 
 from pfcalc.poly import (PARSE_WORK_LIMIT, Elimination, Grevlex, Lex, MultiPoly,
                          SizeGuardExceeded, VarSet, _Parser, format_poly,
-                         order_from_tag, parse_poly, substitute_all)
+                         order_from_tag, parse_poly, parse_polys, substitute_all)
 from pfcalc.rings import Fp, QQ, ZZ, ring_from_tag
 
 VS = VarSet(("x", "y", "z"))
@@ -138,7 +138,7 @@ def test_weighted_homogeneity():
     wvs = VarSet(("a", "b"), (1, 3))
     f = parse_poly("a^3 + b", QQ, wvs)
     assert f.is_weighted_homogeneous()
-    assert f.weighted_degree() == 3
+    assert {wvs.weighted_degree(e) for e in f.terms} == {3}
     assert not parse_poly("a + b", QQ, wvs).is_weighted_homogeneous()
 
 
@@ -242,12 +242,29 @@ def test_parser_refuses_a_large_expansion_before_making_it(text, tag, work):
 def test_parser_charges_add_up_over_the_polynomial():
     # each 2^100000 costs 3,593 units, so thirteen fit in one budget and
     # fourteen do not, although each power is admitted alone
-    parser = _Parser(" + ".join(["2^100000*x"] * 13), QQ, SIX)
-    assert parser.parse_sum() == {(0,) * 6 + (1, 0): Fraction(13 << 100000)}
+    parser = _Parser(QQ, SIX)
+    f = parser.read(" + ".join(["2^100000*x"] * 13))
+    assert f.terms == {(0,) * 6 + (1, 0): Fraction(13 << 100000)}
     assert parser.work == 46709
     with pytest.raises(SizeGuardExceeded) as exc:
         parse_poly(" + ".join(["2^100000*x"] * 14), QQ, SIX)
     assert exc.value.measured["work"] == 50302
+
+
+@pytest.mark.parametrize("texts, work", [
+    (["2^100000*x"] * 14, 50302),
+    (["3^200000", "7^100000"], 64095),
+    (["3^150000", "7^90000", "5^100000"], 51434),
+    (["(a+b+c+d+e+f)^10 + 1"] * 2, 59733),
+], ids=["fourteen-powers", "two-entries", "three-entries", "two-sums"])
+def test_parse_polys_charges_all_its_texts_to_one_budget(texts, work):
+    # each text is admitted alone, and parse_poly reads it as the one-text
+    # case; together they pass the limit, at the text that passes it
+    assert [next(parse_polys([t], QQ, SIX)) for t in texts] == \
+        [parse_poly(t, QQ, SIX) for t in texts]
+    with pytest.raises(SizeGuardExceeded) as exc:
+        list(parse_polys(texts, QQ, SIX))
+    assert exc.value.measured == {"work": work, "limit": PARSE_WORK_LIMIT}
 
 
 SWEEP_TAGS = ("QQ", "ZZ", "Fp(7)", "QQ[t]/(t^3-5*t-7)", "Fp(3)[t]/(t^2+1)")

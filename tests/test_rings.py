@@ -13,8 +13,8 @@ from pfcalc.groebner import NonFieldCoefficients, buchberger
 from pfcalc.linalg import Echelon
 from pfcalc.poly import Grevlex, VarSet, parse_poly
 from pfcalc.rings import (PRIME_TEST_LIMIT, Fp, ModularIntegers, NotAUnit, QQ,
-                          QuotientRing, ZZ, _poly_divmod, fraction_field_reduction,
-                          is_prime, parse_quotient_payload, ring_from_tag)
+                          QuotientRing, SizeGuardExceeded, ZZ, _poly_divmod,
+                          fraction_field_reduction, is_prime, ring_from_tag)
 
 
 def test_integer_arithmetic():
@@ -66,7 +66,7 @@ def test_prime_field_rejects_composite():
 
 def test_quotient_ring_dual_numbers():
     R = ring_from_tag("QQ[t]/(t^2)")
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     assert R.mul(t, t) == R.zero()
     assert not R.is_field()
     # 1 + t is a unit with inverse 1 - t
@@ -79,7 +79,7 @@ def test_quotient_field_f4():
     # F_2[t]/(t^2+t+1) is the field with four elements
     R = ring_from_tag("Fp(2)[t]/(t^2+t+1)")
     assert R.is_field()
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     assert R.mul(t, R.inv(t)) == R.one()
     # multiplicative order of t is 3
     t3 = R.mul(t, R.mul(t, t))
@@ -104,35 +104,43 @@ def test_scalar_field_of_quotient():
     assert k.tag() == "QQ"
     basis = R.field_basis()
     assert len(basis) == 2
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     coords = R.field_coords(R.add(R.from_int(3), t))
     assert list(coords) == [Fraction(3), Fraction(1)]
 
 
 def test_scale_by_scalar():
     R = ring_from_tag("Fp(3)[t]/(t^2)")
-    t = parse_quotient_payload(R, "t")
+    t = R.gen()
     assert R.scale_by_scalar(t, 2) == R.mul(R.from_int(2), t)
 
 
 @pytest.mark.parametrize("tag", ["ZZ", "QQ", "Fp(5)", "Fp(3)[t]/(t^2+1)",
                                  "QQ[t]/(t^2)"])
 def test_coerce_is_numerator_times_inverse_denominator(tag):
+    # rational text is read by parse_poly, as a constant; coerce takes none
     R = ring_from_tag(tag)
+
+    def read(text):
+        return parse_poly(text, R, VarSet(())).terms.get((), R.zero())
+
+    with pytest.raises(TypeError):
+        R.coerce("1/2")
     for n, d in [(0, 1), (3, 1), (-4, 1), (1, 2), (-3, 4), (2, 3), (7, 5),
                  (1, 3), (-6, 5)]:
         try:
             want = R.mul(R.from_int(n), R.inv(R.from_int(d)))
         except NotAUnit:
-            for x in (Fraction(n, d), f"{n}/{d}"):
-                with pytest.raises(NotAUnit):
-                    R.coerce(x)
+            with pytest.raises(NotAUnit):
+                R.coerce(Fraction(n, d))
+            with pytest.raises(NotAUnit):
+                read(f"{n}/{d}")
             continue
         assert R.coerce(Fraction(n, d)) == want
-        assert R.coerce(f"{n}/{d}") == want
+        assert read(f"{n}/{d}") == want
         if d == 1:
             assert R.coerce(n) == want
-            assert R.coerce(str(n)) == want
+            assert read(str(n)) == want
 
 
 # ring_from_tag on these tags, pinned at the last commit that still carried
@@ -165,6 +173,12 @@ RING_TAGS = {
     "Fp(5)[t]/(t^2+1/5)": ArithmeticError,
     "QQ[t]/(t^2+1/0)": ArithmeticError,
     "QQ[t]/(t^2+x)": ValueError,
+    # added when parse_poly became the modulus reader: the printed form of a
+    # QQ modulus reads back through "+-", a product the old reader refused,
+    # and a parenthesized modulus, which the tag grammar still refuses
+    "QQ[t]/(t^3-5*t-7)": "QQ[t]/(-7 + -5*t + t^3)",
+    "Fp(5)[t]/(t*t+2)": "Fp(5)[t]/(2 + t^2)",
+    "QQ[t]/((t^2+1))": ValueError,
 }
 
 
@@ -241,14 +255,36 @@ def test_is_field_is_memoized_per_ring(monkeypatch):
     assert calls == [R]
 
 
+def _dense_reference(ring, text):
+    """The payload of a text c_0*t^k_0 - c_1*t^k_1 - ..., each c an integer
+    or a fraction a/b: its dense coefficient list, reduced once."""
+    base = ring.base
+    terms = [piece.split("*t^") for piece in text.split(" - ")]
+    cs = [base.zero()] * (1 + max(int(k) for _, k in terms))
+    for i, (c, k) in enumerate(terms):
+        c = base.coerce(Fraction(c))
+        cs[int(k)] = base.add(cs[int(k)], c if i == 0 else base.neg(c))
+    return ring._reduce(tuple(cs))
+
+
 def test_huge_t_powers_are_reduced_by_squaring():
-    # a dense coefficient list as long as the exponent took 23.7 s here
+    # a dense coefficient list as long as the exponent took 23.7 s here;
+    # parse_poly squares t in the ring, each product charged to its meter
+    def read(ring, text):
+        return parse_poly(text, ring, VarSet(())).terms.get((), ring.zero())
+
     R = ring_from_tag("QQ[t]/(t^2+1)")
     start = time.perf_counter()
-    assert parse_quotient_payload(R, "t^1000000") == R.one()
+    assert read(R, "t^1000000") == R.one()
     assert time.perf_counter() - start < 1.0
     S = ring_from_tag("Fp(5)[t]/(t^2+2)")
-    assert parse_quotient_payload(S, "t^100001") == S.gen()
+    assert read(S, "t^100001") == S.gen()
+    # in the cubic field the coordinates of t^300000 have 437,409 bits
+    cubic = ring_from_tag("QQ[t]/(t^3-5*t-7)")
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded, match="polynomial expansion"):
+        read(cubic, "t^300000")
+    assert time.perf_counter() - start < 1.0
     # moderate powers: the payload of the dense list reduced once
     rng = random.Random(5160)
     for ring in (R, S, ring_from_tag("Fp(3)[t]/(t^3+2*t+1)"),
@@ -259,9 +295,7 @@ def test_huge_t_powers_are_reduced_by_squaring():
                               for _ in range(rng.randrange(1, 5)))
             if ring.characteristic():
                 text = text.replace("/3", "")
-            assert parse_quotient_payload(ring, text) == \
-                ring._reduce(rings._dense_unipoly(ring.base,
-                                                  rings._unipoly_terms(ring.base, text)))
+            assert read(ring, text) == _dense_reference(ring, text)
 
 
 def test_is_zero_overrides_agree_with_equality():
