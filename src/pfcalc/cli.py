@@ -158,24 +158,24 @@ def _module_from_config(cfg: dict, ring: BaseRing) -> FPModule:
         raise ConfigError("module key 'ngens' must be >= 1")
     relations = _opt(mod, "relations", list, [], "module")
     # the text entries of all the rows share one work budget
-    texts = parse_polys([x for row in relations if isinstance(row, list)
+    polys = parse_polys([x for row in relations if isinstance(row, list)
                          for x in row if isinstance(x, str)], ring, VarSet(()))
     rows = []
     for row in relations:
         if not isinstance(row, list) or len(row) != ngens:
             raise ConfigError(f"module key 'relations': row {row!r} must have "
                               f"{ngens} entries")
-        rows.append(tuple(_scalar_from_config(x, ring, texts) for x in row))
+        rows.append(tuple(_scalar_from_config(x, ring, polys) for x in row))
     return FPModule(ring, ngens, tuple(rows))
 
 
-def _scalar_from_config(x, ring: BaseRing, texts):
+def _scalar_from_config(x, ring: BaseRing, polys):
     if not (_is_int(x) or isinstance(x, str)):
         raise ConfigError(f"bad scalar {x!r}: expected int or string")
-    try:  # a text entry is the next of texts, under their one work budget
+    try:  # a text entry is the next of polys, all read under one work budget
         if _is_int(x):
             return ring.coerce(x)
-        return next(texts).terms.get((), ring.zero())
+        return next(polys).terms.get((), ring.zero())
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad scalar {x!r}: {exc}") from None
 
