@@ -145,7 +145,8 @@ def _polys_from_config(texts: list, key: str, ring: BaseRing,
     if not all(isinstance(t, str) for t in texts):
         raise ConfigError(f"config key {key!r} must list polynomial strings")
     try:  # one work budget for all the texts
-        return list(parse_polys(texts, ring, vs))
+        read = parse_polys(ring, vs)
+        return [read(t) for t in texts]
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None
 
@@ -157,25 +158,23 @@ def _module_from_config(cfg: dict, ring: BaseRing) -> FPModule:
     if ngens < 1:
         raise ConfigError("module key 'ngens' must be >= 1")
     relations = _opt(mod, "relations", list, [], "module")
-    # the text entries of all the rows share one work budget
-    polys = parse_polys([x for row in relations if isinstance(row, list)
-                         for x in row if isinstance(x, str)], ring, VarSet(()))
+    read = parse_polys(ring, VarSet(()))  # one work budget for all the rows
     rows = []
     for row in relations:
         if not isinstance(row, list) or len(row) != ngens:
             raise ConfigError(f"module key 'relations': row {row!r} must have "
                               f"{ngens} entries")
-        rows.append(tuple(_scalar_from_config(x, ring, polys) for x in row))
+        rows.append(tuple(_scalar_from_config(x, ring, read) for x in row))
     return FPModule(ring, ngens, tuple(rows))
 
 
-def _scalar_from_config(x, ring: BaseRing, polys):
+def _scalar_from_config(x, ring: BaseRing, read):
     if not (_is_int(x) or isinstance(x, str)):
         raise ConfigError(f"bad scalar {x!r}: expected int or string")
-    try:  # a text entry is the next of polys, all read under one work budget
+    try:
         if _is_int(x):
             return ring.coerce(x)
-        return next(polys).terms.get((), ring.zero())
+        return read(x).terms.get((), ring.zero())
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"bad scalar {x!r}: {exc}") from None
 

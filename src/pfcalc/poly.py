@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .rings import QQ, BaseRing, QuotientRing, SizeGuardExceeded
 
@@ -459,7 +459,7 @@ def format_poly(p: MultiPoly) -> str:
     return out
 
 
-# parse_polys refuses its texts once the multiplications it makes for them
+# the parser refuses its texts once the multiplications it makes for them
 # would pass this much work.  A product of two coefficients costs d * (2d - 1)
 # units over R of dimension d over its scalar field: d^2 scalar products and
 # the d(d - 1) more with which k[t]/(f) folds the top half back.  In
@@ -626,14 +626,13 @@ class _Parser:
         return None if f is None else self.power(f, k)
 
 
-def parse_polys(texts: Iterable[str], ring: BaseRing, vs: VarSet) -> Iterator[MultiPoly]:
-    """The polynomials of texts in turn, each read as by parse_poly, with
-    the multiplications of all of them charged to one PARSE_WORK_LIMIT."""
-    parser = _Parser(ring, vs)
-    for text in texts:
-        yield parser.read(text)
+def parse_polys(ring: BaseRing, vs: VarSet) -> Callable[[str], MultiPoly]:
+    """A reader of the texts of one config: read(text) parses text as
+    parse_poly does, and the multiplications of all the texts it reads are
+    charged to one PARSE_WORK_LIMIT."""
+    return _Parser(ring, vs).read
 
 
 def parse_poly(text: str, ring: BaseRing, vs: VarSet) -> MultiPoly:
-    """Parse syntax like '3*x^2*y - 1/2*z'; the one-text case of parse_polys."""
-    return next(parse_polys((text,), ring, vs))
+    """Parse syntax like '3*x^2*y - 1/2*z' under a work budget of its own."""
+    return _Parser(ring, vs).read(text)

@@ -692,15 +692,24 @@ _TAG_RE = re.compile(
 # value over F_31 at this degree (1.1 s; 2.2 s over F_65537)
 MODULUS_DEGREE_LIMIT = 64
 
+# a modulus is refused too when its degree d and coefficient size b, log2 of
+# its largest numerator or denominator rounded up, have d^2 * b above this:
+# over QQ, laying out the fold of t^d, ..., t^(2d-2) makes coefficients of
+# about d * b bits, and in process on a 2-vCPU Xeon VM it took 0.4-0.6 s at
+# d^2 * b = 2^19 for every d from 1 to 64 with a dense non-monic modulus,
+# 1.0-1.7 s at 2^20 and 15 s at d = 64, b = 1,000
+MODULUS_BITS_LIMIT = 1 << 19
+
 
 def ring_from_tag(tag: str) -> BaseRing:
     """Parse a textual ring tag like 'QQ', 'Fp(7)', 'QQ[t]/(t^2)'.
 
     The modulus of a k[t]/(f) tag is read by poly.parse_poly over k in the
-    one variable t, and its degree is checked against MODULUS_DEGREE_LIMIT
-    before its coefficients are laid out, so a modulus of huge degree is
-    refused (SizeGuardExceeded)."""
-    from .poly import VarSet, parse_poly  # poly imports this module
+    one variable t, and its degree and coefficient size are checked against
+    MODULUS_DEGREE_LIMIT and MODULUS_BITS_LIMIT before its coefficients are
+    laid out, so a modulus of huge degree or coefficients is refused
+    (SizeGuardExceeded)."""
+    from .poly import VarSet, _bits, parse_poly  # poly imports this module
     tag = tag.strip().replace(" ", "")
     m = _TAG_RE.match(tag)
     if m is None:
@@ -722,6 +731,11 @@ def ring_from_tag(tag: str) -> BaseRing:
     if degree > MODULUS_DEGREE_LIMIT or degree ** 3 * bits > MODULUS_DEGREE_LIMIT ** 3 * 5:
         raise SizeGuardExceeded("ring modulus degree exceeds the size guard",
                                 degree=degree, limit=MODULUS_DEGREE_LIMIT, p_bits=bits)
+    size = max((_bits(base, c) for c in terms.values()), default=0)
+    if degree ** 2 * size > MODULUS_BITS_LIMIT:
+        raise SizeGuardExceeded("ring modulus coefficients exceed the size guard",
+                                coefficient_bits=size, degree=degree,
+                                limit=MODULUS_BITS_LIMIT)
     modulus = [base.zero()] * (degree + 1)
     for (k,), c in terms.items():
         modulus[k] = c

@@ -446,6 +446,38 @@ def test_modulus_degree_guard_admits(capsys, tmp_path, tag):
                           + ring_from_tag(tag).tag())
 
 
+@pytest.mark.parametrize("command,cfg",
+                         _modulus_jobs("QQ[t]/(t^64-2^300000*t^63-1)")
+                         + _modulus_jobs("QQ[t]/(" + "+".join(f"{'9' * 301}*t^{i}"
+                                                              for i in range(65)) + ")"))
+def test_modulus_bits_guard_exit_3(capsys, tmp_path, command, cfg):
+    # the fold of either modulus took 15 s to lay out; both are refused
+    # from their parsed terms
+    start = time.perf_counter()
+    code, out, err = run(capsys, tmp_path, command, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("refused: ring modulus coefficients exceed the size guard")
+
+
+def test_cache_entry_ring_of_huge_coefficients_is_recomputed(capsys, tmp_path):
+    cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
+    code1, out1, _ = run(capsys, tmp_path, "image-closure", cfg)
+    cache_dir = tmp_path / "cache"
+    run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
+    (entry,) = cache_dir.iterdir()
+    good = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(good, ring="QQ[t]/(t^64-2^300000*t^63-1)"),
+                                sort_keys=True))
+    start = time.perf_counter()
+    code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
+                           "--cache-dir", str(cache_dir))
+    assert time.perf_counter() - start < 1.0
+    assert code1 == code2 == 0 and out2 == out1
+    assert "corrupt cache entry" in err and "ring modulus coefficients exceed" in err
+    assert json.loads(entry.read_text()) == good
+
+
 @pytest.mark.parametrize("window", [15, 30, 10 ** 12])
 def test_dimfn_window_guard_exit_3(capsys, tmp_path, window):
     # refused from the functor's rank at the window (40,920 at window 30),

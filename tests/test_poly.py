@@ -258,12 +258,15 @@ def test_parser_charges_add_up_over_the_polynomial():
     (["(a+b+c+d+e+f)^10 + 1"] * 2, 59733),
 ], ids=["fourteen-powers", "two-entries", "three-entries", "two-sums"])
 def test_parse_polys_charges_all_its_texts_to_one_budget(texts, work):
-    # each text is admitted alone, and parse_poly reads it as the one-text
-    # case; together they pass the limit, at the text that passes it
-    assert [next(parse_polys([t], QQ, SIX)) for t in texts] == \
+    # each text is admitted alone, and a fresh reader reads it as parse_poly
+    # does; one reader for all of them passes the limit, at the text that
+    # passes it
+    assert [parse_polys(QQ, SIX)(t) for t in texts] == \
         [parse_poly(t, QQ, SIX) for t in texts]
+    read = parse_polys(QQ, SIX)
     with pytest.raises(SizeGuardExceeded) as exc:
-        list(parse_polys(texts, QQ, SIX))
+        for t in texts:
+            read(t)
     assert exc.value.measured == {"work": work, "limit": PARSE_WORK_LIMIT}
 
 

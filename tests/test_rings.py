@@ -179,6 +179,10 @@ RING_TAGS = {
     "QQ[t]/(t^3-5*t-7)": "QQ[t]/(-7 + -5*t + t^3)",
     "Fp(5)[t]/(t*t+2)": "Fp(5)[t]/(2 + t^2)",
     "QQ[t]/((t^2+1))": ValueError,
+    # a power of a number in a QQ modulus is read, and its size is guarded
+    "QQ[t]/(t^64-2^300000*t^63-1)": SizeGuardExceeded,
+    "QQ[t]/(t^2-2^100*t-3^100)": "QQ[t]/(-515377520732011331036461129765621272702107522001 "
+                                 "+ -1267650600228229401496703205376*t + t^2)",
 }
 
 
@@ -238,6 +242,31 @@ def test_is_field_of_large_prime_quartic_is_fast():
         R = ring_from_tag(f"Fp(32003)[t]/({modulus})")
         assert R.is_field() is expected
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("modulus, degree, bits", [
+    ("t^8-2^8191*t^7-1", 8, 8191),     # 8^2 * 8191 <= 2^19
+    ("t^8-2^8192*t^7-1", 8, 8192),     # 8^2 * 8192 == 2^19
+    ("t^8-2^8193*t^7-1", 8, 8193),     # one bit above
+    ("2^8193*t^8-t^7-1", 8, 8193),     # the leading coefficient counts too
+    ("t^2-2^131072", 2, 131072),       # 2^2 * 131072 == 2^19
+    ("t^2-2^131073", 2, 131073),
+    ("t^64-" + "*".join(["9" * 4300] * 12) + "*t^63-1", 64, 171412),
+    ("+".join(f"{'9' * 301}*t^{i}" for i in range(65)), 64, 1000),
+])
+def test_modulus_bits_guard(modulus, degree, bits):
+    # laying out the fold of a dense degree-64 QQ modulus with 1,000-bit
+    # coefficients took 15 s, and of t^64-2^300000*t^63-1 15 s too; the
+    # guard refuses both from the parsed terms, before the fold is made
+    start = time.perf_counter()
+    if degree ** 2 * bits <= rings.MODULUS_BITS_LIMIT:
+        assert ring_from_tag(f"QQ[t]/({modulus})").deg == degree
+    else:
+        with pytest.raises(SizeGuardExceeded, match="coefficients exceed") as exc:
+            ring_from_tag(f"QQ[t]/({modulus})")
+        assert exc.value.measured == {"coefficient_bits": bits, "degree": degree,
+                                      "limit": rings.MODULUS_BITS_LIMIT}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_field_is_memoized_per_ring(monkeypatch):
