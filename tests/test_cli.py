@@ -460,24 +460,6 @@ def test_modulus_bits_guard_exit_3(capsys, tmp_path, command, cfg):
     assert err.startswith("refused: ring modulus coefficients exceed the size guard")
 
 
-def test_cache_entry_ring_of_huge_coefficients_is_recomputed(capsys, tmp_path):
-    cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
-    code1, out1, _ = run(capsys, tmp_path, "image-closure", cfg)
-    cache_dir = tmp_path / "cache"
-    run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
-    (entry,) = cache_dir.iterdir()
-    good = json.loads(entry.read_text())
-    entry.write_text(json.dumps(dict(good, ring="QQ[t]/(t^64-2^300000*t^63-1)"),
-                                sort_keys=True))
-    start = time.perf_counter()
-    code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
-                           "--cache-dir", str(cache_dir))
-    assert time.perf_counter() - start < 1.0
-    assert code1 == code2 == 0 and out2 == out1
-    assert "corrupt cache entry" in err and "ring modulus coefficients exceed" in err
-    assert json.loads(entry.read_text()) == good
-
-
 @pytest.mark.parametrize("window", [15, 30, 10 ** 12])
 def test_dimfn_window_guard_exit_3(capsys, tmp_path, window):
     # refused from the functor's rank at the window (40,920 at window 30),
@@ -863,24 +845,35 @@ def test_cache_entry_the_parser_refuses_is_recomputed(capsys, tmp_path):
     assert "^80" not in entry.read_text()
 
 
-def test_cache_entry_ring_of_huge_degree_is_recomputed(capsys, tmp_path):
-    # the reader checks the modulus of the entry's ring tag as a config's;
-    # laying out the fold of this one took 45 s
+def _cache_entry_with_ring_is_recomputed(capsys, tmp_path, ring, refusal):
+    # the reader checks the modulus of the entry's ring tag as a config's
     cfg = {"transformation": "cube-sum", "rank": 2, "field": "Fp(3)"}
     code1, out1, _ = run(capsys, tmp_path, "image-closure", cfg)
     cache_dir = tmp_path / "cache"
     run(capsys, tmp_path, "image-closure", cfg, "--cache-dir", str(cache_dir))
     (entry,) = cache_dir.iterdir()
     good = json.loads(entry.read_text())
-    entry.write_text(json.dumps(dict(good, ring="Fp(2)[t]/(t^30000+t+1)"), sort_keys=True))
+    entry.write_text(json.dumps(dict(good, ring=ring), sort_keys=True))
     start = time.perf_counter()
     code2, out2, err = run(capsys, tmp_path, "image-closure", cfg,
                            "--cache-dir", str(cache_dir))
     assert time.perf_counter() - start < 1.0
     assert code1 == code2 == 0
     assert out2 == out1
-    assert "corrupt cache entry" in err and "ring modulus degree exceeds" in err
+    assert "corrupt cache entry" in err and refusal in err
     assert json.loads(entry.read_text()) == good
+
+
+def test_cache_entry_ring_of_huge_degree_is_recomputed(capsys, tmp_path):
+    # laying out the fold of this one took 45 s
+    _cache_entry_with_ring_is_recomputed(capsys, tmp_path, "Fp(2)[t]/(t^30000+t+1)",
+                                         "ring modulus degree exceeds")
+
+
+def test_cache_entry_ring_of_huge_coefficients_is_recomputed(capsys, tmp_path):
+    # laying out the fold of this one took 15 s
+    _cache_entry_with_ring_is_recomputed(capsys, tmp_path, "QQ[t]/(t^64-2^300000*t^63-1)",
+                                         "ring modulus coefficients exceed")
 
 
 @pytest.mark.parametrize("entry", [
