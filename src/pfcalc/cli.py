@@ -380,8 +380,8 @@ def _cmd_schur_table(cfg: dict, args) -> tuple:
                   (f"({a}, {b}, {g}) -> {c}" for a, b, g, c in triples))
     doc = {"command": "schur-table", "n": n, "d": d, "ring": ring.tag(),
            "dimension": algebra.dimension(),
-           "triples": [{"alpha": list(a), "beta": list(b),
-                        "gamma": list(g), "c": c} for a, b, g, c in triples]}
+           "triples": [{"alpha": a, "beta": b, "gamma": g, "c": c}
+                       for a, b, g, c in triples]}
     csv_spec = (("alpha", "beta", "gamma", "c"),
                 ((" ".join(map(str, a)), " ".join(map(str, b)),
                   " ".join(map(str, g)), c) for a, b, g, c in triples))

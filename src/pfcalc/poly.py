@@ -472,16 +472,34 @@ def format_poly(p: MultiPoly) -> str:
 # takes up to about 5 us, so a refusal comes within about 0.3 s:
 # (x + y + 1)^60 over QQ after 0.18-0.28 s, (x+1)^631 after 0.12-0.2 s,
 # (t+x)^300 over QQ[t]/(t^3-5*t-7) after 0.08 s and t^3000000*x there after
-# 0.01 s.
+# 0.01 s.  In characteristic 0 an addition of two coefficients in a sum is
+# charged by the bits of each times the bits of the other's denominator over
+# 2^20 (see _add_work): 0 for integers and ordinary fractions, while a sum of
+# 1/N over odd 14,000-bit N, whose denominator grows with every term, is
+# refused at its 17th term.
 PARSE_WORK_LIMIT = 50_000
 
 
 def _bits(ring: BaseRing, c) -> int:
     """ceil(log2) of the largest numerator or denominator among the
-    coordinates of c (characteristic 0)."""
+    coordinates of c (characteristic 0: ints or Fractions)."""
     top = max(max(abs(x.numerator), x.denominator)
-              for x in map(Fraction, ring.field_coords(c)))
+              for x in ring.field_coords(c))
     return (top - 1).bit_length()
+
+
+def _add_work(ring: BaseRing, a, b) -> int:
+    """The units of a + b (characteristic 0; see PARSE_WORK_LIMIT): adding
+    x/u and y/v multiplies x by v and y by u and takes gcd(u, v), so each
+    coordinate pair costs bits(x/u) * bits(v) + bits(y/v) * bits(u) / 2^20,
+    and integers add for free."""
+    work = 0
+    for x, y in zip(ring.field_coords(a), ring.field_coords(b)):
+        u, v = (x.denominator - 1).bit_length(), (y.denominator - 1).bit_length()
+        if u or v:
+            work += max(x.numerator.bit_length(), u) * v \
+                + max(y.numerator.bit_length(), v) * u
+    return work >> 20
 
 
 _TOKEN_RE = re.compile(
@@ -494,11 +512,13 @@ class _Parser:
     term; only a parenthesized factor is multiplied as a MultiPoly.  A token
     (kind, value, power or None) is an operator, a fraction "q" a/b (no
     power), an integer "n", a name "v" or ")"; kind None ends the list.
-    Every multiplication goes through mul, which charges it to self.work,
-    one budget for all the texts the parser reads."""
+    Every multiplication goes through mul, and in characteristic 0 every
+    addition of two coefficients of a sum is charged too, to self.work, one
+    budget for all the texts the parser reads."""
 
     def __init__(self, ring: BaseRing, vs: VarSet):
         self.ring, self.vs, self.work = ring, vs, 0
+        self.sized = ring.characteristic() == 0  # coefficients grow
         self.index = {name: i for i, name in enumerate(vs.names)}
 
     def read(self, text: str) -> MultiPoly:
@@ -528,15 +548,19 @@ class _Parser:
         poly = isinstance(a, MultiPoly)
         xs, ys = (a.terms.values(), b.terms.values()) if poly else ((a,), (b,))
         work = len(xs) * len(ys)
-        if ring.characteristic() == 0:
+        if self.sized:
             work += (sum(_bits(ring, x) for x in xs)
                      * sum(_bits(ring, y) for y in ys)) >> 20
         d = len(ring.field_basis())
-        self.work += d * (2 * d - 1) * work
+        self.charge(d * (2 * d - 1) * work)
+        return a * b if poly else ring.mul(a, b)
+
+    def charge(self, work: int):
+        """Add work to self.work, refusing once it passes PARSE_WORK_LIMIT."""
+        self.work += work
         if self.work > PARSE_WORK_LIMIT:
             raise SizeGuardExceeded("polynomial expansion exceeds the size guard",
                                     work=self.work, limit=PARSE_WORK_LIMIT)
-        return a * b if poly else ring.mul(a, b)
 
     def power(self, f, k: int):
         """f^k for a polynomial or a coefficient f, by the square-and-multiply
@@ -560,8 +584,12 @@ class _Parser:
             if op != "+" and op != "-":
                 return terms
             self.i += 1
-            _accumulate(ring, terms, self.parse_product(),
-                        ring.add if op == "+" else ring.sub)
+            other = self.parse_product()
+            if self.sized:  # a sum of fractions grows its denominator
+                for e, c in other.items():
+                    if e in terms:
+                        self.charge(_add_work(ring, terms[e], c))
+            _accumulate(ring, terms, other, ring.add if op == "+" else ring.sub)
 
     def parse_product(self) -> dict:
         """The factors multiplied left to right; the atoms since the last

@@ -22,6 +22,7 @@ from pfcalc.groebner import buchberger
 from pfcalc.poly import Grevlex, VarSet, parse_poly
 from pfcalc.rings import MODULUS_DEGREE_LIMIT, QQ, QuotientRing, ring_from_tag
 from pfcalc.schur import SchurAlgebra
+from test_poly import reciprocal_sum
 from test_render import load_workloads
 
 
@@ -584,6 +585,30 @@ def test_parser_power_guard_exit_3(capsys, tmp_path, command, cfg, measured):
     assert code == 3 and out == ""
     assert err.startswith("refused: polynomial expansion exceeds the size guard")
     assert measured in err
+
+
+@pytest.mark.parametrize("command, cfg, code, message", [
+    ("good-primes", {"variables": ["x"], "generators": [reciprocal_sum()], "primes": [2]},
+     2, "error: config key 'generators': "),
+    ("taylor", {"variables": ["x"], "polynomial": reciprocal_sum(), "direction_count": 1},
+     3, "refused: polynomial expansion exceeds the size guard"),
+    ("ring-of-module", {"ring": "QQ", "degrees": [1],
+                        "module": {"ngens": 1, "relations": [[reciprocal_sum()]]}},
+     3, "refused: polynomial expansion exceeds the size guard"),
+    ("ring-of-module", {"ring": f"QQ[t]/(t^2 + {reciprocal_sum()})", "degrees": [1],
+                        "module": {"ngens": 1, "relations": [["t"]]}},
+     3, "refused: polynomial expansion exceeds the size guard"),
+], ids=["good-primes", "taylor", "relation-entry", "ring-tag-modulus"])
+def test_parser_sum_guard(capsys, tmp_path, command, cfg, code, message):
+    # forty reciprocals of odd 14,000-bit integers took 0.65 s to add up
+    # over QQ before additions were charged; the sum is refused at its 17th
+    # term.  good-primes reads its generators over ZZ, where 1/N is refused
+    # at the first term
+    start = time.perf_counter()
+    result, out, err = run(capsys, tmp_path, command, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert result == code and out == ""
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("command, cfg, code", [

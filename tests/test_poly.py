@@ -251,6 +251,40 @@ def test_parser_charges_add_up_over_the_polynomial():
     assert exc.value.measured["work"] == 50302
 
 
+def reciprocal_sum(seed: int = 3901, count: int = 40, bits: int = 14_000) -> str:
+    """1/N_1 + ... + 1/N_count over odd N_i of exactly bits bits, seeded:
+    over QQ each term grows the denominator of the sum by bits bits."""
+    rng = random.Random(seed)
+    return " + ".join(f"1/{rng.getrandbits(bits) | 1 << (bits - 1) | 1}"
+                      for _ in range(count))
+
+
+def test_parser_charges_large_additions():
+    # each addition of the sum multiplies by the denominators and takes
+    # their gcd, quadratic in their size: 40 terms took 0.65 s unmetered, and
+    # a text of about 1.7 MB would run for a minute.  Sixteen terms fit in
+    # one budget (15 additions at about 374 units per 14,000 bits of the
+    # growing denominator)
+    text = reciprocal_sum()
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded, match="polynomial expansion exceeds") as exc:
+        parse_poly(text, QQ, SIX)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.measured == {"work": 50828, "limit": PARSE_WORK_LIMIT}
+    parser = _Parser(QQ, SIX)
+    parser.read(" + ".join(text.split(" + ")[:16]))
+    assert parser.work == 44848
+    # ordinary fractions and integers of any size add for free, and so does
+    # a term that meets no other
+    parser = _Parser(QQ, SIX)
+    parser.read(" + ".join(["1/3*x", "2/5*x", "7/11"] * 1000))
+    parser.read(" + ".join([f"{3 ** 8000}*x", f"{7 ** 4500}/11*x", "1/2*x"] * 5))
+    assert parser.work == 0
+    terms = reciprocal_sum().split(" + ")
+    parser.read(" + ".join(f"{c}*x^{i}" for i, c in enumerate(terms)))
+    assert parser.work == 0
+
+
 @pytest.mark.parametrize("texts, work", [
     (["2^100000*x"] * 14, 50302),
     (["3^200000", "7^100000"], 64095),

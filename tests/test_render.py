@@ -89,6 +89,80 @@ def test_writer_matches_json_dumps_on_random_documents(seed):
         assert render_json(doc) == dumps(doc)
 
 
+
+# keys a record may have, with quotes, backslashes, non-ASCII and the format
+# character %
+RECORD_KEYS = ["alpha", "c", 'say "hi"', "back\\slash", "Schur über ℚ", "😀",
+               "100%", "%s", ""]
+INT_ARRAYS = [[0], [1, 0], [1, -2, 3], [10 ** 30, -7]]
+# equal to an int array above, but not one: json writes true, 1.0 and null
+NOT_INT_ARRAYS = [[True, 0], [1.0, 0], [1, -2.0, 3], [False], [0.0], [None],
+                  [1, None, "1"]]
+
+
+def random_record_value(rng, depth):
+    kind = rng.randrange(7 if depth else 6)
+    if kind == 0:
+        return random_scalar(rng)
+    if kind == 1:
+        return rng.choice([{}, [], ()])
+    if kind == 2:  # all-int arrays, often repeated, as lists or tuples
+        return rng.choice([list, tuple])(rng.choice(INT_ARRAYS))
+    if kind == 3:
+        return [rng.choice(STRINGS) for _ in range(rng.randint(1, 3))]
+    if kind == 4:
+        return tuple(random_scalar(rng) for _ in range(rng.randint(1, 3)))
+    if kind == 5:
+        return rng.choice([list, tuple])(rng.choice(NOT_INT_ARRAYS))
+    return random_record(rng, rng.sample(RECORD_KEYS, rng.randint(1, 3)), depth - 1)
+
+
+def random_record(rng, keys, depth):
+    return {k: random_record_value(rng, depth) for k in keys}
+
+
+def random_records(rng, depth):
+    """A list of records that share one key set, in one insertion order or
+    in several."""
+    keys = rng.sample(RECORD_KEYS, rng.randint(1, 5))
+    records = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.3:
+            keys = rng.sample(keys, len(keys))
+        records.append(random_record(rng, keys, depth))
+    return records
+
+
+def wrapped(rng, doc, depth):
+    """doc inside depth seeded containers, so its records sit at that indent."""
+    for _ in range(depth):
+        doc = rng.choice([lambda d: {"rows": d, "n": 1}, lambda d: [d],
+                          lambda d: (0, d), lambda d: [d, {"a": (1, 0)}]])(doc)
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_writer_matches_json_dumps_on_random_records(seed):
+    rng = random.Random(4000 + seed)
+    for depth in range(5):
+        for _ in range(10):
+            doc = wrapped(rng, random_records(rng, rng.randrange(3)), depth)
+            assert render_json(doc) == dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [{"b": [1, 0], "a": "x"}, {"a": "y", "b": [1, 0]}, {"b": (1, 0), "a": "z"}],
+    {"rows": [{"%s": 1, "%%": (True, 0)}, {"%%": (1, 0), "%s": 2}]},
+    (), [()], {"a": ()}, [{"a": (), "b": ((),)}], ((), [()]),
+    [{"a": (1, 0)}, {"a": (True, 0)}, {"a": (1.0, 0)}, {"a": [1, 0]}],
+    {"alpha": (0, 1), "beta": (0, 1), "c": "2", "gamma": (0, 2)},
+], ids=["insertion-orders", "percent-keys", "0-tuple", "0-tuple-in-list",
+        "0-tuple-in-record", "0-tuple-in-tuple", "0-tuples", "equal-arrays",
+        "schur-triple"])
+def test_writer_matches_json_dumps_on_records(doc):
+    assert render_json(doc) == dumps(doc)
+
+
 def load_workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   BENCH / "workloads.py")
