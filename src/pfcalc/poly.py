@@ -490,9 +490,9 @@ def _bits(ring: BaseRing, c) -> int:
 
 def _add_work(ring: BaseRing, a, b) -> int:
     """The units of a + b (characteristic 0; see PARSE_WORK_LIMIT): adding
-    x/u and y/v multiplies x by v and y by u and takes gcd(u, v), so each
-    coordinate pair costs bits(x/u) * bits(v) + bits(y/v) * bits(u) / 2^20,
-    and integers add for free."""
+    x/u and y/v multiplies x by v and y by u and takes gcd(u, v), so it
+    costs the sum over coordinate pairs of bits(x/u) * bits(v) +
+    bits(y/v) * bits(u), over 2^20; integers add for free."""
     work = 0
     for x, y in zip(ring.field_coords(a), ring.field_coords(b)):
         u, v = (x.denominator - 1).bit_length(), (y.denominator - 1).bit_length()
