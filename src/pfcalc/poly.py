@@ -496,9 +496,8 @@ def _add_work(ring: BaseRing, a, b) -> int:
     work = 0
     for x, y in zip(ring.field_coords(a), ring.field_coords(b)):
         u, v = (x.denominator - 1).bit_length(), (y.denominator - 1).bit_length()
-        if u or v:
-            work += max(x.numerator.bit_length(), u) * v \
-                + max(y.numerator.bit_length(), v) * u
+        work += max(x.numerator.bit_length(), u) * v \
+            + max(y.numerator.bit_length(), v) * u
     return work >> 20
 
 
@@ -572,6 +571,10 @@ class _Parser:
         return _square_and_multiply(f, k, self.mul)
 
     def parse_sum(self) -> dict:
+        """The terms of the signed products, added up; in characteristic 0
+        each addition of two coefficients is charged before it is made, as a
+        sum of fractions grows its denominator.  parse_product drops zero
+        coefficients, so a term that meets none is stored as it is."""
         ring, toks = self.ring, self.toks
         sign = toks[self.i][0]
         if sign == "+" or sign == "-":
@@ -584,12 +587,18 @@ class _Parser:
             if op != "+" and op != "-":
                 return terms
             self.i += 1
-            other = self.parse_product()
-            if self.sized:  # a sum of fractions grows its denominator
-                for e, c in other.items():
-                    if e in terms:
-                        self.charge(_add_work(ring, terms[e], c))
-            _accumulate(ring, terms, other, ring.add if op == "+" else ring.sub)
+            for e, c in self.parse_product().items():
+                if op == "-":
+                    c = ring.neg(c)
+                a = terms.get(e)
+                if a is not None:
+                    if self.sized:
+                        self.charge(_add_work(ring, a, c))
+                    c = ring.add(a, c)
+                    if ring.is_zero(c):
+                        del terms[e]
+                        continue
+                terms[e] = c
 
     def parse_product(self) -> dict:
         """The factors multiplied left to right; the atoms since the last

@@ -4,14 +4,16 @@ pure-Python one, which does, is most of a large schur-table job.
 
 Most of a large output is records: dicts whose values are all scalars, empty
 containers or flat arrays of scalars (a schur-table triple, a ring-of-module
-piece).  A record is filled into its shape, a format string of its sorted
-keys with their quoted heads and its closing brace, built once per call for
-each indent and key tuple in insertion order.  An all-int array is rendered
-once per call for each indent and values.  Every other value is written
-recursively.  Tuples are written as lists, as json writes them.
+piece).  A record is filled into its shape: its sorted keys as quoted heads
+('{\n<indent>"key": ' for the first, ',\n<indent>"key": ' for the rest) and
+its closing brace, built once per call for each indent and key tuple in
+insertion order.  An all-int array is rendered once per call for each indent
+and values.  Every other value is written recursively.  Tuples are written
+as lists, as json writes them.
 """
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import countOf, itemgetter
 
@@ -40,17 +42,16 @@ def render_json(doc) -> str:
             + "\n" + pad + "]"
 
     def shape(x, pad):
-        """The getter of the values of x in key order, the format string
-        they fill, and the pad and all-int texts of those values."""
+        """The getter of the values of x in key order, their heads, the
+        closing brace, and the pad and all-int texts of those values."""
         order = sorted(x)
         inner = pad + "  "
         heads = ["{\n" + inner + _quote(order[0]) + ": "]
         heads += [",\n" + inner + _quote(k) + ": " for k in order[1:]]
-        form = "%s".join(h.replace("%", "%%") for h in heads) + "%s\n" \
-            + pad + "}"
+        close = "\n" + pad + "}"
         get = itemgetter(*order) if len(order) > 1 else \
             lambda x, k=order[0]: (x[k],)
-        return get, form, inner, ints.setdefault(inner, {})
+        return get, heads, close, inner, ints.setdefault(inner, {})
 
     def record(x, pad):
         """Append the text of the nonempty dict x if it is a record, and
@@ -58,7 +59,7 @@ def render_json(doc) -> str:
         key = (pad, *x)
         if key not in shapes:
             shapes[key] = shape(x, pad)
-        get, form, inner, known = shapes[key]
+        get, heads, close, inner, known = shapes[key]
         texts = []
         for v in get(x):
             t = type(v)
@@ -79,7 +80,8 @@ def render_json(doc) -> str:
             else:
                 return False
             texts.append(text)
-        out.append(form % tuple(texts))
+        out.extend(chain.from_iterable(zip(heads, texts)))
+        out.append(close)
         return True
 
     def put(x, pad):
