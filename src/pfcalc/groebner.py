@@ -36,9 +36,12 @@ Python int, bit i for entry i) of the entries whose leading monomial has at
 most a in digit k.  The entries whose leading monomial divides a monomial
 are the AND of one such bitset per digit (degree digits only filter more),
 and the first of them in list order is the lowest set bit.  The pair queue
-skips coprime pairs and chained ones (see _s_pairs): those among a new
-entry's pairs when it joins, those that later entries chain, which this AND
-finds, at their pop.
+skips coprime pairs and chained ones (see _s_pairs).  A joining entry with
+leading monomial b keeps the pairs of the minimal generators of the colon
+ideal <earlier LMs> : b: the ANDs at b's digits, each digit in turn raised
+by one, find at once whether it is <1> and which variables generate it,
+and only the entries that none of those variables catches get an lcm.
+Pairs that later entries chain are found by the AND at their pop.
 
 Coefficient arithmetic sits behind one of two kernels, which _kernel picks
 from the ring for buchberger and for GroebnerBasis alike:
@@ -88,7 +91,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -141,6 +144,7 @@ class _Packing:
         shifts = range(0, width * self.size, width)
         self.digits = ((lambda P: P.to_bytes(self.size, "little")) if width == 8 else
                        (lambda P: [P >> s & self.digit for s in shifts]))
+        self.tables: dict = {}  # weights -> memoized degree
 
     def pack(self, exp) -> int:
         top = self.width - 1
@@ -162,12 +166,18 @@ class _Packing:
 
     def degree(self, weights: Optional[Sequence[int]] = None):
         """The weighted degree of packed monomials, as a function; weights
-        holds one per variable, None means unit weights."""
-        w = [0] * self.size  # by digit
-        for v, k in enumerate(self.pos):
-            w[k] = weights[v] if weights else 1
+        holds one per variable, None means unit weights.  Weighted degrees
+        are memoized on the packing, which a run makes for itself, so its
+        queue, _complete and _hilbert_numerator compute each once."""
         digits = self.digits
-        return lambda P: sum(map(mul, w, digits(P)))
+        if not weights:
+            return lambda P: sum(digits(P & self.exps))
+        if weights not in self.tables:
+            w = [0] * self.size  # by digit
+            for v, k in enumerate(self.pos):
+                w[k] = weights[v]
+            self.tables[weights] = cache(lambda P: sum(map(mul, w, digits(P))))
+        return self.tables[weights]
 
     def graded(self, x: int) -> int:
         """x with each block's degree digit: the block, shifted to its first
@@ -184,9 +194,10 @@ class _Reducers:
     """Reducer entries in list order, with the divisor index over them.
 
     below[k][a] is the bitset of the entries whose leading monomial has at
-    most a in digit k.  Every column grows to the largest digit looked up so
-    far, so a lookup is one index per digit; past the end of below[k], every
-    entry is below.  Entries may be added at any time.
+    most a in digit k.  Every column grows past each entry's digit plus one
+    and the largest digit looked up, so a lookup is one index per digit;
+    past the end of below[k], every entry is below.  Entries may be added
+    at any time.
     """
 
     def __init__(self, pack: _Packing, entries=()):
@@ -201,12 +212,9 @@ class _Reducers:
     def add(self, entry: tuple):
         bit = 1 << len(self.entries)
         for col, a in zip(self.below, self.digits(entry[0])):
-            n = len(col)
-            if a >= n:
-                col.extend([self.all] * (a - n))
-            else:
-                for b in range(a, n):
-                    col[b] |= bit
+            col.extend([self.all] * (a + 2 - len(col)))
+            for b in range(a, len(col)):
+                col[b] |= bit
         self.entries.append(entry)
         self.all |= bit
 
@@ -583,36 +591,73 @@ def _s_pairs(reducers: _Reducers, weights: Optional[Sequence[int]] = None,
     lcm(k, j) != L or k < i, and as LM(k) | L exactly when lcm(k, j) | L,
     (i, j) escapes every k < j exactly when L is divisibility-minimal among
     the lcm(k, j), k < j, ties going to the lowest k (Gebauer and Moeller,
-    JSC 6, 1988).  So when j joins, its lcms' exponent digits are sorted,
-    a proper divisor being a smaller int, and each is kept when no kept
-    one divides it; coprime pairs take part but are not pushed, and only
-    pushed pairs get degree digits.  A k > j with LM(k) | L chains (i, j)
-    exactly when lcm(i, k) != L and lcm(j, k) != L; such entries, of the
-    first batch or joined later, are tested at the pop.
+    JSC 6, 1988); with b = LM(j), L / b is then a minimal generator of the
+    colon ideal.  The divisor index finds these without an lcm per earlier
+    entry.  Let at[v] hold the entries i < j whose LM is at most b in
+    variable v.  An entry in every at[v] has an LM dividing b: the colon
+    ideal is <1>, and the lowest such entry is paired.  Otherwise x_v is a
+    generator exactly when some LM divides b x_v, which is then their lcm:
+    when the other at[u] (prefix and suffix ANDs) and the entries at most
+    one above b in v leave an entry, the lowest of which is paired.  Any
+    other lcm that such a b x_v divides is not minimal or loses the tie, so
+    only the entries in at[v] for every generator x_v get an lcm.  Those
+    lcms are sorted, a proper divisor being a smaller int, and each is kept
+    when no kept one divides it.  Coprime pairs take part but are not
+    pushed, and only pushed pairs get degree digits.  A k > j with
+    LM(k) | L chains (i, j) exactly when lcm(i, k) != L and
+    lcm(j, k) != L; such entries, of the first batch or joined later, are
+    tested at the pop.
     """
     pack = reducers.pack
     maximum, graded, degree = pack.maximum, pack.graded, pack.degree(weights)
-    guard, mask, exps = pack.guard, pack.mask, pack.exps
+    guard, mask, exps, digits = pack.guard, pack.mask, pack.exps, pack.digits
     dividing = reducers.dividing
     entries = reducers.entries
+    # by variable: its digit, x_v packed, and the divisor index's column
+    pos = pack.pos
+    ones = [1 << pack.width * k for k in pos]
+    columns = [reducers.below[k] for k in pos]
     lms: list = []  # leading monomials of the queued entries
     heap: list = []
+
+    def push(i, j, x):
+        if x != (lms[i] + entries[j][0]) & exps:  # not coprime
+            lcm = graded(x)
+            heapq.heappush(heap, (degree(lcm), lcm - 2 * (lcm & mask), i, j, lcm))
+
     while True:
         n = len(entries)
         for j in range(len(lms), n):
             b = entries[j][0]
-            minimal = []
-            for x, i in sorted([(maximum(a, b), i) for i, a in enumerate(lms)]):
-                xg = x | guard
-                for m in minimal:
-                    if (xg - m) & guard == guard:  # m divides x
-                        break
-                else:
-                    minimal.append(x)
-                    if x != (lms[i] + b) & exps:  # not coprime
-                        lcm = graded(x)
-                        heapq.heappush(heap, (degree(lcm), lcm - 2 * (lcm & mask),
-                                              i, j, lcm))
+            x, bd = b & exps, digits(b)
+            at = [columns[v][bd[k]] for v, k in enumerate(pos)]
+            pre = [(1 << j) - 1]  # pre[v]: the AND of at[u], u < v
+            for c in at:
+                pre.append(pre[-1] & c)
+            if pre[-1]:  # an earlier LM divides b
+                minimal = [x]
+                push((pre[-1] & -pre[-1]).bit_length() - 1, j, x)
+            else:
+                minimal, left, after = [], pre[0], -1
+                for v in reversed(range(len(pos))):
+                    d = pre[v] & after & columns[v][bd[pos[v]] + 1]
+                    if d:  # x_v generates the colon ideal
+                        minimal.append(x + ones[v])
+                        push((d & -d).bit_length() - 1, j, x + ones[v])
+                        left &= at[v]
+                    after &= at[v]
+                rest = []
+                while left:
+                    i = (left & -left).bit_length() - 1
+                    rest.append((maximum(lms[i], b), i))
+                    left &= left - 1
+                kept = []
+                for y, i in sorted(rest):
+                    yg = y | guard
+                    if all((yg - m) & guard != guard for m in kept):  # none divides y
+                        kept.append(y)
+                        push(i, j, y)
+                minimal += kept
             if joined:
                 joined(b, minimal)
             lms.append(b)
@@ -702,9 +747,8 @@ def _complete(kernel: _Kernel, inputs: Sequence[MultiPoly],
         excess = _minus_shifted({0: 1}, target, 0)  # N(J) - N(I), J = <LM>
 
         def joined(b, minimal):
-            nonlocal excess
             colon = _hilbert_numerator([x - (b & exps) for x in minimal], pack, degree)
-            excess = _minus_shifted(excess, colon, degree(b))
+            _minus_shifted(excess, colon, degree(b))
 
     for terms in sorted(map(kernel.prepare, inputs),
                         key=lambda t: key(kernel.lead(t))):
@@ -780,16 +824,16 @@ def _graph_grading(inputs: Sequence[MultiPoly], front: int):
             return None
         seen.add(y)
         weights[y] = degrees.pop()
-        numerator = _minus_shifted(numerator, numerator, weights[y])
+        numerator = _minus_shifted(numerator, dict(numerator), weights[y])
     return tuple(weights), numerator
 
 
 def _minus_shifted(p: dict, q: dict, s: int) -> dict:
-    """p - t^s * q, for polynomials in t held as {exponent: coefficient}."""
-    out = dict(p)
+    """p - t^s * q, for polynomials in t held as {exponent: coefficient},
+    written into p, which is returned; q must not be p."""
     for a, c in q.items():
-        out[a + s] = out.get(a + s, 0) - c
-    return out
+        p[a + s] = p.get(a + s, 0) - c
+    return p
 
 
 def _hilbert_numerator(gens: Sequence[int], pack: _Packing, degree) -> dict:

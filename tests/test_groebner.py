@@ -508,13 +508,13 @@ def test_s_pairs_match_done_set_queue(ring, monkeypatch):
     assert reordered > 10
 
 
-def _counted_queue(order, lms, joins=None, weights=None):
+def _counted_queue(order, lms, joins=None, weights=None, width=8):
     """The pairs of _s_pairs over entries with leading monomials lms under
-    order, checked against _set_s_pairs step by step (after the t-th pair,
-    the monomials joins[t] join); with the number of pushes onto the pair
-    heap and of candidate pairs.  Every full lcm (degree digits included)
-    that the queue makes must be pushed."""
-    pack = _Packing(order, len(lms[0]))
+    order, packed at digits of width bits, checked against _set_s_pairs step
+    by step (after the t-th pair, the monomials joins[t] join); with the
+    number of pushes onto the pair heap and of candidate pairs.  Every full
+    lcm (degree digits included) that the queue makes must be pushed."""
+    pack = _Packing(order, len(lms[0]), width)
     reducers = _Reducers(pack, [(pack.pack(e), 1, []) for e in lms])
     reference = _set_s_pairs(_Unpacked(reducers), _nested_key(order), weights)
     graded, pushed = [], []
@@ -620,6 +620,90 @@ def test_s_pairs_match_done_set_queue_on_random_monomials(order):
         candidates += c
     # most candidates are coprime or chained, and get no full lcm
     assert candidates > 3 * pushes > 0
+
+
+ORDERS = [Lex(), Grevlex(), Elimination(1), Elimination(2), Elimination(3)]
+ORDER_IDS = ["lex", "grevlex", "elim1", "elim2", "elim3"]
+
+
+def _random_queue_input(rng, width):
+    """Seeded leading monomials in w, x, y, z, some repeated; the monomials
+    that join after the t-th pair; weights or None.  At 16-bit digits every
+    nonzero exponent is 150-152, past what 8 bits hold."""
+    def monomial():
+        if width == 8:
+            return tuple(rng.randrange(3) for _ in VS4.names)
+        return tuple(rng.choice((0, 150, 151, 152)) for _ in VS4.names)
+    lms = [monomial() for _ in range(rng.randrange(2, 9))]
+    lms += rng.sample(lms, rng.randrange(2))
+    joins = {t: [monomial() for _ in range(rng.randrange(1, 3))]
+             for t in range(1, 6) if rng.random() < 0.4}
+    return lms, joins, None if rng.random() < 0.3 else _random_weights(rng)
+
+
+def _colon_generators(earlier, b):
+    """The minimal generators of <earlier> : b, times b, by brute force on
+    exponent tuples."""
+    colon = {tuple(max(x - y, 0) for x, y in zip(a, b)) for a in earlier}
+    return {tuple(map(operator.add, c, b)) for c in colon
+            if not any(d != c and _divides(d, c) for d in colon)}
+
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+def test_s_pairs_join_the_minimal_colon_generators(order, width):
+    # each joining entry, of the first batch or later, hands joined the
+    # minimal generators of <earlier LMs> : b times b, which the divisor
+    # index finds: <1> when an earlier LM divides b (repeated LMs
+    # included), variables, and the rest from lcms; only the earlier
+    # entries that no variable generator catches get an lcm
+    rng = random.Random(5170 + width)
+    kinds = {"unit": 0, "variable": 0, "other": 0}
+    lcms = []  # the operands of every lcm since the last join or pair
+    maximum = _Packing.maximum
+    for _ in range(100):
+        lms, joins, weights = _random_queue_input(rng, width)
+        pack = _Packing(order, len(VS4), width)
+        reducers = _Reducers(pack, [(pack.pack(e), 1, []) for e in lms])
+        seen = []
+        del lcms[:]  # the chain tests of the last queue's final pops
+
+        def joined(b, minimal):
+            b = pack.unpack(b)
+            want = _colon_generators(seen, b)
+            assert len(minimal) == len(want)
+            assert {pack.unpack(x) for x in minimal} == want
+            steps = [[x - y for x, y in zip(g, b)] for g in want]
+            for step in steps:
+                kinds[("unit", "variable")[sum(step)] if sum(step) < 2 else "other"] += 1
+            caught = [step.index(1) for step in steps if sum(step) == 1]
+            left = [a for a in seen if all(a[v] <= b[v] for v in caught)]
+            assert len(lcms) == (0 if b in want else len(left))
+            del lcms[:]
+            seen.append(b)
+
+        pairs = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Packing, "maximum",
+                       lambda self, a, b: lcms.append((a, b)) or maximum(self, a, b))
+            for _ in groebner._s_pairs(reducers, weights, joined):
+                del lcms[:]  # the chain test at the pop
+                pairs += 1
+                for e in joins.get(pairs, ()):
+                    reducers.add((pack.pack(e), 1, []))
+        assert len(seen) == len(reducers.entries)
+    assert min(kinds.values()) > 20
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+def test_s_pairs_match_done_set_queue_at_16_bit_digits(order):
+    # as on random monomials, with exponents only 16-bit digits hold
+    rng = random.Random(5172)
+    pushes = 0
+    for _ in range(60):
+        _, p, _ = _counted_queue(order, *_random_queue_input(rng, 16), width=16)
+        pushes += p
+    assert pushes > 100
 
 
 @pytest.mark.parametrize("ring", [QQ, Fp(5), ring_from_tag("Fp(3)[t]/(t^2+1)")],
