@@ -9,13 +9,25 @@ piece).  A record is filled into its shape: its sorted keys as quoted heads
 its closing brace, built once per call for each indent and key tuple in
 insertion order.  An all-int array is rendered once per call for each indent
 and values.  Every other value is written recursively.  Tuples are written
-as lists, as json writes them.
+as lists, and int, float, bool and None keys as strings, as json writes
+them; a record with such keys is not cached, since 1, 1.0 and True are one
+dict key but three texts.
 """
 
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import countOf, itemgetter
+
+
+def _key(k) -> str:
+    """The quoted text of the dict key k, converted as json converts it."""
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):  # bools are ints
+        return _quote(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(k).__name__}")
 
 
 def render_json(doc) -> str:
@@ -43,23 +55,24 @@ def render_json(doc) -> str:
 
     def shape(x, pad):
         """The getter of the values of x in key order, their heads, the
-        closing brace, and the pad and all-int texts of those values."""
+        closing brace, and the pad and all-int texts of those values;
+        cached in shapes when every key is a str."""
         order = sorted(x)
         inner = pad + "  "
-        heads = ["{\n" + inner + _quote(order[0]) + ": "]
-        heads += [",\n" + inner + _quote(k) + ": " for k in order[1:]]
+        heads = ["{\n" + inner + _key(order[0]) + ": "]
+        heads += [",\n" + inner + _key(k) + ": " for k in order[1:]]
         close = "\n" + pad + "}"
         get = itemgetter(*order) if len(order) > 1 else \
             lambda x, k=order[0]: (x[k],)
-        return get, heads, close, inner, ints.setdefault(inner, {})
+        made = get, heads, close, inner, ints.setdefault(inner, {})
+        if countOf(map(type, order), str) == len(order):
+            shapes[(pad, *x)] = made
+        return made
 
     def record(x, pad):
         """Append the text of the nonempty dict x if it is a record, and
         say whether it was."""
-        key = (pad, *x)
-        if key not in shapes:
-            shapes[key] = shape(x, pad)
-        get, heads, close, inner, known = shapes[key]
+        get, heads, close, inner, known = shapes.get((pad, *x)) or shape(x, pad)
         texts = []
         for v in get(x):
             t = type(v)
@@ -92,7 +105,7 @@ def render_json(doc) -> str:
         if isinstance(x, dict):
             if type(x) is dict and record(x, pad):
                 return
-            items, ends = [(_quote(k) + ": ", x[k]) for k in sorted(x)], "{}"
+            items, ends = [(_key(k) + ": ", x[k]) for k in sorted(x)], "{}"
         else:
             text = array(x, pad)
             if text is not None:

@@ -163,6 +163,38 @@ def test_writer_matches_json_dumps_on_records(doc):
     assert render_json(doc) == dumps(doc)
 
 
+def random_scalar_keyed(rng, depth):
+    """A seeded dict with non-str keys of one kind, so they sort: a record
+    or, with a container value, one written recursively."""
+    kind = rng.choice([[1, 0, -3, 10 ** 20], [1.5, 1.0, -0.25, float("inf"), 2],
+                       [True, False], [None]])
+    keys = rng.sample(kind, rng.randint(1, len(kind)))
+    return {k: (random_scalar_keyed(rng, depth - 1) if depth and rng.random() < 0.3
+                else random_record_value(rng, 0)) for k in keys}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_writer_converts_keys_as_json_does(seed):
+    # 1, 1.0 and True are one dict key but "1", "1.0" and "true": records
+    # with equal keys of other types must not share a shape
+    rng = random.Random(4100 + seed)
+    for depth in range(3):
+        for _ in range(10):
+            doc = wrapped(rng, [random_scalar_keyed(rng, depth)
+                                for _ in range(rng.randint(1, 4))], depth)
+            assert render_json(doc) == dumps(doc)
+    doc = [{1: 2}, {True: 2}, {1.0: 2}, {"1": 2}, {None: 1}, {1.5: 2}]
+    assert render_json(doc) == dumps(doc)
+
+
+def test_writer_refuses_keys_json_refuses():
+    for doc in ({(1, 2): 3}, {"rows": [{frozenset(): 1}]}):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            dumps(doc)
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            render_json(doc)
+
+
 def load_workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   BENCH / "workloads.py")
