@@ -35,6 +35,21 @@ class NotAUnit(ArithmeticError):
     """Raised when inverting a non-unit; the message names the element."""
 
 
+# a message prints an integer in full up to this many digits, else its size
+MESSAGE_DIGITS = 40
+
+
+def _named(n: int) -> str:
+    """n as a message names it: its digits, or how many there are."""
+    size = abs(n)
+    if size < 10 ** MESSAGE_DIGITS:
+        return str(n)
+    digits = int((size.bit_length() - 1) * 0.30102999)  # fewer than n has
+    while size >= 10 ** digits:
+        digits += 1
+    return f"an integer of {digits} digits"
+
+
 class SizeGuardExceeded(RuntimeError):
     """A job refused: an estimate of its size made before it runs, or the
     work it has measured as it runs, is above a fixed limit.  The message
@@ -206,7 +221,7 @@ class IntegerRing(BaseRing):
     def inv(self, a):
         if a in (1, -1):
             return a
-        raise NotAUnit(f"{a} is not a unit in ZZ")
+        raise NotAUnit(f"{_named(a)} is not a unit in ZZ")
 
     def characteristic(self):
         return 0
@@ -302,7 +317,7 @@ class ModularIntegers(BaseRing):
         try:
             return pow(a, -1, self.m)
         except ValueError:
-            raise NotAUnit(f"{a % self.m} is not a unit in {self.tag()}") from None
+            raise NotAUnit(f"{_named(a % self.m)} is not a unit in {self.tag()}") from None
 
     def from_int(self, n):
         return n % self.m

@@ -177,6 +177,19 @@ def test_good_primes_flags_three(capsys, tmp_path):
     assert out.count("good") >= 3
 
 
+@pytest.mark.parametrize("digits", [40, 41, 4000])
+def test_good_primes_names_a_long_non_unit_by_its_size(capsys, tmp_path, digits):
+    # the refused denominator is named by its digit count above 40 digits,
+    # so the error line stays short
+    n = 10 ** (digits - 1) + 7
+    cfg = {"variables": ["x"], "generators": [f"1/{n}*x"], "primes": [2, 3]}
+    code, out, err = run(capsys, tmp_path, "good-primes", cfg)
+    assert code == 2 and not out
+    assert len(err.encode()) < 200
+    assert (f"{n} is not a unit" if digits <= 40
+            else f"an integer of {digits} digits is not a unit") in err
+
+
 def test_unknown_config_key_exit_2(capsys, tmp_path):
     cfg = {"transformation": "cube-sum", "rank": 2, "primes": [2], "oops": 1}
     code, _, err = run(capsys, tmp_path, "dim-per-prime", cfg)

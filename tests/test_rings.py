@@ -12,9 +12,10 @@ from pfcalc import rings
 from pfcalc.groebner import NonFieldCoefficients, buchberger
 from pfcalc.linalg import Echelon
 from pfcalc.poly import Grevlex, VarSet, parse_poly
-from pfcalc.rings import (PRIME_TEST_LIMIT, Fp, ModularIntegers, NotAUnit, QQ,
-                          QuotientRing, SizeGuardExceeded, ZZ, _poly_divmod,
-                          fraction_field_reduction, is_prime, ring_from_tag)
+from pfcalc.rings import (MESSAGE_DIGITS, PRIME_TEST_LIMIT, Fp, ModularIntegers,
+                          NotAUnit, QQ, QuotientRing, SizeGuardExceeded, ZZ,
+                          _poly_divmod, fraction_field_reduction, is_prime,
+                          ring_from_tag)
 
 
 def test_integer_arithmetic():
@@ -613,3 +614,17 @@ def test_folded_mul_matches_long_division(base, modulus):
         got, want = R.mul(a, b), R._reduce(R._poly_mul(a, b))
         assert got == want, (a, b)
         assert [type(x) for x in got] == [type(x) for x in want], (a, b)
+
+
+def test_a_long_non_unit_is_named_by_its_digit_count():
+    # up to MESSAGE_DIGITS digits the integer itself, above it the exact
+    # count of its digits, also past the int-string conversion limit
+    for digits in (2, 39, 40, 41, 42, 100, 4300, 9000):
+        for n in (10 ** (digits - 1), 10 ** digits - 1, -(10 ** digits - 1)):
+            with pytest.raises(NotAUnit) as raised:
+                ZZ.inv(n)
+            message = str(raised.value)
+            if digits <= MESSAGE_DIGITS:
+                assert message == f"{n} is not a unit in ZZ"
+            else:
+                assert message == f"an integer of {digits} digits is not a unit in ZZ"
