@@ -10,8 +10,8 @@ its closing brace, built once per call for each indent and key tuple in
 insertion order.  An all-int array is rendered once per call for each indent
 and values.  Every other value is written recursively.  Tuples are written
 as lists, and int, float, bool and None keys as strings, as json writes
-them; a record with such keys is not cached, since 1, 1.0 and True are one
-dict key but three texts.
+them; the shape of a record with such keys is not cached, since 1, 1.0 and
+True are one dict key but three texts.
 """
 
 import json

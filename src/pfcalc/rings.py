@@ -44,7 +44,7 @@ def _named(n: int) -> str:
     size = abs(n)
     if size < 10 ** MESSAGE_DIGITS:
         return str(n)
-    digits = int((size.bit_length() - 1) * 0.30102999)  # fewer than n has
+    digits = int((size.bit_length() - 1) * 0.30102999)  # below the count
     while size >= 10 ** digits:
         digits += 1
     return f"an integer of {digits} digits"
